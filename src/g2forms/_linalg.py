@@ -17,10 +17,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def copy(mat: Matrix) -> Matrix:
     return [list(row) for row in mat]
 
@@ -32,10 +28,6 @@ def transpose(mat: Matrix) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def matvec(a: Matrix, v: list) -> list:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -74,8 +66,6 @@ def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
         if not mat:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(mat[0])
-    if not mat:
-        return [list(row) for row in identity(ncols)]
     reduced, pivots = rref(mat)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -94,18 +84,12 @@ def row_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [reduced[i] for i in range(len(pivots))]
 
 
-def spans_equal(rows_a: list, rows_b: list, ncols: int) -> bool:
-    a = row_space(rows_a) if rows_a else []
-    b = row_space(rows_b) if rows_b else []
-    return a == b
+def spans_equal(rows_a: list, rows_b: list) -> bool:
+    return row_space(rows_a) == row_space(rows_b)
 
 
-def span_contains(big_rows: list, small_rows: list, ncols: int) -> bool:
+def span_contains(big_rows: list, small_rows: list) -> bool:
     """True when span(small) is contained in span(big)."""
-    if not small_rows:
-        return True
-    if not big_rows:
-        return all(not any(row) for row in small_rows)
     return rank(big_rows) == rank(big_rows + small_rows)
 
 

@@ -6,10 +6,9 @@ import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from fractions import Fraction
-from itertools import combinations
 
 from g2forms import _linalg
-from g2forms.exterior import AltForm, basis_vector, contract, parse_form
+from g2forms.exterior import AltForm, basis_vector, contract, form_to_vector, monomials, parse_form
 from g2forms.gstruct import (
     b_matrix,
     g2_torsion_report,
@@ -132,22 +131,7 @@ def _entry_to_complex(entry):
 
 def build_homogeneous(record) -> HomogeneousSpaceData:
     """Symbolic homogeneous data of a case (no parameters substituted)."""
-    context = record.context
-    if record.source == "partial-homogeneous":
-        hom = record.raw["homogeneous"]
-        isotropy = [
-            [[PolyScalar.parse(x, context) for x in row] for row in m]
-            for m in hom["isotropy_action"]
-        ]
-        bracket = {}
-        for i, j, comps in hom["projected_bracket"]:
-            bracket[(i, j)] = tuple(PolyScalar.parse(c, context) for c in comps)
-        names = record.basis_names
-        return homogeneous_from_partial(
-            record.dimension, isotropy, bracket, names, context
-        )
-    algebra = build_algebra(record)
-    return reductive_split(algebra, record.raw["h_indices"], record.raw["m_indices"])
+    return _Engine(record).homog_sym
 
 
 class _Engine:
@@ -172,7 +156,24 @@ class _Engine:
     @property
     def homog_sym(self) -> HomogeneousSpaceData:
         if self._homog_sym is None:
-            self._homog_sym = build_homogeneous(self.record)
+            record = self.record
+            if record.source == "partial-homogeneous":
+                hom = record.raw["homogeneous"]
+                isotropy = [
+                    [[PolyScalar.parse(x, self.context) for x in row] for row in m]
+                    for m in hom["isotropy_action"]
+                ]
+                bracket = {
+                    (i, j): tuple(PolyScalar.parse(c, self.context) for c in comps)
+                    for i, j, comps in hom["projected_bracket"]
+                }
+                self._homog_sym = homogeneous_from_partial(
+                    record.dimension, isotropy, bracket, record.basis_names, self.context
+                )
+            else:
+                self._homog_sym = reductive_split(
+                    self.algebra, record.raw["h_indices"], record.raw["m_indices"]
+                )
         return self._homog_sym
 
     def homog_num(self, assignment=None) -> HomogeneousSpaceData:
@@ -222,16 +223,14 @@ class _Engine:
         return parse_form(text, dim or self.dim_m, degree, data.symbols)
 
 
-def _monomial_list(n, k):
-    return list(combinations(range(1, n + 1), k))
-
-
-def _forms_to_rows(forms, monomials):
-    rows = []
-    for f in forms:
-        coeffs = f.rational_coefficients()
-        rows.append([coeffs.get(idx, Fraction(0)) for idx in monomials])
-    return rows
+def _coefficient_rows(engine, forms, degree, texts):
+    """Coefficient rows of the computed forms and of the printed ones."""
+    monos = monomials(engine.dim_m, degree)
+    printed = [parse_form(t, engine.dim_m, degree, ()) for t in texts]
+    return (
+        [form_to_vector(f, monos) for f in forms],
+        [form_to_vector(f, monos) for f in printed],
+    )
 
 
 def _render_forms(forms) -> str:
@@ -251,12 +250,8 @@ def _check_invariant_dim(engine, args, value):
 def _check_invariant_span(engine, args, value):
     degree = args["degree"]
     space = engine.invariant_space(degree)
-    monomials = _monomial_list(engine.dim_m, degree)
-    computed = _forms_to_rows(space.basis, monomials)
-    target = _forms_to_rows(
-        [parse_form(t, engine.dim_m, degree, ()) for t in value], monomials
-    )
-    equal = _linalg.spans_equal(computed, target, len(monomials))
+    computed, target = _coefficient_rows(engine, space.basis, degree, value)
+    equal = _linalg.spans_equal(computed, target)
     status = "span-match" if equal else "mismatch"
     return status, _render_forms(space.basis)
 
@@ -266,14 +261,12 @@ def _check_invariant_dim_in_support(engine, args, value):
     groups = [set(g) for g in args["groups"]]
     counts = list(args["counts"])
     space = engine.invariant_space(degree)
-    monomials = _monomial_list(engine.dim_m, degree)
-    inside = [
+    outside = [
         idx
-        for idx in monomials
-        if all(len(set(idx) & g) == c for g, c in zip(groups, counts))
+        for idx in monomials(engine.dim_m, degree)
+        if not all(len(set(idx) & g) == c for g, c in zip(groups, counts))
     ]
-    outside = [idx for idx in monomials if idx not in inside]
-    rows = _forms_to_rows(space.basis, outside)
+    rows = [form_to_vector(f, outside) for f in space.basis]
     if not space.basis:
         dim = 0
     else:
@@ -306,37 +299,27 @@ def _check_closed_param_count(engine, args, value):
 
 def _check_closed_span(engine, args, value):
     family = engine.closed_family()
-    monomials = _monomial_list(engine.dim_m, family.degree)
-    computed = _forms_to_rows(family.basis, monomials)
-    target = _forms_to_rows(
-        [parse_form(t, engine.dim_m, family.degree, ()) for t in value], monomials
-    )
-    equal = _linalg.spans_equal(computed, target, len(monomials))
+    computed, target = _coefficient_rows(engine, family.basis, family.degree, value)
+    equal = _linalg.spans_equal(computed, target)
     return ("span-match" if equal else "mismatch"), _render_forms(family.basis)
 
 
 def _check_closed_subset_of(engine, args, value):
     family = engine.closed_family()
-    monomials = _monomial_list(engine.dim_m, family.degree)
-    computed = _forms_to_rows(family.basis, monomials)
-    target = _forms_to_rows(
-        [parse_form(t, engine.dim_m, family.degree, ()) for t in value], monomials
-    )
-    contained = _linalg.span_contains(target, computed, len(monomials))
+    computed, target = _coefficient_rows(engine, family.basis, family.degree, value)
+    contained = _linalg.span_contains(target, computed)
     return ("span-match" if contained else "mismatch"), _render_forms(family.basis)
 
 
 def _check_closed_component_zero(engine, args, value):
     family = engine.closed_family()
-    gammas = engine.gamma_forms()
-    monomials = _monomial_list(engine.dim_m, family.degree)
-    gamma_cols = _linalg.transpose(_forms_to_rows(gammas, monomials))
+    monos = monomials(engine.dim_m, family.degree)
+    gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in engine.gamma_forms()])
     indices = list(args["indices"])
     all_zero = True
     details = []
     for member in family.basis:
-        vec = _forms_to_rows([member], monomials)[0]
-        coords = _linalg.solve(gamma_cols, vec)
+        coords = _linalg.solve(gamma_cols, form_to_vector(member, monos))
         if coords is None:
             return "mismatch", "closed form outside the span of the declared gammas"
         for pos in indices:

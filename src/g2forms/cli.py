@@ -59,13 +59,9 @@ def _load_case_file(path: str) -> catalog.CaseRecord:
 
 
 def _numeric_data(record: catalog.CaseRecord):
-    from g2forms.catalog._runner import build_homogeneous
+    from g2forms.catalog._runner import _Engine
 
-    data = build_homogeneous(record)
-    assignment = record.enumerations[0]
-    if assignment:
-        data = data.instantiate(assignment)
-    return data
+    return _Engine(record).homog_num()
 
 
 def _cmd_verify(args) -> int:
@@ -76,6 +72,8 @@ def _cmd_verify(args) -> int:
             raise _InputError(str(exc)) from exc
     else:
         reports = catalog.verify_all(args.filter)
+        if not reports:
+            raise _InputError(f"no bundled case matches the filter {args.filter!r}")
     if args.format == "json":
         _emit_json([r.to_dict() for r in reports])
     else:

@@ -5,7 +5,9 @@ strictly increasing k-tuples of basis indices (1-based, matching the usual
 ``e^{i j k}`` notation) to nonzero :class:`~g2forms.scalars.PolyScalar`
 coefficients.  Wedge products compute their sign by counting transpositions
 while merging the index tuples; contraction and evaluation are the exact
-antiderivation and alternating-sum formulas.
+antiderivation and alternating-sum formulas.  :class:`ExteriorOp` is the
+one representation of a linear map between exterior powers, over the
+lexicographic monomial coordinates of :func:`monomials`.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -15,23 +17,27 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from g2forms.scalars import ContextMismatchError, PolyScalar, format_rational
 
 __all__ = [
     "AltForm",
+    "ExteriorOp",
     "Vector",
     "basis_form",
     "basis_vector",
     "contract",
     "evaluate",
+    "form_to_vector",
     "merge_sign",
+    "monomials",
     "parse_form",
     "pullback",
     "sort_sign",
     "top_coefficient",
+    "vector_to_form",
     "wedge",
 ]
 
@@ -182,13 +188,6 @@ class AltForm:
         if coeff is None:
             return PolyScalar.zero(self.symbols)
         return coeff if sign == 1 else -coeff
-
-    def rational_coefficients(self) -> dict[tuple, Fraction]:
-        """Coefficients as Fractions; raises if any coefficient is symbolic."""
-        out = {}
-        for idx, coeff in self.coeffs.items():
-            out[idx] = coeff.constant_value()
-        return out
 
     def is_rational(self) -> bool:
         return all(c.is_constant() for c in self.coeffs.values())
@@ -398,36 +397,6 @@ def _poly_det(rows: list) -> PolyScalar:
     return total
 
 
-def evaluate_by_permutations(alpha: AltForm, vectors: Sequence[Vector]) -> PolyScalar:
-    """Brute-force evaluation as a sum over all k! permutations.
-
-    Independent of :func:`evaluate`; kept as a cross-checking oracle.
-    """
-    if len(vectors) != alpha.degree:
-        raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")
-    if alpha.degree == 0:
-        return alpha.coefficient(())
-    total = PolyScalar.zero(alpha.symbols)
-    k = alpha.degree
-    for idx, coeff in alpha.coeffs.items():
-        for perm in permutations(range(k)):
-            sign = _permutation_sign(perm)
-            prod = PolyScalar.constant(sign, alpha.symbols)
-            for slot, vpos in enumerate(perm):
-                prod = prod * vectors[vpos].components[idx[slot] - 1]
-            total = total + coeff * prod
-    return total
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
@@ -447,11 +416,106 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
             comps.append(entry)
         cols.append(Vector(comps))
     coeffs = {}
-    for idx in combinations(range(1, n + 1), alpha.degree):
+    for idx in monomials(n, alpha.degree):
         value = evaluate(alpha, [cols[i - 1] for i in idx])
         if not value.is_zero():
             coeffs[idx] = value
     return AltForm(n, alpha.degree, alpha.symbols, coeffs)
+
+
+# -- monomial coordinates and linear operators --------------------------------
+
+
+def monomials(n: int, k: int) -> list[tuple]:
+    """The basis k-forms of an n-space as index tuples, in lexicographic order."""
+    return list(combinations(range(1, n + 1), k))
+
+
+def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:
+    """Coefficients of alpha along the given monomials, as Fractions.
+
+    Raises ValueError when a coefficient is symbolic.
+    """
+    coeffs = alpha.coeffs
+    return [coeffs[idx].constant_value() if idx in coeffs else Fraction(0) for idx in monos]
+
+
+def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> AltForm:
+    """The form whose coefficients over ``monomials(dim, degree)`` are vec."""
+    symbols = tuple(symbols)
+    coeffs = {
+        idx: PolyScalar.constant(value, symbols)
+        for idx, value in zip(monomials(dim, degree), vec)
+        if value
+    }
+    return AltForm(dim, degree, symbols, coeffs)
+
+
+class ExteriorOp:
+    """A derivation of the exterior algebra of an n-space on k-forms, sparse.
+
+    The derivation raises degrees by ``shift``.  It is fixed by its values on
+    covectors, e^i -> sum of value * e^{idx} over the (idx, value) pairs of
+    ``image[i]``, and the graded Leibniz rule
+    D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).  ``columns`` maps
+    each input k-monomial to ``{output monomial: entry}``, with nonzero
+    PolyScalar entries in the context ``symbols``.
+    """
+
+    __slots__ = ("dim", "degree", "out_degree", "symbols", "columns")
+
+    def __init__(self, dim: int, degree: int, shift: int, symbols, image: Mapping):
+        self.dim = dim
+        self.degree = degree
+        self.out_degree = degree + shift
+        self.symbols = tuple(symbols)
+        self.columns = {}
+        for idx in monomials(dim, degree):
+            column: dict[tuple, PolyScalar] = {}
+            for t, i in enumerate(idx):
+                for replacement, value in image.get(i, ()):
+                    sorted_sign = sort_sign(idx[:t] + replacement + idx[t + 1 :])
+                    if sorted_sign is None:
+                        continue
+                    row, sign = sorted_sign
+                    if sign * (-1) ** (t * shift) < 0:
+                        value = -value
+                    acc = column.get(row)
+                    column[row] = value if acc is None else acc + value
+            nonzero = {row: v for row, v in column.items() if not v.is_zero()}
+            if nonzero:
+                self.columns[idx] = nonzero
+
+    def apply(self, alpha: AltForm) -> AltForm:
+        """The image of alpha, whose coefficients may be polynomials."""
+        if (alpha.dim, alpha.degree) != (self.dim, self.degree):
+            raise ValueError(
+                f"operator acts on {self.degree}-forms of a {self.dim}-space, "
+                f"got a {alpha.degree}-form of a {alpha.dim}-space"
+            )
+        if alpha.symbols != self.symbols:
+            raise ContextMismatchError("form context does not match the operator")
+        out: dict[tuple, PolyScalar] = {}
+        for idx, coeff in alpha.coeffs.items():
+            for row, entry in self.columns.get(idx, {}).items():
+                term = coeff * entry
+                acc = out.get(row)
+                out[row] = term if acc is None else acc + term
+        return AltForm(self.dim, self.out_degree, self.symbols, out)
+
+    def rows(self) -> list[list[Fraction]]:
+        """The nonzero rows of the matrix as Fractions, enough for its kernel.
+
+        Columns follow ``monomials(dim, degree)``; raises ValueError when an
+        entry is not a rational constant.
+        """
+        position = {idx: c for c, idx in enumerate(monomials(self.dim, self.degree))}
+        rows: dict[tuple, list] = {}
+        for col, column in self.columns.items():
+            for row, entry in column.items():
+                dense = rows.setdefault(row, [Fraction(0)] * len(position))
+                dense[position[col]] = entry.constant_value()
+        return [rows[key] for key in sorted(rows)]
 
 
 # -- rendering / parsing ------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from g2forms import _linalg
 from g2forms.exterior import (
@@ -36,6 +35,7 @@ from g2forms.exterior import (
     basis_vector,
     contract,
     merge_sign,
+    monomials,
     top_coefficient,
     wedge,
 )
@@ -218,10 +218,9 @@ def obstruction_certificate(
         probes = [basis_vector(7, i, symbols) for i in range(1, 8)]
     probe_names = []
     values = []
-    for pos, probe in enumerate(probes):
+    for probe in probes:
         if probe.symbols != symbols:
             probe = probe.with_symbols(symbols)
-            probes[pos] = probe
         label = _probe_label(probe, names)
         value = _family_probe_value(generic, probe)
         if value.is_zero():
@@ -292,9 +291,8 @@ def hodge_dual_up_to_scale(metric: GramMatrix, alpha: AltForm) -> AltForm:
         raise ValueError("metric representative is not positive definite")
     qinv = _linalg.inverse(q)
     k = alpha.degree
-    full = tuple(range(1, n + 1))
     coeffs = {}
-    for upper in combinations(full, k):
+    for upper in monomials(n, k):
         raised = PolyScalar.zero(alpha.symbols)
         for lower, coeff in alpha.coeffs.items():
             minor = [[qinv[i - 1][l - 1] for l in lower] for i in upper]
@@ -303,7 +301,7 @@ def hodge_dual_up_to_scale(metric: GramMatrix, alpha: AltForm) -> AltForm:
                 raised = raised + coeff.scale(d)
         if raised.is_zero():
             continue
-        complement = tuple(i for i in full if i not in upper)
+        complement = tuple(i for i in range(1, n + 1) if i not in upper)
         merged = merge_sign(upper, complement)
         assert merged is not None
         _, sign = merged

@@ -1,11 +1,11 @@
 """Invariant forms on a reductive homogeneous space and their differential.
 
 ``invariant_forms`` computes the fixed alternating tensors of the isotropy
-action as the exact kernel of stacked Lie-derivative operators.
-``ce_differential`` is the algebraic exterior derivative of invariant forms
-on G/H, computed from the m-projected bracket alone:
-
-    d a(X_0, ..., X_k) = sum_{i<j} (-1)^{i+j} a([X_i, X_j]_m, ..., ^X_i, ..., ^X_j, ...)
+action as the exact kernel of the stacked derivations
+(``HomogeneousSpaceData.derivations``).  ``ce_differential`` applies the
+coset differential ``HomogeneousSpaceData.differential`` (formula there),
+the algebraic exterior derivative of invariant forms on G/H computed from
+the m-projected bracket alone.
 
 The sign convention is pinned by the calibration values in the test suite
 (three independent printed evaluations from the bundled catalog cases);
@@ -15,11 +15,10 @@ do not change it without updating those tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from math import comb
 
 from g2forms import _linalg
-from g2forms.exterior import AltForm, sort_sign
+from g2forms.exterior import AltForm, form_to_vector, monomials, vector_to_form
 from g2forms.liealg import HomogeneousSpaceData
 from g2forms.scalars import PolyScalar
 
@@ -52,25 +51,6 @@ class InvariantFormSpace:
         return len(self.basis)
 
 
-def _monomials(n: int, k: int) -> list[tuple]:
-    return list(combinations(range(1, n + 1), k))
-
-
-def _form_to_vector(alpha: AltForm, monomials: list[tuple]) -> list[Fraction]:
-    coeffs = alpha.rational_coefficients()
-    return [coeffs.get(idx, Fraction(0)) for idx in monomials]
-
-
-def _vector_to_form(
-    vec, monomials: list[tuple], dim: int, degree: int, symbols=()
-) -> AltForm:
-    coeffs = {}
-    for idx, value in zip(monomials, vec):
-        if value:
-            coeffs[idx] = PolyScalar.constant(value, symbols)
-    return AltForm(dim, degree, tuple(symbols), coeffs)
-
-
 def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpace:
     """Kernel of the isotropy Lie-derivative operators on k-forms.
 
@@ -83,36 +63,9 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
             "parametric isotropy action: instantiate the parameters first"
         )
     n = data.dim_m
-    monomials = _monomials(n, degree)
-    ncols = len(monomials)
-    if ncols == 0:
-        return InvariantFormSpace(data, degree, [])
-    position = {idx: p for p, idx in enumerate(monomials)}
-    stacked: list = []
-    for mat in data.isotropy:
-        a = [[entry.constant_value() for entry in row] for row in mat]
-        op = _linalg.zeros(ncols, ncols)
-        for col, idx in enumerate(monomials):
-            for t, i in enumerate(idx):
-                for j in range(1, n + 1):
-                    coeff = a[i - 1][j - 1]
-                    if not coeff:
-                        continue
-                    replaced = idx[:t] + (j,) + idx[t + 1 :]
-                    sorted_sign = sort_sign(replaced)
-                    if sorted_sign is None:
-                        continue
-                    key, sign = sorted_sign
-                    # coadjoint action: A . e^i = -sum_j A[i][j] e^j
-                    op[position[key]][col] += -coeff * sign
-        stacked.extend(op)
-    if not stacked:
-        kernel = [list(row) for row in _linalg.identity(ncols)]
-    else:
-        kernel = _linalg.nullspace(stacked, ncols)
-    basis = [
-        _vector_to_form(vec, monomials, n, degree, data.symbols) for vec in kernel
-    ]
+    stacked = [row for op in data.derivations(degree) for row in op.rows()]
+    kernel = _linalg.nullspace(stacked, comb(n, degree))
+    basis = [vector_to_form(vec, n, degree, data.symbols) for vec in kernel]
     return InvariantFormSpace(data, degree, basis)
 
 
@@ -120,40 +73,10 @@ def ce_differential(data: HomogeneousSpaceData, alpha: AltForm) -> AltForm:
     """Exterior derivative of an invariant form, from the projected bracket.
 
     The formula is only the pullback of d for ad(h)-invariant input; the
-    caller is responsible for invariance.
+    caller is responsible for invariance.  The form must live on the data's
+    m and share its context.
     """
-    if alpha.dim != data.dim_m:
-        raise ValueError(
-            f"form lives on a {alpha.dim}-space, data on a {data.dim_m}-space"
-        )
-    if alpha.symbols != data.symbols:
-        raise ValueError("form and homogeneous data must share one context")
-    n = data.dim_m
-    k = alpha.degree
-    result = AltForm(n, k + 1, data.symbols)
-    if k + 1 > n:
-        return result
-    coeffs = {}
-    for jtuple in combinations(range(1, n + 1), k + 1):
-        total = PolyScalar.zero(data.symbols)
-        for p in range(k + 1):
-            for q in range(p + 1, k + 1):
-                comps = data.bracket_m(jtuple[p], jtuple[q])
-                rest = jtuple[:p] + jtuple[p + 1 : q] + jtuple[q + 1 :]
-                term = PolyScalar.zero(data.symbols)
-                for r in range(1, n + 1):
-                    c = comps[r - 1]
-                    if c.is_zero():
-                        continue
-                    value = alpha.eval_basis((r,) + rest)
-                    if not value.is_zero():
-                        term = term + c * value
-                if (p + q) % 2:
-                    term = -term
-                total = total + term
-        if not total.is_zero():
-            coeffs[jtuple] = total
-    return AltForm(n, k + 1, data.symbols, coeffs)
+    return data.differential(alpha.degree).apply(alpha)
 
 
 @dataclass
@@ -190,38 +113,24 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
         raise ValueError("closed_forms needs fully instantiated homogeneous data")
     space = invariant_forms(data, degree)
     n = data.dim_m
-    out_monomials = _monomials(n, degree + 1)
-    columns = []
-    for gamma in space.basis:
-        d_gamma = ce_differential(data, gamma)
-        columns.append(_form_to_vector(d_gamma, out_monomials))
-    if not space.basis:
-        generic = AltForm(n, degree, ())
-        return ClosedFamily(data, degree, (), [], generic, 0, 0)
-    matrix = _linalg.transpose(columns)  # rows: output monomials, cols: gammas
-    rank = _linalg.rank(matrix)
-    kernel = _linalg.nullspace(matrix, len(space.basis))
-    in_monomials = _monomials(n, degree)
-    rows = []
-    for combo in kernel:
-        vec = [Fraction(0)] * len(in_monomials)
-        for coeff, gamma in zip(combo, space.basis):
-            if coeff:
-                gvec = _form_to_vector(gamma, in_monomials)
-                vec = [a + coeff * b for a, b in zip(vec, gvec)]
-        rows.append(vec)
-    rows = _linalg.row_space(rows) if rows else []
+    d = data.differential(degree)
+    out_monomials = monomials(n, degree + 1)
+    # rows: output monomials, columns: invariant basis forms
+    matrix = _linalg.transpose(
+        [form_to_vector(d.apply(gamma), out_monomials) for gamma in space.basis]
+    )
+    kernel = _linalg.nullspace(matrix, space.dim)
+    in_monomials = monomials(n, degree)
+    gammas = [form_to_vector(gamma, in_monomials) for gamma in space.basis]
+    rows = _linalg.row_space(_linalg.matmul(kernel, gammas))
     parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
-    basis = [
-        _vector_to_form(vec, in_monomials, n, degree, ()) for vec in rows
-    ]
+    basis = [vector_to_form(vec, n, degree) for vec in rows]
     generic = AltForm(n, degree, parameters)
     for name, member in zip(parameters, basis):
         lifted = member.with_symbols(parameters)
         generic = generic + lifted.scale(PolyScalar.symbol(name, parameters))
-    return ClosedFamily(
-        data, degree, parameters, basis, generic, space.dim, rank
-    )
+    rank = space.dim - len(kernel)
+    return ClosedFamily(data, degree, parameters, basis, generic, space.dim, rank)
 
 
 @dataclass
@@ -258,9 +167,10 @@ def d_squared_check(data: HomogeneousSpaceData, degree: int) -> DSquaredReport:
             "(no full Lie algebra behind the projected bracket)"
         )
     space = invariant_forms(data, degree)
+    d, d_next = data.differential(degree), data.differential(degree + 1)
     failures = []
     for gamma in space.basis:
-        dd = ce_differential(data, ce_differential(data, gamma))
+        dd = d_next.apply(d.apply(gamma))
         if not dd.is_zero():
             failures.append((gamma, dd))
     return DSquaredReport(degree, len(space.basis), failures)

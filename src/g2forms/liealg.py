@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
+from g2forms.exterior import ExteriorOp
 from g2forms.scalars import PolyScalar
 
 __all__ = [
@@ -314,17 +315,44 @@ class HomogeneousSpaceData:
         self.isotropy = tuple(iso_clean)
         self.bracket = bracket_clean
         self.partial = partial
+        # (kind, degree) -> ExteriorOp(s); sound because nothing above changes
+        self._operators: dict = {}
 
-    def bracket_m(self, i: int, j: int) -> tuple:
-        """Components of [e_i, e_j]_m, antisymmetry handled."""
-        if i == j:
-            return tuple(PolyScalar.zero(self.symbols) for _ in range(self.dim_m))
-        if i < j:
-            comps = self.bracket.get((i, j))
-            if comps is None:
-                return tuple(PolyScalar.zero(self.symbols) for _ in range(self.dim_m))
-            return comps
-        return tuple(-c for c in self.bracket_m(j, i))
+    def derivations(self, degree: int) -> tuple:
+        """The isotropy action on degree-forms, one ExteriorOp per generator.
+
+        A generator acts on covectors by the coadjoint action,
+        A . e^i = -sum_j A[i][j] e^j.  Built once per degree.
+        """
+        key = ("derivations", degree)
+        if key not in self._operators:
+            self._operators[key] = tuple(
+                ExteriorOp(self.dim_m, degree, 0, self.symbols, {
+                    i: [((j,), -a) for j, a in enumerate(row, start=1) if not a.is_zero()]
+                    for i, row in enumerate(mat, start=1)
+                })
+                for mat in self.isotropy
+            )
+        return self._operators[key]
+
+    def differential(self, degree: int) -> ExteriorOp:
+        """The coset differential on degree-forms, from the projected bracket:
+
+            d a(X_0, ..., X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q]_m, ..., ^X_p, ..., ^X_q, ...)
+
+        This is the antiderivation with d e^r = -sum_{i<j} c^r_{ij} e^{i j},
+        where [e_i, e_j]_m = sum_r c^r_{ij} e_r; it is the exterior derivative
+        only on ad(h)-invariant forms.  Built once per degree.
+        """
+        key = ("differential", degree)
+        if key not in self._operators:
+            image: dict[int, list] = {}
+            for pair, comps in self.bracket.items():
+                for r, c in enumerate(comps, start=1):
+                    if not c.is_zero():
+                        image.setdefault(r, []).append((pair, -c))
+            self._operators[key] = ExteriorOp(self.dim_m, degree, 1, self.symbols, image)
+        return self._operators[key]
 
     def isotropy_is_rational(self) -> bool:
         return all(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from g2forms.exterior import AltForm, Vector
 from g2forms.scalars import PolyScalar
@@ -79,3 +79,54 @@ def rank_by_reverse_elimination(rows) -> int:
                 p = work[pivot][col]
                 work[r] = [p * a - f * b for a, b in zip(work[r], work[pivot])]
     return rank
+
+
+def evaluate_by_permutations(alpha: AltForm, vectors) -> PolyScalar:
+    """Brute-force evaluation as a sum over all k! permutations.
+
+    Independent of :func:`g2forms.exterior.evaluate`; a cross-checking oracle.
+    """
+    if len(vectors) != alpha.degree:
+        raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")
+    if alpha.degree == 0:
+        return alpha.coefficient(())
+    total = PolyScalar.zero(alpha.symbols)
+    k = alpha.degree
+    for idx, coeff in alpha.coeffs.items():
+        for perm in permutations(range(k)):
+            sign = _permutation_sign(perm)
+            prod = PolyScalar.constant(sign, alpha.symbols)
+            for slot, vpos in enumerate(perm):
+                prod = prod * vectors[vpos].components[idx[slot] - 1]
+            total = total + coeff * prod
+    return total
+
+
+def _permutation_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def dense_ce_differential(data, alpha: AltForm) -> AltForm:
+    """The coset differential by its defining formula on each (k+1)-tuple,
+
+        d a(X_0, ..., X_k) = sum_{i<j} (-1)^{i+j} a([X_i, X_j]_m, ..., ^X_i, ..., ^X_j, ...),
+
+    read off ``data.bracket``: an oracle for the engine's sparse operator.
+    """
+    n, k = data.dim_m, alpha.degree
+    coeffs = {}
+    for jtuple in combinations(range(1, n + 1), k + 1):
+        total = PolyScalar.zero(data.symbols)
+        for p, q in combinations(range(k + 1), 2):
+            rest = jtuple[:p] + jtuple[p + 1 : q] + jtuple[q + 1 :]
+            for r, c in enumerate(data.bracket.get((jtuple[p], jtuple[q]), ()), start=1):
+                if not c.is_zero():
+                    term = c * alpha.eval_basis((r,) + rest)
+                    total = total + (-term if (p + q) % 2 else term)
+        coeffs[jtuple] = total
+    return AltForm(n, k + 1, data.symbols, coeffs)

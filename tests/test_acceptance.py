@@ -9,21 +9,26 @@ import random
 
 import pytest
 
-from conftest import random_form, random_unimodular, random_vector, rank_by_reverse_elimination
+from conftest import (
+    evaluate_by_permutations,
+    random_form,
+    random_unimodular,
+    random_vector,
+    rank_by_reverse_elimination,
+)
 from g2forms.catalog import load_bundled, verify_all
 from g2forms.catalog._runner import _Engine, build_homogeneous
 from g2forms.exterior import (
     contract,
     evaluate,
-    evaluate_by_permutations,
+    form_to_vector,
+    monomials,
     parse_form,
     pullback,
     wedge,
 )
 from g2forms.gstruct import definiteness
 from g2forms.invariants import (
-    _form_to_vector,
-    _monomials,
     ce_differential,
     closed_forms,
     d_squared_check,
@@ -223,9 +228,9 @@ def test_criterion_10_property_suites():
         if assignment:
             data = data.instantiate(assignment)
         space = invariant_forms(data, 3)
-        monomials = _monomials(data.dim_m, 4)
+        out_monomials = monomials(data.dim_m, 4)
         rows = [
-            _form_to_vector(ce_differential(data, gamma), monomials)
+            form_to_vector(ce_differential(data, gamma), out_monomials)
             for gamma in space.basis
         ]
         oracle_rank = rank_by_reverse_elimination(rows)

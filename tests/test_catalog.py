@@ -17,8 +17,8 @@ from g2forms.catalog import (
 from g2forms.catalog import models
 from g2forms.catalog._bundled import build_all_case_dicts
 from g2forms.catalog._runner import build_algebra, build_homogeneous
-from g2forms.exterior import parse_form
-from g2forms.invariants import _form_to_vector, _monomials, closed_forms, invariant_forms
+from g2forms.exterior import form_to_vector, monomials, parse_form
+from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import MatrixBasis, from_matrices, reductive_split
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
@@ -95,15 +95,15 @@ def test_branch_c_cross_check_at_3_4():
     data = reductive_split(algebra, [8], list(range(1, 8)))
     assert invariant_forms(data, 3).dim == 5
     family = closed_forms(data, 3)
-    monomials = _monomials(7, 3)
+    monos = monomials(7, 3)
     printed = [
-        _form_to_vector(
+        form_to_vector(
             parse_form("-e^{2 4 7} + e^{2 5 6} - e^{3 4 6} - e^{3 5 7}", 7, 3, ()),
-            monomials,
+            monos,
         )
     ]
-    computed = [_form_to_vector(f, monomials) for f in family.basis]
-    assert _linalg.spans_equal(computed, printed, len(monomials))
+    computed = [form_to_vector(f, monos) for f in family.basis]
+    assert _linalg.spans_equal(computed, printed)
 
 
 def test_verify_single_case():
@@ -223,7 +223,7 @@ def test_reversed_bracket_pair_is_accepted_and_normalized():
     doc["homogeneous"]["projected_bracket"] = [[2, 1, ["1", "0"]]]
     validate_case_dict(doc)
     data = build_homogeneous(CaseRecord(doc))
-    assert [c.constant_value() for c in data.bracket_m(1, 2)] == [-1, 0]
+    assert [c.constant_value() for c in data.bracket[(1, 2)]] == [-1, 0]
 
 
 def test_non_reductive_split_rejected_at_load(tmp_path):

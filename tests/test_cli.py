@@ -47,6 +47,13 @@ def test_verify_filter_counts(capsys):
     assert len(parsed) == 8  # seven canonical + one exploratory
 
 
+def test_verify_filter_without_match_exits_two(capsys):
+    assert main(["verify", "--filter", "nomatch*"]) == 2
+    captured = capsys.readouterr()
+    assert "no bundled case matches" in captured.err
+    assert "all match" not in captured.out
+
+
 def test_invariants_command(capsys):
     case = str(CASES_DIR / "T1.n2b.json")
     assert main(["invariants", "--input", case, "--degree", "3"]) == 0

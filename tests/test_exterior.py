@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_form, random_vector
+from conftest import evaluate_by_permutations, random_form, random_vector
 from g2forms.exterior import (
     AltForm,
+    ExteriorOp,
     basis_form,
     basis_vector,
     contract,
     evaluate,
-    evaluate_by_permutations,
+    form_to_vector,
     merge_sign,
+    monomials,
     parse_form,
     pullback,
     sort_sign,
     top_coefficient,
+    vector_to_form,
     wedge,
 )
 from g2forms.scalars import ContextMismatchError, PolyScalar
@@ -137,6 +140,33 @@ def test_evaluate_matches_permutation_oracle():
         alpha = random_form(rng, n, k)
         vectors = [random_vector(rng, n) for _ in range(k)]
         assert evaluate(alpha, vectors) == evaluate_by_permutations(alpha, vectors)
+
+
+def test_monomial_coordinates_round_trip():
+    assert monomials(4, 2) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    alpha = F("2*e^{1 3} - e^{3 4}", 4, 2)
+    vec = form_to_vector(alpha, monomials(4, 2))
+    assert vec == [0, 2, 0, 0, 0, -1]
+    assert vector_to_form(vec, 4, 2) == alpha
+
+
+def test_exterior_op_is_the_leibniz_extension():
+    one = PolyScalar.constant(1)
+    # e^1 -> e^1 + e^2 (the e^3 terms cancel), e^2, e^3 -> 0
+    image = {1: [((1,), one), ((2,), one), ((3,), one), ((3,), -one)]}
+    on_1_forms = ExteriorOp(3, 1, 0, (), image)
+    assert on_1_forms.columns == {(1,): {(1,): one, (2,): one}}
+    assert on_1_forms.rows() == [[1, 0, 0], [1, 0, 0]]
+    assert on_1_forms.apply(F("3*e^{1} + e^{2}", 3, 1)) == F("3*e^{1} + 3*e^{2}", 3, 1)
+    on_2_forms = ExteriorOp(3, 2, 0, (), image)
+    assert on_2_forms.apply(F("e^{1 2} + e^{1 3}", 3, 2)) == F("e^{1 2} + e^{1 3} + e^{2 3}", 3, 2)
+    # an odd derivation picks up (-1)^(deg a) past a: D(e^3 ^ e^4) = -e^3 ^ e^{1 2}
+    odd = ExteriorOp(4, 2, 1, (), {4: [((1, 2), one)]})
+    assert odd.apply(F("e^{3 4}", 4, 2)) == F("-e^{1 2 3}", 4, 3)
+    with pytest.raises(ValueError):
+        on_1_forms.apply(F("e^{1 2}", 3, 2))
+    with pytest.raises(ContextMismatchError):
+        on_1_forms.apply(F("e^{1}", 3, 1, ("t",)))
 
 
 def test_pullback_by_identity_and_swap():

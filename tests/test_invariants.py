@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_form, rank_by_reverse_elimination
+from conftest import dense_ce_differential, random_form, rank_by_reverse_elimination
 from g2forms import _linalg
-from g2forms.catalog import models
-from g2forms.exterior import AltForm, parse_form
+from g2forms.catalog import bundled_ids, load_bundled, models
+from g2forms.catalog._runner import _Engine
+from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import (
     PartialDataError,
-    _form_to_vector,
-    _monomials,
     ce_differential,
     closed_forms,
     d_squared_check,
@@ -62,7 +61,7 @@ def test_invariant_basis_is_annihilated_by_isotropy():
     a = [[e.constant_value() for e in row] for row in data.isotropy[0]]
     for gamma in space.basis:
         # finite Lie-derivative: sum over slots of gamma(..., A e_i, ...)
-        for idx in _monomials(7, 3):
+        for idx in monomials(7, 3):
             total = Fraction(0)
             for t in range(3):
                 for j in range(1, 8):
@@ -138,6 +137,29 @@ def test_ce_differential_calibration_values():
     assert value.render() == "a2 + a6 + a10"
 
 
+def test_ce_differential_matches_dense_oracle_on_the_catalog():
+    # every canonical case: its invariant 2-, 3- and 4-form bases on the
+    # instantiated data, and its generic form on the symbolic data
+    checked = 0
+    for case_id in bundled_ids():
+        record = load_bundled(case_id)
+        if record.exploratory:
+            continue
+        engine = _Engine(record)
+        data = engine.homog_num()
+        for degree in (2, 3, 4):
+            for gamma in invariant_forms(data, degree).basis:
+                expected = dense_ce_differential(data, gamma)
+                assert ce_differential(data, gamma) == expected, (case_id, degree)
+                checked += 1
+        if record.gammas:
+            phi = engine.generic_form()
+            expected = dense_ce_differential(engine.homog_sym, phi)
+            assert ce_differential(engine.homog_sym, phi) == expected, case_id
+            checked += 1
+    assert checked == 266
+
+
 def test_ce_differential_vanishes_on_abelian_data():
     rng = random.Random(11)
     data = abelian()
@@ -161,17 +183,17 @@ def test_ce_differential_is_linear_over_scalars():
 def test_closed_forms_branch_a_matches_printed_family():
     family = closed_forms(su21_data(0, 1), 3)
     assert family.dim == 3 and family.invariant_dim == 7
-    monomials = _monomials(7, 3)
-    computed = [_form_to_vector(f, monomials) for f in family.basis]
+    monos = monomials(7, 3)
+    computed = [form_to_vector(f, monos) for f in family.basis]
     printed = [
-        _form_to_vector(parse_form(t, 7, 3, ()), monomials)
+        form_to_vector(parse_form(t, 7, 3, ()), monos)
         for t in [
             "e^{1 2 4} - e^{1 3 5}",
             "e^{1 2 5} + e^{1 3 4}",
             "e^{2 4 7} - e^{2 5 6} + e^{3 4 6} + e^{3 5 7}",
         ]
     ]
-    assert _linalg.spans_equal(computed, printed, len(monomials))
+    assert _linalg.spans_equal(computed, printed)
     assert family.parameters == ("a1", "a2", "a3")
     assert family.generic.symbols == ("a1", "a2", "a3")
 
@@ -185,9 +207,9 @@ def test_closed_forms_on_abelian_data_is_everything():
 def test_closed_family_dimension_against_reverse_elimination_oracle():
     for data in (sl3r_data(), su21_data(0, 1), su21_data(1, 1), abelian()):
         space = invariant_forms(data, 3)
-        monomials = _monomials(7, 4)
+        out_monomials = monomials(7, 4)
         rows = [
-            _form_to_vector(ce_differential(data, gamma), monomials)
+            form_to_vector(ce_differential(data, gamma), out_monomials)
             for gamma in space.basis
         ]
         rank = rank_by_reverse_elimination(rows)

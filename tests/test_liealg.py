@@ -171,10 +171,10 @@ def test_partial_data_antisymmetry_validation():
         2, [], {(1, 2): (C(0), C(1))}
     )
     assert good.partial
-    assert [c.constant_value() for c in good.bracket_m(2, 1)] == [0, -1]
+    assert [c.constant_value() for c in good.bracket[(1, 2)]] == [0, 1]
     # a lone (2,1) entry is accepted and normalized
     flipped = homogeneous_from_partial(2, [], {(2, 1): (C(0), C(1))})
-    assert [c.constant_value() for c in flipped.bracket_m(1, 2)] == [0, -1]
+    assert [c.constant_value() for c in flipped.bracket[(1, 2)]] == [0, -1]
     with pytest.raises(LieStructureError, match="antisymmetric"):
         homogeneous_from_partial(
             2, [], {(1, 2): (C(0), C(1)), (2, 1): (C(0), C(1))}
@@ -192,7 +192,7 @@ def test_instantiate_substitutes_everywhere():
     data = homogeneous_from_partial(2, [], bracket, symbols=ctx)
     numeric = data.instantiate({"b": Fraction(2)})
     assert numeric.symbols == ()
-    assert numeric.bracket_m(1, 2)[0].constant_value() == 6
+    assert numeric.bracket[(1, 2)][0].constant_value() == 6
 
 
 def test_restrict_checks_closure():

@@ -59,6 +59,6 @@ def test_congruence_diagonalize_gives_exact_witnesses():
 def test_span_helpers():
     a = [[F(1), F(0)], [F(0), F(1)]]
     b = [[F(1), F(1)], [F(1), F(-1)]]
-    assert _linalg.spans_equal(a, b, 2)
-    assert _linalg.span_contains(a, [[F(2), F(3)]], 2)
-    assert not _linalg.span_contains([[F(1), F(0)]], [[F(0), F(1)]], 2)
+    assert _linalg.spans_equal(a, b)
+    assert _linalg.span_contains(a, [[F(2), F(3)]])
+    assert not _linalg.span_contains([[F(1), F(0)]], [[F(0), F(1)]])
