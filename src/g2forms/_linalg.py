@@ -93,12 +93,6 @@ def span_contains(big_rows: list, small_rows: list) -> bool:
     return rank(big_rows) == rank(big_rows + small_rows)
 
 
-def solve(mat: Matrix, rhs: list) -> list | None:
-    """One exact solution of ``mat @ x = rhs``, or None when inconsistent."""
-    sols = solve_many(mat, [[v] for v in rhs])
-    return None if sols[0] is None else sols[0]
-
-
 def solve_many(mat: Matrix, rhs_cols: Matrix) -> list:
     """Solve ``mat @ x = b`` for every column b of rhs_cols.
 

@@ -315,13 +315,14 @@ def _check_closed_component_zero(engine, args, value):
     family = engine.closed_family()
     monos = monomials(engine.dim_m, family.degree)
     gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in engine.gamma_forms()])
+    members = _linalg.transpose([form_to_vector(m, monos) for m in family.basis])
+    solutions = _linalg.solve_many(gamma_cols, members) if members else []
+    if None in solutions:
+        return "mismatch", "closed form outside the span of the declared gammas"
     indices = list(args["indices"])
     all_zero = True
     details = []
-    for member in family.basis:
-        coords = _linalg.solve(gamma_cols, form_to_vector(member, monos))
-        if coords is None:
-            return "mismatch", "closed form outside the span of the declared gammas"
+    for coords in solutions:
         for pos in indices:
             if coords[pos - 1]:
                 all_zero = False

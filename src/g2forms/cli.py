@@ -13,10 +13,9 @@ import sys
 from pathlib import Path
 
 from g2forms import catalog
-from g2forms.exterior import Vector, parse_form
-from g2forms.gstruct import definiteness, obstruction_certificate, su3_check
-from g2forms.invariants import ClosedFamily, closed_forms, invariant_forms
-from g2forms.scalars import PolyScalar, parse_rational
+from g2forms.exterior import parse_form
+from g2forms.gstruct import definiteness, su3_check
+from g2forms.invariants import closed_forms, invariant_forms
 
 __all__ = ["main"]
 
@@ -41,10 +40,23 @@ def _load_form_file(path: str) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_form_doc(doc: dict, degree=None):
-    context = tuple(doc.get("context", ()))
+    text, dimension, degree = doc["form"], doc["dimension"], doc.get("degree", degree)
+    context = doc.get("context", [])
+    if not isinstance(text, str):
+        raise _InputError(f"form must be a string, got {text!r}")
+    if not _is_int(dimension) or dimension < 1:
+        raise _InputError(f"dimension must be a positive integer, got {dimension!r}")
+    if degree is not None and (not _is_int(degree) or degree < 0):
+        raise _InputError(f"degree must be a non-negative integer, got {degree!r}")
+    if not isinstance(context, list) or not all(isinstance(s, str) for s in context):
+        raise _InputError(f"context must be a list of strings, got {context!r}")
     try:
-        return parse_form(doc["form"], doc["dimension"], doc.get("degree", degree), context)
+        return parse_form(text, dimension, degree, context)
     except ValueError as exc:
         raise _InputError(f"invalid form: {exc}") from exc
 
@@ -138,42 +150,12 @@ def _cmd_closed(args) -> int:
 
 
 def _cmd_definite(args) -> int:
-    doc = _load_form_file(args.form)
-    phi = _parse_form_doc(doc, degree=3)
-    if phi.is_rational():
-        report = definiteness(phi)
-    else:
-        probes = None
-        if args.probes:
-            try:
-                probe_doc = json.loads(Path(args.probes).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise _InputError(f"cannot read probes file: {exc}") from exc
-            probes = [
-                Vector([PolyScalar.constant(parse_rational(str(x)), phi.symbols) for x in vec])
-                for vec in probe_doc["probes"]
-            ]
-        family = ClosedFamily(
-            data=_abelian_data(phi.dim),
-            degree=phi.degree,
-            parameters=phi.symbols,
-            basis=[],
-            generic=phi,
-            invariant_dim=0,
-            rank=0,
-        )
-        report = obstruction_certificate(family, probes)
+    report = definiteness(_parse_form_doc(_load_form_file(args.form), degree=3))
     if args.format == "json":
         _emit_json({"verdict": report.verdict, "report": report.render()})
     else:
         print(report.render())
     return 0
-
-
-def _abelian_data(dim: int):
-    from g2forms.liealg import HomogeneousSpaceData
-
-    return HomogeneousSpaceData(dim, [], {}, partial=True)
 
 
 def _cmd_su3(args) -> int:
@@ -204,6 +186,12 @@ def _cmd_schema(args) -> int:
     return 0
 
 
+def _degree(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2forms",
@@ -222,19 +210,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="invariant k-forms of a case file")
     p_inv.add_argument("--input", required=True, help="case file (JSON, see `schema`)")
-    p_inv.add_argument("--degree", type=int, required=True)
+    p_inv.add_argument("--degree", type=_degree, required=True)
     p_inv.add_argument("--format", choices=("text", "json"), default="text")
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_closed = sub.add_parser("closed", help="closed invariant forms of a case file")
     p_closed.add_argument("--input", required=True)
-    p_closed.add_argument("--degree", type=int, default=3)
+    p_closed.add_argument("--degree", type=_degree, default=3)
     p_closed.add_argument("--format", choices=("text", "json"), default="text")
     p_closed.set_defaults(func=_cmd_closed)
 
     p_def = sub.add_parser("definite", help="definiteness report for a 3-form file")
     p_def.add_argument("--form", required=True, help="form file (JSON with dimension/form)")
-    p_def.add_argument("--probes", help="JSON file with probe vectors for parametric forms")
     p_def.add_argument("--format", choices=("text", "json"), default="text")
     p_def.set_defaults(func=_cmd_definite)
 

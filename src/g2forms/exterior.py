@@ -100,14 +100,6 @@ class Vector:
         self.symbols = symbols
         self.components = components
 
-    @classmethod
-    def from_rationals(cls, values: Iterable, symbols: Iterable[str] = ()) -> "Vector":
-        symbols = tuple(symbols)
-        return cls([PolyScalar.constant(v, symbols) for v in values])
-
-    def with_symbols(self, symbols: Iterable[str]) -> "Vector":
-        return Vector([c.with_symbols(symbols) for c in self.components])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented

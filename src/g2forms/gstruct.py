@@ -197,9 +197,7 @@ def _family_probe_value(generic: AltForm, probe: Vector) -> PolyScalar:
     return top_coefficient(wedge(wedge(iota, iota), generic))
 
 
-def obstruction_certificate(
-    family: ClosedFamily, probes: list | None = None
-) -> DefinitenessReport:
+def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
     """Search for a certificate that no member of a closed family is definite.
 
     A probe vector v with B(v, v) identically zero in the family parameters
@@ -212,25 +210,19 @@ def obstruction_certificate(
     generic = family.generic
     if generic.dim != 7 or generic.degree != 3:
         raise ValueError("obstruction certificates apply to 3-form families on a 7-space")
-    symbols = generic.symbols
-    names = family.data.names
-    if probes is None:
-        probes = [basis_vector(7, i, symbols) for i in range(1, 8)]
-    probe_names = []
+    names = family.data.names  # the probes are the basis vectors e_1..e_7
     values = []
-    for probe in probes:
-        if probe.symbols != symbols:
-            probe = probe.with_symbols(symbols)
-        label = _probe_label(probe, names)
+    for i in range(1, 8):
+        probe = basis_vector(7, i, generic.symbols)
         value = _family_probe_value(generic, probe)
         if value.is_zero():
+            label = names[i - 1]
             return DefinitenessReport(
                 "degenerate",
                 family=True,
                 identity=f"B({label},{label}) = 0 identically on the closed family",
                 witnesses=[("0", [c.constant_value() for c in probe.components])],
             )
-        probe_names.append(label)
         values.append(value)
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -239,28 +231,12 @@ def obstruction_certificate(
                     "indefinite",
                     family=True,
                     identity=(
-                        f"B({probe_names[i]},{probe_names[i]}) + "
-                        f"B({probe_names[j]},{probe_names[j]}) = 0 identically, "
+                        f"B({names[i]},{names[i]}) + "
+                        f"B({names[j]},{names[j]}) = 0 identically, "
                         "with neither term identically zero"
                     ),
                 )
     return DefinitenessReport("undecided-parametric", family=True)
-
-
-def _probe_label(probe: Vector, names) -> str:
-    parts = []
-    for i, comp in enumerate(probe.components):
-        if comp.is_zero():
-            continue
-        name = names[i] if i < len(names) else f"e{i+1}"
-        value = comp.constant_value() if comp.is_constant() else None
-        if value == 1:
-            parts.append(name)
-        elif value is not None:
-            parts.append(f"{format_rational(value)}*{name}")
-        else:
-            parts.append(f"({comp.render()})*{name}")
-    return " + ".join(parts) if parts else "0"
 
 
 def metric_up_to_scale(phi: AltForm) -> GramMatrix:

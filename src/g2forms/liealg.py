@@ -6,6 +6,11 @@ derives the constants from an explicit matrix basis by exact linear solves;
 complex matrices are accepted as (re, im) pairs and realified, which keeps
 every computation in Q while preserving all brackets.
 
+:func:`coboundary` builds the Chevalley-Eilenberg differential of a bracket
+table as an :class:`~g2forms.exterior.ExteriorOp`.  It is the coset
+differential of :class:`HomogeneousSpaceData`, and :func:`jacobi_check` is
+d o d = 0 on the covectors of g through the same operator.
+
 :func:`reductive_split` extracts the data a homogeneous space G/H needs:
 the isotropy action ad(h)|_m and the m-projection of the bracket on m.
 Cases where only that projected data is known (no full algebra) enter
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
-from g2forms.exterior import ExteriorOp
+from g2forms.exterior import ExteriorOp, basis_form
 from g2forms.scalars import PolyScalar
 
 __all__ = [
@@ -28,6 +33,7 @@ __all__ = [
     "LieAlgebra",
     "LieStructureError",
     "MatrixBasis",
+    "coboundary",
     "from_matrices",
     "homogeneous_from_partial",
     "jacobi_check",
@@ -151,24 +157,6 @@ class LieAlgebra:
         comps = self.bracket(j, i)
         return tuple(-c for c in comps)
 
-    def bracket_of_vectors(self, u: Sequence[PolyScalar], v: Sequence[PolyScalar]) -> list:
-        """Bracket of two coefficient vectors, by bilinearity."""
-        out = [PolyScalar.zero(self.symbols) for _ in range(self.dim)]
-        for i in range(1, self.dim + 1):
-            ui = u[i - 1]
-            if ui.is_zero():
-                continue
-            for j in range(1, self.dim + 1):
-                vj = v[j - 1]
-                if vj.is_zero() or i == j:
-                    continue
-                comps = self.bracket(i, j)
-                factor = ui * vj
-                for k in range(self.dim):
-                    if not comps[k].is_zero():
-                        out[k] = out[k] + factor * comps[k]
-        return out
-
     def with_symbols(self, symbols: Iterable[str]) -> "LieAlgebra":
         symbols = tuple(symbols)
         constants = {
@@ -228,26 +216,39 @@ class JacobiReport:
         return "\n".join(lines)
 
 
+def coboundary(dim: int, degree: int, symbols, bracket: Mapping) -> ExteriorOp:
+    """The Chevalley-Eilenberg differential on degree-forms of a bracket table.
+
+    ``bracket`` maps (i, j) with i < j to the components of
+    [e_i, e_j] = sum_r c^r_{ij} e_r; the differential is the antiderivation
+    with d e^r = -sum_{i<j} c^r_{ij} e^{i j}.  This is the one place the
+    sign convention lives.
+    """
+    image: dict[int, list] = {}
+    for pair, comps in bracket.items():
+        for r, c in enumerate(comps, start=1):
+            if not c.is_zero():
+                image.setdefault(r, []).append((pair, -c))
+    return ExteriorOp(dim, degree, 1, symbols, image)
+
+
 def jacobi_check(algebra: LieAlgebra) -> JacobiReport:
-    """List every triple (i, j, k) whose Jacobi cyclic sum is nonzero."""
-    report = JacobiReport(algebra.dim)
-    n = algebra.dim
-    basis_vecs = [
-        [PolyScalar.constant(1 if t == s else 0, algebra.symbols) for t in range(n)]
-        for s in range(n)
-    ]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                total = [PolyScalar.zero(algebra.symbols) for _ in range(n)]
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = algebra.bracket(a, b)
-                    outer = algebra.bracket_of_vectors(inner, basis_vecs[c - 1])
-                    total = [t + o for t, o in zip(total, outer)]
-                if any(not t.is_zero() for t in total):
-                    report.violations.append(
-                        (i, j, k, tuple(t.render() for t in total))
-                    )
+    """List every triple (i, j, k) whose Jacobi cyclic sum is nonzero.
+
+    The r-th component of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    is the coefficient of e^{i j k} in d(d e^r), so the identity is d o d = 0
+    on covectors, checked with the same operator as the coset differential.
+    """
+    n, symbols = algebra.dim, algebra.symbols
+    d1, d2 = (coboundary(n, k, symbols, algebra.constants) for k in (1, 2))
+    sums: dict[tuple, dict] = {}
+    for r in range(1, n + 1):
+        for idx, c in d2.apply(d1.apply(basis_form(n, (r,), symbols))).coeffs.items():
+            sums.setdefault(idx, {})[r] = c.render()
+    report = JacobiReport(n)
+    for idx in sorted(sums):
+        comps = sums[idx]
+        report.violations.append((*idx, tuple(comps.get(r, "0") for r in range(1, n + 1))))
     return report
 
 
@@ -340,18 +341,12 @@ class HomogeneousSpaceData:
 
             d a(X_0, ..., X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q]_m, ..., ^X_p, ..., ^X_q, ...)
 
-        This is the antiderivation with d e^r = -sum_{i<j} c^r_{ij} e^{i j},
-        where [e_i, e_j]_m = sum_r c^r_{ij} e_r; it is the exterior derivative
-        only on ad(h)-invariant forms.  Built once per degree.
+        This is :func:`coboundary` of the projected bracket; it is the exterior
+        derivative only on ad(h)-invariant forms.  Built once per degree.
         """
         key = ("differential", degree)
         if key not in self._operators:
-            image: dict[int, list] = {}
-            for pair, comps in self.bracket.items():
-                for r, c in enumerate(comps, start=1):
-                    if not c.is_zero():
-                        image.setdefault(r, []).append((pair, -c))
-            self._operators[key] = ExteriorOp(self.dim_m, degree, 1, self.symbols, image)
+            self._operators[key] = coboundary(self.dim_m, degree, self.symbols, self.bracket)
         return self._operators[key]
 
     def isotropy_is_rational(self) -> bool:

@@ -133,11 +133,6 @@ class PolyScalar:
             raise ValueError(f"{self.render()} is not a constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(expo) for expo in self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_context(self, other: "PolyScalar") -> None:

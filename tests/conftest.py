@@ -130,3 +130,26 @@ def dense_ce_differential(data, alpha: AltForm) -> AltForm:
                     total = total + (-term if (p + q) % 2 else term)
         coeffs[jtuple] = total
     return AltForm(n, k + 1, data.symbols, coeffs)
+
+
+def dense_jacobi_violations(algebra) -> list:
+    """Jacobi by its defining cyclic sum, with dense brackets of basis vectors,
+
+        [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]   for i < j < k,
+
+    as (i, j, k, component renders) for every nonzero sum: an oracle for
+    :func:`g2forms.liealg.jacobi_check`.
+    """
+    n, symbols = algebra.dim, algebra.symbols
+    zero = PolyScalar.zero(symbols)
+    violations = []
+    for i, j, k in combinations(range(1, n + 1), 3):
+        total = [zero] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            # [u, e_c] = sum_s u_s [e_s, e_c] for u = [e_a, e_b]
+            for s, u in enumerate(algebra.bracket(a, b), start=1):
+                if s != c and not u.is_zero():
+                    total = [t + u * x for t, x in zip(total, algebra.bracket(s, c))]
+        if any(not t.is_zero() for t in total):
+            violations.append((i, j, k, tuple(t.render() for t in total)))
+    return violations

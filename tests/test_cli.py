@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from g2forms.cli import main
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
@@ -85,6 +87,34 @@ def test_definite_command_rejects_bad_file(tmp_path, capsys):
     path.write_text("not json", encoding="utf-8")
     assert main(["definite", "--form", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", "7"),
+        ("dimension", 7.0),
+        ("degree", 3.0),
+        ("context", [1]),
+        ("context", "ab"),
+        ("form", 5),
+    ],
+)
+def test_definite_rejects_mistyped_form_file_fields(tmp_path, capsys, field, value):
+    doc = {"dimension": 7, "degree": 3, "form": PHI0, field: value}
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["definite", "--form", str(path)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invariants", "closed"])
+def test_negative_degree_flag_exits_two(capsys, command):
+    case = str(CASES_DIR / "T1.n1.json")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", case, "--degree", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
 
 
 def test_su3_command(tmp_path, capsys):

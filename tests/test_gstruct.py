@@ -170,16 +170,6 @@ def test_obstruction_certificate_undecided_for_scaled_standard_form():
     assert report.verdict == "undecided-parametric"
 
 
-def test_obstruction_certificate_leaves_caller_probes_alone():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
-    family = closed_forms(reductive_split(algebra, [8], list(range(1, 8))), 3)
-    probes = [basis_vector(7, i) for i in (2, 3)]  # context () differs from the family's
-    before = list(probes)
-    obstruction_certificate(family, probes)
-    assert all(p is q for p, q in zip(probes, before))
-    assert all(p.symbols == () for p in probes)
-
-
 def test_metric_up_to_scale_and_orientation_flip():
     metric = metric_up_to_scale(phi0())
     assert metric.entry(1, 1).constant_value() == 6

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import dense_jacobi_violations, random_rational
 from g2forms.catalog import models
 from g2forms.liealg import (
     LieAlgebra,
@@ -86,6 +88,9 @@ def test_jacobi_violation_reported_with_triple():
     assert not report.ok
     triples = [(i, j, k) for i, j, k, _ in report.violations]
     assert (1, 2, 3) in triples
+    assert report.render() == (
+        "jacobi: 1 violating triple(s)\n  (1,2,3): cyclic sum = (0, 1, 0)"
+    )
 
 
 def test_diagonal_three_dimensional_brackets_pass_jacobi():
@@ -95,6 +100,46 @@ def test_diagonal_three_dimensional_brackets_pass_jacobi():
         {(1, 2): (0, 0, 1), (2, 3): (1, 0, 0), (1, 3): (0, 1, 0)}, 3
     )
     assert jacobi_check(flipped).ok
+
+
+def random_bracket_table(rng, n, symbols, density):
+    """Random structure constants, rational or linear in the symbols."""
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            comps = [C(0, symbols)] * n
+            for r in range(n):
+                if rng.random() < density:
+                    comps[r] = C(random_rational(rng, 3), symbols)
+                    if symbols and rng.random() < 0.5:
+                        comps[r] = comps[r] * PolyScalar.symbol(rng.choice(symbols), symbols)
+            table[(i, j)] = comps
+    return table
+
+
+def test_jacobi_check_matches_dense_cyclic_sum_oracle():
+    rng = random.Random(1948)
+    violating = 0
+    for trial in range(144):
+        n = 2 + trial % 6
+        symbols = ("a", "b") if trial % 4 >= 2 else ()
+        algebra = LieAlgebra(
+            n, random_bracket_table(rng, n, symbols, density=0.1 + 0.1 * (trial % 3)),
+            symbols=symbols,
+        )
+        expected = dense_jacobi_violations(algebra)
+        assert jacobi_check(algebra).violations == expected, (trial, n, symbols)
+        violating += bool(expected)
+    assert 40 <= violating <= 120  # both outcomes well represented
+    # valid parametric tables: a Lie bracket scaled by a symbol stays one
+    sl3r = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    scale = PolyScalar.symbol("a", ("a",)) + C(1, ("a",))
+    scaled = LieAlgebra(sl3r.dim, {
+        key: [c.with_symbols(("a",)) * scale for c in comps]
+        for key, comps in sl3r.constants.items()
+    }, symbols=("a",))
+    assert dense_jacobi_violations(scaled) == []
+    assert jacobi_check(scaled).ok
 
 
 def test_reductive_split_case_n1_isotropy_blocks():
