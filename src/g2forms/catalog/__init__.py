@@ -73,10 +73,10 @@ homogeneous   {"isotropy_action": [matrix, ...],
 
 Optional fields
 ---------------
-h_indices     1-based indices of the isotropy subalgebra basis (full
+h_indices     distinct 1-based indices of the isotropy subalgebra basis (full
               sources; must form a subalgebra with [h, m] in m)
-m_indices     1-based indices of the complement m (full sources)
-context       ordered list of parameter symbols for every polynomial
+m_indices     distinct 1-based indices of the complement m (full sources)
+context       ordered list of distinct parameter symbols for every polynomial
               string in the document (default: empty)
 parameters    {symbol: rational string} instantiation applied before any
               numeric computation (invariant bases, closed families,
@@ -232,6 +232,27 @@ _PAYLOAD_BY_SOURCE = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value, length=None) -> bool:
+    """A list of strings, of the given length if one is given."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(x, str) for x in value)
+        and length in (None, len(value))
+    )
+
+
+def _is_string_matrix(value, dim: int) -> bool:
+    return isinstance(value, list) and len(value) == dim and all(_is_strings(r, dim) for r in value)
+
+
+def _is_string_map(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(x, str) for x in value.values())
+
+
 def validate_case_dict(doc: dict) -> None:
     """Raise :class:`SchemaError` with a field-level message on violation."""
     if not isinstance(doc, dict):
@@ -247,7 +268,7 @@ def validate_case_dict(doc: dict) -> None:
     if doc["source"] not in SOURCES:
         raise SchemaError(f"source: expected one of {SOURCES}, got {doc['source']!r}")
     dim = doc["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SchemaError("dimension: must be a positive integer")
     names = doc["basis_names"]
     if not isinstance(names, list) or len(names) != dim:
@@ -270,12 +291,18 @@ def validate_case_dict(doc: dict) -> None:
             for row in m:
                 if not isinstance(row, list) or len(row) != size:
                     raise SchemaError(f"matrices[{pos}]: matrix is not square")
+                if not all(isinstance(x, str) or _is_strings(x, 2) for x in row):
+                    raise SchemaError(
+                        f"matrices[{pos}]: entries must be rational strings or [re, im] pairs"
+                    )
     elif payload_key == "structure_constants":
+        if not isinstance(doc["structure_constants"], list):
+            raise SchemaError("structure_constants: expected a list")
         for pos, entry in enumerate(doc["structure_constants"]):
             if (
                 not isinstance(entry, list)
                 or len(entry) != 4
-                or not all(isinstance(x, int) for x in entry[:3])
+                or not all(_is_int(x) for x in entry[:3])
                 or not isinstance(entry[3], str)
             ):
                 raise SchemaError(
@@ -292,11 +319,20 @@ def validate_case_dict(doc: dict) -> None:
             raise SchemaError(
                 "homogeneous: expected exactly the fields isotropy_action and projected_bracket"
             )
+        if not all(isinstance(value, list) for value in hom.values()):
+            raise SchemaError("homogeneous: isotropy_action and projected_bracket must be lists")
         for pos, m in enumerate(hom["isotropy_action"]):
-            if len(m) != dim or any(len(row) != dim for row in m):
-                raise SchemaError(f"homogeneous.isotropy_action[{pos}]: expected {dim}x{dim}")
+            if not _is_string_matrix(m, dim):
+                raise SchemaError(
+                    f"homogeneous.isotropy_action[{pos}]: expected a {dim}x{dim} matrix of strings"
+                )
         for pos, entry in enumerate(hom["projected_bracket"]):
-            if len(entry) != 3 or len(entry[2]) != dim:
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 3
+                or not all(_is_int(x) for x in entry[:2])
+                or not _is_strings(entry[2], dim)
+            ):
                 raise SchemaError(
                     f"homogeneous.projected_bracket[{pos}]: expected [i, j, [{dim} components]]"
                 )
@@ -309,16 +345,32 @@ def validate_case_dict(doc: dict) -> None:
         for key in ("h_indices", "m_indices"):
             if key not in doc:
                 raise SchemaError(f"missing field {key!r} for source {doc['source']!r}")
-            if any(not (1 <= i <= dim) for i in doc[key]):
+            indices = doc[key]
+            if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
+                raise SchemaError(f"{key}: expected a list of integers")
+            if any(not (1 <= i <= dim) for i in indices):
                 raise SchemaError(f"{key}: index out of range 1..{dim}")
+            if len(set(indices)) != len(indices):
+                raise SchemaError(f"{key}: repeated index")
+    context = doc.get("context", [])
+    if not _is_strings(context) or len(set(context)) != len(context):
+        raise SchemaError("context: expected a list of distinct symbol names")
+    parameters, enumerations = doc.get("parameters", {}), doc.get("enumerations", [])
+    if not _is_string_map(parameters):
+        raise SchemaError("parameters: expected a {symbol: rational string} object")
+    if not isinstance(enumerations, list) or not all(_is_string_map(e) for e in enumerations):
+        raise SchemaError("enumerations: expected a list of {symbol: rational string} objects")
     gammas = doc.get("gammas", [])
     gamma_symbols = doc.get("gamma_symbols", [])
+    if not (_is_strings(gammas) and _is_strings(gamma_symbols)):
+        raise SchemaError("gammas and gamma_symbols must be lists of strings")
     if len(gammas) != len(gamma_symbols):
         raise SchemaError("gammas and gamma_symbols must have equal length")
-    context = doc.get("context", [])
     for sym in gamma_symbols:
         if sym not in context:
             raise SchemaError(f"gamma_symbols: {sym!r} is not declared in context")
+    if not isinstance(doc.get("expected", []), list):
+        raise SchemaError("expected: must be a list")
     for pos, item in enumerate(doc.get("expected", [])):
         if not isinstance(item, dict) or not {"check", "value", "cite"} <= set(item):
             raise SchemaError(f"expected[{pos}]: needs check, value and cite fields")
@@ -347,7 +399,10 @@ def load_case(path) -> CaseRecord:
         from g2forms.catalog._runner import build_algebra
         from g2forms.liealg import LieStructureError, jacobi_check, reductive_split
 
-        algebra = build_algebra(record)
+        try:
+            algebra = build_algebra(record)
+        except ValueError as exc:  # an unparsable coefficient
+            raise SchemaError(f"invalid structure constants: {exc}") from exc
         report = jacobi_check(algebra)
         if not report.ok:
             raise SchemaError(f"structure constants violate Jacobi:\n{report.render()}")

@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from fractions import Fraction
+from functools import cached_property
 
 from g2forms import _linalg
 from g2forms.exterior import AltForm, basis_vector, contract, form_to_vector, monomials, parse_form
@@ -104,7 +105,7 @@ def build_algebra(record) -> LieAlgebra:
                 [[[_entry_to_complex(x) for x in row] for row in m] for m in mats]
             )
         else:
-            basis = MatrixBasis([[[Fraction(x) for x in row] for row in m] for m in mats])
+            basis = MatrixBasis([[[parse_rational(x) for x in row] for row in m] for m in mats])
         algebra = from_matrices(basis, record.basis_names)
         return algebra.with_symbols(context)
     if record.source == "structure-constants":
@@ -125,8 +126,8 @@ def build_algebra(record) -> LieAlgebra:
 
 def _entry_to_complex(entry):
     if isinstance(entry, list):
-        return (Fraction(entry[0]), Fraction(entry[1]))
-    return (Fraction(entry), Fraction(0))
+        return (parse_rational(entry[0]), parse_rational(entry[1]))
+    return (parse_rational(entry), Fraction(0))
 
 
 def build_homogeneous(record) -> HomogeneousSpaceData:
@@ -135,67 +136,45 @@ def build_homogeneous(record) -> HomogeneousSpaceData:
 
 
 class _Engine:
-    """Lazily computed pipeline objects shared by the checks of one case."""
+    """The pipeline objects of one case, each built once.
+
+    The algebra and the symbolic data are built on first use; everything
+    derived from the data (instantiations, invariant spaces, closed
+    families) is memoized on the data itself.
+    """
 
     def __init__(self, record):
         self.record = record
         self.context = record.context
-        self._algebra = None
-        self._homog_sym = None
-        self._homog_num = {}
-        self._invariants = {}
-        self._closed = {}
         self._generic = None
 
-    @property
+    @cached_property
     def algebra(self) -> LieAlgebra:
-        if self._algebra is None:
-            self._algebra = build_algebra(self.record)
-        return self._algebra
+        return build_algebra(self.record)
 
-    @property
+    @cached_property
     def homog_sym(self) -> HomogeneousSpaceData:
-        if self._homog_sym is None:
-            record = self.record
-            if record.source == "partial-homogeneous":
-                hom = record.raw["homogeneous"]
-                isotropy = [
-                    [[PolyScalar.parse(x, self.context) for x in row] for row in m]
-                    for m in hom["isotropy_action"]
-                ]
-                bracket = {
-                    (i, j): tuple(PolyScalar.parse(c, self.context) for c in comps)
-                    for i, j, comps in hom["projected_bracket"]
-                }
-                self._homog_sym = homogeneous_from_partial(
-                    record.dimension, isotropy, bracket, record.basis_names, self.context
-                )
-            else:
-                self._homog_sym = reductive_split(
-                    self.algebra, record.raw["h_indices"], record.raw["m_indices"]
-                )
-        return self._homog_sym
+        record = self.record
+        if record.source != "partial-homogeneous":
+            return reductive_split(self.algebra, record.raw["h_indices"], record.raw["m_indices"])
+        hom = record.raw["homogeneous"]
+        isotropy = [
+            [[PolyScalar.parse(x, self.context) for x in row] for row in m]
+            for m in hom["isotropy_action"]
+        ]
+        bracket = {
+            (i, j): tuple(PolyScalar.parse(c, self.context) for c in comps)
+            for i, j, comps in hom["projected_bracket"]
+        }
+        return homogeneous_from_partial(
+            record.dimension, isotropy, bracket, record.basis_names, self.context
+        )
 
     def homog_num(self, assignment=None) -> HomogeneousSpaceData:
+        """The data instantiated at ``assignment`` (default: the first enumeration)."""
         if assignment is None:
             assignment = self.record.enumerations[0]
-        key = tuple(sorted((k, v) for k, v in assignment.items()))
-        if key not in self._homog_num:
-            self._homog_num[key] = self.homog_sym.instantiate(assignment)
-        return self._homog_num[key]
-
-    def invariant_space(self, degree: int):
-        if degree not in self._invariants:
-            self._invariants[degree] = invariant_forms(self.homog_num(), degree)
-        return self._invariants[degree]
-
-    def closed_family(self, assignment=None, degree: int = 3):
-        if assignment is None:
-            assignment = self.record.enumerations[0]
-        key = (tuple(sorted((k, v) for k, v in assignment.items())), degree)
-        if key not in self._closed:
-            self._closed[key] = closed_forms(self.homog_num(assignment), degree)
-        return self._closed[key]
+        return self.homog_sym.instantiate(assignment)
 
     @property
     def dim_m(self) -> int:
@@ -214,13 +193,10 @@ class _Engine:
         return self._generic
 
     def gamma_forms(self):
-        return [
-            parse_form(text, self.dim_m, 3, ()) for text in self.record.gammas
-        ]
+        return [parse_form(text, self.dim_m, 3, ()) for text in self.record.gammas]
 
-    def numeric_form(self, text: str, degree=None, dim=None) -> AltForm:
-        data = self.homog_num()
-        return parse_form(text, dim or self.dim_m, degree, data.symbols)
+    def numeric_form(self, text: str, degree=None) -> AltForm:
+        return parse_form(text, self.dim_m, degree, self.homog_num().symbols)
 
 
 def _coefficient_rows(engine, forms, degree, texts):
@@ -243,13 +219,13 @@ def _render_forms(forms) -> str:
 
 
 def _check_invariant_dim(engine, args, value):
-    space = engine.invariant_space(args["degree"])
+    space = invariant_forms(engine.homog_num(), args["degree"])
     return _compare(space.dim, value)
 
 
 def _check_invariant_span(engine, args, value):
     degree = args["degree"]
-    space = engine.invariant_space(degree)
+    space = invariant_forms(engine.homog_num(), degree)
     computed, target = _coefficient_rows(engine, space.basis, degree, value)
     equal = _linalg.spans_equal(computed, target)
     status = "span-match" if equal else "mismatch"
@@ -260,7 +236,7 @@ def _check_invariant_dim_in_support(engine, args, value):
     degree = args["degree"]
     groups = [set(g) for g in args["groups"]]
     counts = list(args["counts"])
-    space = engine.invariant_space(degree)
+    space = invariant_forms(engine.homog_num(), degree)
     outside = [
         idx
         for idx in monomials(engine.dim_m, degree)
@@ -293,26 +269,26 @@ def _check_b_entry(engine, args, value):
 
 
 def _check_closed_param_count(engine, args, value):
-    family = engine.closed_family(degree=args.get("degree", 3))
+    family = closed_forms(engine.homog_num(), args.get("degree", 3))
     return _compare(family.dim, value)
 
 
 def _check_closed_span(engine, args, value):
-    family = engine.closed_family()
+    family = closed_forms(engine.homog_num(), 3)
     computed, target = _coefficient_rows(engine, family.basis, family.degree, value)
     equal = _linalg.spans_equal(computed, target)
     return ("span-match" if equal else "mismatch"), _render_forms(family.basis)
 
 
 def _check_closed_subset_of(engine, args, value):
-    family = engine.closed_family()
+    family = closed_forms(engine.homog_num(), 3)
     computed, target = _coefficient_rows(engine, family.basis, family.degree, value)
     contained = _linalg.span_contains(target, computed)
     return ("span-match" if contained else "mismatch"), _render_forms(family.basis)
 
 
 def _check_closed_component_zero(engine, args, value):
-    family = engine.closed_family()
+    family = closed_forms(engine.homog_num(), 3)
     monos = monomials(engine.dim_m, family.degree)
     gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in engine.gamma_forms()])
     members = _linalg.transpose([form_to_vector(m, monos) for m in family.basis])
@@ -342,7 +318,7 @@ def _check_not_definite(engine, args, value):
     outcomes = []
     excluded = True
     for assignment in engine.record.enumerations:
-        family = engine.closed_family(assignment)
+        family = closed_forms(engine.homog_num(assignment), 3)
         report = obstruction_certificate(family)
         excluded = excluded and report.excludes_definite
         tag = (

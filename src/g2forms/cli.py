@@ -73,7 +73,10 @@ def _load_case_file(path: str) -> catalog.CaseRecord:
 def _numeric_data(record: catalog.CaseRecord):
     from g2forms.catalog._runner import _Engine
 
-    return _Engine(record).homog_num()
+    try:
+        return _Engine(record).homog_num()
+    except ValueError as exc:  # unparsable literal, bad matrix basis or split
+        raise _InputError(f"invalid case data in {record.case_id}: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -150,7 +153,13 @@ def _cmd_closed(args) -> int:
 
 
 def _cmd_definite(args) -> int:
-    report = definiteness(_parse_form_doc(_load_form_file(args.form), degree=3))
+    phi = _parse_form_doc(_load_form_file(args.form), degree=3)
+    if (phi.dim, phi.degree) != (7, 3):
+        raise _InputError(
+            f"definite needs a 3-form on a 7-dimensional space, "
+            f"got a {phi.degree}-form in dimension {phi.dim}"
+        )
+    report = definiteness(phi)
     if args.format == "json":
         _emit_json({"verdict": report.verdict, "report": report.render()})
     else:

@@ -133,6 +133,7 @@ class DefinitenessReport:
     witnesses: list = field(default_factory=list)  # (value render, vector)
     identity: str | None = None  # family-level certificate identity
     family: bool = False
+    gram: GramMatrix | None = None  # the B matrix the verdict is about (single forms)
 
     @property
     def is_definite(self) -> bool:
@@ -141,6 +142,12 @@ class DefinitenessReport:
     @property
     def excludes_definite(self) -> bool:
         return self.verdict in ("indefinite", "degenerate")
+
+    def metric(self) -> GramMatrix:
+        """Positive-definite representative of the induced metric (up to scale)."""
+        if not self.is_definite:
+            raise ValueError(f"form is not definite: verdict {self.verdict}")
+        return self.gram if self.orientation == "positive" else self.gram.negated()
 
     def render(self) -> str:
         if self.verdict == "definite":
@@ -173,15 +180,15 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
     b = gram.as_fractions()
     minors = _linalg.leading_principal_minors(b)
     if all(m > 0 for m in minors):
-        return DefinitenessReport("definite", "positive", minors)
+        return DefinitenessReport("definite", "positive", minors, gram=gram)
     if all((m > 0 if k % 2 else m < 0) for k, m in enumerate(minors)):
-        return DefinitenessReport("definite", "negative", minors)
+        return DefinitenessReport("definite", "negative", minors, gram=gram)
     diag = _linalg.congruence_diagonalize(b)
     zero_entries = [(d, v) for d, v in diag if d == 0]
     if zero_entries:
         d, v = zero_entries[0]
         return DefinitenessReport(
-            "degenerate", witnesses=[(format_rational(d), v)], minors=minors
+            "degenerate", witnesses=[(format_rational(d), v)], minors=minors, gram=gram
         )
     positive = next((d, v) for d, v in diag if d > 0) if any(d > 0 for d, _ in diag) else None
     negative = next((d, v) for d, v in diag if d < 0) if any(d < 0 for d, _ in diag) else None
@@ -189,7 +196,7 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
     for item in (negative, positive):
         if item:
             witnesses.append((format_rational(item[0]), item[1]))
-    return DefinitenessReport("indefinite", witnesses=witnesses, minors=minors)
+    return DefinitenessReport("indefinite", witnesses=witnesses, minors=minors, gram=gram)
 
 
 def _family_probe_value(generic: AltForm, probe: Vector) -> PolyScalar:
@@ -241,11 +248,7 @@ def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
 
 def metric_up_to_scale(phi: AltForm) -> GramMatrix:
     """Positive-definite representative of the induced metric (up to scale)."""
-    report = definiteness(phi)
-    if not report.is_definite:
-        raise ValueError(f"form is not definite: verdict {report.verdict}")
-    gram = b_matrix(phi)
-    return gram if report.orientation == "positive" else gram.negated()
+    return definiteness(phi).metric()
 
 
 def hodge_dual_up_to_scale(metric: GramMatrix, alpha: AltForm) -> AltForm:
@@ -317,8 +320,7 @@ def g2_torsion_report(data: HomogeneousSpaceData, phi: AltForm) -> TorsionReport
     closed = ce_differential(data, phi).is_zero()
     coclosed = None
     if report.is_definite:
-        metric = metric_up_to_scale(phi)
-        star = hodge_dual_up_to_scale(metric, phi)
+        star = hodge_dual_up_to_scale(report.metric(), phi)
         coclosed = ce_differential(data, star).is_zero()
     if not report.is_definite:
         classification = "not a G2-structure (form is not definite)"
@@ -375,14 +377,11 @@ def hitchin_stability(psi: AltForm) -> HitchinReport:
         raise ValueError("hitchin_stability expects a 3-form on a 6-dimensional space")
     if not psi.is_rational():
         raise ValueError("hitchin_stability needs rational coefficients")
+    iota_psi = [wedge(contract(basis_vector(6, j, psi.symbols), psi), psi) for j in range(1, 7)]
     k_rows = []
     for i in range(1, 7):
         e_i = basis_form(6, (i,), psi.symbols)
-        row = []
-        for j in range(1, 7):
-            iota = contract(basis_vector(6, j, psi.symbols), psi)
-            row.append(top_coefficient(wedge(wedge(iota, psi), e_i)).constant_value())
-        k_rows.append(row)
+        k_rows.append([top_coefficient(wedge(form, e_i)).constant_value() for form in iota_psi])
     k_sq = _linalg.matmul(k_rows, k_rows)
     lam = sum((k_sq[i][i] for i in range(6)), Fraction(0)) / 6
     return HitchinReport(lam, k_rows, k_sq)

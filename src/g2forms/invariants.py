@@ -56,17 +56,23 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
 
     Requires a rational (fully instantiated) isotropy action.  The basis is
     returned in reduced echelon form over the lexicographic monomial order,
-    so equal invariant subspaces always produce identical bases.
+    so equal invariant subspaces always produce identical bases.  The space
+    is solved once per data and degree and shared (see
+    :meth:`HomogeneousSpaceData.cached`): do not mutate it.
     """
-    if not data.isotropy_is_rational():
-        raise ValueError(
-            "parametric isotropy action: instantiate the parameters first"
-        )
-    n = data.dim_m
-    stacked = [row for op in data.derivations(degree) for row in op.rows()]
-    kernel = _linalg.nullspace(stacked, comb(n, degree))
-    basis = [vector_to_form(vec, n, degree, data.symbols) for vec in kernel]
-    return InvariantFormSpace(data, degree, basis)
+
+    def build():
+        if not data.isotropy_is_rational():
+            raise ValueError(
+                "parametric isotropy action: instantiate the parameters first"
+            )
+        n = data.dim_m
+        stacked = [row for op in data.derivations(degree) for row in op.rows()]
+        kernel = _linalg.nullspace(stacked, comb(n, degree))
+        basis = [vector_to_form(vec, n, degree, data.symbols) for vec in kernel]
+        return InvariantFormSpace(data, degree, basis)
+
+    return data.cached(("invariant_forms", degree), build)
 
 
 def ce_differential(data: HomogeneousSpaceData, alpha: AltForm) -> AltForm:
@@ -108,29 +114,36 @@ class ClosedFamily:
 
 
 def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
-    """Solve d(sum_i a_i gamma_i) = 0 exactly over the invariant basis."""
-    if not data.is_rational():
-        raise ValueError("closed_forms needs fully instantiated homogeneous data")
-    space = invariant_forms(data, degree)
-    n = data.dim_m
-    d = data.differential(degree)
-    out_monomials = monomials(n, degree + 1)
-    # rows: output monomials, columns: invariant basis forms
-    matrix = _linalg.transpose(
-        [form_to_vector(d.apply(gamma), out_monomials) for gamma in space.basis]
-    )
-    kernel = _linalg.nullspace(matrix, space.dim)
-    in_monomials = monomials(n, degree)
-    gammas = [form_to_vector(gamma, in_monomials) for gamma in space.basis]
-    rows = _linalg.row_space(_linalg.matmul(kernel, gammas))
-    parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
-    basis = [vector_to_form(vec, n, degree) for vec in rows]
-    generic = AltForm(n, degree, parameters)
-    for name, member in zip(parameters, basis):
-        lifted = member.with_symbols(parameters)
-        generic = generic + lifted.scale(PolyScalar.symbol(name, parameters))
-    rank = space.dim - len(kernel)
-    return ClosedFamily(data, degree, parameters, basis, generic, space.dim, rank)
+    """Solve d(sum_i a_i gamma_i) = 0 exactly over the invariant basis.
+
+    Solved once per data and degree and shared, like :func:`invariant_forms`.
+    """
+
+    def build():
+        if not data.is_rational():
+            raise ValueError("closed_forms needs fully instantiated homogeneous data")
+        space = invariant_forms(data, degree)
+        n = data.dim_m
+        d = data.differential(degree)
+        out_monomials = monomials(n, degree + 1)
+        # rows: output monomials, columns: invariant basis forms
+        matrix = _linalg.transpose(
+            [form_to_vector(d.apply(gamma), out_monomials) for gamma in space.basis]
+        )
+        kernel = _linalg.nullspace(matrix, space.dim)
+        in_monomials = monomials(n, degree)
+        gammas = [form_to_vector(gamma, in_monomials) for gamma in space.basis]
+        rows = _linalg.row_space(_linalg.matmul(kernel, gammas))
+        parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
+        basis = [vector_to_form(vec, n, degree) for vec in rows]
+        generic = AltForm(n, degree, parameters)
+        for name, member in zip(parameters, basis):
+            lifted = member.with_symbols(parameters)
+            generic = generic + lifted.scale(PolyScalar.symbol(name, parameters))
+        rank = space.dim - len(kernel)
+        return ClosedFamily(data, degree, parameters, basis, generic, space.dim, rank)
+
+    return data.cached(("closed_forms", degree), build)
 
 
 @dataclass

@@ -260,6 +260,11 @@ class HomogeneousSpaceData:
     maps (i, j) with i < j to the m-components of [e_i, e_j]_m.  ``partial``
     marks data not backed by a full Lie algebra, for which d o d = 0 is not
     guaranteed by construction.
+
+    The data never changes after construction, so every object derived
+    from it (operators, invariant spaces, closed families, instantiations)
+    is built once through :meth:`cached` and shared: callers must not
+    mutate what they get back.
     """
 
     def __init__(
@@ -316,25 +321,27 @@ class HomogeneousSpaceData:
         self.isotropy = tuple(iso_clean)
         self.bracket = bracket_clean
         self.partial = partial
-        # (kind, degree) -> ExteriorOp(s); sound because nothing above changes
-        self._operators: dict = {}
+        self._memo: dict = {}
+
+    def cached(self, key, build):
+        """``build()``, computed on the first call with this key and then shared."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def derivations(self, degree: int) -> tuple:
         """The isotropy action on degree-forms, one ExteriorOp per generator.
 
         A generator acts on covectors by the coadjoint action,
-        A . e^i = -sum_j A[i][j] e^j.  Built once per degree.
+        A . e^i = -sum_j A[i][j] e^j.
         """
-        key = ("derivations", degree)
-        if key not in self._operators:
-            self._operators[key] = tuple(
-                ExteriorOp(self.dim_m, degree, 0, self.symbols, {
-                    i: [((j,), -a) for j, a in enumerate(row, start=1) if not a.is_zero()]
-                    for i, row in enumerate(mat, start=1)
-                })
-                for mat in self.isotropy
-            )
-        return self._operators[key]
+        return self.cached(("derivations", degree), lambda: tuple(
+            ExteriorOp(self.dim_m, degree, 0, self.symbols, {
+                i: [((j,), -a) for j, a in enumerate(row, start=1) if not a.is_zero()]
+                for i, row in enumerate(mat, start=1)
+            })
+            for mat in self.isotropy
+        ))
 
     def differential(self, degree: int) -> ExteriorOp:
         """The coset differential on degree-forms, from the projected bracket:
@@ -342,12 +349,11 @@ class HomogeneousSpaceData:
             d a(X_0, ..., X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q]_m, ..., ^X_p, ..., ^X_q, ...)
 
         This is :func:`coboundary` of the projected bracket; it is the exterior
-        derivative only on ad(h)-invariant forms.  Built once per degree.
+        derivative only on ad(h)-invariant forms.
         """
-        key = ("differential", degree)
-        if key not in self._operators:
-            self._operators[key] = coboundary(self.dim_m, degree, self.symbols, self.bracket)
-        return self._operators[key]
+        return self.cached(("differential", degree), lambda: coboundary(
+            self.dim_m, degree, self.symbols, self.bracket
+        ))
 
     def isotropy_is_rational(self) -> bool:
         return all(
@@ -362,18 +368,17 @@ class HomogeneousSpaceData:
 
     def instantiate(self, assignment: Mapping[str, Fraction]) -> "HomogeneousSpaceData":
         """Substitute parameter values throughout (reduced context)."""
-        iso = [
-            [[entry.substitute(assignment) for entry in row] for row in mat]
-            for mat in self.isotropy
-        ]
-        bracket = {
-            key: tuple(c.substitute(assignment) for c in comps)
-            for key, comps in self.bracket.items()
-        }
-        new_symbols = tuple(s for s in self.symbols if s not in assignment)
-        return HomogeneousSpaceData(
-            self.dim_m, iso, bracket, self.names, new_symbols, self.partial
-        )
+        return self.cached(("instantiate", tuple(sorted(assignment.items()))), lambda: (
+            HomogeneousSpaceData(
+                self.dim_m,
+                [[[e.substitute(assignment) for e in row] for row in mat] for mat in self.isotropy],
+                {key: tuple(c.substitute(assignment) for c in comps)
+                 for key, comps in self.bracket.items()},
+                self.names,
+                tuple(s for s in self.symbols if s not in assignment),
+                self.partial,
+            )
+        ))
 
     def with_symbols(self, symbols: Iterable[str]) -> "HomogeneousSpaceData":
         symbols = tuple(symbols)
@@ -436,6 +441,8 @@ def reductive_split(
     square of the coset differential vanishes on invariant forms.
     """
     h_set, m_set = set(h_indices), set(m_indices)
+    if len(h_set) != len(h_indices) or len(m_set) != len(m_indices):
+        raise LieStructureError("h and m indices must not repeat")
     if h_set & m_set:
         raise LieStructureError("h and m indices overlap")
     if h_set | m_set != set(range(1, algebra.dim + 1)):

@@ -308,7 +308,7 @@ class PolyScalar:
                 if not factor:
                     raise ValueError(f"empty factor in {text!r}")
                 if _RATIONAL_RE.match(factor):
-                    coeff *= Fraction(factor)
+                    coeff *= parse_rational(factor)  # ValueError on a zero denominator
                     continue
                 if "^" in factor:
                     name, _, power_text = factor.partition("^")

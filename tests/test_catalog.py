@@ -294,3 +294,11 @@ def test_structure_constants_recomputed_for_matrix_cases():
         assert set(from_file.constants) == set(from_model.constants)
         for key in from_file.constants:
             assert from_file.constants[key] == from_model.constants[key]
+
+
+@pytest.mark.parametrize("key, indices", [("m_indices", [1, 1, 2, 3, 4, 5, 6, 7]), ("h_indices", [8, 8])])
+def test_repeated_split_index_rejected(key, indices):
+    doc = load_bundled("T1.n1").to_dict()
+    doc[key] = indices
+    with pytest.raises(SchemaError, match="repeated index"):
+        validate_case_dict(doc)

@@ -108,6 +108,73 @@ def test_definite_rejects_mistyped_form_file_fields(tmp_path, capsys, field, val
     assert f"{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dimension, degree, form",
+    [(6, 3, "e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5}"), (7, 2, "e^{1 2} + e^{3 4}")],
+    ids=["dimension-6", "degree-2"],
+)
+def test_definite_rejects_wrong_shape_form(tmp_path, capsys, dimension, degree, form):
+    path = write_form(tmp_path, "form.json", dimension, degree, form)
+    assert main(["definite", "--form", path]) == 2
+    assert "3-form on a 7-dimensional space" in capsys.readouterr().err
+
+
+def _case_document(base):
+    if base == "T1.n1":
+        return json.loads((CASES_DIR / "T1.n1.json").read_text(encoding="utf-8"))
+    doc = {"id": "tiny", "description": "", "dimension": 2, "basis_names": ["e1", "e2"]}
+    if base == "partial":
+        doc["source"] = "partial-homogeneous"
+        doc["homogeneous"] = {
+            "isotropy_action": [[["0", "1"], ["-1", "0"]]],
+            "projected_bracket": [[1, 2, ["0", "1"]]],
+        }
+    else:
+        doc["source"] = "structure-constants"
+        doc["structure_constants"] = [[1, 2, 2, "1"]]
+        doc.update(h_indices=[], m_indices=[1, 2])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        ("partial", ("homogeneous", "isotropy_action", 0), 5),
+        ("T1.n1", ("h_indices",), 5),
+        ("T1.n1", ("context",), ["a1", "a2", "a3", "a4", "a5", "a6", "a7", "a1"]),
+        ("T1.n1", ("parameters",), {"a1": "abc"}),
+        ("constants", ("structure_constants", 0, 3), "q"),
+        ("T1.n1", ("matrices", 0, 0, 0), "abc"),
+        ("T1.n1", ("matrices", 0, 0, 0), "1/0"),
+        ("partial", ("homogeneous", "projected_bracket", 0, 2, 0), "1/0"),
+        ("T1.n1", ("m_indices",), [1, 1, 2, 3, 4, 5, 6, 7]),
+        ("T1.n1", ("h_indices",), [8, 8]),
+    ],
+    ids=[
+        "isotropy-entry-not-a-list",
+        "h-indices-not-a-list",
+        "repeated-context-symbol",
+        "non-rational-parameter",
+        "unknown-coefficient-symbol",
+        "non-rational-matrix-entry",
+        "zero-denominator-matrix-entry",
+        "zero-denominator-bracket",
+        "repeated-m-index",
+        "repeated-h-index",
+    ],
+)
+def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
+    doc = _case_document(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["invariants", "--input", str(case), "--degree", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["invariants", "closed"])
 def test_negative_degree_flag_exits_two(capsys, command):
     case = str(CASES_DIR / "T1.n1.json")

@@ -340,3 +340,44 @@ def test_product_definiteness_tracks_su3_verdict_on_instances():
         su3 = su3_check(data, omega, psi)
         product_definite = definiteness(product_g2(omega, psi)).is_definite
         assert product_definite == su3.su3_structure
+
+
+def _count_b_matrix_calls(monkeypatch):
+    import g2forms.gstruct as gstruct
+
+    calls = []
+    original = gstruct.b_matrix
+
+    def counting(phi):
+        calls.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(gstruct, "b_matrix", counting)
+    return calls
+
+
+def test_torsion_report_and_metric_build_b_once(monkeypatch):
+    calls = _count_b_matrix_calls(monkeypatch)
+    report = g2_torsion_report(HomogeneousSpaceData(7, [], {}), phi0())
+    assert report.definite and report.coclosed
+    assert len(calls) == 1
+    calls.clear()
+    assert metric_up_to_scale(phi0()).entry(1, 1).constant_value() == 6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        (PHI0, "definite"),
+        ("e^{1 2 7} + e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5} - e^{3 4 7} - e^{5 6 7}",
+         "indefinite"),
+        ("e^{1 2 3} + e^{4 5 6}", "degenerate"),
+    ],
+    ids=["definite", "indefinite", "degenerate"],
+)
+def test_definiteness_report_carries_its_b_matrix(text, verdict):
+    phi = parse_form(text, 7)
+    report = definiteness(phi)
+    assert report.verdict == verdict
+    assert report.gram == b_matrix(phi)

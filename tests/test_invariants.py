@@ -237,3 +237,24 @@ def test_d_squared_check_refuses_partial_data():
     data = homogeneous_from_partial(7, iso, bracket)
     with pytest.raises(PartialDataError):
         d_squared_check(data, 3)
+
+
+def test_derived_objects_are_built_once_per_data(monkeypatch):
+    data = sl3r_data()
+    assignment = {}
+    assert data.instantiate(assignment) is data.instantiate(assignment)
+    space = invariant_forms(data, 3)
+    assert invariant_forms(data, 3) is space
+    calls = []
+    original = _linalg.nullspace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "nullspace", counting)
+    family = closed_forms(data, 3)
+    assert len(calls) == 1  # the kernel of d; the invariant basis is reused
+    assert closed_forms(data, 3) is family
+    assert d_squared_check(data, 3).ok
+    assert len(calls) == 1

@@ -247,3 +247,10 @@ def test_restrict_checks_closure():
     assert sub.dim_m == 2
     with pytest.raises(LieStructureError, match="leaves"):
         data.restrict([1, 2])
+
+
+@pytest.mark.parametrize("h, m", [([8], [1, 1, 2, 3, 4, 5, 6, 7]), ([8, 8], [1, 2, 3, 4, 5, 6, 7])])
+def test_reductive_split_rejects_repeated_indices(h, m):
+    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    with pytest.raises(LieStructureError, match="repeat"):
+        reductive_split(algebra, h, m)
