@@ -1,16 +1,35 @@
 """Exact linear algebra over Fraction matrices (lists of row lists).
 
-Internal helper module: reduced row echelon form, nullspaces, determinants,
-inverses and symmetric congruence diagonalization, all over Q with no
-rounding.  Matrix sizes in this package stay tiny (n <= 64 or so), so the
-implementations favour clarity over asymptotics.
+Internal helper module: reduced row echelon form, nullspaces, solves,
+inverses, products, determinants and symmetric congruence diagonalization,
+all over Q with no rounding.  Every returned entry is a Fraction, never an
+int: callers divide entries, and a quotient of two ints is a float.
+
+Two kernels compute on Python ints inside, because a gcd per Fraction
+operation dominated their cost.  :func:`rref` scales each row to integers
+by the lcm of its denominators, eliminates Gauss-Jordan fraction-free
+(keeping rows primitive by their gcd) and divides by the pivots once at the
+end; the reduced row echelon form is unique, so :func:`rank`,
+:func:`nullspace`, :func:`row_space`, :func:`solve_many` and
+:func:`inverse` give the same Fractions as elimination over Q.
+:func:`matmul` scales ``b`` once to integers, keeps only its nonzero
+entries and builds one Fraction per output entry, so mostly-zero operands
+cost only their nonzeros.
+
+:func:`det` and :func:`leading_principal_minors` still eliminate over
+Fractions.  :func:`congruence_diagonalize` stays on Fractions: its witness
+vectors are printed certificates, and any change to its steps would change
+them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list  # list[list[Fraction]]
+
+_ZERO = Fraction(0)
 
 
 def identity(n: int) -> Matrix:
@@ -25,17 +44,38 @@ def transpose(mat: Matrix) -> Matrix:
     return [list(col) for col in zip(*mat)] if mat else []
 
 
+def _integer_row(row) -> tuple[list[int], int]:
+    """(ints, den) with row == ints / den, den the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    ncols = len(b[0]) if b else 0
+    b_den = lcm(*(x.denominator for row in b for x in row))
+    b_rows = [
+        [(j, x.numerator * (b_den // x.denominator)) for j, x in enumerate(row) if x]
+        for row in b
+    ]
+    out = []
+    for row in a:
+        a_ints, a_den = _integer_row(row)
+        acc = [0] * ncols
+        for x, b_row in zip(a_ints, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        den = a_den * b_den
+        out.append([Fraction(v, den) if v else _ZERO for v in acc])
+    return out
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    m = copy(mat)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+    if not mat:
+        return [], []
+    nrows, ncols = len(mat), len(mat[0])
+    m = [_integer_row(row)[0] for row in mat]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -43,17 +83,22 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
         for i in range(nrows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                g = gcd(top[c], m[i][c])
+                p, f = top[c] // g, m[i][c] // g
+                row = [p * x - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    reduced = [
+        [Fraction(x, m[i][c]) if x else _ZERO for x in m[i]] for i, c in enumerate(pivots)
+    ]
+    return reduced + [[_ZERO] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
 def rank(mat: Matrix) -> int:

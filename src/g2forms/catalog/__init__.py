@@ -14,7 +14,7 @@ matched against *all* bundled ids, exploratory included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -140,9 +140,16 @@ comparisons) when computed equals expected; any `mismatch` fails the case.
 
 @dataclass
 class CaseRecord:
-    """A validated case document; ``raw`` preserves the canonical content."""
+    """A validated case document; ``raw`` preserves the canonical content.
+
+    ``built`` holds the pipeline objects :func:`load_case` already built to
+    validate the document (``algebra``, ``jacobi``, ``homog_sym``), keyed by
+    the attribute of the verifier's engine they stand for, so verification
+    reuses them instead of building them again.  Do not mutate them.
+    """
 
     raw: dict
+    built: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def case_id(self) -> str:
@@ -385,8 +392,10 @@ def load_case(path) -> CaseRecord:
 
     Supplied structure constants get a Jacobi check and a reductive-split
     validation at load time; partial homogeneous payloads are checked for
-    bracket antisymmetry.  Matrix payloads are validated on first use (the
-    exact solve that derives their constants is the validation).
+    bracket antisymmetry.  What that validation builds is kept on
+    ``record.built`` for the verifier.  Matrix payloads are validated on
+    first use (the exact solve that derives their constants is the
+    validation).
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -407,14 +416,15 @@ def load_case(path) -> CaseRecord:
         if not report.ok:
             raise SchemaError(f"structure constants violate Jacobi:\n{report.render()}")
         try:
-            reductive_split(algebra, record.raw["h_indices"], record.raw["m_indices"])
+            homog_sym = reductive_split(algebra, record.raw["h_indices"], record.raw["m_indices"])
         except LieStructureError as exc:
             raise SchemaError(f"reductive split fails: {exc}") from exc
+        record.built.update(algebra=algebra, jacobi=report, homog_sym=homog_sym)
     elif record.source == "partial-homogeneous":
         from g2forms.catalog._runner import build_homogeneous
 
         try:
-            build_homogeneous(record)
+            record.built["homog_sym"] = build_homogeneous(record)
         except ValueError as exc:  # LieStructureError included
             raise SchemaError(f"invalid homogeneous payload: {exc}") from exc
     return record

@@ -20,6 +20,7 @@ from g2forms.gstruct import (
 from g2forms.invariants import ce_differential, closed_forms, d_squared_check, invariant_forms
 from g2forms.liealg import (
     HomogeneousSpaceData,
+    JacobiReport,
     LieAlgebra,
     MatrixBasis,
     from_matrices,
@@ -138,19 +139,26 @@ def build_homogeneous(record) -> HomogeneousSpaceData:
 class _Engine:
     """The pipeline objects of one case, each built once.
 
-    The algebra and the symbolic data are built on first use; everything
-    derived from the data (instantiations, invariant spaces, closed
-    families) is memoized on the data itself.
+    The algebra, its Jacobi report and the symbolic data are built on first
+    use, unless :func:`~g2forms.catalog.load_case` already built them while
+    validating the record; everything derived from the data
+    (instantiations, invariant spaces, closed families) is memoized on the
+    data itself.
     """
 
     def __init__(self, record):
         self.record = record
         self.context = record.context
-        self._generic = None
+        # seeds the cached properties below with what load_case built
+        vars(self).update(record.built)
 
     @cached_property
     def algebra(self) -> LieAlgebra:
         return build_algebra(self.record)
+
+    @cached_property
+    def jacobi(self) -> JacobiReport:
+        return jacobi_check(self.algebra)
 
     @cached_property
     def homog_sym(self) -> HomogeneousSpaceData:
@@ -180,17 +188,16 @@ class _Engine:
     def dim_m(self) -> int:
         return self.homog_sym.dim_m
 
+    @cached_property
     def generic_form(self) -> AltForm:
-        if self._generic is None:
-            record = self.record
-            if not record.gammas:
-                raise ValueError(f"case {record.case_id} declares no gammas")
-            phi = AltForm(self.dim_m, 3, self.context)
-            for symbol, text in zip(record.gamma_symbols, record.gammas):
-                gamma = parse_form(text, self.dim_m, 3, self.context)
-                phi = phi + gamma.scale(PolyScalar.symbol(symbol, self.context))
-            self._generic = phi
-        return self._generic
+        record = self.record
+        if not record.gammas:
+            raise ValueError(f"case {record.case_id} declares no gammas")
+        phi = AltForm(self.dim_m, 3, self.context)
+        for symbol, text in zip(record.gamma_symbols, record.gammas):
+            gamma = parse_form(text, self.dim_m, 3, self.context)
+            phi = phi + gamma.scale(PolyScalar.symbol(symbol, self.context))
+        return phi
 
     def gamma_forms(self):
         return [parse_form(text, self.dim_m, 3, ()) for text in self.record.gammas]
@@ -252,7 +259,7 @@ def _check_invariant_dim_in_support(engine, args, value):
 
 
 def _check_d_eval(engine, args, value):
-    phi = engine.generic_form()
+    phi = engine.generic_form
     d_phi = ce_differential(engine.homog_sym, phi)
     computed = d_phi.eval_basis(tuple(args["vectors"]))
     expected = PolyScalar.parse(str(value), engine.context)
@@ -261,7 +268,7 @@ def _check_d_eval(engine, args, value):
 
 
 def _check_b_entry(engine, args, value):
-    gram = b_matrix(engine.generic_form())
+    gram = b_matrix(engine.generic_form)
     computed = gram.entry(args["i"], args["j"])
     expected = PolyScalar.parse(str(value), engine.context)
     status = "match" if computed == expected else "mismatch"
@@ -393,7 +400,7 @@ def _check_su3_flags(engine, args, value):
 
 
 def _check_jacobi(engine, args, value):
-    report = jacobi_check(engine.algebra)
+    report = engine.jacobi
     computed = "valid" if report.ok else report.render()
     return ("match" if computed == value else "mismatch"), computed
 

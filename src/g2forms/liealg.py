@@ -101,10 +101,8 @@ class MatrixBasis:
 
 
 def _commutator(a, b):
-    n = len(a)
-    ab = _linalg.matmul(a, b)
-    ba = _linalg.matmul(b, a)
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+    # ab - ba as one product: [a | -b] stacked over [b ; a]
+    return _linalg.matmul([ra + [-x for x in rb] for ra, rb in zip(a, b)], b + a)
 
 
 def _vec(mat) -> list[Fraction]:

@@ -150,6 +150,31 @@ def test_load_case_roundtrip(tmp_path):
     assert record.to_canonical_json() == source.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "case_id, built",
+    [
+        ("T1.n3", ["jacobi_check", "reductive_split"]),
+        ("product.flat", ["jacobi_check", "reductive_split"]),
+        ("T2.n1", ["homogeneous_from_partial"]),
+    ],
+)
+def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
+    from g2forms import liealg
+    from g2forms.catalog import _runner
+
+    calls = []
+    for name in ("jacobi_check", "reductive_split", "homogeneous_from_partial"):
+
+        def counting(*args, _name=name, _original=getattr(liealg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, name, counting)
+        monkeypatch.setattr(_runner, name, counting)
+    assert verify_case(load_bundled(case_id)).ok
+    assert sorted(calls) == built  # once each, at load time
+
+
 def _minimal_partial():
     return {
         "id": "tiny",

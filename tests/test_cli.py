@@ -6,6 +6,8 @@ import pytest
 from g2forms.cli import main
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
+# `python -m g2forms verify --all --format json` without the "seconds" of each case
+GOLDEN_VERIFY_ALL = Path(__file__).resolve().parent / "data" / "verify_all.json"
 
 PHI0 = (
     "e^{1 2 7} + e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5} "
@@ -41,6 +43,18 @@ def test_verify_all_json_round_trips(capsys):
     assert len(parsed) == 12
     assert json.dumps(parsed, indent=2, sort_keys=True) == out.rstrip("\n")
     assert all(entry["ok"] for entry in parsed)
+
+
+def test_verify_all_json_matches_golden_output(capsys):
+    # pins every computed value of the canonical cases (form bases, closed
+    # families, obstruction identities, verdicts) byte for byte; only the
+    # timings may change
+    assert main(["verify", "--all", "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    for entry in parsed:
+        del entry["seconds"]
+    golden = GOLDEN_VERIFY_ALL.read_text(encoding="utf-8")
+    assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == golden
 
 
 def test_verify_filter_counts(capsys):

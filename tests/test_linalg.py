@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from g2forms import _linalg
 
@@ -61,3 +64,108 @@ def test_span_helpers():
     assert _linalg.spans_equal(a, b)
     assert _linalg.span_contains(a, [[F(2), F(3)]])
     assert not _linalg.span_contains([[F(1), F(0)]], [[F(0), F(1)]])
+
+
+def _random_entry(rng, density):
+    if rng.random() >= density:
+        return F(0)
+    return F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+
+
+def _random_matrix(rng, nrows, ncols, density, rank=None):
+    """Random rational matrix; with ``rank``, a product of two thin factors."""
+    if rank is None:
+        return [[_random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+    left = _random_matrix(rng, nrows, rank, density)
+    right = _random_matrix(rng, rank, ncols, density)
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+def _oracle_cases(seed, density):
+    """Shapes 1 x n, n x 1, square, wide and tall; full rank, rank-deficient and zero rows."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    shapes = [(1, n), (n, 1), (n, n), (n, n + 2), (n + 2, n)]
+    for nrows, ncols in shapes:
+        yield _random_matrix(rng, nrows, ncols, density)
+        deficient = max(1, rng.randint(0, min(nrows, ncols) - 1))
+        yield _random_matrix(rng, nrows, ncols, density, rank=deficient)
+        with_zero_rows = _random_matrix(rng, nrows, ncols, density)
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            with_zero_rows[i] = [F(0)] * ncols
+        yield with_zero_rows
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows if row is not None for x in row)
+
+
+@pytest.mark.parametrize("density", [0.1, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_kernels_agree_with_sympy(seed, density):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(mat):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in mat])
+
+    def to_fraction(x):
+        return F(int(x.p), int(x.q))
+
+    def from_sympy(mat):
+        return [[to_fraction(x) for x in mat.row(i)] for i in range(mat.rows)]
+
+    rng = random.Random(seed * 1000 + int(density * 10))
+    for mat in _oracle_cases(seed, density):
+        nrows, ncols = len(mat), len(mat[0])
+        sym = to_sympy(mat)
+
+        reduced, pivots = _linalg.rref(mat)
+        sym_reduced, sym_pivots = sym.rref()
+        assert (reduced, pivots) == (from_sympy(sym_reduced), list(sym_pivots))
+        assert _linalg.rank(mat) == sym.rank()
+
+        kernel = _linalg.nullspace(mat)
+        sym_kernel = sym.nullspace()
+        if sym_kernel:
+            oracle, kernel_pivots = sympy.Matrix.hstack(*sym_kernel).T.rref()
+            assert kernel == from_sympy(oracle)[: len(kernel_pivots)]
+        else:
+            assert kernel == []
+
+        if nrows == ncols:
+            det = sym.det()
+            assert _linalg.det(mat) == to_fraction(det)
+            if det != 0:
+                inverse = _linalg.inverse(mat)
+                assert inverse == from_sympy(sym.inv())
+                assert _all_fractions(inverse)
+            else:
+                with pytest.raises(ValueError):
+                    _linalg.inverse(mat)
+
+        # consistent columns mat @ x next to random ones, inconsistent when mat is deficient
+        xs = _random_matrix(rng, ncols, 2, density)
+        extras = _random_matrix(rng, nrows, 2, density)
+        rhs = [row + extra for row, extra in zip(_linalg.matmul(mat, xs), extras)]
+        solutions = _linalg.solve_many(mat, rhs)
+        for j, solution in enumerate(solutions):
+            column = to_sympy([[row[j]] for row in rhs])
+            try:
+                particular, params = sym.gauss_jordan_solve(column)
+            except ValueError:
+                assert solution is None
+                continue
+            free_zero = particular.subs({p: 0 for p in params})
+            assert [[x] for x in solution] == from_sympy(free_zero)
+        assert solutions[0] is not None and solutions[1] is not None
+
+        other = _random_matrix(rng, ncols, rng.randint(1, 4), density)
+        product = _linalg.matmul(mat, other)
+        assert product == from_sympy(sym * to_sympy(other))
+
+        assert _all_fractions(reduced) and _all_fractions(kernel) and _all_fractions(product)
+        assert _all_fractions(solutions) and _all_fractions(_linalg.row_space(mat))
