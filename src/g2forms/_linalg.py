@@ -5,7 +5,7 @@ inverses, products, determinants and symmetric congruence diagonalization,
 all over Q with no rounding.  Every returned entry is a Fraction, never an
 int: callers divide entries, and a quotient of two ints is a float.
 
-Two kernels compute on Python ints inside, because a gcd per Fraction
+The kernels compute on Python ints inside, because a gcd per Fraction
 operation dominated their cost.  :func:`rref` scales each row to integers
 by the lcm of its denominators, eliminates Gauss-Jordan fraction-free
 (keeping rows primitive by their gcd) and divides by the pivots once at the
@@ -14,12 +14,12 @@ end; the reduced row echelon form is unique, so :func:`rank`,
 :func:`inverse` give the same Fractions as elimination over Q.
 :func:`matmul` scales ``b`` once to integers, keeps only its nonzero
 entries and builds one Fraction per output entry, so mostly-zero operands
-cost only their nonzeros.
+cost only their nonzeros.  :func:`det` and :func:`leading_principal_minors`
+run Bareiss elimination on the row-scaled integers, where every division
+is exact; one pass without row exchanges gives the whole minor chain.
 
-:func:`det` and :func:`leading_principal_minors` still eliminate over
-Fractions.  :func:`congruence_diagonalize` stays on Fractions: its witness
-vectors are printed certificates, and any change to its steps would change
-them.
+:func:`congruence_diagonalize` stays on Fractions: its witness vectors are
+printed certificates, and any change to its steps would change them.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ _ZERO = Fraction(0)
 
 def identity(n: int) -> Matrix:
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def copy(mat: Matrix) -> Matrix:
-    return [list(row) for row in mat]
 
 
 def transpose(mat: Matrix) -> Matrix:
@@ -174,27 +170,42 @@ def det(mat: Matrix) -> Fraction:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    m = copy(mat)
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+    sign, pivots = _bareiss(mat, exchange=True)
+    return sign * pivots[-1] if pivots else Fraction(1)
 
 
 def leading_principal_minors(mat: Matrix) -> list[Fraction]:
-    n = len(mat)
-    return [det([row[: k + 1] for row in mat[: k + 1]]) for k in range(n)]
+    """The pivots of one pass without row exchanges, then from a zero pivot
+    on each later minor by its own :func:`det`."""
+    _, minors = _bareiss(mat, exchange=False)
+    later = range(len(minors), len(mat))
+    return minors + [det([row[: k + 1] for row in mat[: k + 1]]) for k in later]
+
+
+def _bareiss(mat: Matrix, exchange: bool) -> tuple[int, list[Fraction]]:
+    """Bareiss elimination on the row-scaled integers: (row exchange sign, pivots).
+
+    The k-th pivot is the leading k x k minor of the rows as exchanged, so
+    each division by the previous pivot is exact (Sylvester's identity).
+    The pass stops at a zero pivot.
+    """
+    rows = [_integer_row(row) for row in mat]
+    sign, prev, scale, pivots = 1, 1, 1, []
+    for c in range(len(rows)):
+        r = next((i for i in range(c, len(rows)) if rows[i][0][c]), c) if exchange else c
+        if r != c:
+            rows[c], rows[r], sign = rows[r], rows[c], -sign
+        top, den = rows[c]
+        p = top[c]
+        scale *= den
+        pivots.append(Fraction(p, scale))
+        if not p:
+            break
+        for i, (row, d) in enumerate(rows[c + 1 :], start=c + 1):
+            new = [(p * x - row[c] * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
+            rows[i] = row[: c + 1] + new, d
+        prev = p
+    return sign, pivots
 
 
 def inverse(mat: Matrix) -> Matrix:
@@ -214,7 +225,7 @@ def congruence_diagonalize(sym: Matrix) -> list[tuple[Fraction, list[Fraction]]]
     give the inertia of S; each v_i is an exact witness.
     """
     n = len(sym)
-    s = copy(sym)
+    s = [list(row) for row in sym]
     t = identity(n)  # columns of t are the witness vectors
 
     def add_col(dst: int, src: int, factor: Fraction) -> None:

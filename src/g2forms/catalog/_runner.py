@@ -11,6 +11,7 @@ from functools import cached_property
 from g2forms import _linalg
 from g2forms.exterior import AltForm, basis_vector, contract, form_to_vector, monomials, parse_form
 from g2forms.gstruct import (
+    b_entries,
     b_matrix,
     g2_torsion_report,
     hitchin_stability,
@@ -268,8 +269,8 @@ def _check_d_eval(engine, args, value):
 
 
 def _check_b_entry(engine, args, value):
-    gram = b_matrix(engine.generic_form)
-    computed = gram.entry(args["i"], args["j"])
+    i, j = args["i"], args["j"]
+    computed = b_entries(engine.generic_form, [(i, j)])[i, j]
     expected = PolyScalar.parse(str(value), engine.context)
     status = "match" if computed == expected else "mismatch"
     return status, computed.render()

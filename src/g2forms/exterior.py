@@ -4,10 +4,10 @@ An :class:`AltForm` of degree k on an n-dimensional space stores a map from
 strictly increasing k-tuples of basis indices (1-based, matching the usual
 ``e^{i j k}`` notation) to nonzero :class:`~g2forms.scalars.PolyScalar`
 coefficients.  Wedge products compute their sign by counting transpositions
-while merging the index tuples; contraction and evaluation are the exact
-antiderivation and alternating-sum formulas.  :class:`ExteriorOp` is the
-one representation of a linear map between exterior powers, over the
-lexicographic monomial coordinates of :func:`monomials`.
+while merging the index tuples; contraction is the exact antiderivation
+formula.  :class:`ExteriorOp` is the one representation of a linear map
+between exterior powers, over the lexicographic monomial coordinates of
+:func:`monomials`: a derivation, or the compound of a matrix (pullback).
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from g2forms.scalars import ContextMismatchError, PolyScalar, format_rational
@@ -29,7 +30,6 @@ __all__ = [
     "basis_form",
     "basis_vector",
     "contract",
-    "evaluate",
     "form_to_vector",
     "merge_sign",
     "monomials",
@@ -355,64 +355,17 @@ def top_coefficient(alpha: AltForm) -> PolyScalar:
     return alpha.coefficient(tuple(range(1, alpha.dim + 1)))
 
 
-def evaluate(alpha: AltForm, vectors: Sequence[Vector]) -> PolyScalar:
-    """Full alternating multilinear evaluation alpha(v_1, ..., v_k)."""
-    if len(vectors) != alpha.degree:
-        raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")
-    for v in vectors:
-        if v.dim != alpha.dim:
-            raise ValueError("vector dimension does not match form")
-        if v.symbols != alpha.symbols:
-            raise ContextMismatchError("vector context does not match form")
-    if alpha.degree == 0:
-        return alpha.coefficient(())
-    total = PolyScalar.zero(alpha.symbols)
-    for idx, coeff in alpha.coeffs.items():
-        rows = [[v.components[i - 1] for v in vectors] for i in idx]
-        total = total + coeff * _poly_det(rows)
-    return total
-
-
-def _poly_det(rows: list) -> PolyScalar:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    symbols = rows[0][0].symbols
-    total = PolyScalar.zero(symbols)
-    for c in range(n):
-        entry = rows[0][c]
-        if entry.is_zero():
-            continue
-        minor = [row[:c] + row[c + 1 :] for row in rows[1:]]
-        term = entry * _poly_det(minor)
-        total = total + (term if c % 2 == 0 else -term)
-    return total
-
-
 def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
-    ``matrix[r][c]`` is the e_r component of the image of e_c; entries may
-    be Fractions or PolyScalars in the form's context.
+    ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
+    rationals.  This is the ``alpha.degree``-th compound of the matrix, see
+    :meth:`ExteriorOp.compound`.
     """
     n = alpha.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
-    cols = []
-    for c in range(n):
-        comps = []
-        for r in range(n):
-            entry = matrix[r][c]
-            if not isinstance(entry, PolyScalar):
-                entry = PolyScalar.constant(entry, alpha.symbols)
-            comps.append(entry)
-        cols.append(Vector(comps))
-    coeffs = {}
-    for idx in monomials(n, alpha.degree):
-        value = evaluate(alpha, [cols[i - 1] for i in idx])
-        if not value.is_zero():
-            coeffs[idx] = value
-    return AltForm(n, alpha.degree, alpha.symbols, coeffs)
+    return ExteriorOp.compound(matrix, alpha.degree, alpha.symbols).apply(alpha)
 
 
 # -- monomial coordinates and linear operators --------------------------------
@@ -444,14 +397,17 @@ def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> A
 
 
 class ExteriorOp:
-    """A derivation of the exterior algebra of an n-space on k-forms, sparse.
+    """A linear map on the k-forms of an n-space, sparse.
+
+    ``columns`` maps each input k-monomial to ``{output monomial: entry}``,
+    with nonzero PolyScalar entries in the context ``symbols``.  The
+    constructor builds a derivation of the exterior algebra, and
+    :meth:`compound` the compound of a matrix.
 
     The derivation raises degrees by ``shift``.  It is fixed by its values on
     covectors, e^i -> sum of value * e^{idx} over the (idx, value) pairs of
     ``image[i]``, and the graded Leibniz rule
-    D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).  ``columns`` maps
-    each input k-monomial to ``{output monomial: entry}``, with nonzero
-    PolyScalar entries in the context ``symbols``.
+    D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).
     """
 
     __slots__ = ("dim", "degree", "out_degree", "symbols", "columns")
@@ -477,6 +433,43 @@ class ExteriorOp:
             nonzero = {row: v for row, v in column.items() if not v.is_zero()}
             if nonzero:
                 self.columns[idx] = nonzero
+
+    @classmethod
+    def compound(cls, matrix: Sequence[Sequence], degree: int, symbols=()) -> "ExteriorOp":
+        """The degree-th compound of a rational matrix: e^I -> sum_J det matrix[I; J] e^J.
+
+        That is the pullback of degree-forms along the map whose e_c image
+        is column c.  The matrix is scaled to integers by the lcm L of its
+        denominators; each minor is built once, by Laplace expansion along
+        its first row over the minors one size smaller, and divided by
+        L^degree once.
+        """
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
+            raise ValueError("compound of a non-square matrix")
+        values = [[Fraction(x) for x in row] for row in matrix]
+        den = lcm(*(x.denominator for row in values for x in row))
+        rows = [{c: (x * den).numerator for c, x in enumerate(row, 1) if x} for row in values]
+        minors = {((), ()): 1}  # (row set, column set) -> nonzero minor
+        for size in range(1, degree + 1):
+            smaller, minors = minors, {}
+            for rowset in combinations(range(1, n + 1), size):
+                first, rest = rows[rowset[0] - 1], rowset[1:]
+                for colset in combinations(range(1, n + 1), size):
+                    total = sum(
+                        (-1) ** t * first[c] * smaller.get((rest, colset[:t] + colset[t + 1 :]), 0)
+                        for t, c in enumerate(colset)
+                        if c in first
+                    )
+                    if total:
+                        minors[rowset, colset] = total
+        op = cls.__new__(cls)
+        op.dim, op.degree, op.out_degree = n, degree, degree
+        op.symbols, op.columns = tuple(symbols), {}
+        for (rowset, colset), value in minors.items():
+            column = op.columns.setdefault(rowset, {})
+            column[colset] = PolyScalar.constant(Fraction(value, den**degree), op.symbols)
+        return op
 
     def apply(self, alpha: AltForm) -> AltForm:
         """The image of alpha, whose coefficients may be polynomials."""
@@ -559,7 +552,7 @@ def parse_form(
         if degree is None:
             raise ValueError("the zero form needs an explicit degree")
         return AltForm(dim, degree, symbols)
-    result: AltForm | None = None
+    form_degree, coeffs = degree, {}
     for match in re.finditer(r"[+-]?[^+-]+", compact):
         chunk = match.group()
         sign = Fraction(1)
@@ -576,9 +569,14 @@ def parse_form(
         indices = tuple(int(ch) for ch in m.group("idx"))
         if any(not 1 <= i <= dim for i in indices):
             raise ValueError(f"index out of range 1..{dim} in {chunk!r}")
-        term = basis_form(dim, indices, symbols).scale(coeff)
-        if degree is not None and term.degree != degree:
+        if degree is not None and len(indices) != degree:
             raise ValueError(f"term {chunk!r} does not have degree {degree}")
-        result = term if result is None else result + term
-    assert result is not None
-    return result
+        if form_degree not in (None, len(indices)):
+            raise ValueError("cannot add forms of different degree")
+        form_degree = len(indices)
+        sorted_sign = sort_sign(indices)
+        if sorted_sign is not None:
+            key, order = sorted_sign
+            coeffs[key] = coeffs.get(key, 0) + order * coeff
+    terms = {key: PolyScalar.constant(c, symbols) for key, c in coeffs.items()}
+    return AltForm(dim, form_degree, symbols, terms)

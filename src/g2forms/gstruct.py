@@ -3,12 +3,13 @@
 Conventions fixed here (all scale choices are irrelevant to every verdict,
 and are pinned by tests):
 
-* The bilinear form of a 3-form phi on a 7-space is
-  ``B[i][j] = top_coefficient(iota_{e_i} phi ^ iota_{e_j} phi ^ phi)``.
-  For a definite phi, B is proportional to the induced metric by a positive
-  constant, so B itself (sign-normalized) serves as the metric
-  representative; the usual unit-norm normalization would need a 9th root
-  and leave the rationals.
+* The bilinear form of a 3-form phi on a 7-space is defined by
+  ``B[i][j] = top_coefficient(iota_{e_i} phi ^ iota_{e_j} phi ^ phi)``
+  and computed by one sum over index pairs (:func:`b_entries`), with no
+  wedge product.  For a definite phi, B is proportional to the induced
+  metric by a positive constant, so B itself (sign-normalized) serves as
+  the metric representative; the usual unit-norm normalization would need
+  a 9th root and leave the rationals.
 * ``hodge_dual_up_to_scale`` returns the true Hodge dual times the positive
   constant 1/sqrt(det Q): indices are raised with the k-th compound of
   Q^{-1} and contracted with the Levi-Civita symbol, so no square roots
@@ -26,16 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations
+from math import lcm
 
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
-    Vector,
+    ExteriorOp,
     basis_form,
     basis_vector,
     contract,
     merge_sign,
-    monomials,
+    sort_sign,
     top_coefficient,
     wedge,
 )
@@ -49,6 +53,7 @@ __all__ = [
     "HitchinReport",
     "SU3Report",
     "TorsionReport",
+    "b_entries",
     "b_matrix",
     "definiteness",
     "g2_torsion_report",
@@ -104,18 +109,60 @@ class GramMatrix:
 
 def b_matrix(phi: AltForm) -> GramMatrix:
     """B[i][j] = top coefficient of iota_i phi ^ iota_j phi ^ phi (n = 7)."""
+    upper = b_entries(phi, [(i, j) for i in range(1, 8) for j in range(i, 8)])
+    return GramMatrix(
+        tuple(tuple(upper[min(i, j), max(i, j)] for j in range(1, 8)) for i in range(1, 8))
+    )
+
+
+@cache
+def _wedge_table() -> dict:
+    """q -> [(p, sign, r)] with e^p ^ e^q ^ e^r = sign * e^{1...7}, for disjoint pairs p, q."""
+    table: dict[tuple, list] = {}
+    for p, q in permutations(combinations(range(1, 8), 2), 2):
+        r = tuple(sorted(set(range(1, 8)) - set(p) - set(q)))
+        if len(r) == 3:
+            table.setdefault(q, []).append((p, sort_sign(p + q + r)[1], r))
+    return table
+
+
+def b_entries(phi: AltForm, pairs: list) -> dict:
+    """The entries B[i][j] of :func:`b_matrix` for the 1-based (i, j) in pairs.
+
+    B_ij = sum of sign * (iota_i phi)_p * (iota_j phi)_q * phi_r over the
+    rows of :func:`_wedge_table`; the sum over q is shared by every i.  A
+    rational phi is scaled to integers by the lcm L of its denominators and
+    each entry is divided by L^3 once; a symbolic phi runs the same sum on
+    its PolyScalar coefficients.
+    """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_matrix expects a 3-form on a 7-dimensional space")
-    contractions = [
-        contract(basis_vector(7, i, phi.symbols), phi) for i in range(1, 8)
-    ]
-    rows = []
-    for i in range(7):
-        row = []
-        for j in range(7):
-            row.append(top_coefficient(wedge(wedge(contractions[i], contractions[j]), phi)))
-        rows.append(tuple(row))
-    return GramMatrix(tuple(rows))
+    if not all(1 <= k <= 7 for pair in pairs for k in pair):
+        raise ValueError(f"B entries {pairs} out of range 1..7")
+    symbols, coeffs, den = phi.symbols, phi.coeffs, None
+    zero = PolyScalar.zero(symbols)
+    if phi.is_rational():
+        values = {idx: c.constant_value() for idx, c in coeffs.items()}
+        den = lcm(*(x.denominator for x in values.values()))
+        coeffs = {idx: x.numerator * (den // x.denominator) for idx, x in values.items()}
+        zero = 0
+    iota = {k: {} for pair in pairs for k in pair}  # iota[i][p] = (iota_i phi)_p
+    for s, x in coeffs.items():
+        for t, i in enumerate(s):
+            if i in iota:
+                iota[i][s[:t] + s[t + 1 :]] = -x if t % 2 else x
+    inner = {j: {} for _, j in pairs}
+    for j, v in inner.items():
+        for q, y in iota[j].items():
+            for p, sign, r in _wedge_table()[q]:
+                if r in coeffs:
+                    term = y * coeffs[r]
+                    v[p] = v.get(p, zero) + (term if sign > 0 else -term)
+    out = {}
+    for i, j in pairs:
+        total = sum((x * inner[j][p] for p, x in iota[i].items() if p in inner[j]), zero)
+        out[i, j] = total if den is None else PolyScalar.constant(Fraction(total, den**3), symbols)
+    return out
 
 
 @dataclass
@@ -199,11 +246,6 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
     return DefinitenessReport("indefinite", witnesses=witnesses, minors=minors, gram=gram)
 
 
-def _family_probe_value(generic: AltForm, probe: Vector) -> PolyScalar:
-    iota = contract(probe, generic)
-    return top_coefficient(wedge(wedge(iota, iota), generic))
-
-
 def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
     """Search for a certificate that no member of a closed family is definite.
 
@@ -220,15 +262,14 @@ def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
     names = family.data.names  # the probes are the basis vectors e_1..e_7
     values = []
     for i in range(1, 8):
-        probe = basis_vector(7, i, generic.symbols)
-        value = _family_probe_value(generic, probe)
+        value = b_entries(generic, [(i, i)])[i, i]
         if value.is_zero():
             label = names[i - 1]
             return DefinitenessReport(
                 "degenerate",
                 family=True,
                 identity=f"B({label},{label}) = 0 identically on the closed family",
-                witnesses=[("0", [c.constant_value() for c in probe.components])],
+                witnesses=[("0", [Fraction(k == i) for k in range(1, 8)])],
             )
         values.append(value)
     for i in range(len(values)):
@@ -269,23 +310,13 @@ def hodge_dual_up_to_scale(metric: GramMatrix, alpha: AltForm) -> AltForm:
     if not all(m > 0 for m in minors):
         raise ValueError("metric representative is not positive definite")
     qinv = _linalg.inverse(q)
-    k = alpha.degree
+    raised = ExteriorOp.compound(qinv, alpha.degree, alpha.symbols).apply(alpha)
     coeffs = {}
-    for upper in monomials(n, k):
-        raised = PolyScalar.zero(alpha.symbols)
-        for lower, coeff in alpha.coeffs.items():
-            minor = [[qinv[i - 1][l - 1] for l in lower] for i in upper]
-            d = _linalg.det(minor)
-            if d:
-                raised = raised + coeff.scale(d)
-        if raised.is_zero():
-            continue
+    for upper, value in raised.coeffs.items():
         complement = tuple(i for i in range(1, n + 1) if i not in upper)
-        merged = merge_sign(upper, complement)
-        assert merged is not None
-        _, sign = merged
-        coeffs[complement] = raised if sign == 1 else -raised
-    return AltForm(n, n - k, alpha.symbols, coeffs)
+        _, sign = merge_sign(upper, complement)
+        coeffs[complement] = value if sign == 1 else -value
+    return AltForm(n, n - alpha.degree, alpha.symbols, coeffs)
 
 
 @dataclass

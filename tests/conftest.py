@@ -7,8 +7,19 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from g2forms.exterior import AltForm, Vector
-from g2forms.scalars import PolyScalar
+from g2forms import _linalg
+from g2forms.exterior import (
+    AltForm,
+    Vector,
+    basis_vector,
+    contract,
+    merge_sign,
+    monomials,
+    top_coefficient,
+    wedge,
+)
+from g2forms.gstruct import GramMatrix
+from g2forms.scalars import ContextMismatchError, PolyScalar
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
@@ -81,10 +92,88 @@ def rank_by_reverse_elimination(rows) -> int:
     return rank
 
 
+def evaluate(alpha: AltForm, vectors) -> PolyScalar:
+    """Full alternating multilinear evaluation alpha(v_1, ..., v_k), by cofactors."""
+    if len(vectors) != alpha.degree:
+        raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")
+    for v in vectors:
+        if v.dim != alpha.dim:
+            raise ValueError("vector dimension does not match form")
+        if v.symbols != alpha.symbols:
+            raise ContextMismatchError("vector context does not match form")
+    if alpha.degree == 0:
+        return alpha.coefficient(())
+    total = PolyScalar.zero(alpha.symbols)
+    for idx, coeff in alpha.coeffs.items():
+        rows = [[v.components[i - 1] for v in vectors] for i in idx]
+        total = total + coeff * _poly_det(rows)
+    return total
+
+
+def _poly_det(rows: list) -> PolyScalar:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    symbols = rows[0][0].symbols
+    total = PolyScalar.zero(symbols)
+    for c in range(n):
+        entry = rows[0][c]
+        if entry.is_zero():
+            continue
+        minor = [row[:c] + row[c + 1 :] for row in rows[1:]]
+        term = entry * _poly_det(minor)
+        total = total + (term if c % 2 == 0 else -term)
+    return total
+
+
+def pullback_by_evaluation(alpha: AltForm, matrix) -> AltForm:
+    """(P*alpha)_J = alpha(P e_{j_1}, ..., P e_{j_k}), one :func:`evaluate` per J:
+    an oracle for :meth:`g2forms.exterior.ExteriorOp.compound`."""
+    n = alpha.dim
+    cols = [
+        Vector([
+            x if isinstance(x, PolyScalar) else PolyScalar.constant(x, alpha.symbols)
+            for x in (matrix[r][c] for r in range(n))
+        ])
+        for c in range(n)
+    ]
+    coeffs = {
+        idx: evaluate(alpha, [cols[i - 1] for i in idx]) for idx in monomials(n, alpha.degree)
+    }
+    return AltForm(n, alpha.degree, alpha.symbols, coeffs)
+
+
+def wedge_b_matrix(phi: AltForm) -> GramMatrix:
+    """B[i][j] as the top coefficient of the wedge product iota_i phi ^ iota_j phi ^ phi,
+    all 49 entries: an oracle for :func:`g2forms.gstruct.b_matrix`."""
+    iotas = [contract(basis_vector(7, i, phi.symbols), phi) for i in range(1, 8)]
+    return GramMatrix(
+        tuple(tuple(top_coefficient(wedge(wedge(a, b), phi)) for b in iotas) for a in iotas)
+    )
+
+
+def hodge_dual_by_minors(metric: GramMatrix, alpha: AltForm) -> AltForm:
+    """The Hodge dual up to scale with one k x k determinant of Q^{-1} per
+    (upper, lower) pair: an oracle for :func:`g2forms.gstruct.hodge_dual_up_to_scale`."""
+    n, k = metric.n, alpha.degree
+    qinv = _linalg.inverse(metric.as_fractions())
+    coeffs = {}
+    for upper in monomials(n, k):
+        raised = PolyScalar.zero(alpha.symbols)
+        for lower, coeff in alpha.coeffs.items():
+            d = _linalg.det([[qinv[i - 1][l - 1] for l in lower] for i in upper])
+            if d:
+                raised = raised + coeff.scale(d)
+        complement = tuple(i for i in range(1, n + 1) if i not in upper)
+        _, sign = merge_sign(upper, complement)
+        coeffs[complement] = raised if sign == 1 else -raised
+    return AltForm(n, n - k, alpha.symbols, coeffs)
+
+
 def evaluate_by_permutations(alpha: AltForm, vectors) -> PolyScalar:
     """Brute-force evaluation as a sum over all k! permutations.
 
-    Independent of :func:`g2forms.exterior.evaluate`; a cross-checking oracle.
+    Independent of :func:`evaluate`; a cross-checking oracle.
     """
     if len(vectors) != alpha.degree:
         raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from conftest import (
+    evaluate,
     evaluate_by_permutations,
     random_form,
     random_unimodular,
@@ -20,7 +21,6 @@ from g2forms.catalog import load_bundled, verify_all
 from g2forms.catalog._runner import _Engine, build_homogeneous
 from g2forms.exterior import (
     contract,
-    evaluate,
     form_to_vector,
     monomials,
     parse_form,

@@ -3,14 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import evaluate_by_permutations, random_form, random_vector
+from conftest import (
+    evaluate,
+    evaluate_by_permutations,
+    pullback_by_evaluation,
+    random_form,
+    random_rational,
+    random_vector,
+)
 from g2forms.exterior import (
     AltForm,
     ExteriorOp,
     basis_form,
     basis_vector,
     contract,
-    evaluate,
     form_to_vector,
     merge_sign,
     monomials,
@@ -177,6 +183,33 @@ def test_pullback_by_identity_and_swap():
     swap[0], swap[1] = swap[1], swap[0]
     swapped = pullback(phi, swap)
     assert swapped == F("-e^{1 2 7} + e^{2 3 5}")
+
+
+def test_pullback_matches_evaluation_oracle():
+    rng = random.Random(2718)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        symbols = ("t",) if rng.random() < 0.3 else ()
+        alpha = random_form(rng, n, k, symbols)
+        if symbols:
+            alpha = alpha.scale(PolyScalar.symbol("t", symbols)) + random_form(rng, n, k, symbols)
+        matrix = [
+            [random_rational(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert pullback(alpha, matrix) == pullback_by_evaluation(alpha, matrix)
+
+
+def test_parse_form_sums_repeated_terms():
+    assert F("e^{1 2} + 2*e^{1 2} - e^{2 1}", degree=2) == F("4*e^{1 2}", degree=2)
+    for text in ("e^{1 2 3} - e^{1 2 3}", "e^{1 3 2} + e^{1 2 3}"):
+        zero = F(text)
+        assert zero.is_zero() and zero.degree == 3 and zero.dim == 7
+    with pytest.raises(ValueError, match="cannot add forms of different degree"):
+        F("e^{1 2} + e^{1 2 3}")
+    with pytest.raises(ValueError, match="does not have degree 2"):
+        F("e^{1 2} + e^{1 2 3}", degree=2)
 
 
 def test_render_parse_round_trip():

@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import evaluate_by_permutations, random_form, random_unimodular
-from g2forms import _linalg
+from conftest import (
+    evaluate_by_permutations,
+    hodge_dual_by_minors,
+    random_form,
+    random_rational,
+    random_unimodular,
+    wedge_b_matrix,
+)
+from g2forms import _linalg, gstruct
 from g2forms.catalog import models
 from g2forms.exterior import (
     AltForm,
@@ -17,6 +25,7 @@ from g2forms.exterior import (
 )
 from g2forms.gstruct import (
     GramMatrix,
+    b_entries,
     b_matrix,
     definiteness,
     g2_torsion_report,
@@ -103,6 +112,80 @@ def test_b_matrix_symbolic_entry_case_n3():
 def test_b_matrix_of_zero_form_is_zero():
     gram = b_matrix(AltForm(7, 3, ()))
     assert all(gram.entry(i, j).is_zero() for i in range(1, 8) for j in range(1, 8))
+
+
+def _two_symbol_form(rng, density):
+    syms = ("a", "b")
+    a, b = (PolyScalar.symbol(name, syms) for name in syms)
+    coeffs = {}
+    for idx in combinations(range(1, 8), 3):
+        if rng.random() < density:
+            constant = PolyScalar.constant(random_rational(rng), syms)
+            coeffs[idx] = a.scale(random_rational(rng)) + b.scale(random_rational(rng)) + constant
+    return AltForm(7, 3, syms, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "two-symbol"])
+def test_b_matrix_matches_wedge_oracle(kind):
+    # b_matrix mirrors its upper triangle, so symmetry alone proves nothing:
+    # all 49 entries are compared with the wedge products
+    rng = random.Random(f"b-oracle:{kind}")
+    for _ in range(2 if kind == "two-symbol" else 5):
+        if kind == "two-symbol":
+            phi = _two_symbol_form(rng, 0.4)
+        else:
+            phi = random_form(rng, 7, 3, density=1.0 if kind == "dense" else 0.2)
+        oracle = wedge_b_matrix(phi)
+        assert b_matrix(phi).entries == oracle.entries
+        i, j = rng.randint(1, 7), rng.randint(1, 7)
+        assert b_entries(phi, [(i, j)]) == {(i, j): oracle.entry(i, j)}
+    with pytest.raises(ValueError, match="out of range"):
+        b_entries(phi, [(0, 1)])
+
+
+def _congruence_violations(phi, p):
+    """Entries where B(P*phi) != det(P) * P^T B(phi) P."""
+    b, pulled = b_matrix(phi), b_matrix(pullback(phi, p))
+    det_p = _linalg.det(p)
+    violations = []
+    for i in range(7):
+        for j in range(7):
+            expected = PolyScalar.zero(phi.symbols)
+            for r in range(7):
+                for s in range(7):
+                    factor = det_p * p[r][i] * p[s][j]
+                    if factor:
+                        expected = expected + b.entries[r][s].scale(factor)
+            if pulled.entries[i][j] != expected:
+                violations.append((i + 1, j + 1))
+    return violations
+
+
+def test_b_matrix_obeys_the_exact_congruence_law():
+    # B(P*phi) = det(P) P^T B(phi) P pins B independently of any wedge product
+    rng = random.Random(1968)
+    for t in range(6):
+        phi = random_form(rng, 7, 3, density=0.6)
+        if t % 2:
+            p = random_unimodular(rng, 7)
+        else:
+            p = [[random_rational(rng) for _ in range(7)] for _ in range(7)]
+        assert _congruence_violations(phi, p) == []
+    assert _congruence_violations(_two_symbol_form(rng, 0.3), random_unimodular(rng, 7)) == []
+
+
+def test_congruence_law_catches_a_sign_flip_in_the_wedge_table(monkeypatch):
+    rng = random.Random(1969)
+    table = gstruct._wedge_table()
+    q = rng.choice(sorted(table))
+    k = rng.randrange(len(table[q]))
+    pair, sign, r = table[q][k]
+    flipped = dict(table)
+    flipped[q] = table[q][:k] + [(pair, -sign, r)] + table[q][k + 1 :]
+    monkeypatch.setattr(gstruct, "_wedge_table", lambda: flipped)
+    phi = random_form(rng, 7, 3, density=1.0)
+    p = [[random_rational(rng) for _ in range(7)] for _ in range(7)]
+    assert _congruence_violations(phi, p)
 
 
 def test_definiteness_of_standard_form():
@@ -216,6 +299,20 @@ def test_hodge_dual_scale_covariance():
             base = hodge_dual_up_to_scale(one, alpha)
             scaled = hodge_dual_up_to_scale(doubled, alpha)
             assert scaled == base.scale(Fraction(1, 2 ** k))
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (7, 3), (7, 4)])
+def test_hodge_dual_matches_per_minor_oracle(n, k):
+    rng = random.Random(f"hodge:{n}:{k}")
+    for _ in range(4):
+        a = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        q = [
+            [sum((a[r][i] * a[r][j] for r in range(n)), Fraction(i == j)) for j in range(n)]
+            for i in range(n)
+        ]  # A^T A + I: positive definite
+        metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
+        alpha = random_form(rng, n, k)
+        assert hodge_dual_up_to_scale(metric, alpha) == hodge_dual_by_minors(metric, alpha)
 
 
 def test_hodge_dual_rejects_indefinite_metric():

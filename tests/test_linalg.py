@@ -48,6 +48,16 @@ def test_det_inverse_and_minors():
     assert _linalg.leading_principal_minors(mat) == [F(2), F(1)]
 
 
+def test_leading_minors_continue_past_a_zero_pivot():
+    swap = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    late = [[F(1), F(1), F(0), F(0)], [F(1), F(1), F(1), F(0)],
+            [F(0), F(1), F(1), F(1)], [F(0), F(0), F(1), F(1, 2)]]
+    for mat, expected in ((swap, [0, -1, -1]), (late, [1, 0, -1, F(-1, 2)])):
+        minors = _linalg.leading_principal_minors(mat)
+        assert minors == expected
+        assert all(type(m) is Fraction for m in minors)
+
+
 def test_congruence_diagonalize_gives_exact_witnesses():
     s = [[F(0), F(1)], [F(1), F(0)]]  # hyperbolic plane: inertia (1, 1)
     diag = _linalg.congruence_diagonalize(s)
@@ -139,6 +149,9 @@ def test_exact_kernels_agree_with_sympy(seed, density):
         if nrows == ncols:
             det = sym.det()
             assert _linalg.det(mat) == to_fraction(det)
+            minors = _linalg.leading_principal_minors(mat)
+            assert minors == [to_fraction(sym[:k, :k].det()) for k in range(1, nrows + 1)]
+            assert _all_fractions([minors])
             if det != 0:
                 inverse = _linalg.inverse(mat)
                 assert inverse == from_sympy(sym.inv())

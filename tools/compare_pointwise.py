@@ -1,0 +1,105 @@
+"""Seeded differential check of the pointwise G2 path between two source trees.
+
+Usage, from the repository root::
+
+    git archive REV | tar -x -C OTHER_DIR
+    python3 tools/compare_pointwise.py OTHER_DIR/src [src]
+
+Each tree runs the same seeded inputs in its own interpreter, and the
+results are rendered to strings and compared exactly:
+
+* ``b``: ``b_matrix`` of 300 random 3-forms on R^7 (densities 0.15, 0.5
+  and 1; every third one with polynomial coefficients in two symbols);
+* ``definiteness``: verdict, orientation, minor chain, witness vectors and
+  the rendered report of every rational one of those forms;
+* ``minors``: ``leading_principal_minors`` and ``det`` of 3000 random
+  rational matrices of size 1..7, half of them symmetric;
+* ``hodge``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
+  (6, 3) and (7, 2), with positive-definite metrics A^T A.
+
+Exits 1 when any group differs.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+CHILD = r'''
+import json, random, sys
+from fractions import Fraction as F
+from itertools import combinations
+sys.path.insert(0, sys.argv[1])
+from g2forms import _linalg
+from g2forms.exterior import AltForm
+from g2forms.gstruct import GramMatrix, b_matrix, definiteness, hodge_dual_up_to_scale
+from g2forms.scalars import PolyScalar
+
+def rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 6))
+
+def form(rng, n, k, symbols=(), density=0.5):
+    coeffs = {}
+    for idx in combinations(range(1, n + 1), k):
+        if rng.random() < density:
+            if symbols and rng.random() < 0.5:
+                text = f"{rng.randint(-3, 3)}*{rng.choice(symbols)} + {rng.randint(-3, 3)}"
+                coeffs[idx] = PolyScalar.parse(text, symbols)
+            else:
+                coeffs[idx] = PolyScalar.constant(rational(rng), symbols)
+    return AltForm(n, k, symbols, coeffs)
+
+out = {"b": [], "definiteness": [], "minors": [], "hodge": []}
+rng = random.Random(20261018)
+for t in range(300):
+    symbols = ("a", "b") if t % 3 == 2 else ()
+    phi = form(rng, 7, 3, symbols, density=rng.choice([0.15, 0.5, 1.0]))
+    out["b"].append(b_matrix(phi).render())
+    if not symbols:
+        r = definiteness(phi)
+        witnesses = [(value, [str(x) for x in vec]) for value, vec in r.witnesses]
+        out["definiteness"].append(
+            [r.verdict, r.orientation, [str(m) for m in r.minors], witnesses, r.render()]
+        )
+for t in range(3000):
+    n = rng.randint(1, 7)
+    m = [[rational(rng) if rng.random() < 0.6 else F(0) for _ in range(n)] for _ in range(n)]
+    if t % 2:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    chain = _linalg.leading_principal_minors(m)
+    out["minors"].append([str(x) for x in chain] + [str(_linalg.det(m))])
+for t in range(160):
+    n, k = [(7, 3), (7, 4), (6, 3), (7, 2)][t % 4]
+    a = [[rational(rng) for _ in range(n)] for _ in range(n)]
+    q = [[sum((a[r][i] * a[r][j] for r in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    if _linalg.det(q) == 0:
+        continue
+    metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
+    out["hodge"].append(hodge_dual_up_to_scale(metric, form(rng, n, k)).render())
+print(json.dumps(out))
+'''
+
+
+def run(src: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, src], check=True, capture_output=True, text=True
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv: list) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = run(argv[0]), run(argv[1] if len(argv) == 2 else "src")
+    same = True
+    for key in old:
+        equal = old[key] == new[key]
+        same &= equal
+        print(f"{key}: {len(old[key])} cases, {'identical' if equal else 'DIFFERENT'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
