@@ -14,11 +14,28 @@ matched against *all* bundled ids, exploratory included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+from fnmatch import fnmatch
+from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from g2forms.scalars import parse_rational
+from g2forms.catalog._runner import _CHECKS, CaseReport, CheckResult
+from g2forms.exterior import AltForm, parse_form
+from g2forms.liealg import (
+    HomogeneousSpaceData,
+    JacobiReport,
+    LieAlgebra,
+    LieStructureError,
+    MatrixBasis,
+    from_matrices,
+    homogeneous_from_partial,
+    jacobi_check,
+    reductive_split,
+)
+from g2forms.scalars import PolyScalar, parse_rational
 
 __all__ = [
     "CaseRecord",
@@ -140,16 +157,17 @@ comparisons) when computed equals expected; any `mismatch` fails the case.
 
 @dataclass
 class CaseRecord:
-    """A validated case document; ``raw`` preserves the canonical content.
+    """A validated case document and the pipeline objects built from it.
 
-    ``built`` holds the pipeline objects :func:`load_case` already built to
-    validate the document (``algebra``, ``jacobi``, ``homog_sym``), keyed by
-    the attribute of the verifier's engine they stand for, so verification
-    reuses them instead of building them again.  Do not mutate them.
+    ``raw`` preserves the canonical content.  The algebra, its Jacobi
+    report, the symbolic homogeneous data and the generic form are built
+    once, on first use, and kept on the record: :func:`load_case` builds the
+    ones it validates and the checks reuse them.  Everything derived from
+    the data (instantiations, invariant spaces, closed families) is memoized
+    on the data itself.  Do not mutate ``raw`` or the built objects.
     """
 
     raw: dict
-    built: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def case_id(self) -> str:
@@ -210,6 +228,89 @@ class CaseRecord:
 
     def to_canonical_json(self) -> str:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """The full Lie algebra of a matrix-basis or structure-constants case."""
+        context = self.context
+        if self.source == "matrix-basis":
+            mats = self.raw["matrices"]
+            if any(isinstance(entry, list) for m in mats for row in m for entry in row):
+                basis = MatrixBasis.from_complex(
+                    [[[_complex_entry(x) for x in row] for row in m] for m in mats]
+                )
+            else:
+                basis = MatrixBasis([[[parse_rational(x) for x in row] for row in m] for m in mats])
+            return from_matrices(basis, self.basis_names).with_symbols(context)
+        if self.source == "structure-constants":
+            constants = {}
+            for i, j, k, coeff in self.raw["structure_constants"]:
+                comps = constants.setdefault(
+                    (i, j), [PolyScalar.zero(context) for _ in range(self.dimension)]
+                )
+                comps[k - 1] = comps[k - 1] + PolyScalar.parse(coeff, context)
+            return LieAlgebra(
+                self.dimension,
+                {k: tuple(v) for k, v in constants.items()},
+                self.basis_names,
+                context,
+            )
+        raise ValueError(f"case {self.case_id} has no full algebra payload")
+
+    @cached_property
+    def jacobi(self) -> JacobiReport:
+        return jacobi_check(self.algebra)
+
+    @cached_property
+    def homog_sym(self) -> HomogeneousSpaceData:
+        """Symbolic homogeneous data of the case (no parameters substituted)."""
+        if self.source != "partial-homogeneous":
+            return reductive_split(self.algebra, self.raw["h_indices"], self.raw["m_indices"])
+        hom, context = self.raw["homogeneous"], self.context
+        isotropy = [
+            [[PolyScalar.parse(x, context) for x in row] for row in m]
+            for m in hom["isotropy_action"]
+        ]
+        bracket = {
+            (i, j): tuple(PolyScalar.parse(c, context) for c in comps)
+            for i, j, comps in hom["projected_bracket"]
+        }
+        return homogeneous_from_partial(
+            self.dimension, isotropy, bracket, self.basis_names, context
+        )
+
+    def homog_num(self, assignment=None) -> HomogeneousSpaceData:
+        """The data instantiated at ``assignment`` (default: the first enumeration)."""
+        if assignment is None:
+            assignment = self.enumerations[0]
+        return self.homog_sym.instantiate(assignment)
+
+    @property
+    def dim_m(self) -> int:
+        return self.homog_sym.dim_m
+
+    @cached_property
+    def generic_form(self) -> AltForm:
+        """sum_i gamma_symbols[i] * gammas[i] on the symbolic data."""
+        if not self.gammas:
+            raise ValueError(f"case {self.case_id} declares no gammas")
+        phi = AltForm(self.dim_m, 3, self.context)
+        for symbol, text in zip(self.gamma_symbols, self.gammas):
+            gamma = parse_form(text, self.dim_m, 3, self.context)
+            phi = phi + gamma.scale(PolyScalar.symbol(symbol, self.context))
+        return phi
+
+    def gamma_forms(self) -> list:
+        return [parse_form(text, self.dim_m, 3, ()) for text in self.gammas]
+
+    def numeric_form(self, text: str, degree=None) -> AltForm:
+        return parse_form(text, self.dim_m, degree, self.homog_num().symbols)
+
+
+def _complex_entry(entry):
+    if isinstance(entry, list):
+        return (parse_rational(entry[0]), parse_rational(entry[1]))
+    return (parse_rational(entry), Fraction(0))
 
 
 _ALLOWED_KEYS = {
@@ -392,10 +493,10 @@ def load_case(path) -> CaseRecord:
 
     Supplied structure constants get a Jacobi check and a reductive-split
     validation at load time; partial homogeneous payloads are checked for
-    bracket antisymmetry.  What that validation builds is kept on
-    ``record.built`` for the verifier.  Matrix payloads are validated on
-    first use (the exact solve that derives their constants is the
-    validation).
+    bracket antisymmetry.  The objects this validation reads
+    (``algebra``, ``jacobi``, ``homog_sym``) stay on the record for the
+    checks.  Matrix payloads are validated on first use (the exact solve
+    that derives their constants is the validation).
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -405,26 +506,19 @@ def load_case(path) -> CaseRecord:
     validate_case_dict(doc)
     record = CaseRecord(doc)
     if record.source == "structure-constants":
-        from g2forms.catalog._runner import build_algebra
-        from g2forms.liealg import LieStructureError, jacobi_check, reductive_split
-
         try:
-            algebra = build_algebra(record)
+            record.algebra
         except ValueError as exc:  # an unparsable coefficient
             raise SchemaError(f"invalid structure constants: {exc}") from exc
-        report = jacobi_check(algebra)
-        if not report.ok:
-            raise SchemaError(f"structure constants violate Jacobi:\n{report.render()}")
+        if not record.jacobi.ok:
+            raise SchemaError(f"structure constants violate Jacobi:\n{record.jacobi.render()}")
         try:
-            homog_sym = reductive_split(algebra, record.raw["h_indices"], record.raw["m_indices"])
+            record.homog_sym
         except LieStructureError as exc:
             raise SchemaError(f"reductive split fails: {exc}") from exc
-        record.built.update(algebra=algebra, jacobi=report, homog_sym=homog_sym)
     elif record.source == "partial-homogeneous":
-        from g2forms.catalog._runner import build_homogeneous
-
         try:
-            record.built["homog_sym"] = build_homogeneous(record)
+            record.homog_sym
         except ValueError as exc:  # LieStructureError included
             raise SchemaError(f"invalid homogeneous payload: {exc}") from exc
     return record
@@ -450,6 +544,30 @@ def load_bundled(case_id: str) -> CaseRecord:
     return load_case(target)
 
 
-# imported late to keep module import light; the keys of _CHECKS are the
-# valid check names, the rest is re-exported
-from g2forms.catalog._runner import _CHECKS, CaseReport, CheckResult, verify_all, verify_case  # noqa: E402
+def verify_case(case) -> CaseReport:
+    """Run every expected check of a case and compare exactly.
+
+    ``case`` is a bundled id or a :class:`CaseRecord`.
+    """
+    record = load_bundled(case) if isinstance(case, str) else case
+    report = CaseReport(record.case_id, record.description)
+    start = time.perf_counter()
+    for item in record.expected:
+        check, value = item["check"], item["value"]
+        args = dict(item.get("args", {}))
+        status, computed = _CHECKS[check](record, args, value)
+        expected = "; ".join(map(str, value)) if isinstance(value, list) else str(value)
+        report.results.append(CheckResult(check, args, status, computed, expected, item["cite"]))
+    report.seconds = time.perf_counter() - start
+    return report
+
+
+def verify_all(pattern: str | None = None) -> list:
+    """Verify bundled cases, reports in id order.
+
+    Without a pattern the canonical cases run (exploratory ones excluded);
+    with a pattern, every bundled id matching the glob runs, exploratory
+    included.
+    """
+    records = (load_bundled(i) for i in bundled_ids() if pattern is None or fnmatch(i, pattern))
+    return [verify_case(r) for r in records if pattern is not None or not r.exploratory]

@@ -61,6 +61,17 @@ def _parse_form_doc(doc: dict, degree=None):
         raise _InputError(f"invalid form: {exc}") from exc
 
 
+def _load_form(path: str, dimension: int, degree: int, role: str):
+    """The form in a form file, which must be a degree-form in the given dimension."""
+    form = _parse_form_doc(_load_form_file(path), degree=degree)
+    if (form.dim, form.degree) != (dimension, degree):
+        raise _InputError(
+            f"{role} needs a {degree}-form on a {dimension}-dimensional space, "
+            f"got a {form.degree}-form in dimension {form.dim}"
+        )
+    return form
+
+
 def _load_case_file(path: str) -> catalog.CaseRecord:
     try:
         return catalog.load_case(path)
@@ -71,10 +82,8 @@ def _load_case_file(path: str) -> catalog.CaseRecord:
 
 
 def _numeric_data(record: catalog.CaseRecord):
-    from g2forms.catalog._runner import _Engine
-
     try:
-        return _Engine(record).homog_num()
+        return record.homog_num()
     except ValueError as exc:  # unparsable literal, bad matrix basis or split
         raise _InputError(f"invalid case data in {record.case_id}: {exc}") from exc
 
@@ -153,12 +162,7 @@ def _cmd_closed(args) -> int:
 
 
 def _cmd_definite(args) -> int:
-    phi = _parse_form_doc(_load_form_file(args.form), degree=3)
-    if (phi.dim, phi.degree) != (7, 3):
-        raise _InputError(
-            f"definite needs a 3-form on a 7-dimensional space, "
-            f"got a {phi.degree}-form in dimension {phi.dim}"
-        )
+    phi = _load_form(args.form, 7, 3, "definite")
     report = definiteness(phi)
     if args.format == "json":
         _emit_json({"verdict": report.verdict, "report": report.render()})
@@ -170,14 +174,17 @@ def _cmd_definite(args) -> int:
 def _cmd_su3(args) -> int:
     record = _load_case_file(args.input)
     data = _numeric_data(record)
-    if data.dim_m == 7:
-        data = data.restrict([1, 2, 3, 4, 5, 6])
-    elif data.dim_m != 6:
+    if data.dim_m not in (6, 7):
         raise _InputError("su3 needs a case with a 6- or 7-dimensional tangent model")
-    omega = _parse_form_doc(_load_form_file(args.omega), degree=2)
-    psi = _parse_form_doc(_load_form_file(args.psi), degree=3)
-    omega = omega.with_symbols(data.symbols)
-    psi = psi.with_symbols(data.symbols)
+    omega = _load_form(args.omega, 6, 2, "su3 --omega")
+    psi = _load_form(args.psi, 6, 3, "su3 --psi")
+    try:
+        if data.dim_m == 7:
+            data = data.restrict([1, 2, 3, 4, 5, 6])
+        omega = omega.with_symbols(data.symbols)
+        psi = psi.with_symbols(data.symbols)
+    except ValueError as exc:  # e1..e6 not closed, or a symbol the case lacks
+        raise _InputError(f"su3 on {record.case_id}: {exc}") from exc
     report = su3_check(data, omega, psi)
     if args.format == "json":
         _emit_json({"case": record.case_id, "flags": report.flags()})

@@ -452,10 +452,10 @@ class ExteriorOp:
         rows = [{c: (x * den).numerator for c, x in enumerate(row, 1) if x} for row in values]
         minors = {((), ()): 1}  # (row set, column set) -> nonzero minor
         for size in range(1, degree + 1):
-            smaller, minors = minors, {}
-            for rowset in combinations(range(1, n + 1), size):
+            smaller, minors, subsets = minors, {}, monomials(n, size)
+            for rowset in subsets:
                 first, rest = rows[rowset[0] - 1], rowset[1:]
-                for colset in combinations(range(1, n + 1), size):
+                for colset in subsets:
                     total = sum(
                         (-1) ** t * first[c] * smaller.get((rest, colset[:t] + colset[t + 1 :]), 0)
                         for t, c in enumerate(colset)

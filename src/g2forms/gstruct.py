@@ -15,7 +15,8 @@ and are pinned by tests):
   Q^{-1} and contracted with the Levi-Civita symbol, so no square roots
   appear and the zero set is exactly that of the true dual.
 * Hitchin's endomorphism of a 3-form psi on a 6-space is
-  ``K[i][j] = top_coefficient(iota_{e_j} psi ^ psi ^ e^i)`` and
+  ``K[i][j] = top_coefficient(iota_{e_j} psi ^ psi ^ e^i)``, read off
+  iota_{e_j} psi ^ psi at the complement of i without a wedge, and
   ``lambda = trace(K^2)/6``; with this normalization the standard complex
   volume real part has lambda = -4 and K^2 = lambda * Id.  In
   ``su3_check`` the volume is renormalized to omega^3/6 (orientation from
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import lcm
 
 from g2forms import _linalg
@@ -39,6 +40,7 @@ from g2forms.exterior import (
     basis_vector,
     contract,
     merge_sign,
+    monomials,
     sort_sign,
     top_coefficient,
     wedge,
@@ -119,7 +121,7 @@ def b_matrix(phi: AltForm) -> GramMatrix:
 def _wedge_table() -> dict:
     """q -> [(p, sign, r)] with e^p ^ e^q ^ e^r = sign * e^{1...7}, for disjoint pairs p, q."""
     table: dict[tuple, list] = {}
-    for p, q in permutations(combinations(range(1, 8), 2), 2):
+    for p, q in permutations(monomials(7, 2), 2):
         r = tuple(sorted(set(range(1, 8)) - set(p) - set(q)))
         if len(r) == 3:
             table.setdefault(q, []).append((p, sort_sign(p + q + r)[1], r))
@@ -411,8 +413,9 @@ def hitchin_stability(psi: AltForm) -> HitchinReport:
     iota_psi = [wedge(contract(basis_vector(6, j, psi.symbols), psi), psi) for j in range(1, 7)]
     k_rows = []
     for i in range(1, 7):
-        e_i = basis_form(6, (i,), psi.symbols)
-        k_rows.append([top_coefficient(wedge(form, e_i)).constant_value() for form in iota_psi])
+        # e^{rest} ^ e^i = (-1)^(6-i) e^{1...6}, rest being {1..6} without i
+        rest, sign = tuple(k for k in range(1, 7) if k != i), (-1) ** (6 - i)
+        k_rows.append([sign * form.coefficient(rest).constant_value() for form in iota_psi])
     k_sq = _linalg.matmul(k_rows, k_rows)
     lam = sum((k_sq[i][i] for i in range(6)), Fraction(0)) / 6
     return HitchinReport(lam, k_rows, k_sq)

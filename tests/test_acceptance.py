@@ -18,7 +18,6 @@ from conftest import (
     rank_by_reverse_elimination,
 )
 from g2forms.catalog import load_bundled, verify_all
-from g2forms.catalog._runner import _Engine, build_homogeneous
 from g2forms.exterior import (
     contract,
     form_to_vector,
@@ -191,14 +190,14 @@ def test_criterion_09_product_flat(reports):
 def test_criterion_10_property_suites():
     # (a) Jacobi for every matrix-born catalog algebra
     for case_id in FULL_DATA_CASES:
-        engine = _Engine(load_bundled(case_id))
+        engine = load_bundled(case_id)
         from g2forms.liealg import jacobi_check
 
         assert jacobi_check(engine.algebra).ok, case_id
 
     # (b) d o d = 0 on invariant bases, degrees 2 and 3, every full-data case
     for case_id in FULL_DATA_CASES:
-        data = build_homogeneous(load_bundled(case_id))
+        data = load_bundled(case_id).homog_sym
         for degree in (2, 3):
             assert d_squared_check(data, degree).ok, (case_id, degree)
 
@@ -223,7 +222,7 @@ def test_criterion_10_property_suites():
     # (d) closed-family dimension against an independent elimination order
     for case_id in ALL_CANONICAL:
         record = load_bundled(case_id)
-        data = build_homogeneous(record)
+        data = record.homog_sym
         assignment = record.enumerations[0]
         if assignment:
             data = data.instantiate(assignment)

@@ -16,7 +16,6 @@ from g2forms.catalog import (
 )
 from g2forms.catalog import models
 from g2forms.catalog._bundled import build_all_case_dicts
-from g2forms.catalog._runner import build_algebra, build_homogeneous
 from g2forms.exterior import form_to_vector, monomials, parse_form
 from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import MatrixBasis, from_matrices, reductive_split
@@ -63,7 +62,7 @@ def test_case_files_match_their_definitions():
 
 def test_t1n3_frozen_constants_match_matrix_model():
     record = load_bundled("T1.n3")
-    frozen = build_algebra(record)
+    frozen = record.algebra
     derived = from_matrices(MatrixBasis(models.so32_matrices()), record.basis_names)
     derived = derived.with_symbols(record.context)
     assert set(frozen.constants) == set(derived.constants)
@@ -160,7 +159,7 @@ def test_load_case_roundtrip(tmp_path):
 )
 def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
     from g2forms import liealg
-    from g2forms.catalog import _runner
+    from g2forms import catalog
 
     calls = []
     for name in ("jacobi_check", "reductive_split", "homogeneous_from_partial"):
@@ -170,7 +169,7 @@ def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(liealg, name, counting)
-        monkeypatch.setattr(_runner, name, counting)
+        monkeypatch.setattr(catalog, name, counting)
     assert verify_case(load_bundled(case_id)).ok
     assert sorted(calls) == built  # once each, at load time
 
@@ -247,7 +246,7 @@ def test_reversed_bracket_pair_is_accepted_and_normalized():
     doc = _minimal_partial()
     doc["homogeneous"]["projected_bracket"] = [[2, 1, ["1", "0"]]]
     validate_case_dict(doc)
-    data = build_homogeneous(CaseRecord(doc))
+    data = CaseRecord(doc).homog_sym
     assert [c.constant_value() for c in data.bracket[(1, 2)]] == [-1, 0]
 
 
@@ -312,7 +311,7 @@ def test_structure_constants_recomputed_for_matrix_cases():
     }
     for case_id, builder in builders.items():
         record = load_bundled(case_id)
-        from_file = build_algebra(record)
+        from_file = record.algebra
         from_model = from_matrices(builder(), record.basis_names).with_symbols(
             record.context
         )

@@ -209,6 +209,31 @@ def test_su3_command(tmp_path, capsys):
     assert "symplectic half-flat: yes; strict: no" in out
 
 
+OMEGA0 = {"dimension": 6, "degree": 2, "form": "e^{1 2} + e^{3 4} + e^{5 6}"}
+PSI0 = {"dimension": 6, "degree": 3, "form": "e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5}"}
+
+
+@pytest.mark.parametrize(
+    "case_id, omega, psi, message",
+    [
+        ("product.flat", {**PSI0, "degree": 3}, PSI0, "--omega needs a 2-form"),
+        ("product.flat", OMEGA0, {**PSI0, "dimension": 7}, "--psi needs a 3-form on a 6-dim"),
+        ("product.flat", {**OMEGA0, "context": ["t"]}, PSI0, "missing symbol 't'"),
+        ("T1.n1", OMEGA0, PSI0, "leaves the restricted subspace"),
+    ],
+    ids=["omega-of-degree-3", "psi-in-dimension-7", "unknown-context-symbol", "e1-e6-not-closed"],
+)
+def test_su3_bad_input_exits_two(tmp_path, capsys, case_id, omega, psi, message):
+    paths = []
+    for name, doc in (("omega.json", omega), ("psi.json", psi)):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    case = str(CASES_DIR / f"{case_id}.json")
+    assert main(["su3", "--input", case, "--omega", paths[0], "--psi", paths[1]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == 0
     out = capsys.readouterr().out

@@ -230,6 +230,57 @@ def test_definiteness_verdict_is_congruence_invariant():
         assert definiteness(pullback(split, t)).verdict == base_split
 
 
+@pytest.mark.parametrize(
+    "text, minors, render",
+    [
+        (
+            PHI0,
+            "6 36 216 1296 7776 46656 279936",
+            "definite (positive), certificate: minors 6, 36, 216, 1296, 7776, 46656, 279936",
+        ),
+        (
+            "-e^{1 2 7} - e^{1 3 5} + e^{1 4 6} + e^{2 3 6} + e^{2 4 5} - e^{3 4 7} - e^{5 6 7}",
+            "-6 36 -216 1296 -7776 46656 -279936",
+            "definite (negative), certificate: minors -6, 36, -216, 1296, -7776, 46656, -279936",
+        ),
+        (
+            "-e^{1 2 7} + e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5} - e^{3 4 7} + e^{5 6 7}",
+            "-6 36 -216 1296 7776 46656 279936",
+            "indefinite\n"
+            "  witness v = (1, 0, 0, 0, 0, 0, 0) with B(v,v) = -6\n"
+            "  witness v = (0, 0, 0, 0, 1, 0, 0) with B(v,v) = 6",
+        ),
+        (
+            "e^{1 2 3}",
+            "0 0 0 0 0 0 0",
+            "degenerate\n  witness v = (1, 0, 0, 0, 0, 0, 0) with B(v,v) = 0",
+        ),
+        # zero diagonals: congruence_diagonalize adds a column to clear them
+        (
+            "e^{1 6 7} + e^{1 2 5} - e^{2 3 4} + e^{1 3 5} - e^{3 5 7} + e^{4 5 6}",
+            "0 -9 0 0 0 0 4374",
+            "indefinite\n"
+            "  witness v = (0, 0, 0, 0, 1, 0, 0) with B(v,v) = -6\n"
+            "  witness v = (-1/2, -1/2, 1, 0, 0, 0, 0) with B(v,v) = 3/2",
+        ),
+        (
+            "e^{1 2 3} + e^{1 4 5} + e^{1 6 7} + e^{2 4 6} - e^{3 5 7}",
+            "6 0 -54 0 486 0 -4374",
+            "indefinite\n"
+            "  witness v = (0, -1/2, 1/2, 0, 0, 0, 0) with B(v,v) = -3/2\n"
+            "  witness v = (1, 0, 0, 0, 0, 0, 0) with B(v,v) = 6",
+        ),
+    ],
+    ids=["phi0", "minus-phi0", "split", "degenerate", "zero-diagonal-a", "zero-diagonal-b"],
+)
+def test_definiteness_certificate_is_pinned(text, minors, render):
+    # the exact minor chain and witnesses, not only the verdict: another
+    # valid witness still passes every B(v, v) check, but changes these
+    report = definiteness(parse_form(text, 7))
+    assert " ".join(str(m) for m in report.minors) == minors
+    assert report.render() == render
+
+
 def test_obstruction_certificate_on_sl3r_closed_family():
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
     data = reductive_split(algebra, [8], list(range(1, 8)))

@@ -6,7 +6,6 @@ import pytest
 from conftest import dense_ce_differential, random_form, rank_by_reverse_elimination
 from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled, models
-from g2forms.catalog._runner import _Engine
 from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import (
     PartialDataError,
@@ -145,7 +144,7 @@ def test_ce_differential_matches_dense_oracle_on_the_catalog():
         record = load_bundled(case_id)
         if record.exploratory:
             continue
-        engine = _Engine(record)
+        engine = record
         data = engine.homog_num()
         for degree in (2, 3, 4):
             for gamma in invariant_forms(data, degree).basis:

@@ -15,7 +15,8 @@ results are rendered to strings and compared exactly:
 * ``minors``: ``leading_principal_minors`` and ``det`` of 3000 random
   rational matrices of size 1..7, half of them symmetric;
 * ``hodge``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
-  (6, 3) and (7, 2), with positive-definite metrics A^T A.
+  (6, 3) and (7, 2), with positive-definite metrics A^T A;
+* ``hitchin``: lambda and Hitchin's K of 200 random rational 3-forms on R^6.
 
 Exits 1 when any group differs.
 """
@@ -33,7 +34,9 @@ from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
 from g2forms.exterior import AltForm
-from g2forms.gstruct import GramMatrix, b_matrix, definiteness, hodge_dual_up_to_scale
+from g2forms.gstruct import (
+    GramMatrix, b_matrix, definiteness, hitchin_stability, hodge_dual_up_to_scale,
+)
 from g2forms.scalars import PolyScalar
 
 def rational(rng):
@@ -50,7 +53,7 @@ def form(rng, n, k, symbols=(), density=0.5):
                 coeffs[idx] = PolyScalar.constant(rational(rng), symbols)
     return AltForm(n, k, symbols, coeffs)
 
-out = {"b": [], "definiteness": [], "minors": [], "hodge": []}
+out = {"b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": []}
 rng = random.Random(20261018)
 for t in range(300):
     symbols = ("a", "b") if t % 3 == 2 else ()
@@ -77,6 +80,9 @@ for t in range(160):
         continue
     metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
     out["hodge"].append(hodge_dual_up_to_scale(metric, form(rng, n, k)).render())
+for t in range(200):
+    r = hitchin_stability(form(rng, 6, 3, density=rng.choice([0.15, 0.5, 1.0])))
+    out["hitchin"].append([str(r.lam), [[str(x) for x in row] for row in r.k_matrix]])
 print(json.dumps(out))
 '''
 
