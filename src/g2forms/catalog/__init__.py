@@ -22,12 +22,11 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from g2forms.catalog._runner import _CHECKS, CaseReport, CheckResult
+from g2forms.catalog._runner import _CHECKS, CaseReport, CheckResult, schema_checks
 from g2forms.exterior import AltForm, parse_form
 from g2forms.liealg import (
     HomogeneousSpaceData,
     JacobiReport,
-    LieAlgebra,
     LieStructureError,
     MatrixBasis,
     from_matrices,
@@ -120,36 +119,7 @@ form          signed sums "c*e^{i j k}" with rational c and 1-based,
 
 Checks
 ------
-invariant_dim            args {degree}; value: integer dimension
-invariant_span           args {degree}; value: list of forms; passes when
-                         the computed space equals their span (span-match)
-invariant_dim_in_support args {degree, groups: [[i..], ...], counts: [..]};
-                         value: dimension of the invariant forms supported
-                         on monomials with counts[g] indices in groups[g]
-d_eval                   args {vectors: [i..]}; value: polynomial; the
-                         coset differential of the generic form, evaluated
-                         on the named basis vectors, kept symbolic
-b_entry                  args {i, j}; value: polynomial; entry of the
-                         bilinear form of the generic form
-closed_param_count       args {degree?}; value: number of free parameters
-                         of the closed family
-closed_span              value: list of forms; closed family spans them
-closed_subset_of         value: list of forms; closed family lies in span
-closed_component_zero    args {indices}; value true; every closed form has
-                         zero component along the named gammas
-not_definite             value true; an obstruction certificate excludes
-                         definite members of the closed family, for every
-                         enumeration entry
-b_matrix_scalar          args {form}; value: rational c with B = c * Id
-torsion_flags            args {form}; value {definite, closed, coclosed}
-contract_vector          args {form, vector}; value: the contracted form
-hitchin                  args {psi}; value {lambda, k_squared_scalar}
-su3_flags                args {omega, psi}; value: flag dict as rendered
-                         by the SU(3) report
-jacobi                   value "valid" (full-algebra sources only)
-d_squared                args {degrees}; value "pass"; d o d = 0 on the
-                         invariant basis (full-algebra sources only)
-
+""" + schema_checks() + """
 Exit semantics: a report line is `match` (or `span-match` for span
 comparisons) when computed equals expected; any `mismatch` fails the case.
 """
@@ -230,8 +200,11 @@ class CaseRecord:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
 
     @cached_property
-    def algebra(self) -> LieAlgebra:
-        """The full Lie algebra of a matrix-basis or structure-constants case."""
+    def algebra(self) -> HomogeneousSpaceData:
+        """The full Lie algebra of a matrix-basis or structure-constants case.
+
+        It is homogeneous data with no isotropy (m = g), in the case context.
+        """
         context = self.context
         if self.source == "matrix-basis":
             mats = self.raw["matrices"]
@@ -249,11 +222,8 @@ class CaseRecord:
                     (i, j), [PolyScalar.zero(context) for _ in range(self.dimension)]
                 )
                 comps[k - 1] = comps[k - 1] + PolyScalar.parse(coeff, context)
-            return LieAlgebra(
-                self.dimension,
-                {k: tuple(v) for k, v in constants.items()},
-                self.basis_names,
-                context,
+            return HomogeneousSpaceData(
+                self.dimension, [], constants, self.basis_names, context
             )
         raise ValueError(f"case {self.case_id} has no full algebra payload")
 
@@ -498,9 +468,10 @@ def load_case(path) -> CaseRecord:
     checks.  Matrix payloads are validated on first use (the exact solve
     that derives their constants is the validation).
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     validate_case_dict(doc)
@@ -555,7 +526,7 @@ def verify_case(case) -> CaseReport:
     for item in record.expected:
         check, value = item["check"], item["value"]
         args = dict(item.get("args", {}))
-        status, computed = _CHECKS[check](record, args, value)
+        status, computed = _CHECKS[check][0](record, args, value)
         expected = "; ".join(map(str, value)) if isinstance(value, list) else str(value)
         report.results.append(CheckResult(check, args, status, computed, expected, item["cite"]))
     report.seconds = time.perf_counter() - start

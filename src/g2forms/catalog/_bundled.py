@@ -216,8 +216,8 @@ def t1n3_case() -> dict:
     # re-derives them; tests compare).
     algebra = from_matrices(MatrixBasis(models.so32_matrices()), _names(10))
     constants = []
-    for (i, j) in sorted(algebra.constants):
-        for k, coeff in enumerate(algebra.constants[(i, j)], start=1):
+    for (i, j) in sorted(algebra.bracket):
+        for k, coeff in enumerate(algebra.bracket[(i, j)], start=1):
             if not coeff.is_zero():
                 constants.append([i, j, k, coeff.render()])
     gammas = [

@@ -8,7 +8,6 @@ the expected value, reads the pipeline objects the record owns, and returns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from g2forms import _linalg
 from g2forms.exterior import basis_vector, contract, form_to_vector, monomials, parse_form
@@ -21,7 +20,7 @@ from g2forms.gstruct import (
     su3_check,
 )
 from g2forms.invariants import ce_differential, closed_forms, d_squared_check, invariant_forms
-from g2forms.scalars import PolyScalar, format_rational, parse_rational
+from g2forms.scalars import PolyScalar, parse_rational
 
 __all__ = ["CaseReport", "CheckResult"]
 
@@ -190,7 +189,7 @@ def _check_closed_component_zero(record, args, value):
             if coords[pos - 1]:
                 all_zero = False
                 details.append(
-                    f"component {pos} = {format_rational(coords[pos - 1])}"
+                    f"component {pos} = {coords[pos - 1]}"
                 )
     computed = (
         "all listed components vanish on the closed family"
@@ -209,7 +208,7 @@ def _check_not_definite(record, args, value):
         report = obstruction_certificate(family)
         excluded = excluded and report.excludes_definite
         tag = (
-            "{" + ", ".join(f"{k}={format_rational(v)}" for k, v in sorted(assignment.items())) + "}"
+            "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
             if assignment
             else "{}"
         )
@@ -219,17 +218,10 @@ def _check_not_definite(record, args, value):
 
 
 def _check_b_matrix_scalar(record, args, value):
-    phi = record.numeric_form(args["form"], 3)
-    gram = b_matrix(phi)
+    b = b_matrix(record.numeric_form(args["form"], 3))
     scalar = parse_rational(str(value))
-    ok = True
-    for i in range(1, 8):
-        for j in range(1, 8):
-            expected = scalar if i == j else Fraction(0)
-            entry = gram.entry(i, j)
-            if not entry.is_constant() or entry.constant_value() != expected:
-                ok = False
-    diag = ", ".join(gram.entry(i, i).render() for i in range(1, 8))
+    ok = all(b[i][j] == (scalar if i == j else 0) for i in range(7) for j in range(7))
+    diag = ", ".join(str(b[i][i]) for i in range(7))
     return ("match" if ok else "mismatch"), f"diagonal ({diag})"
 
 
@@ -301,22 +293,74 @@ def _compare(computed, expected):
     return status, str(computed)
 
 
+# name -> (check, schema lines): the Checks block of the case schema is
+# built from this table, one entry per check, in this order
 _CHECKS = {
-    "invariant_dim": _check_invariant_dim,
-    "invariant_span": _check_invariant_span,
-    "invariant_dim_in_support": _check_invariant_dim_in_support,
-    "d_eval": _check_d_eval,
-    "b_entry": _check_b_entry,
-    "closed_param_count": _check_closed_param_count,
-    "closed_span": _check_closed_span,
-    "closed_subset_of": _check_closed_subset_of,
-    "closed_component_zero": _check_closed_component_zero,
-    "not_definite": _check_not_definite,
-    "b_matrix_scalar": _check_b_matrix_scalar,
-    "torsion_flags": _check_torsion_flags,
-    "contract_vector": _check_contract_vector,
-    "hitchin": _check_hitchin,
-    "su3_flags": _check_su3_flags,
-    "jacobi": _check_jacobi,
-    "d_squared": _check_d_squared,
+    "invariant_dim": (_check_invariant_dim, "args {degree}; value: integer dimension"),
+    "invariant_span": (
+        _check_invariant_span,
+        "args {degree}; value: list of forms; passes when",
+        "the computed space equals their span (span-match)",
+    ),
+    "invariant_dim_in_support": (
+        _check_invariant_dim_in_support,
+        "args {degree, groups: [[i..], ...], counts: [..]};",
+        "value: dimension of the invariant forms supported",
+        "on monomials with counts[g] indices in groups[g]",
+    ),
+    "d_eval": (
+        _check_d_eval,
+        "args {vectors: [i..]}; value: polynomial; the",
+        "coset differential of the generic form, evaluated",
+        "on the named basis vectors, kept symbolic",
+    ),
+    "b_entry": (
+        _check_b_entry,
+        "args {i, j}; value: polynomial; entry of the",
+        "bilinear form of the generic form",
+    ),
+    "closed_param_count": (
+        _check_closed_param_count,
+        "args {degree?}; value: number of free parameters",
+        "of the closed family",
+    ),
+    "closed_span": (_check_closed_span, "value: list of forms; closed family spans them"),
+    "closed_subset_of": (
+        _check_closed_subset_of, "value: list of forms; closed family lies in span"
+    ),
+    "closed_component_zero": (
+        _check_closed_component_zero,
+        "args {indices}; value true; every closed form has",
+        "zero component along the named gammas",
+    ),
+    "not_definite": (
+        _check_not_definite,
+        "value true; an obstruction certificate excludes",
+        "definite members of the closed family, for every",
+        "enumeration entry",
+    ),
+    "b_matrix_scalar": (_check_b_matrix_scalar, "args {form}; value: rational c with B = c * Id"),
+    "torsion_flags": (_check_torsion_flags, "args {form}; value {definite, closed, coclosed}"),
+    "contract_vector": (_check_contract_vector, "args {form, vector}; value: the contracted form"),
+    "hitchin": (_check_hitchin, "args {psi}; value {lambda, k_squared_scalar}"),
+    "su3_flags": (
+        _check_su3_flags,
+        "args {omega, psi}; value: flag dict as rendered",
+        "by the SU(3) report",
+    ),
+    "jacobi": (_check_jacobi, 'value "valid" (full-algebra sources only)'),
+    "d_squared": (
+        _check_d_squared,
+        'args {degrees}; value "pass"; d o d = 0 on the',
+        "invariant basis (full-algebra sources only)",
+    ),
 }
+
+
+def schema_checks() -> str:
+    """The Checks block of the case schema: each name with its schema lines."""
+    lines = []
+    for name, (_, first, *rest) in _CHECKS.items():
+        lines.append(f"{name:<24} {first}")
+        lines.extend(" " * 25 + line for line in rest)
+    return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ def _emit_json(payload) -> None:
 def _load_form_file(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read form file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "form" not in doc or "dimension" not in doc:
         raise _InputError(

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from g2forms.scalars import ContextMismatchError, PolyScalar, format_rational
+from g2forms.scalars import ContextMismatchError, PolyScalar, parse_rational
 
 __all__ = [
     "AltForm",
@@ -246,18 +246,6 @@ class AltForm:
             symbols,
             {i: c.with_symbols(symbols) for i, c in self.coeffs.items()},
         )
-
-    def substitute(self, assignment) -> "AltForm":
-        new_symbols = None
-        coeffs = {}
-        for idx, coeff in self.coeffs.items():
-            sub = coeff.substitute(assignment)
-            new_symbols = sub.symbols
-            coeffs[idx] = sub
-        if new_symbols is None:
-            probe = PolyScalar.zero(self.symbols).substitute(assignment)
-            new_symbols = probe.symbols
-        return AltForm(self.dim, self.degree, new_symbols, coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):
@@ -524,7 +512,7 @@ def render_form(alpha: AltForm) -> str:
         if coeff.is_constant():
             value = coeff.constant_value()
             mag = abs(value)
-            body = e_part if mag == 1 else f"{format_rational(mag)}*{e_part}"
+            body = e_part if mag == 1 else f"{mag}*{e_part}"
             negative = value < 0
         else:
             body = f"({coeff.render()})*{e_part}"
@@ -565,7 +553,7 @@ def parse_form(
         if not m:
             raise ValueError(f"cannot parse form term {chunk!r}")
         coeff_text = m.group("coeff") or ""
-        coeff = sign * (Fraction(coeff_text) if coeff_text else Fraction(1))
+        coeff = sign * (parse_rational(coeff_text) if coeff_text else Fraction(1))
         indices = tuple(int(ch) for ch in m.group("idx"))
         if any(not 1 <= i <= dim for i in indices):
             raise ValueError(f"index out of range 1..{dim} in {chunk!r}")

@@ -47,11 +47,10 @@ from g2forms.exterior import (
 )
 from g2forms.invariants import ClosedFamily, ce_differential
 from g2forms.liealg import HomogeneousSpaceData
-from g2forms.scalars import PolyScalar, format_rational
+from g2forms.scalars import PolyScalar
 
 __all__ = [
     "DefinitenessReport",
-    "GramMatrix",
     "HitchinReport",
     "SU3Report",
     "TorsionReport",
@@ -61,60 +60,24 @@ __all__ = [
     "g2_torsion_report",
     "hitchin_stability",
     "hodge_dual_up_to_scale",
-    "metric_up_to_scale",
     "obstruction_certificate",
     "product_g2",
     "su3_check",
 ]
 
 
-@dataclass
-class GramMatrix:
-    """Symmetric matrix of scalars (exact symmetry is validated)."""
+def b_matrix(phi: AltForm) -> list:
+    """B[i][j] = top coefficient of iota_i phi ^ iota_j phi ^ phi (n = 7), as Fraction rows.
 
-    entries: tuple
-
-    def __post_init__(self):
-        n = len(self.entries)
-        entries = tuple(tuple(row) for row in self.entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not (entries[i][j] - entries[j][i]).is_zero():
-                    raise ValueError(f"Gram matrix is not symmetric at ({i+1},{j+1})")
-        self.entries = entries
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> PolyScalar:
-        """1-based access."""
-        return self.entries[i - 1][j - 1]
-
-    def is_rational(self) -> bool:
-        return all(e.is_constant() for row in self.entries for e in row)
-
-    def as_fractions(self) -> list:
-        return [[e.constant_value() for e in row] for row in self.entries]
-
-    def negated(self) -> "GramMatrix":
-        return GramMatrix(tuple(tuple(-e for e in row) for row in self.entries))
-
-    def render(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(e.render() for e in row) + "]" for row in self.entries
+    phi must be rational; the entries of a symbolic phi are read through
+    :func:`b_entries`.
+    """
+    if not phi.is_rational():
+        raise ValueError(
+            "b_matrix needs rational coefficients; read symbolic entries through b_entries"
         )
-
-
-def b_matrix(phi: AltForm) -> GramMatrix:
-    """B[i][j] = top coefficient of iota_i phi ^ iota_j phi ^ phi (n = 7)."""
-    upper = b_entries(phi, [(i, j) for i in range(1, 8) for j in range(i, 8)])
-    return GramMatrix(
-        tuple(tuple(upper[min(i, j), max(i, j)] for j in range(1, 8)) for i in range(1, 8))
-    )
+    upper = _b_sums(phi, [(i, j) for i in range(1, 8) for j in range(i, 8)])
+    return [[upper[min(i, j), max(i, j)] for j in range(1, 8)] for i in range(1, 8)]
 
 
 @cache
@@ -129,7 +92,16 @@ def _wedge_table() -> dict:
 
 
 def b_entries(phi: AltForm, pairs: list) -> dict:
-    """The entries B[i][j] of :func:`b_matrix` for the 1-based (i, j) in pairs.
+    """The entries B[i][j] of :func:`b_matrix` for the 1-based (i, j) in pairs,
+    as PolyScalars in the context of phi (which may be symbolic)."""
+    out = _b_sums(phi, pairs)
+    if phi.is_rational():
+        return {key: PolyScalar.constant(x, phi.symbols) for key, x in out.items()}
+    return out
+
+
+def _b_sums(phi: AltForm, pairs: list) -> dict:
+    """The B entries for pairs: Fractions for a rational phi, else PolyScalars.
 
     B_ij = sum of sign * (iota_i phi)_p * (iota_j phi)_q * phi_r over the
     rows of :func:`_wedge_table`; the sum over q is shared by every i.  A
@@ -163,7 +135,7 @@ def b_entries(phi: AltForm, pairs: list) -> dict:
     out = {}
     for i, j in pairs:
         total = sum((x * inner[j][p] for p, x in iota[i].items() if p in inner[j]), zero)
-        out[i, j] = total if den is None else PolyScalar.constant(Fraction(total, den**3), symbols)
+        out[i, j] = total if den is None else Fraction(total, den**3)
     return out
 
 
@@ -182,7 +154,7 @@ class DefinitenessReport:
     witnesses: list = field(default_factory=list)  # (value render, vector)
     identity: str | None = None  # family-level certificate identity
     family: bool = False
-    gram: GramMatrix | None = None  # the B matrix the verdict is about (single forms)
+    gram: list | None = None  # Fraction rows of the B the verdict is about (single forms)
 
     @property
     def is_definite(self) -> bool:
@@ -192,15 +164,18 @@ class DefinitenessReport:
     def excludes_definite(self) -> bool:
         return self.verdict in ("indefinite", "degenerate")
 
-    def metric(self) -> GramMatrix:
-        """Positive-definite representative of the induced metric (up to scale)."""
+    def metric(self) -> list:
+        """Positive-definite representative of the induced metric (up to scale),
+        as Fraction rows: B or -B."""
         if not self.is_definite:
             raise ValueError(f"form is not definite: verdict {self.verdict}")
-        return self.gram if self.orientation == "positive" else self.gram.negated()
+        if self.orientation == "positive":
+            return self.gram
+        return [[-x for x in row] for row in self.gram]
 
     def render(self) -> str:
         if self.verdict == "definite":
-            minors = ", ".join(format_rational(m) for m in self.minors)
+            minors = ", ".join(str(m) for m in self.minors)
             return f"definite ({self.orientation}), certificate: minors {minors}"
         if self.verdict == "undecided-parametric":
             return "undecided-parametric: no vanishing certificate found"
@@ -208,7 +183,7 @@ class DefinitenessReport:
         if self.identity:
             lines.append(f"  certificate: {self.identity}")
         for value, vec in self.witnesses:
-            comps = ", ".join(format_rational(x) for x in vec)
+            comps = ", ".join(str(x) for x in vec)
             lines.append(f"  witness v = ({comps}) with B(v,v) = {value}")
         return "\n".join(lines)
 
@@ -225,27 +200,26 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
             "definiteness needs rational coefficients; "
             "route parametric families through obstruction_certificate"
         )
-    gram = b_matrix(phi)
-    b = gram.as_fractions()
+    b = b_matrix(phi)
     minors = _linalg.leading_principal_minors(b)
     if all(m > 0 for m in minors):
-        return DefinitenessReport("definite", "positive", minors, gram=gram)
+        return DefinitenessReport("definite", "positive", minors, gram=b)
     if all((m > 0 if k % 2 else m < 0) for k, m in enumerate(minors)):
-        return DefinitenessReport("definite", "negative", minors, gram=gram)
+        return DefinitenessReport("definite", "negative", minors, gram=b)
     diag = _linalg.congruence_diagonalize(b)
     zero_entries = [(d, v) for d, v in diag if d == 0]
     if zero_entries:
         d, v = zero_entries[0]
         return DefinitenessReport(
-            "degenerate", witnesses=[(format_rational(d), v)], minors=minors, gram=gram
+            "degenerate", witnesses=[(str(d), v)], minors=minors, gram=b
         )
     positive = next((d, v) for d, v in diag if d > 0) if any(d > 0 for d, _ in diag) else None
     negative = next((d, v) for d, v in diag if d < 0) if any(d < 0 for d, _ in diag) else None
     witnesses = []
     for item in (negative, positive):
         if item:
-            witnesses.append((format_rational(item[0]), item[1]))
-    return DefinitenessReport("indefinite", witnesses=witnesses, minors=minors, gram=gram)
+            witnesses.append((str(item[0]), item[1]))
+    return DefinitenessReport("indefinite", witnesses=witnesses, minors=minors, gram=b)
 
 
 def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
@@ -289,23 +263,15 @@ def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
     return DefinitenessReport("undecided-parametric", family=True)
 
 
-def metric_up_to_scale(phi: AltForm) -> GramMatrix:
-    """Positive-definite representative of the induced metric (up to scale)."""
-    return definiteness(phi).metric()
-
-
-def hodge_dual_up_to_scale(metric: GramMatrix, alpha: AltForm) -> AltForm:
+def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     """The Hodge dual of alpha, times a positive constant depending on Q only.
 
     Raising the k indices with Q^{-1} and contracting with the Levi-Civita
     symbol yields sqrt(det Q)^{-1} times the true dual; since the constant
     is positive, d(result) = 0 iff d(*alpha) = 0, which is all any caller
-    needs.  Requires a positive-definite rational Q.
+    needs.  ``q`` is Q as rows of Fractions and must be positive definite.
     """
-    if not metric.is_rational():
-        raise ValueError("hodge dual needs a rational metric representative")
-    q = metric.as_fractions()
-    n = metric.n
+    n = len(q)
     if alpha.dim != n:
         raise ValueError("form dimension does not match the metric")
     minors = _linalg.leading_principal_minors(q)
@@ -401,7 +367,7 @@ class HitchinReport:
         kind = "complex type (stable)" if self.lam < 0 else (
             "real type" if self.lam > 0 else "degenerate/unstable"
         )
-        return f"lambda = {format_rational(self.lam)} ({kind})"
+        return f"lambda = {self.lam} ({kind})"
 
 
 def hitchin_stability(psi: AltForm) -> HitchinReport:
@@ -436,7 +402,7 @@ class SU3Report:
     lam: Fraction | None = None
     compatible: bool | None = None
     tamed: bool | None = None
-    gram: GramMatrix | None = None
+    gram: list | None = None  # Fraction rows of G, when G is symmetric
     d_omega_zero: bool | None = None
     d_psi_zero: bool | None = None
     d_star_psi_zero: bool | None = None
@@ -512,11 +478,7 @@ def su3_check(
     report.compatible = wedge(omega, psi).is_zero()
     report.tamed = positive
     if symmetric:
-        report.gram = GramMatrix(
-            tuple(
-                tuple(PolyScalar.constant(x, data.symbols) for x in row) for row in g
-            )
-        )
+        report.gram = g
     report.d_omega_zero = ce_differential(data, omega).is_zero()
     report.d_psi_zero = ce_differential(data, psi).is_zero()
     if positive:

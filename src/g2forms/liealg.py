@@ -1,20 +1,19 @@
 """Lie algebras from structure constants or matrix bases; reductive splits.
 
-A :class:`LieAlgebra` stores antisymmetric structure constants c^k_{ij}
-(only i < j kept) over a shared scalar context.  :func:`from_matrices`
-derives the constants from an explicit matrix basis by exact linear solves;
+:class:`HomogeneousSpaceData` is the one bracket table: the data of G/H is
+the isotropy action ad(h)|_m and the projected bracket [m, m]_m, and a Lie
+algebra g is the case H = {e}, with no isotropy and m = g.  Its coset
+differential (:meth:`HomogeneousSpaceData.differential`) is then the
+Chevalley-Eilenberg d, and :func:`jacobi_check` is d o d = 0 on the
+covectors of g through that operator.  :func:`from_matrices` derives the
+structure constants of an explicit matrix basis by exact linear solves;
 complex matrices are accepted as (re, im) pairs and realified, which keeps
 every computation in Q while preserving all brackets.
 
-:func:`coboundary` builds the Chevalley-Eilenberg differential of a bracket
-table as an :class:`~g2forms.exterior.ExteriorOp`.  It is the coset
-differential of :class:`HomogeneousSpaceData`, and :func:`jacobi_check` is
-d o d = 0 on the covectors of g through the same operator.
-
-:func:`reductive_split` extracts the data a homogeneous space G/H needs:
-the isotropy action ad(h)|_m and the m-projection of the bracket on m.
-Cases where only that projected data is known (no full algebra) enter
-through :func:`homogeneous_from_partial` and are flagged ``partial``.
+:func:`reductive_split` turns a Lie algebra into the data of G/H for a
+split g = h + m.  Cases where only that projected data is known (no full
+algebra) enter through :func:`homogeneous_from_partial` and are flagged
+``partial``.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from g2forms.scalars import PolyScalar
 __all__ = [
     "HomogeneousSpaceData",
     "JacobiReport",
-    "LieAlgebra",
     "LieStructureError",
     "MatrixBasis",
-    "coboundary",
     "from_matrices",
     "homogeneous_from_partial",
     "jacobi_check",
@@ -109,63 +106,8 @@ def _vec(mat) -> list[Fraction]:
     return [x for row in mat for x in row]
 
 
-class LieAlgebra:
-    """Dimension, basis names and structure constants over one context."""
-
-    def __init__(
-        self,
-        dim: int,
-        constants: Mapping[tuple, Sequence[PolyScalar]],
-        names: Sequence[str] | None = None,
-        symbols: Iterable[str] = (),
-    ):
-        symbols = tuple(symbols)
-        if names is None:
-            names = [f"e{i}" for i in range(1, dim + 1)]
-        if len(names) != dim:
-            raise ValueError("need one basis name per dimension")
-        clean: dict[tuple, tuple] = {}
-        for (i, j), comps in constants.items():
-            if not (1 <= i < j <= dim):
-                raise LieStructureError(
-                    f"structure constants must be keyed by 1 <= i < j <= n, got ({i}, {j})"
-                )
-            comps = tuple(comps)
-            if len(comps) != dim:
-                raise LieStructureError(f"bracket [{i},{j}] must have {dim} components")
-            for c in comps:
-                if c.symbols != symbols:
-                    raise LieStructureError("structure constant context mismatch")
-            if any(not c.is_zero() for c in comps):
-                clean[(i, j)] = comps
-        self.dim = dim
-        self.names = tuple(names)
-        self.symbols = symbols
-        self.constants = clean
-
-    def bracket(self, i: int, j: int) -> tuple:
-        """Components of [e_i, e_j]; antisymmetry handled here."""
-        if i == j:
-            return tuple(PolyScalar.zero(self.symbols) for _ in range(self.dim))
-        if i < j:
-            comps = self.constants.get((i, j))
-            if comps is None:
-                return tuple(PolyScalar.zero(self.symbols) for _ in range(self.dim))
-            return comps
-        comps = self.bracket(j, i)
-        return tuple(-c for c in comps)
-
-    def with_symbols(self, symbols: Iterable[str]) -> "LieAlgebra":
-        symbols = tuple(symbols)
-        constants = {
-            key: tuple(c.with_symbols(symbols) for c in comps)
-            for key, comps in self.constants.items()
-        }
-        return LieAlgebra(self.dim, constants, self.names, symbols)
-
-
-def from_matrices(basis: MatrixBasis, names: Sequence[str] | None = None) -> LieAlgebra:
-    """Structure constants of the span of a matrix basis, by exact solve.
+def from_matrices(basis: MatrixBasis, names: Sequence[str] | None = None) -> HomogeneousSpaceData:
+    """The span of a matrix basis as a Lie algebra (no isotropy), by exact solve.
 
     Raises :class:`LieStructureError` when the matrices are linearly
     dependent or some commutator leaves the span (with the offending pair).
@@ -174,7 +116,7 @@ def from_matrices(basis: MatrixBasis, names: Sequence[str] | None = None) -> Lie
     if n == 1:
         # a one-dimensional algebra is abelian by antisymmetry, whatever the
         # matrix (including the zero matrix, whose span is degenerate)
-        return LieAlgebra(1, {}, names)
+        return HomogeneousSpaceData(1, [], {}, names)
     columns = [_vec(m) for m in basis.matrices]
     span_matrix = _linalg.transpose(columns)  # (size^2) x n
     if _linalg.rank(span_matrix) != n:
@@ -191,7 +133,7 @@ def from_matrices(basis: MatrixBasis, names: Sequence[str] | None = None) -> Lie
                 f"commutator [e{i}, e{j}] does not lie in the span of the basis"
             )
         constants[(i, j)] = tuple(PolyScalar.constant(x) for x in sol)
-    return LieAlgebra(n, constants, names)
+    return HomogeneousSpaceData(n, [], constants, names)
 
 
 @dataclass
@@ -214,31 +156,16 @@ class JacobiReport:
         return "\n".join(lines)
 
 
-def coboundary(dim: int, degree: int, symbols, bracket: Mapping) -> ExteriorOp:
-    """The Chevalley-Eilenberg differential on degree-forms of a bracket table.
-
-    ``bracket`` maps (i, j) with i < j to the components of
-    [e_i, e_j] = sum_r c^r_{ij} e_r; the differential is the antiderivation
-    with d e^r = -sum_{i<j} c^r_{ij} e^{i j}.  This is the one place the
-    sign convention lives.
-    """
-    image: dict[int, list] = {}
-    for pair, comps in bracket.items():
-        for r, c in enumerate(comps, start=1):
-            if not c.is_zero():
-                image.setdefault(r, []).append((pair, -c))
-    return ExteriorOp(dim, degree, 1, symbols, image)
-
-
-def jacobi_check(algebra: LieAlgebra) -> JacobiReport:
+def jacobi_check(data: HomogeneousSpaceData) -> JacobiReport:
     """List every triple (i, j, k) whose Jacobi cyclic sum is nonzero.
 
-    The r-th component of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-    is the coefficient of e^{i j k} in d(d e^r), so the identity is d o d = 0
-    on covectors, checked with the same operator as the coset differential.
+    ``data`` is a Lie algebra (no isotropy).  The r-th component of
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is the
+    coefficient of e^{i j k} in d(d e^r), so the identity is d o d = 0 on
+    covectors, checked with the coset differential of the data.
     """
-    n, symbols = algebra.dim, algebra.symbols
-    d1, d2 = (coboundary(n, k, symbols, algebra.constants) for k in (1, 2))
+    n, symbols = data.dim_m, data.symbols
+    d1, d2 = data.differential(1), data.differential(2)
     sums: dict[tuple, dict] = {}
     for r in range(1, n + 1):
         for idx, c in d2.apply(d1.apply(basis_form(n, (r,), symbols))).coeffs.items():
@@ -257,7 +184,8 @@ class HomogeneousSpaceData:
     generator, column c holding the components of [A, e_c]_m.  ``bracket``
     maps (i, j) with i < j to the m-components of [e_i, e_j]_m.  ``partial``
     marks data not backed by a full Lie algebra, for which d o d = 0 is not
-    guaranteed by construction.
+    guaranteed by construction.  A Lie algebra is the data with no isotropy
+    (H = {e}, m = g), as :func:`from_matrices` builds it.
 
     The data never changes after construction, so every object derived
     from it (operators, invariant spaces, closed families, instantiations)
@@ -327,6 +255,13 @@ class HomogeneousSpaceData:
             self._memo[key] = build()
         return self._memo[key]
 
+    def bracket_of(self, i: int, j: int) -> tuple:
+        """Components of [e_i, e_j]_m for any 1-based i, j; antisymmetry handled here."""
+        if i > j:
+            return tuple(-c for c in self.bracket_of(j, i))
+        comps = self.bracket.get((i, j))
+        return comps or tuple(PolyScalar.zero(self.symbols) for _ in range(self.dim_m))
+
     def derivations(self, degree: int) -> tuple:
         """The isotropy action on degree-forms, one ExteriorOp per generator.
 
@@ -346,12 +281,21 @@ class HomogeneousSpaceData:
 
             d a(X_0, ..., X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q]_m, ..., ^X_p, ..., ^X_q, ...)
 
-        This is :func:`coboundary` of the projected bracket; it is the exterior
-        derivative only on ad(h)-invariant forms.
+        It is the antiderivation with d e^r = -sum_{i<j} c^r_{ij} e^{i j} for
+        [e_i, e_j]_m = sum_r c^r_{ij} e_r, the one place this sign convention
+        lives.  With no isotropy it is the Chevalley-Eilenberg d of the Lie
+        algebra; otherwise it is the exterior derivative only on
+        ad(h)-invariant forms.
         """
-        return self.cached(("differential", degree), lambda: coboundary(
-            self.dim_m, degree, self.symbols, self.bracket
-        ))
+        def build():
+            image: dict[int, list] = {}
+            for pair, comps in self.bracket.items():
+                for r, c in enumerate(comps, start=1):
+                    if not c.is_zero():
+                        image.setdefault(r, []).append((pair, -c))
+            return ExteriorOp(self.dim_m, degree, 1, self.symbols, image)
+
+        return self.cached(("differential", degree), build)
 
     def isotropy_is_rational(self) -> bool:
         return all(
@@ -431,27 +375,29 @@ class HomogeneousSpaceData:
 
 
 def reductive_split(
-    algebra: LieAlgebra, h_indices: Sequence[int], m_indices: Sequence[int]
+    data: HomogeneousSpaceData, h_indices: Sequence[int], m_indices: Sequence[int]
 ) -> HomogeneousSpaceData:
-    """Split g = h + m, verifying [h, h] in h and [h, m] in m.
+    """Split a Lie algebra g = h + m, verifying [h, h] in h and [h, m] in m.
 
-    The returned data is full-algebra backed (``partial`` is False), so the
-    square of the coset differential vanishes on invariant forms.
+    ``data`` must have no isotropy yet.  The result keeps its ``partial``
+    flag: split from a full algebra, the square of the coset differential
+    vanishes on invariant forms.
     """
+    if data.isotropy:
+        raise LieStructureError("reductive_split needs a Lie algebra; the data has isotropy")
     h_set, m_set = set(h_indices), set(m_indices)
     if len(h_set) != len(h_indices) or len(m_set) != len(m_indices):
         raise LieStructureError("h and m indices must not repeat")
     if h_set & m_set:
         raise LieStructureError("h and m indices overlap")
-    if h_set | m_set != set(range(1, algebra.dim + 1)):
+    if h_set | m_set != set(range(1, data.dim_m + 1)):
         raise LieStructureError("h and m indices must partition the basis")
     m_list = list(m_indices)
-    m_pos = {idx: p for p, idx in enumerate(m_list)}
     for a in sorted(h_set):
         for b in sorted(h_set):
             if a >= b:
                 continue
-            comps = algebra.bracket(a, b)
+            comps = data.bracket_of(a, b)
             for idx in m_list:
                 if not comps[idx - 1].is_zero():
                     raise LieStructureError(
@@ -459,30 +405,24 @@ def reductive_split(
                     )
     isotropy = []
     for a in sorted(h_set):
-        mat = [
-            [PolyScalar.zero(algebra.symbols) for _ in m_list] for _ in m_list
-        ]
-        for j in m_list:
-            comps = algebra.bracket(a, j)
+        columns = [data.bracket_of(a, j) for j in m_list]
+        for j, comps in zip(m_list, columns):
             for idx in sorted(h_set):
                 if not comps[idx - 1].is_zero():
                     raise LieStructureError(
                         f"reductivity failure: [e{a}, e{j}] has an h-component on e{idx}"
                     )
-            for i in m_list:
-                mat[m_pos[i]][m_pos[j]] = comps[i - 1]
-        isotropy.append(mat)
+        isotropy.append([[col[i - 1] for col in columns] for i in m_list])
     bracket = {}
     for p, i in enumerate(m_list):
         for q in range(p + 1, len(m_list)):
-            j = m_list[q]
-            comps = algebra.bracket(i, j)
+            comps = data.bracket_of(i, m_list[q])
             projected = tuple(comps[idx - 1] for idx in m_list)
             if any(not c.is_zero() for c in projected):
                 bracket[(p + 1, q + 1)] = projected
-    names = [algebra.names[i - 1] for i in m_list]
+    names = [data.names[i - 1] for i in m_list]
     return HomogeneousSpaceData(
-        len(m_list), isotropy, bracket, names, algebra.symbols, partial=False
+        len(m_list), isotropy, bracket, names, data.symbols, data.partial
     )
 
 

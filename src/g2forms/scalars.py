@@ -24,7 +24,6 @@ __all__ = [
     "ContextMismatchError",
     "PolyScalar",
     "Rational",
-    "format_rational",
     "parse_rational",
 ]
 
@@ -41,11 +40,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p/q``, omitting ``/q`` when the denominator is 1."""
-    return str(value)
 
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -267,11 +261,11 @@ class PolyScalar:
             )
             mag = abs(coeff)
             if not monomial:
-                body = format_rational(mag)
+                body = str(mag)
             elif mag == 1:
                 body = monomial
             else:
-                body = f"{format_rational(mag)}*{monomial}"
+                body = f"{mag}*{monomial}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:

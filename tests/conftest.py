@@ -18,7 +18,6 @@ from g2forms.exterior import (
     top_coefficient,
     wedge,
 )
-from g2forms.gstruct import GramMatrix
 from g2forms.scalars import ContextMismatchError, PolyScalar
 
 
@@ -143,20 +142,19 @@ def pullback_by_evaluation(alpha: AltForm, matrix) -> AltForm:
     return AltForm(n, alpha.degree, alpha.symbols, coeffs)
 
 
-def wedge_b_matrix(phi: AltForm) -> GramMatrix:
+def wedge_b_matrix(phi: AltForm) -> list:
     """B[i][j] as the top coefficient of the wedge product iota_i phi ^ iota_j phi ^ phi,
-    all 49 entries: an oracle for :func:`g2forms.gstruct.b_matrix`."""
+    all 49 entries as PolyScalar rows: an oracle for :func:`g2forms.gstruct.b_matrix`
+    and :func:`g2forms.gstruct.b_entries`."""
     iotas = [contract(basis_vector(7, i, phi.symbols), phi) for i in range(1, 8)]
-    return GramMatrix(
-        tuple(tuple(top_coefficient(wedge(wedge(a, b), phi)) for b in iotas) for a in iotas)
-    )
+    return [[top_coefficient(wedge(wedge(a, b), phi)) for b in iotas] for a in iotas]
 
 
-def hodge_dual_by_minors(metric: GramMatrix, alpha: AltForm) -> AltForm:
+def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:
     """The Hodge dual up to scale with one k x k determinant of Q^{-1} per
     (upper, lower) pair: an oracle for :func:`g2forms.gstruct.hodge_dual_up_to_scale`."""
-    n, k = metric.n, alpha.degree
-    qinv = _linalg.inverse(metric.as_fractions())
+    n, k = len(q), alpha.degree
+    qinv = _linalg.inverse(q)
     coeffs = {}
     for upper in monomials(n, k):
         raised = PolyScalar.zero(alpha.symbols)
@@ -229,16 +227,16 @@ def dense_jacobi_violations(algebra) -> list:
     as (i, j, k, component renders) for every nonzero sum: an oracle for
     :func:`g2forms.liealg.jacobi_check`.
     """
-    n, symbols = algebra.dim, algebra.symbols
+    n, symbols = algebra.dim_m, algebra.symbols
     zero = PolyScalar.zero(symbols)
     violations = []
     for i, j, k in combinations(range(1, n + 1), 3):
         total = [zero] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # [u, e_c] = sum_s u_s [e_s, e_c] for u = [e_a, e_b]
-            for s, u in enumerate(algebra.bracket(a, b), start=1):
+            for s, u in enumerate(algebra.bracket_of(a, b), start=1):
                 if s != c and not u.is_zero():
-                    total = [t + u * x for t, x in zip(total, algebra.bracket(s, c))]
+                    total = [t + u * x for t, x in zip(total, algebra.bracket_of(s, c))]
         if any(not t.is_zero() for t in total):
             violations.append((i, j, k, tuple(t.render() for t in total)))
     return violations

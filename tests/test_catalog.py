@@ -65,15 +65,15 @@ def test_t1n3_frozen_constants_match_matrix_model():
     frozen = record.algebra
     derived = from_matrices(MatrixBasis(models.so32_matrices()), record.basis_names)
     derived = derived.with_symbols(record.context)
-    assert set(frozen.constants) == set(derived.constants)
-    for key in frozen.constants:
-        assert frozen.constants[key] == derived.constants[key]
+    assert set(frozen.bracket) == set(derived.bracket)
+    for key in frozen.bracket:
+        assert frozen.bracket[key] == derived.bracket[key]
 
 
 def test_su31_adapted_basis_relations():
     algebra = from_matrices(MatrixBasis.from_complex(models.su31_matrices()))
     for i in (1, 2, 3):
-        comps = algebra.bracket(7, 2 * i - 1)  # [e7, e_{2i-1}] = e_{2i}
+        comps = algebra.bracket_of(7, 2 * i - 1)  # [e7, e_{2i-1}] = e_{2i}
         expected = ["0"] * 15
         expected[2 * i - 1] = "1"
         assert [c.render() for c in comps] == expected
@@ -82,7 +82,7 @@ def test_su31_adapted_basis_relations():
 def test_so32_adapted_basis_relations():
     algebra = from_matrices(MatrixBasis(models.so32_matrices()))
     for i in (1, 2, 3):
-        comps = algebra.bracket(i, 7)  # e_{i+3} = [e_i, e7]
+        comps = algebra.bracket_of(i, 7)  # e_{i+3} = [e_i, e7]
         expected = ["0"] * 10
         expected[i + 2] = "1"
         assert [c.render() for c in comps] == expected
@@ -315,9 +315,9 @@ def test_structure_constants_recomputed_for_matrix_cases():
         from_model = from_matrices(builder(), record.basis_names).with_symbols(
             record.context
         )
-        assert set(from_file.constants) == set(from_model.constants)
-        for key in from_file.constants:
-            assert from_file.constants[key] == from_model.constants[key]
+        assert set(from_file.bracket) == set(from_model.bracket)
+        for key in from_file.bracket:
+            assert from_file.bracket[key] == from_model.bracket[key]
 
 
 @pytest.mark.parametrize("key, indices", [("m_indices", [1, 1, 2, 3, 4, 5, 6, 7]), ("h_indices", [8, 8])])

@@ -98,9 +98,12 @@ def test_definite_command(tmp_path, capsys):
 
 def test_definite_command_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("not json", encoding="utf-8")
-    assert main(["definite", "--form", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    form = json.dumps({"dimension": 7, "degree": 3, "form": PHI0}).encode()
+    zero_denominator = json.dumps({"dimension": 7, "degree": 3, "form": "1/0*e^{1 2 3}"})
+    for content in (b"not json", zero_denominator.encode(), form + b"\xff"):
+        path.write_bytes(content)
+        assert main(["definite", "--form", str(path)]) == 2, content
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -163,6 +166,7 @@ def _case_document(base):
         ("partial", ("homogeneous", "projected_bracket", 0, 2, 0), "1/0"),
         ("T1.n1", ("m_indices",), [1, 1, 2, 3, 4, 5, 6, 7]),
         ("T1.n1", ("h_indices",), [8, 8]),
+        ("T1.n1", (), b"\xff"),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -175,6 +179,7 @@ def _case_document(base):
         "zero-denominator-bracket",
         "repeated-m-index",
         "repeated-h-index",
+        "non-utf8-byte",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
@@ -182,9 +187,10 @@ def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if path:
+        target[path[-1]] = value
     case = tmp_path / "case.json"
-    case.write_text(json.dumps(doc), encoding="utf-8")
+    case.write_bytes(json.dumps(doc).encode() + (b"" if path else value))
     assert main(["invariants", "--input", str(case), "--degree", "2"]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -220,8 +226,15 @@ PSI0 = {"dimension": 6, "degree": 3, "form": "e^{1 3 5} - e^{1 4 6} - e^{2 3 6} 
         ("product.flat", OMEGA0, {**PSI0, "dimension": 7}, "--psi needs a 3-form on a 6-dim"),
         ("product.flat", {**OMEGA0, "context": ["t"]}, PSI0, "missing symbol 't'"),
         ("T1.n1", OMEGA0, PSI0, "leaves the restricted subspace"),
+        ("product.flat", OMEGA0, {**PSI0, "form": "1/0*e^{1 3 5}"}, "invalid rational literal"),
     ],
-    ids=["omega-of-degree-3", "psi-in-dimension-7", "unknown-context-symbol", "e1-e6-not-closed"],
+    ids=[
+        "omega-of-degree-3",
+        "psi-in-dimension-7",
+        "unknown-context-symbol",
+        "e1-e6-not-closed",
+        "psi-zero-denominator",
+    ],
 )
 def test_su3_bad_input_exits_two(tmp_path, capsys, case_id, omega, psi, message):
     paths = []

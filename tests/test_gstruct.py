@@ -24,14 +24,12 @@ from g2forms.exterior import (
     wedge,
 )
 from g2forms.gstruct import (
-    GramMatrix,
     b_entries,
     b_matrix,
     definiteness,
     g2_torsion_report,
     hitchin_stability,
     hodge_dual_up_to_scale,
-    metric_up_to_scale,
     obstruction_certificate,
     product_g2,
     su3_check,
@@ -53,12 +51,10 @@ def phi0():
 
 
 def identity_metric(n=7):
-    return GramMatrix(
-        tuple(
-            tuple(PolyScalar.constant(1 if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-    )
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+ALL_PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
 
 def abelian(dim=7):
@@ -70,7 +66,7 @@ def test_b_matrix_of_standard_form_is_six_identity():
     for i in range(1, 8):
         for j in range(1, 8):
             expected = Fraction(6) if i == j else Fraction(0)
-            assert gram.entry(i, j).constant_value() == expected
+            assert gram[i - 1][j - 1] == expected
 
 
 def test_b_matrix_against_permutation_evaluation_oracle():
@@ -87,10 +83,10 @@ def test_b_matrix_against_permutation_evaluation_oracle():
 def test_b_matrix_is_exactly_symmetric_on_random_forms():
     rng = random.Random(1231)
     for _ in range(10):
-        gram = b_matrix(random_form(rng, 7, 3))  # constructor validates symmetry
-        for i in range(1, 8):
-            for j in range(1, 8):
-                assert gram.entry(i, j) == gram.entry(j, i)
+        gram = b_matrix(random_form(rng, 7, 3))
+        for i in range(7):
+            for j in range(7):
+                assert gram[i][j] == gram[j][i]
 
 
 def test_b_matrix_symbolic_entry_case_n3():
@@ -105,13 +101,22 @@ def test_b_matrix_symbolic_entry_case_n3():
     ]
     for name, text in zip(syms, gammas):
         phi = phi + parse_form(text, 7, 3, syms).scale(PolyScalar.symbol(name, syms))
-    gram = b_matrix(phi)
-    assert gram.entry(7, 7).render() == "-6*a4^3"
+    entries = b_entries(phi, ALL_PAIRS)
+    assert entries[7, 7].render() == "-6*a4^3"
+    oracle = wedge_b_matrix(phi)
+    assert entries == {(i, j): oracle[i - 1][j - 1] for i, j in ALL_PAIRS}
 
 
 def test_b_matrix_of_zero_form_is_zero():
     gram = b_matrix(AltForm(7, 3, ()))
-    assert all(gram.entry(i, j).is_zero() for i in range(1, 8) for j in range(1, 8))
+    assert all(x == 0 for row in gram for x in row)
+
+
+def test_b_matrix_rejects_symbolic_form():
+    phi = parse_form("e^{1 2 3}", 7, 3, ("t",)).scale(PolyScalar.symbol("t", ("t",)))
+    with pytest.raises(ValueError, match="b_entries"):
+        b_matrix(phi)
+    assert b_entries(phi, [(4, 4)])[4, 4].is_zero()
 
 
 def _two_symbol_form(rng, density):
@@ -136,16 +141,27 @@ def test_b_matrix_matches_wedge_oracle(kind):
         else:
             phi = random_form(rng, 7, 3, density=1.0 if kind == "dense" else 0.2)
         oracle = wedge_b_matrix(phi)
-        assert b_matrix(phi).entries == oracle.entries
+        if kind == "two-symbol":
+            assert b_entries(phi, ALL_PAIRS) == {(i, j): oracle[i - 1][j - 1] for i, j in ALL_PAIRS}
+        else:
+            assert b_matrix(phi) == [[x.constant_value() for x in row] for row in oracle]
         i, j = rng.randint(1, 7), rng.randint(1, 7)
-        assert b_entries(phi, [(i, j)]) == {(i, j): oracle.entry(i, j)}
+        assert b_entries(phi, [(i, j)]) == {(i, j): oracle[i - 1][j - 1]}
     with pytest.raises(ValueError, match="out of range"):
         b_entries(phi, [(0, 1)])
 
 
+def _b_rows(phi):
+    """All of B as PolyScalar rows: b_matrix for a rational phi, b_entries otherwise."""
+    if phi.is_rational():
+        return [[PolyScalar.constant(x) for x in row] for row in b_matrix(phi)]
+    entries = b_entries(phi, ALL_PAIRS)
+    return [[entries[i, j] for j in range(1, 8)] for i in range(1, 8)]
+
+
 def _congruence_violations(phi, p):
     """Entries where B(P*phi) != det(P) * P^T B(phi) P."""
-    b, pulled = b_matrix(phi), b_matrix(pullback(phi, p))
+    b, pulled = _b_rows(phi), _b_rows(pullback(phi, p))
     det_p = _linalg.det(p)
     violations = []
     for i in range(7):
@@ -155,8 +171,8 @@ def _congruence_violations(phi, p):
                 for s in range(7):
                     factor = det_p * p[r][i] * p[s][j]
                     if factor:
-                        expected = expected + b.entries[r][s].scale(factor)
-            if pulled.entries[i][j] != expected:
+                        expected = expected + b[r][s].scale(factor)
+            if pulled[i][j] != expected:
                 violations.append((i + 1, j + 1))
     return violations
 
@@ -201,7 +217,7 @@ def test_definiteness_rejects_degenerate_split_form():
     assert not report.is_definite
     # the witness really does satisfy B(v, v) = value
     value, witness = report.witnesses[0]
-    gram = b_matrix(parse_form("e^{1 2 3} + e^{4 5 6}", 7)).as_fractions()
+    gram = b_matrix(parse_form("e^{1 2 3} + e^{4 5 6}", 7))
     quad = sum(
         witness[i] * gram[i][j] * witness[j] for i in range(7) for j in range(7)
     )
@@ -305,17 +321,17 @@ def test_obstruction_certificate_undecided_for_scaled_standard_form():
 
 
 def test_metric_up_to_scale_and_orientation_flip():
-    metric = metric_up_to_scale(phi0())
-    assert metric.entry(1, 1).constant_value() == 6
+    metric = definiteness(phi0()).metric()
+    assert metric[0][0] == 6
     swap = [[Fraction(i == j) for j in range(7)] for i in range(7)]
     swap[0], swap[1] = swap[1], swap[0]
     flipped = pullback(phi0(), swap)  # orientation-reversing relabeling
     report = definiteness(flipped)
     assert report.verdict == "definite" and report.orientation == "negative"
-    metric2 = metric_up_to_scale(flipped)
-    assert all(m > 0 for m in _linalg.leading_principal_minors(metric2.as_fractions()))
+    metric2 = report.metric()
+    assert all(m > 0 for m in _linalg.leading_principal_minors(metric2))
     with pytest.raises(ValueError, match="not definite"):
-        metric_up_to_scale(parse_form("e^{1 2 3} + e^{4 5 6}", 7))
+        definiteness(parse_form("e^{1 2 3} + e^{4 5 6}", 7)).metric()
 
 
 def test_hodge_dual_orthonormal_examples():
@@ -335,18 +351,8 @@ def test_hodge_dual_scale_covariance():
     for n in (6, 7):
         for k in (2, 3):
             alpha = random_form(rng, n, k)
-            one = GramMatrix(
-                tuple(
-                    tuple(PolyScalar.constant(1 if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-            )
-            doubled = GramMatrix(
-                tuple(
-                    tuple(PolyScalar.constant(2 if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-            )
+            one = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+            doubled = [[Fraction(2 if i == j else 0) for j in range(n)] for i in range(n)]
             base = hodge_dual_up_to_scale(one, alpha)
             scaled = hodge_dual_up_to_scale(doubled, alpha)
             assert scaled == base.scale(Fraction(1, 2 ** k))
@@ -361,18 +367,12 @@ def test_hodge_dual_matches_per_minor_oracle(n, k):
             [sum((a[r][i] * a[r][j] for r in range(n)), Fraction(i == j)) for j in range(n)]
             for i in range(n)
         ]  # A^T A + I: positive definite
-        metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
         alpha = random_form(rng, n, k)
-        assert hodge_dual_up_to_scale(metric, alpha) == hodge_dual_by_minors(metric, alpha)
+        assert hodge_dual_up_to_scale(q, alpha) == hodge_dual_by_minors(q, alpha)
 
 
 def test_hodge_dual_rejects_indefinite_metric():
-    bad = GramMatrix(
-        tuple(
-            tuple(PolyScalar.constant(-1 if i == j else 0) for j in range(7))
-            for i in range(7)
-        )
-    )
+    bad = [[Fraction(-1 if i == j else 0) for j in range(7)] for i in range(7)]
     with pytest.raises(ValueError, match="positive definite"):
         hodge_dual_up_to_scale(bad, parse_form("e^{1 2 3}", 7))
 
@@ -398,7 +398,7 @@ def test_su3_check_flat_pair():
     report = su3_check(data, parse_form(OMEGA0, 6), parse_form(PSI0, 6))
     assert report.symplectic_half_flat
     assert not report.strictly_symplectic_half_flat
-    assert report.gram.entry(1, 1).constant_value() == 2
+    assert report.gram[0][0] == 2
 
 
 def test_su3_check_unstable_psi_skips_rest():
@@ -426,7 +426,7 @@ def test_product_g2_examples():
     report = definiteness(degenerate)
     assert not report.is_definite
     gram = b_matrix(degenerate)
-    assert gram.entry(7, 7).is_zero()
+    assert gram[6][6] == 0
 
 
 def test_product_g2_contraction_recovers_omega():
@@ -510,7 +510,7 @@ def test_torsion_report_and_metric_build_b_once(monkeypatch):
     assert report.definite and report.coclosed
     assert len(calls) == 1
     calls.clear()
-    assert metric_up_to_scale(phi0()).entry(1, 1).constant_value() == 6
+    assert definiteness(phi0()).metric()[0][0] == 6
     assert len(calls) == 1
 
 

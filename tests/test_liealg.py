@@ -6,7 +6,7 @@ import pytest
 from conftest import dense_jacobi_violations, random_rational
 from g2forms.catalog import models
 from g2forms.liealg import (
-    LieAlgebra,
+    HomogeneousSpaceData,
     LieStructureError,
     MatrixBasis,
     from_matrices,
@@ -26,12 +26,12 @@ def algebra_from(constants, dim):
     table = {
         key: tuple(C(x) for x in comps) for key, comps in constants.items()
     }
-    return LieAlgebra(dim, table)
+    return HomogeneousSpaceData(dim, [], table)
 
 
 def test_sl3r_bracket_e6_e7():
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
-    comps = algebra.bracket(6, 7)
+    comps = algebra.bracket_of(6, 7)
     assert [c.render() for c in comps] == ["0", "0", "0", "0", "0", "0", "0", "-2"]
     assert jacobi_check(algebra).ok
 
@@ -40,14 +40,14 @@ def test_so41_p_block_has_pauli_type_relations():
     # the three p-basis matrices close with [e_i, e_j] = 2 eps_ijk e_k
     p_only = MatrixBasis(models.so41_fixed_matrices()[:3])
     algebra = from_matrices(p_only)
-    assert [c.render() for c in algebra.bracket(1, 2)] == ["0", "0", "2"]
-    assert [c.render() for c in algebra.bracket(2, 3)] == ["2", "0", "0"]
-    assert [c.render() for c in algebra.bracket(3, 1)] == ["0", "2", "0"]
+    assert [c.render() for c in algebra.bracket_of(1, 2)] == ["0", "0", "2"]
+    assert [c.render() for c in algebra.bracket_of(2, 3)] == ["2", "0", "0"]
+    assert [c.render() for c in algebra.bracket_of(3, 1)] == ["0", "2", "0"]
 
 
 def test_single_zero_matrix_gives_abelian_algebra():
     algebra = from_matrices(MatrixBasis([[[0]]]))
-    assert algebra.dim == 1 and not algebra.constants
+    assert algebra.dim_m == 1 and not algebra.bracket
     assert jacobi_check(algebra).ok
 
 
@@ -69,9 +69,9 @@ def test_realified_su2_keeps_structure_constants():
     u2 = [[(0, 0), (1, 0)], [(-1, 0), (0, 0)]]
     u3 = [[(0, 0), i], [i, (0, 0)]]
     algebra = from_matrices(MatrixBasis.from_complex([u1, u2, u3]))
-    assert [c.render() for c in algebra.bracket(1, 2)] == ["0", "0", "2"]
-    assert [c.render() for c in algebra.bracket(2, 3)] == ["2", "0", "0"]
-    assert [c.render() for c in algebra.bracket(3, 1)] == ["0", "2", "0"]
+    assert [c.render() for c in algebra.bracket_of(1, 2)] == ["0", "0", "2"]
+    assert [c.render() for c in algebra.bracket_of(2, 3)] == ["2", "0", "0"]
+    assert [c.render() for c in algebra.bracket_of(3, 1)] == ["0", "2", "0"]
     real = realify_matrix(u1)
     assert real == [
         [Fraction(0), Fraction(0), Fraction(-1), Fraction(0)],
@@ -123,8 +123,8 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
     for trial in range(144):
         n = 2 + trial % 6
         symbols = ("a", "b") if trial % 4 >= 2 else ()
-        algebra = LieAlgebra(
-            n, random_bracket_table(rng, n, symbols, density=0.1 + 0.1 * (trial % 3)),
+        algebra = HomogeneousSpaceData(
+            n, [], random_bracket_table(rng, n, symbols, density=0.1 + 0.1 * (trial % 3)),
             symbols=symbols,
         )
         expected = dense_jacobi_violations(algebra)
@@ -134,9 +134,9 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
     # valid parametric tables: a Lie bracket scaled by a symbol stays one
     sl3r = from_matrices(MatrixBasis(models.sl3r_matrices()))
     scale = PolyScalar.symbol("a", ("a",)) + C(1, ("a",))
-    scaled = LieAlgebra(sl3r.dim, {
+    scaled = HomogeneousSpaceData(sl3r.dim_m, [], {
         key: [c.with_symbols(("a",)) * scale for c in comps]
-        for key, comps in sl3r.constants.items()
+        for key, comps in sl3r.bracket.items()
     }, symbols=("a",))
     assert dense_jacobi_violations(scaled) == []
     assert jacobi_check(scaled).ok
@@ -161,8 +161,8 @@ def test_reductive_split_empty_isotropy_keeps_full_bracket():
     algebra = from_matrices(so3)
     data = reductive_split(algebra, [], [1, 2, 3])
     assert data.isotropy == ()
-    assert set(data.bracket) == set(algebra.constants)
-    assert data.bracket[(1, 2)] == algebra.constants[(1, 2)]
+    assert set(data.bracket) == set(algebra.bracket)
+    assert data.bracket[(1, 2)] == algebra.bracket[(1, 2)]
 
 
 def test_reductive_split_case_n4_h_acts_trivially_on_p():
@@ -254,3 +254,13 @@ def test_reductive_split_rejects_repeated_indices(h, m):
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
     with pytest.raises(LieStructureError, match="repeat"):
         reductive_split(algebra, h, m)
+
+
+def test_reductive_split_rejects_data_with_isotropy():
+    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
+    with pytest.raises(LieStructureError, match="has isotropy"):
+        reductive_split(data, [], [1, 2, 3, 4, 5, 6, 7])
+    # the split keeps the partial flag of the data it splits
+    partial = homogeneous_from_partial(3, [], {(1, 2): (C(0), C(0), C(1))})
+    assert reductive_split(partial, [], [1, 2, 3]).partial

@@ -8,14 +8,16 @@ Usage, from the repository root::
 Each tree runs the same seeded inputs in its own interpreter, and the
 results are rendered to strings and compared exactly:
 
-* ``b``: ``b_matrix`` of 300 random 3-forms on R^7 (densities 0.15, 0.5
-  and 1; every third one with polynomial coefficients in two symbols);
+* ``b``: all 49 entries of B through ``b_entries`` for 300 random 3-forms
+  on R^7 (densities 0.15, 0.5 and 1; every third one with polynomial
+  coefficients in two symbols);
 * ``definiteness``: verdict, orientation, minor chain, witness vectors and
   the rendered report of every rational one of those forms;
 * ``minors``: ``leading_principal_minors`` and ``det`` of 3000 random
   rational matrices of size 1..7, half of them symmetric;
 * ``hodge``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
-  (6, 3) and (7, 2), with positive-definite metrics A^T A;
+  (6, 3) and (7, 2), with positive-definite metrics A^T A (passed as
+  Fraction rows, or wrapped in ``GramMatrix`` on trees that still have it);
 * ``hitchin``: lambda and Hitchin's K of 200 random rational 3-forms on R^6.
 
 Exits 1 when any group differs.
@@ -34,10 +36,13 @@ from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
 from g2forms.exterior import AltForm
-from g2forms.gstruct import (
-    GramMatrix, b_matrix, definiteness, hitchin_stability, hodge_dual_up_to_scale,
-)
+from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.scalars import PolyScalar
+try:  # older trees take the Hodge metric as a GramMatrix of PolyScalars
+    from g2forms.gstruct import GramMatrix
+except ImportError:
+    GramMatrix = None
+PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
 def rational(rng):
     return F(rng.randint(-6, 6), rng.randint(1, 6))
@@ -58,7 +63,8 @@ rng = random.Random(20261018)
 for t in range(300):
     symbols = ("a", "b") if t % 3 == 2 else ()
     phi = form(rng, 7, 3, symbols, density=rng.choice([0.15, 0.5, 1.0]))
-    out["b"].append(b_matrix(phi).render())
+    entries = b_entries(phi, PAIRS)
+    out["b"].append([entries[pair].render() for pair in PAIRS])
     if not symbols:
         r = definiteness(phi)
         witnesses = [(value, [str(x) for x in vec]) for value, vec in r.witnesses]
@@ -78,7 +84,9 @@ for t in range(160):
     q = [[sum((a[r][i] * a[r][j] for r in range(n)), F(0)) for j in range(n)] for i in range(n)]
     if _linalg.det(q) == 0:
         continue
-    metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
+    metric = q
+    if GramMatrix is not None:
+        metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
     out["hodge"].append(hodge_dual_up_to_scale(metric, form(rng, n, k)).render())
 for t in range(200):
     r = hitchin_stability(form(rng, 6, 3, density=rng.choice([0.15, 0.5, 1.0])))
