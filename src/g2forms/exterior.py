@@ -21,7 +21,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from g2forms.scalars import ContextMismatchError, PolyScalar, parse_rational
+from g2forms.scalars import ContextMismatchError, PolyScalar, check_context, parse_rational
 
 __all__ = [
     "AltForm",
@@ -122,7 +122,12 @@ def basis_vector(dim: int, index: int, symbols: Iterable[str] = ()) -> Vector:
 
 
 class AltForm:
-    """Alternating k-form on an n-dimensional space."""
+    """Alternating k-form on an n-dimensional space.
+
+    The constructor validates the context, the indices and the coefficients;
+    ``_trusted`` skips that and is only for results of operations (``+``,
+    ``scale``, :func:`wedge`, :func:`contract`, ...) on forms already valid.
+    """
 
     __slots__ = ("dim", "degree", "symbols", "coeffs")
 
@@ -137,7 +142,7 @@ class AltForm:
             raise ValueError("dimension must be positive")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        symbols = tuple(symbols)
+        symbols = check_context(symbols)
         clean: dict[tuple, PolyScalar] = {}
         if coeffs:
             for idx, coeff in coeffs.items():
@@ -158,6 +163,13 @@ class AltForm:
         self.degree = degree
         self.symbols = symbols
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, dim: int, degree: int, symbols: tuple, coeffs: dict) -> "AltForm":
+        """Wrap valid data (sorted in-range indices, nonzero coefficients), unchecked."""
+        form = object.__new__(cls)
+        form.dim, form.degree, form.symbols, form.coeffs = dim, degree, symbols, coeffs
+        return form
 
     # -- queries -----------------------------------------------------------
 
@@ -208,10 +220,10 @@ class AltForm:
                 coeffs.pop(idx, None)
             else:
                 coeffs[idx] = acc
-        return AltForm(self.dim, self.degree, self.symbols, coeffs)
+        return AltForm._trusted(self.dim, self.degree, self.symbols, coeffs)
 
     def __neg__(self) -> "AltForm":
-        return AltForm(
+        return AltForm._trusted(
             self.dim, self.degree, self.symbols, {i: -c for i, c in self.coeffs.items()}
         )
 
@@ -225,18 +237,12 @@ class AltForm:
         if isinstance(value, PolyScalar):
             if value.symbols != self.symbols:
                 raise ContextMismatchError("scalar context does not match form")
-            return AltForm(
-                self.dim,
-                self.degree,
-                self.symbols,
-                {i: c * value for i, c in self.coeffs.items()},
-            )
-        return AltForm(
-            self.dim,
-            self.degree,
-            self.symbols,
-            {i: c.scale(value) for i, c in self.coeffs.items()},
-        )
+            coeffs = {i: c * value for i, c in self.coeffs.items()}
+        else:
+            value = Fraction(value)
+            coeffs = {i: c.scale(value) for i, c in self.coeffs.items()}
+        coeffs = {i: c for i, c in coeffs.items() if c.terms}
+        return AltForm._trusted(self.dim, self.degree, self.symbols, coeffs)
 
     def with_symbols(self, symbols: Iterable[str]) -> "AltForm":
         symbols = tuple(symbols)
@@ -288,7 +294,7 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     degree = alpha.degree + beta.degree
     coeffs: dict[tuple, PolyScalar] = {}
     if degree > alpha.dim:
-        return AltForm(alpha.dim, degree, alpha.symbols)
+        return AltForm._trusted(alpha.dim, degree, alpha.symbols, coeffs)
     for i1, c1 in alpha.coeffs.items():
         for i2, c2 in beta.coeffs.items():
             merged = merge_sign(i1, i2)
@@ -304,7 +310,7 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
                 coeffs.pop(idx, None)
             else:
                 coeffs[idx] = acc
-    return AltForm(alpha.dim, degree, alpha.symbols, coeffs)
+    return AltForm._trusted(alpha.dim, degree, alpha.symbols, coeffs)
 
 
 def contract(vector: Vector, alpha: AltForm) -> AltForm:
@@ -331,7 +337,7 @@ def contract(vector: Vector, alpha: AltForm) -> AltForm:
                 coeffs.pop(rest, None)
             else:
                 coeffs[rest] = acc
-    return AltForm(alpha.dim, alpha.degree - 1, alpha.symbols, coeffs)
+    return AltForm._trusted(alpha.dim, alpha.degree - 1, alpha.symbols, coeffs)
 
 
 def top_coefficient(alpha: AltForm) -> PolyScalar:
@@ -453,10 +459,11 @@ class ExteriorOp:
                         minors[rowset, colset] = total
         op = cls.__new__(cls)
         op.dim, op.degree, op.out_degree = n, degree, degree
-        op.symbols, op.columns = tuple(symbols), {}
+        op.symbols, op.columns = check_context(symbols), {}
+        unit = (0,) * len(op.symbols)
         for (rowset, colset), value in minors.items():
             column = op.columns.setdefault(rowset, {})
-            column[colset] = PolyScalar.constant(Fraction(value, den**degree), op.symbols)
+            column[colset] = PolyScalar._trusted(op.symbols, {unit: Fraction(value, den**degree)})
         return op
 
     def apply(self, alpha: AltForm) -> AltForm:
@@ -474,7 +481,8 @@ class ExteriorOp:
                 term = coeff * entry
                 acc = out.get(row)
                 out[row] = term if acc is None else acc + term
-        return AltForm(self.dim, self.out_degree, self.symbols, out)
+        out = {row: v for row, v in out.items() if v.terms}
+        return AltForm._trusted(self.dim, self.out_degree, self.symbols, out)
 
     def rows(self) -> list[list[Fraction]]:
         """The nonzero rows of the matrix as Fractions, enough for its kernel.

@@ -284,7 +284,7 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
         complement = tuple(i for i in range(1, n + 1) if i not in upper)
         _, sign = merge_sign(upper, complement)
         coeffs[complement] = value if sign == 1 else -value
-    return AltForm(n, n - alpha.degree, alpha.symbols, coeffs)
+    return AltForm._trusted(n, n - alpha.degree, alpha.symbols, coeffs)
 
 
 @dataclass

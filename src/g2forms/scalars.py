@@ -8,7 +8,10 @@ of an empty context or a constant polynomial.
 PolyScalar values are immutable and always kept in canonical form: dense
 exponent vectors (one entry per context symbol), no zero coefficients
 stored.  Because of this, two polynomials are equal if and only if their
-term maps are identical, so the zero test is exact and free.
+term maps are identical, so the zero test is exact and free.  The public
+constructors (``PolyScalar(...)``, ``constant``, ``with_symbols``, ``parse``
+...) validate and normalize their input; the private ``_trusted`` skips
+that and is only for results of operations on values already valid.
 
 Only ring operations (add, neg, mul) plus division of rational constants
 are provided; nothing in the engine needs polynomial division.
@@ -24,6 +27,7 @@ __all__ = [
     "ContextMismatchError",
     "PolyScalar",
     "Rational",
+    "check_context",
     "parse_rational",
 ]
 
@@ -46,6 +50,17 @@ _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
+def check_context(symbols: Iterable[str]) -> tuple[str, ...]:
+    """The parameter context as a tuple; ValueError on an invalid or repeated name."""
+    symbols = tuple(symbols)
+    for pos, name in enumerate(symbols):
+        if not _SYMBOL_RE.match(name):
+            raise ValueError(f"invalid symbol name {name!r}")
+        if name in symbols[:pos]:
+            raise ValueError(f"duplicate symbol {name!r} in context")
+    return symbols
+
+
 class PolyScalar:
     """Multivariate polynomial over Q in an ordered parameter context.
 
@@ -56,14 +71,7 @@ class PolyScalar:
     __slots__ = ("symbols", "terms")
 
     def __init__(self, symbols: Iterable[str], terms: Mapping[tuple, Fraction] | None = None):
-        symbols = tuple(symbols)
-        seen = set()
-        for name in symbols:
-            if not _SYMBOL_RE.match(name):
-                raise ValueError(f"invalid symbol name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate symbol {name!r} in context")
-            seen.add(name)
+        symbols = check_context(symbols)
         nsym = len(symbols)
         clean: dict[tuple, Fraction] = {}
         if terms:
@@ -84,6 +92,13 @@ class PolyScalar:
                         clean.pop(expo, None)
         self.symbols = symbols
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, symbols: tuple, terms: dict) -> "PolyScalar":
+        """Wrap a valid context and a canonical term map (no zero coefficient), unchecked."""
+        poly = object.__new__(cls)
+        poly.symbols, poly.terms = symbols, terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -146,10 +161,10 @@ class PolyScalar:
                 terms[expo] = acc
             else:
                 terms.pop(expo, None)
-        return PolyScalar(self.symbols, terms)
+        return PolyScalar._trusted(self.symbols, terms)
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar(self.symbols, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._trusted(self.symbols, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         if not isinstance(other, PolyScalar):
@@ -169,7 +184,7 @@ class PolyScalar:
                     terms[expo] = acc
                 else:
                     terms.pop(expo, None)
-        return PolyScalar(self.symbols, terms)
+        return PolyScalar._trusted(self.symbols, terms)
 
     def __pow__(self, power: int) -> "PolyScalar":
         if not isinstance(power, int) or power < 0:
@@ -182,7 +197,8 @@ class PolyScalar:
     def scale(self, value) -> "PolyScalar":
         """Multiply by a plain rational."""
         value = Fraction(value)
-        return PolyScalar(self.symbols, {e: c * value for e, c in self.terms.items()})
+        terms = {e: c * value for e, c in self.terms.items()} if value else {}
+        return PolyScalar._trusted(self.symbols, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyScalar):
@@ -217,7 +233,7 @@ class PolyScalar:
                 terms[new_expo] = acc
             else:
                 terms.pop(new_expo, None)
-        return PolyScalar(new_symbols, terms)
+        return PolyScalar._trusted(new_symbols, terms)
 
     def with_symbols(self, symbols: Iterable[str]) -> "PolyScalar":
         """Reinterpret this polynomial in a larger context.

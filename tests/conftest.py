@@ -20,6 +20,17 @@ from g2forms.exterior import (
 )
 from g2forms.scalars import ContextMismatchError, PolyScalar
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile(
+        "g2forms", derandomize=True, database=None, deadline=None, max_examples=50
+    )
+    settings.load_profile("g2forms")
+
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
     num = rng.randint(-span, span)

@@ -1,0 +1,111 @@
+"""Canonical-form laws: every operation result equals its public-constructor rebuild.
+
+The ring operations, ``scale``, ``substitute``, the form operations and
+``ExteriorOp.apply`` build their results without validation, so each result
+here is rebuilt through ``PolyScalar(...)`` or ``AltForm(...)`` (which drop
+zero coefficients and check every index) and must come back unchanged.
+Inputs use tiny coefficients and exponents so that sums cancel often.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from g2forms.exterior import AltForm, ExteriorOp, Vector, contract, monomials, wedge  # noqa: E402
+from g2forms.scalars import PolyScalar  # noqa: E402
+
+CTX = ("s", "t")
+DIM = 4
+
+small = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2)])
+
+
+@st.composite
+def polys(draw, symbols=CTX, max_terms=3):
+    exponents = st.tuples(*[st.integers(0, 1) for _ in symbols])
+    return PolyScalar(symbols, draw(st.dictionaries(exponents, small, max_size=max_terms)))
+
+
+@st.composite
+def forms(draw, degree, symbols=CTX):
+    keys = st.sampled_from(monomials(DIM, degree))
+    coeffs = draw(st.dictionaries(keys, polys(symbols, max_terms=2), max_size=4))
+    return AltForm(DIM, degree, symbols, coeffs)
+
+
+def canonical_poly(p: PolyScalar) -> None:
+    rebuilt = PolyScalar(p.symbols, p.terms)
+    assert rebuilt.symbols == p.symbols and rebuilt.terms == p.terms
+
+
+def canonical_form(alpha: AltForm) -> None:
+    rebuilt = AltForm(alpha.dim, alpha.degree, alpha.symbols, alpha.coeffs)
+    assert rebuilt.coeffs == alpha.coeffs
+    for coeff in alpha.coeffs.values():
+        canonical_poly(coeff)
+
+
+@given(polys(), polys(), polys(), small | st.just(Fraction(0)))
+def test_poly_operations_are_canonical_and_obey_ring_laws(p, q, r, c):
+    zero, one = PolyScalar.zero(CTX), PolyScalar.one(CTX)
+    for result in (p + q, p - q, -p, p * q, p.scale(c), p - p, p * zero):
+        canonical_poly(result)
+    assert p.scale(0).terms == {}
+    assert (p + q) + r == p + (q + r) and p + q == q + p
+    assert (p * q) * r == p * (q * r) and p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p - p).is_zero()
+    assert p.scale(c) == p * PolyScalar.constant(c, CTX)
+
+
+@given(polys(), polys(), small | st.just(Fraction(0)), st.sampled_from(CTX))
+def test_substitution_is_canonical_and_a_ring_homomorphism(p, q, value, name):
+    point = {name: value}
+    for result in (p.substitute(point), (p * q).substitute(point)):
+        canonical_poly(result)
+    assert (p * q).substitute(point) == p.substitute(point) * q.substitute(point)
+    assert (p + q).substitute(point) == p.substitute(point) + q.substitute(point)
+
+
+@given(forms(2), forms(2), forms(1), polys(), small | st.just(Fraction(0)))
+def test_form_operations_are_canonical(alpha, beta, gamma, p, c):
+    for result in (alpha + beta, alpha - beta, alpha - alpha, alpha.scale(c), alpha.scale(p)):
+        canonical_form(result)
+    assert alpha.scale(0).is_zero()
+    for result in (wedge(alpha, beta), wedge(gamma, alpha), wedge(alpha, wedge(beta, gamma))):
+        canonical_form(result)
+    assert wedge(wedge(gamma, alpha), beta) == wedge(gamma, wedge(alpha, beta))
+    vector = Vector([p, -p, PolyScalar.one(CTX), PolyScalar.zero(CTX)])
+    canonical_form(contract(vector, alpha))
+    canonical_form(contract(vector, wedge(gamma, alpha)))
+
+
+# rational operators and forms: their sums in ``apply`` cancel far more often
+@given(
+    st.dictionaries(
+        st.integers(1, DIM),
+        st.lists(st.tuples(st.sampled_from(monomials(DIM, 1)), polys(())), max_size=3),
+        max_size=DIM,
+    ),
+    forms(2, ()),
+)
+def test_derivation_apply_is_canonical(image, alpha):
+    canonical_form(ExteriorOp(DIM, 2, 0, (), image).apply(alpha))
+
+
+@given(
+    st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=DIM, max_size=DIM),
+             min_size=DIM, max_size=DIM),
+    forms(2, ()),
+)
+def test_compound_apply_is_canonical(matrix, alpha):
+    op = ExteriorOp.compound(matrix, 2)
+    for column in op.columns.values():
+        for entry in column.values():
+            canonical_poly(entry)
+    canonical_form(op.apply(alpha))

@@ -100,7 +100,11 @@ def test_definite_command_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     form = json.dumps({"dimension": 7, "degree": 3, "form": PHI0}).encode()
     zero_denominator = json.dumps({"dimension": 7, "degree": 3, "form": "1/0*e^{1 2 3}"})
-    for content in (b"not json", zero_denominator.encode(), form + b"\xff"):
+    bad_contexts = [
+        json.dumps({"dimension": 7, "degree": 3, "form": "0", "context": context}).encode()
+        for context in (["1x"], ["a", "a"])
+    ]
+    for content in (b"not json", zero_denominator.encode(), form + b"\xff", *bad_contexts):
         path.write_bytes(content)
         assert main(["definite", "--form", str(path)]) == 2, content
         assert "error:" in capsys.readouterr().err

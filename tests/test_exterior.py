@@ -240,3 +240,20 @@ def test_context_mismatch_is_rejected():
         wedge(ctx_form, parse_form("e^{3 4}", 7, 2))
     with pytest.raises(ValueError):
         wedge(parse_form("e^{1 2}", 6, 2), parse_form("e^{3 4}", 7, 2))
+
+
+def test_public_constructor_rejects_malformed_input():
+    one = PolyScalar.constant(1)
+    for idx, message in [
+        ((2, 1), "not strictly increasing"),
+        ((1, 1), "not strictly increasing"),
+        ((1, 8), "out of range 1..7"),
+        ((1, 2, 3), "does not have degree 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            AltForm(7, 2, (), {idx: one})
+    with pytest.raises(ContextMismatchError):
+        AltForm(7, 2, ("t",), {(1, 2): one})
+    for context, message in [(("1x",), "invalid symbol name"), (("a", "a"), "duplicate symbol")]:
+        with pytest.raises(ValueError, match=message):
+            AltForm(7, 3, context)

@@ -133,3 +133,14 @@ def test_with_symbols_embeds_into_larger_context():
     assert lifted.render() == "2*b - 1"
     with pytest.raises(ValueError):
         poly.with_symbols(("a", "c"))
+
+
+def test_public_constructor_rejects_malformed_input():
+    with pytest.raises(ValueError, match="invalid symbol name '1x'"):
+        PolyScalar(("1x",))
+    with pytest.raises(ValueError, match="duplicate symbol 'a'"):
+        PolyScalar(("a", "b", "a"))
+    with pytest.raises(ValueError, match="does not match context of 2 symbols"):
+        PolyScalar(("a", "b"), {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="negative exponent"):
+        PolyScalar(("a",), {(-1,): Fraction(1)})
