@@ -216,12 +216,11 @@ class CaseRecord:
                 basis = MatrixBasis([[[parse_rational(x) for x in row] for row in m] for m in mats])
             return from_matrices(basis, self.basis_names).with_symbols(context)
         if self.source == "structure-constants":
-            constants = {}
+            constants: dict[tuple, dict] = {}
             for i, j, k, coeff in self.raw["structure_constants"]:
-                comps = constants.setdefault(
-                    (i, j), [PolyScalar.zero(context) for _ in range(self.dimension)]
-                )
-                comps[k - 1] = comps[k - 1] + PolyScalar.parse(coeff, context)
+                comps = constants.setdefault((i, j), {})
+                value = PolyScalar.parse(coeff, context)
+                comps[k] = comps[k] + value if k in comps else value
             return HomogeneousSpaceData(
                 self.dimension, [], constants, self.basis_names, context
             )
@@ -238,11 +237,15 @@ class CaseRecord:
             return reductive_split(self.algebra, self.raw["h_indices"], self.raw["m_indices"])
         hom, context = self.raw["homogeneous"], self.context
         isotropy = [
-            [[PolyScalar.parse(x, context) for x in row] for row in m]
+            {
+                (r, c): PolyScalar.parse(x, context)
+                for r, row in enumerate(m, 1)
+                for c, x in enumerate(row, 1)
+            }
             for m in hom["isotropy_action"]
         ]
         bracket = {
-            (i, j): tuple(PolyScalar.parse(c, context) for c in comps)
+            (i, j): {r: PolyScalar.parse(x, context) for r, x in enumerate(comps, 1)}
             for i, j, comps in hom["projected_bracket"]
         }
         return homogeneous_from_partial(
@@ -404,6 +407,7 @@ def validate_case_dict(doc: dict) -> None:
                 raise SchemaError(
                     f"homogeneous.isotropy_action[{pos}]: expected a {dim}x{dim} matrix of strings"
                 )
+        pairs = set()
         for pos, entry in enumerate(hom["projected_bracket"]):
             if (
                 not isinstance(entry, list)
@@ -419,6 +423,11 @@ def validate_case_dict(doc: dict) -> None:
                 raise SchemaError(
                     f"homogeneous.projected_bracket[{pos}]: invalid pair ({i},{j})"
                 )
+            if (i, j) in pairs:
+                raise SchemaError(
+                    f"homogeneous.projected_bracket[{pos}]: pair ({i},{j}) listed twice"
+                )
+            pairs.add((i, j))
     if doc["source"] != "partial-homogeneous":
         for key in ("h_indices", "m_indices"):
             if key not in doc:

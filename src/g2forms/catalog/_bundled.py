@@ -216,10 +216,9 @@ def t1n3_case() -> dict:
     # re-derives them; tests compare).
     algebra = from_matrices(MatrixBasis(models.so32_matrices()), _names(10))
     constants = []
-    for (i, j) in sorted(algebra.bracket):
-        for k, coeff in enumerate(algebra.bracket[(i, j)], start=1):
-            if not coeff.is_zero():
-                constants.append([i, j, k, coeff.render()])
+    for (i, j), comps in sorted(algebra.bracket.items()):
+        for k, coeff in sorted(comps.items()):
+            constants.append([i, j, k, coeff.render()])
     gammas = [
         "e^{1 2 3}",
         "e^{1 2 6} - e^{1 3 5} + e^{2 3 4}",

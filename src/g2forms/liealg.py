@@ -5,7 +5,9 @@ the isotropy action ad(h)|_m and the projected bracket [m, m]_m, and a Lie
 algebra g is the case H = {e}, with no isotropy and m = g.  Its coset
 differential (:meth:`HomogeneousSpaceData.differential`) is then the
 Chevalley-Eilenberg d, and :func:`jacobi_check` is d o d = 0 on the
-covectors of g through that operator.  :func:`from_matrices` derives the
+covectors of g through that operator.  Both tables are sparse and hold
+only nonzero scalars (formats in the class docstring), so the operators
+are built from them as stored.  :func:`from_matrices` derives the
 structure constants of an explicit matrix basis by exact linear solves;
 complex matrices are accepted as (re, im) pairs and realified, which keeps
 every computation in Q while preserving all brackets.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
@@ -126,13 +129,13 @@ def from_matrices(basis: MatrixBasis, names: Sequence[str] | None = None) -> Hom
         [_vec(_commutator(basis.matrices[i - 1], basis.matrices[j - 1])) for i, j in pairs]
     )
     solutions = _linalg.solve_many(span_matrix, rhs_cols)
-    constants: dict[tuple, tuple] = {}
+    constants: dict[tuple, dict] = {}
     for (i, j), sol in zip(pairs, solutions):
         if sol is None:
             raise LieStructureError(
                 f"commutator [e{i}, e{j}] does not lie in the span of the basis"
             )
-        constants[(i, j)] = tuple(PolyScalar.constant(x) for x in sol)
+        constants[(i, j)] = {r: PolyScalar.constant(x) for r, x in enumerate(sol, 1) if x}
     return HomogeneousSpaceData(n, [], constants, names)
 
 
@@ -170,34 +173,37 @@ def jacobi_check(data: HomogeneousSpaceData) -> JacobiReport:
     for r in range(1, n + 1):
         for idx, c in d2.apply(d1.apply(basis_form(n, (r,), symbols))).coeffs.items():
             sums.setdefault(idx, {})[r] = c.render()
-    report = JacobiReport(n)
-    for idx in sorted(sums):
-        comps = sums[idx]
-        report.violations.append((*idx, tuple(comps.get(r, "0") for r in range(1, n + 1))))
-    return report
+    return JacobiReport(n, [
+        (*idx, tuple(sums[idx].get(r, "0") for r in range(1, n + 1))) for idx in sorted(sums)
+    ])
 
 
 class HomogeneousSpaceData:
     """Reductive homogeneous data: isotropy action on m and projected bracket.
 
-    ``isotropy`` is one (dim_m x dim_m) matrix of scalars per isotropy
-    generator, column c holding the components of [A, e_c]_m.  ``bracket``
-    maps (i, j) with i < j to the m-components of [e_i, e_j]_m.  ``partial``
-    marks data not backed by a full Lie algebra, for which d o d = 0 is not
-    guaranteed by construction.  A Lie algebra is the data with no isotropy
-    (H = {e}, m = g), as :func:`from_matrices` builds it.
+    Both tables are sparse, with 1-based indices, and hold only nonzero
+    scalars.  ``bracket`` maps (i, j) with i < j to ``{r: c}``, the
+    components of [e_i, e_j]_m = sum_r c e_r; a pair whose bracket is zero
+    is absent.  ``isotropy`` holds one ``{(r, c): a}`` per isotropy
+    generator A, with a the e_r component of [A, e_c]_m.  The constructor
+    checks indices and context, takes a reversed pair (j, i) as -[e_i, e_j]
+    (checking antisymmetry when both are given) and drops zeros, so every
+    reader takes the tables as stored.  ``partial`` marks data not backed by
+    a full Lie algebra, for which d o d = 0 is not guaranteed by
+    construction.  A Lie algebra is the data with no isotropy (H = {e},
+    m = g), as :func:`from_matrices` builds it.
 
     The data never changes after construction, so every object derived
     from it (operators, invariant spaces, closed families, instantiations)
     is built once through :meth:`cached` and shared: callers must not
-    mutate what they get back.
+    mutate what they get back, the tables included.
     """
 
     def __init__(
         self,
         dim_m: int,
-        isotropy: Sequence[Sequence[Sequence[PolyScalar]]],
-        bracket: Mapping[tuple, Sequence[PolyScalar]],
+        isotropy: Sequence[Mapping[tuple, PolyScalar]],
+        bracket: Mapping[tuple, Mapping[int, PolyScalar]],
         names: Sequence[str] | None = None,
         symbols: Iterable[str] = (),
         partial: bool = False,
@@ -207,45 +213,35 @@ class HomogeneousSpaceData:
             names = [f"e{i}" for i in range(1, dim_m + 1)]
         if len(names) != dim_m:
             raise ValueError("need one name per m-basis element")
-        iso_clean = []
-        for mat in isotropy:
-            if len(mat) != dim_m or any(len(row) != dim_m for row in mat):
-                raise ValueError("isotropy matrices must be dim_m x dim_m")
-            for row in mat:
-                for entry in row:
-                    if entry.symbols != symbols:
-                        raise ValueError("isotropy entry context mismatch")
-            iso_clean.append(tuple(tuple(row) for row in mat))
-        bracket_clean: dict[tuple, tuple] = {}
-        seen: dict[tuple, tuple] = {}
+        span = range(1, dim_m + 1)
+
+        def nonzero(entries, indices, what):
+            kept = {}
+            for key, x in entries.items():
+                if key not in indices:
+                    raise LieStructureError(f"{what}: invalid index {key}")
+                if x.symbols != symbols:
+                    raise LieStructureError(f"{what}: context mismatch")
+                if not x.is_zero():
+                    kept[key] = x
+            return kept
+
+        cells = set(product(span, span))
+        self.isotropy = tuple(nonzero(mat, cells, "isotropy") for mat in isotropy)
+        table: dict[tuple, dict] = {}
         for (i, j), comps in bracket.items():
-            if not (1 <= i <= dim_m and 1 <= j <= dim_m) or i == j:
+            if i not in span or j not in span or i == j:
                 raise LieStructureError(f"invalid bracket key ({i}, {j})")
-            comps = tuple(comps)
-            if len(comps) != dim_m:
-                raise LieStructureError(f"bracket [{i},{j}] must have {dim_m} components")
-            for c in comps:
-                if c.symbols != symbols:
-                    raise LieStructureError("bracket component context mismatch")
-            seen[(i, j)] = comps
-        for (i, j), comps in seen.items():
-            if (j, i) in seen:
-                mirrored = seen[(j, i)]
-                if any(not (a + b).is_zero() for a, b in zip(comps, mirrored)):
-                    raise LieStructureError(
-                        f"bracket table is not antisymmetric at ({i}, {j})"
-                    )
-            if i < j and any(not c.is_zero() for c in comps):
-                bracket_clean[(i, j)] = comps
-            elif i > j and (j, i) not in seen:
-                neg = tuple(-c for c in comps)
-                if any(not c.is_zero() for c in neg):
-                    bracket_clean[(j, i)] = neg
+            kept = nonzero(comps, span, f"bracket [{i},{j}]")
+            if i > j:
+                i, j, kept = j, i, {r: -c for r, c in kept.items()}
+            if table.get((i, j), kept) != kept:
+                raise LieStructureError(f"bracket table is not antisymmetric at ({i}, {j})")
+            table[i, j] = kept
         self.dim_m = dim_m
         self.names = tuple(names)
         self.symbols = symbols
-        self.isotropy = tuple(iso_clean)
-        self.bracket = bracket_clean
+        self.bracket = {pair: comps for pair, comps in table.items() if comps}
         self.partial = partial
         self._memo: dict = {}
 
@@ -255,26 +251,25 @@ class HomogeneousSpaceData:
             self._memo[key] = build()
         return self._memo[key]
 
-    def bracket_of(self, i: int, j: int) -> tuple:
-        """Components of [e_i, e_j]_m for any 1-based i, j; antisymmetry handled here."""
+    def bracket_of(self, i: int, j: int) -> dict:
+        """Nonzero components ``{r: c}`` of [e_i, e_j]_m for any 1-based i, j."""
         if i > j:
-            return tuple(-c for c in self.bracket_of(j, i))
-        comps = self.bracket.get((i, j))
-        return comps or tuple(PolyScalar.zero(self.symbols) for _ in range(self.dim_m))
+            return {r: -c for r, c in self.bracket_of(j, i).items()}
+        return self.bracket.get((i, j), {})
 
     def derivations(self, degree: int) -> tuple:
         """The isotropy action on degree-forms, one ExteriorOp per generator.
 
         A generator acts on covectors by the coadjoint action,
-        A . e^i = -sum_j A[i][j] e^j.
+        A . e^r = -sum_c a_{rc} e^c.
         """
-        return self.cached(("derivations", degree), lambda: tuple(
-            ExteriorOp(self.dim_m, degree, 0, self.symbols, {
-                i: [((j,), -a) for j, a in enumerate(row, start=1) if not a.is_zero()]
-                for i, row in enumerate(mat, start=1)
-            })
-            for mat in self.isotropy
-        ))
+        def build(mat):
+            image: dict[int, list] = {}
+            for (r, c), a in mat.items():
+                image.setdefault(r, []).append(((c,), -a))
+            return ExteriorOp(self.dim_m, degree, 0, self.symbols, image)
+
+        return self.cached(("derivations", degree), lambda: tuple(map(build, self.isotropy)))
 
     def differential(self, degree: int) -> ExteriorOp:
         """The coset differential on degree-forms, from the projected bracket:
@@ -290,88 +285,68 @@ class HomogeneousSpaceData:
         def build():
             image: dict[int, list] = {}
             for pair, comps in self.bracket.items():
-                for r, c in enumerate(comps, start=1):
-                    if not c.is_zero():
-                        image.setdefault(r, []).append((pair, -c))
+                for r, c in comps.items():
+                    image.setdefault(r, []).append((pair, -c))
             return ExteriorOp(self.dim_m, degree, 1, self.symbols, image)
 
         return self.cached(("differential", degree), build)
 
     def isotropy_is_rational(self) -> bool:
-        return all(
-            entry.is_constant() for mat in self.isotropy for row in mat for entry in row
-        )
-
-    def bracket_is_rational(self) -> bool:
-        return all(c.is_constant() for comps in self.bracket.values() for c in comps)
+        return all(a.is_constant() for mat in self.isotropy for a in mat.values())
 
     def is_rational(self) -> bool:
-        return self.isotropy_is_rational() and self.bracket_is_rational()
+        return self.isotropy_is_rational() and all(
+            c.is_constant() for comps in self.bracket.values() for c in comps.values()
+        )
+
+    def _map(self, symbols: tuple, f) -> "HomogeneousSpaceData":
+        """The data with ``f`` applied to every stored scalar, in context ``symbols``."""
+        return HomogeneousSpaceData(
+            self.dim_m,
+            [{key: f(a) for key, a in mat.items()} for mat in self.isotropy],
+            {pair: {r: f(c) for r, c in comps.items()} for pair, comps in self.bracket.items()},
+            self.names, symbols, self.partial,
+        )
 
     def instantiate(self, assignment: Mapping[str, Fraction]) -> "HomogeneousSpaceData":
         """Substitute parameter values throughout (reduced context)."""
+        symbols = tuple(s for s in self.symbols if s not in assignment)
         return self.cached(("instantiate", tuple(sorted(assignment.items()))), lambda: (
-            HomogeneousSpaceData(
-                self.dim_m,
-                [[[e.substitute(assignment) for e in row] for row in mat] for mat in self.isotropy],
-                {key: tuple(c.substitute(assignment) for c in comps)
-                 for key, comps in self.bracket.items()},
-                self.names,
-                tuple(s for s in self.symbols if s not in assignment),
-                self.partial,
-            )
+            self._map(symbols, lambda x: x.substitute(assignment))
         ))
 
     def with_symbols(self, symbols: Iterable[str]) -> "HomogeneousSpaceData":
         symbols = tuple(symbols)
-        iso = [
-            [[entry.with_symbols(symbols) for entry in row] for row in mat]
-            for mat in self.isotropy
-        ]
-        bracket = {
-            key: tuple(c.with_symbols(symbols) for c in comps)
-            for key, comps in self.bracket.items()
-        }
-        return HomogeneousSpaceData(
-            self.dim_m, iso, bracket, self.names, symbols, self.partial
-        )
+        return self._map(symbols, lambda x: x.with_symbols(symbols))
 
     def restrict(self, indices: Sequence[int]) -> "HomogeneousSpaceData":
         """Sub-data on a bracket-closed, isotropy-stable subset of the basis."""
         indices = list(indices)
-        pos = {idx: p for p, idx in enumerate(indices)}
-        dim = len(indices)
+        pos = {idx: p for p, idx in enumerate(indices, start=1)}
         for (i, j), comps in self.bracket.items():
-            inside = i in pos and j in pos
-            for k, c in enumerate(comps, start=1):
-                if c.is_zero():
-                    continue
-                if inside and k not in pos:
-                    raise LieStructureError(
-                        f"bracket [{i},{j}] leaves the restricted subspace"
-                    )
-        iso = []
+            if i in pos and j in pos and not pos.keys() >= comps.keys():
+                raise LieStructureError(f"bracket [{i},{j}] leaves the restricted subspace")
         for mat in self.isotropy:
-            for r in range(self.dim_m):
-                for c in range(self.dim_m):
-                    entry = mat[r][c]
-                    if entry.is_zero():
-                        continue
-                    if ((c + 1) in pos) != ((r + 1) in pos):
-                        raise LieStructureError(
-                            "isotropy action does not preserve the restricted subspace"
-                        )
-            iso.append(
-                [[mat[i - 1][j - 1] for j in indices] for i in indices]
-            )
-        bracket = {}
-        for (i, j), comps in self.bracket.items():
-            if i in pos and j in pos:
-                bracket[(pos[i] + 1, pos[j] + 1)] = tuple(
-                    comps[k - 1] for k in indices
+            if any((r in pos) != (c in pos) for r, c in mat):
+                raise LieStructureError(
+                    "isotropy action does not preserve the restricted subspace"
                 )
+        iso = [{(pos[r], pos[c]): a for (r, c), a in mat.items() if r in pos}
+               for mat in self.isotropy]
         names = [self.names[i - 1] for i in indices]
-        return HomogeneousSpaceData(dim, iso, bracket, names, self.symbols, self.partial)
+        return HomogeneousSpaceData(
+            len(indices), iso, _project(self.bracket, pos), names, self.symbols, self.partial
+        )
+
+
+def _project(bracket: Mapping, pos: Mapping[int, int]) -> dict:
+    """The brackets among the basis elements in ``pos``, relabelled by it, with
+    the components outside ``pos`` dropped."""
+    return {
+        (pos[i], pos[j]): {pos[r]: c for r, c in comps.items() if r in pos}
+        for (i, j), comps in bracket.items()
+        if i in pos and j in pos
+    }
 
 
 def reductive_split(
@@ -392,53 +367,43 @@ def reductive_split(
         raise LieStructureError("h and m indices overlap")
     if h_set | m_set != set(range(1, data.dim_m + 1)):
         raise LieStructureError("h and m indices must partition the basis")
-    m_list = list(m_indices)
-    for a in sorted(h_set):
-        for b in sorted(h_set):
-            if a >= b:
-                continue
-            comps = data.bracket_of(a, b)
-            for idx in m_list:
-                if not comps[idx - 1].is_zero():
-                    raise LieStructureError(
-                        f"h is not a subalgebra: [e{a}, e{b}] has an m-component on e{idx}"
-                    )
+    for (a, b), comps in sorted(data.bracket.items()):
+        if a in h_set and b in h_set and not m_set.isdisjoint(comps):
+            raise LieStructureError(
+                f"h is not a subalgebra: [e{a}, e{b}] has an m-component "
+                f"on e{min(m_set.intersection(comps))}"
+            )
+    m_pos = {idx: p for p, idx in enumerate(m_indices, start=1)}
     isotropy = []
     for a in sorted(h_set):
-        columns = [data.bracket_of(a, j) for j in m_list]
-        for j, comps in zip(m_list, columns):
-            for idx in sorted(h_set):
-                if not comps[idx - 1].is_zero():
-                    raise LieStructureError(
-                        f"reductivity failure: [e{a}, e{j}] has an h-component on e{idx}"
-                    )
-        isotropy.append([[col[i - 1] for col in columns] for i in m_list])
-    bracket = {}
-    for p, i in enumerate(m_list):
-        for q in range(p + 1, len(m_list)):
-            comps = data.bracket_of(i, m_list[q])
-            projected = tuple(comps[idx - 1] for idx in m_list)
-            if any(not c.is_zero() for c in projected):
-                bracket[(p + 1, q + 1)] = projected
-    names = [data.names[i - 1] for i in m_list]
+        action = {}
+        for j in m_indices:
+            comps = data.bracket_of(a, j)
+            if not h_set.isdisjoint(comps):
+                raise LieStructureError(
+                    f"reductivity failure: [e{a}, e{j}] has an h-component "
+                    f"on e{min(h_set.intersection(comps))}"
+                )
+            for r, c in comps.items():
+                action[m_pos[r], m_pos[j]] = c
+        isotropy.append(action)
+    names = [data.names[i - 1] for i in m_indices]
     return HomogeneousSpaceData(
-        len(m_list), isotropy, bracket, names, data.symbols, data.partial
+        len(m_pos), isotropy, _project(data.bracket, m_pos), names, data.symbols, data.partial
     )
 
 
 def homogeneous_from_partial(
     dim_m: int,
-    isotropy: Sequence[Sequence[Sequence[PolyScalar]]],
-    bracket: Mapping[tuple, Sequence[PolyScalar]],
+    isotropy: Sequence[Mapping[tuple, PolyScalar]],
+    bracket: Mapping[tuple, Mapping[int, PolyScalar]],
     names: Sequence[str] | None = None,
     symbols: Iterable[str] = (),
 ) -> HomogeneousSpaceData:
-    """Wrap explicitly given ad(h)|_m matrices and a projected bracket.
+    """Wrap explicitly given ad(h)|_m tables and a projected bracket.
 
     Antisymmetry of the supplied bracket is validated; nothing else can be
     (there is no full algebra), so the result is flagged ``partial`` and
     d o d = 0 is not guaranteed by construction.
     """
-    return HomogeneousSpaceData(
-        dim_m, isotropy, bracket, names, symbols, partial=True
-    )
+    return HomogeneousSpaceData(dim_m, isotropy, bracket, names, symbols, partial=True)

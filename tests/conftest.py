@@ -222,10 +222,9 @@ def dense_ce_differential(data, alpha: AltForm) -> AltForm:
         total = PolyScalar.zero(data.symbols)
         for p, q in combinations(range(k + 1), 2):
             rest = jtuple[:p] + jtuple[p + 1 : q] + jtuple[q + 1 :]
-            for r, c in enumerate(data.bracket.get((jtuple[p], jtuple[q]), ()), start=1):
-                if not c.is_zero():
-                    term = c * alpha.eval_basis((r,) + rest)
-                    total = total + (-term if (p + q) % 2 else term)
+            for r, c in data.bracket.get((jtuple[p], jtuple[q]), {}).items():
+                term = c * alpha.eval_basis((r,) + rest)
+                total = total + (-term if (p + q) % 2 else term)
         coeffs[jtuple] = total
     return AltForm(n, k + 1, data.symbols, coeffs)
 
@@ -245,9 +244,19 @@ def dense_jacobi_violations(algebra) -> list:
         total = [zero] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # [u, e_c] = sum_s u_s [e_s, e_c] for u = [e_a, e_b]
-            for s, u in enumerate(algebra.bracket_of(a, b), start=1):
-                if s != c and not u.is_zero():
-                    total = [t + u * x for t, x in zip(total, algebra.bracket_of(s, c))]
+            for s, u in algebra.bracket_of(a, b).items():
+                for r, x in algebra.bracket_of(s, c).items():
+                    total[r - 1] = total[r - 1] + u * x
         if any(not t.is_zero() for t in total):
             violations.append((i, j, k, tuple(t.render() for t in total)))
     return violations
+
+
+def dense_components(comps, n: int) -> list:
+    """The n components of a sparse bracket entry ``{r: c}``, zeros filled in."""
+    return [comps.get(r, PolyScalar.zero()) for r in range(1, n + 1)]
+
+
+def dense_matrix(mat, n: int) -> list:
+    """The n x n matrix of a sparse isotropy table ``{(r, c): a}``, zeros filled in."""
+    return [[mat.get((r, c), PolyScalar.zero()) for c in range(1, n + 1)] for r in range(1, n + 1)]

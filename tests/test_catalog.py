@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dense_components
 from g2forms import _linalg
 from g2forms.catalog import (
     CaseRecord,
@@ -60,6 +61,28 @@ def test_case_files_match_their_definitions():
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == raw, case_id
 
 
+def test_bundled_tables_store_no_zero_scalar():
+    # the bracket and isotropy tables are canonical: every stored scalar is
+    # nonzero, so their readers need no zero filter
+    def stored(data):
+        for comps in data.bracket.values():
+            yield from comps.values()
+        for action in data.isotropy:
+            yield from action.values()
+
+    tables = 0
+    for case_id in bundled_ids():
+        record = load_bundled(case_id)
+        datas = [record.homog_sym] + [record.homog_num(a) for a in record.enumerations]
+        if record.source != "partial-homogeneous":
+            datas.append(record.algebra)
+        for data in datas:
+            assert all(data.bracket.values()), case_id
+            assert not any(c.is_zero() for c in stored(data)), case_id
+            tables += 1
+    assert tables == 42
+
+
 def test_t1n3_frozen_constants_match_matrix_model():
     record = load_bundled("T1.n3")
     frozen = record.algebra
@@ -73,7 +96,7 @@ def test_t1n3_frozen_constants_match_matrix_model():
 def test_su31_adapted_basis_relations():
     algebra = from_matrices(MatrixBasis.from_complex(models.su31_matrices()))
     for i in (1, 2, 3):
-        comps = algebra.bracket_of(7, 2 * i - 1)  # [e7, e_{2i-1}] = e_{2i}
+        comps = dense_components(algebra.bracket_of(7, 2 * i - 1), 15)  # [e7, e_{2i-1}] = e_{2i}
         expected = ["0"] * 15
         expected[2 * i - 1] = "1"
         assert [c.render() for c in comps] == expected
@@ -82,7 +105,7 @@ def test_su31_adapted_basis_relations():
 def test_so32_adapted_basis_relations():
     algebra = from_matrices(MatrixBasis(models.so32_matrices()))
     for i in (1, 2, 3):
-        comps = algebra.bracket_of(i, 7)  # e_{i+3} = [e_i, e7]
+        comps = dense_components(algebra.bracket_of(i, 7), 10)  # e_{i+3} = [e_i, e7]
         expected = ["0"] * 10
         expected[i + 2] = "1"
         assert [c.render() for c in comps] == expected
@@ -247,7 +270,7 @@ def test_reversed_bracket_pair_is_accepted_and_normalized():
     doc["homogeneous"]["projected_bracket"] = [[2, 1, ["1", "0"]]]
     validate_case_dict(doc)
     data = CaseRecord(doc).homog_sym
-    assert [c.constant_value() for c in data.bracket[(1, 2)]] == [-1, 0]
+    assert [c.constant_value() for c in dense_components(data.bracket[(1, 2)], 2)] == [-1, 0]
 
 
 def test_non_reductive_split_rejected_at_load(tmp_path):

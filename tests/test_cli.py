@@ -171,6 +171,7 @@ def _case_document(base):
         ("T1.n1", ("m_indices",), [1, 1, 2, 3, 4, 5, 6, 7]),
         ("T1.n1", ("h_indices",), [8, 8]),
         ("T1.n1", (), b"\xff"),
+        ("partial", ("homogeneous", "projected_bracket"), [[1, 2, ["0", "1"]], [1, 2, ["0"] * 2]]),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -184,6 +185,7 @@ def _case_document(base):
         "repeated-m-index",
         "repeated-h-index",
         "non-utf8-byte",
+        "repeated-bracket-pair",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):

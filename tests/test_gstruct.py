@@ -453,13 +453,7 @@ def test_product_over_strict_half_flat_is_closed_non_parallel():
     su3 = su3_check(data6, omega, psi)
     assert su3.symplectic_half_flat and su3.strictly_symplectic_half_flat
 
-    zero = PolyScalar.zero(())
-    iso7 = [
-        [[mat[r][c] if r < 6 and c < 6 else zero for c in range(7)] for r in range(7)]
-        for mat in data6.isotropy
-    ]
-    bracket7 = {k: tuple(list(v) + [zero]) for k, v in data6.bracket.items()}
-    data7 = HomogeneousSpaceData(7, iso7, bracket7, partial=False)
+    data7 = HomogeneousSpaceData(7, data6.isotropy, data6.bracket, partial=False)
     report = g2_torsion_report(data7, product_g2(omega, psi))
     assert report.definite and report.closed and report.coclosed is False
     assert report.classification == "closed non-parallel"

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_ce_differential, random_form, rank_by_reverse_elimination
+from conftest import (
+    dense_ce_differential,
+    dense_matrix,
+    random_form,
+    rank_by_reverse_elimination,
+)
 from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled, models
 from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
@@ -57,7 +62,7 @@ def test_invariant_dimensions():
 def test_invariant_basis_is_annihilated_by_isotropy():
     data = sl3r_data()
     space = invariant_forms(data, 3)
-    a = [[e.constant_value() for e in row] for row in data.isotropy[0]]
+    a = [[e.constant_value() for e in row] for row in dense_matrix(data.isotropy[0], 7)]
     for gamma in space.basis:
         # finite Lie-derivative: sum over slots of gamma(..., A e_i, ...)
         for idx in monomials(7, 3):
@@ -74,8 +79,7 @@ def test_invariant_basis_is_annihilated_by_isotropy():
 def test_parametric_isotropy_requires_instantiation():
     ctx = ("t",)
     entry = PolyScalar.symbol("t", ctx)
-    mat = [[entry if i == j else PolyScalar.zero(ctx) for j in range(2)] for i in range(2)]
-    data = homogeneous_from_partial(2, [mat], {}, symbols=ctx)
+    data = homogeneous_from_partial(2, [{(1, 1): entry, (2, 2): entry}], {}, symbols=ctx)
     with pytest.raises(ValueError, match="instantiate"):
         invariant_forms(data, 1)
     assert invariant_forms(data.instantiate({"t": Fraction(1)}), 1).dim == 0
@@ -226,11 +230,15 @@ def test_d_squared_check_passes_on_full_data():
 def test_d_squared_check_refuses_partial_data():
     payload = models.t2n1_payload()
     iso = [
-        [[PolyScalar.constant(x) for x in row] for row in m]
+        {
+            (r, c): PolyScalar.constant(x)
+            for r, row in enumerate(m, 1)
+            for c, x in enumerate(row, 1)
+        }
         for m in payload["isotropy"]
     ]
     bracket = {
-        key: tuple(PolyScalar.constant(x) for x in vec)
+        key: {r: PolyScalar.constant(x) for r, x in enumerate(vec, 1)}
         for key, vec in payload["bracket"].items()
     }
     data = homogeneous_from_partial(7, iso, bracket)

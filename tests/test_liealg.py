@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_jacobi_violations, random_rational
+from conftest import (
+    dense_components,
+    dense_jacobi_violations,
+    dense_matrix,
+    random_rational,
+    random_unimodular,
+)
 from g2forms.catalog import models
+from g2forms.invariants import d_squared_check
 from g2forms.liealg import (
     HomogeneousSpaceData,
     LieStructureError,
@@ -24,14 +31,14 @@ def C(value, symbols=()):
 
 def algebra_from(constants, dim):
     table = {
-        key: tuple(C(x) for x in comps) for key, comps in constants.items()
+        key: {r: C(x) for r, x in comps.items()} for key, comps in constants.items()
     }
     return HomogeneousSpaceData(dim, [], table)
 
 
 def test_sl3r_bracket_e6_e7():
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
-    comps = algebra.bracket_of(6, 7)
+    comps = dense_components(algebra.bracket_of(6, 7), 8)
     assert [c.render() for c in comps] == ["0", "0", "0", "0", "0", "0", "0", "-2"]
     assert jacobi_check(algebra).ok
 
@@ -40,9 +47,9 @@ def test_so41_p_block_has_pauli_type_relations():
     # the three p-basis matrices close with [e_i, e_j] = 2 eps_ijk e_k
     p_only = MatrixBasis(models.so41_fixed_matrices()[:3])
     algebra = from_matrices(p_only)
-    assert [c.render() for c in algebra.bracket_of(1, 2)] == ["0", "0", "2"]
-    assert [c.render() for c in algebra.bracket_of(2, 3)] == ["2", "0", "0"]
-    assert [c.render() for c in algebra.bracket_of(3, 1)] == ["0", "2", "0"]
+    assert [c.render() for c in dense_components(algebra.bracket_of(1, 2), 3)] == ["0", "0", "2"]
+    assert [c.render() for c in dense_components(algebra.bracket_of(2, 3), 3)] == ["2", "0", "0"]
+    assert [c.render() for c in dense_components(algebra.bracket_of(3, 1), 3)] == ["0", "2", "0"]
 
 
 def test_single_zero_matrix_gives_abelian_algebra():
@@ -69,9 +76,9 @@ def test_realified_su2_keeps_structure_constants():
     u2 = [[(0, 0), (1, 0)], [(-1, 0), (0, 0)]]
     u3 = [[(0, 0), i], [i, (0, 0)]]
     algebra = from_matrices(MatrixBasis.from_complex([u1, u2, u3]))
-    assert [c.render() for c in algebra.bracket_of(1, 2)] == ["0", "0", "2"]
-    assert [c.render() for c in algebra.bracket_of(2, 3)] == ["2", "0", "0"]
-    assert [c.render() for c in algebra.bracket_of(3, 1)] == ["0", "2", "0"]
+    assert [c.render() for c in dense_components(algebra.bracket_of(1, 2), 3)] == ["0", "0", "2"]
+    assert [c.render() for c in dense_components(algebra.bracket_of(2, 3), 3)] == ["2", "0", "0"]
+    assert [c.render() for c in dense_components(algebra.bracket_of(3, 1), 3)] == ["0", "2", "0"]
     real = realify_matrix(u1)
     assert real == [
         [Fraction(0), Fraction(0), Fraction(-1), Fraction(0)],
@@ -83,7 +90,7 @@ def test_realified_su2_keeps_structure_constants():
 
 def test_jacobi_violation_reported_with_triple():
     # [e1,e2] = e1, [e1,e3] = e2 fails Jacobi on (1,2,3): the cyclic sum is e2
-    broken = algebra_from({(1, 2): (1, 0, 0), (1, 3): (0, 1, 0)}, 3)
+    broken = algebra_from({(1, 2): {1: 1}, (1, 3): {2: 1}}, 3)
     report = jacobi_check(broken)
     assert not report.ok
     triples = [(i, j, k) for i, j, k, _ in report.violations]
@@ -96,9 +103,7 @@ def test_jacobi_violation_reported_with_triple():
 def test_diagonal_three_dimensional_brackets_pass_jacobi():
     # flipping one sign of the so(3) constants gives so(2,1)-type data, which
     # still satisfies Jacobi: in dimension 3 every diagonal bracket does.
-    flipped = algebra_from(
-        {(1, 2): (0, 0, 1), (2, 3): (1, 0, 0), (1, 3): (0, 1, 0)}, 3
-    )
+    flipped = algebra_from({(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: 1}}, 3)
     assert jacobi_check(flipped).ok
 
 
@@ -107,8 +112,8 @@ def random_bracket_table(rng, n, symbols, density):
     table = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            comps = [C(0, symbols)] * n
-            for r in range(n):
+            comps = {}
+            for r in range(1, n + 1):
                 if rng.random() < density:
                     comps[r] = C(random_rational(rng, 3), symbols)
                     if symbols and rng.random() < 0.5:
@@ -135,7 +140,7 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
     sl3r = from_matrices(MatrixBasis(models.sl3r_matrices()))
     scale = PolyScalar.symbol("a", ("a",)) + C(1, ("a",))
     scaled = HomogeneousSpaceData(sl3r.dim_m, [], {
-        key: [c.with_symbols(("a",)) * scale for c in comps]
+        key: {r: c.with_symbols(("a",)) * scale for r, c in comps.items()}
         for key, comps in sl3r.bracket.items()
     }, symbols=("a",))
     assert dense_jacobi_violations(scaled) == []
@@ -145,7 +150,7 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
 def test_reductive_split_case_n1_isotropy_blocks():
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
     data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
-    mat = [[entry.constant_value() for entry in row] for row in data.isotropy[0]]
+    mat = [[entry.constant_value() for entry in row] for row in dense_matrix(data.isotropy[0], 7)]
     expected = [[Fraction(0)] * 7 for _ in range(7)]
     # one trivial direction and three rotation planes, the last at speed 2
     expected[2][1], expected[1][2] = Fraction(-1), Fraction(1)
@@ -168,7 +173,7 @@ def test_reductive_split_empty_isotropy_keeps_full_bracket():
 def test_reductive_split_case_n4_h_acts_trivially_on_p():
     algebra = from_matrices(MatrixBasis(models.so41_fixed_matrices()))
     data = reductive_split(algebra, [8, 9, 10], [1, 2, 3, 4, 5, 6, 7])
-    for mat in data.isotropy:
+    for mat in (dense_matrix(table, 7) for table in data.isotropy):
         for r in range(7):
             for c in range(3):
                 assert mat[r][c].is_zero()
@@ -181,7 +186,7 @@ def test_reductive_split_round_trips_against_matrix_commutators():
     mats = [[[Fraction(x) for x in row] for row in m] for m in models.sl3r_matrices()]
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
     data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
-    iso = data.isotropy[0]
+    iso = dense_matrix(data.isotropy[0], 7)
     for j in range(7):
         direct = [
             [
@@ -204,7 +209,7 @@ def test_reductive_split_validates_subalgebra_and_reductivity():
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
     with pytest.raises(LieStructureError, match="not a subalgebra"):
         reductive_split(algebra, [6, 7], [1, 2, 3, 4, 5, 8])
-    sl2 = algebra_from({(1, 2): (0, 2, 0), (1, 3): (0, 0, -2), (2, 3): (1, 0, 0)}, 3)
+    sl2 = algebra_from({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}, 3)
     with pytest.raises(LieStructureError, match="reductivity"):
         reductive_split(sl2, [2], [1, 3])
     with pytest.raises(LieStructureError, match="partition"):
@@ -213,17 +218,36 @@ def test_reductive_split_validates_subalgebra_and_reductivity():
 
 def test_partial_data_antisymmetry_validation():
     good = homogeneous_from_partial(
-        2, [], {(1, 2): (C(0), C(1))}
+        2, [], {(1, 2): {1: C(0), 2: C(1)}}
     )
     assert good.partial
-    assert [c.constant_value() for c in good.bracket[(1, 2)]] == [0, 1]
+    assert [c.constant_value() for c in dense_components(good.bracket[(1, 2)], 2)] == [0, 1]
     # a lone (2,1) entry is accepted and normalized
-    flipped = homogeneous_from_partial(2, [], {(2, 1): (C(0), C(1))})
-    assert [c.constant_value() for c in flipped.bracket[(1, 2)]] == [0, -1]
+    flipped = homogeneous_from_partial(2, [], {(2, 1): {1: C(0), 2: C(1)}})
+    assert [c.constant_value() for c in dense_components(flipped.bracket[(1, 2)], 2)] == [0, -1]
     with pytest.raises(LieStructureError, match="antisymmetric"):
         homogeneous_from_partial(
-            2, [], {(1, 2): (C(0), C(1)), (2, 1): (C(0), C(1))}
+            2, [], {(1, 2): {1: C(0), 2: C(1)}, (2, 1): {1: C(0), 2: C(1)}}
         )
+
+
+def test_constructor_validates_sparse_tables():
+    one, foreign = C(1), C(1, ("t",))
+    for isotropy, bracket, match in [
+        ([{(1, 3): one}], {}, "isotropy: invalid index"),
+        ([{(1, 2): foreign}], {}, "isotropy: context mismatch"),
+        ([], {(1, 3): {1: one}}, "invalid bracket key"),
+        ([], {(1, 1): {1: one}}, "invalid bracket key"),
+        ([], {(1, 2): {3: one}}, r"bracket \[1,2\]: invalid index"),
+        ([], {(1, 2): {1: foreign}}, r"bracket \[1,2\]: context mismatch"),
+    ]:
+        with pytest.raises(LieStructureError, match=match):
+            HomogeneousSpaceData(2, isotropy, bracket)
+    # zeros are dropped, and a lone reversed pair is stored negated
+    data = HomogeneousSpaceData(2, [{(1, 1): C(0), (2, 1): one}], {(2, 1): {1: C(0), 2: one}})
+    assert data.isotropy == ({(2, 1): one},)
+    assert data.bracket == {(1, 2): {2: C(-1)}}
+    assert HomogeneousSpaceData(2, [], {(1, 2): {1: C(0)}}).bracket == {}
 
 
 def test_empty_bracket_accepted():
@@ -233,15 +257,40 @@ def test_empty_bracket_accepted():
 
 def test_instantiate_substitutes_everywhere():
     ctx = ("b",)
-    bracket = {(1, 2): (PolyScalar.parse("3*b", ctx), PolyScalar.zero(ctx))}
+    bracket = {(1, 2): {1: PolyScalar.parse("3*b", ctx), 2: PolyScalar.zero(ctx)}}
     data = homogeneous_from_partial(2, [], bracket, symbols=ctx)
     numeric = data.instantiate({"b": Fraction(2)})
     assert numeric.symbols == ()
-    assert numeric.bracket[(1, 2)][0].constant_value() == 6
+    assert dense_components(numeric.bracket[(1, 2)], 2)[0].constant_value() == 6
+    # a component that vanishes at the assignment is dropped, and a pair
+    # with nothing left is dropped with it
+    vanishing = PolyScalar.parse("b - 2", ctx)
+    data = homogeneous_from_partial(
+        3,
+        [{(1, 2): vanishing, (2, 1): PolyScalar.parse("b", ctx)}],
+        {(1, 2): {1: PolyScalar.parse("3*b", ctx), 3: vanishing}, (1, 3): {2: vanishing}},
+        symbols=ctx,
+    )
+    numeric = data.instantiate({"b": Fraction(2)})
+    assert numeric.bracket == {(1, 2): {1: C(6)}}
+    assert numeric.isotropy == ({(2, 1): C(2)},)
+    # splitting a table that became zero this way finds no false failure:
+    # symbolically [e1, e2] = (b - 2)(e1 + e3) breaks both conditions
+    algebra = HomogeneousSpaceData(
+        3, [], {(1, 2): {1: vanishing, 3: vanishing}}, symbols=ctx
+    )
+    with pytest.raises(LieStructureError, match="reductivity"):
+        reductive_split(algebra, [1], [2, 3])
+    with pytest.raises(LieStructureError, match="not a subalgebra"):
+        reductive_split(algebra, [1, 2], [3])
+    numeric = algebra.instantiate({"b": Fraction(2)})
+    assert numeric.bracket == {}
+    assert reductive_split(numeric, [1], [2, 3]).isotropy == ({},)
+    assert reductive_split(numeric, [1, 2], [3]).bracket == {}
 
 
 def test_restrict_checks_closure():
-    bracket = {(1, 2): (C(0), C(0), C(1))}
+    bracket = {(1, 2): {3: C(1)}}
     data = homogeneous_from_partial(3, [], bracket)
     sub = data.restrict([1, 3])
     assert sub.dim_m == 2
@@ -262,5 +311,46 @@ def test_reductive_split_rejects_data_with_isotropy():
     with pytest.raises(LieStructureError, match="has isotropy"):
         reductive_split(data, [], [1, 2, 3, 4, 5, 6, 7])
     # the split keeps the partial flag of the data it splits
-    partial = homogeneous_from_partial(3, [], {(1, 2): (C(0), C(0), C(1))})
+    partial = homogeneous_from_partial(3, [], {(1, 2): {3: C(1)}})
     assert reductive_split(partial, [], [1, 2, 3]).partial
+
+
+MATRIX_MODELS = {
+    "sl3r": lambda: MatrixBasis(models.sl3r_matrices()),
+    "su21": lambda: MatrixBasis.from_complex(models.su21_matrices(0, 1)),
+    "so32": lambda: MatrixBasis(models.so32_matrices()),
+    "so41_fixed": lambda: MatrixBasis(models.so41_fixed_matrices()),
+    "so41_diagonal": lambda: MatrixBasis(models.so41_diagonal_matrices()),
+    "su31": lambda: MatrixBasis.from_complex(models.su31_matrices()),
+}
+
+
+def test_jacobi_and_d_squared_hold_in_random_matrix_bases():
+    # f_c = sum_k P[k][c] e_k for a seeded rational P: a product of random
+    # shears with its columns scaled by nonzero rationals (few shears keep
+    # the d o d check on 2-forms of the 15-dimensional su(3,1) cheap)
+    rng = random.Random(2019)
+    for name, builder in MATRIX_MODELS.items():
+        basis = builder()
+        n, size = len(basis), basis.size
+        scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+        p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears=5)]
+        combined = [
+            [
+                [sum(p[k][c] * basis.matrices[k][r][s] for k in range(n)) for s in range(size)]
+                for r in range(size)
+            ]
+            for c in range(n)
+        ]
+        algebra = from_matrices(MatrixBasis(combined))
+        assert jacobi_check(algebra).ok, name
+        for degree in (1, 2):
+            assert d_squared_check(algebra, degree).ok, (name, degree)
+        # negative control: one perturbed structure constant breaks Jacobi
+        table = {pair: dict(comps) for pair, comps in algebra.bracket.items()}
+        pair = rng.choice(sorted(table))
+        r = rng.randint(1, n)
+        table[pair][r] = table[pair].get(r, C(0)) + C(rng.choice([-2, -1, 1, 2]))
+        broken = HomogeneousSpaceData(n, [], table)
+        violations = jacobi_check(broken).violations
+        assert violations and violations == dense_jacobi_violations(broken), (name, pair, r)

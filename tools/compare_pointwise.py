@@ -1,4 +1,4 @@
-"""Seeded differential check of the pointwise G2 path between two source trees.
+"""Seeded differential check of the pointwise G2 path and the Lie tables between two trees.
 
 Usage, from the repository root::
 
@@ -18,7 +18,14 @@ results are rendered to strings and compared exactly:
 * ``hodge``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
   (6, 3) and (7, 2), with positive-definite metrics A^T A (passed as
   Fraction rows, or wrapped in ``GramMatrix`` on trees that still have it);
-* ``hitchin``: lambda and Hitchin's K of 200 random rational 3-forms on R^6.
+* ``hitchin``: lambda and Hitchin's K of 200 random rational 3-forms on R^6;
+* ``lie``: for every bundled case, the ``ExteriorOp.columns`` of
+  ``homog_num().derivations(k)`` and ``homog_num().differential(k)`` for
+  k = 0..dim m, and ``record.jacobi.render()`` for full sources; then
+  ``CaseRecord(doc).jacobi.render()`` for 200 seeded random
+  structure-constants documents (some symbolic, some with zero or
+  cancelling entries).  It reads only case documents and operators, so it
+  runs whatever table format ``HomogeneousSpaceData`` stores.
 
 Exits 1 when any group differs.
 """
@@ -35,6 +42,7 @@ from fractions import Fraction as F
 from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
+from g2forms.catalog import CaseRecord, bundled_ids, load_bundled
 from g2forms.exterior import AltForm
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.scalars import PolyScalar
@@ -47,18 +55,25 @@ PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 def rational(rng):
     return F(rng.randint(-6, 6), rng.randint(1, 6))
 
+def coefficient(rng, symbols):
+    if symbols and rng.random() < 0.5:
+        return f"{rng.randint(-3, 3)}*{rng.choice(symbols)} + {rng.randint(-3, 3)}"
+    return str(rational(rng))
+
 def form(rng, n, k, symbols=(), density=0.5):
     coeffs = {}
     for idx in combinations(range(1, n + 1), k):
         if rng.random() < density:
-            if symbols and rng.random() < 0.5:
-                text = f"{rng.randint(-3, 3)}*{rng.choice(symbols)} + {rng.randint(-3, 3)}"
-                coeffs[idx] = PolyScalar.parse(text, symbols)
-            else:
-                coeffs[idx] = PolyScalar.constant(rational(rng), symbols)
+            coeffs[idx] = PolyScalar.parse(coefficient(rng, symbols), symbols)
     return AltForm(n, k, symbols, coeffs)
 
-out = {"b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": []}
+def columns(op):
+    return [
+        [list(idx), [[list(row), value.render()] for row, value in sorted(column.items())]]
+        for idx, column in sorted(op.columns.items())
+    ]
+
+out = {"b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": []}
 rng = random.Random(20261018)
 for t in range(300):
     symbols = ("a", "b") if t % 3 == 2 else ()
@@ -91,6 +106,32 @@ for t in range(160):
 for t in range(200):
     r = hitchin_stability(form(rng, 6, 3, density=rng.choice([0.15, 0.5, 1.0])))
     out["hitchin"].append([str(r.lam), [[str(x) for x in row] for row in r.k_matrix]])
+for case_id in bundled_ids():
+    record = load_bundled(case_id)
+    data = record.homog_num()
+    for k in range(data.dim_m + 1):
+        ops = [columns(op) for op in data.derivations(k)]
+        out["lie"].append([case_id, k, ops, columns(data.differential(k))])
+    if record.source != "partial-homogeneous":
+        out["lie"].append([case_id, record.jacobi.render()])
+for t in range(200):
+    n = rng.randint(2, 6)
+    symbols = ["a", "b"] if t % 4 == 3 else []
+    density = rng.choice([0.05, 0.15, 0.3])
+    constants = [
+        [i, j, k, coefficient(rng, symbols)]
+        for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(1, n + 1)
+        if rng.random() < density
+    ]
+    constants += [[i, j, k, "0"] for i, j, k, _ in constants[:1]]
+    constants += [[i, j, k, str(-F(c))] for i, j, k, c in constants[1:2] if not symbols]
+    doc = {
+        "id": f"random{t}", "description": "", "source": "structure-constants",
+        "dimension": n, "basis_names": [f"e{i}" for i in range(1, n + 1)],
+        "structure_constants": constants, "h_indices": [], "m_indices": list(range(1, n + 1)),
+        "context": symbols, "expected": [],
+    }
+    out["lie"].append(CaseRecord(doc).jacobi.render())
 print(json.dumps(out))
 '''
 
