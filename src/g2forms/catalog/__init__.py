@@ -13,6 +13,7 @@ matched against *all* bundled ids, exploratory included.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass
@@ -22,7 +23,10 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from g2forms.catalog._runner import _CHECKS, CaseReport, CheckResult, schema_checks
+from g2forms.catalog._runner import (
+    _ARGS, _CHECKS, CaseReport, CheckResult, _is_bool, _is_int, _is_ints, _is_list_of, _is_map,
+    _is_object, _is_str, _is_strings, schema_checks, schema_entry,
+)
 from g2forms.exterior import AltForm, parse_form
 from g2forms.liealg import (
     HomogeneousSpaceData,
@@ -55,71 +59,133 @@ class SchemaError(ValueError):
 
 
 SOURCES = ("matrix-basis", "structure-constants", "partial-homogeneous")
+FULL_SOURCES = SOURCES[:2]
 
-SCHEMA_TEXT = """\
+
+def _is_matrix(value, size, entry) -> bool:
+    """A size x size list of rows whose entries pass ``entry``."""
+    return _is_list_of(value, lambda row: _is_list_of(row, entry, size), size)
+
+
+def _is_matrices(value, dim) -> bool:
+    """``dim`` square matrices of one size, entries "p/q" or [re, im]."""
+    return _is_list_of(value, lambda m: isinstance(m, list), dim) and all(
+        _is_matrix(m, len(value[0]), lambda x: _is_str(x) or _is_strings(x, 2)) for m in value
+    )
+
+
+def _is_bracket_entry(entry, dim) -> bool:
+    """[i, j, [coeff, ...]] with i != j in 1..dim and dim coefficient strings."""
+    return (
+        isinstance(entry, list) and len(entry) == 3 and _is_ints(entry[:2], 1, dim)
+        and entry[0] != entry[1] and _is_strings(entry[2], dim)
+    )
+
+
+def _is_constant_entry(entry, dim) -> bool:
+    """[i, j, k, coeff] with 1 <= i < j <= dim, 1 <= k <= dim and a coefficient string."""
+    return (
+        isinstance(entry, list) and len(entry) == 4 and _is_ints(entry[:3], 1, dim)
+        and entry[0] < entry[1] and _is_str(entry[3])
+    )
+
+
+_EXPECTED_ITEM = {
+    "check": _is_str,
+    "args": lambda x: isinstance(x, dict),
+    "value": lambda x: True,
+    "cite": lambda x: _is_str(x) and x != "",
+}
+
+# The case schema, one entry per field: name, the sources that require the
+# field (none for an optional one; a field that some sources require is
+# rejected for the others), its type test(value, dimension) and its schema
+# lines.  validate_case_dict checks each entry, and SCHEMA_TEXT lists them.
+_FIELDS = (
+    ("id", SOURCES, lambda x, n: _is_str(x) and x != "", "unique case identifier (string)"),
+    ("description", SOURCES, lambda x, n: _is_str(x), "human-readable summary (string)"),
+    ("source", SOURCES, lambda x, n: x in SOURCES, "one of: " + " | ".join(SOURCES)),
+    ("dimension", SOURCES, lambda x, n: _is_int(x) and x >= 1, """\
+matrix-basis / structure-constants: dimension of the full
+Lie algebra; partial-homogeneous: dimension of m"""),
+    ("basis_names", SOURCES, _is_strings, """\
+list of `dimension` names (full algebra order for full
+sources; m order for partial data)"""),
+    ("h_indices", FULL_SOURCES, lambda x, n: _is_ints(x, 1, n), """\
+distinct 1-based indices of the isotropy subalgebra basis (full
+sources; must form a subalgebra with [h, m] in m)"""),
+    ("m_indices", FULL_SOURCES, lambda x, n: _is_ints(x, 1, n),
+     "distinct 1-based indices of the complement m (full sources)"),
+    ("expected", SOURCES, lambda x, n: _is_list_of(x, lambda y: _is_object(y, _EXPECTED_ITEM)), """\
+list of {check, args, value, cite}; cite is a non-empty
+source label for the expected value"""),
+    ("matrices", ("matrix-basis",), _is_matrices, """\
+list of square matrices, row-major; each entry is either a
+rational string "p/q" or a two-element list [re, im] of
+rational strings (a complex entry; complex matrices are
+realified on load, which preserves all brackets)"""),
+    ("structure_constants", ("structure-constants",),
+     lambda x, n: _is_list_of(x, lambda e: _is_constant_entry(e, n)), """\
+list of [i, j, k, coeff] with 1 <= i < j <= n and coeff a
+polynomial string; [e_i, e_j] = sum_k coeff * e_k.  Only
+i < j entries are stored (antisymmetry is implicit), and
+each (i, j, k) at most once."""),
+    ("homogeneous", ("partial-homogeneous",), lambda x, n: _is_object(x, {
+        "isotropy_action": lambda y: _is_list_of(y, lambda m: _is_matrix(m, n, _is_str)),
+        "projected_bracket": lambda y: _is_list_of(y, lambda e: _is_bracket_entry(e, n)),
+    }), """\
+{"isotropy_action": [matrix, ...],
+ "projected_bracket": [[i, j, [coeff, ...]], ...]}
+with dim-m square matrices of polynomial strings and
+bracket component vectors of length dim m; each (i, j)
+at most once"""),
+    ("context", (), lambda x, n: _is_strings(x) and len(set(x)) == len(x), """\
+ordered list of distinct parameter symbols for every polynomial
+string in the document (default: empty)"""),
+    ("parameters", (), lambda x, n: _is_map(x, _is_str), """\
+{symbol: rational string} instantiation applied before any
+numeric computation (invariant bases, closed families,
+definiteness); symbolic evaluations (d_eval, b_entry) run
+on the uninstantiated data"""),
+    ("enumerations", (), lambda x, n: _is_list_of(x, lambda y: _is_map(y, _is_str)), """\
+list of {symbol: rational string} partial assignments;
+checks that need numeric data are repeated for
+parameters+enumeration and must hold for every entry"""),
+    ("gammas", (), lambda x, n: _is_strings(x), """\
+printed invariant-form basis (form strings); the generic
+form sum_i gamma_symbols[i] * gammas[i] feeds d_eval,
+b_entry and closed_component_zero"""),
+    ("gamma_symbols", (), lambda x, n: _is_strings(x), "one parameter symbol per gamma"),
+    ("exploratory", (), lambda x, n: _is_bool(x), """\
+boolean (default false); exploratory cases are skipped by
+verify_all unless an explicit filter matches them"""),
+)
+
+
+def _schema_block(title: str, fields) -> str:
+    lines = [title, "-" * len(title), *(schema_entry(f[0], f[3], 14) for f in fields)]
+    return "\n".join(lines) + "\n"
+
+
+SCHEMA_TEXT = f"""\
 Case file schema (JSON, one document per case)
 ===============================================
 
-Required fields
----------------
-id            unique case identifier (string)
-description   human-readable summary (string)
-source        one of: matrix-basis | structure-constants | partial-homogeneous
-dimension     matrix-basis / structure-constants: dimension of the full
-              Lie algebra; partial-homogeneous: dimension of m
-basis_names   list of `dimension` names (full algebra order for full
-              sources; m order for partial data)
-expected      list of {check, args, value, cite}; cite is a non-empty
-              source label for the expected value
-
-Payload (exactly one, matching `source`)
-----------------------------------------
-matrices      list of square matrices, row-major; each entry is either a
-              rational string "p/q" or a two-element list [re, im] of
-              rational strings (a complex entry; complex matrices are
-              realified on load, which preserves all brackets)
-structure_constants
-              list of [i, j, k, coeff] with 1 <= i < j <= n and coeff a
-              polynomial string; [e_i, e_j] = sum_k coeff * e_k.  Only
-              i < j entries are stored (antisymmetry is implicit).
-homogeneous   {"isotropy_action": [matrix, ...],
-               "projected_bracket": [[i, j, [coeff, ...]], ...]}
-              with dim-m square matrices of polynomial strings and
-              bracket component vectors of length dim m
-
-Optional fields
----------------
-h_indices     distinct 1-based indices of the isotropy subalgebra basis (full
-              sources; must form a subalgebra with [h, m] in m)
-m_indices     distinct 1-based indices of the complement m (full sources)
-context       ordered list of distinct parameter symbols for every polynomial
-              string in the document (default: empty)
-parameters    {symbol: rational string} instantiation applied before any
-              numeric computation (invariant bases, closed families,
-              definiteness); symbolic evaluations (d_eval, b_entry) run
-              on the uninstantiated data
-enumerations  list of {symbol: rational string} partial assignments;
-              checks that need numeric data are repeated for
-              parameters+enumeration and must hold for every entry
-gammas        printed invariant-form basis (form strings); the generic
-              form sum_i gamma_symbols[i] * gammas[i] feeds d_eval,
-              b_entry and closed_component_zero
-gamma_symbols one parameter symbol per gamma
-exploratory   boolean (default false); exploratory cases are skipped by
-              verify_all unless an explicit filter matches them
-
+{_schema_block("Required fields", (f for f in _FIELDS if len(f[1]) > 1))}
+{_schema_block("Payload (exactly one, matching `source`)", (f for f in _FIELDS if len(f[1]) == 1))}
+{_schema_block("Optional fields", (f for f in _FIELDS if not f[1]))}
 Scalar and form grammar
 -----------------------
 rational      "p" or "p/q" (q > 0)
 polynomial    signed monomial sums with symbols in context order,
               e.g. "6*b - 2", "-a3", "1/2*a1 + 2*a2", "6*a3*a6^2"
-form          signed sums "c*e^{i j k}" with rational c and 1-based,
-              single-digit indices, e.g. "e^{1 2 4} - e^{1 3 5}";
+form          signed sums "c*e^{{i j k}}" with rational c and 1-based,
+              single-digit indices, e.g. "e^{{1 2 4}} - e^{{1 3 5}}";
               "0" denotes the zero form
 
 Checks
 ------
-""" + schema_checks() + """
+{schema_checks()}
 Exit semantics: a report line is `match` (or `span-match` for span
 comparisons) when computed equals expected; any `mismatch` fails the case.
 """
@@ -145,7 +211,7 @@ class CaseRecord:
 
     @property
     def description(self) -> str:
-        return self.raw.get("description", "")
+        return self.raw["description"]
 
     @property
     def source(self) -> str:
@@ -187,7 +253,7 @@ class CaseRecord:
 
     @property
     def expected(self) -> list:
-        return list(self.raw.get("expected", ()))
+        return list(self.raw["expected"])
 
     @property
     def exploratory(self) -> bool:
@@ -241,11 +307,12 @@ class CaseRecord:
                 (r, c): PolyScalar.parse(x, context)
                 for r, row in enumerate(m, 1)
                 for c, x in enumerate(row, 1)
+                if x != "0"
             }
             for m in hom["isotropy_action"]
         ]
         bracket = {
-            (i, j): {r: PolyScalar.parse(x, context) for r, x in enumerate(comps, 1)}
+            (i, j): {r: PolyScalar.parse(x, context) for r, x in enumerate(comps, 1) if x != "0"}
             for i, j, comps in hom["projected_bracket"]
         }
         return homogeneous_from_partial(
@@ -286,185 +353,73 @@ def _complex_entry(entry):
     return (parse_rational(entry), Fraction(0))
 
 
-_ALLOWED_KEYS = {
-    "id",
-    "description",
-    "source",
-    "dimension",
-    "basis_names",
-    "matrices",
-    "structure_constants",
-    "homogeneous",
-    "h_indices",
-    "m_indices",
-    "context",
-    "parameters",
-    "enumerations",
-    "gammas",
-    "gamma_symbols",
-    "expected",
-    "exploratory",
-}
-
-_PAYLOAD_BY_SOURCE = {
-    "matrix-basis": "matrices",
-    "structure-constants": "structure_constants",
-    "partial-homogeneous": "homogeneous",
-}
+def _schema_error(where: str, text: str) -> SchemaError:
+    return SchemaError(f"{where}; schema: {' '.join(text.split())}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_strings(value, length=None) -> bool:
-    """A list of strings, of the given length if one is given."""
-    return (
-        isinstance(value, list)
-        and all(isinstance(x, str) for x in value)
-        and length in (None, len(value))
-    )
-
-
-def _is_string_matrix(value, dim: int) -> bool:
-    return isinstance(value, list) and len(value) == dim and all(_is_strings(r, dim) for r in value)
-
-
-def _is_string_map(value) -> bool:
-    return isinstance(value, dict) and all(isinstance(x, str) for x in value.values())
+def _no_repeats(field: str, keys) -> None:
+    seen = set()
+    for pos, key in enumerate(keys):
+        if key in seen:
+            raise SchemaError(f"{field}[{pos}]: repeated index {key}")
+        seen.add(key)
 
 
 def validate_case_dict(doc: dict) -> None:
-    """Raise :class:`SchemaError` with a field-level message on violation."""
+    """Raise :class:`SchemaError` with a field-level message on violation.
+
+    Each field is checked against its :data:`_FIELDS` entry, and each
+    expected item's args and value against its check: the args bind to the
+    check's keyword parameters and pass their :data:`_ARGS` tests.  The
+    code after the field loop checks the rules that span fields.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("case document must be a JSON object")
-    unknown = set(doc) - _ALLOWED_KEYS
+    unknown = set(doc) - {name for name, *_ in _FIELDS}
     if unknown:
         raise SchemaError(f"unknown field(s): {sorted(unknown)}")
-    for key in ("id", "source", "dimension", "basis_names"):
-        if key not in doc:
-            raise SchemaError(f"missing required field {key!r}")
-    if not isinstance(doc["id"], str) or not doc["id"]:
-        raise SchemaError("id: must be a non-empty string")
-    if doc["source"] not in SOURCES:
-        raise SchemaError(f"source: expected one of {SOURCES}, got {doc['source']!r}")
-    dim = doc["dimension"]
-    if not _is_int(dim) or dim < 1:
-        raise SchemaError("dimension: must be a positive integer")
-    names = doc["basis_names"]
-    if not isinstance(names, list) or len(names) != dim:
-        raise SchemaError(f"basis_names: expected {dim} names")
-    payload_key = _PAYLOAD_BY_SOURCE[doc["source"]]
-    present = [k for k in _PAYLOAD_BY_SOURCE.values() if k in doc]
-    if present != [payload_key]:
-        raise SchemaError(
-            f"payload: source {doc['source']!r} requires exactly the field {payload_key!r}"
-        )
-    if payload_key == "matrices":
-        mats = doc["matrices"]
-        if not isinstance(mats, list) or len(mats) != dim:
-            raise SchemaError(f"matrices: expected {dim} matrices")
-        size = None
-        for pos, m in enumerate(mats):
-            if not isinstance(m, list) or (size is not None and len(m) != size):
-                raise SchemaError(f"matrices[{pos}]: inconsistent matrix size")
-            size = len(m)
-            for row in m:
-                if not isinstance(row, list) or len(row) != size:
-                    raise SchemaError(f"matrices[{pos}]: matrix is not square")
-                if not all(isinstance(x, str) or _is_strings(x, 2) for x in row):
-                    raise SchemaError(
-                        f"matrices[{pos}]: entries must be rational strings or [re, im] pairs"
-                    )
-    elif payload_key == "structure_constants":
-        if not isinstance(doc["structure_constants"], list):
-            raise SchemaError("structure_constants: expected a list")
-        for pos, entry in enumerate(doc["structure_constants"]):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 4
-                or not all(_is_int(x) for x in entry[:3])
-                or not isinstance(entry[3], str)
-            ):
-                raise SchemaError(
-                    f"structure_constants[{pos}]: expected [i, j, k, coeff-string]"
-                )
-            i, j, k = entry[:3]
-            if not (1 <= i < j <= dim and 1 <= k <= dim):
-                raise SchemaError(
-                    f"structure_constants[{pos}]: indices ({i},{j},{k}) out of range"
-                )
+    for name, sources, test, text in _FIELDS:
+        allowed = sources in (SOURCES, ()) or doc["source"] in sources
+        if name not in doc:
+            if sources and allowed:
+                raise SchemaError(f"missing required field {name!r}")
+        elif not test(doc[name], doc.get("dimension")):
+            raise _schema_error(f"{name}: invalid value", text)
+        elif not allowed:
+            raise SchemaError(f"{name}: not a field of source {doc['source']!r}")
+    if doc["source"] == "partial-homogeneous":
+        dim_m = doc["dimension"]
+        pairs = [tuple(e[:2]) for e in doc["homogeneous"]["projected_bracket"]]
+        _no_repeats("homogeneous.projected_bracket", pairs)
     else:
-        hom = doc["homogeneous"]
-        if not isinstance(hom, dict) or set(hom) != {"isotropy_action", "projected_bracket"}:
-            raise SchemaError(
-                "homogeneous: expected exactly the fields isotropy_action and projected_bracket"
-            )
-        if not all(isinstance(value, list) for value in hom.values()):
-            raise SchemaError("homogeneous: isotropy_action and projected_bracket must be lists")
-        for pos, m in enumerate(hom["isotropy_action"]):
-            if not _is_string_matrix(m, dim):
-                raise SchemaError(
-                    f"homogeneous.isotropy_action[{pos}]: expected a {dim}x{dim} matrix of strings"
-                )
-        pairs = set()
-        for pos, entry in enumerate(hom["projected_bracket"]):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not all(_is_int(x) for x in entry[:2])
-                or not _is_strings(entry[2], dim)
-            ):
-                raise SchemaError(
-                    f"homogeneous.projected_bracket[{pos}]: expected [i, j, [{dim} components]]"
-                )
-            i, j = entry[0], entry[1]
-            if not (1 <= i <= dim and 1 <= j <= dim and i != j):
-                raise SchemaError(
-                    f"homogeneous.projected_bracket[{pos}]: invalid pair ({i},{j})"
-                )
-            if (i, j) in pairs:
-                raise SchemaError(
-                    f"homogeneous.projected_bracket[{pos}]: pair ({i},{j}) listed twice"
-                )
-            pairs.add((i, j))
-    if doc["source"] != "partial-homogeneous":
-        for key in ("h_indices", "m_indices"):
-            if key not in doc:
-                raise SchemaError(f"missing field {key!r} for source {doc['source']!r}")
-            indices = doc[key]
-            if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
-                raise SchemaError(f"{key}: expected a list of integers")
-            if any(not (1 <= i <= dim) for i in indices):
-                raise SchemaError(f"{key}: index out of range 1..{dim}")
-            if len(set(indices)) != len(indices):
-                raise SchemaError(f"{key}: repeated index")
-    context = doc.get("context", [])
-    if not _is_strings(context) or len(set(context)) != len(context):
-        raise SchemaError("context: expected a list of distinct symbol names")
-    parameters, enumerations = doc.get("parameters", {}), doc.get("enumerations", [])
-    if not _is_string_map(parameters):
-        raise SchemaError("parameters: expected a {symbol: rational string} object")
-    if not isinstance(enumerations, list) or not all(_is_string_map(e) for e in enumerations):
-        raise SchemaError("enumerations: expected a list of {symbol: rational string} objects")
-    gammas = doc.get("gammas", [])
-    gamma_symbols = doc.get("gamma_symbols", [])
-    if not (_is_strings(gammas) and _is_strings(gamma_symbols)):
-        raise SchemaError("gammas and gamma_symbols must be lists of strings")
-    if len(gammas) != len(gamma_symbols):
+        dim_m = len(doc["m_indices"])
+        _no_repeats("h_indices", doc["h_indices"])
+        _no_repeats("m_indices", doc["m_indices"])
+        triples = [tuple(e[:3]) for e in doc.get("structure_constants", ())]
+        _no_repeats("structure_constants", triples)
+    symbols = {*doc.get("parameters", {}), *doc.get("gamma_symbols", [])}
+    symbols.update(*doc.get("enumerations", []))
+    if not symbols <= set(doc.get("context", [])):
+        undeclared = sorted(symbols - set(doc.get("context", [])))
+        raise SchemaError(f"symbols not declared in context: {undeclared}")
+    gammas = len(doc.get("gammas", []))
+    if gammas != len(doc.get("gamma_symbols", [])):
         raise SchemaError("gammas and gamma_symbols must have equal length")
-    for sym in gamma_symbols:
-        if sym not in context:
-            raise SchemaError(f"gamma_symbols: {sym!r} is not declared in context")
-    if not isinstance(doc.get("expected", []), list):
-        raise SchemaError("expected: must be a list")
-    for pos, item in enumerate(doc.get("expected", [])):
-        if not isinstance(item, dict) or not {"check", "value", "cite"} <= set(item):
-            raise SchemaError(f"expected[{pos}]: needs check, value and cite fields")
-        if item["check"] not in _CHECKS:
-            raise SchemaError(f"expected[{pos}]: unknown check {item['check']!r}")
-        if not isinstance(item["cite"], str) or not item["cite"]:
-            raise SchemaError(f"expected[{pos}]: cite must be a non-empty string")
+    for pos, item in enumerate(doc["expected"]):
+        name, args, value = item["check"], item["args"], item["value"]
+        if name not in _CHECKS:
+            raise SchemaError(f"expected[{pos}]: unknown check {name!r}")
+        check, value_test, check_doc = _CHECKS[name]
+        try:
+            inspect.signature(check).bind(None, value, **args)
+        except TypeError as exc:
+            raise SchemaError(f"expected[{pos}]: {name}: {exc}") from exc
+        for arg, x in args.items():
+            test, arg_doc = _ARGS[arg]
+            if not test(x, dim_m, gammas):
+                raise _schema_error(f"expected[{pos}]: {name} arg {arg}={x!r}", arg_doc)
+        if not value_test(value):
+            raise _schema_error(f"expected[{pos}]: {name} value {value!r}", check_doc)
 
 
 def load_case(path) -> CaseRecord:
@@ -533,11 +488,12 @@ def verify_case(case) -> CaseReport:
     report = CaseReport(record.case_id, record.description)
     start = time.perf_counter()
     for item in record.expected:
-        check, value = item["check"], item["value"]
-        args = dict(item.get("args", {}))
-        status, computed = _CHECKS[check][0](record, args, value)
+        check, value, args = item["check"], item["value"], item["args"]
+        status, computed = _CHECKS[check][0](record, value, **args)
         expected = "; ".join(map(str, value)) if isinstance(value, list) else str(value)
-        report.results.append(CheckResult(check, args, status, computed, expected, item["cite"]))
+        report.results.append(
+            CheckResult(check, dict(args), status, computed, expected, item["cite"])
+        )
     report.seconds = time.perf_counter() - start
     return report
 

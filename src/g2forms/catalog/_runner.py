@@ -1,12 +1,14 @@
 """Expected-value checks for catalog cases, and their reports.
 
-Each check takes a :class:`~g2forms.catalog.CaseRecord`, its arguments and
-the expected value, reads the pipeline objects the record owns, and returns
-``(status, computed)``.  :data:`_CHECKS` lists them by name.
+Each check takes a :class:`~g2forms.catalog.CaseRecord`, the expected value
+and the case's arguments as keyword parameters, reads the pipeline objects
+the record owns, and returns ``(status, computed)``.  :data:`_CHECKS` lists
+them by name, and :data:`_ARGS` gives the type of each argument name.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from g2forms import _linalg
@@ -76,7 +78,7 @@ class CaseReport:
             f"  {len(self.results)} check(s), {status}, {self.seconds:.2f}s",
         ]
         for r in self.results:
-            arg_text = ", ".join(f"{k}={v}" for k, v in r.args.items() if k not in ("form", "omega", "psi"))
+            arg_text = ", ".join(f"{k}={v}" for k, v in r.args.items() if not isinstance(v, str))
             head = f"  [{r.status}] {r.check}({arg_text})"
             lines.append(f"{head}: {r.computed}")
             if r.status == "mismatch":
@@ -104,24 +106,20 @@ def _render_forms(forms) -> str:
 # -- individual checks --------------------------------------------------------
 
 
-def _check_invariant_dim(record, args, value):
-    space = invariant_forms(record.homog_num(), args["degree"])
+def _check_invariant_dim(record, value, degree):
+    space = invariant_forms(record.homog_num(), degree)
     return _compare(space.dim, value)
 
 
-def _check_invariant_span(record, args, value):
-    degree = args["degree"]
+def _check_invariant_span(record, value, degree):
     space = invariant_forms(record.homog_num(), degree)
     computed, target = _coefficient_rows(record, space.basis, degree, value)
     equal = _linalg.spans_equal(computed, target)
-    status = "span-match" if equal else "mismatch"
-    return status, _render_forms(space.basis)
+    return ("span-match" if equal else "mismatch"), _render_forms(space.basis)
 
 
-def _check_invariant_dim_in_support(record, args, value):
-    degree = args["degree"]
-    groups = [set(g) for g in args["groups"]]
-    counts = list(args["counts"])
+def _check_invariant_dim_in_support(record, value, degree, groups, counts):
+    groups = [set(g) for g in groups]
     space = invariant_forms(record.homog_num(), degree)
     outside = [
         idx
@@ -137,43 +135,36 @@ def _check_invariant_dim_in_support(record, args, value):
     return _compare(dim, value)
 
 
-def _check_d_eval(record, args, value):
-    phi = record.generic_form
-    d_phi = ce_differential(record.homog_sym, phi)
-    computed = d_phi.eval_basis(tuple(args["vectors"]))
-    expected = PolyScalar.parse(str(value), record.context)
-    status = "match" if computed == expected else "mismatch"
-    return status, computed.render()
+def _check_d_eval(record, value, vectors):
+    computed = ce_differential(record.homog_sym, record.generic_form).eval_basis(tuple(vectors))
+    return _status(computed == PolyScalar.parse(value, record.context)), computed.render()
 
 
-def _check_b_entry(record, args, value):
-    i, j = args["i"], args["j"]
+def _check_b_entry(record, value, i, j):
     computed = b_entries(record.generic_form, [(i, j)])[i, j]
-    expected = PolyScalar.parse(str(value), record.context)
-    status = "match" if computed == expected else "mismatch"
-    return status, computed.render()
+    return _status(computed == PolyScalar.parse(value, record.context)), computed.render()
 
 
-def _check_closed_param_count(record, args, value):
-    family = closed_forms(record.homog_num(), args.get("degree", 3))
+def _check_closed_param_count(record, value, degree=3):
+    family = closed_forms(record.homog_num(), degree)
     return _compare(family.dim, value)
 
 
-def _check_closed_span(record, args, value):
+def _check_closed_span(record, value):
     family = closed_forms(record.homog_num(), 3)
     computed, target = _coefficient_rows(record, family.basis, family.degree, value)
     equal = _linalg.spans_equal(computed, target)
     return ("span-match" if equal else "mismatch"), _render_forms(family.basis)
 
 
-def _check_closed_subset_of(record, args, value):
+def _check_closed_subset_of(record, value):
     family = closed_forms(record.homog_num(), 3)
     computed, target = _coefficient_rows(record, family.basis, family.degree, value)
     contained = _linalg.span_contains(target, computed)
     return ("span-match" if contained else "mismatch"), _render_forms(family.basis)
 
 
-def _check_closed_component_zero(record, args, value):
+def _check_closed_component_zero(record, value, indices):
     family = closed_forms(record.homog_num(), 3)
     monos = monomials(record.dim_m, family.degree)
     gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in record.gamma_forms()])
@@ -181,186 +172,238 @@ def _check_closed_component_zero(record, args, value):
     solutions = _linalg.solve_many(gamma_cols, members) if members else []
     if None in solutions:
         return "mismatch", "closed form outside the span of the declared gammas"
-    indices = list(args["indices"])
-    all_zero = True
-    details = []
-    for coords in solutions:
-        for pos in indices:
-            if coords[pos - 1]:
-                all_zero = False
-                details.append(
-                    f"component {pos} = {coords[pos - 1]}"
-                )
-    computed = (
-        "all listed components vanish on the closed family"
-        if all_zero
-        else "; ".join(details)
-    )
-    status = "match" if all_zero == bool(value) else "mismatch"
-    return status, computed
+    details = [f"component {p} = {c[p - 1]}" for c in solutions for p in indices if c[p - 1]]
+    computed = "; ".join(details) or "all listed components vanish on the closed family"
+    return _status((not details) == value), computed
 
 
-def _check_not_definite(record, args, value):
+def _check_not_definite(record, value):
     outcomes = []
     excluded = True
     for assignment in record.enumerations:
         family = closed_forms(record.homog_num(assignment), 3)
         report = obstruction_certificate(family)
         excluded = excluded and report.excludes_definite
-        tag = (
-            "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
-            if assignment
-            else "{}"
-        )
+        tag = "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
         outcomes.append(f"{tag}: {report.verdict}" + (f" ({report.identity})" if report.identity else ""))
-    status = "match" if excluded == bool(value) else "mismatch"
-    return status, " | ".join(outcomes)
+    return _status(excluded == value), " | ".join(outcomes)
 
 
-def _check_b_matrix_scalar(record, args, value):
-    b = b_matrix(record.numeric_form(args["form"], 3))
-    scalar = parse_rational(str(value))
+def _check_b_matrix_scalar(record, value, form):
+    b = b_matrix(record.numeric_form(form, 3))
+    scalar = parse_rational(value)
     ok = all(b[i][j] == (scalar if i == j else 0) for i in range(7) for j in range(7))
     diag = ", ".join(str(b[i][i]) for i in range(7))
-    return ("match" if ok else "mismatch"), f"diagonal ({diag})"
+    return _status(ok), f"diagonal ({diag})"
 
 
-def _check_torsion_flags(record, args, value):
-    phi = record.numeric_form(args["form"], 3)
-    report = g2_torsion_report(record.homog_num(), phi)
-    computed = {
-        "definite": report.definite,
-        "closed": report.closed,
-        "coclosed": report.coclosed,
-    }
-    status = "match" if computed == dict(value) else "mismatch"
-    return status, report.render()
+def _check_torsion_flags(record, value, form):
+    report = g2_torsion_report(record.homog_num(), record.numeric_form(form, 3))
+    computed = {"definite": report.definite, "closed": report.closed, "coclosed": report.coclosed}
+    return _status(computed == value), report.render()
 
 
-def _check_contract_vector(record, args, value):
-    phi = record.numeric_form(args["form"], None)
-    data = record.homog_num()
-    vec = basis_vector(phi.dim, args["vector"], data.symbols)
-    computed = contract(vec, phi)
-    expected = parse_form(str(value), phi.dim, phi.degree - 1, data.symbols)
-    status = "match" if computed == expected else "mismatch"
-    return status, computed.render()
+def _check_contract_vector(record, value, form, vector):
+    phi, symbols = record.numeric_form(form, None), record.homog_num().symbols
+    computed = contract(basis_vector(phi.dim, vector, symbols), phi)
+    expected = parse_form(value, phi.dim, phi.degree - 1, symbols)
+    return _status(computed == expected), computed.render()
 
 
-def _check_hitchin(record, args, value):
-    psi = parse_form(args["psi"], 6, 3, ())
-    report = hitchin_stability(psi)
-    ok = report.lam == parse_rational(str(value["lambda"]))
-    ok = ok and report.k_squared_is_scalar == bool(value.get("k_squared_scalar", True))
+def _check_hitchin(record, value, psi):
+    report = hitchin_stability(parse_form(psi, 6, 3, ()))
+    ok = report.lam == parse_rational(value["lambda"])
+    ok = ok and report.k_squared_is_scalar == value["k_squared_scalar"]
     computed = f"{report.render()}; K^2 == lambda*Id: {report.k_squared_is_scalar}"
-    return ("match" if ok else "mismatch"), computed
+    return _status(ok), computed
 
 
-def _check_su3_flags(record, args, value):
+def _check_su3_flags(record, value, omega, psi):
     data = record.homog_num()
     if data.dim_m == 7:
         data = data.restrict([1, 2, 3, 4, 5, 6])
-    omega = parse_form(args["omega"], 6, 2, data.symbols)
-    psi = parse_form(args["psi"], 6, 3, data.symbols)
-    report = su3_check(data, omega, psi)
+    report = su3_check(
+        data, parse_form(omega, 6, 2, data.symbols), parse_form(psi, 6, 3, data.symbols)
+    )
     flags = report.flags()
-    mismatches = {
-        key: flags.get(key) for key in value if flags.get(key) != value[key]
-    }
     computed = ", ".join(f"{k}={v}" for k, v in flags.items())
-    return ("match" if not mismatches else "mismatch"), computed
+    return _status(flags == value), computed
 
 
-def _check_jacobi(record, args, value):
+def _check_jacobi(record, value):
     report = record.jacobi
     computed = "valid" if report.ok else report.render()
-    return ("match" if computed == value else "mismatch"), computed
+    return _status(computed == value), computed
 
 
-def _check_d_squared(record, args, value):
+def _check_d_squared(record, value, degrees):
     data = record.homog_num()
-    failures = []
-    for degree in args["degrees"]:
-        report = d_squared_check(data, degree)
-        if not report.ok:
-            failures.append(report.render())
-    computed = "pass" if not failures else "; ".join(failures)
-    return ("match" if computed == value else "mismatch"), computed
+    reports = [d_squared_check(data, degree) for degree in degrees]
+    computed = "; ".join(r.render() for r in reports if not r.ok) or "pass"
+    return _status(computed == value), computed
+
+
+def _status(ok: bool) -> str:
+    return "match" if ok else "mismatch"
 
 
 def _compare(computed, expected):
-    status = "match" if computed == expected else "mismatch"
-    return status, str(computed)
+    return _status(computed == expected), str(computed)
 
 
-# name -> (check, schema lines): the Checks block of the case schema is
-# built from this table, one entry per check, in this order
+# -- type tests, and the tables of checks and their arguments -----------------
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_list_of(value, test, length=None) -> bool:
+    """A list whose items pass ``test``, of the given length if one is given."""
+    return isinstance(value, list) and all(map(test, value)) and length in (None, len(value))
+
+
+def _is_ints(value, low, high, length=None) -> bool:
+    return _is_list_of(value, lambda x: _is_int(x) and low <= x <= high, length)
+
+
+def _is_strings(value, length=None) -> bool:
+    return _is_list_of(value, _is_str, length)
+
+
+def _is_map(value, test) -> bool:
+    """A JSON object whose values pass ``test``."""
+    return isinstance(value, dict) and all(map(test, value.values()))
+
+
+def _is_object(value, tests: dict) -> bool:
+    """A JSON object with exactly the keys of ``tests``, each value passing its test."""
+    return isinstance(value, dict) and set(value) == set(tests) and all(
+        test(value[key]) for key, test in tests.items()
+    )
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_form(value, dim_m, gammas) -> bool:
+    return _is_str(value)
+
+
+_INDEX = (lambda x, m, g: _is_ints([x], 1, m), "basis index 1..dim m")
+
+# argument name -> (test(value, dim m, number of gammas), schema lines); a
+# check takes its arguments as keyword parameters, and a parameter with a
+# default is an optional argument
+_ARGS = {
+    "degree": (lambda x, m, g: _is_ints([x], 0, m), "integer 0..dim m"),
+    "degrees": (
+        lambda x, m, g: _is_ints(x, 0, m) and x != [], "non-empty list of integers 0..dim m"
+    ),
+    "i": _INDEX,
+    "j": _INDEX,
+    "vector": _INDEX,
+    "vectors": (lambda x, m, g: _is_ints(x, 1, m, 4), "list of four basis indices 1..dim m"),
+    "groups": (
+        lambda x, m, g: _is_list_of(x, lambda y: _is_ints(y, 1, m)),
+        "list of lists of basis indices 1..dim m",
+    ),
+    "counts": (lambda x, m, g: _is_ints(x, 0, m), """\
+list of integers 0..dim m, one per group; the
+selected monomials have counts[g] indices in groups[g]"""),
+    "indices": (
+        lambda x, m, g: _is_ints(x, 1, g) and x != [],
+        "non-empty list of gamma positions 1..len(gammas)",
+    ),
+    "form": (_is_form, "form string on m"),
+    "omega": (_is_form, "2-form string on e1..e6"),
+    "psi": (_is_form, "3-form string on e1..e6"),
+}
+
+# name -> (check, value test, schema lines): the Checks block of the case
+# schema is built from this table, one entry per check, in this order
 _CHECKS = {
-    "invariant_dim": (_check_invariant_dim, "args {degree}; value: integer dimension"),
-    "invariant_span": (
-        _check_invariant_span,
-        "args {degree}; value: list of forms; passes when",
-        "the computed space equals their span (span-match)",
+    "invariant_dim": (_check_invariant_dim, _is_count, "value: integer dimension"),
+    "invariant_span": (_check_invariant_span, _is_strings, """\
+value: list of forms; passes when
+the computed space equals their span (span-match)"""),
+    "invariant_dim_in_support": (_check_invariant_dim_in_support, _is_count, """\
+value: dimension of the
+invariant forms supported on the selected monomials"""),
+    "d_eval": (_check_d_eval, _is_str, """\
+value: polynomial; the
+coset differential of the generic form, evaluated
+on the named basis vectors, kept symbolic"""),
+    "b_entry": (_check_b_entry, _is_str, """\
+value: polynomial; entry of the
+bilinear form of the generic form"""),
+    "closed_param_count": (_check_closed_param_count, _is_count, """\
+value: number of free parameters
+of the closed family"""),
+    "closed_span": (
+        _check_closed_span, _is_strings, "value: list of forms; closed family spans them"
     ),
-    "invariant_dim_in_support": (
-        _check_invariant_dim_in_support,
-        "args {degree, groups: [[i..], ...], counts: [..]};",
-        "value: dimension of the invariant forms supported",
-        "on monomials with counts[g] indices in groups[g]",
-    ),
-    "d_eval": (
-        _check_d_eval,
-        "args {vectors: [i..]}; value: polynomial; the",
-        "coset differential of the generic form, evaluated",
-        "on the named basis vectors, kept symbolic",
-    ),
-    "b_entry": (
-        _check_b_entry,
-        "args {i, j}; value: polynomial; entry of the",
-        "bilinear form of the generic form",
-    ),
-    "closed_param_count": (
-        _check_closed_param_count,
-        "args {degree?}; value: number of free parameters",
-        "of the closed family",
-    ),
-    "closed_span": (_check_closed_span, "value: list of forms; closed family spans them"),
     "closed_subset_of": (
-        _check_closed_subset_of, "value: list of forms; closed family lies in span"
+        _check_closed_subset_of, _is_strings, "value: list of forms; closed family lies in span"
     ),
-    "closed_component_zero": (
-        _check_closed_component_zero,
-        "args {indices}; value true; every closed form has",
-        "zero component along the named gammas",
+    "closed_component_zero": (_check_closed_component_zero, _is_bool, """\
+value true; every closed form has
+zero component along the named gammas"""),
+    "not_definite": (_check_not_definite, _is_bool, """\
+value true; an obstruction certificate excludes
+definite members of the closed family, for every
+enumeration entry"""),
+    "b_matrix_scalar": (_check_b_matrix_scalar, _is_str, "value: rational c with B = c * Id"),
+    "torsion_flags": (
+        _check_torsion_flags,
+        lambda x: _is_object(x, dict.fromkeys(("definite", "closed", "coclosed"), _is_bool)),
+        "value {definite, closed, coclosed}",
     ),
-    "not_definite": (
-        _check_not_definite,
-        "value true; an obstruction certificate excludes",
-        "definite members of the closed family, for every",
-        "enumeration entry",
+    "contract_vector": (_check_contract_vector, _is_str, "value: the contracted form"),
+    "hitchin": (
+        _check_hitchin,
+        lambda x: _is_object(x, {"lambda": _is_str, "k_squared_scalar": _is_bool}),
+        "value {lambda, k_squared_scalar}",
     ),
-    "b_matrix_scalar": (_check_b_matrix_scalar, "args {form}; value: rational c with B = c * Id"),
-    "torsion_flags": (_check_torsion_flags, "args {form}; value {definite, closed, coclosed}"),
-    "contract_vector": (_check_contract_vector, "args {form, vector}; value: the contracted form"),
-    "hitchin": (_check_hitchin, "args {psi}; value {lambda, k_squared_scalar}"),
-    "su3_flags": (
-        _check_su3_flags,
-        "args {omega, psi}; value: flag dict as rendered",
-        "by the SU(3) report",
-    ),
-    "jacobi": (_check_jacobi, 'value "valid" (full-algebra sources only)'),
-    "d_squared": (
-        _check_d_squared,
-        'args {degrees}; value "pass"; d o d = 0 on the',
-        "invariant basis (full-algebra sources only)",
-    ),
+    "su3_flags": (_check_su3_flags, lambda x: _is_map(x, _is_bool), """\
+value: flag dict as rendered
+by the SU(3) report"""),
+    "jacobi": (_check_jacobi, _is_str, 'value "valid" (full-algebra sources only)'),
+    "d_squared": (_check_d_squared, _is_str, """\
+value "pass"; d o d = 0 on the
+invariant basis (full-algebra sources only)"""),
 }
 
 
+def schema_entry(name: str, doc: str, width: int) -> str:
+    """``name``, then ``doc`` from column ``width`` (below it when ``name`` is wider)."""
+    head = f"{name:<{width}}" if len(name) < width else name + "\n" + " " * width
+    return head + doc.replace("\n", "\n" + " " * width)
+
+
 def schema_checks() -> str:
-    """The Checks block of the case schema: each name with its schema lines."""
+    """The Checks block of the case schema: each check with its args (its
+    keyword parameters) and schema lines, then each argument with its type."""
     lines = []
-    for name, (_, first, *rest) in _CHECKS.items():
-        lines.append(f"{name:<24} {first}")
-        lines.extend(" " * 25 + line for line in rest)
+    for name, (check, _, doc) in _CHECKS.items():
+        params = list(inspect.signature(check).parameters.values())[2:]
+        if params:
+            names = [p.name + ("?" if p.default is not p.empty else "") for p in params]
+            doc = f"args {{{', '.join(names)}}}; {doc}"
+        lines.append(schema_entry(name, doc, 25))
+    lines += ["", "Check arguments", "---------------"]
+    lines += [schema_entry(name, doc, 25) for name, (_, doc) in _ARGS.items()]
+    lines += [
+        "An argument marked ? is optional.  dim m is the number of m_indices",
+        "for full sources and the dimension for partial data.",
+    ]
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from g2forms import catalog
+from g2forms.catalog._runner import _is_int
 from g2forms.exterior import parse_form
 from g2forms.gstruct import definiteness, su3_check
 from g2forms.invariants import closed_forms, invariant_forms
@@ -38,10 +39,6 @@ def _load_form_file(path: str) -> dict:
             f"form file {path} must be a JSON object with 'dimension' and 'form'"
         )
     return doc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_form_doc(doc: dict, degree=None):

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,12 @@ from g2forms.catalog import (
     verify_case,
 )
 from g2forms.catalog import models
-from g2forms.catalog._bundled import build_all_case_dicts
 from g2forms.exterior import form_to_vector, monomials, parse_form
 from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import MatrixBasis, from_matrices, reductive_split
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from bundled_cases import build_all_case_dicts  # noqa: E402
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
 

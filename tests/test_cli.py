@@ -8,6 +8,8 @@ from g2forms.cli import main
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
 # `python -m g2forms verify --all --format json` without the "seconds" of each case
 GOLDEN_VERIFY_ALL = Path(__file__).resolve().parent / "data" / "verify_all.json"
+# `python -m g2forms schema`
+GOLDEN_SCHEMA = Path(__file__).resolve().parent / "data" / "schema.txt"
 
 PHI0 = (
     "e^{1 2 7} + e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5} "
@@ -140,10 +142,19 @@ def test_definite_rejects_wrong_shape_form(tmp_path, capsys, dimension, degree, 
     assert "3-form on a 7-dimensional space" in capsys.readouterr().err
 
 
+DROP = object()  # a probe value that deletes the field
+
+
 def _case_document(base):
     if base == "T1.n1":
         return json.loads((CASES_DIR / "T1.n1.json").read_text(encoding="utf-8"))
-    doc = {"id": "tiny", "description": "", "dimension": 2, "basis_names": ["e1", "e2"]}
+    doc = {
+        "id": "tiny",
+        "description": "",
+        "dimension": 2,
+        "basis_names": ["e1", "e2"],
+        "expected": [],
+    }
     if base == "partial":
         doc["source"] = "partial-homogeneous"
         doc["homogeneous"] = {
@@ -172,6 +183,19 @@ def _case_document(base):
         ("T1.n1", ("h_indices",), [8, 8]),
         ("T1.n1", (), b"\xff"),
         ("partial", ("homogeneous", "projected_bracket"), [[1, 2, ["0", "1"]], [1, 2, ["0"] * 2]]),
+        ("T1.n1", ("expected", 1, "args"), {"degree": "3"}),
+        ("T1.n1", ("expected", 1, "args"), {}),
+        ("T1.n1", ("expected", 1, "args"), {"degree": -1}),
+        ("T1.n1", ("expected", 1, "args"), {"degree": 3, "bogus": 1}),
+        ("T1.n1", ("expected", 1, "value"), "7"),
+        ("T1.n1", ("expected", 4, "args"), {"i": 8, "j": 1}),
+        ("T1.n1", ("expected", 3, "args"), {"vectors": [3, 5, 6, 9]}),
+        ("T1.n1", ("expected", 0, "note"), "extra key"),
+        ("T1.n1", ("exploratory",), "no"),
+        ("T1.n1", ("basis_names",), list(range(1, 9))),
+        ("T1.n1", ("description",), DROP),
+        ("T1.n1", ("expected",), DROP),
+        ("constants", ("structure_constants",), [[1, 2, 2, "1"], [1, 2, 2, "1"]]),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -186,6 +210,19 @@ def _case_document(base):
         "repeated-h-index",
         "non-utf8-byte",
         "repeated-bracket-pair",
+        "string-degree",
+        "missing-arg",
+        "negative-degree",
+        "unknown-arg",
+        "string-dimension-value",
+        "b-entry-index-out-of-range",
+        "d-eval-vector-out-of-range",
+        "extra-expected-key",
+        "non-boolean-exploratory",
+        "integer-basis-names",
+        "no-description",
+        "no-expected",
+        "repeated-structure-constant",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
@@ -193,12 +230,22 @@ def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
     target = doc
     for key in path[:-1]:
         target = target[key]
-    if path:
+    if value is DROP:
+        del target[path[-1]]
+    elif path:
         target[path[-1]] = value
     case = tmp_path / "case.json"
     case.write_bytes(json.dumps(doc).encode() + (b"" if path else value))
     assert main(["invariants", "--input", str(case), "--degree", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", ["T1.n1", "partial", "constants"])
+def test_unmutated_case_document_exits_zero(tmp_path, base):
+    # each malformed document above differs from its base only where it is broken
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(_case_document(base)), encoding="utf-8")
+    assert main(["invariants", "--input", str(case), "--degree", "2"]) == 0
 
 
 @pytest.mark.parametrize("command", ["invariants", "closed"])
@@ -255,8 +302,7 @@ def test_su3_bad_input_exits_two(tmp_path, capsys, case_id, omega, psi, message)
 
 def test_schema_command(capsys):
     assert main(["schema"]) == 0
-    out = capsys.readouterr().out
-    assert "Case file schema" in out and "projected_bracket" in out
+    assert capsys.readouterr().out == GOLDEN_SCHEMA.read_text(encoding="utf-8")
 
 
 def test_engine_error_exits_three(tmp_path, capsys):

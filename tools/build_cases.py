@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the bundled case files from their definitions.
 
-The case documents live in ``g2forms.catalog._bundled`` (data) and
+The case documents live in ``tools/bundled_cases.py`` (data) and
 ``g2forms.catalog.models`` (matrix models, including the adapted so(3,2)
 basis whose derived structure constants are frozen into T1.n3.json).
 Running this script rewrites ``src/g2forms/catalog/cases/``; the test suite
@@ -18,8 +18,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from bundled_cases import build_all_case_dicts  # noqa: E402
 from g2forms.catalog import validate_case_dict  # noqa: E402
-from g2forms.catalog._bundled import build_all_case_dicts  # noqa: E402
 
 
 def main() -> int:

@@ -1,9 +1,11 @@
 """Definitions of the bundled case documents.
 
 ``build_all_case_dicts`` produces the canonical JSON-ready dictionaries for
-every bundled case.  ``tools/build_cases.py`` freezes them into ``cases/``;
-the test suite rebuilds them from here and compares byte-for-byte, so the
-shipped files cannot drift from these definitions.
+every bundled case.  ``tools/build_cases.py`` freezes them into
+``src/g2forms/catalog/cases/``; the test suite rebuilds them from here and
+compares byte-for-byte, so the shipped files cannot drift from these
+definitions.  This module stays out of the installed package: it imports
+``g2forms``, which must be on the path.
 """
 
 from __future__ import annotations
