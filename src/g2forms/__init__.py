@@ -8,9 +8,9 @@ rationals.  A catalog of bundled homogeneous-space cases with expected
 values ships with the package; see :mod:`g2forms.catalog` and the CLI.
 """
 
-from g2forms.exterior import AltForm, Vector
+from g2forms.exterior import AltForm
 from g2forms.scalars import PolyScalar, Rational
 
 __version__ = "0.1.0"
 
-__all__ = ["AltForm", "PolyScalar", "Rational", "Vector", "__version__"]
+__all__ = ["AltForm", "PolyScalar", "Rational", "__version__"]

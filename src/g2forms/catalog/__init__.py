@@ -327,21 +327,21 @@ class CaseRecord:
 
     @property
     def dim_m(self) -> int:
-        return self.homog_sym.dim_m
+        return self.dimension if self.source == "partial-homogeneous" else len(self.raw["m_indices"])
 
     @cached_property
     def generic_form(self) -> AltForm:
         """sum_i gamma_symbols[i] * gammas[i] on the symbolic data."""
-        if not self.gammas:
-            raise ValueError(f"case {self.case_id} declares no gammas")
         phi = AltForm(self.dim_m, 3, self.context)
-        for symbol, text in zip(self.gamma_symbols, self.gammas):
-            gamma = parse_form(text, self.dim_m, 3, self.context)
+        for symbol, gamma in zip(self.gamma_symbols, self.gamma_forms):
             phi = phi + gamma.scale(PolyScalar.symbol(symbol, self.context))
         return phi
 
+    @cached_property
     def gamma_forms(self) -> list:
-        return [parse_form(text, self.dim_m, 3, ()) for text in self.gammas]
+        if not self.gammas:
+            raise ValueError(f"case {self.case_id} declares no gammas")
+        return [parse_form(text, self.dim_m, 3, self.context) for text in self.gammas]
 
     def numeric_form(self, text: str, degree=None) -> AltForm:
         return parse_form(text, self.dim_m, degree, self.homog_num().symbols)
@@ -365,12 +365,22 @@ def _no_repeats(field: str, keys) -> None:
         seen.add(key)
 
 
-def validate_case_dict(doc: dict) -> None:
-    """Raise :class:`SchemaError` with a field-level message on violation.
+def _test(where: str, text: str, test, *values) -> None:
+    try:  # a test raises ValueError on a string it cannot parse
+        ok = test(*values)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    if not ok:
+        raise _schema_error(where, text)
+
+
+def validate_case_dict(doc: dict) -> CaseRecord:
+    """The record of a case document; :class:`SchemaError` names the field at fault.
 
     Each field is checked against its :data:`_FIELDS` entry, and each
-    expected item's args and value against its check: the args bind to the
-    check's keyword parameters and pass their :data:`_ARGS` tests.  The
+    expected item against its check: the args bind to the check's keyword
+    parameters and pass their :data:`_ARGS` tests, and then the item passes
+    the check's item test, which parses what the check will parse.  The
     code after the field loop checks the rules that span fields.
     """
     if not isinstance(doc, dict):
@@ -387,12 +397,11 @@ def validate_case_dict(doc: dict) -> None:
             raise _schema_error(f"{name}: invalid value", text)
         elif not allowed:
             raise SchemaError(f"{name}: not a field of source {doc['source']!r}")
+    record = CaseRecord(doc)
     if doc["source"] == "partial-homogeneous":
-        dim_m = doc["dimension"]
         pairs = [tuple(e[:2]) for e in doc["homogeneous"]["projected_bracket"]]
         _no_repeats("homogeneous.projected_bracket", pairs)
     else:
-        dim_m = len(doc["m_indices"])
         _no_repeats("h_indices", doc["h_indices"])
         _no_repeats("m_indices", doc["m_indices"])
         triples = [tuple(e[:3]) for e in doc.get("structure_constants", ())]
@@ -409,17 +418,16 @@ def validate_case_dict(doc: dict) -> None:
         name, args, value = item["check"], item["args"], item["value"]
         if name not in _CHECKS:
             raise SchemaError(f"expected[{pos}]: unknown check {name!r}")
-        check, value_test, check_doc = _CHECKS[name]
+        check, item_test, check_doc = _CHECKS[name]
         try:
             inspect.signature(check).bind(None, value, **args)
         except TypeError as exc:
             raise SchemaError(f"expected[{pos}]: {name}: {exc}") from exc
         for arg, x in args.items():
             test, arg_doc = _ARGS[arg]
-            if not test(x, dim_m, gammas):
-                raise _schema_error(f"expected[{pos}]: {name} arg {arg}={x!r}", arg_doc)
-        if not value_test(value):
-            raise _schema_error(f"expected[{pos}]: {name} value {value!r}", check_doc)
+            _test(f"expected[{pos}]: {name} arg {arg}={x!r}", arg_doc, test, x, record.dim_m, gammas)
+        _test(f"expected[{pos}]: {name} value {value!r}", check_doc, item_test, value, args, record)
+    return record
 
 
 def load_case(path) -> CaseRecord:
@@ -438,8 +446,7 @@ def load_case(path) -> CaseRecord:
         raise SchemaError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    validate_case_dict(doc)
-    record = CaseRecord(doc)
+    record = validate_case_dict(doc)
     if record.source == "structure-constants":
         try:
             record.algebra

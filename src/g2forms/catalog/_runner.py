@@ -3,7 +3,7 @@
 Each check takes a :class:`~g2forms.catalog.CaseRecord`, the expected value
 and the case's arguments as keyword parameters, reads the pipeline objects
 the record owns, and returns ``(status, computed)``.  :data:`_CHECKS` lists
-them by name, and :data:`_ARGS` gives the type of each argument name.
+them by name with their item tests, and :data:`_ARGS` types each argument.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import inspect
 from dataclasses import dataclass, field
 
 from g2forms import _linalg
-from g2forms.exterior import basis_vector, contract, form_to_vector, monomials, parse_form
+from g2forms.exterior import contract, form_to_vector, monomials, parse_form
 from g2forms.gstruct import (
     b_entries,
     b_matrix,
@@ -167,7 +167,7 @@ def _check_closed_subset_of(record, value):
 def _check_closed_component_zero(record, value, indices):
     family = closed_forms(record.homog_num(), 3)
     monos = monomials(record.dim_m, family.degree)
-    gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in record.gamma_forms()])
+    gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in record.gamma_forms])
     members = _linalg.transpose([form_to_vector(m, monos) for m in family.basis])
     solutions = _linalg.solve_many(gamma_cols, members) if members else []
     if None in solutions:
@@ -204,10 +204,9 @@ def _check_torsion_flags(record, value, form):
 
 
 def _check_contract_vector(record, value, form, vector):
-    phi, symbols = record.numeric_form(form, None), record.homog_num().symbols
-    computed = contract(basis_vector(phi.dim, vector, symbols), phi)
-    expected = parse_form(value, phi.dim, phi.degree - 1, symbols)
-    return _status(computed == expected), computed.render()
+    phi = record.numeric_form(form, None)
+    computed = contract(vector, phi)
+    return _status(computed == record.numeric_form(value, phi.degree - 1)), computed.render()
 
 
 def _check_hitchin(record, value, psi):
@@ -262,7 +261,7 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
-def _is_bool(value) -> bool:
+def _is_bool(value, *_) -> bool:
     return isinstance(value, bool)
 
 
@@ -291,12 +290,18 @@ def _is_object(value, tests: dict) -> bool:
     )
 
 
-def _is_count(value) -> bool:
+def _is_count(value, *_) -> bool:
     return _is_int(value) and value >= 0
 
 
-def _is_form(value, dim_m, gammas) -> bool:
-    return _is_str(value)
+def _parses(parse, *args) -> bool:
+    """True when ``parse(*args)`` returns; its ValueError propagates."""
+    parse(*args)
+    return True
+
+
+def _is_rational(value) -> bool:
+    return _is_str(value) and _parses(parse_rational, value)
 
 
 _INDEX = (lambda x, m, g: _is_ints([x], 1, m), "basis index 1..dim m")
@@ -324,61 +329,109 @@ selected monomials have counts[g] indices in groups[g]"""),
         lambda x, m, g: _is_ints(x, 1, g) and x != [],
         "non-empty list of gamma positions 1..len(gammas)",
     ),
-    "form": (_is_form, "form string on m"),
-    "omega": (_is_form, "2-form string on e1..e6"),
-    "psi": (_is_form, "3-form string on e1..e6"),
+    "form": (lambda x, m, g: _is_str(x), "form string on m"),
+    "omega": (lambda x, m, g: _is_str(x) and _parses(parse_form, x, 6, 2), "2-form string on e1..e6"),
+    "psi": (lambda x, m, g: _is_str(x) and _parses(parse_form, x, 6, 3), "3-form string on e1..e6"),
 }
 
-# name -> (check, value test, schema lines): the Checks block of the case
+
+# An item test(value, args, record) runs once the args pass their tests.  It
+# returns whether the value has its type (a plain type test ignores args and
+# record), and raises ValueError on a string its check cannot parse or on a
+# case that the check cannot run on.
+def _full_source_item(value, args, record) -> bool:
+    if record.source == "partial-homogeneous":
+        raise ValueError("needs a full-algebra source")
+    return _is_str(value)
+
+
+def _polynomial_item(value, args, record) -> bool:
+    """A polynomial about the generic form (gamma_forms raises when there are no gammas)."""
+    return bool(record.gamma_forms) and _is_str(value) and (
+        _parses(PolyScalar.parse, value, record.context)
+    )
+
+
+def _support_item(value, args, record) -> bool:
+    if len(args["groups"]) != len(args["counts"]):
+        raise ValueError("needs one count per group")
+    return _is_count(value)
+
+
+def _forms_item(value, args, record) -> bool:
+    """Printed forms at the check's degree (3 for the closed family)."""
+    degree = args.get("degree", 3)
+    return _is_strings(value) and all(_parses(parse_form, t, record.dim_m, degree) for t in value)
+
+
+def _three_form_item(test):
+    return lambda x, args, record: test(x) and _parses(parse_form, args["form"], record.dim_m, 3)
+
+
+# name -> (check, item test, schema lines): the Checks block of the case
 # schema is built from this table, one entry per check, in this order
 _CHECKS = {
     "invariant_dim": (_check_invariant_dim, _is_count, "value: integer dimension"),
-    "invariant_span": (_check_invariant_span, _is_strings, """\
+    "invariant_span": (_check_invariant_span, _forms_item, """\
 value: list of forms; passes when
 the computed space equals their span (span-match)"""),
-    "invariant_dim_in_support": (_check_invariant_dim_in_support, _is_count, """\
+    "invariant_dim_in_support": (_check_invariant_dim_in_support, _support_item, """\
 value: dimension of the
 invariant forms supported on the selected monomials"""),
-    "d_eval": (_check_d_eval, _is_str, """\
+    "d_eval": (_check_d_eval, _polynomial_item, """\
 value: polynomial; the
 coset differential of the generic form, evaluated
 on the named basis vectors, kept symbolic"""),
-    "b_entry": (_check_b_entry, _is_str, """\
+    "b_entry": (_check_b_entry, _polynomial_item, """\
 value: polynomial; entry of the
 bilinear form of the generic form"""),
     "closed_param_count": (_check_closed_param_count, _is_count, """\
 value: number of free parameters
 of the closed family"""),
     "closed_span": (
-        _check_closed_span, _is_strings, "value: list of forms; closed family spans them"
+        _check_closed_span, _forms_item, "value: list of forms; closed family spans them"
     ),
     "closed_subset_of": (
-        _check_closed_subset_of, _is_strings, "value: list of forms; closed family lies in span"
+        _check_closed_subset_of, _forms_item, "value: list of forms; closed family lies in span"
     ),
-    "closed_component_zero": (_check_closed_component_zero, _is_bool, """\
+    "closed_component_zero": (
+        _check_closed_component_zero,
+        lambda x, args, record: bool(record.gamma_forms) and _is_bool(x),
+        """\
 value true; every closed form has
-zero component along the named gammas"""),
+zero component along the named gammas""",
+    ),
     "not_definite": (_check_not_definite, _is_bool, """\
 value true; an obstruction certificate excludes
 definite members of the closed family, for every
 enumeration entry"""),
-    "b_matrix_scalar": (_check_b_matrix_scalar, _is_str, "value: rational c with B = c * Id"),
+    "b_matrix_scalar": (
+        _check_b_matrix_scalar, _three_form_item(_is_rational), "value: rational c with B = c * Id"
+    ),
     "torsion_flags": (
         _check_torsion_flags,
-        lambda x: _is_object(x, dict.fromkeys(("definite", "closed", "coclosed"), _is_bool)),
+        _three_form_item(
+            lambda x: _is_object(x, dict.fromkeys(("definite", "closed", "coclosed"), _is_bool))
+        ),
         "value {definite, closed, coclosed}",
     ),
-    "contract_vector": (_check_contract_vector, _is_str, "value: the contracted form"),
+    "contract_vector": (
+        _check_contract_vector,
+        lambda x, args, record: _is_str(x) and _parses(
+            parse_form, x, record.dim_m, parse_form(args["form"], record.dim_m).degree - 1
+        ),
+        "value: the contracted form",
+    ),
     "hitchin": (
         _check_hitchin,
-        lambda x: _is_object(x, {"lambda": _is_str, "k_squared_scalar": _is_bool}),
+        lambda x, *_: _is_object(x, {"lambda": _is_rational, "k_squared_scalar": _is_bool}),
         "value {lambda, k_squared_scalar}",
     ),
-    "su3_flags": (_check_su3_flags, lambda x: _is_map(x, _is_bool), """\
+    "su3_flags": (_check_su3_flags, lambda x, *_: _is_map(x, _is_bool), """\
 value: flag dict as rendered
 by the SU(3) report"""),
-    "jacobi": (_check_jacobi, _is_str, 'value "valid" (full-algebra sources only)'),
-    "d_squared": (_check_d_squared, _is_str, """\
+    "jacobi": (_check_jacobi, _full_source_item, 'value "valid" (full-algebra sources only)'),
+    "d_squared": (_check_d_squared, _full_source_item, """\
 value "pass"; d o d = 0 on the
 invariant basis (full-algebra sources only)"""),
 }

@@ -4,10 +4,10 @@ An :class:`AltForm` of degree k on an n-dimensional space stores a map from
 strictly increasing k-tuples of basis indices (1-based, matching the usual
 ``e^{i j k}`` notation) to nonzero :class:`~g2forms.scalars.PolyScalar`
 coefficients.  Wedge products compute their sign by counting transpositions
-while merging the index tuples; contraction is the exact antiderivation
-formula.  :class:`ExteriorOp` is the one representation of a linear map
-between exterior powers, over the lexicographic monomial coordinates of
-:func:`monomials`: a derivation, or the compound of a matrix (pullback).
+while merging the index tuples; contraction by e_i drops i with its sign,
+and a pullback sums integer minors.  :class:`ExteriorOp` is the one linear
+map between exterior powers, over the lexicographic monomial coordinates of
+:func:`monomials`: a derivation.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -26,9 +26,7 @@ from g2forms.scalars import ContextMismatchError, PolyScalar, check_context, par
 __all__ = [
     "AltForm",
     "ExteriorOp",
-    "Vector",
     "basis_form",
-    "basis_vector",
     "contract",
     "form_to_vector",
     "merge_sign",
@@ -81,44 +79,6 @@ def merge_sign(left: Sequence[int], right: Sequence[int]) -> tuple[tuple[int, ..
     merged.extend(left[i:])
     merged.extend(right[j:])
     return tuple(merged), sign
-
-
-class Vector:
-    """A tangent vector: components over a shared scalar context."""
-
-    __slots__ = ("dim", "symbols", "components")
-
-    def __init__(self, components: Iterable[PolyScalar]):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a vector needs at least one component")
-        symbols = components[0].symbols
-        for c in components:
-            if c.symbols != symbols:
-                raise ContextMismatchError("vector components disagree on context")
-        self.dim = len(components)
-        self.symbols = symbols
-        self.components = components
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.components == other.components
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Vector([{', '.join(c.render() for c in self.components)}])"
-
-
-def basis_vector(dim: int, index: int, symbols: Iterable[str] = ()) -> Vector:
-    """The basis vector e_index (1-based)."""
-    if not 1 <= index <= dim:
-        raise ValueError(f"index {index} out of range 1..{dim}")
-    symbols = tuple(symbols)
-    return Vector(
-        [PolyScalar.constant(1 if i == index else 0, symbols) for i in range(1, dim + 1)]
-    )
 
 
 class AltForm:
@@ -313,30 +273,21 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     return AltForm._trusted(alpha.dim, degree, alpha.symbols, coeffs)
 
 
-def contract(vector: Vector, alpha: AltForm) -> AltForm:
-    """Interior product (contraction) of a vector into a form."""
+def contract(index: int, alpha: AltForm) -> AltForm:
+    """Interior product of the basis vector e_index (1-based) into a form.
+
+    Each monomial that contains index maps to the one monomial without it,
+    with sign (-1)^position, and no two monomials share an image.
+    """
     if alpha.degree == 0:
         raise ValueError("cannot contract into a 0-form")
-    if vector.dim != alpha.dim:
-        raise ValueError(f"dimension mismatch: {vector.dim} vs {alpha.dim}")
-    if vector.symbols != alpha.symbols:
-        raise ContextMismatchError("vector context does not match form")
+    if not 1 <= index <= alpha.dim:
+        raise ValueError(f"index {index} out of range 1..{alpha.dim}")
     coeffs: dict[tuple, PolyScalar] = {}
     for idx, coeff in alpha.coeffs.items():
-        for pos, i in enumerate(idx):
-            comp = vector.components[i - 1]
-            if comp.is_zero():
-                continue
-            term = coeff * comp
-            if pos % 2:
-                term = -term
-            rest = idx[:pos] + idx[pos + 1 :]
-            acc = coeffs.get(rest)
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                coeffs.pop(rest, None)
-            else:
-                coeffs[rest] = acc
+        if index in idx:
+            pos = idx.index(index)
+            coeffs[idx[:pos] + idx[pos + 1 :]] = -coeff if pos % 2 else coeff
     return AltForm._trusted(alpha.dim, alpha.degree - 1, alpha.symbols, coeffs)
 
 
@@ -353,13 +304,43 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
     ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
-    rationals.  This is the ``alpha.degree``-th compound of the matrix, see
-    :meth:`ExteriorOp.compound`.
+    rationals.  (P*alpha)_J = sum_I alpha_I * det P[I; J].  The matrix is
+    scaled to integers by the lcm L of its denominators; each minor is built
+    once, by Laplace expansion along its first row over the minors one size
+    smaller, and each coefficient is divided by L^degree once.
     """
-    n = alpha.dim
+    n, degree = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
-    return ExteriorOp.compound(matrix, alpha.degree, alpha.symbols).apply(alpha)
+    values = [[Fraction(x) for x in row] for row in matrix]
+    den = lcm(*(x.denominator for row in values for x in row))
+    rows = [{c: (x * den).numerator for c, x in enumerate(row, 1) if x} for row in values]
+    minors = {((), ()): 1}  # (row set, column set) -> nonzero minor
+    for size in range(1, degree + 1):
+        smaller, minors, subsets = minors, {}, monomials(n, size)
+        for rowset in subsets:
+            first, rest = rows[rowset[0] - 1], rowset[1:]
+            for colset in subsets:
+                total = sum(
+                    (-1) ** t * first[c] * smaller.get((rest, colset[:t] + colset[t + 1 :]), 0)
+                    for t, c in enumerate(colset)
+                    if c in first
+                )
+                if total:
+                    minors[rowset, colset] = total
+    sums: dict[tuple, dict] = {}  # column set -> {exponents: sum of alpha_I * minor}
+    for (rowset, colset), minor in minors.items():
+        if rowset in alpha.coeffs:
+            terms = sums.setdefault(colset, {})
+            for expo, c in alpha.coeffs[rowset].terms.items():
+                terms[expo] = terms.get(expo, 0) + c * minor
+    scale = den**degree
+    coeffs = {}
+    for colset, terms in sums.items():
+        terms = {expo: c / scale for expo, c in terms.items() if c}
+        if terms:
+            coeffs[colset] = PolyScalar._trusted(alpha.symbols, terms)
+    return AltForm._trusted(n, degree, alpha.symbols, coeffs)
 
 
 # -- monomial coordinates and linear operators --------------------------------
@@ -394,13 +375,10 @@ class ExteriorOp:
     """A linear map on the k-forms of an n-space, sparse.
 
     ``columns`` maps each input k-monomial to ``{output monomial: entry}``,
-    with nonzero PolyScalar entries in the context ``symbols``.  The
-    constructor builds a derivation of the exterior algebra, and
-    :meth:`compound` the compound of a matrix.
-
-    The derivation raises degrees by ``shift``.  It is fixed by its values on
-    covectors, e^i -> sum of value * e^{idx} over the (idx, value) pairs of
-    ``image[i]``, and the graded Leibniz rule
+    with nonzero PolyScalar entries in the context ``symbols``.  It is a
+    derivation of the exterior algebra that raises degrees by ``shift``,
+    fixed by its values on covectors, e^i -> sum of value * e^{idx} over the
+    (idx, value) pairs of ``image[i]``, and the graded Leibniz rule
     D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).
     """
 
@@ -427,44 +405,6 @@ class ExteriorOp:
             nonzero = {row: v for row, v in column.items() if not v.is_zero()}
             if nonzero:
                 self.columns[idx] = nonzero
-
-    @classmethod
-    def compound(cls, matrix: Sequence[Sequence], degree: int, symbols=()) -> "ExteriorOp":
-        """The degree-th compound of a rational matrix: e^I -> sum_J det matrix[I; J] e^J.
-
-        That is the pullback of degree-forms along the map whose e_c image
-        is column c.  The matrix is scaled to integers by the lcm L of its
-        denominators; each minor is built once, by Laplace expansion along
-        its first row over the minors one size smaller, and divided by
-        L^degree once.
-        """
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
-            raise ValueError("compound of a non-square matrix")
-        values = [[Fraction(x) for x in row] for row in matrix]
-        den = lcm(*(x.denominator for row in values for x in row))
-        rows = [{c: (x * den).numerator for c, x in enumerate(row, 1) if x} for row in values]
-        minors = {((), ()): 1}  # (row set, column set) -> nonzero minor
-        for size in range(1, degree + 1):
-            smaller, minors, subsets = minors, {}, monomials(n, size)
-            for rowset in subsets:
-                first, rest = rows[rowset[0] - 1], rowset[1:]
-                for colset in subsets:
-                    total = sum(
-                        (-1) ** t * first[c] * smaller.get((rest, colset[:t] + colset[t + 1 :]), 0)
-                        for t, c in enumerate(colset)
-                        if c in first
-                    )
-                    if total:
-                        minors[rowset, colset] = total
-        op = cls.__new__(cls)
-        op.dim, op.degree, op.out_degree = n, degree, degree
-        op.symbols, op.columns = check_context(symbols), {}
-        unit = (0,) * len(op.symbols)
-        for (rowset, colset), value in minors.items():
-            column = op.columns.setdefault(rowset, {})
-            column[colset] = PolyScalar._trusted(op.symbols, {unit: Fraction(value, den**degree)})
-        return op
 
     def apply(self, alpha: AltForm) -> AltForm:
         """The image of alpha, whose coefficients may be polynomials."""

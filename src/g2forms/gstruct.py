@@ -11,9 +11,9 @@ and are pinned by tests):
   the metric representative; the usual unit-norm normalization would need
   a 9th root and leave the rationals.
 * ``hodge_dual_up_to_scale`` returns the true Hodge dual times the positive
-  constant 1/sqrt(det Q): indices are raised with the k-th compound of
-  Q^{-1} and contracted with the Levi-Civita symbol, so no square roots
-  appear and the zero set is exactly that of the true dual.
+  constant 1/sqrt(det Q): indices are raised by the pullback along Q^{-1}
+  and contracted with the Levi-Civita symbol, so no square roots appear and
+  the zero set is exactly that of the true dual.
 * Hitchin's endomorphism of a 3-form psi on a 6-space is
   ``K[i][j] = top_coefficient(iota_{e_j} psi ^ psi ^ e^i)``, read off
   iota_{e_j} psi ^ psi at the complement of i without a wedge, and
@@ -35,12 +35,11 @@ from math import lcm
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
-    ExteriorOp,
     basis_form,
-    basis_vector,
     contract,
     merge_sign,
     monomials,
+    pullback,
     sort_sign,
     top_coefficient,
     wedge,
@@ -277,8 +276,7 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     minors = _linalg.leading_principal_minors(q)
     if not all(m > 0 for m in minors):
         raise ValueError("metric representative is not positive definite")
-    qinv = _linalg.inverse(q)
-    raised = ExteriorOp.compound(qinv, alpha.degree, alpha.symbols).apply(alpha)
+    raised = pullback(alpha, _linalg.inverse(q))
     coeffs = {}
     for upper, value in raised.coeffs.items():
         complement = tuple(i for i in range(1, n + 1) if i not in upper)
@@ -376,7 +374,7 @@ def hitchin_stability(psi: AltForm) -> HitchinReport:
         raise ValueError("hitchin_stability expects a 3-form on a 6-dimensional space")
     if not psi.is_rational():
         raise ValueError("hitchin_stability needs rational coefficients")
-    iota_psi = [wedge(contract(basis_vector(6, j, psi.symbols), psi), psi) for j in range(1, 7)]
+    iota_psi = [wedge(contract(j, psi), psi) for j in range(1, 7)]
     k_rows = []
     for i in range(1, 7):
         # e^{rest} ^ e^i = (-1)^(6-i) e^{1...6}, rest being {1..6} without i

@@ -10,8 +10,6 @@ from itertools import combinations, permutations
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
-    Vector,
-    basis_vector,
     contract,
     merge_sign,
     monomials,
@@ -49,11 +47,15 @@ def random_form(rng: random.Random, dim: int, degree: int, symbols=(), density=0
     return AltForm(dim, degree, symbols, coeffs)
 
 
-def random_vector(rng: random.Random, dim: int, symbols=()) -> Vector:
+def random_vector(rng: random.Random, dim: int, symbols=()) -> list:
+    """A tangent vector as its list of PolyScalar components."""
     symbols = tuple(symbols)
-    return Vector(
-        [PolyScalar.constant(random_rational(rng), symbols) for _ in range(dim)]
-    )
+    return [PolyScalar.constant(random_rational(rng), symbols) for _ in range(dim)]
+
+
+def unit_vector(dim: int, index: int, symbols=()) -> list:
+    """The components of the basis vector e_index (1-based)."""
+    return [PolyScalar.constant(int(i == index), symbols) for i in range(1, dim + 1)]
 
 
 def random_unimodular(rng: random.Random, n: int, shears: int = 8):
@@ -103,19 +105,20 @@ def rank_by_reverse_elimination(rows) -> int:
 
 
 def evaluate(alpha: AltForm, vectors) -> PolyScalar:
-    """Full alternating multilinear evaluation alpha(v_1, ..., v_k), by cofactors."""
+    """Full alternating multilinear evaluation alpha(v_1, ..., v_k), by cofactors;
+    each vector is its list of PolyScalar components."""
     if len(vectors) != alpha.degree:
         raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")
     for v in vectors:
-        if v.dim != alpha.dim:
+        if len(v) != alpha.dim:
             raise ValueError("vector dimension does not match form")
-        if v.symbols != alpha.symbols:
+        if any(c.symbols != alpha.symbols for c in v):
             raise ContextMismatchError("vector context does not match form")
     if alpha.degree == 0:
         return alpha.coefficient(())
     total = PolyScalar.zero(alpha.symbols)
     for idx, coeff in alpha.coeffs.items():
-        rows = [[v.components[i - 1] for v in vectors] for i in idx]
+        rows = [[v[i - 1] for v in vectors] for i in idx]
         total = total + coeff * _poly_det(rows)
     return total
 
@@ -138,13 +141,13 @@ def _poly_det(rows: list) -> PolyScalar:
 
 def pullback_by_evaluation(alpha: AltForm, matrix) -> AltForm:
     """(P*alpha)_J = alpha(P e_{j_1}, ..., P e_{j_k}), one :func:`evaluate` per J:
-    an oracle for :meth:`g2forms.exterior.ExteriorOp.compound`."""
+    an oracle for :func:`g2forms.exterior.pullback`."""
     n = alpha.dim
     cols = [
-        Vector([
+        [
             x if isinstance(x, PolyScalar) else PolyScalar.constant(x, alpha.symbols)
             for x in (matrix[r][c] for r in range(n))
-        ])
+        ]
         for c in range(n)
     ]
     coeffs = {
@@ -157,7 +160,7 @@ def wedge_b_matrix(phi: AltForm) -> list:
     """B[i][j] as the top coefficient of the wedge product iota_i phi ^ iota_j phi ^ phi,
     all 49 entries as PolyScalar rows: an oracle for :func:`g2forms.gstruct.b_matrix`
     and :func:`g2forms.gstruct.b_entries`."""
-    iotas = [contract(basis_vector(7, i, phi.symbols), phi) for i in range(1, 8)]
+    iotas = [contract(i, phi) for i in range(1, 8)]
     return [[top_coefficient(wedge(wedge(a, b), phi)) for b in iotas] for a in iotas]
 
 
@@ -195,7 +198,7 @@ def evaluate_by_permutations(alpha: AltForm, vectors) -> PolyScalar:
             sign = _permutation_sign(perm)
             prod = PolyScalar.constant(sign, alpha.symbols)
             for slot, vpos in enumerate(perm):
-                prod = prod * vectors[vpos].components[idx[slot] - 1]
+                prod = prod * vectors[vpos][idx[slot] - 1]
             total = total + coeff * prod
     return total
 

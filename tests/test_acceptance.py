@@ -209,13 +209,13 @@ def test_criterion_10_property_suites():
         l = rng.randint(1, min(3, n))
         alpha = random_form(rng, n, k)
         beta = random_form(rng, n, l)
-        v = random_vector(rng, n)
-        lhs = contract(v, wedge(alpha, beta))
-        rhs = wedge(contract(v, alpha), beta)
-        tail = wedge(alpha, contract(v, beta))
-        if k % 2:
-            tail = -tail
-        assert lhs == rhs + tail
+        for i in range(1, n + 1):
+            lhs = contract(i, wedge(alpha, beta))
+            rhs = wedge(contract(i, alpha), beta)
+            tail = wedge(alpha, contract(i, beta))
+            if k % 2:
+                tail = -tail
+            assert lhs == rhs + tail
         vectors = [random_vector(rng, n) for _ in range(k)]
         assert evaluate(alpha, vectors) == evaluate_by_permutations(alpha, vectors)
 

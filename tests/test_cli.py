@@ -168,6 +168,10 @@ def _case_document(base):
     return doc
 
 
+def _item(check, args, value):
+    return {"check": check, "args": args, "value": value, "cite": "probe"}
+
+
 @pytest.mark.parametrize(
     "base, path, value",
     [
@@ -196,6 +200,19 @@ def _case_document(base):
         ("T1.n1", ("description",), DROP),
         ("T1.n1", ("expected",), DROP),
         ("constants", ("structure_constants",), [[1, 2, 2, "1"], [1, 2, 2, "1"]]),
+        ("T1.n1", ("expected", 1), _item(
+            "invariant_dim_in_support", {"degree": 3, "groups": [[1, 2], [3]], "counts": [1]}, 0
+        )),
+        ("partial", ("expected",), [_item("jacobi", {}, "valid")]),
+        ("partial", ("expected",), [_item("d_squared", {"degrees": [2]}, "pass")]),
+        ("constants", ("expected",), [_item("d_eval", {"vectors": [1, 2, 1, 2]}, "0")]),
+        ("T1.n1", ("expected", 3, "value"), "x"),
+        ("T1.n1", ("expected", 3, "value"), ""),
+        ("T1.n1", ("expected", 1), _item(
+            "torsion_flags", {"form": "e^{1 2 q}"},
+            {"definite": True, "closed": True, "coclosed": True},
+        )),
+        ("T1.n1", ("expected", 2, "value"), ["e^{1 2}"]),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -223,6 +240,14 @@ def _case_document(base):
         "no-description",
         "no-expected",
         "repeated-structure-constant",
+        "fewer-counts-than-groups",
+        "jacobi-on-partial-data",
+        "d-squared-on-partial-data",
+        "d-eval-without-gammas",
+        "d-eval-symbol-outside-context",
+        "empty-polynomial-value",
+        "unparsable-form-arg",
+        "span-form-of-another-degree",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):

@@ -10,13 +10,13 @@ from conftest import (
     random_form,
     random_rational,
     random_unimodular,
+    unit_vector,
     wedge_b_matrix,
 )
 from g2forms import _linalg, gstruct
 from g2forms.catalog import models
 from g2forms.exterior import (
     AltForm,
-    basis_vector,
     contract,
     parse_form,
     pullback,
@@ -71,11 +71,9 @@ def test_b_matrix_of_standard_form_is_six_identity():
 
 def test_b_matrix_against_permutation_evaluation_oracle():
     phi = phi0()
-    basis = [basis_vector(7, i) for i in range(1, 8)]
+    basis = [unit_vector(7, i) for i in range(1, 8)]
     for i, j in [(1, 1), (7, 7), (1, 2), (3, 5)]:
-        seven_form = wedge(
-            wedge(contract(basis[i - 1], phi), contract(basis[j - 1], phi)), phi
-        )
+        seven_form = wedge(wedge(contract(i, phi), contract(j, phi)), phi)
         oracle = evaluate_by_permutations(seven_form, basis)
         assert top_coefficient(seven_form) == oracle
 
@@ -306,18 +304,35 @@ def test_obstruction_certificate_on_sl3r_closed_family():
     assert "identically" in report.identity
 
 
-def test_obstruction_certificate_undecided_for_scaled_standard_form():
-    family = ClosedFamily(
+def scaled_family(phi):
+    """The family t * phi on flat R^7, every member closed."""
+    return ClosedFamily(
         data=abelian(),
         degree=3,
         parameters=("t",),
-        basis=[phi0()],
-        generic=phi0().with_symbols(("t",)).scale(PolyScalar.symbol("t", ("t",))),
+        basis=[phi],
+        generic=phi.with_symbols(("t",)).scale(PolyScalar.symbol("t", ("t",))),
         invariant_dim=35,
         rank=0,
     )
-    report = obstruction_certificate(family)
+
+
+def test_obstruction_certificate_undecided_for_scaled_standard_form():
+    report = obstruction_certificate(scaled_family(phi0()))
     assert report.verdict == "undecided-parametric"
+
+
+def test_obstruction_certificate_indefinite_for_scaled_split_form():
+    # phi0 with e^{127} and e^{347} negated: B = t^3 diag(-6, -6, -6, -6, 6, 6, 6)
+    split = parse_form(
+        "-e^{1 2 7} + e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5} - e^{3 4 7} + e^{5 6 7}", 7
+    )
+    assert [b_matrix(split)[i][i] for i in range(7)] == [-6, -6, -6, -6, 6, 6, 6]
+    report = obstruction_certificate(scaled_family(split))
+    assert (report.verdict, report.family) == ("indefinite", True)
+    assert report.identity == (
+        "B(e1,e1) + B(e5,e5) = 0 identically, with neither term identically zero"
+    )
 
 
 def test_metric_up_to_scale_and_orientation_flip():
@@ -431,12 +446,11 @@ def test_product_g2_examples():
 
 def test_product_g2_contraction_recovers_omega():
     rng = random.Random(717)
-    e7 = basis_vector(7, 7)
     for _ in range(50):
         omega = random_form(rng, 6, 2)
         psi = random_form(rng, 6, 3)
         phi = product_g2(omega, psi)
-        recovered = contract(e7, phi)
+        recovered = contract(7, phi)
         assert recovered == AltForm(7, 2, (), dict(omega.coeffs))
 
 

@@ -25,7 +25,13 @@ results are rendered to strings and compared exactly:
   ``CaseRecord(doc).jacobi.render()`` for 200 seeded random
   structure-constants documents (some symbolic, some with zero or
   cancelling entries).  It reads only case documents and operators, so it
-  runs whatever table format ``HomogeneousSpaceData`` stores.
+  runs whatever table format ``HomogeneousSpaceData`` stores;
+* ``pullback``: ``pullback`` of 300 random forms of every degree 0..n on
+  R^n, n <= 7 (every third one with polynomial coefficients in two
+  symbols), by random rational matrices, every fourth one singular;
+* ``contract``: ``contract`` of each of those forms of positive degree by
+  every basis vector (on trees whose ``contract`` takes a ``Vector``, built
+  by ``basis_vector``).
 
 Exits 1 when any group differs.
 """
@@ -43,13 +49,17 @@ from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
 from g2forms.catalog import CaseRecord, bundled_ids, load_bundled
-from g2forms.exterior import AltForm
+from g2forms.exterior import AltForm, contract, pullback
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.scalars import PolyScalar
 try:  # older trees take the Hodge metric as a GramMatrix of PolyScalars
     from g2forms.gstruct import GramMatrix
 except ImportError:
     GramMatrix = None
+try:  # older trees contract a Vector
+    from g2forms.exterior import basis_vector
+except ImportError:
+    basis_vector = None
 PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
 def rational(rng):
@@ -73,7 +83,13 @@ def columns(op):
         for idx, column in sorted(op.columns.items())
     ]
 
-out = {"b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": []}
+def iota(i, alpha):
+    return contract(i if basis_vector is None else basis_vector(alpha.dim, i, alpha.symbols), alpha)
+
+out = {
+    "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
+    "pullback": [], "contract": [],
+}
 rng = random.Random(20261018)
 for t in range(300):
     symbols = ("a", "b") if t % 3 == 2 else ()
@@ -132,6 +148,16 @@ for t in range(200):
         "context": symbols, "expected": [],
     }
     out["lie"].append(CaseRecord(doc).jacobi.render())
+for t in range(300):
+    n = rng.randint(1, 7)
+    symbols = ("a", "b") if t % 3 == 2 else ()
+    alpha = form(rng, n, rng.randint(0, n), symbols, density=rng.choice([0.15, 0.5, 1.0]))
+    p = [[rational(rng) if rng.random() < 0.7 else F(0) for _ in range(n)] for _ in range(n)]
+    if t % 4 == 3:  # singular: the last row is a multiple of the first, or zero
+        p[-1] = [x * (n - 1) for x in p[0]]
+    out["pullback"].append(pullback(alpha, p).render())
+    if alpha.degree:
+        out["contract"].append([iota(i, alpha).render() for i in range(1, n + 1)])
 print(json.dumps(out))
 '''
 
