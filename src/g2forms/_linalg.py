@@ -7,7 +7,8 @@ int: callers divide entries, and a quotient of two ints is a float.
 
 The kernels compute on Python ints inside, because a gcd per Fraction
 operation dominated their cost.  :func:`rref` scales each row to integers
-by the lcm of its denominators, eliminates Gauss-Jordan fraction-free
+by the lcm of its denominators (a row of ints, as ``ExteriorOp.rows()``
+gives, is taken as it is), eliminates Gauss-Jordan fraction-free
 (keeping rows primitive by their gcd) and divides by the pivots once at the
 end; the reduced row echelon form is unique, so :func:`rank`,
 :func:`nullspace`, :func:`row_space`, :func:`solve_many` and
@@ -71,7 +72,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     if not mat:
         return [], []
     nrows, ncols = len(mat), len(mat[0])
-    m = [_integer_row(row)[0] for row in mat]
+    m = [row if all(type(x) is int for x in row) else _integer_row(row)[0] for row in mat]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

@@ -280,7 +280,7 @@ class CaseRecord:
                 )
             else:
                 basis = MatrixBasis([[[parse_rational(x) for x in row] for row in m] for m in mats])
-            return from_matrices(basis, self.basis_names).with_symbols(context)
+            return from_matrices(basis, self.basis_names, context)
         if self.source == "structure-constants":
             constants: dict[tuple, dict] = {}
             for i, j, k, coeff in self.raw["structure_constants"]:

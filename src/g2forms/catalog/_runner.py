@@ -364,8 +364,16 @@ def _forms_item(value, args, record) -> bool:
     return _is_strings(value) and all(_parses(parse_form, t, record.dim_m, degree) for t in value)
 
 
+def _dims(record, *dims) -> bool:
+    """True when dim m is one of ``dims``; ValueError otherwise."""
+    if record.dim_m not in dims:
+        raise ValueError(f"needs dim m = {' or '.join(map(str, dims))}, not {record.dim_m}")
+    return True
+
+
 def _three_form_item(test):
-    return lambda x, args, record: test(x) and _parses(parse_form, args["form"], record.dim_m, 3)
+    """A value test, on a 7-dimensional m with a 3-form as the ``form`` arg."""
+    return lambda x, a, r: _dims(r, 7) and test(x) and _parses(parse_form, a["form"], 7, 3)
 
 
 # name -> (check, item test, schema lines): the Checks block of the case
@@ -427,7 +435,7 @@ enumeration entry"""),
         lambda x, *_: _is_object(x, {"lambda": _is_rational, "k_squared_scalar": _is_bool}),
         "value {lambda, k_squared_scalar}",
     ),
-    "su3_flags": (_check_su3_flags, lambda x, *_: _is_map(x, _is_bool), """\
+    "su3_flags": (_check_su3_flags, lambda x, a, r: _dims(r, 6, 7) and _is_map(x, _is_bool), """\
 value: flag dict as rendered
 by the SU(3) report"""),
     "jacobi": (_check_jacobi, _full_source_item, 'value "valid" (full-algebra sources only)'),

@@ -7,7 +7,8 @@ coefficients.  Wedge products compute their sign by counting transpositions
 while merging the index tuples; contraction by e_i drops i with its sign,
 and a pullback sums integer minors.  :class:`ExteriorOp` is the one linear
 map between exterior powers, over the lexicographic monomial coordinates of
-:func:`monomials`: a derivation.
+:func:`monomials`: a derivation.  On rational data it computes on ints over
+one denominator and divides once (fraction-free, as in Bareiss, Math. Comp. 1968).
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -361,37 +362,45 @@ def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:
 
 
 def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> AltForm:
-    """The form whose coefficients over ``monomials(dim, degree)`` are vec."""
-    symbols = tuple(symbols)
+    """The form with coefficients vec (canonical Fractions) over ``monomials(dim, degree)``."""
+    symbols = check_context(symbols)
     coeffs = {
-        idx: PolyScalar.constant(value, symbols)
+        idx: PolyScalar._trusted(symbols, {(0,) * len(symbols): value})
         for idx, value in zip(monomials(dim, degree), vec)
         if value
     }
-    return AltForm(dim, degree, symbols, coeffs)
+    return AltForm._trusted(dim, degree, symbols, coeffs)
 
 
 class ExteriorOp:
     """A linear map on the k-forms of an n-space, sparse.
 
     ``columns`` maps each input k-monomial to ``{output monomial: entry}``,
-    with nonzero PolyScalar entries in the context ``symbols``.  It is a
-    derivation of the exterior algebra that raises degrees by ``shift``,
-    fixed by its values on covectors, e^i -> sum of value * e^{idx} over the
-    (idx, value) pairs of ``image[i]``, and the graded Leibniz rule
-    D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).
+    with nonzero entries.  It is a derivation of the exterior algebra that
+    raises degrees by ``shift``, fixed by its values on covectors, e^i ->
+    sum of value * e^{idx} over the (idx, value) pairs of ``image[i]``, and
+    the graded Leibniz rule D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).
+    When every image value is a rational constant, the entries are ints over
+    one denominator ``den``, the lcm of the values' denominators; otherwise
+    ``den`` is None and they are PolyScalars in the context ``symbols``.
     """
 
-    __slots__ = ("dim", "degree", "out_degree", "symbols", "columns")
+    __slots__ = ("dim", "degree", "out_degree", "symbols", "columns", "den")
 
     def __init__(self, dim: int, degree: int, shift: int, symbols, image: Mapping):
         self.dim = dim
         self.degree = degree
         self.out_degree = degree + shift
         self.symbols = tuple(symbols)
+        values = [value for pairs in image.values() for _, value in pairs]
+        self.den = None
+        if all(value.is_constant() for value in values):
+            den = self.den = lcm(*(value.constant_value().denominator for value in values))
+            image = {i: [(rep, (v.constant_value() * den).numerator) for rep, v in pairs]
+                     for i, pairs in image.items()}
         self.columns = {}
         for idx in monomials(dim, degree):
-            column: dict[tuple, PolyScalar] = {}
+            column: dict[tuple, object] = {}
             for t, i in enumerate(idx):
                 for replacement, value in image.get(i, ()):
                     sorted_sign = sort_sign(idx[:t] + replacement + idx[t + 1 :])
@@ -402,12 +411,13 @@ class ExteriorOp:
                         value = -value
                     acc = column.get(row)
                     column[row] = value if acc is None else acc + value
-            nonzero = {row: v for row, v in column.items() if not v.is_zero()}
+            nonzero = {row: v for row, v in column.items() if (v if self.den else v.terms)}
             if nonzero:
                 self.columns[idx] = nonzero
 
     def apply(self, alpha: AltForm) -> AltForm:
-        """The image of alpha, whose coefficients may be polynomials."""
+        """The image of alpha.  On int entries, alpha's terms are lifted to ints
+        over their lcm L, and each sum per (exponents, row) is divided by den * L."""
         if (alpha.dim, alpha.degree) != (self.dim, self.degree):
             raise ValueError(
                 f"operator acts on {self.degree}-forms of a {self.dim}-space, "
@@ -416,26 +426,37 @@ class ExteriorOp:
         if alpha.symbols != self.symbols:
             raise ContextMismatchError("form context does not match the operator")
         out: dict[tuple, PolyScalar] = {}
+        if self.den is None:
+            for idx, coeff in alpha.coeffs.items():
+                for row, entry in self.columns.get(idx, {}).items():
+                    out[row] = out[row] + coeff * entry if row in out else coeff * entry
+            out = {row: v for row, v in out.items() if v.terms}
+            return AltForm._trusted(self.dim, self.out_degree, self.symbols, out)
+        scale = lcm(*(c.denominator for x in alpha.coeffs.values() for c in x.terms.values()))
+        sums: dict[tuple, dict] = {}  # exponents -> {output monomial: integer sum}
         for idx, coeff in alpha.coeffs.items():
-            for row, entry in self.columns.get(idx, {}).items():
-                term = coeff * entry
-                acc = out.get(row)
-                out[row] = term if acc is None else acc + term
-        out = {row: v for row, v in out.items() if v.terms}
+            for expo, c in coeff.terms.items():
+                lifted, acc = c.numerator * (scale // c.denominator), sums.setdefault(expo, {})
+                for row, entry in self.columns.get(idx, {}).items():
+                    acc[row] = acc.get(row, 0) + lifted * entry
+        den = self.den * scale
+        for expo, acc in sums.items():
+            for row, total in acc.items():
+                if total:
+                    out.setdefault(row, {})[expo] = Fraction(total, den)
+        out = {row: PolyScalar._trusted(self.symbols, terms) for row, terms in out.items()}
         return AltForm._trusted(self.dim, self.out_degree, self.symbols, out)
 
-    def rows(self) -> list[list[Fraction]]:
-        """The nonzero rows of the matrix as Fractions, enough for its kernel.
-
-        Columns follow ``monomials(dim, degree)``; raises ValueError when an
-        entry is not a rational constant.
-        """
-        position = {idx: c for c, idx in enumerate(monomials(self.dim, self.degree))}
+    def rows(self) -> list[list[int]]:
+        """The nonzero rows of den times the matrix over ``monomials(dim, degree)``,
+        as ints: the same kernel.  Raises ValueError on polynomial entries."""
+        if self.den is None:
+            raise ValueError("the operator's entries are not rational constants")
+        monos = monomials(self.dim, self.degree)
         rows: dict[tuple, list] = {}
-        for col, column in self.columns.items():
-            for row, entry in column.items():
-                dense = rows.setdefault(row, [Fraction(0)] * len(position))
-                dense[position[col]] = entry.constant_value()
+        for c, col in enumerate(monos):
+            for row, entry in self.columns.get(col, {}).items():
+                rows.setdefault(row, [0] * len(monos))[c] = entry
         return [rows[key] for key in sorted(rows)]
 
 

@@ -62,13 +62,11 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
     """
 
     def build():
-        if not data.isotropy_is_rational():
-            raise ValueError(
-                "parametric isotropy action: instantiate the parameters first"
-            )
+        ops = data.derivations(degree)
+        if any(op.den is None for op in ops):  # the integer lane is the rational one
+            raise ValueError("parametric isotropy action: instantiate the parameters first")
         n = data.dim_m
-        stacked = [row for op in data.derivations(degree) for row in op.rows()]
-        kernel = _linalg.nullspace(stacked, comb(n, degree))
+        kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(n, degree))
         basis = [vector_to_form(vec, n, degree, data.symbols) for vec in kernel]
         return InvariantFormSpace(data, degree, basis)
 
@@ -120,11 +118,11 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
     """
 
     def build():
-        if not data.is_rational():
+        d = data.differential(degree)
+        if d.den is None:
             raise ValueError("closed_forms needs fully instantiated homogeneous data")
         space = invariant_forms(data, degree)
         n = data.dim_m
-        d = data.differential(degree)
         out_monomials = monomials(n, degree + 1)
         # rows: output monomials, columns: invariant basis forms
         matrix = _linalg.transpose(

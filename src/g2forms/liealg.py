@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
 from g2forms.exterior import ExteriorOp, basis_form
-from g2forms.scalars import PolyScalar
+from g2forms.scalars import PolyScalar, check_context
 
 __all__ = [
     "HomogeneousSpaceData",
@@ -100,43 +102,47 @@ class MatrixBasis:
         return len(self.matrices)
 
 
-def _commutator(a, b):
-    # ab - ba as one product: [a | -b] stacked over [b ; a]
-    return _linalg.matmul([ra + [-x for x in rb] for ra, rb in zip(a, b)], b + a)
+def _commutator(a, b) -> list[int]:
+    """ab - ba of integer matrices, flattened row by row."""
+    cols = list(zip(zip(*a), zip(*b)))
+    return [sum(map(mul, x, q)) - sum(map(mul, y, p)) for x, y in zip(a, b) for p, q in cols]
 
 
-def _vec(mat) -> list[Fraction]:
-    return [x for row in mat for x in row]
-
-
-def from_matrices(basis: MatrixBasis, names: Sequence[str] | None = None) -> HomogeneousSpaceData:
+def from_matrices(
+    basis: MatrixBasis, names: Sequence[str] | None = None, symbols: Iterable[str] = ()
+) -> HomogeneousSpaceData:
     """The span of a matrix basis as a Lie algebra (no isotropy), by exact solve.
 
-    Raises :class:`LieStructureError` when the matrices are linearly
-    dependent or some commutator leaves the span (with the offending pair).
+    On M_i = L * B_i, L the lcm of all denominators, [B_i, B_j] = sum_r c_r B_r
+    reads [M_i, M_j] = sum_r (L c_r) M_r: one integer system, divided by L.
+    The constants live in the context ``symbols``.  Raises
+    :class:`LieStructureError` when the matrices are linearly dependent or
+    some commutator leaves the span (with the offending pair).
     """
+    symbols = check_context(symbols)
     n = len(basis)
     if n == 1:
         # a one-dimensional algebra is abelian by antisymmetry, whatever the
         # matrix (including the zero matrix, whose span is degenerate)
-        return HomogeneousSpaceData(1, [], {}, names)
-    columns = [_vec(m) for m in basis.matrices]
-    span_matrix = _linalg.transpose(columns)  # (size^2) x n
+        return HomogeneousSpaceData(1, [], {}, names, symbols)
+    den = lcm(*(x.denominator for m in basis.matrices for row in m for x in row))
+    ints = [[[(x * den).numerator for x in row] for row in m] for m in basis.matrices]
+    span_matrix = _linalg.transpose([[x for row in m for x in row] for m in ints])
     if _linalg.rank(span_matrix) != n:
         raise LieStructureError("matrix basis is linearly dependent")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    rhs_cols = _linalg.transpose(
-        [_vec(_commutator(basis.matrices[i - 1], basis.matrices[j - 1])) for i, j in pairs]
-    )
+    rhs_cols = _linalg.transpose([_commutator(ints[i - 1], ints[j - 1]) for i, j in pairs])
     solutions = _linalg.solve_many(span_matrix, rhs_cols)
+    zero = (0,) * len(symbols)
     constants: dict[tuple, dict] = {}
     for (i, j), sol in zip(pairs, solutions):
         if sol is None:
             raise LieStructureError(
                 f"commutator [e{i}, e{j}] does not lie in the span of the basis"
             )
-        constants[(i, j)] = {r: PolyScalar.constant(x) for r, x in enumerate(sol, 1) if x}
-    return HomogeneousSpaceData(n, [], constants, names)
+        constants[(i, j)] = {r: PolyScalar._trusted(symbols, {zero: x / den})
+                             for r, x in enumerate(sol, 1) if x}
+    return HomogeneousSpaceData(n, [], constants, names, symbols)
 
 
 @dataclass
@@ -290,14 +296,6 @@ class HomogeneousSpaceData:
             return ExteriorOp(self.dim_m, degree, 1, self.symbols, image)
 
         return self.cached(("differential", degree), build)
-
-    def isotropy_is_rational(self) -> bool:
-        return all(a.is_constant() for mat in self.isotropy for a in mat.values())
-
-    def is_rational(self) -> bool:
-        return self.isotropy_is_rational() and all(
-            c.is_constant() for comps in self.bracket.values() for c in comps.values()
-        )
 
     def _map(self, symbols: tuple, f) -> "HomogeneousSpaceData":
         """The data with ``f`` applied to every stored scalar, in context ``symbols``."""

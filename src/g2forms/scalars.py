@@ -297,10 +297,13 @@ class PolyScalar:
     @classmethod
     def parse(cls, text: str, symbols: Iterable[str]) -> "PolyScalar":
         """Parse the canonical rendering (and harmless variants of it)."""
-        symbols = tuple(symbols)
+        symbols = check_context(symbols)
         compact = text.replace(" ", "")
         if not compact:
             raise ValueError("empty polynomial literal")
+        if _RATIONAL_RE.match(compact):  # "p" or "p/q", the common case: one constant
+            value = parse_rational(compact)
+            return cls._trusted(symbols, {(0,) * len(symbols): value} if value else {})
         result = cls.zero(symbols)
         for match in re.finditer(r"[+-]?[^+-]+", compact):
             chunk = match.group()

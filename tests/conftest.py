@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
+from operator import add
 
 from g2forms import _linalg
 from g2forms.exterior import (
@@ -238,20 +240,36 @@ def dense_jacobi_violations(algebra) -> list:
         [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]   for i < j < k,
 
     as (i, j, k, component renders) for every nonzero sum: an oracle for
-    :func:`g2forms.liealg.jacobi_check`.
+    :func:`g2forms.liealg.jacobi_check`.  Every coefficient term is scaled
+    to an integer by the lcm L of their denominators, so each sum is
+    accumulated on integers per exponent vector and divided by L^2 once.
     """
     n, symbols = algebra.dim_m, algebra.symbols
-    zero = PolyScalar.zero(symbols)
+    span = range(1, n + 1)
+    table = {(a, b): algebra.bracket_of(a, b) for a in span for b in span if a != b}
+    den = lcm(*(
+        c.denominator for comps in table.values() for x in comps.values() for c in x.terms.values()
+    ))
+    ints = {  # pair -> [(r, [(exponents, integer coefficient)])]
+        pair: [(r, [(e, (c * den).numerator) for e, c in x.terms.items()])
+               for r, x in comps.items()]
+        for pair, comps in table.items()
+    }
     violations = []
-    for i, j, k in combinations(range(1, n + 1), 3):
-        total = [zero] * n
+    for i, j, k in combinations(span, 3):
+        total = [{} for _ in span]  # per component: {exponents: integer sum}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # [u, e_c] = sum_s u_s [e_s, e_c] for u = [e_a, e_b]
-            for s, u in algebra.bracket_of(a, b).items():
-                for r, x in algebra.bracket_of(s, c).items():
-                    total[r - 1] = total[r - 1] + u * x
-        if any(not t.is_zero() for t in total):
-            violations.append((i, j, k, tuple(t.render() for t in total)))
+            for s, u in ints[a, b]:
+                for r, x in ints[s, c] if s != c else ():
+                    acc = total[r - 1]
+                    for e1, c1 in u:
+                        for e2, c2 in x:
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + c1 * c2
+        sums = [PolyScalar(symbols, {e: Fraction(v, den**2) for e, v in t.items()}) for t in total]
+        if any(not t.is_zero() for t in sums):
+            violations.append((i, j, k, tuple(t.render() for t in sums)))
     return violations
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from g2forms.exterior import (  # noqa: E402
     AltForm, ExteriorOp, contract, monomials, pullback, wedge,
@@ -99,6 +99,36 @@ def test_form_operations_are_canonical(alpha, beta, gamma, p, c):
 )
 def test_derivation_apply_is_canonical(image, alpha):
     canonical_form(ExteriorOp(DIM, 2, 0, (), image).apply(alpha))
+
+
+def _constants(values, symbols=CTX):
+    return {i: [(rep, PolyScalar.constant(c, symbols)) for rep, c in pairs] for i, pairs in values}
+
+
+HALF = Fraction(1, 2)
+
+
+# rational entries with denominators in a symbolic context: the integer
+# lane sums lifted terms per (output monomial, exponents), and its sums
+# cancel, as in the example (e^{14} - e^{24} -> e^{34}/2 - e^{34}/2)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, DIM),
+            st.lists(st.tuples(st.sampled_from(monomials(DIM, 1)),
+                               st.sampled_from([HALF, -HALF, Fraction(1, 3), Fraction(-3, 4)])),
+                     max_size=3),
+        ),
+        max_size=DIM,
+    ).map(_constants),
+    forms(2),
+)
+@example(
+    _constants([(1, [((3,), HALF)]), (2, [((3,), HALF)])]),
+    AltForm(DIM, 2, CTX, {(1, 4): PolyScalar.one(CTX), (2, 4): -PolyScalar.one(CTX)}),
+)
+def test_rational_derivation_apply_is_canonical(image, alpha):
+    canonical_form(ExteriorOp(DIM, 2, 0, CTX, image).apply(alpha))
 
 
 @given(

@@ -213,6 +213,13 @@ def _item(check, args, value):
             {"definite": True, "closed": True, "coclosed": True},
         )),
         ("T1.n1", ("expected", 2, "value"), ["e^{1 2}"]),
+        ("partial", ("expected",), [_item("b_matrix_scalar", {"form": "0"}, "1")]),
+        ("partial", ("expected",), [_item(
+            "torsion_flags", {"form": "0"}, {"definite": True, "closed": True, "coclosed": True}
+        )]),
+        ("constants", ("expected",), [_item(
+            "su3_flags", {"omega": "e^{1 2}", "psi": "e^{1 3 5}"}, {"sp": True}
+        )]),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -248,6 +255,9 @@ def _item(check, args, value):
         "empty-polynomial-value",
         "unparsable-form-arg",
         "span-form-of-another-degree",
+        "b-matrix-scalar-off-dimension-7",
+        "torsion-flags-off-dimension-7",
+        "su3-flags-off-dimension-6-or-7",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):

@@ -325,32 +325,52 @@ MATRIX_MODELS = {
 }
 
 
+def sheared_basis(rng, basis: MatrixBasis, shears: int) -> MatrixBasis:
+    """f_c = sum_k P[k][c] e_k for a seeded rational P: a product of random
+    shears with its columns scaled by nonzero rationals."""
+    n, size = len(basis), basis.size
+    scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+    p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears=shears)]
+    return MatrixBasis([
+        [
+            [sum(p[k][c] * basis.matrices[k][r][s] for k in range(n)) for s in range(size)]
+            for r in range(size)
+        ]
+        for c in range(n)
+    ])
+
+
+def assert_one_perturbed_constant_breaks_jacobi(rng, algebra, name):
+    """Negative control: the violations are exactly those of the dense oracle."""
+    table = {pair: dict(comps) for pair, comps in algebra.bracket.items()}
+    pair = rng.choice(sorted(table))
+    r = rng.randint(1, algebra.dim_m)
+    table[pair][r] = table[pair].get(r, C(0)) + C(rng.choice([-2, -1, 1, 2]))
+    broken = HomogeneousSpaceData(algebra.dim_m, [], table)
+    violations = jacobi_check(broken).violations
+    assert violations and violations == dense_jacobi_violations(broken), (name, pair, r)
+
+
 def test_jacobi_and_d_squared_hold_in_random_matrix_bases():
-    # f_c = sum_k P[k][c] e_k for a seeded rational P: a product of random
-    # shears with its columns scaled by nonzero rationals (few shears keep
-    # the d o d check on 2-forms of the 15-dimensional su(3,1) cheap)
+    # few shears keep the d o d check on 2-forms of every model cheap; the
+    # dense su(3,1) basis has a test of its own below
     rng = random.Random(2019)
     for name, builder in MATRIX_MODELS.items():
-        basis = builder()
-        n, size = len(basis), basis.size
-        scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
-        p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears=5)]
-        combined = [
-            [
-                [sum(p[k][c] * basis.matrices[k][r][s] for k in range(n)) for s in range(size)]
-                for r in range(size)
-            ]
-            for c in range(n)
-        ]
-        algebra = from_matrices(MatrixBasis(combined))
+        algebra = from_matrices(sheared_basis(rng, builder(), shears=5))
         assert jacobi_check(algebra).ok, name
         for degree in (1, 2):
             assert d_squared_check(algebra, degree).ok, (name, degree)
-        # negative control: one perturbed structure constant breaks Jacobi
-        table = {pair: dict(comps) for pair, comps in algebra.bracket.items()}
-        pair = rng.choice(sorted(table))
-        r = rng.randint(1, n)
-        table[pair][r] = table[pair].get(r, C(0)) + C(rng.choice([-2, -1, 1, 2]))
-        broken = HomogeneousSpaceData(n, [], table)
-        violations = jacobi_check(broken).violations
-        assert violations and violations == dense_jacobi_violations(broken), (name, pair, r)
+        assert_one_perturbed_constant_breaks_jacobi(rng, algebra, name)
+
+
+def test_jacobi_and_d_squared_hold_for_su31_in_a_dense_rational_basis():
+    # 40 shears fill su(3,1)'s table: most of its 15 * 105 structure
+    # constants are nonzero rationals with denominators
+    rng = random.Random(40)
+    algebra = from_matrices(sheared_basis(rng, MATRIX_MODELS["su31"](), shears=40))
+    constants = [c.constant_value() for comps in algebra.bracket.values() for c in comps.values()]
+    assert len(constants) > 1000 and any(c.denominator > 1 for c in constants)
+    assert jacobi_check(algebra).ok
+    for degree in (1, 2):
+        assert d_squared_check(algebra, degree).ok, degree
+    assert_one_perturbed_constant_breaks_jacobi(rng, algebra, "su31")

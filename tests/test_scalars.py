@@ -63,6 +63,18 @@ def test_rationals_are_reduced_with_positive_denominator():
         parse_rational("1/0")
 
 
+def test_parse_reads_a_plain_rational_as_one_canonical_constant():
+    for symbols in ((), ("a", "b")):
+        assert PolyScalar.parse("-2/4", symbols).terms == {(0,) * len(symbols): Fraction(-1, 2)}
+        assert PolyScalar.parse("0/3", symbols).terms == PolyScalar.parse("-0", symbols).terms == {}
+        # outside the "p" / "p/q" grammar a literal is a symbol, and unknown
+        for text in ("1/0", "1.5", "1e3"):
+            with pytest.raises(ValueError):
+                PolyScalar.parse(text, symbols)
+    with pytest.raises(ValueError, match="invalid symbol"):
+        PolyScalar.parse("3", ("1a",))
+
+
 def test_render_parse_round_trip():
     samples = [
         "0",

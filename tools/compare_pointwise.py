@@ -25,13 +25,20 @@ results are rendered to strings and compared exactly:
   ``CaseRecord(doc).jacobi.render()`` for 200 seeded random
   structure-constants documents (some symbolic, some with zero or
   cancelling entries).  It reads only case documents and operators, so it
-  runs whatever table format ``HomogeneousSpaceData`` stores;
+  runs whatever table format ``HomogeneousSpaceData`` stores, and renders
+  an entry as its rational value whether it is a PolyScalar or an int
+  over the operator's ``den``;
 * ``pullback``: ``pullback`` of 300 random forms of every degree 0..n on
   R^n, n <= 7 (every third one with polynomial coefficients in two
   symbols), by random rational matrices, every fourth one singular;
 * ``contract``: ``contract`` of each of those forms of positive degree by
   every basis vector (on trees whose ``contract`` takes a ``Vector``, built
-  by ``basis_vector``).
+  by ``basis_vector``);
+* ``apply``: for every bundled case and k = 0..dim m, ``apply`` of
+  ``derivations(k)`` and ``differential(k)`` to seeded random k-forms:
+  rational forms under ``homog_num()``, and under ``homog_sym`` forms in
+  the case context, every other one with polynomial coefficients.  It runs
+  after the other groups, so their inputs do not depend on it.
 
 Exits 1 when any group differs.
 """
@@ -77,18 +84,30 @@ def form(rng, n, k, symbols=(), density=0.5):
             coeffs[idx] = PolyScalar.parse(coefficient(rng, symbols), symbols)
     return AltForm(n, k, symbols, coeffs)
 
+def entry(op, value):
+    # a PolyScalar, or an int over the operator's common denominator
+    return value.render() if isinstance(value, PolyScalar) else str(F(value, op.den))
+
 def columns(op):
     return [
-        [list(idx), [[list(row), value.render()] for row, value in sorted(column.items())]]
+        [list(idx), [[list(row), entry(op, value)] for row, value in sorted(column.items())]]
         for idx, column in sorted(op.columns.items())
     ]
+
+def case_form(rng, data, k, symbolic):
+    coeffs = {}
+    for idx in combinations(range(1, data.dim_m + 1), k):
+        if rng.random() < 0.5:
+            text = coefficient(rng, data.symbols if symbolic else ())
+            coeffs[idx] = PolyScalar.parse(text, data.symbols)
+    return AltForm(data.dim_m, k, data.symbols, coeffs)
 
 def iota(i, alpha):
     return contract(i if basis_vector is None else basis_vector(alpha.dim, i, alpha.symbols), alpha)
 
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
-    "pullback": [], "contract": [],
+    "pullback": [], "contract": [], "apply": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -158,6 +177,14 @@ for t in range(300):
     out["pullback"].append(pullback(alpha, p).render())
     if alpha.degree:
         out["contract"].append([iota(i, alpha).render() for i in range(1, n + 1)])
+for case_id in bundled_ids():
+    record = load_bundled(case_id)
+    for data, symbolic in ((record.homog_num(), False), (record.homog_sym, True)):
+        for k in range(data.dim_m + 1):
+            ops = [*data.derivations(k), data.differential(k)]
+            for t in range(2):
+                alpha = case_form(rng, data, k, symbolic and t == 1)
+                out["apply"].append([case_id, k, [op.apply(alpha).render() for op in ops]])
 print(json.dumps(out))
 '''
 
