@@ -16,16 +16,15 @@ from __future__ import annotations
 import inspect
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from g2forms.catalog._runner import (
-    _ARGS, _CHECKS, CaseReport, CheckResult, _is_bool, _is_int, _is_ints, _is_list_of, _is_map,
-    _is_object, _is_str, _is_strings, schema_checks, schema_entry,
+    _ARGS, _CHECKS, CaseReport, CheckResult, WrongType, _is_bool, _is_int, _is_ints, _is_list_of,
+    _is_map, _is_object, _is_str, _is_strings, schema_checks, schema_entry,
 )
 from g2forms.exterior import AltForm, parse_form
 from g2forms.liealg import (
@@ -193,17 +192,20 @@ comparisons) when computed equals expected; any `mismatch` fails the case.
 
 @dataclass
 class CaseRecord:
-    """A validated case document and the pipeline objects built from it.
+    """A validated case document, its parsed strings and the pipeline objects built from it.
 
-    ``raw`` preserves the canonical content.  The algebra, its Jacobi
-    report, the symbolic homogeneous data and the generic form are built
-    once, on first use, and kept on the record: :func:`load_case` builds the
-    ones it validates and the checks reuse them.  Everything derived from
-    the data (instantiations, invariant spaces, closed families) is memoized
-    on the data itself.  Do not mutate ``raw`` or the built objects.
+    ``raw`` preserves the canonical content.  ``checks`` holds each expected
+    item as ``(check, value, args)``, parsed by :func:`validate_case_dict`
+    into what the check takes.  The parsed parameters, matrices and gammas,
+    the algebra, its Jacobi report, the symbolic homogeneous data and the
+    generic form are built once and kept on the record: :func:`load_case`
+    builds the ones it validates and the checks reuse them.  Everything
+    derived from the data (instantiations, invariant spaces, closed
+    families) is memoized on the data itself.  Do not mutate any of them.
     """
 
     raw: dict
+    checks: list = field(default_factory=list)
 
     @property
     def case_id(self) -> str:
@@ -229,18 +231,15 @@ class CaseRecord:
     def context(self) -> tuple:
         return tuple(self.raw.get("context", ()))
 
-    @property
+    @cached_property
     def parameters(self) -> dict:
         return {k: parse_rational(v) for k, v in self.raw.get("parameters", {}).items()}
 
-    @property
+    @cached_property
     def enumerations(self) -> list:
-        enums = self.raw.get("enumerations")
-        if not enums:
-            return [self.parameters]
         return [
             {**self.parameters, **{k: parse_rational(v) for k, v in entry.items()}}
-            for entry in enums
+            for entry in self.raw.get("enumerations") or [{}]
         ]
 
     @property
@@ -273,14 +272,7 @@ class CaseRecord:
         """
         context = self.context
         if self.source == "matrix-basis":
-            mats = self.raw["matrices"]
-            if any(isinstance(entry, list) for m in mats for row in m for entry in row):
-                basis = MatrixBasis.from_complex(
-                    [[[_complex_entry(x) for x in row] for row in m] for m in mats]
-                )
-            else:
-                basis = MatrixBasis([[[parse_rational(x) for x in row] for row in m] for m in mats])
-            return from_matrices(basis, self.basis_names, context)
+            return from_matrices(self.matrix_basis, self.basis_names, context)
         if self.source == "structure-constants":
             constants: dict[tuple, dict] = {}
             for i, j, k, coeff in self.raw["structure_constants"]:
@@ -291,6 +283,14 @@ class CaseRecord:
                 self.dimension, [], constants, self.basis_names, context
             )
         raise ValueError(f"case {self.case_id} has no full algebra payload")
+
+    @cached_property
+    def matrix_basis(self) -> MatrixBasis:
+        """The parsed matrices of a matrix-basis case, complex ones realified."""
+        mats = [[[_matrix_entry(x) for x in row] for row in m] for m in self.raw["matrices"]]
+        if any(isinstance(entry, list) for m in mats for row in m for entry in row):
+            return MatrixBasis.from_complex(mats)
+        return MatrixBasis(mats)
 
     @cached_property
     def jacobi(self) -> JacobiReport:
@@ -343,14 +343,12 @@ class CaseRecord:
             raise ValueError(f"case {self.case_id} declares no gammas")
         return [parse_form(text, self.dim_m, 3, self.context) for text in self.gammas]
 
-    def numeric_form(self, text: str, degree=None) -> AltForm:
-        return parse_form(text, self.dim_m, degree, self.homog_num().symbols)
 
-
-def _complex_entry(entry):
+def _matrix_entry(entry):
+    """A rational, or a complex entry as its [re, im] pair of rationals."""
     if isinstance(entry, list):
-        return (parse_rational(entry[0]), parse_rational(entry[1]))
-    return (parse_rational(entry), Fraction(0))
+        return [parse_rational(x) for x in entry]
+    return parse_rational(entry)
 
 
 def _schema_error(where: str, text: str) -> SchemaError:
@@ -365,23 +363,25 @@ def _no_repeats(field: str, keys) -> None:
         seen.add(key)
 
 
-def _test(where: str, text: str, test, *values) -> None:
-    try:  # a test raises ValueError on a string it cannot parse
-        ok = test(*values)
-    except ValueError as exc:
+def _parse(where: str, text: str, parse, *values):
+    """``parse(*values)``, with its WrongType and ValueError turned into a SchemaError."""
+    try:
+        return parse(*values)
+    except WrongType:
+        raise _schema_error(where, text) from None
+    except ValueError as exc:  # a string it cannot parse, or a case its check cannot run on
         raise SchemaError(f"{where}: {exc}") from exc
-    if not ok:
-        raise _schema_error(where, text)
 
 
 def validate_case_dict(doc: dict) -> CaseRecord:
     """The record of a case document; :class:`SchemaError` names the field at fault.
 
-    Each field is checked against its :data:`_FIELDS` entry, and each
-    expected item against its check: the args bind to the check's keyword
-    parameters and pass their :data:`_ARGS` tests, and then the item passes
-    the check's item test, which parses what the check will parse.  The
-    code after the field loop checks the rules that span fields.
+    Each field is checked against its :data:`_FIELDS` entry.  The code
+    after the field loop checks the rules that span fields and parses the
+    parameters, enumerations, matrices and gammas.  Each expected item is
+    parsed for its check: the args bind to the check's keyword parameters
+    and go through their :data:`_ARGS` parsers, then the value goes through
+    the check's item parser, and ``record.checks`` keeps what they return.
     """
     if not isinstance(doc, dict):
         raise SchemaError("case document must be a JSON object")
@@ -414,19 +414,27 @@ def validate_case_dict(doc: dict) -> CaseRecord:
     gammas = len(doc.get("gammas", []))
     if gammas != len(doc.get("gamma_symbols", [])):
         raise SchemaError("gammas and gamma_symbols must have equal length")
+    _parse("parameters", "", lambda: record.parameters)
+    _parse("enumerations", "", lambda: record.enumerations)
+    if doc["source"] == "matrix-basis":
+        _parse("matrices", "", lambda: record.matrix_basis)
+    if doc.get("gammas"):
+        _parse("gammas", "", lambda: record.gamma_forms)
     for pos, item in enumerate(doc["expected"]):
-        name, args, value = item["check"], item["args"], item["value"]
+        name, value, where = item["check"], item["value"], f"expected[{pos}]: {item['check']}"
         if name not in _CHECKS:
             raise SchemaError(f"expected[{pos}]: unknown check {name!r}")
-        check, item_test, check_doc = _CHECKS[name]
+        check, parse_item, check_doc = _CHECKS[name]
         try:
-            inspect.signature(check).bind(None, value, **args)
+            inspect.signature(check).bind(None, value, **item["args"])
         except TypeError as exc:
-            raise SchemaError(f"expected[{pos}]: {name}: {exc}") from exc
-        for arg, x in args.items():
-            test, arg_doc = _ARGS[arg]
-            _test(f"expected[{pos}]: {name} arg {arg}={x!r}", arg_doc, test, x, record.dim_m, gammas)
-        _test(f"expected[{pos}]: {name} value {value!r}", check_doc, item_test, value, args, record)
+            raise SchemaError(f"{where}: {exc}") from exc
+        args = {}
+        for arg, x in item["args"].items():
+            parse, arg_doc = _ARGS[arg]
+            args[arg] = _parse(f"{where} arg {arg}={x!r}", arg_doc, parse, x, record.dim_m, gammas)
+        value = _parse(f"{where} value {value!r}", check_doc, parse_item, value, args, record)
+        record.checks.append((check, value, args))
     return record
 
 
@@ -437,8 +445,8 @@ def load_case(path) -> CaseRecord:
     validation at load time; partial homogeneous payloads are checked for
     bracket antisymmetry.  The objects this validation reads
     (``algebra``, ``jacobi``, ``homog_sym``) stay on the record for the
-    checks.  Matrix payloads are validated on first use (the exact solve
-    that derives their constants is the validation).
+    checks.  A matrix payload is parsed here and solved on first use (the
+    exact solve that derives its constants is the rest of its validation).
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -494,12 +502,12 @@ def verify_case(case) -> CaseReport:
     record = load_bundled(case) if isinstance(case, str) else case
     report = CaseReport(record.case_id, record.description)
     start = time.perf_counter()
-    for item in record.expected:
-        check, value, args = item["check"], item["value"], item["args"]
-        status, computed = _CHECKS[check][0](record, value, **args)
-        expected = "; ".join(map(str, value)) if isinstance(value, list) else str(value)
+    for item, (check, value, args) in zip(record.expected, record.checks, strict=True):
+        status, computed = check(record, value, **args)
+        raw = item["value"]
+        expected = "; ".join(map(str, raw)) if isinstance(raw, list) else str(raw)
         report.results.append(
-            CheckResult(check, dict(args), status, computed, expected, item["cite"])
+            CheckResult(item["check"], dict(item["args"]), status, computed, expected, item["cite"])
         )
     report.seconds = time.perf_counter() - start
     return report

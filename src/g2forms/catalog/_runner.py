@@ -2,14 +2,16 @@
 
 Each check takes a :class:`~g2forms.catalog.CaseRecord`, the expected value
 and the case's arguments as keyword parameters, reads the pipeline objects
-the record owns, and returns ``(status, computed)``.  :data:`_CHECKS` lists
-them by name with their item tests, and :data:`_ARGS` types each argument.
+the record owns, and returns ``(status, computed)``.  The value and the
+arguments come parsed: :data:`_CHECKS` lists the checks by name with the
+item parser of their values, and :data:`_ARGS` the parser of each argument.
+The loader runs these parsers once, so no check parses a string.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from g2forms import _linalg
 from g2forms.exterior import contract, form_to_vector, monomials, parse_form
@@ -41,14 +43,7 @@ class CheckResult:
         return self.status in ("match", "span-match", "skipped")
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "args": self.args,
-            "status": self.status,
-            "computed": self.computed,
-            "expected": self.expected,
-            "cite": self.cite,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -87,20 +82,14 @@ class CaseReport:
         return "\n".join(lines)
 
 
-def _coefficient_rows(record, forms, degree, texts):
-    """Coefficient rows of the computed forms and of the printed ones."""
+def _rows(record, forms, degree):
     monos = monomials(record.dim_m, degree)
-    printed = [parse_form(t, record.dim_m, degree, ()) for t in texts]
-    return (
-        [form_to_vector(f, monos) for f in forms],
-        [form_to_vector(f, monos) for f in printed],
-    )
+    return [form_to_vector(f, monos) for f in forms]
 
 
-def _render_forms(forms) -> str:
-    if not forms:
-        return "(zero space)"
-    return "; ".join(f.render() for f in forms)
+def _span_result(ok: bool, basis) -> tuple:
+    """span-match or mismatch, and the computed basis."""
+    return ("span-match" if ok else "mismatch"), "; ".join(map(str, basis)) or "(zero space)"
 
 
 # -- individual checks --------------------------------------------------------
@@ -113,36 +102,30 @@ def _check_invariant_dim(record, value, degree):
 
 def _check_invariant_span(record, value, degree):
     space = invariant_forms(record.homog_num(), degree)
-    computed, target = _coefficient_rows(record, space.basis, degree, value)
-    equal = _linalg.spans_equal(computed, target)
-    return ("span-match" if equal else "mismatch"), _render_forms(space.basis)
+    equal = _linalg.spans_equal(_rows(record, space.basis, degree), _rows(record, value, degree))
+    return _span_result(equal, space.basis)
 
 
 def _check_invariant_dim_in_support(record, value, degree, groups, counts):
-    groups = [set(g) for g in groups]
     space = invariant_forms(record.homog_num(), degree)
     outside = [
         idx
         for idx in monomials(record.dim_m, degree)
-        if not all(len(set(idx) & g) == c for g, c in zip(groups, counts))
+        if not all(len(set(idx).intersection(g)) == c for g, c in zip(groups, counts))
     ]
     rows = [form_to_vector(f, outside) for f in space.basis]
-    if not space.basis:
-        dim = 0
-    else:
-        # combinations of the invariant basis supported inside the monomial set
-        dim = len(_linalg.nullspace(_linalg.transpose(rows), len(space.basis)))
-    return _compare(dim, value)
+    # the combinations of the invariant basis with no component outside
+    return _compare(len(space.basis) - _linalg.rank(rows), value)
 
 
 def _check_d_eval(record, value, vectors):
     computed = ce_differential(record.homog_sym, record.generic_form).eval_basis(tuple(vectors))
-    return _status(computed == PolyScalar.parse(value, record.context)), computed.render()
+    return _status(computed == value), computed.render()
 
 
 def _check_b_entry(record, value, i, j):
     computed = b_entries(record.generic_form, [(i, j)])[i, j]
-    return _status(computed == PolyScalar.parse(value, record.context)), computed.render()
+    return _status(computed == value), computed.render()
 
 
 def _check_closed_param_count(record, value, degree=3):
@@ -152,23 +135,20 @@ def _check_closed_param_count(record, value, degree=3):
 
 def _check_closed_span(record, value):
     family = closed_forms(record.homog_num(), 3)
-    computed, target = _coefficient_rows(record, family.basis, family.degree, value)
-    equal = _linalg.spans_equal(computed, target)
-    return ("span-match" if equal else "mismatch"), _render_forms(family.basis)
+    equal = _linalg.spans_equal(_rows(record, family.basis, 3), _rows(record, value, 3))
+    return _span_result(equal, family.basis)
 
 
 def _check_closed_subset_of(record, value):
     family = closed_forms(record.homog_num(), 3)
-    computed, target = _coefficient_rows(record, family.basis, family.degree, value)
-    contained = _linalg.span_contains(target, computed)
-    return ("span-match" if contained else "mismatch"), _render_forms(family.basis)
+    contained = _linalg.span_contains(_rows(record, value, 3), _rows(record, family.basis, 3))
+    return _span_result(contained, family.basis)
 
 
 def _check_closed_component_zero(record, value, indices):
     family = closed_forms(record.homog_num(), 3)
-    monos = monomials(record.dim_m, family.degree)
-    gamma_cols = _linalg.transpose([form_to_vector(g, monos) for g in record.gamma_forms])
-    members = _linalg.transpose([form_to_vector(m, monos) for m in family.basis])
+    gamma_cols = _linalg.transpose(_rows(record, record.gamma_forms, 3))
+    members = _linalg.transpose(_rows(record, family.basis, 3))
     solutions = _linalg.solve_many(gamma_cols, members) if members else []
     if None in solutions:
         return "mismatch", "closed form outside the span of the declared gammas"
@@ -190,29 +170,27 @@ def _check_not_definite(record, value):
 
 
 def _check_b_matrix_scalar(record, value, form):
-    b = b_matrix(record.numeric_form(form, 3))
-    scalar = parse_rational(value)
-    ok = all(b[i][j] == (scalar if i == j else 0) for i in range(7) for j in range(7))
+    b = b_matrix(form)
+    ok = all(b[i][j] == (value if i == j else 0) for i in range(7) for j in range(7))
     diag = ", ".join(str(b[i][i]) for i in range(7))
     return _status(ok), f"diagonal ({diag})"
 
 
 def _check_torsion_flags(record, value, form):
-    report = g2_torsion_report(record.homog_num(), record.numeric_form(form, 3))
+    data = record.homog_num()
+    report = g2_torsion_report(data, form.with_symbols(data.symbols))
     computed = {"definite": report.definite, "closed": report.closed, "coclosed": report.coclosed}
     return _status(computed == value), report.render()
 
 
 def _check_contract_vector(record, value, form, vector):
-    phi = record.numeric_form(form, None)
-    computed = contract(vector, phi)
-    return _status(computed == record.numeric_form(value, phi.degree - 1)), computed.render()
+    computed = contract(vector, form)
+    return _status(computed == value), computed.render()
 
 
 def _check_hitchin(record, value, psi):
-    report = hitchin_stability(parse_form(psi, 6, 3, ()))
-    ok = report.lam == parse_rational(value["lambda"])
-    ok = ok and report.k_squared_is_scalar == value["k_squared_scalar"]
+    report = hitchin_stability(psi)
+    ok = report.lam == value["lambda"] and report.k_squared_is_scalar == value["k_squared_scalar"]
     computed = f"{report.render()}; K^2 == lambda*Id: {report.k_squared_is_scalar}"
     return _status(ok), computed
 
@@ -221,9 +199,7 @@ def _check_su3_flags(record, value, omega, psi):
     data = record.homog_num()
     if data.dim_m == 7:
         data = data.restrict([1, 2, 3, 4, 5, 6])
-    report = su3_check(
-        data, parse_form(omega, 6, 2, data.symbols), parse_form(psi, 6, 3, data.symbols)
-    )
+    report = su3_check(data, omega.with_symbols(data.symbols), psi.with_symbols(data.symbols))
     flags = report.flags()
     computed = ", ".join(f"{k}={v}" for k, v in flags.items())
     return _status(flags == value), computed
@@ -250,14 +226,27 @@ def _compare(computed, expected):
     return _status(computed == expected), str(computed)
 
 
-# -- type tests, and the tables of checks and their arguments -----------------
+# -- parsers, and the tables of checks and their arguments --------------------
+
+
+class WrongType(Exception):
+    """A value whose JSON type or range the schema rules out."""
+
+
+def _typed(test):
+    """The parser that returns a value passing ``test`` as it is, and raises WrongType otherwise."""
+    def parse(value, *context):
+        if not test(value, *context):
+            raise WrongType
+        return value
+    return parse
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_str(value) -> bool:
+def _is_str(value, *_) -> bool:
     return isinstance(value, str)
 
 
@@ -294,74 +283,68 @@ def _is_count(value, *_) -> bool:
     return _is_int(value) and value >= 0
 
 
-def _parses(parse, *args) -> bool:
-    """True when ``parse(*args)`` returns; its ValueError propagates."""
-    parse(*args)
-    return True
+_string, _bool, _count = _typed(_is_str), _typed(_is_bool), _typed(_is_count)
+_flags = _typed(lambda x, *_: _is_map(x, _is_bool))
+_INDEX = (_typed(lambda x, m, g: _is_ints([x], 1, m)), "basis index 1..dim m")
 
-
-def _is_rational(value) -> bool:
-    return _is_str(value) and _parses(parse_rational, value)
-
-
-_INDEX = (lambda x, m, g: _is_ints([x], 1, m), "basis index 1..dim m")
-
-# argument name -> (test(value, dim m, number of gammas), schema lines); a
-# check takes its arguments as keyword parameters, and a parameter with a
-# default is an optional argument
+# argument name -> (parser(value, dim m, number of gammas), schema lines); the
+# parser returns the argument as the check takes it (forms parsed with no
+# context) and raises WrongType or ValueError.  A check takes its arguments
+# as keyword parameters, and a parameter with a default is an optional argument
 _ARGS = {
-    "degree": (lambda x, m, g: _is_ints([x], 0, m), "integer 0..dim m"),
+    "degree": (_typed(lambda x, m, g: _is_ints([x], 0, m)), "integer 0..dim m"),
     "degrees": (
-        lambda x, m, g: _is_ints(x, 0, m) and x != [], "non-empty list of integers 0..dim m"
+        _typed(lambda x, m, g: _is_ints(x, 0, m) and x != []),
+        "non-empty list of integers 0..dim m",
     ),
     "i": _INDEX,
     "j": _INDEX,
     "vector": _INDEX,
-    "vectors": (lambda x, m, g: _is_ints(x, 1, m, 4), "list of four basis indices 1..dim m"),
+    "vectors": (
+        _typed(lambda x, m, g: _is_ints(x, 1, m, 4)), "list of four basis indices 1..dim m"
+    ),
     "groups": (
-        lambda x, m, g: _is_list_of(x, lambda y: _is_ints(y, 1, m)),
+        _typed(lambda x, m, g: _is_list_of(x, lambda y: _is_ints(y, 1, m))),
         "list of lists of basis indices 1..dim m",
     ),
-    "counts": (lambda x, m, g: _is_ints(x, 0, m), """\
+    "counts": (_typed(lambda x, m, g: _is_ints(x, 0, m)), """\
 list of integers 0..dim m, one per group; the
 selected monomials have counts[g] indices in groups[g]"""),
     "indices": (
-        lambda x, m, g: _is_ints(x, 1, g) and x != [],
+        _typed(lambda x, m, g: _is_ints(x, 1, g) and x != []),
         "non-empty list of gamma positions 1..len(gammas)",
     ),
-    "form": (lambda x, m, g: _is_str(x), "form string on m"),
-    "omega": (lambda x, m, g: _is_str(x) and _parses(parse_form, x, 6, 2), "2-form string on e1..e6"),
-    "psi": (lambda x, m, g: _is_str(x) and _parses(parse_form, x, 6, 3), "3-form string on e1..e6"),
+    "form": (lambda x, m, g: parse_form(_string(x), m), "form string on m"),
+    "omega": (lambda x, m, g: parse_form(_string(x), 6, 2), "2-form string on e1..e6"),
+    "psi": (lambda x, m, g: parse_form(_string(x), 6, 3), "3-form string on e1..e6"),
 }
 
 
-# An item test(value, args, record) runs once the args pass their tests.  It
-# returns whether the value has its type (a plain type test ignores args and
-# record), and raises ValueError on a string its check cannot parse or on a
-# case that the check cannot run on.
-def _full_source_item(value, args, record) -> bool:
+# An item parser(value, args, record) runs once the args are parsed, and gets
+# them parsed.  It returns the value as the check takes it, and raises
+# WrongType on a value of the wrong type and ValueError on a string it cannot
+# parse or on a case that the check cannot run on.
+def _full_source_item(value, args, record) -> str:
     if record.source == "partial-homogeneous":
         raise ValueError("needs a full-algebra source")
-    return _is_str(value)
+    return _string(value)
 
 
-def _polynomial_item(value, args, record) -> bool:
+def _polynomial_item(value, args, record):
     """A polynomial about the generic form (gamma_forms raises when there are no gammas)."""
-    return bool(record.gamma_forms) and _is_str(value) and (
-        _parses(PolyScalar.parse, value, record.context)
-    )
+    return record.gamma_forms and PolyScalar.parse(_string(value), record.context)
 
 
-def _support_item(value, args, record) -> bool:
+def _support_item(value, args, record) -> int:
     if len(args["groups"]) != len(args["counts"]):
         raise ValueError("needs one count per group")
-    return _is_count(value)
+    return _count(value)
 
 
-def _forms_item(value, args, record) -> bool:
+def _forms_item(value, args, record) -> list:
     """Printed forms at the check's degree (3 for the closed family)."""
     degree = args.get("degree", 3)
-    return _is_strings(value) and all(_parses(parse_form, t, record.dim_m, degree) for t in value)
+    return [parse_form(t, record.dim_m, degree) for t in _typed(_is_strings)(value)]
 
 
 def _dims(record, *dims) -> bool:
@@ -371,15 +354,25 @@ def _dims(record, *dims) -> bool:
     return True
 
 
-def _three_form_item(test):
-    """A value test, on a 7-dimensional m with a 3-form as the ``form`` arg."""
-    return lambda x, a, r: _dims(r, 7) and test(x) and _parses(parse_form, a["form"], 7, 3)
+def _three_form_item(parse):
+    """A value parser, on a 7-dimensional m with a 3-form as the ``form`` arg."""
+    def item(value, args, record):
+        if _dims(record, 7) and args["form"].degree != 3:
+            raise ValueError("needs a 3-form as its form arg")
+        return parse(value)
+    return item
 
 
-# name -> (check, item test, schema lines): the Checks block of the case
+def _hitchin_item(value, args, record) -> dict:
+    if not _is_object(value, {"lambda": _is_str, "k_squared_scalar": _is_bool}):
+        raise WrongType
+    return {**value, "lambda": parse_rational(value["lambda"])}
+
+
+# name -> (check, item parser, schema lines): the Checks block of the case
 # schema is built from this table, one entry per check, in this order
 _CHECKS = {
-    "invariant_dim": (_check_invariant_dim, _is_count, "value: integer dimension"),
+    "invariant_dim": (_check_invariant_dim, _count, "value: integer dimension"),
     "invariant_span": (_check_invariant_span, _forms_item, """\
 value: list of forms; passes when
 the computed space equals their span (span-match)"""),
@@ -393,7 +386,7 @@ on the named basis vectors, kept symbolic"""),
     "b_entry": (_check_b_entry, _polynomial_item, """\
 value: polynomial; entry of the
 bilinear form of the generic form"""),
-    "closed_param_count": (_check_closed_param_count, _is_count, """\
+    "closed_param_count": (_check_closed_param_count, _count, """\
 value: number of free parameters
 of the closed family"""),
     "closed_span": (
@@ -404,38 +397,34 @@ of the closed family"""),
     ),
     "closed_component_zero": (
         _check_closed_component_zero,
-        lambda x, args, record: bool(record.gamma_forms) and _is_bool(x),
+        lambda x, args, record: record.gamma_forms and _bool(x),
         """\
 value true; every closed form has
 zero component along the named gammas""",
     ),
-    "not_definite": (_check_not_definite, _is_bool, """\
+    "not_definite": (_check_not_definite, _bool, """\
 value true; an obstruction certificate excludes
 definite members of the closed family, for every
 enumeration entry"""),
     "b_matrix_scalar": (
-        _check_b_matrix_scalar, _three_form_item(_is_rational), "value: rational c with B = c * Id"
+        _check_b_matrix_scalar,
+        _three_form_item(lambda x: parse_rational(_string(x))),
+        "value: rational c with B = c * Id",
     ),
     "torsion_flags": (
         _check_torsion_flags,
-        _three_form_item(
+        _three_form_item(_typed(
             lambda x: _is_object(x, dict.fromkeys(("definite", "closed", "coclosed"), _is_bool))
-        ),
+        )),
         "value {definite, closed, coclosed}",
     ),
     "contract_vector": (
         _check_contract_vector,
-        lambda x, args, record: _is_str(x) and _parses(
-            parse_form, x, record.dim_m, parse_form(args["form"], record.dim_m).degree - 1
-        ),
+        lambda x, args, record: parse_form(_string(x), record.dim_m, args["form"].degree - 1),
         "value: the contracted form",
     ),
-    "hitchin": (
-        _check_hitchin,
-        lambda x, *_: _is_object(x, {"lambda": _is_rational, "k_squared_scalar": _is_bool}),
-        "value {lambda, k_squared_scalar}",
-    ),
-    "su3_flags": (_check_su3_flags, lambda x, a, r: _dims(r, 6, 7) and _is_map(x, _is_bool), """\
+    "hitchin": (_check_hitchin, _hitchin_item, "value {lambda, k_squared_scalar}"),
+    "su3_flags": (_check_su3_flags, lambda x, a, r: _dims(r, 6, 7) and _flags(x), """\
 value: flag dict as rendered
 by the SU(3) report"""),
     "jacobi": (_check_jacobi, _full_source_item, 'value "valid" (full-algebra sources only)'),

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from g2forms.scalars import ContextMismatchError, PolyScalar, check_context, parse_rational
+from g2forms.scalars import _ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational
 
 __all__ = [
     "AltForm",
@@ -358,7 +358,7 @@ def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:
     Raises ValueError when a coefficient is symbolic.
     """
     coeffs = alpha.coeffs
-    return [coeffs[idx].constant_value() if idx in coeffs else Fraction(0) for idx in monos]
+    return [coeffs[idx].constant_value() if idx in coeffs else _ZERO for idx in monos]
 
 
 def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> AltForm:

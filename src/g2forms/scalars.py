@@ -39,10 +39,10 @@ class ContextMismatchError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` into a Fraction."""
+    """Parse ``"p"`` or ``"p/q"`` (q > 0) into a Fraction; nothing else is a rational."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(_RATIONAL_RE.match(text.strip())[0])
+    except (TypeError, ZeroDivisionError) as exc:  # no match, or q = 0
         raise ValueError(f"invalid rational literal {text!r}") from exc
 
 

@@ -200,6 +200,24 @@ def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
     assert sorted(calls) == built  # once each, at load time
 
 
+@pytest.mark.parametrize("case_id", bundled_ids())
+def test_checks_parse_nothing(monkeypatch, case_id):
+    from g2forms import catalog
+    from g2forms.catalog import _runner
+    from g2forms.scalars import PolyScalar
+
+    record = load_bundled(case_id)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"parsed {args} after loading")
+
+    for module in (catalog, _runner):
+        monkeypatch.setattr(module, "parse_form", refuse)
+        monkeypatch.setattr(module, "parse_rational", refuse)
+    monkeypatch.setattr(PolyScalar, "parse", refuse)
+    assert verify_case(record).ok  # every string was parsed when the case loaded
+
+
 def _minimal_partial():
     return {
         "id": "tiny",
@@ -249,6 +267,11 @@ def test_schema_violations_are_field_level():
     doc = _minimal_partial()
     doc["expected"] = [{"check": "invariant_dim", "args": {}, "value": 1}]
     with pytest.raises(SchemaError, match="cite"):
+        validate_case_dict(doc)
+
+    doc = _minimal_partial()  # gammas that no check reads are parsed at load all the same
+    doc.update(context=["a"], gammas=["e^{1 q}"], gamma_symbols=["a"])
+    with pytest.raises(SchemaError, match="gammas"):
         validate_case_dict(doc)
 
 

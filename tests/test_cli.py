@@ -161,6 +161,10 @@ def _case_document(base):
             "isotropy_action": [[["0", "1"], ["-1", "0"]]],
             "projected_bracket": [[1, 2, ["0", "1"]]],
         }
+    elif base == "matrix":  # the diagonal 2x2 matrices
+        doc["source"] = "matrix-basis"
+        doc["matrices"] = [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]
+        doc.update(h_indices=[], m_indices=[1, 2])
     else:
         doc["source"] = "structure-constants"
         doc["structure_constants"] = [[1, 2, 2, "1"]]
@@ -213,13 +217,18 @@ def _item(check, args, value):
             {"definite": True, "closed": True, "coclosed": True},
         )),
         ("T1.n1", ("expected", 2, "value"), ["e^{1 2}"]),
-        ("partial", ("expected",), [_item("b_matrix_scalar", {"form": "0"}, "1")]),
+        ("partial", ("expected",), [_item("b_matrix_scalar", {"form": "e^{1 2}"}, "1")]),
         ("partial", ("expected",), [_item(
-            "torsion_flags", {"form": "0"}, {"definite": True, "closed": True, "coclosed": True}
+            "torsion_flags", {"form": "e^{1 2}"},
+            {"definite": True, "closed": True, "coclosed": True},
         )]),
         ("constants", ("expected",), [_item(
             "su3_flags", {"omega": "e^{1 2}", "psi": "e^{1 3 5}"}, {"sp": True}
         )]),
+        ("matrix", ("matrices", 0, 0, 0), "1.5"),
+        ("T1.n1", ("parameters",), {"a1": "1e3"}),
+        ("T1.n1", ("enumerations",), [{"a1": "+3"}]),
+        ("T1.n1", ("expected", 1), _item("b_matrix_scalar", {"form": "0"}, "0")),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -258,6 +267,10 @@ def _item(check, args, value):
         "b-matrix-scalar-off-dimension-7",
         "torsion-flags-off-dimension-7",
         "su3-flags-off-dimension-6-or-7",
+        "decimal-matrix-entry",
+        "exponent-parameter",
+        "plus-signed-enumeration-value",
+        "zero-form-arg",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
@@ -275,7 +288,7 @@ def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("base", ["T1.n1", "partial", "constants"])
+@pytest.mark.parametrize("base", ["T1.n1", "partial", "constants", "matrix"])
 def test_unmutated_case_document_exits_zero(tmp_path, base):
     # each malformed document above differs from its base only where it is broken
     case = tmp_path / "case.json"

@@ -63,6 +63,12 @@ def test_rationals_are_reduced_with_positive_denominator():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e3", "+3", "1_0"])
+def test_parse_rational_reads_only_p_and_p_over_q(text):
+    with pytest.raises(ValueError, match="invalid rational literal"):
+        parse_rational(text)
+
+
 def test_parse_reads_a_plain_rational_as_one_canonical_constant():
     for symbols in ((), ("a", "b")):
         assert PolyScalar.parse("-2/4", symbols).terms == {(0,) * len(symbols): Fraction(-1, 2)}
