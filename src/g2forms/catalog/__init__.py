@@ -3,8 +3,10 @@
 Each case is a JSON document (see :data:`SCHEMA_TEXT`) holding the raw
 input data (a matrix basis, structure constants, or partial homogeneous
 data), parameter instantiations, and a list of expected check results with
-source citations.  :func:`verify_case` runs the full pipeline on a case and
-compares every expected value exactly; :func:`verify_all` aggregates.
+source citations.  Every source is built and checked when the case loads
+(:func:`validate_case_dict`), so a record that loads is complete.
+:func:`verify_case` runs the checks of a case and compares every expected
+value exactly; :func:`verify_all` aggregates.
 
 Filter semantics: without a filter, :func:`verify_all` runs the canonical
 cases only (``exploratory`` cases are excluded); an explicit filter glob is
@@ -30,7 +32,6 @@ from g2forms.exterior import AltForm, parse_form
 from g2forms.liealg import (
     HomogeneousSpaceData,
     JacobiReport,
-    LieStructureError,
     MatrixBasis,
     from_matrices,
     homogeneous_from_partial,
@@ -192,16 +193,16 @@ comparisons) when computed equals expected; any `mismatch` fails the case.
 
 @dataclass
 class CaseRecord:
-    """A validated case document, its parsed strings and the pipeline objects built from it.
+    """A case document, its parsed strings and the pipeline objects built from it.
 
     ``raw`` preserves the canonical content.  ``checks`` holds each expected
-    item as ``(check, value, args)``, parsed by :func:`validate_case_dict`
-    into what the check takes.  The parsed parameters, matrices and gammas,
-    the algebra, its Jacobi report, the symbolic homogeneous data and the
-    generic form are built once and kept on the record: :func:`load_case`
-    builds the ones it validates and the checks reuse them.  Everything
-    derived from the data (instantiations, invariant spaces, closed
-    families) is memoized on the data itself.  Do not mutate any of them.
+    item as ``(check, value, args)``, parsed into what the check takes.
+    :func:`validate_case_dict` builds and checks, for every source, the
+    parsed parameters and gammas, the algebra, its Jacobi report and the
+    symbolic homogeneous data; they stay on the record for the checks (a
+    record made straight from a document builds each on first use).
+    Everything derived from the data (instantiations, invariant spaces,
+    closed families) is memoized on the data.  Do not mutate any of them.
     """
 
     raw: dict
@@ -268,11 +269,15 @@ class CaseRecord:
     def algebra(self) -> HomogeneousSpaceData:
         """The full Lie algebra of a matrix-basis or structure-constants case.
 
-        It is homogeneous data with no isotropy (m = g), in the case context.
+        It is homogeneous data with no isotropy (m = g), in the case context;
+        complex matrices are realified before the solve.
         """
         context = self.context
         if self.source == "matrix-basis":
-            return from_matrices(self.matrix_basis, self.basis_names, context)
+            mats = [[[_matrix_entry(x) for x in row] for row in m] for m in self.raw["matrices"]]
+            complex_entries = any(isinstance(x, list) for m in mats for row in m for x in row)
+            basis = MatrixBasis.from_complex(mats) if complex_entries else MatrixBasis(mats)
+            return from_matrices(basis, self.basis_names, context)
         if self.source == "structure-constants":
             constants: dict[tuple, dict] = {}
             for i, j, k, coeff in self.raw["structure_constants"]:
@@ -283,14 +288,6 @@ class CaseRecord:
                 self.dimension, [], constants, self.basis_names, context
             )
         raise ValueError(f"case {self.case_id} has no full algebra payload")
-
-    @cached_property
-    def matrix_basis(self) -> MatrixBasis:
-        """The parsed matrices of a matrix-basis case, complex ones realified."""
-        mats = [[[_matrix_entry(x) for x in row] for row in m] for m in self.raw["matrices"]]
-        if any(isinstance(entry, list) for m in mats for row in m for entry in row):
-            return MatrixBasis.from_complex(mats)
-        return MatrixBasis(mats)
 
     @cached_property
     def jacobi(self) -> JacobiReport:
@@ -376,12 +373,13 @@ def _parse(where: str, text: str, parse, *values):
 def validate_case_dict(doc: dict) -> CaseRecord:
     """The record of a case document; :class:`SchemaError` names the field at fault.
 
-    Each field is checked against its :data:`_FIELDS` entry.  The code
-    after the field loop checks the rules that span fields and parses the
-    parameters, enumerations, matrices and gammas.  Each expected item is
-    parsed for its check: the args bind to the check's keyword parameters
-    and go through their :data:`_ARGS` parsers, then the value goes through
-    the check's item parser, and ``record.checks`` keeps what they return.
+    Each field is checked against its :data:`_FIELDS` entry.  Then the rules
+    that span fields are checked, and the case is built from its payload:
+    a full source gets its algebra (matrices solved), a Jacobi check and
+    the reductive split, partial data its antisymmetry check.  Each expected
+    item is parsed for its check: the args bind to the check's keyword
+    parameters and go through their :data:`_ARGS` parsers, then the value
+    goes through the check's item parser, and ``record.checks`` keeps both.
     """
     if not isinstance(doc, dict):
         raise SchemaError("case document must be a JSON object")
@@ -416,8 +414,11 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         raise SchemaError("gammas and gamma_symbols must have equal length")
     _parse("parameters", "", lambda: record.parameters)
     _parse("enumerations", "", lambda: record.enumerations)
-    if doc["source"] == "matrix-basis":
-        _parse("matrices", "", lambda: record.matrix_basis)
+    payload = next(name for name, sources, *_ in _FIELDS if sources == (doc["source"],))
+    full = doc["source"] in FULL_SOURCES
+    if full and not _parse(payload, "", lambda: record.jacobi).ok:
+        raise SchemaError(f"{payload}: the Jacobi identity fails:\n{record.jacobi.render()}")
+    _parse("reductive split fails" if full else payload, "", lambda: record.homog_sym)
     if doc.get("gammas"):
         _parse("gammas", "", lambda: record.gamma_forms)
     for pos, item in enumerate(doc["expected"]):
@@ -438,40 +439,19 @@ def validate_case_dict(doc: dict) -> CaseRecord:
     return record
 
 
-def load_case(path) -> CaseRecord:
-    """Load and validate a case file.
-
-    Supplied structure constants get a Jacobi check and a reductive-split
-    validation at load time; partial homogeneous payloads are checked for
-    bracket antisymmetry.  The objects this validation reads
-    (``algebra``, ``jacobi``, ``homog_sym``) stay on the record for the
-    checks.  A matrix payload is parsed here and solved on first use (the
-    exact solve that derives its constants is the rest of its validation).
-    """
+def _read(path):
+    """The JSON document of a case file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    record = validate_case_dict(doc)
-    if record.source == "structure-constants":
-        try:
-            record.algebra
-        except ValueError as exc:  # an unparsable coefficient
-            raise SchemaError(f"invalid structure constants: {exc}") from exc
-        if not record.jacobi.ok:
-            raise SchemaError(f"structure constants violate Jacobi:\n{record.jacobi.render()}")
-        try:
-            record.homog_sym
-        except LieStructureError as exc:
-            raise SchemaError(f"reductive split fails: {exc}") from exc
-    elif record.source == "partial-homogeneous":
-        try:
-            record.homog_sym
-        except ValueError as exc:  # LieStructureError included
-            raise SchemaError(f"invalid homogeneous payload: {exc}") from exc
-    return record
+
+
+def load_case(path) -> CaseRecord:
+    """The record of a case file, built and checked by :func:`validate_case_dict`."""
+    return validate_case_dict(_read(path))
 
 
 def _case_dir():
@@ -520,5 +500,8 @@ def verify_all(pattern: str | None = None) -> list:
     with a pattern, every bundled id matching the glob runs, exploratory
     included.
     """
-    records = (load_bundled(i) for i in bundled_ids() if pattern is None or fnmatch(i, pattern))
-    return [verify_case(r) for r in records if pattern is not None or not r.exploratory]
+    ids = (i for i in bundled_ids() if pattern is None or fnmatch(i, pattern))
+    docs = (_read(_case_dir() / f"{i}.json") for i in ids)
+    # without a pattern, an exploratory document is skipped before it is built
+    return [verify_case(validate_case_dict(d)) for d in docs
+            if pattern is not None or d.get("exploratory") is not True]

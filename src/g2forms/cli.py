@@ -78,19 +78,12 @@ def _load_case_file(path: str) -> catalog.CaseRecord:
         raise _InputError(f"invalid case file {path}: {exc}") from exc
 
 
-def _numeric_data(record: catalog.CaseRecord):
-    try:
-        return record.homog_num()
-    except ValueError as exc:  # unparsable literal, bad matrix basis or split
-        raise _InputError(f"invalid case data in {record.case_id}: {exc}") from exc
-
-
 def _cmd_verify(args) -> int:
     if args.case:
         try:
             reports = [catalog.verify_case(args.case)]
         except KeyError as exc:
-            raise _InputError(str(exc)) from exc
+            raise _InputError(exc.args[0]) from exc
     else:
         reports = catalog.verify_all(args.filter)
         if not reports:
@@ -112,7 +105,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     record = _load_case_file(args.input)
-    data = _numeric_data(record)
+    data = record.homog_num()
     space = invariant_forms(data, args.degree)
     if args.format == "json":
         _emit_json(
@@ -133,7 +126,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_closed(args) -> int:
     record = _load_case_file(args.input)
-    data = _numeric_data(record)
+    data = record.homog_num()
     family = closed_forms(data, args.degree)
     if args.format == "json":
         _emit_json(
@@ -170,7 +163,7 @@ def _cmd_definite(args) -> int:
 
 def _cmd_su3(args) -> int:
     record = _load_case_file(args.input)
-    data = _numeric_data(record)
+    data = record.homog_num()
     if data.dim_m not in (6, 7):
         raise _InputError("su3 needs a case with a 6- or 7-dimensional tangent model")
     omega = _load_form(args.omega, 6, 2, "su3 --omega")

@@ -307,7 +307,9 @@ class HomogeneousSpaceData:
         )
 
     def instantiate(self, assignment: Mapping[str, Fraction]) -> "HomogeneousSpaceData":
-        """Substitute parameter values throughout (reduced context)."""
+        """Substitute parameter values throughout (reduced context); ``{}`` gives ``self``."""
+        if not assignment:
+            return self
         symbols = tuple(s for s in self.symbols if s not in assignment)
         return self.cached(("instantiate", tuple(sorted(assignment.items()))), lambda: (
             self._map(symbols, lambda x: x.substitute(assignment))

@@ -145,6 +145,22 @@ def test_verify_all_default_excludes_exploratory():
     assert all(r.ok for r in reports)
 
 
+@pytest.mark.parametrize("pattern, built", [(None, 12), ("*", 13)])
+def test_verify_all_builds_only_the_cases_it_runs(monkeypatch, pattern, built):
+    # without a pattern the exploratory document is skipped before it is built
+    from g2forms import catalog
+
+    calls = []
+
+    def counting(doc, _original=catalog.validate_case_dict):
+        calls.append(doc["id"])
+        return _original(doc)
+
+    monkeypatch.setattr(catalog, "validate_case_dict", counting)
+    monkeypatch.setattr(catalog, "verify_case", lambda record: record)
+    assert len(verify_all(pattern)) == len(calls) == built
+
+
 def test_verify_all_filter_semantics():
     t1 = verify_all("T1.*")
     assert [r.case_id for r in t1] == [
@@ -198,6 +214,22 @@ def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
         monkeypatch.setattr(catalog, name, counting)
     assert verify_case(load_bundled(case_id)).ok
     assert sorted(calls) == built  # once each, at load time
+
+
+@pytest.mark.parametrize("case_id", bundled_ids())
+def test_verification_builds_nothing(monkeypatch, case_id):
+    from g2forms import catalog, liealg
+
+    record = load_bundled(case_id)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built case data after loading")
+
+    builders = ("from_matrices", "reductive_split", "jacobi_check", "homogeneous_from_partial")
+    for module in (catalog, liealg):
+        for name in builders:
+            monkeypatch.setattr(module, name, refuse)
+    assert verify_case(record).ok  # every source was built when the case loaded
 
 
 @pytest.mark.parametrize("case_id", bundled_ids())
@@ -327,6 +359,41 @@ def test_asymmetric_partial_bracket_rejected_at_load(tmp_path):
     path = tmp_path / "asym.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SchemaError, match="antisymmetric"):
+        load_case(path)
+
+
+def _matrix_doc(matrices, h_indices, m_indices):
+    n = len(matrices)
+    return {
+        "id": "bad-matrices",
+        "description": "",
+        "source": "matrix-basis",
+        "dimension": n,
+        "basis_names": [f"e{i}" for i in range(1, n + 1)],
+        "matrices": [[[str(x) for x in row] for row in m] for m in matrices],
+        "h_indices": h_indices,
+        "m_indices": m_indices,
+        "expected": [],
+    }
+
+
+SL2 = [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]  # H, E, F
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (_matrix_doc([[[1, 0], [0, 0]], [[2, 0], [0, 0]]], [], [1, 2]), "matrices: .*dependent"),
+        (_matrix_doc(SL2[1:], [], [1, 2]), r"matrices: commutator \[e1, e2\]"),
+        (_matrix_doc(SL2, [2, 3], [1]), "reductive split fails: h is not a subalgebra"),
+        (_matrix_doc(SL2, [2], [1, 3]), "reductive split fails: reductivity"),
+    ],
+    ids=["proportional", "commutator-outside-span", "h-not-a-subalgebra", "hm-with-h-component"],
+)
+def test_bad_matrix_payload_rejected_at_load(tmp_path, doc, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError, match=match):
         load_case(path)
 
 

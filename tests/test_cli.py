@@ -35,7 +35,7 @@ def test_verify_single_case_exits_zero(capsys):
 
 def test_verify_unknown_case_exits_two(capsys):
     assert main(["verify", "--case", "nope"]) == 2
-    assert "unknown case" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: unknown case id 'nope'")
 
 
 def test_verify_all_json_round_trips(capsys):
@@ -229,6 +229,7 @@ def _item(check, args, value):
         ("T1.n1", ("parameters",), {"a1": "1e3"}),
         ("T1.n1", ("enumerations",), [{"a1": "+3"}]),
         ("T1.n1", ("expected", 1), _item("b_matrix_scalar", {"form": "0"}, "0")),
+        ("matrix", ("matrices", 1), [["2", "0"], ["0", "0"]]),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -271,6 +272,7 @@ def _item(check, args, value):
         "exponent-parameter",
         "plus-signed-enumeration-value",
         "zero-form-arg",
+        "proportional-matrices",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):

@@ -250,6 +250,7 @@ def test_derived_objects_are_built_once_per_data(monkeypatch):
     data = sl3r_data()
     assignment = {}
     assert data.instantiate(assignment) is data.instantiate(assignment)
+    assert data.instantiate({}) is data
     space = invariant_forms(data, 3)
     assert invariant_forms(data, 3) is space
     calls = []
