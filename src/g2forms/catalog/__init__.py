@@ -3,10 +3,12 @@
 Each case is a JSON document (see :data:`SCHEMA_TEXT`) holding the raw
 input data (a matrix basis, structure constants, or partial homogeneous
 data), parameter instantiations, and a list of expected check results with
-source citations.  Every source is built and checked when the case loads
-(:func:`validate_case_dict`), so a record that loads is complete.
-:func:`verify_case` runs the checks of a case and compares every expected
-value exactly; :func:`verify_all` aggregates.
+source citations.  A case is parsed and built when it loads
+(:func:`validate_case_dict`): each field goes through its parser once, and
+the record holds the parsed values and the data built from them, so a
+record that loads is complete.  :func:`verify_case` runs the checks of a
+case and compares every expected value exactly; :func:`verify_all`
+aggregates.
 
 Filter semantics: without a filter, :func:`verify_all` runs the canonical
 cases only (``exploratory`` cases are excluded); an explicit filter glob is
@@ -18,15 +20,14 @@ from __future__ import annotations
 import inspect
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from g2forms.catalog._runner import (
     _ARGS, _CHECKS, CaseReport, CheckResult, WrongType, _is_bool, _is_int, _is_ints, _is_list_of,
-    _is_map, _is_object, _is_str, _is_strings, schema_checks, schema_entry,
+    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, schema_checks, schema_entry,
 )
 from g2forms.exterior import AltForm, parse_form
 from g2forms.liealg import (
@@ -38,7 +39,7 @@ from g2forms.liealg import (
     jacobi_check,
     reductive_split,
 )
-from g2forms.scalars import PolyScalar, parse_rational
+from g2forms.scalars import PolyScalar, check_context, parse_rational
 
 __all__ = [
     "CaseRecord",
@@ -61,6 +62,11 @@ class SchemaError(ValueError):
 SOURCES = ("matrix-basis", "structure-constants", "partial-homogeneous")
 FULL_SOURCES = SOURCES[:2]
 
+
+# -- field parsers ------------------------------------------------------------
+# A parser(value, values) gets the field's JSON value and the values of the
+# fields parsed before it, returns the typed value, and raises WrongType on a
+# value of the wrong type and ValueError on one it cannot parse.
 
 def _is_matrix(value, size, entry) -> bool:
     """A size x size list of rows whose entries pass ``entry``."""
@@ -90,6 +96,101 @@ def _is_constant_entry(entry, dim) -> bool:
     )
 
 
+def _repeated(key, where) -> ValueError:
+    return ValueError(f"repeated index {key} at {where}")
+
+
+def _dim_m(values) -> int:
+    """The number of m_indices for full sources, the dimension for partial data."""
+    return len(values["m_indices"]) if values["source"] in FULL_SOURCES else values["dimension"]
+
+
+def _indices(value, values) -> list:
+    """Distinct basis indices 1..dimension."""
+    if not _is_ints(value, 1, values["dimension"]):
+        raise WrongType
+    for pos, index in enumerate(value):
+        if index in value[:pos]:
+            raise _repeated(index, f"[{pos}]")
+    return value
+
+
+def _matrices(value, values) -> list:
+    """The matrices with each entry a Fraction, or a complex one an [re, im] pair of them."""
+    def entry(x):
+        return [parse_rational(y) for y in x] if isinstance(x, list) else parse_rational(x)
+
+    if not _is_matrices(value, values["dimension"]):
+        raise WrongType
+    return [[[entry(x) for x in row] for row in m] for m in value]
+
+
+def _structure_constants(value, values) -> dict:
+    """The table {(i, j): {k: coeff}}; ValueError on a repeated (i, j, k)."""
+    n, context = values["dimension"], values["context"]
+    if not _is_list_of(value, lambda e: _is_constant_entry(e, n)):
+        raise WrongType
+    table: dict[tuple, dict] = {}
+    for pos, (i, j, k, coeff) in enumerate(value):
+        comps = table.setdefault((i, j), {})
+        if k in comps:
+            raise _repeated((i, j, k), f"[{pos}]")
+        comps[k] = PolyScalar.parse(coeff, context)
+    return table
+
+
+def _homogeneous(value, values) -> tuple:
+    """The isotropy tables {(r, c): a} and the bracket {(i, j): {r: c}}.
+
+    ValueError on a repeated (i, j).
+    """
+    n, context = values["dimension"], values["context"]
+    if not _is_object(value, {
+        "isotropy_action": lambda y: _is_list_of(y, lambda m: _is_matrix(m, n, _is_str)),
+        "projected_bracket": lambda y: _is_list_of(y, lambda e: _is_bracket_entry(e, n)),
+    }):
+        raise WrongType
+    isotropy = [
+        {
+            (r, c): PolyScalar.parse(x, context)
+            for r, row in enumerate(m, 1)
+            for c, x in enumerate(row, 1)
+            if x != "0"
+        }
+        for m in value["isotropy_action"]
+    ]
+    bracket: dict[tuple, dict] = {}
+    for pos, (i, j, comps) in enumerate(value["projected_bracket"]):
+        if (i, j) in bracket:
+            raise _repeated((i, j), f"projected_bracket[{pos}]")
+        bracket[i, j] = {
+            r: PolyScalar.parse(x, context) for r, x in enumerate(comps, 1) if x != "0"
+        }
+    return isotropy, bracket
+
+
+def _declared(symbols, values):
+    """``symbols``; ValueError when one is not in the context."""
+    undeclared = sorted(set(symbols) - set(values["context"]))
+    if undeclared:
+        raise ValueError(f"symbols not declared in context: {undeclared}")
+    return symbols
+
+
+def _assignment(value, values) -> dict:
+    """{symbol: Fraction} over symbols of the context."""
+    if not _is_map(value, _is_str):
+        raise WrongType
+    return {k: parse_rational(x) for k, x in _declared(value, values).items()}
+
+
+def _enumerations(value, values) -> list:
+    """A list of assignments."""
+    if not isinstance(value, list):
+        raise WrongType
+    return [_assignment(x, values) for x in value]
+
+
 _EXPECTED_ITEM = {
     "check": _is_str,
     "args": lambda x: isinstance(x, dict),
@@ -99,67 +200,68 @@ _EXPECTED_ITEM = {
 
 # The case schema, one entry per field: name, the sources that require the
 # field (none for an optional one; a field that some sources require is
-# rejected for the others), its type test(value, dimension) and its schema
-# lines.  validate_case_dict checks each entry, and SCHEMA_TEXT lists them.
+# rejected for the others), its parser and its schema lines.
+# validate_case_dict parses each field with its entry, and SCHEMA_TEXT lists
+# them.  The expected items are parsed for their checks once the case is built.
 _FIELDS = (
-    ("id", SOURCES, lambda x, n: _is_str(x) and x != "", "unique case identifier (string)"),
-    ("description", SOURCES, lambda x, n: _is_str(x), "human-readable summary (string)"),
-    ("source", SOURCES, lambda x, n: x in SOURCES, "one of: " + " | ".join(SOURCES)),
-    ("dimension", SOURCES, lambda x, n: _is_int(x) and x >= 1, """\
+    ("id", SOURCES, _typed(lambda x, v: _is_str(x) and x != ""), "unique case identifier (string)"),
+    ("description", SOURCES, _typed(_is_str), "human-readable summary (string)"),
+    ("source", SOURCES, _typed(lambda x, v: x in SOURCES), "one of: " + " | ".join(SOURCES)),
+    ("dimension", SOURCES, _typed(lambda x, v: _is_int(x) and x >= 1), """\
 matrix-basis / structure-constants: dimension of the full
 Lie algebra; partial-homogeneous: dimension of m"""),
-    ("basis_names", SOURCES, _is_strings, """\
+    ("basis_names", SOURCES, _typed(lambda x, v: _is_strings(x, v["dimension"])), """\
 list of `dimension` names (full algebra order for full
 sources; m order for partial data)"""),
-    ("h_indices", FULL_SOURCES, lambda x, n: _is_ints(x, 1, n), """\
+    ("h_indices", FULL_SOURCES, _indices, """\
 distinct 1-based indices of the isotropy subalgebra basis (full
 sources; must form a subalgebra with [h, m] in m)"""),
-    ("m_indices", FULL_SOURCES, lambda x, n: _is_ints(x, 1, n),
+    ("m_indices", FULL_SOURCES, _indices,
      "distinct 1-based indices of the complement m (full sources)"),
-    ("expected", SOURCES, lambda x, n: _is_list_of(x, lambda y: _is_object(y, _EXPECTED_ITEM)), """\
+    ("expected", SOURCES,
+     _typed(lambda x, v: _is_list_of(x, lambda y: _is_object(y, _EXPECTED_ITEM))), """\
 list of {check, args, value, cite}; cite is a non-empty
 source label for the expected value"""),
-    ("matrices", ("matrix-basis",), _is_matrices, """\
+    ("matrices", ("matrix-basis",), _matrices, """\
 list of square matrices, row-major; each entry is either a
 rational string "p/q" or a two-element list [re, im] of
 rational strings (a complex entry; complex matrices are
 realified on load, which preserves all brackets)"""),
-    ("structure_constants", ("structure-constants",),
-     lambda x, n: _is_list_of(x, lambda e: _is_constant_entry(e, n)), """\
+    ("structure_constants", ("structure-constants",), _structure_constants, """\
 list of [i, j, k, coeff] with 1 <= i < j <= n and coeff a
 polynomial string; [e_i, e_j] = sum_k coeff * e_k.  Only
 i < j entries are stored (antisymmetry is implicit), and
 each (i, j, k) at most once."""),
-    ("homogeneous", ("partial-homogeneous",), lambda x, n: _is_object(x, {
-        "isotropy_action": lambda y: _is_list_of(y, lambda m: _is_matrix(m, n, _is_str)),
-        "projected_bracket": lambda y: _is_list_of(y, lambda e: _is_bracket_entry(e, n)),
-    }), """\
+    ("homogeneous", ("partial-homogeneous",), _homogeneous, """\
 {"isotropy_action": [matrix, ...],
  "projected_bracket": [[i, j, [coeff, ...]], ...]}
 with dim-m square matrices of polynomial strings and
 bracket component vectors of length dim m; each (i, j)
 at most once"""),
-    ("context", (), lambda x, n: _is_strings(x) and len(set(x)) == len(x), """\
+    ("context", (), lambda x, v: check_context(_strings(x)), """\
 ordered list of distinct parameter symbols for every polynomial
 string in the document (default: empty)"""),
-    ("parameters", (), lambda x, n: _is_map(x, _is_str), """\
+    ("parameters", (), _assignment, """\
 {symbol: rational string} instantiation applied before any
 numeric computation (invariant bases, closed families,
 definiteness); symbolic evaluations (d_eval, b_entry) run
 on the uninstantiated data"""),
-    ("enumerations", (), lambda x, n: _is_list_of(x, lambda y: _is_map(y, _is_str)), """\
+    ("enumerations", (), _enumerations, """\
 list of {symbol: rational string} partial assignments;
 checks that need numeric data are repeated for
 parameters+enumeration and must hold for every entry"""),
-    ("gammas", (), lambda x, n: _is_strings(x), """\
+    ("gammas", (), lambda x, v: [parse_form(t, _dim_m(v), 3, v["context"]) for t in _strings(x)],
+     """\
 printed invariant-form basis (form strings); the generic
 form sum_i gamma_symbols[i] * gammas[i] feeds d_eval,
 b_entry and closed_component_zero"""),
-    ("gamma_symbols", (), lambda x, n: _is_strings(x), "one parameter symbol per gamma"),
-    ("exploratory", (), lambda x, n: _is_bool(x), """\
+    ("gamma_symbols", (), lambda x, v: _declared(_strings(x), v), "one parameter symbol per gamma"),
+    ("exploratory", (), _typed(_is_bool), """\
 boolean (default false); exploratory cases are skipped by
 verify_all unless an explicit filter matches them"""),
 )
+# the payload is parsed last, because its parser reads the context
+_PARSE_ORDER = sorted(_FIELDS, key=lambda f: len(f[1]) == 1)
 
 
 def _schema_block(title: str, fields) -> str:
@@ -193,128 +295,34 @@ comparisons) when computed equals expected; any `mismatch` fails the case.
 
 @dataclass
 class CaseRecord:
-    """A case document, its parsed strings and the pipeline objects built from it.
+    """A loaded case: the parsed values of its document and the data built from them.
 
-    ``raw`` preserves the canonical content.  ``checks`` holds each expected
-    item as ``(check, value, args)``, parsed into what the check takes.
-    :func:`validate_case_dict` builds and checks, for every source, the
-    parsed parameters and gammas, the algebra, its Jacobi report and the
-    symbolic homogeneous data; they stay on the record for the checks (a
-    record made straight from a document builds each on first use).
-    Everything derived from the data (instantiations, invariant spaces,
-    closed families) is memoized on the data.  Do not mutate any of them.
+    :func:`validate_case_dict` builds every record, when the case loads.
+    ``algebra`` is the full Lie algebra of a matrix-basis or
+    structure-constants case (m = g, no isotropy), with its ``jacobi``
+    report; both are None for partial data.  ``homog_sym`` is the symbolic
+    homogeneous data, ``generic_form`` the sum of ``gamma_symbols[i] *
+    gammas[i]`` on it, and ``enumerations`` the parameters merged into each
+    enumeration entry, as Fractions.  ``checks`` holds each expected item as
+    ``(check, value, args)``, parsed into what the check takes, and ``raw``
+    the document, which the report quotes.  Everything derived from the
+    data (instantiations, invariant spaces, closed families) is memoized on
+    the data.  Do not mutate any of them.
     """
 
+    case_id: str
+    description: str
+    source: str
+    dim_m: int
+    context: tuple
+    enumerations: list
+    algebra: HomogeneousSpaceData | None
+    jacobi: JacobiReport | None
+    homog_sym: HomogeneousSpaceData
+    gamma_forms: list
+    generic_form: AltForm
+    checks: list
     raw: dict
-    checks: list = field(default_factory=list)
-
-    @property
-    def case_id(self) -> str:
-        return self.raw["id"]
-
-    @property
-    def description(self) -> str:
-        return self.raw["description"]
-
-    @property
-    def source(self) -> str:
-        return self.raw["source"]
-
-    @property
-    def dimension(self) -> int:
-        return self.raw["dimension"]
-
-    @property
-    def basis_names(self) -> list:
-        return list(self.raw["basis_names"])
-
-    @property
-    def context(self) -> tuple:
-        return tuple(self.raw.get("context", ()))
-
-    @cached_property
-    def parameters(self) -> dict:
-        return {k: parse_rational(v) for k, v in self.raw.get("parameters", {}).items()}
-
-    @cached_property
-    def enumerations(self) -> list:
-        return [
-            {**self.parameters, **{k: parse_rational(v) for k, v in entry.items()}}
-            for entry in self.raw.get("enumerations") or [{}]
-        ]
-
-    @property
-    def gammas(self) -> list:
-        return list(self.raw.get("gammas", ()))
-
-    @property
-    def gamma_symbols(self) -> list:
-        return list(self.raw.get("gamma_symbols", ()))
-
-    @property
-    def expected(self) -> list:
-        return list(self.raw["expected"])
-
-    @property
-    def exploratory(self) -> bool:
-        return bool(self.raw.get("exploratory", False))
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
-
-    def to_canonical_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
-
-    @cached_property
-    def algebra(self) -> HomogeneousSpaceData:
-        """The full Lie algebra of a matrix-basis or structure-constants case.
-
-        It is homogeneous data with no isotropy (m = g), in the case context;
-        complex matrices are realified before the solve.
-        """
-        context = self.context
-        if self.source == "matrix-basis":
-            mats = [[[_matrix_entry(x) for x in row] for row in m] for m in self.raw["matrices"]]
-            complex_entries = any(isinstance(x, list) for m in mats for row in m for x in row)
-            basis = MatrixBasis.from_complex(mats) if complex_entries else MatrixBasis(mats)
-            return from_matrices(basis, self.basis_names, context)
-        if self.source == "structure-constants":
-            constants: dict[tuple, dict] = {}
-            for i, j, k, coeff in self.raw["structure_constants"]:
-                comps = constants.setdefault((i, j), {})
-                value = PolyScalar.parse(coeff, context)
-                comps[k] = comps[k] + value if k in comps else value
-            return HomogeneousSpaceData(
-                self.dimension, [], constants, self.basis_names, context
-            )
-        raise ValueError(f"case {self.case_id} has no full algebra payload")
-
-    @cached_property
-    def jacobi(self) -> JacobiReport:
-        return jacobi_check(self.algebra)
-
-    @cached_property
-    def homog_sym(self) -> HomogeneousSpaceData:
-        """Symbolic homogeneous data of the case (no parameters substituted)."""
-        if self.source != "partial-homogeneous":
-            return reductive_split(self.algebra, self.raw["h_indices"], self.raw["m_indices"])
-        hom, context = self.raw["homogeneous"], self.context
-        isotropy = [
-            {
-                (r, c): PolyScalar.parse(x, context)
-                for r, row in enumerate(m, 1)
-                for c, x in enumerate(row, 1)
-                if x != "0"
-            }
-            for m in hom["isotropy_action"]
-        ]
-        bracket = {
-            (i, j): {r: PolyScalar.parse(x, context) for r, x in enumerate(comps, 1) if x != "0"}
-            for i, j, comps in hom["projected_bracket"]
-        }
-        return homogeneous_from_partial(
-            self.dimension, isotropy, bracket, self.basis_names, context
-        )
 
     def homog_num(self, assignment=None) -> HomogeneousSpaceData:
         """The data instantiated at ``assignment`` (default: the first enumeration)."""
@@ -322,42 +330,17 @@ class CaseRecord:
             assignment = self.enumerations[0]
         return self.homog_sym.instantiate(assignment)
 
-    @property
-    def dim_m(self) -> int:
-        return self.dimension if self.source == "partial-homogeneous" else len(self.raw["m_indices"])
 
-    @cached_property
-    def generic_form(self) -> AltForm:
-        """sum_i gamma_symbols[i] * gammas[i] on the symbolic data."""
-        phi = AltForm(self.dim_m, 3, self.context)
-        for symbol, gamma in zip(self.gamma_symbols, self.gamma_forms):
-            phi = phi + gamma.scale(PolyScalar.symbol(symbol, self.context))
-        return phi
-
-    @cached_property
-    def gamma_forms(self) -> list:
-        if not self.gammas:
-            raise ValueError(f"case {self.case_id} declares no gammas")
-        return [parse_form(text, self.dim_m, 3, self.context) for text in self.gammas]
-
-
-def _matrix_entry(entry):
-    """A rational, or a complex entry as its [re, im] pair of rationals."""
-    if isinstance(entry, list):
-        return [parse_rational(x) for x in entry]
-    return parse_rational(entry)
-
-
-def _schema_error(where: str, text: str) -> SchemaError:
-    return SchemaError(f"{where}; schema: {' '.join(text.split())}")
-
-
-def _no_repeats(field: str, keys) -> None:
-    seen = set()
-    for pos, key in enumerate(keys):
-        if key in seen:
-            raise SchemaError(f"{field}[{pos}]: repeated index {key}")
-        seen.add(key)
+def _algebra(values) -> HomogeneousSpaceData:
+    """The full Lie algebra of the case; complex matrices are realified before the solve."""
+    names, context = values["basis_names"], values["context"]
+    if values["source"] == "structure-constants":
+        constants = values["structure_constants"]
+        return HomogeneousSpaceData(values["dimension"], [], constants, names, context)
+    mats = values["matrices"]
+    complex_entries = any(isinstance(x, list) for m in mats for row in m for x in row)
+    basis = MatrixBasis.from_complex(mats) if complex_entries else MatrixBasis(mats)
+    return from_matrices(basis, names, context)
 
 
 def _parse(where: str, text: str, parse, *values):
@@ -365,7 +348,7 @@ def _parse(where: str, text: str, parse, *values):
     try:
         return parse(*values)
     except WrongType:
-        raise _schema_error(where, text) from None
+        raise SchemaError(f"{where}: invalid value; schema: {' '.join(text.split())}") from None
     except ValueError as exc:  # a string it cannot parse, or a case its check cannot run on
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -373,54 +356,55 @@ def _parse(where: str, text: str, parse, *values):
 def validate_case_dict(doc: dict) -> CaseRecord:
     """The record of a case document; :class:`SchemaError` names the field at fault.
 
-    Each field is checked against its :data:`_FIELDS` entry.  Then the rules
-    that span fields are checked, and the case is built from its payload:
-    a full source gets its algebra (matrices solved), a Jacobi check and
-    the reductive split, partial data its antisymmetry check.  Each expected
-    item is parsed for its check: the args bind to the check's keyword
-    parameters and go through their :data:`_ARGS` parsers, then the value
-    goes through the check's item parser, and ``record.checks`` keeps both.
+    Each field goes through its :data:`_FIELDS` parser.  Then the case is
+    built from its payload: a full source gets its algebra (matrices
+    solved), a Jacobi check and the reductive split, partial data its
+    antisymmetry check.  Each expected item is parsed for its check: the
+    args bind to the check's keyword parameters and go through their
+    :data:`_ARGS` parsers, then the value goes through the check's item
+    parser, and ``record.checks`` keeps both.
     """
     if not isinstance(doc, dict):
         raise SchemaError("case document must be a JSON object")
     unknown = set(doc) - {name for name, *_ in _FIELDS}
     if unknown:
         raise SchemaError(f"unknown field(s): {sorted(unknown)}")
-    for name, sources, test, text in _FIELDS:
-        allowed = sources in (SOURCES, ()) or doc["source"] in sources
+    # the optional fields that the build reads, at their defaults
+    values = dict(context=(), parameters={}, enumerations=[], gammas=[], gamma_symbols=[])
+    for name, sources, parse, text in _PARSE_ORDER:
+        allowed = sources in (SOURCES, ()) or values["source"] in sources
         if name not in doc:
             if sources and allowed:
                 raise SchemaError(f"missing required field {name!r}")
-        elif not test(doc[name], doc.get("dimension")):
-            raise _schema_error(f"{name}: invalid value", text)
         elif not allowed:
-            raise SchemaError(f"{name}: not a field of source {doc['source']!r}")
-    record = CaseRecord(doc)
-    if doc["source"] == "partial-homogeneous":
-        pairs = [tuple(e[:2]) for e in doc["homogeneous"]["projected_bracket"]]
-        _no_repeats("homogeneous.projected_bracket", pairs)
-    else:
-        _no_repeats("h_indices", doc["h_indices"])
-        _no_repeats("m_indices", doc["m_indices"])
-        triples = [tuple(e[:3]) for e in doc.get("structure_constants", ())]
-        _no_repeats("structure_constants", triples)
-    symbols = {*doc.get("parameters", {}), *doc.get("gamma_symbols", [])}
-    symbols.update(*doc.get("enumerations", []))
-    if not symbols <= set(doc.get("context", [])):
-        undeclared = sorted(symbols - set(doc.get("context", [])))
-        raise SchemaError(f"symbols not declared in context: {undeclared}")
-    gammas = len(doc.get("gammas", []))
-    if gammas != len(doc.get("gamma_symbols", [])):
+            raise SchemaError(f"{name}: not a field of source {values['source']!r}")
+        else:
+            values[name] = _parse(name, text, parse, doc[name], values)
+    if len(values["gammas"]) != len(values["gamma_symbols"]):
         raise SchemaError("gammas and gamma_symbols must have equal length")
-    _parse("parameters", "", lambda: record.parameters)
-    _parse("enumerations", "", lambda: record.enumerations)
-    payload = next(name for name, sources, *_ in _FIELDS if sources == (doc["source"],))
-    full = doc["source"] in FULL_SOURCES
-    if full and not _parse(payload, "", lambda: record.jacobi).ok:
-        raise SchemaError(f"{payload}: the Jacobi identity fails:\n{record.jacobi.render()}")
-    _parse("reductive split fails" if full else payload, "", lambda: record.homog_sym)
-    if doc.get("gammas"):
-        _parse("gammas", "", lambda: record.gamma_forms)
+    source, context = values["source"], values["context"]
+    payload = next(name for name, sources, *_ in _FIELDS if sources == (source,))
+    if source in FULL_SOURCES:
+        algebra = _parse(payload, "", _algebra, values)
+        jacobi = jacobi_check(algebra)
+        if not jacobi.ok:
+            raise SchemaError(f"{payload}: the Jacobi identity fails:\n{jacobi.render()}")
+        homog_sym = _parse("reductive split fails", "", reductive_split, algebra,
+                           values["h_indices"], values["m_indices"])
+    else:
+        algebra = jacobi = None
+        homog_sym = _parse(payload, "", homogeneous_from_partial, values["dimension"],
+                           *values["homogeneous"], values["basis_names"], context)
+    dim_m = _dim_m(values)
+    generic_form = AltForm(dim_m, 3, context)
+    for symbol, gamma in zip(values["gamma_symbols"], values["gammas"]):
+        generic_form = generic_form + gamma.scale(PolyScalar.symbol(symbol, context))
+    record = CaseRecord(
+        values["id"], values["description"], source, dim_m, context,
+        [{**values["parameters"], **entry} for entry in values["enumerations"] or [{}]],
+        algebra, jacobi, homog_sym, values["gammas"], generic_form, [], doc,
+    )
+    gammas = len(values["gammas"])
     for pos, item in enumerate(doc["expected"]):
         name, value, where = item["check"], item["value"], f"expected[{pos}]: {item['check']}"
         if name not in _CHECKS:
@@ -433,7 +417,7 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         args = {}
         for arg, x in item["args"].items():
             parse, arg_doc = _ARGS[arg]
-            args[arg] = _parse(f"{where} arg {arg}={x!r}", arg_doc, parse, x, record.dim_m, gammas)
+            args[arg] = _parse(f"{where} arg {arg}={x!r}", arg_doc, parse, x, dim_m, gammas)
         value = _parse(f"{where} value {value!r}", check_doc, parse_item, value, args, record)
         record.checks.append((check, value, args))
     return record
@@ -482,7 +466,7 @@ def verify_case(case) -> CaseReport:
     record = load_bundled(case) if isinstance(case, str) else case
     report = CaseReport(record.case_id, record.description)
     start = time.perf_counter()
-    for item, (check, value, args) in zip(record.expected, record.checks, strict=True):
+    for item, (check, value, args) in zip(record.raw["expected"], record.checks, strict=True):
         status, computed = check(record, value, **args)
         raw = item["value"]
         expected = "; ".join(map(str, raw)) if isinstance(raw, list) else str(raw)

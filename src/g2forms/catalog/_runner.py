@@ -33,14 +33,14 @@ __all__ = ["CaseReport", "CheckResult"]
 class CheckResult:
     check: str
     args: dict
-    status: str  # match | span-match | mismatch | skipped
+    status: str  # match | span-match | mismatch
     computed: str
     expected: str
     cite: str
 
     @property
     def ok(self) -> bool:
-        return self.status in ("match", "span-match", "skipped")
+        return self.status in ("match", "span-match")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -284,6 +284,7 @@ def _is_count(value, *_) -> bool:
 
 
 _string, _bool, _count = _typed(_is_str), _typed(_is_bool), _typed(_is_count)
+_strings = _typed(_is_strings)
 _flags = _typed(lambda x, *_: _is_map(x, _is_bool))
 _INDEX = (_typed(lambda x, m, g: _is_ints([x], 1, m)), "basis index 1..dim m")
 
@@ -330,9 +331,16 @@ def _full_source_item(value, args, record) -> str:
     return _string(value)
 
 
+def _gammas(record) -> bool:
+    """True when the case declares gammas (the generic form sums them); ValueError otherwise."""
+    if not record.gamma_forms:
+        raise ValueError(f"case {record.case_id} declares no gammas")
+    return True
+
+
 def _polynomial_item(value, args, record):
-    """A polynomial about the generic form (gamma_forms raises when there are no gammas)."""
-    return record.gamma_forms and PolyScalar.parse(_string(value), record.context)
+    """A polynomial about the generic form."""
+    return _gammas(record) and PolyScalar.parse(_string(value), record.context)
 
 
 def _support_item(value, args, record) -> int:
@@ -344,7 +352,7 @@ def _support_item(value, args, record) -> int:
 def _forms_item(value, args, record) -> list:
     """Printed forms at the check's degree (3 for the closed family)."""
     degree = args.get("degree", 3)
-    return [parse_form(t, record.dim_m, degree) for t in _typed(_is_strings)(value)]
+    return [parse_form(t, record.dim_m, degree) for t in _strings(value)]
 
 
 def _dims(record, *dims) -> bool:
@@ -397,7 +405,7 @@ of the closed family"""),
     ),
     "closed_component_zero": (
         _check_closed_component_zero,
-        lambda x, args, record: record.gamma_forms and _bool(x),
+        lambda x, args, record: _gammas(record) and _bool(x),
         """\
 value true; every closed form has
 zero component along the named gammas""",

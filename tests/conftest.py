@@ -4,10 +4,12 @@ independent oracles (kept out of the engine on purpose)."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 from operator import add
+from pathlib import Path
 
 from g2forms import _linalg
 from g2forms.exterior import (
@@ -19,6 +21,10 @@ from g2forms.exterior import (
     wedge,
 )
 from g2forms.scalars import ContextMismatchError, PolyScalar
+
+# the case definitions and the matrix models behind them stay out of the
+# package, in tools/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 try:
     from hypothesis import settings

@@ -1,13 +1,13 @@
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+import models
+from bundled_cases import build_all_case_dicts
 from conftest import dense_components
 from g2forms import _linalg
 from g2forms.catalog import (
-    CaseRecord,
     SchemaError,
     bundled_ids,
     load_bundled,
@@ -16,13 +16,9 @@ from g2forms.catalog import (
     verify_all,
     verify_case,
 )
-from g2forms.catalog import models
 from g2forms.exterior import form_to_vector, monomials, parse_form
 from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import MatrixBasis, from_matrices, reductive_split
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bundled_cases import build_all_case_dicts  # noqa: E402
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
 
@@ -53,7 +49,7 @@ def test_case_files_reserialize_byte_identically():
     for case_id in bundled_ids():
         record = load_bundled(case_id)
         raw = (CASES_DIR / f"{case_id}.json").read_text(encoding="utf-8")
-        assert record.to_canonical_json() == raw
+        assert json.dumps(record.raw, indent=2, sort_keys=True) + "\n" == raw
 
 
 def test_case_files_match_their_definitions():
@@ -89,7 +85,7 @@ def test_bundled_tables_store_no_zero_scalar():
 def test_t1n3_frozen_constants_match_matrix_model():
     record = load_bundled("T1.n3")
     frozen = record.algebra
-    derived = from_matrices(MatrixBasis(models.so32_matrices()), record.basis_names)
+    derived = from_matrices(MatrixBasis(models.so32_matrices()), record.raw["basis_names"])
     derived = derived.with_symbols(record.context)
     assert set(frozen.bracket) == set(derived.bracket)
     for key in frozen.bracket:
@@ -178,7 +174,7 @@ def test_verify_all_filter_semantics():
 
 def test_exploratory_case_has_no_expected_values():
     record = load_bundled("T1.n2x12")
-    assert record.exploratory and not record.expected
+    assert record.raw["exploratory"] and not record.raw["expected"]
     assert verify_case(record).ok  # vacuously
 
 
@@ -188,7 +184,8 @@ def test_load_case_roundtrip(tmp_path):
     copy.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
     record = load_case(copy)
     assert record.case_id == "T1.n1"
-    assert record.to_canonical_json() == source.read_text(encoding="utf-8")
+    raw = source.read_text(encoding="utf-8")
+    assert json.dumps(record.raw, indent=2, sort_keys=True) + "\n" == raw
 
 
 @pytest.mark.parametrize(
@@ -306,6 +303,11 @@ def test_schema_violations_are_field_level():
     with pytest.raises(SchemaError, match="gammas"):
         validate_case_dict(doc)
 
+    doc = _minimal_partial()  # a bad symbol is the context's fault, not the payload's
+    doc["context"] = ["1x"]
+    with pytest.raises(SchemaError, match="^context"):
+        validate_case_dict(doc)
+
 
 def test_matrix_payload_shape_checked():
     doc = {
@@ -326,8 +328,7 @@ def test_matrix_payload_shape_checked():
 def test_reversed_bracket_pair_is_accepted_and_normalized():
     doc = _minimal_partial()
     doc["homogeneous"]["projected_bracket"] = [[2, 1, ["1", "0"]]]
-    validate_case_dict(doc)
-    data = CaseRecord(doc).homog_sym
+    data = validate_case_dict(doc).homog_sym
     assert [c.constant_value() for c in dense_components(data.bracket[(1, 2)], 2)] == [-1, 0]
 
 
@@ -428,7 +429,7 @@ def test_structure_constants_recomputed_for_matrix_cases():
     for case_id, builder in builders.items():
         record = load_bundled(case_id)
         from_file = record.algebra
-        from_model = from_matrices(builder(), record.basis_names).with_symbols(
+        from_model = from_matrices(builder(), record.raw["basis_names"]).with_symbols(
             record.context
         )
         assert set(from_file.bracket) == set(from_model.bracket)
@@ -438,7 +439,7 @@ def test_structure_constants_recomputed_for_matrix_cases():
 
 @pytest.mark.parametrize("key, indices", [("m_indices", [1, 1, 2, 3, 4, 5, 6, 7]), ("h_indices", [8, 8])])
 def test_repeated_split_index_rejected(key, indices):
-    doc = load_bundled("T1.n1").to_dict()
+    doc = json.loads((CASES_DIR / "T1.n1.json").read_text(encoding="utf-8"))
     doc[key] = indices
     with pytest.raises(SchemaError, match="repeated index"):
         validate_case_dict(doc)

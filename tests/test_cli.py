@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from g2forms.catalog import _FIELDS, SchemaError, validate_case_dict
 from g2forms.cli import main
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
@@ -296,6 +297,28 @@ def test_unmutated_case_document_exits_zero(tmp_path, base):
     case = tmp_path / "case.json"
     case.write_text(json.dumps(_case_document(base)), encoding="utf-8")
     assert main(["invariants", "--input", str(case), "--degree", "2"]) == 0
+
+
+OPTIONAL_FIELDS = {
+    "context": ["a1"],
+    "parameters": {"a1": "1"},
+    "enumerations": [{"a1": "2"}],
+    "gammas": ["0"],
+    "gamma_symbols": ["a1"],
+    "exploratory": False,
+}
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in _FIELDS])
+def test_null_field_is_reported_under_its_name(name):
+    # every parser of the field table rejects a null, and the error names its field
+    for base in ("T1.n1", "partial", "matrix", "constants"):
+        doc = {**OPTIONAL_FIELDS, **_case_document(base)}
+        if name in doc:
+            validate_case_dict(doc)
+            doc[name] = None
+            with pytest.raises(SchemaError, match=f"^{name}:"):
+                validate_case_dict(doc)
 
 
 @pytest.mark.parametrize("command", ["invariants", "closed"])

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import models
 from conftest import (
     evaluate_by_permutations,
     hodge_dual_by_minors,
@@ -14,7 +15,6 @@ from conftest import (
     wedge_b_matrix,
 )
 from g2forms import _linalg, gstruct
-from g2forms.catalog import models
 from g2forms.exterior import (
     AltForm,
     contract,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import models
 from conftest import (
     dense_components,
     dense_jacobi_violations,
@@ -10,7 +11,6 @@ from conftest import (
     random_rational,
     random_unimodular,
 )
-from g2forms.catalog import models
 from g2forms.invariants import d_squared_check
 from g2forms.liealg import (
     HomogeneousSpaceData,

@@ -2,8 +2,9 @@
 """Regenerate the bundled case files from their definitions.
 
 The case documents live in ``tools/bundled_cases.py`` (data) and
-``g2forms.catalog.models`` (matrix models, including the adapted so(3,2)
-basis whose derived structure constants are frozen into T1.n3.json).
+``tools/models.py`` (matrix models, including the adapted so(3,2) basis
+whose derived structure constants are frozen into T1.n3.json); neither is
+part of the installed package.
 Running this script rewrites ``src/g2forms/catalog/cases/``; the test suite
 rebuilds the documents in memory and compares byte-for-byte, so stale files
 fail loudly.

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from g2forms.catalog import models
 from g2forms.liealg import MatrixBasis, from_matrices
+
+import models
 
 F = Fraction
 

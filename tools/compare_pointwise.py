@@ -22,10 +22,11 @@ results are rendered to strings and compared exactly:
 * ``lie``: for every bundled case, the ``ExteriorOp.columns`` of
   ``homog_num().derivations(k)`` and ``homog_num().differential(k)`` for
   k = 0..dim m, and ``record.jacobi.render()`` for full sources; then
-  ``CaseRecord(doc).jacobi.render()`` for 200 seeded random
-  structure-constants documents (some symbolic, some with zero or
-  cancelling entries).  It reads only case documents and operators, so it
-  runs whatever table format ``HomogeneousSpaceData`` stores, and renders
+  ``jacobi_check(...).render()`` for 200 seeded random structure-constants
+  tables, some symbolic, some with a repeated zero or cancelling triple
+  (the child sums them into the table it passes to
+  ``HomogeneousSpaceData``).  It reads only case documents and operators,
+  so it runs whatever table format ``HomogeneousSpaceData`` stores, and renders
   an entry as its rational value whether it is a PolyScalar or an int
   over the operator's ``den``;
 * ``pullback``: ``pullback`` of 300 random forms of every degree 0..n on
@@ -55,9 +56,10 @@ from fractions import Fraction as F
 from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
-from g2forms.catalog import CaseRecord, bundled_ids, load_bundled
+from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, contract, pullback
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
+from g2forms.liealg import HomogeneousSpaceData, jacobi_check
 from g2forms.scalars import PolyScalar
 try:  # older trees take the Hodge metric as a GramMatrix of PolyScalars
     from g2forms.gstruct import GramMatrix
@@ -160,13 +162,12 @@ for t in range(200):
     ]
     constants += [[i, j, k, "0"] for i, j, k, _ in constants[:1]]
     constants += [[i, j, k, str(-F(c))] for i, j, k, c in constants[1:2] if not symbols]
-    doc = {
-        "id": f"random{t}", "description": "", "source": "structure-constants",
-        "dimension": n, "basis_names": [f"e{i}" for i in range(1, n + 1)],
-        "structure_constants": constants, "h_indices": [], "m_indices": list(range(1, n + 1)),
-        "context": symbols, "expected": [],
-    }
-    out["lie"].append(CaseRecord(doc).jacobi.render())
+    table = {}
+    for i, j, k, c in constants:
+        comps = table.setdefault((i, j), {})
+        value = PolyScalar.parse(c, symbols)
+        comps[k] = comps[k] + value if k in comps else value
+    out["lie"].append(jacobi_check(HomogeneousSpaceData(n, [], table, None, symbols)).render())
 for t in range(300):
     n = rng.randint(1, 7)
     symbols = ("a", "b") if t % 3 == 2 else ()

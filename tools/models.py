@@ -1,8 +1,9 @@
 """Matrix models and payload builders behind the bundled case files.
 
-Every bundled case file is generated from this module (see
-``tools/build_cases.py``); the files are frozen into ``cases/`` and tests
-re-derive them from here, so any drift between the two is caught.
+Every bundled case file is generated from this module and
+``bundled_cases.py`` (see ``build_cases.py``); the files are frozen into
+``src/g2forms/catalog/cases/`` and tests re-derive them from here, so any
+drift between the two is caught.  It stays out of the installed package.
 
 Real matrices are lists of Fraction-able rows; complex matrices use
 ``(re, im)`` pairs for entries and are realified on ingestion, which keeps
