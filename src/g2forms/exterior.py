@@ -7,8 +7,10 @@ coefficients.  Wedge products compute their sign by counting transpositions
 while merging the index tuples; contraction by e_i drops i with its sign,
 and a pullback sums integer minors.  :class:`ExteriorOp` is the one linear
 map between exterior powers, over the lexicographic monomial coordinates of
-:func:`monomials`: a derivation.  On rational data it computes on ints over
-one denominator and divides once (fraction-free, as in Bareiss, Math. Comp. 1968).
+:func:`monomials`: a derivation.  Each of these kernels, and the B sums of
+:mod:`g2forms.gstruct`, computes on ints: ``_lift`` scales coefficient terms
+by the lcm of their denominators and ``_lower`` divides each sum once
+(fraction-free, as in Bareiss, Math. Comp. 1968); none does PolyScalar arithmetic.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -20,6 +22,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from g2forms.scalars import _ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational
@@ -246,6 +249,32 @@ def basis_form(dim: int, indices: Sequence[int], symbols: Iterable[str] = ()) ->
     return AltForm(dim, len(indices), symbols, {key: PolyScalar.constant(sign, symbols)})
 
 
+def _lift(coeffs: Mapping) -> tuple[int, dict]:
+    """(L, {key: [(exponents, int)]}): the terms of a form's coefficients (or
+    of any map to PolyScalars) times L, the lcm of their denominators."""
+    den = lcm(*(c.denominator for value in coeffs.values() for c in value.terms.values()))
+    return den, {
+        key: [(expo, c.numerator * (den // c.denominator)) for expo, c in value.terms.items()]
+        for key, value in coeffs.items()
+    }
+
+
+def _times(acc: dict, sign: int, left: list, right) -> None:
+    """acc += sign * left * right, on lifted terms: exponent vectors add, ints multiply."""
+    for e1, c1 in left:
+        for e2, c2 in right:
+            expo = tuple(map(add, e1, e2))
+            acc[expo] = acc.get(expo, 0) + sign * c1 * c2
+
+
+def _lower(sums: dict, den: int, symbols: tuple) -> dict:
+    """{key: PolyScalar} from the integer sums {key: {exponents: int}} divided
+    by den, the coefficients of a result form; zero sums drop."""
+    lowered = ((key, {e: Fraction(c, den) for e, c in terms.items() if c})
+               for key, terms in sums.items())
+    return {key: PolyScalar._trusted(symbols, terms) for key, terms in lowered if terms}
+
+
 # -- operations --------------------------------------------------------------
 
 
@@ -253,25 +282,17 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     """Exterior product; graded-commutative and associative."""
     alpha._check_compatible(beta)
     degree = alpha.degree + beta.degree
-    coeffs: dict[tuple, PolyScalar] = {}
     if degree > alpha.dim:
-        return AltForm._trusted(alpha.dim, degree, alpha.symbols, coeffs)
-    for i1, c1 in alpha.coeffs.items():
-        for i2, c2 in beta.coeffs.items():
+        return AltForm._trusted(alpha.dim, degree, alpha.symbols, {})
+    (den_a, lifted_a), (den_b, lifted_b) = _lift(alpha.coeffs), _lift(beta.coeffs)
+    sums: dict[tuple, dict] = {}
+    for i1, left in lifted_a.items():
+        for i2, right in lifted_b.items():
             merged = merge_sign(i1, i2)
-            if merged is None:
-                continue
-            idx, sign = merged
-            term = c1 * c2
-            if sign < 0:
-                term = -term
-            acc = coeffs.get(idx)
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = acc
-    return AltForm._trusted(alpha.dim, degree, alpha.symbols, coeffs)
+            if merged is not None:
+                _times(sums.setdefault(merged[0], {}), merged[1], left, right)
+    return AltForm._trusted(alpha.dim, degree, alpha.symbols,
+                            _lower(sums, den_a * den_b, alpha.symbols))
 
 
 def contract(index: int, alpha: AltForm) -> AltForm:
@@ -306,9 +327,10 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
 
     ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
     rationals.  (P*alpha)_J = sum_I alpha_I * det P[I; J].  The matrix is
-    scaled to integers by the lcm L of its denominators; each minor is built
+    scaled to integers by the lcm D of its denominators; each minor is built
     once, by Laplace expansion along its first row over the minors one size
-    smaller, and each coefficient is divided by L^degree once.
+    smaller, and multiplies the lifted terms of alpha_I.  Each sum is divided
+    by L * D^degree once, L being alpha's lift.
     """
     n, degree = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -329,19 +351,15 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
                 )
                 if total:
                     minors[rowset, colset] = total
+    scale, lifted = _lift(alpha.coeffs)
     sums: dict[tuple, dict] = {}  # column set -> {exponents: sum of alpha_I * minor}
     for (rowset, colset), minor in minors.items():
-        if rowset in alpha.coeffs:
-            terms = sums.setdefault(colset, {})
-            for expo, c in alpha.coeffs[rowset].terms.items():
-                terms[expo] = terms.get(expo, 0) + c * minor
-    scale = den**degree
-    coeffs = {}
-    for colset, terms in sums.items():
-        terms = {expo: c / scale for expo, c in terms.items() if c}
-        if terms:
-            coeffs[colset] = PolyScalar._trusted(alpha.symbols, terms)
-    return AltForm._trusted(n, degree, alpha.symbols, coeffs)
+        if rowset in lifted:
+            acc = sums.setdefault(colset, {})
+            for expo, c in lifted[rowset]:
+                acc[expo] = acc.get(expo, 0) + c * minor
+    return AltForm._trusted(n, degree, alpha.symbols,
+                            _lower(sums, scale * den**degree, alpha.symbols))
 
 
 # -- monomial coordinates and linear operators --------------------------------
@@ -375,49 +393,51 @@ def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> A
 class ExteriorOp:
     """A linear map on the k-forms of an n-space, sparse.
 
-    ``columns`` maps each input k-monomial to ``{output monomial: entry}``,
-    with nonzero entries.  It is a derivation of the exterior algebra that
-    raises degrees by ``shift``, fixed by its values on covectors, e^i ->
-    sum of value * e^{idx} over the (idx, value) pairs of ``image[i]``, and
-    the graded Leibniz rule D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).
-    When every image value is a rational constant, the entries are ints over
-    one denominator ``den``, the lcm of the values' denominators; otherwise
-    ``den`` is None and they are PolyScalars in the context ``symbols``.
+    It is a derivation of the exterior algebra that raises degrees by
+    ``shift``, fixed by its values on covectors, e^i -> sum of value * e^{idx}
+    over the (idx, value) pairs of ``image[i]``, and the graded Leibniz rule
+    D(a ^ b) = D(a) ^ b + (-1)^(shift * deg a) a ^ D(b).  The entries are ints
+    over one denominator ``den``, the lcm of the denominators of every image
+    term: ``columns`` maps each exponent vector of the context ``symbols`` to
+    the integer columns ``{input monomial: {output monomial: entry}}`` of that
+    power of the parameters, with nonzero entries.  A rational operator has
+    only the zero vector.
     """
 
     __slots__ = ("dim", "degree", "out_degree", "symbols", "columns", "den")
 
     def __init__(self, dim: int, degree: int, shift: int, symbols, image: Mapping):
-        self.dim = dim
-        self.degree = degree
+        self.dim, self.degree, self.symbols = dim, degree, tuple(symbols)
         self.out_degree = degree + shift
-        self.symbols = tuple(symbols)
-        values = [value for pairs in image.values() for _, value in pairs]
-        self.den = None
-        if all(value.is_constant() for value in values):
-            den = self.den = lcm(*(value.constant_value().denominator for value in values))
-            image = {i: [(rep, (v.constant_value() * den).numerator) for rep, v in pairs]
-                     for i, pairs in image.items()}
+        values = {(i, p): value for i, pairs in image.items() for p, (_, value) in enumerate(pairs)}
+        self.den, lifted = _lift(values)
+        layers: dict[tuple, dict] = {}  # exponents -> {i: [(replacement, int)]}
+        for (i, p), terms in lifted.items():
+            for expo, c in terms:
+                layers.setdefault(expo, {}).setdefault(i, []).append((image[i][p][0], c))
         self.columns = {}
-        for idx in monomials(dim, degree):
-            column: dict[tuple, object] = {}
-            for t, i in enumerate(idx):
-                for replacement, value in image.get(i, ()):
-                    sorted_sign = sort_sign(idx[:t] + replacement + idx[t + 1 :])
-                    if sorted_sign is None:
-                        continue
-                    row, sign = sorted_sign
-                    if sign * (-1) ** (t * shift) < 0:
-                        value = -value
-                    acc = column.get(row)
-                    column[row] = value if acc is None else acc + value
-            nonzero = {row: v for row, v in column.items() if (v if self.den else v.terms)}
-            if nonzero:
-                self.columns[idx] = nonzero
+        for expo, layer in layers.items():
+            columns = {}
+            for idx in monomials(dim, degree):
+                column: dict[tuple, int] = {}
+                for t, i in enumerate(idx):
+                    for replacement, value in layer.get(i, ()):
+                        sorted_sign = sort_sign(idx[:t] + replacement + idx[t + 1 :])
+                        if sorted_sign is not None:
+                            row, sign = sorted_sign
+                            column[row] = column.get(row, 0) + sign * (-1) ** (t * shift) * value
+                if column := {row: v for row, v in column.items() if v}:
+                    columns[idx] = column
+            if columns:
+                self.columns[expo] = columns
+
+    def is_rational(self) -> bool:
+        """Whether every entry is a rational constant (only the zero exponent vector)."""
+        return all(not any(expo) for expo in self.columns)
 
     def apply(self, alpha: AltForm) -> AltForm:
-        """The image of alpha.  On int entries, alpha's terms are lifted to ints
-        over their lcm L, and each sum per (exponents, row) is divided by den * L."""
+        """The image of alpha: its lifted terms times the integer entries, each
+        sum divided by den * L once, L being alpha's lift."""
         if (alpha.dim, alpha.degree) != (self.dim, self.degree):
             raise ValueError(
                 f"operator acts on {self.degree}-forms of a {self.dim}-space, "
@@ -425,37 +445,26 @@ class ExteriorOp:
             )
         if alpha.symbols != self.symbols:
             raise ContextMismatchError("form context does not match the operator")
-        out: dict[tuple, PolyScalar] = {}
-        if self.den is None:
-            for idx, coeff in alpha.coeffs.items():
-                for row, entry in self.columns.get(idx, {}).items():
-                    out[row] = out[row] + coeff * entry if row in out else coeff * entry
-            out = {row: v for row, v in out.items() if v.terms}
-            return AltForm._trusted(self.dim, self.out_degree, self.symbols, out)
-        scale = lcm(*(c.denominator for x in alpha.coeffs.values() for c in x.terms.values()))
-        sums: dict[tuple, dict] = {}  # exponents -> {output monomial: integer sum}
-        for idx, coeff in alpha.coeffs.items():
-            for expo, c in coeff.terms.items():
-                lifted, acc = c.numerator * (scale // c.denominator), sums.setdefault(expo, {})
-                for row, entry in self.columns.get(idx, {}).items():
-                    acc[row] = acc.get(row, 0) + lifted * entry
-        den = self.den * scale
-        for expo, acc in sums.items():
-            for row, total in acc.items():
-                if total:
-                    out.setdefault(row, {})[expo] = Fraction(total, den)
-        out = {row: PolyScalar._trusted(self.symbols, terms) for row, terms in out.items()}
-        return AltForm._trusted(self.dim, self.out_degree, self.symbols, out)
+        scale, lifted = _lift(alpha.coeffs)
+        sums: dict[tuple, dict] = {}  # output monomial -> {exponents: integer sum}
+        for expo, columns in self.columns.items():
+            unit = ((expo, 1),)
+            for idx, terms in lifted.items():
+                for row, entry in columns.get(idx, {}).items():
+                    _times(sums.setdefault(row, {}), entry, terms, unit)
+        return AltForm._trusted(self.dim, self.out_degree, self.symbols,
+                                _lower(sums, self.den * scale, self.symbols))
 
     def rows(self) -> list[list[int]]:
         """The nonzero rows of den times the matrix over ``monomials(dim, degree)``,
         as ints: the same kernel.  Raises ValueError on polynomial entries."""
-        if self.den is None:
+        if not self.is_rational():
             raise ValueError("the operator's entries are not rational constants")
+        columns = next(iter(self.columns.values()), {})
         monos = monomials(self.dim, self.degree)
         rows: dict[tuple, list] = {}
         for c, col in enumerate(monos):
-            for row, entry in self.columns.get(col, {}).items():
+            for row, entry in columns.get(col, {}).items():
                 rows.setdefault(row, [0] * len(monos))[c] = entry
         return [rows[key] for key in sorted(rows)]
 

@@ -5,11 +5,12 @@ and are pinned by tests):
 
 * The bilinear form of a 3-form phi on a 7-space is defined by
   ``B[i][j] = top_coefficient(iota_{e_i} phi ^ iota_{e_j} phi ^ phi)``
-  and computed by one sum over index pairs (:func:`b_entries`), with no
-  wedge product.  For a definite phi, B is proportional to the induced
-  metric by a positive constant, so B itself (sign-normalized) serves as
-  the metric representative; the usual unit-norm normalization would need
-  a 9th root and leave the rationals.
+  and computed by one sum over index pairs on the integer lift of phi,
+  rational or symbolic (:func:`b_entries`), with no wedge product.  For a
+  definite phi, B is proportional to the induced metric by a positive
+  constant, so B itself (sign-normalized) serves as the metric
+  representative; the usual unit-norm normalization would need a 9th root
+  and leave the rationals.
 * ``hodge_dual_up_to_scale`` returns the true Hodge dual times the positive
   constant 1/sqrt(det Q): indices are raised by the pullback along Q^{-1}
   and contracted with the Levi-Civita symbol, so no square roots appear and
@@ -30,11 +31,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import lcm
 
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
+    _lift,
+    _lower,
+    _times,
     basis_form,
     contract,
     merge_sign,
@@ -75,8 +78,8 @@ def b_matrix(phi: AltForm) -> list:
         raise ValueError(
             "b_matrix needs rational coefficients; read symbolic entries through b_entries"
         )
-    upper = _b_sums(phi, [(i, j) for i in range(1, 8) for j in range(i, 8)])
-    return [[upper[min(i, j), max(i, j)] for j in range(1, 8)] for i in range(1, 8)]
+    b = b_entries(phi, [(i, j) for i in range(1, 8) for j in range(i, 8)])
+    return [[b[min(i, j), max(i, j)].constant_value() for j in range(1, 8)] for i in range(1, 8)]
 
 
 @cache
@@ -92,50 +95,36 @@ def _wedge_table() -> dict:
 
 def b_entries(phi: AltForm, pairs: list) -> dict:
     """The entries B[i][j] of :func:`b_matrix` for the 1-based (i, j) in pairs,
-    as PolyScalars in the context of phi (which may be symbolic)."""
-    out = _b_sums(phi, pairs)
-    if phi.is_rational():
-        return {key: PolyScalar.constant(x, phi.symbols) for key, x in out.items()}
-    return out
-
-
-def _b_sums(phi: AltForm, pairs: list) -> dict:
-    """The B entries for pairs: Fractions for a rational phi, else PolyScalars.
+    as PolyScalars in the context of phi (which may be symbolic).
 
     B_ij = sum of sign * (iota_i phi)_p * (iota_j phi)_q * phi_r over the
-    rows of :func:`_wedge_table`; the sum over q is shared by every i.  A
-    rational phi is scaled to integers by the lcm L of its denominators and
-    each entry is divided by L^3 once; a symbolic phi runs the same sum on
-    its PolyScalar coefficients.
+    rows of :func:`_wedge_table`; the sum over q is shared by every i.  The
+    sums run on phi's lifted integer terms, scaled by the lcm L of their
+    denominators, and each entry is divided by L^3 once.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_matrix expects a 3-form on a 7-dimensional space")
     if not all(1 <= k <= 7 for pair in pairs for k in pair):
         raise ValueError(f"B entries {pairs} out of range 1..7")
-    symbols, coeffs, den = phi.symbols, phi.coeffs, None
-    zero = PolyScalar.zero(symbols)
-    if phi.is_rational():
-        values = {idx: c.constant_value() for idx, c in coeffs.items()}
-        den = lcm(*(x.denominator for x in values.values()))
-        coeffs = {idx: x.numerator * (den // x.denominator) for idx, x in values.items()}
-        zero = 0
+    den, coeffs = _lift(phi.coeffs)
     iota = {k: {} for pair in pairs for k in pair}  # iota[i][p] = (iota_i phi)_p
-    for s, x in coeffs.items():
+    for s, terms in coeffs.items():
         for t, i in enumerate(s):
             if i in iota:
-                iota[i][s[:t] + s[t + 1 :]] = -x if t % 2 else x
-    inner = {j: {} for _, j in pairs}
+                iota[i][s[:t] + s[t + 1 :]] = [(e, -c) for e, c in terms] if t % 2 else terms
+    inner = {j: {} for _, j in pairs}  # inner[j][p] = sum over q, r of the wedge table
     for j, v in inner.items():
         for q, y in iota[j].items():
             for p, sign, r in _wedge_table()[q]:
                 if r in coeffs:
-                    term = y * coeffs[r]
-                    v[p] = v.get(p, zero) + (term if sign > 0 else -term)
-    out = {}
-    for i, j in pairs:
-        total = sum((x * inner[j][p] for p, x in iota[i].items() if p in inner[j]), zero)
-        out[i, j] = total if den is None else Fraction(total, den**3)
-    return out
+                    _times(v.setdefault(p, {}), sign, y, coeffs[r])
+    sums: dict[tuple, dict] = {pair: {} for pair in pairs}
+    for (i, j), acc in sums.items():
+        for p, x in iota[i].items():
+            if p in inner[j]:
+                _times(acc, 1, x, inner[j][p].items())
+    b = _lower(sums, den**3, phi.symbols)
+    return {pair: b[pair] if pair in b else PolyScalar._trusted(phi.symbols, {}) for pair in pairs}
 
 
 @dataclass

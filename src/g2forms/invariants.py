@@ -1,11 +1,11 @@
 """Invariant forms on a reductive homogeneous space and their differential.
 
 ``invariant_forms`` computes the fixed alternating tensors of the isotropy
-action as the exact kernel of the stacked derivations
-(``HomogeneousSpaceData.derivations``).  ``ce_differential`` applies the
-coset differential ``HomogeneousSpaceData.differential`` (formula there),
-the algebraic exterior derivative of invariant forms on G/H computed from
-the m-projected bracket alone.
+action as the exact kernel of the integer rows of the stacked derivations
+(``HomogeneousSpaceData.derivations``), which, like d in ``closed_forms``,
+must be rational (``ExteriorOp.is_rational``).  ``ce_differential`` applies
+the coset differential ``HomogeneousSpaceData.differential`` (formula there),
+the exterior derivative of invariant forms on G/H from the m-bracket alone.
 
 The sign convention is pinned by the calibration values in the test suite
 (three independent printed evaluations from the bundled catalog cases);
@@ -63,7 +63,7 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
 
     def build():
         ops = data.derivations(degree)
-        if any(op.den is None for op in ops):  # the integer lane is the rational one
+        if not all(op.is_rational() for op in ops):
             raise ValueError("parametric isotropy action: instantiate the parameters first")
         n = data.dim_m
         kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(n, degree))
@@ -119,7 +119,7 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
 
     def build():
         d = data.differential(degree)
-        if d.den is None:
+        if not d.is_rational():
             raise ValueError("closed_forms needs fully instantiated homogeneous data")
         space = invariant_forms(data, degree)
         n = data.dim_m

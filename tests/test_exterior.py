@@ -164,10 +164,12 @@ def test_exterior_op_is_the_leibniz_extension():
     # e^1 -> e^1 + e^2 (the e^3 terms cancel), e^2, e^3 -> 0
     image = {1: [((1,), one), ((2,), one), ((3,), one), ((3,), -one)]}
     on_1_forms = ExteriorOp(3, 1, 0, (), image)
-    # rational image data: Python int entries over one denominator
-    assert on_1_forms.columns == {(1,): {(1,): 1, (2,): 1}} and on_1_forms.den == 1
-    assert all(type(v) is int for column in on_1_forms.columns.values() for v in column.values())
-    assert on_1_forms.rows() == [[1, 0, 0], [1, 0, 0]]
+    # rational image data: Python int entries over one denominator, all at the
+    # one exponent vector of the empty context
+    assert on_1_forms.columns == {(): {(1,): {(1,): 1, (2,): 1}}} and on_1_forms.den == 1
+    entries = [v for column in on_1_forms.columns[()].values() for v in column.values()]
+    assert all(type(v) is int for v in entries)
+    assert on_1_forms.is_rational() and on_1_forms.rows() == [[1, 0, 0], [1, 0, 0]]
     assert on_1_forms.apply(F("3*e^{1} + e^{2}", 3, 1)) == F("3*e^{1} + 3*e^{2}", 3, 1)
     on_2_forms = ExteriorOp(3, 2, 0, (), image)
     assert on_2_forms.apply(F("e^{1 2} + e^{1 3}", 3, 2)) == F("e^{1 2} + e^{1 3} + e^{2 3}", 3, 2)
@@ -182,46 +184,69 @@ def test_exterior_op_is_the_leibniz_extension():
 
 def test_exterior_op_entries_share_one_denominator():
     half, third, quarter = (PolyScalar.constant(Fraction(1, q), ("t",)) for q in (2, 3, 4))
-    # e^1 -> 1/2 e^2 + 1/3 e^3, e^2 -> -3/4 e^3, in the context (t,)
+    # e^1 -> 1/2 e^2 + 1/3 e^3, e^2 -> -3/4 e^3, in the context (t,): constant
+    # entries sit at the zero exponent vector (0,)
     image = {1: [((2,), half), ((3,), third)], 2: [((3,), -quarter.scale(3))]}
     op = ExteriorOp(3, 1, 0, ("t",), image)
-    assert op.den == 12 and op.columns == {(1,): {(2,): 6, (3,): 4}, (2,): {(3,): -9}}
-    assert op.rows() == [[6, 0, 0], [4, -9, 0]]  # 12 times the matrix
+    assert op.den == 12 and op.columns == {(0,): {(1,): {(2,): 6, (3,): 4}, (2,): {(3,): -9}}}
+    assert op.is_rational() and op.rows() == [[6, 0, 0], [4, -9, 0]]  # 12 times the matrix
     alpha = F("e^{1} + 2*e^{2}", 3, 1, ("t",))
     assert op.apply(alpha) == F("1/2*e^{2} - 7/6*e^{3}", 3, 1, ("t",))
     # a symbolic form keeps its polynomial coefficients: t/5 e^1 -> t/10 e^2 + t/15 e^3
     t = PolyScalar.symbol("t", ("t",))
     image_of_t = op.apply(basis_form(3, (1,), ("t",)).scale(t.scale(Fraction(1, 5))))
     assert image_of_t.coeffs == {(2,): t.scale(Fraction(1, 10)), (3,): t.scale(Fraction(1, 15))}
-    # polynomial image data keeps PolyScalar entries, and has no integer rows
-    symbolic = ExteriorOp(3, 1, 0, ("t",), {1: [((2,), t)], 2: [((3,), half)]})
-    assert symbolic.den is None and symbolic.columns[(1,)] == {(2,): t}
-    assert symbolic.apply(alpha) == AltForm(3, 1, ("t",), {(2,): t, (3,): half.scale(2)})
+    # polynomial image data with denominators, e^1 -> t/2 e^2 + (1/3 - t) e^3 and
+    # e^2 -> 1/2 e^3: ints over den = 6, one set of columns per power of t
+    poly = ExteriorOp(3, 1, 0, ("t",), {1: [((2,), t.scale(Fraction(1, 2))), ((3,), third - t)],
+                                        2: [((3,), half)]})
+    assert poly.den == 6 and not poly.is_rational()
+    assert poly.columns == {
+        (1,): {(1,): {(2,): 3, (3,): -6}},
+        (0,): {(1,): {(3,): 2}, (2,): {(3,): 3}},
+    }
+    assert poly.apply(alpha) == AltForm(3, 1, ("t",), {(2,): t.scale(Fraction(1, 2)),
+                                                       (3,): third.scale(4) - t})
+    # on t e^1 the exponent vectors add: t^2/2 e^2 + (t/3 - t^2) e^3
+    t2 = PolyScalar(("t",), {(2,): 1})
+    expected = {(2,): t2.scale(Fraction(1, 2)), (3,): t.scale(Fraction(1, 3)) - t2}
+    assert poly.apply(basis_form(3, (1,), ("t",)).scale(t)) == AltForm(3, 1, ("t",), expected)
     with pytest.raises(ValueError, match="not rational"):
-        symbolic.rows()
+        poly.rows()
+
+
+def _bracket_constant(rng, symbols, polynomial):
+    """A random rational; with ``polynomial``, half the time c1 * symbol + c0."""
+    value = PolyScalar.constant(random_rational(rng), symbols)
+    if polynomial and rng.random() < 0.5:
+        value = value * PolyScalar.symbol(rng.choice(symbols), symbols)
+        value = value + PolyScalar.constant(random_rational(rng), symbols)
+    return value
 
 
 def test_rational_differential_on_symbolic_forms_matches_dense_oracle():
-    # constants with denominators in a symbolic context: the integer lane
-    # applied to forms with polynomial coefficients
+    # constants with denominators in a symbolic context (the first six spaces),
+    # then polynomial constants with denominators (the last four): the one
+    # integer lift applied to forms with polynomial coefficients
     rng = random.Random(1313)
     symbols = ("s", "t")
     s = PolyScalar.symbol("s", symbols)
-    dens = set()
-    for _ in range(6):
+    dens = {False: set(), True: set()}
+    for trial in range(10):
+        polynomial = trial >= 6
         n = rng.randint(3, 6)
         bracket = {
-            (i, j): {r: PolyScalar.constant(random_rational(rng), symbols)
+            (i, j): {r: _bracket_constant(rng, symbols, polynomial)
                      for r in range(1, n + 1) if rng.random() < 0.4}
             for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.6
         }
         data = HomogeneousSpaceData(n, [], bracket, symbols=symbols)
         for k in range(n):
             op = data.differential(k)
-            dens.add(op.den)
+            dens[op.is_rational()].add(op.den)
             alpha = random_form(rng, n, k, symbols).scale(s) + random_form(rng, n, k, symbols)
-            assert op.apply(alpha) == dense_ce_differential(data, alpha), (n, k)
-    assert None not in dens and max(dens) > 1
+            assert op.apply(alpha) == dense_ce_differential(data, alpha), (trial, n, k)
+    assert max(dens[True]) > 1 and max(dens[False]) > 1
 
 
 def test_pullback_by_identity_and_swap():

@@ -17,6 +17,7 @@ from conftest import (
 from g2forms import _linalg, gstruct
 from g2forms.exterior import (
     AltForm,
+    ExteriorOp,
     contract,
     parse_form,
     pullback,
@@ -147,6 +148,45 @@ def test_b_matrix_matches_wedge_oracle(kind):
         assert b_entries(phi, [(i, j)]) == {(i, j): oracle[i - 1][j - 1]}
     with pytest.raises(ValueError, match="out of range"):
         b_entries(phi, [(0, 1)])
+
+
+def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
+    # wedge, pullback, ExteriorOp.apply and the B sums compute on lifted ints:
+    # with PolyScalar's ring operations raising, each still runs on rational
+    # and symbolic forms and gives what it gave before
+    rng = random.Random("lifted-kernels")
+    syms = ("a", "b")
+    a = PolyScalar.symbol("a", syms)
+    rational = random_form(rng, 7, 3, density=0.6)
+    symbolic = _two_symbol_form(rng, 0.4)
+    poly_image = {r: [((c,), a.scale(random_rational(rng)) + PolyScalar.constant(1, syms))]
+                  for r, c in ((1, 2), (3, 5), (6, 4))}
+    half, third = PolyScalar.constant(Fraction(1, 2)), PolyScalar.constant(Fraction(-2, 3))
+    differential = HomogeneousSpaceData(7, [], {(1, 2): {3: half}, (4, 5): {6: third}})
+    ops = [
+        (differential.differential(3), rational),
+        (ExteriorOp(7, 3, 0, syms, poly_image), symbolic),
+        (ExteriorOp(7, 3, 0, syms, poly_image), rational.with_symbols(syms)),
+    ]
+    p = [[x / 2 for x in row] for row in random_unimodular(rng, 7)]
+
+    def kernels():
+        return [
+            wedge(contract(1, rational), rational), wedge(contract(2, symbolic), symbolic),
+            pullback(rational, p), pullback(symbolic, p),
+            *(op.apply(alpha) for op, alpha in ops),
+            b_entries(rational, ALL_PAIRS), b_entries(symbolic, ALL_PAIRS), b_matrix(rational),
+        ]
+
+    before = kernels()
+
+    def forbidden(*_args):
+        raise AssertionError("PolyScalar arithmetic inside a form kernel")
+
+    monkeypatch.setattr(PolyScalar, "__mul__", forbidden)
+    monkeypatch.setattr(PolyScalar, "__add__", forbidden)
+    assert kernels() == before
+    assert not any(form.is_zero() for form in before[:7])
 
 
 def _b_rows(phi):

@@ -26,9 +26,11 @@ results are rendered to strings and compared exactly:
   tables, some symbolic, some with a repeated zero or cancelling triple
   (the child sums them into the table it passes to
   ``HomogeneousSpaceData``).  It reads only case documents and operators,
-  so it runs whatever table format ``HomogeneousSpaceData`` stores, and renders
-  an entry as its rational value whether it is a PolyScalar or an int
-  over the operator's ``den``;
+  so it runs whatever table format ``HomogeneousSpaceData`` stores.  It
+  renders each entry as its polynomial value, from either ``columns``
+  layout: ``{input monomial: {output monomial: entry}}`` with PolyScalar
+  entries or ints over the operator's ``den`` (older trees), or one such
+  table of ints over ``den`` per exponent vector of the context;
 * ``pullback``: ``pullback`` of 300 random forms of every degree 0..n on
   R^n, n <= 7 (every third one with polynomial coefficients in two
   symbols), by random rational matrices, every fourth one singular;
@@ -39,7 +41,11 @@ results are rendered to strings and compared exactly:
   ``derivations(k)`` and ``differential(k)`` to seeded random k-forms:
   rational forms under ``homog_num()``, and under ``homog_sym`` forms in
   the case context, every other one with polynomial coefficients.  It runs
-  after the other groups, so their inputs do not depend on it.
+  after the other groups, so their inputs do not depend on it;
+* ``wedge``: ``wedge`` of 400 seeded pairs of random forms on R^n, n <= 7,
+  with degrees summing to at most n: rational coefficients with
+  denominators, and every third pair with polynomial coefficients in two
+  symbols.  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -57,7 +63,7 @@ from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled
-from g2forms.exterior import AltForm, contract, pullback
+from g2forms.exterior import AltForm, contract, pullback, wedge
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.liealg import HomogeneousSpaceData, jacobi_check
 from g2forms.scalars import PolyScalar
@@ -91,9 +97,21 @@ def entry(op, value):
     return value.render() if isinstance(value, PolyScalar) else str(F(value, op.den))
 
 def columns(op):
+    # {input: {output: entry}}, or {exponents: {input: {output: int over den}}}
+    if any(isinstance(v, dict) for table in op.columns.values() for v in table.values()):
+        terms = {}
+        for expo, table in op.columns.items():
+            for idx, column in table.items():
+                for row, value in column.items():
+                    terms.setdefault(idx, {}).setdefault(row, {})[expo] = F(value, op.den)
+        rendered = {idx: {row: PolyScalar(op.symbols, t).render() for row, t in column.items()}
+                    for idx, column in terms.items()}
+    else:
+        rendered = {idx: {row: entry(op, value) for row, value in column.items()}
+                    for idx, column in op.columns.items()}
     return [
-        [list(idx), [[list(row), entry(op, value)] for row, value in sorted(column.items())]]
-        for idx, column in sorted(op.columns.items())
+        [list(idx), [[list(row), text] for row, text in sorted(column.items())]]
+        for idx, column in sorted(rendered.items())
     ]
 
 def case_form(rng, data, k, symbolic):
@@ -109,7 +127,7 @@ def iota(i, alpha):
 
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
-    "pullback": [], "contract": [], "apply": [],
+    "pullback": [], "contract": [], "apply": [], "wedge": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -186,6 +204,14 @@ for case_id in bundled_ids():
             for t in range(2):
                 alpha = case_form(rng, data, k, symbolic and t == 1)
                 out["apply"].append([case_id, k, [op.apply(alpha).render() for op in ops]])
+for t in range(400):
+    n = rng.randint(1, 7)
+    symbols = ("a", "b") if t % 3 == 2 else ()
+    k = rng.randint(0, n)
+    l = rng.randint(0, n - k)
+    density = rng.choice([0.15, 0.5, 1.0])
+    alpha, beta = form(rng, n, k, symbols, density), form(rng, n, l, symbols, density)
+    out["wedge"].append(wedge(alpha, beta).render())
 print(json.dumps(out))
 '''
 
