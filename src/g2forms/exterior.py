@@ -5,12 +5,13 @@ strictly increasing k-tuples of basis indices (1-based, matching the usual
 ``e^{i j k}`` notation) to nonzero :class:`~g2forms.scalars.PolyScalar`
 coefficients.  Wedge products compute their sign by counting transpositions
 while merging the index tuples; contraction by e_i drops i with its sign,
-and a pullback sums integer minors.  :class:`ExteriorOp` is the one linear
-map between exterior powers, over the lexicographic monomial coordinates of
-:func:`monomials`: a derivation.  Each of these kernels, and the B sums of
-:mod:`g2forms.gstruct`, computes on ints: ``_lift`` scales coefficient terms
-by the lcm of their denominators and ``_lower`` divides each sum once
-(fraction-free, as in Bareiss, Math. Comp. 1968); none does PolyScalar arithmetic.
+and a pullback places one covector at a time.  :class:`ExteriorOp` is the
+one linear map between exterior powers, over the lexicographic monomial
+coordinates of :func:`monomials`: a derivation.  Each of these kernels, and
+the B sums of :mod:`g2forms.gstruct`, computes on ints: ``_lift`` scales
+coefficient terms by the lcm of their denominators and ``_lower`` divides
+each sum once (fraction-free, as in Bareiss, Math. Comp. 1968); none does
+PolyScalar arithmetic.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -322,15 +324,22 @@ def top_coefficient(alpha: AltForm) -> PolyScalar:
     return alpha.coefficient(tuple(range(1, alpha.dim + 1)))
 
 
+@cache
+def _insert(cols: tuple, c: int) -> tuple[tuple[int, ...], int] | None:
+    """merge_sign(cols, (c,)), memoized: at most 2^n * n pairs on an n-space."""
+    return merge_sign(cols, (c,))
+
+
 def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
     ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
-    rationals.  (P*alpha)_J = sum_I alpha_I * det P[I; J].  The matrix is
-    scaled to integers by the lcm D of its denominators; each minor is built
-    once, by Laplace expansion along its first row over the minors one size
-    smaller, and multiplies the lifted terms of alpha_I.  Each sum is divided
-    by L * D^degree once, L being alpha's lift.
+    rationals, scaled to integers by the lcm D of their denominators.
+    P*(e^{i_1 ... i_k}) = P*e^{i_1} ^ ... ^ P*e^{i_k} with
+    P*e^i = sum_c P[i][c] e^c, so each of k rounds places one covector: the
+    first index i still to place moves into every column c not yet placed,
+    with sign (-1)^#{placed d > c}.  Each sum is divided by L * D^degree
+    once, L being alpha's lift.
     """
     n, degree = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -338,28 +347,21 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     values = [[Fraction(x) for x in row] for row in matrix]
     den = lcm(*(x.denominator for row in values for x in row))
     rows = [{c: (x * den).numerator for c, x in enumerate(row, 1) if x} for row in values]
-    minors = {((), ()): 1}  # (row set, column set) -> nonzero minor
-    for size in range(1, degree + 1):
-        smaller, minors, subsets = minors, {}, monomials(n, size)
-        for rowset in subsets:
-            first, rest = rows[rowset[0] - 1], rowset[1:]
-            for colset in subsets:
-                total = sum(
-                    (-1) ** t * first[c] * smaller.get((rest, colset[:t] + colset[t + 1 :]), 0)
-                    for t, c in enumerate(colset)
-                    if c in first
-                )
-                if total:
-                    minors[rowset, colset] = total
     scale, lifted = _lift(alpha.coeffs)
-    sums: dict[tuple, dict] = {}  # column set -> {exponents: sum of alpha_I * minor}
-    for (rowset, colset), minor in minors.items():
-        if rowset in lifted:
-            acc = sums.setdefault(colset, {})
-            for expo, c in lifted[rowset]:
-                acc[expo] = acc.get(expo, 0) + c * minor
+    # (columns placed, indices still to place) -> {exponents: int}
+    sums = {((), rest): dict(terms) for rest, terms in lifted.items()}
+    for _ in range(degree):
+        previous, sums = sums, {}
+        for (cols, rest), terms in previous.items():
+            for c, entry in rows[rest[0] - 1].items():
+                merged = _insert(cols, c)
+                if merged is not None:
+                    acc, factor = sums.setdefault((merged[0], rest[1:]), {}), merged[1] * entry
+                    for expo, v in terms.items():
+                        acc[expo] = acc.get(expo, 0) + factor * v
     return AltForm._trusted(n, degree, alpha.symbols,
-                            _lower(sums, scale * den**degree, alpha.symbols))
+                            _lower({cols: terms for (cols, _), terms in sums.items()},
+                                   scale * den**degree, alpha.symbols))
 
 
 # -- monomial coordinates and linear operators --------------------------------

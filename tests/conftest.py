@@ -17,8 +17,6 @@ from g2forms.exterior import (
     contract,
     merge_sign,
     monomials,
-    top_coefficient,
-    wedge,
 )
 from g2forms.scalars import ContextMismatchError, PolyScalar
 
@@ -53,6 +51,18 @@ def random_form(rng: random.Random, dim: int, degree: int, symbols=(), density=0
             if value:
                 coeffs[idx] = PolyScalar.constant(value, symbols)
     return AltForm(dim, degree, symbols, coeffs)
+
+
+def two_symbol_form(rng: random.Random, dim: int, degree: int, density: float) -> AltForm:
+    """A form whose coefficients are r1*a + r2*b + r0, each r random rational."""
+    syms = ("a", "b")
+    a, b = (PolyScalar.symbol(name, syms) for name in syms)
+    coeffs = {}
+    for idx in combinations(range(1, dim + 1), degree):
+        if rng.random() < density:
+            constant = PolyScalar.constant(random_rational(rng), syms)
+            coeffs[idx] = a.scale(random_rational(rng)) + b.scale(random_rational(rng)) + constant
+    return AltForm(dim, degree, syms, coeffs)
 
 
 def random_vector(rng: random.Random, dim: int, symbols=()) -> list:
@@ -165,11 +175,28 @@ def pullback_by_evaluation(alpha: AltForm, matrix) -> AltForm:
 
 
 def wedge_b_matrix(phi: AltForm) -> list:
-    """B[i][j] as the top coefficient of the wedge product iota_i phi ^ iota_j phi ^ phi,
-    all 49 entries as PolyScalar rows: an oracle for :func:`g2forms.gstruct.b_matrix`
-    and :func:`g2forms.gstruct.b_entries`."""
-    iotas = [contract(i, phi) for i in range(1, 8)]
-    return [[top_coefficient(wedge(wedge(a, b), phi)) for b in iotas] for a in iotas]
+    """B[i][j] as the top coefficient of iota_i phi ^ iota_j phi ^ phi, all 49
+    entries as PolyScalar rows: an oracle for :func:`g2forms.gstruct.b_matrix`
+    and :func:`g2forms.gstruct.b_entries`.  Each product of three coefficients
+    is taken term by term with PolyScalar arithmetic, signed by the inversions
+    of its index sequence, so no engine product is involved."""
+    iotas = [contract(i, phi).coeffs for i in range(1, 8)]
+    zero = PolyScalar.zero(phi.symbols)
+    gram = []
+    for a in iotas:
+        row = []
+        for b in iotas:
+            total = zero
+            for idx_a, x in a.items():
+                for idx_b, y in b.items():
+                    rest = tuple(sorted(set(range(1, 8)) - set(idx_a) - set(idx_b)))
+                    if len(rest) == 3 and rest in phi.coeffs:
+                        term = x * y * phi.coeffs[rest]
+                        sign = _permutation_sign(idx_a + idx_b + rest)
+                        total = total + (term if sign == 1 else -term)
+            row.append(total)
+        gram.append(row)
+    return gram
 
 
 def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:

@@ -11,6 +11,7 @@ from conftest import (
     random_form,
     random_rational,
     random_vector,
+    two_symbol_form,
     unit_vector,
 )
 from g2forms.exterior import (
@@ -275,6 +276,13 @@ def test_pullback_matches_evaluation_oracle():
             [random_rational(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
             for _ in range(n)
         ]
+        assert pullback(alpha, matrix) == pullback_by_evaluation(alpha, matrix)
+    # dense inputs with polynomial coefficients in two symbols, by dense
+    # matrices with denominators (as Q^-1 has in the Hodge dual)
+    for n, k in ((7, 3), (7, 4), (6, 3), (6, 2)):
+        alpha = two_symbol_form(rng, n, k, 1.0)
+        matrix = [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
+                   for _ in range(n)] for _ in range(n)]
         assert pullback(alpha, matrix) == pullback_by_evaluation(alpha, matrix)
 
 

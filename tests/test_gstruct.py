@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -11,6 +10,7 @@ from conftest import (
     random_form,
     random_rational,
     random_unimodular,
+    two_symbol_form,
     unit_vector,
     wedge_b_matrix,
 )
@@ -118,17 +118,6 @@ def test_b_matrix_rejects_symbolic_form():
     assert b_entries(phi, [(4, 4)])[4, 4].is_zero()
 
 
-def _two_symbol_form(rng, density):
-    syms = ("a", "b")
-    a, b = (PolyScalar.symbol(name, syms) for name in syms)
-    coeffs = {}
-    for idx in combinations(range(1, 8), 3):
-        if rng.random() < density:
-            constant = PolyScalar.constant(random_rational(rng), syms)
-            coeffs[idx] = a.scale(random_rational(rng)) + b.scale(random_rational(rng)) + constant
-    return AltForm(7, 3, syms, coeffs)
-
-
 @pytest.mark.parametrize("kind", ["dense", "sparse", "two-symbol"])
 def test_b_matrix_matches_wedge_oracle(kind):
     # b_matrix mirrors its upper triangle, so symmetry alone proves nothing:
@@ -136,7 +125,7 @@ def test_b_matrix_matches_wedge_oracle(kind):
     rng = random.Random(f"b-oracle:{kind}")
     for _ in range(2 if kind == "two-symbol" else 5):
         if kind == "two-symbol":
-            phi = _two_symbol_form(rng, 0.4)
+            phi = two_symbol_form(rng, 7, 3, 0.4)
         else:
             phi = random_form(rng, 7, 3, density=1.0 if kind == "dense" else 0.2)
         oracle = wedge_b_matrix(phi)
@@ -158,7 +147,7 @@ def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
     syms = ("a", "b")
     a = PolyScalar.symbol("a", syms)
     rational = random_form(rng, 7, 3, density=0.6)
-    symbolic = _two_symbol_form(rng, 0.4)
+    symbolic = two_symbol_form(rng, 7, 3, 0.4)
     poly_image = {r: [((c,), a.scale(random_rational(rng)) + PolyScalar.constant(1, syms))]
                   for r, c in ((1, 2), (3, 5), (6, 4))}
     half, third = PolyScalar.constant(Fraction(1, 2)), PolyScalar.constant(Fraction(-2, 3))
@@ -225,7 +214,7 @@ def test_b_matrix_obeys_the_exact_congruence_law():
         else:
             p = [[random_rational(rng) for _ in range(7)] for _ in range(7)]
         assert _congruence_violations(phi, p) == []
-    assert _congruence_violations(_two_symbol_form(rng, 0.3), random_unimodular(rng, 7)) == []
+    assert _congruence_violations(two_symbol_form(rng, 7, 3, 0.3), random_unimodular(rng, 7)) == []
 
 
 def test_congruence_law_catches_a_sign_flip_in_the_wedge_table(monkeypatch):
@@ -423,6 +412,10 @@ def test_hodge_dual_matches_per_minor_oracle(n, k):
             for i in range(n)
         ]  # A^T A + I: positive definite
         alpha = random_form(rng, n, k)
+        assert hodge_dual_up_to_scale(q, alpha) == hodge_dual_by_minors(q, alpha)
+    # forms with polynomial coefficients in two symbols, on the last metric
+    for _ in range(2):
+        alpha = two_symbol_form(rng, n, k, 0.6)
         assert hodge_dual_up_to_scale(q, alpha) == hodge_dual_by_minors(q, alpha)
 
 

@@ -45,7 +45,10 @@ results are rendered to strings and compared exactly:
 * ``wedge``: ``wedge`` of 400 seeded pairs of random forms on R^n, n <= 7,
   with degrees summing to at most n: rational coefficients with
   denominators, and every third pair with polynomial coefficients in two
-  symbols.  It runs last.
+  symbols.  It runs after the groups above;
+* ``hodge_poly``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
+  (6, 3) and (6, 2), with metrics as in ``hodge`` and dense forms whose
+  coefficients are polynomial in two symbols.  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -92,6 +95,16 @@ def form(rng, n, k, symbols=(), density=0.5):
             coeffs[idx] = PolyScalar.parse(coefficient(rng, symbols), symbols)
     return AltForm(n, k, symbols, coeffs)
 
+def metric(rng, n):
+    # A^T A, or None when singular: Fraction rows, or a GramMatrix on trees that have it
+    a = [[rational(rng) for _ in range(n)] for _ in range(n)]
+    q = [[sum((a[r][i] * a[r][j] for r in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    if _linalg.det(q) == 0:
+        return None
+    if GramMatrix is None:
+        return q
+    return GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
+
 def entry(op, value):
     # a PolyScalar, or an int over the operator's common denominator
     return value.render() if isinstance(value, PolyScalar) else str(F(value, op.den))
@@ -127,7 +140,7 @@ def iota(i, alpha):
 
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
-    "pullback": [], "contract": [], "apply": [], "wedge": [],
+    "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -150,14 +163,9 @@ for t in range(3000):
     out["minors"].append([str(x) for x in chain] + [str(_linalg.det(m))])
 for t in range(160):
     n, k = [(7, 3), (7, 4), (6, 3), (7, 2)][t % 4]
-    a = [[rational(rng) for _ in range(n)] for _ in range(n)]
-    q = [[sum((a[r][i] * a[r][j] for r in range(n)), F(0)) for j in range(n)] for i in range(n)]
-    if _linalg.det(q) == 0:
-        continue
-    metric = q
-    if GramMatrix is not None:
-        metric = GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
-    out["hodge"].append(hodge_dual_up_to_scale(metric, form(rng, n, k)).render())
+    q = metric(rng, n)
+    if q is not None:
+        out["hodge"].append(hodge_dual_up_to_scale(q, form(rng, n, k)).render())
 for t in range(200):
     r = hitchin_stability(form(rng, 6, 3, density=rng.choice([0.15, 0.5, 1.0])))
     out["hitchin"].append([str(r.lam), [[str(x) for x in row] for row in r.k_matrix]])
@@ -212,6 +220,12 @@ for t in range(400):
     density = rng.choice([0.15, 0.5, 1.0])
     alpha, beta = form(rng, n, k, symbols, density), form(rng, n, l, symbols, density)
     out["wedge"].append(wedge(alpha, beta).render())
+for t in range(80):
+    n, k = [(7, 3), (7, 4), (6, 3), (6, 2)][t % 4]
+    q = metric(rng, n)
+    if q is not None:
+        alpha = form(rng, n, k, ("a", "b"), density=1.0)
+        out["hodge_poly"].append(hodge_dual_up_to_scale(q, alpha).render())
 print(json.dumps(out))
 '''
 
