@@ -6,13 +6,16 @@ all over Q with no rounding.  Every returned entry is a Fraction, never an
 int: callers divide entries, and a quotient of two ints is a float.
 
 The kernels compute on Python ints inside, because a gcd per Fraction
-operation dominated their cost.  :func:`rref` scales each row to integers
-by the lcm of its denominators (a row of ints, as ``ExteriorOp.rows()``
-gives, is taken as it is), eliminates Gauss-Jordan fraction-free
-(keeping rows primitive by their gcd) and divides by the pivots once at the
-end; the reduced row echelon form is unique, so :func:`rank`,
-:func:`nullspace`, :func:`row_space`, :func:`solve_many` and
-:func:`inverse` give the same Fractions as elimination over Q.
+operation dominated their cost.  :func:`rref` and :func:`nullspace` share
+one elimination: it scales each row to integers by the lcm of its
+denominators (a row of ints, as ``ExteriorOp.rows()`` gives, is taken as
+it is) and runs Gauss-Jordan fraction-free, keeping rows primitive by their
+gcd.  :func:`rref` divides by the pivots once at the end; :func:`nullspace`
+builds each kernel vector as ints from the primitive rows and echelonizes
+those, with no Fraction in between.  The reduced row echelon form is
+unique, so :func:`rank`, :func:`nullspace`, :func:`row_space`,
+:func:`solve_many` and :func:`inverse` give the same Fractions as
+elimination over Q.
 :func:`matmul` scales ``b`` once to integers, keeps only its nonzero
 entries and builds one Fraction per output entry, so mostly-zero operands
 cost only their nonzeros.  :func:`det` and :func:`leading_principal_minors`
@@ -67,15 +70,16 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    if not mat:
-        return [], []
-    nrows, ncols = len(mat), len(mat[0])
-    m = [row if all(type(x) is int for x in row) else _integer_row(row)[0] for row in mat]
-    pivots: list[int] = []
-    r = 0
+def _echelon(mat: Matrix, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivot columns) of the fraction-free Gauss-Jordan behind :func:`rref`
+    and :func:`nullspace`: row r < len(pivots) is primitive, with its pivot in
+    column pivots[r] and zeros in the other pivot columns."""
+    m = [row if {*map(type, row)} <= {int} else _integer_row(row)[0] for row in mat]
+    nrows, pivots = len(m), []
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
@@ -89,13 +93,15 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
                 g = gcd(*row)
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = [
-        [Fraction(x, m[i][c]) if x else _ZERO for x in m[i]] for i, c in enumerate(pivots)
-    ]
-    return reduced + [[_ZERO] * ncols for _ in range(nrows - len(pivots))], pivots
+    return m, pivots
+
+
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    ncols = len(mat[0]) if mat else 0
+    m, pivots = _echelon(mat, ncols)
+    reduced = [[Fraction(x, m[r][c]) if x else _ZERO for x in m[r]] for r, c in enumerate(pivots)]
+    return reduced + [[_ZERO] * ncols for _ in range(len(m) - len(pivots))], pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -108,14 +114,15 @@ def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
         if not mat:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(mat[0])
-    reduced, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _echelon(mat, ncols)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
+    for f in [c for c in range(ncols) if c not in pivots]:
+        # x_f = 1 and x_c = -m[r][f] / m[r][c] at each pivot (r, c), times their lcm
+        rows = [(c, m[r]) for r, c in enumerate(pivots) if m[r][f]]
+        vec = [0] * ncols
+        vec[f] = den = lcm(*(row[c] for c, row in rows))
+        for c, row in rows:
+            vec[c] = -row[f] * (den // row[c])
         basis.append(vec)
     return row_space(basis) if basis else []
 

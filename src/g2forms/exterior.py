@@ -324,10 +324,7 @@ def top_coefficient(alpha: AltForm) -> PolyScalar:
     return alpha.coefficient(tuple(range(1, alpha.dim + 1)))
 
 
-@cache
-def _insert(cols: tuple, c: int) -> tuple[tuple[int, ...], int] | None:
-    """merge_sign(cols, (c,)), memoized: at most 2^n * n pairs on an n-space."""
-    return merge_sign(cols, (c,))
+_merge = cache(merge_sign)  # the pullback's insertions and ExteriorOp's Leibniz terms
 
 
 def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
@@ -346,15 +343,15 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
         raise ValueError("matrix shape does not match form dimension")
     values = [[Fraction(x) for x in row] for row in matrix]
     den = lcm(*(x.denominator for row in values for x in row))
-    rows = [{c: (x * den).numerator for c, x in enumerate(row, 1) if x} for row in values]
+    rows = [[((c,), (x * den).numerator) for c, x in enumerate(row, 1) if x] for row in values]
     scale, lifted = _lift(alpha.coeffs)
     # (columns placed, indices still to place) -> {exponents: int}
     sums = {((), rest): dict(terms) for rest, terms in lifted.items()}
     for _ in range(degree):
         previous, sums = sums, {}
         for (cols, rest), terms in previous.items():
-            for c, entry in rows[rest[0] - 1].items():
-                merged = _insert(cols, c)
+            for c, entry in rows[rest[0] - 1]:
+                merged = _merge(cols, c)
                 if merged is not None:
                     acc, factor = sums.setdefault((merged[0], rest[1:]), {}), merged[1] * entry
                     for expo, v in terms.items():
@@ -413,21 +410,25 @@ class ExteriorOp:
         self.out_degree = degree + shift
         values = {(i, p): value for i, pairs in image.items() for p, (_, value) in enumerate(pairs)}
         self.den, lifted = _lift(values)
-        layers: dict[tuple, dict] = {}  # exponents -> {i: [(replacement, int)]}
+        layers: dict[tuple, dict] = {}  # exponents -> {i: [(sorted replacement, int)]}
         for (i, p), terms in lifted.items():
-            for expo, c in terms:
-                layers.setdefault(expo, {}).setdefault(i, []).append((image[i][p][0], c))
+            if (sorted_sign := sort_sign(image[i][p][0])) is not None:
+                replacement, sign = sorted_sign
+                for expo, c in terms:
+                    layers.setdefault(expo, {}).setdefault(i, []).append((replacement, sign * c))
         self.columns = {}
         for expo, layer in layers.items():
             columns = {}
             for idx in monomials(dim, degree):
                 column: dict[tuple, int] = {}
+                # moving a sorted R (shift + 1 indices) past idx[:t] costs (-1)^(t (shift + 1)),
+                # so sort_sign(idx[:t] + R + idx[t+1:]) (-1)^(t shift) = (-1)^t merge_sign(R, rest)
                 for t, i in enumerate(idx):
+                    rest = idx[:t] + idx[t + 1 :]
                     for replacement, value in layer.get(i, ()):
-                        sorted_sign = sort_sign(idx[:t] + replacement + idx[t + 1 :])
-                        if sorted_sign is not None:
-                            row, sign = sorted_sign
-                            column[row] = column.get(row, 0) + sign * (-1) ** (t * shift) * value
+                        if (merged := _merge(replacement, rest)) is not None:
+                            row, sign = merged
+                            column[row] = column.get(row, 0) + (-sign if t % 2 else sign) * value
                 if column := {row: v for row, v in column.items() if v}:
                     columns[idx] = column
             if columns:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from g2forms import _linalg
 from g2forms.exterior import AltForm, form_to_vector, monomials, vector_to_form
@@ -114,6 +115,9 @@ class ClosedFamily:
 def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
     """Solve d(sum_i a_i gamma_i) = 0 exactly over the invariant basis.
 
+    The d-matrix is formed on ints, ``d.rows()`` times the basis members scaled
+    to integers: a scaled member rescales its coordinate in every solution, so
+    the kernel mapped back through the scaled members spans the same family.
     Solved once per data and degree and shared, like :func:`invariant_forms`.
     """
 
@@ -123,14 +127,11 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
             raise ValueError("closed_forms needs fully instantiated homogeneous data")
         space = invariant_forms(data, degree)
         n = data.dim_m
-        out_monomials = monomials(n, degree + 1)
-        # rows: output monomials, columns: invariant basis forms
-        matrix = _linalg.transpose(
-            [form_to_vector(d.apply(gamma), out_monomials) for gamma in space.basis]
-        )
-        kernel = _linalg.nullspace(matrix, space.dim)
         in_monomials = monomials(n, degree)
-        gammas = [form_to_vector(gamma, in_monomials) for gamma in space.basis]
+        gammas = [_linalg._integer_row(form_to_vector(g, in_monomials))[0] for g in space.basis]
+        # rows: output monomials where d is nonzero, columns: scaled basis members
+        matrix = [[sum(map(mul, row, gamma)) for gamma in gammas] for row in d.rows()]
+        kernel = _linalg.nullspace(matrix, space.dim)
         rows = _linalg.row_space(_linalg.matmul(kernel, gammas))
         parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
         basis = [vector_to_form(vec, n, degree) for vec in rows]

@@ -126,7 +126,8 @@ def from_matrices(
         # matrix (including the zero matrix, whose span is degenerate)
         return HomogeneousSpaceData(1, [], {}, names, symbols)
     den = lcm(*(x.denominator for m in basis.matrices for row in m for x in row))
-    ints = [[[(x * den).numerator for x in row] for row in m] for m in basis.matrices]
+    ints = [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+            for m in basis.matrices]
     span_matrix = _linalg.transpose([[x for row in m for x in row] for m in ints])
     if _linalg.rank(span_matrix) != n:
         raise LieStructureError("matrix basis is linearly dependent")

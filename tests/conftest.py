@@ -247,6 +247,29 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
+def leibniz_columns(dim: int, degree: int, shift: int, image) -> dict:
+    """The columns ``{input monomial: {output monomial: Fraction}}`` of the
+    derivation with rational ``image`` (as :class:`ExteriorOp` takes it), by
+    brute force: every term splices R into slot t of the input monomial, is
+    signed by the permutation that sorts the splice, times (-1)^(t * shift),
+    and vanishes on a repeated index.  An oracle for ``ExteriorOp.columns``.
+    """
+    columns = {}
+    for idx in monomials(dim, degree):
+        column = {}
+        for t, i in enumerate(idx):
+            for replacement, value in image.get(i, ()):
+                spliced = idx[:t] + tuple(replacement) + idx[t + 1 :]
+                if len(set(spliced)) < len(spliced):
+                    continue
+                row = tuple(sorted(spliced))
+                sign = _permutation_sign(spliced) * (-1) ** (t * shift)
+                column[row] = column.get(row, 0) + sign * value.constant_value()
+        if column := {row: v for row, v in column.items() if v}:
+            columns[idx] = column
+    return columns
+
+
 def dense_ce_differential(data, alpha: AltForm) -> AltForm:
     """The coset differential by its defining formula on each (k+1)-tuple,
 

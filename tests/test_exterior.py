@@ -7,6 +7,7 @@ from conftest import (
     dense_ce_differential,
     evaluate,
     evaluate_by_permutations,
+    leibniz_columns,
     pullback_by_evaluation,
     random_form,
     random_rational,
@@ -181,6 +182,40 @@ def test_exterior_op_is_the_leibniz_extension():
         on_1_forms.apply(F("e^{1 2}", 3, 2))
     with pytest.raises(ContextMismatchError):
         on_1_forms.apply(F("e^{1}", 3, 1, ("t",)))
+
+
+def _random_image(rng, dim, shift):
+    """A seeded rational image: each covector goes to a few terms of shift + 1
+    distinct indices in random order, so most come unsorted and many meet
+    the other indices of a monomial."""
+    image = {}
+    for i in range(1, dim + 1):
+        for _ in range(rng.randint(0, 3)):
+            replacement = tuple(rng.sample(range(1, dim + 1), shift + 1))
+            value = random_rational(rng) or Fraction(1)
+            image.setdefault(i, []).append((replacement, PolyScalar.constant(value)))
+    return image
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_exterior_op_columns_match_the_brute_force_leibniz_rule(shift):
+    rng = random.Random(19 + shift)
+    one, two_thirds = PolyScalar.constant(1), PolyScalar.constant(Fraction(-2, 3))
+    # unsorted replacements (e^1 -> e^{3 2}), a repeated index (e^{3 3}), and
+    # replacements that meet the indices left in the monomial
+    fixed = {
+        0: {1: [((3,), one)], 2: [((2,), two_thirds), ((1,), one)], 4: [((1,), one)]},
+        1: {1: [((3, 2), one)], 2: [((2, 4), two_thirds), ((3, 3), one)], 4: [((5, 1), one)]},
+        2: {1: [((3, 2, 5), one)], 2: [((5, 1, 4), two_thirds), ((3, 3, 1), one)]},
+    }[shift]
+    images = [(5, fixed)] + [(rng.randint(shift + 1, 7), None) for _ in range(12)]
+    for dim, image in images:
+        image = image or _random_image(rng, dim, shift)
+        for degree in range(dim - shift + 1):
+            op = ExteriorOp(dim, degree, shift, (), image)
+            engine = {idx: {row: Fraction(v, op.den) for row, v in column.items()}
+                      for idx, column in op.columns.get((), {}).items()}
+            assert engine == leibniz_columns(dim, degree, shift, image), (dim, degree, image)
 
 
 def test_exterior_op_entries_share_one_denominator():

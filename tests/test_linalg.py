@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -109,6 +110,31 @@ def _oracle_cases(seed, density):
         yield with_zero_rows
 
 
+def _integer_cases(seed, density):
+    """Rows of Python ints, as ``ExteriorOp.rows()`` gives them (a tall stack
+    and a wide matrix), mixed int and Fraction rows, an all-zero matrix and a
+    full-rank one."""
+    rng = random.Random(seed + 100)
+    n = rng.randint(2, 6)
+
+    def ints(nrows, ncols):
+        return [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    yield ints(3 * n, n)
+    yield ints(n, n + 2)
+    mixed = _random_matrix(rng, n + 2, n, density)
+    mixed[::2] = ints(len(mixed[::2]), n)
+    mixed[1][0] = rng.randint(1, 3)  # a row with int and Fraction entries
+    yield mixed
+    yield [[0] * n for _ in range(n)]
+    # triangular with a nonzero diagonal, rows shuffled
+    full = [[rng.choice([-2, -1, 1, 2]) if i == j else rng.randint(-3, 3) * (j > i)
+             for j in range(n)] for i in range(n)]
+    rng.shuffle(full)
+    yield full
+
+
 def _all_fractions(rows):
     return all(type(x) is Fraction for row in rows if row is not None for x in row)
 
@@ -129,7 +155,7 @@ def test_exact_kernels_agree_with_sympy(seed, density):
         return [[to_fraction(x) for x in mat.row(i)] for i in range(mat.rows)]
 
     rng = random.Random(seed * 1000 + int(density * 10))
-    for mat in _oracle_cases(seed, density):
+    for mat in chain(_oracle_cases(seed, density), _integer_cases(seed, density)):
         nrows, ncols = len(mat), len(mat[0])
         sym = to_sympy(mat)
 
@@ -182,3 +208,7 @@ def test_exact_kernels_agree_with_sympy(seed, density):
 
         assert _all_fractions(reduced) and _all_fractions(kernel) and _all_fractions(product)
         assert _all_fractions(solutions) and _all_fractions(_linalg.row_space(mat))
+
+    # no rows: every column is free
+    assert _linalg.nullspace([], 3) == _linalg.identity(3)
+    assert _all_fractions(_linalg.nullspace([], 3))

@@ -48,7 +48,14 @@ results are rendered to strings and compared exactly:
   symbols.  It runs after the groups above;
 * ``hodge_poly``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
   (6, 3) and (6, 2), with metrics as in ``hodge`` and dense forms whose
-  coefficients are polynomial in two symbols.  It runs last.
+  coefficients are polynomial in two symbols.  It runs after the groups above;
+* ``linalg``: ``rref``, ``rank``, ``nullspace``, ``row_space`` and
+  ``solve_many`` of seeded matrices: 40 sparse stacks of int rows shaped
+  like the stacked derivation rows of ``invariant_forms`` (up to 116 x 35,
+  one or two nonzeros per row), 60 dense Fraction matrices, some
+  rank-deficient, and 60 matrices whose rows alternate between ints and
+  Fractions; each with one consistent and one random right-hand side, as
+  ints or Fractions like its rows.  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -140,7 +147,7 @@ def iota(i, alpha):
 
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
-    "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [],
+    "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -226,6 +233,40 @@ for t in range(80):
     if q is not None:
         alpha = form(rng, n, k, ("a", "b"), density=1.0)
         out["hodge_poly"].append(hodge_dual_up_to_scale(q, alpha).render())
+
+def sparse_ints(rng, nrows, ncols):
+    rows = [[0] * ncols for _ in range(nrows)]
+    for row in rows:
+        for c in rng.sample(range(ncols), min(ncols, rng.choice([1, 1, 2]))):
+            row[c] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return rows
+
+def strs(rows):
+    return [None if row is None else [str(x) for x in row] for row in rows]
+
+for t in range(160):
+    if t < 40:  # a stacked-derivation shape, on a random share of the 35 columns
+        ncols = 35
+        mat = sparse_ints(rng, rng.choice([12, 30, 116]), ncols)
+        for c in rng.sample(range(ncols), rng.randint(0, 8)):
+            for row in mat:
+                row[c] = 0
+    else:
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        mat = [[rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and t % 3 == 0:  # rank-deficient: the last row depends on the first two
+            mat[-1] = [x - 2 * y for x, y in zip(mat[0], mat[min(1, nrows - 1)])]
+        if t >= 100:
+            mat[::2] = sparse_ints(rng, len(mat[::2]), ncols)
+    x = [rng.randint(-3, 3) for _ in range(ncols)]
+    consistent = [sum(a * b for a, b in zip(row, x)) for row in mat]
+    random_rhs = [rng.randint(-3, 3) if t < 40 else rational(rng) for _ in mat]
+    rhs = [[u, v] for u, v in zip(consistent, random_rhs)]
+    reduced, pivots = _linalg.rref(mat)
+    out["linalg"].append([
+        strs(reduced), pivots, _linalg.rank(mat), strs(_linalg.nullspace(mat, ncols)),
+        strs(_linalg.row_space(mat)), strs(_linalg.solve_many(mat, rhs)),
+    ])
 print(json.dumps(out))
 '''
 
