@@ -9,9 +9,11 @@ and a pullback places one covector at a time.  :class:`ExteriorOp` is the
 one linear map between exterior powers, over the lexicographic monomial
 coordinates of :func:`monomials`: a derivation.  Each of these kernels, and
 the B sums of :mod:`g2forms.gstruct`, computes on ints: ``_lift`` scales
-coefficient terms by the lcm of their denominators and ``_lower`` divides
-each sum once (fraction-free, as in Bareiss, Math. Comp. 1968); none does
-PolyScalar arithmetic.
+coefficient terms by the lcm of their denominators into one layer
+``{key: int}`` per exponent vector, the layout of ``ExteriorOp.columns``,
+so a kernel adds exponent vectors once per pair of layers and multiplies
+plain ints inside; ``_lower`` divides each sum once (fraction-free, as in
+Bareiss, Math. Comp. 1968).  None does PolyScalar arithmetic.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -85,6 +87,9 @@ def merge_sign(left: Sequence[int], right: Sequence[int]) -> tuple[tuple[int, ..
     merged.extend(left[i:])
     merged.extend(right[j:])
     return tuple(merged), sign
+
+
+_merge = cache(merge_sign)  # wedge's products, pullback's insertions, ExteriorOp's Leibniz terms
 
 
 class AltForm:
@@ -252,29 +257,26 @@ def basis_form(dim: int, indices: Sequence[int], symbols: Iterable[str] = ()) ->
 
 
 def _lift(coeffs: Mapping) -> tuple[int, dict]:
-    """(L, {key: [(exponents, int)]}): the terms of a form's coefficients (or
-    of any map to PolyScalars) times L, the lcm of their denominators."""
+    """(L, {exponents: {key: int}}): the terms of a form's coefficients (or of
+    any map to PolyScalars) times L, the lcm of their denominators, in one
+    layer per exponent vector, the layout of ``ExteriorOp.columns``."""
     den = lcm(*(c.denominator for value in coeffs.values() for c in value.terms.values()))
-    return den, {
-        key: [(expo, c.numerator * (den // c.denominator)) for expo, c in value.terms.items()]
-        for key, value in coeffs.items()
-    }
+    layers: dict[tuple, dict] = {}
+    for key, value in coeffs.items():
+        for expo, c in value.terms.items():
+            layers.setdefault(expo, {})[key] = c.numerator * (den // c.denominator)
+    return den, layers
 
 
-def _times(acc: dict, sign: int, left: list, right) -> None:
-    """acc += sign * left * right, on lifted terms: exponent vectors add, ints multiply."""
-    for e1, c1 in left:
-        for e2, c2 in right:
-            expo = tuple(map(add, e1, e2))
-            acc[expo] = acc.get(expo, 0) + sign * c1 * c2
-
-
-def _lower(sums: dict, den: int, symbols: tuple) -> dict:
-    """{key: PolyScalar} from the integer sums {key: {exponents: int}} divided
+def _lower(layers: dict, den: int, symbols: tuple) -> dict:
+    """{key: PolyScalar} from the integer sums {exponents: {key: int}} divided
     by den, the coefficients of a result form; zero sums drop."""
-    lowered = ((key, {e: Fraction(c, den) for e, c in terms.items() if c})
-               for key, terms in sums.items())
-    return {key: PolyScalar._trusted(symbols, terms) for key, terms in lowered if terms}
+    terms: dict[tuple, dict] = {}
+    for expo, sums in layers.items():
+        for key, c in sums.items():
+            if c:
+                terms.setdefault(key, {})[expo] = Fraction(c, den)
+    return {key: PolyScalar._trusted(symbols, t) for key, t in terms.items()}
 
 
 # -- operations --------------------------------------------------------------
@@ -286,13 +288,16 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     degree = alpha.degree + beta.degree
     if degree > alpha.dim:
         return AltForm._trusted(alpha.dim, degree, alpha.symbols, {})
-    (den_a, lifted_a), (den_b, lifted_b) = _lift(alpha.coeffs), _lift(beta.coeffs)
-    sums: dict[tuple, dict] = {}
-    for i1, left in lifted_a.items():
-        for i2, right in lifted_b.items():
-            merged = merge_sign(i1, i2)
-            if merged is not None:
-                _times(sums.setdefault(merged[0], {}), merged[1], left, right)
+    (den_a, layers_a), (den_b, layers_b) = _lift(alpha.coeffs), _lift(beta.coeffs)
+    sums: dict[tuple, dict] = {}  # exponents -> {merged monomial: integer sum}
+    for e1, left in layers_a.items():
+        for e2, right in layers_b.items():
+            acc = sums.setdefault(tuple(map(add, e1, e2)), {})
+            for i1, x in left.items():
+                for i2, y in right.items():
+                    if (merged := _merge(i1, i2)) is not None:
+                        key, sign = merged
+                        acc[key] = acc.get(key, 0) + sign * x * y
     return AltForm._trusted(alpha.dim, degree, alpha.symbols,
                             _lower(sums, den_a * den_b, alpha.symbols))
 
@@ -324,41 +329,38 @@ def top_coefficient(alpha: AltForm) -> PolyScalar:
     return alpha.coefficient(tuple(range(1, alpha.dim + 1)))
 
 
-_merge = cache(merge_sign)  # the pullback's insertions and ExteriorOp's Leibniz terms
-
-
 def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
     ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
     rationals, scaled to integers by the lcm D of their denominators.
     P*(e^{i_1 ... i_k}) = P*e^{i_1} ^ ... ^ P*e^{i_k} with
-    P*e^i = sum_c P[i][c] e^c, so each of k rounds places one covector: the
-    first index i still to place moves into every column c not yet placed,
-    with sign (-1)^#{placed d > c}.  Each sum is divided by L * D^degree
-    once, L being alpha's lift.
+    P*e^i = sum_c P[i][c] e^c, so each of k rounds, run once per layer of
+    alpha's lift, places one covector: the first index i still to place
+    moves into every column c not yet placed, with sign (-1)^#{placed d > c}.
+    Each sum is divided by L * D^degree once, L being alpha's lift.
     """
     n, degree = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
     values = [[Fraction(x) for x in row] for row in matrix]
     den = lcm(*(x.denominator for row in values for x in row))
-    rows = [[((c,), (x * den).numerator) for c, x in enumerate(row, 1) if x] for row in values]
-    scale, lifted = _lift(alpha.coeffs)
-    # (columns placed, indices still to place) -> {exponents: int}
-    sums = {((), rest): dict(terms) for rest, terms in lifted.items()}
-    for _ in range(degree):
-        previous, sums = sums, {}
-        for (cols, rest), terms in previous.items():
-            for c, entry in rows[rest[0] - 1]:
-                merged = _merge(cols, c)
-                if merged is not None:
-                    acc, factor = sums.setdefault((merged[0], rest[1:]), {}), merged[1] * entry
-                    for expo, v in terms.items():
-                        acc[expo] = acc.get(expo, 0) + factor * v
+    rows = [[((c,), x.numerator * (den // x.denominator)) for c, x in enumerate(row, 1) if x]
+            for row in values]
+    scale, layers = _lift(alpha.coeffs)
+    sums = {}  # exponents -> {columns placed: int}
+    for expo, layer in layers.items():
+        placed = {((), rest): v for rest, v in layer.items()}  # (columns placed, left) -> int
+        for _ in range(degree):
+            previous, placed = placed, {}
+            for (cols, rest), v in previous.items():
+                for c, entry in rows[rest[0] - 1]:
+                    if (merged := _merge(cols, c)) is not None:
+                        key = merged[0], rest[1:]
+                        placed[key] = placed.get(key, 0) + merged[1] * entry * v
+        sums[expo] = {cols: v for (cols, _), v in placed.items()}
     return AltForm._trusted(n, degree, alpha.symbols,
-                            _lower({cols: terms for (cols, _), terms in sums.items()},
-                                   scale * den**degree, alpha.symbols))
+                            _lower(sums, scale * den**degree, alpha.symbols))
 
 
 # -- monomial coordinates and linear operators --------------------------------
@@ -409,15 +411,14 @@ class ExteriorOp:
         self.dim, self.degree, self.symbols = dim, degree, tuple(symbols)
         self.out_degree = degree + shift
         values = {(i, p): value for i, pairs in image.items() for p, (_, value) in enumerate(pairs)}
-        self.den, lifted = _lift(values)
-        layers: dict[tuple, dict] = {}  # exponents -> {i: [(sorted replacement, int)]}
-        for (i, p), terms in lifted.items():
-            if (sorted_sign := sort_sign(image[i][p][0])) is not None:
-                replacement, sign = sorted_sign
-                for expo, c in terms:
-                    layers.setdefault(expo, {}).setdefault(i, []).append((replacement, sign * c))
+        self.den, layers = _lift(values)
         self.columns = {}
-        for expo, layer in layers.items():
+        for expo, lifted in layers.items():
+            layer: dict[int, list] = {}  # i -> [(sorted replacement, int)]
+            for (i, p), c in lifted.items():
+                if (sorted_sign := sort_sign(image[i][p][0])) is not None:
+                    replacement, sign = sorted_sign
+                    layer.setdefault(i, []).append((replacement, sign * c))
             columns = {}
             for idx in monomials(dim, degree):
                 column: dict[tuple, int] = {}
@@ -448,13 +449,14 @@ class ExteriorOp:
             )
         if alpha.symbols != self.symbols:
             raise ContextMismatchError("form context does not match the operator")
-        scale, lifted = _lift(alpha.coeffs)
-        sums: dict[tuple, dict] = {}  # output monomial -> {exponents: integer sum}
-        for expo, columns in self.columns.items():
-            unit = ((expo, 1),)
-            for idx, terms in lifted.items():
-                for row, entry in columns.get(idx, {}).items():
-                    _times(sums.setdefault(row, {}), entry, terms, unit)
+        scale, layers = _lift(alpha.coeffs)
+        sums: dict[tuple, dict] = {}  # exponents -> {output monomial: integer sum}
+        for e1, columns in self.columns.items():
+            for e2, layer in layers.items():
+                acc = sums.setdefault(tuple(map(add, e1, e2)), {})
+                for idx, x in layer.items():
+                    for row, entry in columns.get(idx, {}).items():
+                        acc[row] = acc.get(row, 0) + entry * x
         return AltForm._trusted(self.dim, self.out_degree, self.symbols,
                                 _lower(sums, self.den * scale, self.symbols))
 
@@ -475,6 +477,7 @@ class ExteriorOp:
 # -- rendering / parsing ------------------------------------------------------
 
 _FORM_TERM_RE = re.compile(r"^(?:(?P<coeff>[^e]*?)\*?)?e\^\{(?P<idx>\d+)\}$")
+_rational = lru_cache(maxsize=1024)(parse_rational)  # coefficient texts repeat; Fractions are immutable
 
 
 def render_form(alpha: AltForm) -> str:
@@ -521,31 +524,29 @@ def parse_form(
         if degree is None:
             raise ValueError("the zero form needs an explicit degree")
         return AltForm(dim, degree, symbols)
+    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(chunks) != compact:  # a sign with no term after it
+        raise ValueError(f"dangling sign in {text!r}")
     form_degree, coeffs = degree, {}
-    for match in re.finditer(r"[+-]?[^+-]+", compact):
-        chunk = match.group()
-        sign = Fraction(1)
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = Fraction(-1)
-            chunk = chunk[1:]
-        m = _FORM_TERM_RE.match(chunk)
-        if not m:
+    for chunk in chunks:
+        negative, chunk = chunk[0] == "-", chunk.lstrip("+-")
+        if not (m := _FORM_TERM_RE.match(chunk)):
             raise ValueError(f"cannot parse form term {chunk!r}")
-        coeff_text = m.group("coeff") or ""
-        coeff = sign * (parse_rational(coeff_text) if coeff_text else Fraction(1))
-        indices = tuple(int(ch) for ch in m.group("idx"))
-        if any(not 1 <= i <= dim for i in indices):
+        coeff_text, idx_text = m.groups()
+        value = _rational(coeff_text or "1")
+        indices = tuple(map(int, idx_text))
+        if "0" in idx_text or max(indices) > dim:
             raise ValueError(f"index out of range 1..{dim} in {chunk!r}")
         if degree is not None and len(indices) != degree:
             raise ValueError(f"term {chunk!r} does not have degree {degree}")
         if form_degree not in (None, len(indices)):
             raise ValueError("cannot add forms of different degree")
         form_degree = len(indices)
-        sorted_sign = sort_sign(indices)
-        if sorted_sign is not None:
+        if (sorted_sign := sort_sign(indices)) is not None:
             key, order = sorted_sign
-            coeffs[key] = coeffs.get(key, 0) + order * coeff
-    terms = {key: PolyScalar.constant(c, symbols) for key, c in coeffs.items()}
-    return AltForm(dim, form_degree, symbols, terms)
+            value = -value if negative != (order < 0) else value
+            coeffs[key] = coeffs[key] + value if key in coeffs else value
+    symbols = check_context(symbols)
+    zero = (0,) * len(symbols)
+    terms = {key: PolyScalar._trusted(symbols, {zero: c}) for key, c in coeffs.items() if c}
+    return AltForm._trusted(dim, form_degree, symbols, terms)

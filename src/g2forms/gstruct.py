@@ -31,13 +31,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from operator import add
 
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
     _lift,
     _lower,
-    _times,
     basis_form,
     contract,
     merge_sign,
@@ -99,30 +99,39 @@ def b_entries(phi: AltForm, pairs: list) -> dict:
 
     B_ij = sum of sign * (iota_i phi)_p * (iota_j phi)_q * phi_r over the
     rows of :func:`_wedge_table`; the sum over q is shared by every i.  The
-    sums run on phi's lifted integer terms, scaled by the lcm L of their
-    denominators, and each entry is divided by L^3 once.
+    sums run on ints, over the layers of phi's lift (one per exponent vector,
+    scaled by the lcm L of the denominators): each pair or triple of layers
+    adds its exponent vectors once, and each entry is divided by L^3 once.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_matrix expects a 3-form on a 7-dimensional space")
     if not all(1 <= k <= 7 for pair in pairs for k in pair):
         raise ValueError(f"B entries {pairs} out of range 1..7")
-    den, coeffs = _lift(phi.coeffs)
-    iota = {k: {} for pair in pairs for k in pair}  # iota[i][p] = (iota_i phi)_p
-    for s, terms in coeffs.items():
-        for t, i in enumerate(s):
-            if i in iota:
-                iota[i][s[:t] + s[t + 1 :]] = [(e, -c) for e, c in terms] if t % 2 else terms
-    inner = {j: {} for _, j in pairs}  # inner[j][p] = sum over q, r of the wedge table
-    for j, v in inner.items():
-        for q, y in iota[j].items():
-            for p, sign, r in _wedge_table()[q]:
-                if r in coeffs:
-                    _times(v.setdefault(p, {}), sign, y, coeffs[r])
-    sums: dict[tuple, dict] = {pair: {} for pair in pairs}
-    for (i, j), acc in sums.items():
-        for p, x in iota[i].items():
-            if p in inner[j]:
-                _times(acc, 1, x, inner[j][p].items())
+    (den, layers), table = _lift(phi.coeffs), _wedge_table()
+    iota = {}  # exponents -> {i: {p: (iota_i phi)_p}}
+    for expo, layer in layers.items():
+        rows = iota[expo] = {k: {} for pair in pairs for k in pair}
+        for s, c in layer.items():
+            for t, i in enumerate(s):
+                if i in rows:
+                    rows[i][s[:t] + s[t + 1 :]] = -c if t % 2 else c
+    inner = {}  # exponents -> {j: {p: sum over q, r of the wedge table}}
+    for e2, rows in iota.items():
+        for e3, layer in layers.items():
+            by_j = inner.setdefault(tuple(map(add, e2, e3)), {})
+            for j in {j for _, j in pairs}:
+                v = by_j.setdefault(j, {})
+                for q, y in rows[j].items():
+                    for p, sign, r in table[q]:
+                        if r in layer:
+                            v[p] = v.get(p, 0) + sign * y * layer[r]
+    sums: dict[tuple, dict] = {}  # exponents -> {(i, j): integer sum}
+    for e1, rows in iota.items():
+        for e23, by_j in inner.items():
+            acc = sums.setdefault(tuple(map(add, e1, e23)), {})
+            for i, j in dict.fromkeys(pairs):
+                v = by_j[j]
+                acc[i, j] = acc.get((i, j), 0) + sum(x * v[p] for p, x in rows[i].items() if p in v)
     b = _lower(sums, den**3, phi.symbols)
     return {pair: b[pair] if pair in b else PolyScalar._trusted(phi.symbols, {}) for pair in pairs}
 

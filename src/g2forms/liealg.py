@@ -82,7 +82,7 @@ class MatrixBasis:
         mats = []
         size = None
         for m in matrices:
-            rows = [[Fraction(x) for x in row] for row in m]
+            rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
             if size is None:
                 size = len(rows)
             if len(rows) != size or any(len(r) != size for r in rows):

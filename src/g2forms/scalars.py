@@ -304,18 +304,13 @@ class PolyScalar:
         if _RATIONAL_RE.match(compact):  # "p" or "p/q", the common case: one constant
             value = parse_rational(compact)
             return cls._trusted(symbols, {(0,) * len(symbols): value} if value else {})
+        chunks = re.findall(r"[+-]?[^+-]+", compact)
+        if "".join(chunks) != compact:  # a sign with no term after it
+            raise ValueError(f"dangling sign in {text!r}")
         result = cls.zero(symbols)
-        for match in re.finditer(r"[+-]?[^+-]+", compact):
-            chunk = match.group()
-            sign = Fraction(1)
-            if chunk[0] == "+":
-                chunk = chunk[1:]
-            elif chunk[0] == "-":
-                sign = Fraction(-1)
-                chunk = chunk[1:]
-            if not chunk:
-                raise ValueError(f"dangling sign in {text!r}")
-            coeff = sign
+        for chunk in chunks:
+            coeff = Fraction(-1 if chunk[0] == "-" else 1)
+            chunk = chunk.lstrip("+-")
             expo = [0] * len(symbols)
             for factor in chunk.split("*"):
                 if not factor:

@@ -65,6 +65,36 @@ def two_symbol_form(rng: random.Random, dim: int, degree: int, density: float) -
     return AltForm(dim, degree, syms, coeffs)
 
 
+QUADRATIC_EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def quadratic_form(rng: random.Random, dim: int, degree: int, density: float) -> AltForm:
+    """A form in the context (a, b) whose coefficients take a random nonempty
+    subset of the terms 1, a, b, a^2, a*b, b^2 with random rational
+    coefficients, so that different pairs of exponent vectors (a with b,
+    1 with a*b, ...) sum to the same one in any product of two such forms."""
+    coeffs = {}
+    for idx in combinations(range(1, dim + 1), degree):
+        if rng.random() < density:
+            exponents = rng.sample(QUADRATIC_EXPONENTS, rng.randint(1, len(QUADRATIC_EXPONENTS)))
+            coeffs[idx] = PolyScalar(("a", "b"), {e: random_rational(rng) for e in exponents})
+    return AltForm(dim, degree, ("a", "b"), coeffs)
+
+
+def wedge_by_products(alpha: AltForm, beta: AltForm) -> AltForm:
+    """alpha ^ beta as the sum, over the pairs of disjoint index tuples, of the
+    PolyScalar product of their coefficients signed by the inversions of the
+    joined tuple: an oracle for :func:`g2forms.exterior.wedge`."""
+    coeffs: dict = {}
+    for i1, x in alpha.coeffs.items():
+        for i2, y in beta.coeffs.items():
+            if not set(i1) & set(i2):
+                key, term = tuple(sorted(i1 + i2)), x * y
+                term = term if _permutation_sign(i1 + i2) == 1 else -term
+                coeffs[key] = coeffs[key] + term if key in coeffs else term
+    return AltForm(alpha.dim, alpha.degree + beta.degree, alpha.symbols, coeffs)
+
+
 def random_vector(rng: random.Random, dim: int, symbols=()) -> list:
     """A tangent vector as its list of PolyScalar components."""
     symbols = tuple(symbols)

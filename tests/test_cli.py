@@ -113,6 +113,13 @@ def test_definite_command_rejects_bad_file(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["+", "e^{1 2 7} - - e^{3 4 7}", PHI0 + " +"])
+def test_definite_rejects_dangling_signs(tmp_path, capsys, form):
+    path = write_form(tmp_path, "form.json", 7, 3, form)
+    assert main(["definite", "--form", path]) == 2
+    assert "dangling sign" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -9,11 +9,13 @@ from conftest import (
     evaluate_by_permutations,
     leibniz_columns,
     pullback_by_evaluation,
+    quadratic_form,
     random_form,
     random_rational,
     random_vector,
     two_symbol_form,
     unit_vector,
+    wedge_by_products,
 )
 from g2forms.exterior import (
     AltForm,
@@ -285,6 +287,32 @@ def test_rational_differential_on_symbolic_forms_matches_dense_oracle():
     assert max(dens[True]) > 1 and max(dens[False]) > 1
 
 
+def test_kernels_sum_colliding_exponent_layers():
+    # coefficients mixing 1, a, b, a^2, a*b and b^2, so that several pairs
+    # of exponent layers add up to one exponent vector in each product
+    rng = random.Random("layer-collisions")
+    for n, k, l in ((7, 3, 2), (6, 1, 3), (5, 2, 2), (4, 1, 1)):
+        alpha, beta = quadratic_form(rng, n, k, 0.6), quadratic_form(rng, n, l, 0.6)
+        assert wedge(alpha, beta) == wedge_by_products(alpha, beta), (n, k, l)
+        assert wedge(beta, alpha) == wedge_by_products(beta, alpha), (n, k, l)
+        odd = alpha if k % 2 else quadratic_form(rng, n, 1, 0.6)
+        assert wedge(odd, odd).coeffs == {}  # every sum cancels
+        for singular in (False, True):
+            matrix = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+            if singular:  # every coefficient of the top-degree pullback cancels
+                matrix[-1] = [2 * x for x in matrix[0]]
+            gamma = quadratic_form(rng, n, n if singular else k, 1.0)
+            assert pullback(gamma, matrix) == pullback_by_evaluation(gamma, matrix), (n, k)
+        bracket = {
+            (i, j): {r: c for (r,), c in quadratic_form(rng, n, 1, 0.5).coeffs.items()}
+            for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.6
+        }
+        data = HomogeneousSpaceData(n, [], bracket, symbols=("a", "b"))
+        for degree in range(n):
+            form = quadratic_form(rng, n, degree, 0.6)
+            assert data.differential(degree).apply(form) == dense_ce_differential(data, form)
+
+
 def test_pullback_by_identity_and_swap():
     phi = F("e^{1 2 7} + e^{1 3 5}")
     ident = [[Fraction(i == j) for j in range(7)] for i in range(7)]
@@ -343,6 +371,17 @@ def test_render_parse_round_trip():
         degree = 3 if "3}" in text or text == "0" else 2
         form = parse_form(text, 7, degree if text == "0" else None)
         assert form.render() == text
+
+
+@pytest.mark.parametrize("text", [
+    "e^{1 2 7} - - e^{3 4 7}", "e^{1 2 7} +", "+", "-", "- -e^{1 2 7}",
+    "e^{1 2 7} +- e^{3 4 7}", "2*e^{1 2 7} - ",
+])
+def test_parse_form_rejects_dangling_signs(text):
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_form(text, 7, 3)
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_form(text, 7)
 
 
 def test_parse_rejects_garbage():

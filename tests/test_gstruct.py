@@ -7,6 +7,7 @@ import models
 from conftest import (
     evaluate_by_permutations,
     hodge_dual_by_minors,
+    quadratic_form,
     random_form,
     random_rational,
     random_unimodular,
@@ -118,23 +119,28 @@ def test_b_matrix_rejects_symbolic_form():
     assert b_entries(phi, [(4, 4)])[4, 4].is_zero()
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse", "two-symbol"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "two-symbol", "quadratic"])
 def test_b_matrix_matches_wedge_oracle(kind):
     # b_matrix mirrors its upper triangle, so symmetry alone proves nothing:
-    # all 49 entries are compared with the wedge products
+    # all 49 entries are compared with the wedge products; the quadratic
+    # coefficients make several triples of exponent layers meet in one sum
     rng = random.Random(f"b-oracle:{kind}")
-    for _ in range(2 if kind == "two-symbol" else 5):
+    for _ in range(5 if kind in ("dense", "sparse") else 2):
         if kind == "two-symbol":
             phi = two_symbol_form(rng, 7, 3, 0.4)
+        elif kind == "quadratic":
+            phi = quadratic_form(rng, 7, 3, 0.4)
         else:
             phi = random_form(rng, 7, 3, density=1.0 if kind == "dense" else 0.2)
         oracle = wedge_b_matrix(phi)
-        if kind == "two-symbol":
+        if phi.symbols:
             assert b_entries(phi, ALL_PAIRS) == {(i, j): oracle[i - 1][j - 1] for i, j in ALL_PAIRS}
         else:
             assert b_matrix(phi) == [[x.constant_value() for x in row] for row in oracle]
         i, j = rng.randint(1, 7), rng.randint(1, 7)
         assert b_entries(phi, [(i, j)]) == {(i, j): oracle[i - 1][j - 1]}
+        assert b_entries(phi, [(i, j), (j, i), (i, j)]) == {
+            (i, j): oracle[i - 1][j - 1], (j, i): oracle[j - 1][i - 1]}
     with pytest.raises(ValueError, match="out of range"):
         b_entries(phi, [(0, 1)])
 

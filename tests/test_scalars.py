@@ -81,6 +81,12 @@ def test_parse_reads_a_plain_rational_as_one_canonical_constant():
         PolyScalar.parse("3", ("1a",))
 
 
+@pytest.mark.parametrize("text", ["a--b", "a+", "+", "-", "a+-b", "--a", "2*a - ", "a - - 1/2"])
+def test_parse_rejects_dangling_signs(text):
+    with pytest.raises(ValueError, match="dangling sign"):
+        PolyScalar.parse(text, ("a", "b"))
+
+
 def test_render_parse_round_trip():
     samples = [
         "0",

@@ -55,7 +55,16 @@ results are rendered to strings and compared exactly:
   one or two nonzeros per row), 60 dense Fraction matrices, some
   rank-deficient, and 60 matrices whose rows alternate between ints and
   Fractions; each with one consistent and one random right-hand side, as
-  ints or Fractions like its rows.  It runs last.
+  ints or Fractions like its rows.  It runs after the groups above;
+* ``parse``: ``parse_form`` of 300 seeded renders of random forms on R^n,
+  n <= 7, with extra terms appended (repeated, with unsorted or repeated
+  indices, some cancelling a term, with and without rational
+  coefficients), in the empty context and in (a, b), with and without the
+  degree; then malformed literals: a bad index, a wrong degree, mixed
+  degrees, a bad rational, an invalid or repeated context name, and
+  combinations of these, whose order of checks shows in which message
+  wins.  Each result is its (dim, degree, context, render), or the type
+  and message of the exception.  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -73,7 +82,7 @@ from itertools import combinations
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled
-from g2forms.exterior import AltForm, contract, pullback, wedge
+from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.liealg import HomogeneousSpaceData, jacobi_check
 from g2forms.scalars import PolyScalar
@@ -92,7 +101,8 @@ def rational(rng):
 
 def coefficient(rng, symbols):
     if symbols and rng.random() < 0.5:
-        return f"{rng.randint(-3, 3)}*{rng.choice(symbols)} + {rng.randint(-3, 3)}"
+        c1, symbol, c0 = rng.randint(-3, 3), rng.choice(symbols), rng.randint(-3, 3)
+        return f"{c1}*{symbol} {'-' if c0 < 0 else '+'} {abs(c0)}"  # no "+ -": a dangling sign
     return str(rational(rng))
 
 def form(rng, n, k, symbols=(), density=0.5):
@@ -148,6 +158,7 @@ def iota(i, alpha):
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
     "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
+    "parse": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -267,6 +278,46 @@ for t in range(160):
         strs(reduced), pivots, _linalg.rank(mat), strs(_linalg.nullspace(mat, ncols)),
         strs(_linalg.row_space(mat)), strs(_linalg.solve_many(mat, rhs)),
     ])
+
+def parsed(text, n, degree=None, symbols=()):
+    try:
+        alpha = parse_form(text, n, degree, symbols)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return [alpha.dim, alpha.degree, list(alpha.symbols), alpha.render()]
+
+def term(rng, n, k):
+    idx = " ".join(map(str, rng.sample(range(1, n + 1), k) if rng.random() < 0.8
+                       else [rng.randint(1, n) for _ in range(k)]))  # maybe repeated
+    c = rational(rng)
+    body = f"e^{{{idx}}}" if abs(c) == 1 or rng.random() < 0.3 else f"{abs(c)}*e^{{{idx}}}"
+    return ("- " if c < 0 else "+ ") + body
+
+for t in range(300):
+    n = rng.randint(1, 7)
+    k = rng.randint(1, n)
+    symbols = ("a", "b") if t % 2 else ()
+    text = form(rng, n, k, density=rng.choice([0.15, 0.5, 1.0])).render()
+    extra = [term(rng, n, k) for _ in range(rng.randint(0, 4))]
+    if t % 5 == 0 and text != "0":  # cancel the first rendered term
+        first = text.split(" + ")[0].split(" - ")[0].lstrip("-")
+        extra.append(("+ " if text.startswith("-") else "- ") + first)
+    text = text if not extra or text != "0" else extra.pop(0).lstrip("+ ")
+    text = " ".join([text, *extra])
+    out["parse"].append([text, parsed(text, n, k, symbols), parsed(text, n, None, symbols)])
+malformed = [
+    ("e^{1 2 9}", 7, 3), ("e^{0 1 2}", 7, None), ("e^{1 2 3} + e^{4 5 8}", 7, 3),
+    ("e^{1 2}", 7, 3), ("e^{1 2 3 4}", 7, 3), ("e^{1 2} + e^{1 2 3}", 7, None),
+    ("e^{1 2 3} - e^{1 2}", 7, None), ("e^{1 2} + e^{1 2 3}", 7, 2),
+    ("1.5*e^{1 2 3}", 7, 3), ("1/0*e^{1 2 3}", 7, 3), ("x*e^{1 2 3}", 7, 3),
+    ("2/-3*e^{1 2 3}", 7, 3), ("1.5*e^{1 2 9}", 7, 3), ("1/0*e^{1 2}", 7, 3),
+    ("e^{1 2 9} + e^{1 2}", 7, None), ("e^{}", 7, None), ("banana", 7, 3), ("", 7, 3),
+    ("0", 7, None), ("0", 0, 3), ("0", 7, -1), ("e^{1 2 3}", 2, None), ("e^{1 1 2}", 7, 3),
+    ("e^{1 2 3} - e^{3 2 1}", 7, 3), ("e^{1 2 3} + e^{1 3 2}", 7, None), ("e^{1 1 2 2}", 3, None),
+]
+for text, n, degree in malformed:
+    for symbols in ((), ("a", "b"), ("1x",), ("a", "a"), ("a", "")):
+        out["parse"].append([text, n, degree, list(symbols), parsed(text, n, degree, symbols)])
 print(json.dumps(out))
 '''
 
