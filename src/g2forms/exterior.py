@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from g2forms.scalars import _ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational
+from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational,
+                             signed_terms)
 
 __all__ = [
     "AltForm",
@@ -477,7 +478,6 @@ class ExteriorOp:
 # -- rendering / parsing ------------------------------------------------------
 
 _FORM_TERM_RE = re.compile(r"^(?:(?P<coeff>[^e]*?)\*?)?e\^\{(?P<idx>\d+)\}$")
-_rational = lru_cache(maxsize=1024)(parse_rational)  # coefficient texts repeat; Fractions are immutable
 
 
 def render_form(alpha: AltForm) -> str:
@@ -524,16 +524,12 @@ def parse_form(
         if degree is None:
             raise ValueError("the zero form needs an explicit degree")
         return AltForm(dim, degree, symbols)
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(chunks) != compact:  # a sign with no term after it
-        raise ValueError(f"dangling sign in {text!r}")
     form_degree, coeffs = degree, {}
-    for chunk in chunks:
-        negative, chunk = chunk[0] == "-", chunk.lstrip("+-")
+    for negative, chunk in signed_terms(text, compact):
         if not (m := _FORM_TERM_RE.match(chunk)):
             raise ValueError(f"cannot parse form term {chunk!r}")
         coeff_text, idx_text = m.groups()
-        value = _rational(coeff_text or "1")
+        value = parse_rational(coeff_text) if coeff_text else Fraction(1)
         indices = tuple(map(int, idx_text))
         if "0" in idx_text or max(indices) > dim:
             raise ValueError(f"index out of range 1..{dim} in {chunk!r}")

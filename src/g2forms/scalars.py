@@ -29,6 +29,7 @@ __all__ = [
     "Rational",
     "check_context",
     "parse_rational",
+    "signed_terms",
 ]
 
 Rational = Fraction
@@ -44,6 +45,15 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(_RATIONAL_RE.match(text.strip())[0])
     except (TypeError, ZeroDivisionError) as exc:  # no match, or q = 0
         raise ValueError(f"invalid rational literal {text!r}") from exc
+
+
+def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
+    """The terms of the signed sum ``compact`` (``text`` without spaces) as
+    (negative, body) pairs; ValueError on a sign that no term follows."""
+    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(chunks) != compact:
+        raise ValueError(f"dangling sign in {text!r}")
+    return [(chunk[0] == "-", chunk.lstrip("+-")) for chunk in chunks]
 
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -304,13 +314,9 @@ class PolyScalar:
         if _RATIONAL_RE.match(compact):  # "p" or "p/q", the common case: one constant
             value = parse_rational(compact)
             return cls._trusted(symbols, {(0,) * len(symbols): value} if value else {})
-        chunks = re.findall(r"[+-]?[^+-]+", compact)
-        if "".join(chunks) != compact:  # a sign with no term after it
-            raise ValueError(f"dangling sign in {text!r}")
         result = cls.zero(symbols)
-        for chunk in chunks:
-            coeff = Fraction(-1 if chunk[0] == "-" else 1)
-            chunk = chunk.lstrip("+-")
+        for negative, chunk in signed_terms(text, compact):
+            coeff = Fraction(-1 if negative else 1)
             expo = [0] * len(symbols)
             for factor in chunk.split("*"):
                 if not factor:
