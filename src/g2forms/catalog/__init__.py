@@ -29,7 +29,7 @@ from g2forms.catalog._runner import (
     _ARGS, _CHECKS, CaseReport, CheckResult, WrongType, _is_bool, _is_int, _is_ints, _is_list_of,
     _is_map, _is_object, _is_str, _is_strings, _strings, _typed, schema_checks, schema_entry,
 )
-from g2forms.exterior import AltForm, parse_form
+from g2forms.exterior import AltForm, combination, parse_form
 from g2forms.liealg import (
     HomogeneousSpaceData,
     JacobiReport,
@@ -396,9 +396,7 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         homog_sym = _parse(payload, "", homogeneous_from_partial, values["dimension"],
                            *values["homogeneous"], values["basis_names"], context)
     dim_m = _dim_m(values)
-    generic_form = AltForm(dim_m, 3, context)
-    for symbol, gamma in zip(values["gamma_symbols"], values["gammas"]):
-        generic_form = generic_form + gamma.scale(PolyScalar.symbol(symbol, context))
+    generic_form = combination(dim_m, 3, context, zip(values["gamma_symbols"], values["gammas"]))
     record = CaseRecord(
         values["id"], values["description"], source, dim_m, context,
         [{**values["parameters"], **entry} for entry in values["enumerations"] or [{}]],

@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--case", help="single case id")
     group.add_argument("--all", action="store_true", help="all canonical cases (default)")
-    p_verify.add_argument("--filter", help="glob over all bundled ids, exploratory included")
+    group.add_argument("--filter", help="glob over all bundled ids, exploratory included")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 

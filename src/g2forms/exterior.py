@@ -1,19 +1,17 @@
 """Alternating multilinear forms with exact coefficients.
 
-An :class:`AltForm` of degree k on an n-dimensional space stores a map from
-strictly increasing k-tuples of basis indices (1-based, matching the usual
-``e^{i j k}`` notation) to nonzero :class:`~g2forms.scalars.PolyScalar`
-coefficients.  Wedge products compute their sign by counting transpositions
-while merging the index tuples; contraction by e_i drops i with its sign,
-and a pullback places one covector at a time.  :class:`ExteriorOp` is the
-one linear map between exterior powers, over the lexicographic monomial
-coordinates of :func:`monomials`: a derivation.  Each of these kernels, and
-the B sums of :mod:`g2forms.gstruct`, computes on ints: ``_lift`` scales
-coefficient terms by the lcm of their denominators into one layer
-``{key: int}`` per exponent vector, the layout of ``ExteriorOp.columns``,
-so a kernel adds exponent vectors once per pair of layers and multiplies
-plain ints inside; ``_lower`` divides each sum once (fraction-free, as in
-Bareiss, Math. Comp. 1968).  None does PolyScalar arithmetic.
+An :class:`AltForm` of degree k on an n-dimensional space maps strictly
+increasing k-tuples of basis indices (1-based, matching the usual
+``e^{i j k}`` notation) to polynomial coefficients, stored as ints over one
+denominator in one layer per exponent vector: the layout of the columns of
+:class:`ExteriorOp`, the one linear map between exterior powers (a
+derivation, over the lexicographic monomial coordinates of :func:`monomials`).
+Wedge products merge index tuples, counting the sign; contraction by e_i
+drops i with its sign, and a pullback places one covector at a time.  These
+kernels, ``ExteriorOp.apply`` and the B sums of :mod:`g2forms.gstruct` add
+exponent vectors once per pair of layers and multiply plain ints inside;
+``AltForm._trusted`` reduces each result once (fraction-free, as in Bareiss,
+Math. Comp. 1968).  No form operation does PolyScalar arithmetic.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -25,10 +23,11 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
+from g2forms._linalg import _integer_row
 from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational,
                              signed_terms)
 
@@ -36,6 +35,7 @@ __all__ = [
     "AltForm",
     "ExteriorOp",
     "basis_form",
+    "combination",
     "contract",
     "form_to_vector",
     "merge_sign",
@@ -96,12 +96,15 @@ _merge = cache(merge_sign)  # wedge's products, pullback's insertions, ExteriorO
 class AltForm:
     """Alternating k-form on an n-dimensional space.
 
-    The constructor validates the context, the indices and the coefficients;
-    ``_trusted`` skips that and is only for results of operations (``+``,
-    ``scale``, :func:`wedge`, :func:`contract`, ...) on forms already valid.
+    ``layers`` maps each exponent vector of the context ``symbols`` to
+    ``{index tuple: int}``, ints over one denominator ``den`` as in
+    ``ExteriorOp.columns``; the ints are nonzero and gcd(den, every int) = 1,
+    so equal forms have equal layers.  ``coeffs`` is a read-only
+    ``{index tuple: PolyScalar}`` view.  The constructor validates its input;
+    ``_trusted`` normalizes the integer sums of operations on valid forms.
     """
 
-    __slots__ = ("dim", "degree", "symbols", "coeffs")
+    __slots__ = ("dim", "degree", "symbols", "den", "layers")
 
     def __init__(
         self,
@@ -116,41 +119,49 @@ class AltForm:
             raise ValueError("degree must be nonnegative")
         symbols = check_context(symbols)
         clean: dict[tuple, PolyScalar] = {}
-        if coeffs:
-            for idx, coeff in coeffs.items():
-                idx = tuple(int(i) for i in idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index {idx} does not have degree {degree}")
-                if any(not 1 <= i <= dim for i in idx):
-                    raise ValueError(f"index {idx} out of range 1..{dim}")
-                if any(a >= b for a, b in zip(idx, idx[1:])):
-                    raise ValueError(f"index {idx} is not strictly increasing")
-                if coeff.symbols != symbols:
-                    raise ContextMismatchError("coefficient context does not match form")
-                if not coeff.is_zero():
-                    clean[idx] = coeff
-        if degree > dim and clean:
-            raise ValueError("degree exceeds dimension but coefficients are present")
+        for idx, coeff in (coeffs or {}).items():
+            idx = tuple(int(i) for i in idx)
+            if len(idx) != degree:
+                raise ValueError(f"index {idx} does not have degree {degree}")
+            if any(not 1 <= i <= dim for i in idx):
+                raise ValueError(f"index {idx} out of range 1..{dim}")
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise ValueError(f"index {idx} is not strictly increasing")
+            if coeff.symbols != symbols:
+                raise ContextMismatchError("coefficient context does not match form")
+            clean[idx] = coeff
         self.dim = dim
         self.degree = degree
         self.symbols = symbols
-        self.coeffs = clean
+        self.den, self.layers = _lift(clean)
 
     @classmethod
-    def _trusted(cls, dim: int, degree: int, symbols: tuple, coeffs: dict) -> "AltForm":
-        """Wrap valid data (sorted in-range indices, nonzero coefficients), unchecked."""
+    def _trusted(cls, dim: int, degree: int, symbols: tuple, den: int, sums: dict) -> "AltForm":
+        """The form sums / den, sums being {exponents: {valid index: int}},
+        unchecked: the gcd of den and the ints divides out, and zeros drop."""
+        g = gcd(den, *(v for layer in sums.values() for v in layer.values()))
+        layers = {expo: kept for expo, layer in sums.items()
+                  if (kept := {key: v // g for key, v in layer.items() if v})}
         form = object.__new__(cls)
-        form.dim, form.degree, form.symbols, form.coeffs = dim, degree, symbols, coeffs
+        form.dim, form.degree, form.symbols = dim, degree, symbols
+        form.den, form.layers = den // g, layers
         return form
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """{index tuple: PolyScalar}, built from the layers on each access."""
+        return _lower(self.layers, self.den, self.symbols)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.layers
 
     def coefficient(self, indices: Sequence[int]) -> PolyScalar:
         key = tuple(indices)
-        return self.coeffs.get(key, PolyScalar.zero(self.symbols))
+        return PolyScalar._trusted(self.symbols, {expo: Fraction(layer[key], self.den)
+                                                  for expo, layer in self.layers.items()
+                                                  if key in layer})
 
     def eval_basis(self, indices: Sequence[int]) -> PolyScalar:
         """Evaluate on basis vectors e_{i_1}, ..., e_{i_k} (any order)."""
@@ -160,13 +171,11 @@ class AltForm:
         if sorted_sign is None:
             return PolyScalar.zero(self.symbols)
         key, sign = sorted_sign
-        coeff = self.coeffs.get(key)
-        if coeff is None:
-            return PolyScalar.zero(self.symbols)
+        coeff = self.coefficient(key)
         return coeff if sign == 1 else -coeff
 
     def is_rational(self) -> bool:
-        return all(c.is_constant() for c in self.coeffs.values())
+        return all(not any(expo) for expo in self.layers)
 
     # -- linear structure ----------------------------------------------------
 
@@ -184,20 +193,17 @@ class AltForm:
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        coeffs = dict(self.coeffs)
-        for idx, coeff in other.coeffs.items():
-            acc = coeffs.get(idx)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = acc
-        return AltForm._trusted(self.dim, self.degree, self.symbols, coeffs)
+        den = lcm(self.den, other.den)
+        sums = {expo: {key: v * (den // self.den) for key, v in layer.items()}
+                for expo, layer in self.layers.items()}
+        for expo, layer in other.layers.items():
+            acc = sums.setdefault(expo, {})
+            for key, v in layer.items():
+                acc[key] = acc.get(key, 0) + v * (den // other.den)
+        return AltForm._trusted(self.dim, self.degree, self.symbols, den, sums)
 
     def __neg__(self) -> "AltForm":
-        return AltForm._trusted(
-            self.dim, self.degree, self.symbols, {i: -c for i, c in self.coeffs.items()}
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "AltForm") -> "AltForm":
         if not isinstance(other, AltForm):
@@ -205,16 +211,10 @@ class AltForm:
         return self + (-other)
 
     def scale(self, value) -> "AltForm":
-        """Multiply by a PolyScalar or a plain rational."""
-        if isinstance(value, PolyScalar):
-            if value.symbols != self.symbols:
-                raise ContextMismatchError("scalar context does not match form")
-            coeffs = {i: c * value for i, c in self.coeffs.items()}
-        else:
-            value = Fraction(value)
-            coeffs = {i: c.scale(value) for i, c in self.coeffs.items()}
-        coeffs = {i: c for i, c in coeffs.items() if c.terms}
-        return AltForm._trusted(self.dim, self.degree, self.symbols, coeffs)
+        """Multiply by a PolyScalar or a plain rational: a wedge with a 0-form."""
+        if not isinstance(value, PolyScalar):
+            value = PolyScalar.constant(value, self.symbols)
+        return wedge(AltForm(self.dim, 0, self.symbols, {(): value}), self)
 
     def with_symbols(self, symbols: Iterable[str]) -> "AltForm":
         symbols = tuple(symbols)
@@ -228,12 +228,7 @@ class AltForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.symbols == other.symbols
-            and self.coeffs == other.coeffs
-        )
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     __hash__ = None
 
@@ -258,9 +253,9 @@ def basis_form(dim: int, indices: Sequence[int], symbols: Iterable[str] = ()) ->
 
 
 def _lift(coeffs: Mapping) -> tuple[int, dict]:
-    """(L, {exponents: {key: int}}): the terms of a form's coefficients (or of
-    any map to PolyScalars) times L, the lcm of their denominators, in one
-    layer per exponent vector, the layout of ``ExteriorOp.columns``."""
+    """(L, {exponents: {key: int}}): the terms of a map to PolyScalars times L,
+    the lcm of their denominators, in one layer per exponent vector, the
+    layout of ``AltForm.layers`` and ``ExteriorOp.columns``."""
     den = lcm(*(c.denominator for value in coeffs.values() for c in value.terms.values()))
     layers: dict[tuple, dict] = {}
     for key, value in coeffs.items():
@@ -271,13 +266,28 @@ def _lift(coeffs: Mapping) -> tuple[int, dict]:
 
 def _lower(layers: dict, den: int, symbols: tuple) -> dict:
     """{key: PolyScalar} from the integer sums {exponents: {key: int}} divided
-    by den, the coefficients of a result form; zero sums drop."""
+    by den; zero sums drop."""
     terms: dict[tuple, dict] = {}
     for expo, sums in layers.items():
         for key, c in sums.items():
             if c:
                 terms.setdefault(key, {})[expo] = Fraction(c, den)
     return {key: PolyScalar._trusted(symbols, t) for key, t in terms.items()}
+
+
+def combination(dim: int, degree: int, symbols: Iterable[str], pairs: Iterable) -> AltForm:
+    """The form sum of name * member over the (name, member) pairs, in the
+    context symbols, each member a rational degree-form on the dim-space:
+    its layer moves to its name's exponent vector, and the sum is ``+``."""
+    symbols = check_context(symbols)
+    total = AltForm._trusted(dim, degree, symbols, 1, {})
+    for name, member in pairs:
+        if (member.dim, member.degree) != (dim, degree) or not member.is_rational():
+            raise ValueError(f"{name}: expected a rational {degree}-form on a {dim}-space")
+        expo = next(iter(PolyScalar.symbol(name, symbols).terms))
+        layers = {expo: layer for layer in member.layers.values()}  # at most one layer
+        total += AltForm._trusted(dim, degree, symbols, member.den, layers)
+    return total
 
 
 # -- operations --------------------------------------------------------------
@@ -288,19 +298,17 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     alpha._check_compatible(beta)
     degree = alpha.degree + beta.degree
     if degree > alpha.dim:
-        return AltForm._trusted(alpha.dim, degree, alpha.symbols, {})
-    (den_a, layers_a), (den_b, layers_b) = _lift(alpha.coeffs), _lift(beta.coeffs)
+        return AltForm._trusted(alpha.dim, degree, alpha.symbols, 1, {})
     sums: dict[tuple, dict] = {}  # exponents -> {merged monomial: integer sum}
-    for e1, left in layers_a.items():
-        for e2, right in layers_b.items():
+    for e1, left in alpha.layers.items():
+        for e2, right in beta.layers.items():
             acc = sums.setdefault(tuple(map(add, e1, e2)), {})
             for i1, x in left.items():
                 for i2, y in right.items():
                     if (merged := _merge(i1, i2)) is not None:
                         key, sign = merged
                         acc[key] = acc.get(key, 0) + sign * x * y
-    return AltForm._trusted(alpha.dim, degree, alpha.symbols,
-                            _lower(sums, den_a * den_b, alpha.symbols))
+    return AltForm._trusted(alpha.dim, degree, alpha.symbols, alpha.den * beta.den, sums)
 
 
 def contract(index: int, alpha: AltForm) -> AltForm:
@@ -313,12 +321,14 @@ def contract(index: int, alpha: AltForm) -> AltForm:
         raise ValueError("cannot contract into a 0-form")
     if not 1 <= index <= alpha.dim:
         raise ValueError(f"index {index} out of range 1..{alpha.dim}")
-    coeffs: dict[tuple, PolyScalar] = {}
-    for idx, coeff in alpha.coeffs.items():
-        if index in idx:
-            pos = idx.index(index)
-            coeffs[idx[:pos] + idx[pos + 1 :]] = -coeff if pos % 2 else coeff
-    return AltForm._trusted(alpha.dim, alpha.degree - 1, alpha.symbols, coeffs)
+    sums: dict[tuple, dict] = {}
+    for expo, layer in alpha.layers.items():
+        acc = sums[expo] = {}
+        for idx, v in layer.items():
+            if index in idx:
+                pos = idx.index(index)
+                acc[idx[:pos] + idx[pos + 1 :]] = -v if pos % 2 else v
+    return AltForm._trusted(alpha.dim, alpha.degree - 1, alpha.symbols, alpha.den, sums)
 
 
 def top_coefficient(alpha: AltForm) -> PolyScalar:
@@ -337,9 +347,9 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     rationals, scaled to integers by the lcm D of their denominators.
     P*(e^{i_1 ... i_k}) = P*e^{i_1} ^ ... ^ P*e^{i_k} with
     P*e^i = sum_c P[i][c] e^c, so each of k rounds, run once per layer of
-    alpha's lift, places one covector: the first index i still to place
+    alpha's layers, places one covector: the first index i still to place
     moves into every column c not yet placed, with sign (-1)^#{placed d > c}.
-    Each sum is divided by L * D^degree once, L being alpha's lift.
+    Each sum is over alpha's den times D^degree.
     """
     n, degree = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -348,9 +358,8 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     den = lcm(*(x.denominator for row in values for x in row))
     rows = [[((c,), x.numerator * (den // x.denominator)) for c, x in enumerate(row, 1) if x]
             for row in values]
-    scale, layers = _lift(alpha.coeffs)
     sums = {}  # exponents -> {columns placed: int}
-    for expo, layer in layers.items():
+    for expo, layer in alpha.layers.items():
         placed = {((), rest): v for rest, v in layer.items()}  # (columns placed, left) -> int
         for _ in range(degree):
             previous, placed = placed, {}
@@ -360,8 +369,7 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
                         key = merged[0], rest[1:]
                         placed[key] = placed.get(key, 0) + merged[1] * entry * v
         sums[expo] = {cols: v for (cols, _), v in placed.items()}
-    return AltForm._trusted(n, degree, alpha.symbols,
-                            _lower(sums, scale * den**degree, alpha.symbols))
+    return AltForm._trusted(n, degree, alpha.symbols, alpha.den * den**degree, sums)
 
 
 # -- monomial coordinates and linear operators --------------------------------
@@ -377,19 +385,18 @@ def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:
 
     Raises ValueError when a coefficient is symbolic.
     """
-    coeffs = alpha.coeffs
-    return [coeffs[idx].constant_value() if idx in coeffs else _ZERO for idx in monos]
+    if not alpha.is_rational():
+        raise ValueError(f"{alpha.render()} does not have rational coefficients")
+    layer = next(iter(alpha.layers.values()), {})
+    return [Fraction(layer[idx], alpha.den) if idx in layer else _ZERO for idx in monos]
 
 
 def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> AltForm:
     """The form with coefficients vec (canonical Fractions) over ``monomials(dim, degree)``."""
     symbols = check_context(symbols)
-    coeffs = {
-        idx: PolyScalar._trusted(symbols, {(0,) * len(symbols): value})
-        for idx, value in zip(monomials(dim, degree), vec)
-        if value
-    }
-    return AltForm._trusted(dim, degree, symbols, coeffs)
+    ints, den = _integer_row(vec)
+    layer = dict(zip(monomials(dim, degree), ints))
+    return AltForm._trusted(dim, degree, symbols, den, {(0,) * len(symbols): layer})
 
 
 class ExteriorOp:
@@ -441,8 +448,8 @@ class ExteriorOp:
         return all(not any(expo) for expo in self.columns)
 
     def apply(self, alpha: AltForm) -> AltForm:
-        """The image of alpha: its lifted terms times the integer entries, each
-        sum divided by den * L once, L being alpha's lift."""
+        """The image of alpha: its layers times the integer entries, over
+        den times alpha's den."""
         if (alpha.dim, alpha.degree) != (self.dim, self.degree):
             raise ValueError(
                 f"operator acts on {self.degree}-forms of a {self.dim}-space, "
@@ -450,16 +457,14 @@ class ExteriorOp:
             )
         if alpha.symbols != self.symbols:
             raise ContextMismatchError("form context does not match the operator")
-        scale, layers = _lift(alpha.coeffs)
         sums: dict[tuple, dict] = {}  # exponents -> {output monomial: integer sum}
         for e1, columns in self.columns.items():
-            for e2, layer in layers.items():
+            for e2, layer in alpha.layers.items():
                 acc = sums.setdefault(tuple(map(add, e1, e2)), {})
                 for idx, x in layer.items():
                     for row, entry in columns.get(idx, {}).items():
                         acc[row] = acc.get(row, 0) + entry * x
-        return AltForm._trusted(self.dim, self.out_degree, self.symbols,
-                                _lower(sums, self.den * scale, self.symbols))
+        return AltForm._trusted(self.dim, self.out_degree, self.symbols, self.den * alpha.den, sums)
 
     def rows(self) -> list[list[int]]:
         """The nonzero rows of den times the matrix over ``monomials(dim, degree)``,
@@ -487,11 +492,8 @@ def render_form(alpha: AltForm) -> str:
     coefficients are parenthesized; rational coefficients follow the
     ``c*e^{...}`` convention with 1 and -1 absorbed into the sign.
     """
-    if not alpha.coeffs:
-        return "0"
     parts: list[str] = []
-    for idx in sorted(alpha.coeffs):
-        coeff = alpha.coeffs[idx]
+    for idx, coeff in sorted(alpha.coeffs.items()):
         e_part = "e^{" + " ".join(str(i) for i in idx) + "}"
         if coeff.is_constant():
             value = coeff.constant_value()
@@ -505,7 +507,7 @@ def render_form(alpha: AltForm) -> str:
             parts.append(f"-{body}" if negative else body)
         else:
             parts.append(f" - {body}" if negative else f" + {body}")
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 def parse_form(
@@ -543,6 +545,6 @@ def parse_form(
             value = -value if negative != (order < 0) else value
             coeffs[key] = coeffs[key] + value if key in coeffs else value
     symbols = check_context(symbols)
-    zero = (0,) * len(symbols)
-    terms = {key: PolyScalar._trusted(symbols, {zero: c}) for key, c in coeffs.items() if c}
-    return AltForm._trusted(dim, form_degree, symbols, terms)
+    ints, den = _integer_row(list(coeffs.values()))
+    layer = dict(zip(coeffs, ints))
+    return AltForm._trusted(dim, form_degree, symbols, den, {(0,) * len(symbols): layer})

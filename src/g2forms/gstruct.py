@@ -36,10 +36,10 @@ from operator import add
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
-    _lift,
     _lower,
     basis_form,
     contract,
+    form_to_vector,
     merge_sign,
     monomials,
     pullback,
@@ -99,15 +99,15 @@ def b_entries(phi: AltForm, pairs: list) -> dict:
 
     B_ij = sum of sign * (iota_i phi)_p * (iota_j phi)_q * phi_r over the
     rows of :func:`_wedge_table`; the sum over q is shared by every i.  The
-    sums run on ints, over the layers of phi's lift (one per exponent vector,
-    scaled by the lcm L of the denominators): each pair or triple of layers
-    adds its exponent vectors once, and each entry is divided by L^3 once.
+    sums run on ints, over phi's layers (one per exponent vector, over phi's
+    den): each pair or triple of layers adds its exponent vectors once, and
+    each entry is divided by den^3 once.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_matrix expects a 3-form on a 7-dimensional space")
     if not all(1 <= k <= 7 for pair in pairs for k in pair):
         raise ValueError(f"B entries {pairs} out of range 1..7")
-    (den, layers), table = _lift(phi.coeffs), _wedge_table()
+    den, layers, table = phi.den, phi.layers, _wedge_table()
     iota = {}  # exponents -> {i: {p: (iota_i phi)_p}}
     for expo, layer in layers.items():
         rows = iota[expo] = {k: {} for pair in pairs for k in pair}
@@ -275,12 +275,13 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     if not all(m > 0 for m in minors):
         raise ValueError("metric representative is not positive definite")
     raised = pullback(alpha, _linalg.inverse(q))
-    coeffs = {}
-    for upper, value in raised.coeffs.items():
-        complement = tuple(i for i in range(1, n + 1) if i not in upper)
-        _, sign = merge_sign(upper, complement)
-        coeffs[complement] = value if sign == 1 else -value
-    return AltForm._trusted(n, n - alpha.degree, alpha.symbols, coeffs)
+    sums: dict[tuple, dict] = {}
+    for expo, layer in raised.layers.items():
+        acc = sums[expo] = {}
+        for upper, v in layer.items():
+            complement = tuple(i for i in range(1, n + 1) if i not in upper)
+            acc[complement] = merge_sign(upper, complement)[1] * v
+    return AltForm._trusted(n, n - alpha.degree, alpha.symbols, raised.den, sums)
 
 
 @dataclass
@@ -373,11 +374,10 @@ def hitchin_stability(psi: AltForm) -> HitchinReport:
     if not psi.is_rational():
         raise ValueError("hitchin_stability needs rational coefficients")
     iota_psi = [wedge(contract(j, psi), psi) for j in range(1, 7)]
-    k_rows = []
-    for i in range(1, 7):
-        # e^{rest} ^ e^i = (-1)^(6-i) e^{1...6}, rest being {1..6} without i
-        rest, sign = tuple(k for k in range(1, 7) if k != i), (-1) ** (6 - i)
-        k_rows.append([sign * form.coefficient(rest).constant_value() for form in iota_psi])
+    # e^{rest} ^ e^i = (-1)^(6-i) e^{1...6}, rest being {1..6} without i
+    rests = [tuple(k for k in range(1, 7) if k != i) for i in range(1, 7)]
+    columns = [form_to_vector(form, rests) for form in iota_psi]
+    k_rows = [[(-1) ** (6 - i) * column[i - 1] for column in columns] for i in range(1, 7)]
     k_sq = _linalg.matmul(k_rows, k_rows)
     lam = sum((k_sq[i][i] for i in range(6)), Fraction(0)) / 6
     return HitchinReport(lam, k_rows, k_sq)
@@ -497,7 +497,7 @@ def product_g2(omega: AltForm, psi: AltForm) -> AltForm:
         raise ValueError("expected a 2-form omega and a 3-form psi")
     if omega.symbols != psi.symbols:
         raise ValueError("omega and psi must share one context")
-    omega7 = AltForm(7, 2, omega.symbols, dict(omega.coeffs))
-    psi7 = AltForm(7, 3, psi.symbols, dict(psi.coeffs))
+    omega7 = AltForm._trusted(7, 2, omega.symbols, omega.den, omega.layers)
+    psi7 = AltForm._trusted(7, 3, psi.symbols, psi.den, psi.layers)
     e7 = basis_form(7, (7,), omega.symbols)
     return wedge(omega7, e7) + psi7

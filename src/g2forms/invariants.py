@@ -19,9 +19,8 @@ from math import comb
 from operator import mul
 
 from g2forms import _linalg
-from g2forms.exterior import AltForm, form_to_vector, monomials, vector_to_form
+from g2forms.exterior import AltForm, combination, form_to_vector, monomials, vector_to_form
 from g2forms.liealg import HomogeneousSpaceData
-from g2forms.scalars import PolyScalar
 
 __all__ = [
     "ClosedFamily",
@@ -135,10 +134,7 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
         rows = _linalg.row_space(_linalg.matmul(kernel, gammas))
         parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
         basis = [vector_to_form(vec, n, degree) for vec in rows]
-        generic = AltForm(n, degree, parameters)
-        for name, member in zip(parameters, basis):
-            lifted = member.with_symbols(parameters)
-            generic = generic + lifted.scale(PolyScalar.symbol(name, parameters))
+        generic = combination(n, degree, parameters, zip(parameters, basis))
         rank = space.dim - len(kernel)
         return ClosedFamily(data, degree, parameters, basis, generic, space.dim, rank)
 

@@ -4,13 +4,16 @@ The ring operations, ``scale``, ``substitute``, the form operations,
 ``ExteriorOp.apply`` and ``pullback`` build their results without
 validation, so each result here is rebuilt through ``PolyScalar(...)`` or
 ``AltForm(...)`` (which drop zero coefficients and check every index) and
-must come back unchanged.
+must come back unchanged.  A form reached by different routes must also
+have one integer layout: equal ``(den, layers)``, no zero int and
+gcd(den, every int) = 1.
 Inputs use tiny coefficients and exponents so that sums cancel often.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from g2forms.exterior import (  # noqa: E402
-    AltForm, ExteriorOp, contract, monomials, pullback, wedge,
+    AltForm, ExteriorOp, combination, contract, form_to_vector, monomials, parse_form, pullback,
+    vector_to_form, wedge,
 )
 from g2forms.scalars import PolyScalar  # noqa: E402
 
@@ -138,3 +142,77 @@ def test_rational_derivation_apply_is_canonical(image, alpha):
 )
 def test_pullback_is_canonical(matrix, alpha):
     canonical_form(pullback(alpha, matrix))
+
+
+def layout(alpha: AltForm) -> tuple:
+    """(den, layers) of alpha, after checking that they are normalized."""
+    ints = [v for layer in alpha.layers.values() for v in layer.values()]
+    assert all(alpha.layers.values()) and 0 not in ints
+    assert alpha.den >= 1 and gcd(alpha.den, *ints) == 1
+    return alpha.den, alpha.layers
+
+
+def basis_1form(i: int, symbols=()) -> AltForm:
+    return AltForm(DIM, 1, symbols, {(i,): PolyScalar.one(symbols)})
+
+
+def same_layout(routes) -> None:
+    layouts = [layout(alpha) for alpha in routes]
+    assert all(other == layouts[0] for other in layouts[1:])
+
+
+IDENTITY = [[int(r == c) for c in range(DIM)] for r in range(DIM)]
+
+
+# ``e^i -> e^i`` extends to the derivation that multiplies a k-form by k
+NUMBER_OP = {i: [((i,), PolyScalar.one())] for i in range(1, DIM + 1)}
+
+
+@given(forms(2, ()), forms(2, ()), st.integers(1, DIM))
+def test_rational_routes_to_one_form_give_one_layout(alpha, beta, i):
+    e_i = basis_1form(i)
+    same_layout([
+        alpha,
+        AltForm(DIM, 2, (), alpha.coeffs),
+        parse_form(alpha.render(), DIM, 2),
+        vector_to_form(form_to_vector(alpha, monomials(DIM, 2)), DIM, 2),
+        pullback(alpha, IDENTITY),
+        ExteriorOp(DIM, 2, 0, (), NUMBER_OP).apply(alpha).scale(HALF),
+        contract(i, wedge(e_i, alpha)) + wedge(e_i, contract(i, alpha)),
+        (alpha + beta) - beta,
+        beta + (alpha - beta),
+        alpha.scale(2).scale(HALF),
+        -(-alpha),
+    ])
+
+
+@given(forms(2), forms(2), polys(), st.integers(1, DIM))
+def test_symbolic_routes_to_one_form_give_one_layout(alpha, beta, p, i):
+    e_i, one = basis_1form(i, CTX), AltForm(DIM, 0, CTX, {(): PolyScalar.one(CTX)})
+    same_layout([
+        alpha,
+        AltForm(DIM, 2, CTX, alpha.coeffs),
+        wedge(one, alpha),
+        contract(i, wedge(e_i, alpha)) + wedge(e_i, contract(i, alpha)),
+        (alpha + beta) - beta,
+        beta + (alpha - beta),
+    ])
+    # the product with p, through PolyScalar products and through the layers
+    same_layout([
+        AltForm(DIM, 2, CTX, {idx: c * p for idx, c in alpha.coeffs.items()}),
+        alpha.scale(p),
+        wedge(AltForm(DIM, 0, CTX, {(): p}), alpha),
+    ])
+
+
+@given(forms(2, ()), forms(2, ()))
+def test_combination_is_the_symbolic_sum(gamma, delta):
+    s, t = PolyScalar.symbol("s", CTX), PolyScalar.symbol("t", CTX)
+    g, d = gamma.with_symbols(CTX), delta.with_symbols(CTX)
+    keys = set(gamma.coeffs) | set(delta.coeffs)
+    same_layout([
+        combination(DIM, 2, CTX, [("s", gamma), ("t", delta)]),
+        combination(DIM, 2, CTX, [("t", delta), ("s", gamma)]),
+        g.scale(s) + d.scale(t),
+        AltForm(DIM, 2, CTX, {k: g.coefficient(k) * s + d.coefficient(k) * t for k in keys}),
+    ])

@@ -66,6 +66,19 @@ def test_verify_filter_counts(capsys):
     assert len(parsed) == 8  # seven canonical + one exploratory
 
 
+@pytest.mark.parametrize("selection", [
+    ["--case", "T1.n1", "--filter", "T2*"],
+    ["--all", "--filter", "T1.*"],
+    ["--case", "T1.n1", "--all"],
+])
+def test_verify_conflicting_selections_exit_two(capsys, selection):
+    # one selection at a time: a second one is an error, not silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *selection])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_filter_without_match_exits_two(capsys):
     assert main(["verify", "--filter", "nomatch*"]) == 2
     captured = capsys.readouterr()

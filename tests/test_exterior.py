@@ -21,6 +21,7 @@ from g2forms.exterior import (
     AltForm,
     ExteriorOp,
     basis_form,
+    combination,
     contract,
     form_to_vector,
     merge_sign,
@@ -416,3 +417,18 @@ def test_public_constructor_rejects_malformed_input():
     for context, message in [(("1x",), "invalid symbol name"), (("a", "a"), "duplicate symbol")]:
         with pytest.raises(ValueError, match=message):
             AltForm(7, 3, context)
+
+
+def test_combination_rejects_what_it_cannot_place():
+    phi, context = F("e^{1 2 3} - 1/2*e^{4 5 6}"), ("a", "b")
+    generic = combination(7, 3, context, [("a", phi), ("b", F("e^{1 2 4}"))])
+    assert generic.render() == "(a)*e^{1 2 3} + (b)*e^{1 2 4} + (-1/2*a)*e^{4 5 6}"
+    assert combination(7, 3, context, []) == AltForm(7, 3, context)
+    for name, member, message in [
+        ("c", phi, "not in context"),
+        ("a", F("e^{1 2}"), "rational 3-form on a 7-space"),
+        ("a", F("e^{1 2 3}", 6), "rational 3-form on a 7-space"),
+        ("a", phi.with_symbols(context).scale(PolyScalar.symbol("b", context)), "rational"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            combination(7, 3, context, [(name, member)])

@@ -19,6 +19,7 @@ from g2forms import _linalg, gstruct
 from g2forms.exterior import (
     AltForm,
     ExteriorOp,
+    combination,
     contract,
     parse_form,
     pullback,
@@ -146,9 +147,10 @@ def test_b_matrix_matches_wedge_oracle(kind):
 
 
 def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
-    # wedge, pullback, ExteriorOp.apply and the B sums compute on lifted ints:
-    # with PolyScalar's ring operations raising, each still runs on rational
-    # and symbolic forms and gives what it gave before
+    # the form kernels, the linear structure (+, -, scale), the Hodge dual and
+    # the combination helper compute on the forms' integer layers: with
+    # PolyScalar's ring operations raising, each still runs on rational and
+    # symbolic forms and gives what it gave before
     rng = random.Random("lifted-kernels")
     syms = ("a", "b")
     a = PolyScalar.symbol("a", syms)
@@ -171,17 +173,25 @@ def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
             pullback(rational, p), pullback(symbolic, p),
             *(op.apply(alpha) for op, alpha in ops),
             b_entries(rational, ALL_PAIRS), b_entries(symbolic, ALL_PAIRS), b_matrix(rational),
+            rational + rational.scale(Fraction(1, 3)), symbolic - symbolic.scale(a), -symbolic,
+            symbolic.scale(Fraction(-2, 5)), rational.with_symbols(syms).scale(a),
+            contract(3, symbolic), hodge_dual_up_to_scale(metric, rational),
+            hodge_dual_up_to_scale(metric, symbolic),
+            combination(7, 3, syms, [("a", rational), ("b", contract(1, wedge(e1, rational)))]),
         ]
 
+    metric = [[Fraction(2 if i == j else 0) + Fraction(i + j == 5) for j in range(7)]
+              for i in range(7)]
+    e1 = AltForm(7, 1, (), {(1,): PolyScalar.constant(1)})
     before = kernels()
 
     def forbidden(*_args):
         raise AssertionError("PolyScalar arithmetic inside a form kernel")
 
-    monkeypatch.setattr(PolyScalar, "__mul__", forbidden)
-    monkeypatch.setattr(PolyScalar, "__add__", forbidden)
+    for name in ("__mul__", "__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(PolyScalar, name, forbidden)
     assert kernels() == before
-    assert not any(form.is_zero() for form in before[:7])
+    assert not any(form.is_zero() for form in before[:7] + before[10:])
 
 
 def _b_rows(phi):
@@ -355,6 +365,7 @@ def scaled_family(phi):
 def test_obstruction_certificate_undecided_for_scaled_standard_form():
     report = obstruction_certificate(scaled_family(phi0()))
     assert report.verdict == "undecided-parametric"
+    assert report.render() == "undecided-parametric: no vanishing certificate found"
 
 
 def test_obstruction_certificate_indefinite_for_scaled_split_form():
@@ -435,6 +446,31 @@ def test_torsion_report_on_flat_model():
     report = g2_torsion_report(abelian(), phi0())
     assert report.definite and report.closed and report.coclosed
     assert "torsion-free" in report.classification
+
+
+def test_torsion_report_on_a_non_definite_form():
+    # every iota_i phi ^ iota_j phi ^ phi of phi = e^{123} involves only e^1, e^2,
+    # e^3, so B = 0: no metric, no Hodge dual; d = 0 on flat R^7
+    report = g2_torsion_report(abelian(), parse_form("e^{1 2 3}", 7))
+    assert (report.definite, report.closed, report.coclosed) == (False, True, None)
+    assert report.definiteness.verdict == "degenerate"
+    assert report.render() == (
+        "definite: no; closed: yes; coclosed: n/a (no metric); "
+        "=> not a G2-structure (form is not definite)"
+    )
+
+
+def test_hitchin_report_renders_each_type():
+    # psi = e^{123} + e^{456}: iota_j psi ^ psi is a 5-form without e^j, so K is
+    # diagonal; K[1][1] = top(e^{23456} ^ e^1) = -1, K[4][4] = top(e^{12356} ^ e^4) = 1,
+    # and likewise K = diag(-1, -1, -1, 1, 1, 1), K^2 = Id and lambda = 6/6 = 1
+    real_type = hitchin_stability(parse_form("e^{1 2 3} + e^{4 5 6}", 6))
+    assert real_type.k_matrix == [[(i == j) * (-1 if i < 3 else 1) for j in range(6)]
+                                  for i in range(6)]
+    assert real_type.render() == "lambda = 1 (real type)"
+    # psi = e^{123}: iota_j psi ^ psi = 0 for every j, so K = 0 and lambda = 0
+    decomposable = hitchin_stability(parse_form("e^{1 2 3}", 6))
+    assert decomposable.render() == "lambda = 0 (degenerate/unstable)"
 
 
 def test_hitchin_values():

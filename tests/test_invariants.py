@@ -25,6 +25,7 @@ from g2forms.liealg import (
     MatrixBasis,
     from_matrices,
     homogeneous_from_partial,
+    jacobi_check,
     reductive_split,
 )
 from g2forms.scalars import PolyScalar
@@ -226,6 +227,27 @@ def test_d_squared_check_passes_on_full_data():
     for data in (sl3r_data(), abelian()):
         for degree in (2, 3):
             assert d_squared_check(data, degree).ok
+
+
+def test_d_squared_check_reports_a_non_jacobi_bracket():
+    # [e1, e2] = e3 and [e1, e3] = e1 break Jacobi: the cyclic sum of (1, 2, 3)
+    # is [[e3, e1], e2] = -[e1, e2] = -e3.  With d e^r = -sum c^r_ij e^{ij}:
+    # d e^1 = -e^{13}, d e^2 = 0, d e^3 = -e^{12}; then d e^{13} = e^1 ^ e^{12} = 0
+    # and d e^{12} = -e^{13} ^ e^2 = e^{123}, so d(d e^3) = -e^{123} is the one failure
+    one = PolyScalar.constant(1)
+    data = HomogeneousSpaceData(3, [], {(1, 2): {3: one}, (1, 3): {1: one}})
+    report = d_squared_check(data, 1)
+    assert (report.ok, report.checked) == (False, 3)
+    assert report.render() == (
+        "d o d != 0 on 1 invariant 1-form(s):\n"
+        "  gamma = e^{3}\n"
+        "  d(d gamma) = -e^{1 2 3}"
+    )
+    assert jacobi_check(data).render() == (
+        "jacobi: 1 violating triple(s)\n  (1,2,3): cyclic sum = (0, 0, -1)"
+    )
+    # d(d gamma) of a 2-form is a 4-form on a 3-space
+    assert d_squared_check(data, 2).render() == "d o d = 0 on all 3 invariant 2-forms"
 
 
 def test_d_squared_check_refuses_partial_data():

@@ -16,8 +16,7 @@ results are rendered to strings and compared exactly:
 * ``minors``: ``leading_principal_minors`` and ``det`` of 3000 random
   rational matrices of size 1..7, half of them symmetric;
 * ``hodge``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
-  (6, 3) and (7, 2), with positive-definite metrics A^T A (passed as
-  Fraction rows, or wrapped in ``GramMatrix`` on trees that still have it);
+  (6, 3) and (7, 2), with positive-definite metrics A^T A as Fraction rows;
 * ``hitchin``: lambda and Hitchin's K of 200 random rational 3-forms on R^6;
 * ``lie``: for every bundled case, the ``ExteriorOp.columns`` of
   ``homog_num().derivations(k)`` and ``homog_num().differential(k)`` for
@@ -27,16 +26,14 @@ results are rendered to strings and compared exactly:
   (the child sums them into the table it passes to
   ``HomogeneousSpaceData``).  It reads only case documents and operators,
   so it runs whatever table format ``HomogeneousSpaceData`` stores.  It
-  renders each entry as its polynomial value, from either ``columns``
-  layout: ``{input monomial: {output monomial: entry}}`` with PolyScalar
-  entries or ints over the operator's ``den`` (older trees), or one such
-  table of ints over ``den`` per exponent vector of the context;
+  renders each entry as its polynomial value, from the ``columns`` layout:
+  one table ``{input monomial: {output monomial: int}}`` over the
+  operator's ``den`` per exponent vector of the context;
 * ``pullback``: ``pullback`` of 300 random forms of every degree 0..n on
   R^n, n <= 7 (every third one with polynomial coefficients in two
   symbols), by random rational matrices, every fourth one singular;
 * ``contract``: ``contract`` of each of those forms of positive degree by
-  every basis vector (on trees whose ``contract`` takes a ``Vector``, built
-  by ``basis_vector``);
+  every basis index;
 * ``apply``: for every bundled case and k = 0..dim m, ``apply`` of
   ``derivations(k)`` and ``differential(k)`` to seeded random k-forms:
   rational forms under ``homog_num()``, and under ``homog_sym`` forms in
@@ -86,14 +83,6 @@ from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.liealg import HomogeneousSpaceData, jacobi_check
 from g2forms.scalars import PolyScalar
-try:  # older trees take the Hodge metric as a GramMatrix of PolyScalars
-    from g2forms.gstruct import GramMatrix
-except ImportError:
-    GramMatrix = None
-try:  # older trees contract a Vector
-    from g2forms.exterior import basis_vector
-except ImportError:
-    basis_vector = None
 PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
 def rational(rng):
@@ -113,32 +102,20 @@ def form(rng, n, k, symbols=(), density=0.5):
     return AltForm(n, k, symbols, coeffs)
 
 def metric(rng, n):
-    # A^T A, or None when singular: Fraction rows, or a GramMatrix on trees that have it
+    # A^T A as Fraction rows, or None when singular
     a = [[rational(rng) for _ in range(n)] for _ in range(n)]
     q = [[sum((a[r][i] * a[r][j] for r in range(n)), F(0)) for j in range(n)] for i in range(n)]
-    if _linalg.det(q) == 0:
-        return None
-    if GramMatrix is None:
-        return q
-    return GramMatrix(tuple(tuple(PolyScalar.constant(x) for x in row) for row in q))
-
-def entry(op, value):
-    # a PolyScalar, or an int over the operator's common denominator
-    return value.render() if isinstance(value, PolyScalar) else str(F(value, op.den))
+    return None if _linalg.det(q) == 0 else q
 
 def columns(op):
-    # {input: {output: entry}}, or {exponents: {input: {output: int over den}}}
-    if any(isinstance(v, dict) for table in op.columns.values() for v in table.values()):
-        terms = {}
-        for expo, table in op.columns.items():
-            for idx, column in table.items():
-                for row, value in column.items():
-                    terms.setdefault(idx, {}).setdefault(row, {})[expo] = F(value, op.den)
-        rendered = {idx: {row: PolyScalar(op.symbols, t).render() for row, t in column.items()}
-                    for idx, column in terms.items()}
-    else:
-        rendered = {idx: {row: entry(op, value) for row, value in column.items()}
-                    for idx, column in op.columns.items()}
+    # {exponents: {input: {output: int over den}}} as {input: {output: polynomial}}
+    terms = {}
+    for expo, table in op.columns.items():
+        for idx, column in table.items():
+            for row, value in column.items():
+                terms.setdefault(idx, {}).setdefault(row, {})[expo] = F(value, op.den)
+    rendered = {idx: {row: PolyScalar(op.symbols, t).render() for row, t in column.items()}
+                for idx, column in terms.items()}
     return [
         [list(idx), [[list(row), text] for row, text in sorted(column.items())]]
         for idx, column in sorted(rendered.items())
@@ -151,9 +128,6 @@ def case_form(rng, data, k, symbolic):
             text = coefficient(rng, data.symbols if symbolic else ())
             coeffs[idx] = PolyScalar.parse(text, data.symbols)
     return AltForm(data.dim_m, k, data.symbols, coeffs)
-
-def iota(i, alpha):
-    return contract(i if basis_vector is None else basis_vector(alpha.dim, i, alpha.symbols), alpha)
 
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
@@ -221,7 +195,7 @@ for t in range(300):
         p[-1] = [x * (n - 1) for x in p[0]]
     out["pullback"].append(pullback(alpha, p).render())
     if alpha.degree:
-        out["contract"].append([iota(i, alpha).render() for i in range(1, n + 1)])
+        out["contract"].append([contract(i, alpha).render() for i in range(1, n + 1)])
 for case_id in bundled_ids():
     record = load_bundled(case_id)
     for data, symbolic in ((record.homog_num(), False), (record.homog_sym, True)):
