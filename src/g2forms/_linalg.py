@@ -16,11 +16,11 @@ those, with no Fraction in between.  The reduced row echelon form is
 unique, so :func:`rank`, :func:`nullspace`, :func:`row_space`,
 :func:`solve_many` and :func:`inverse` give the same Fractions as
 elimination over Q.
-:func:`matmul` scales ``b`` once to integers, keeps only its nonzero
-entries and builds one Fraction per output entry, so mostly-zero operands
-cost only their nonzeros.  :func:`det` and :func:`leading_principal_minors`
-run Bareiss elimination on the row-scaled integers, where every division
-is exact; one pass without row exchanges gives the whole minor chain.
+:func:`matmul` scales ``b`` (in ``closed_forms``, the invariant basis) to
+integers once and builds one Fraction per output entry from the nonzero
+entries alone.  :func:`det` and :func:`leading_principal_minors` run Bareiss
+elimination on the row-scaled integers, where every division is exact; one
+pass without row exchanges gives the whole minor chain.
 
 :func:`congruence_diagonalize` stays on Fractions: its witness vectors are
 printed certificates, and any change to its steps would change them.

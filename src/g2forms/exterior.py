@@ -515,10 +515,11 @@ def parse_form(
 ) -> AltForm:
     """Parse the rendering produced by :func:`render_form`.
 
-    Only rational coefficients are supported (which covers every bundled
-    case file); indices are single digits, as dimensions never exceed 9.
+    Only rational coefficients are supported (which covers every bundled case
+    file); indices are single digits, so a dim above 9 raises ValueError.
     """
-    symbols = tuple(symbols)
+    if dim > 9:
+        raise ValueError(f"form literals have single-digit indices: dimension {dim} is above 9")
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty form literal")

@@ -2,10 +2,10 @@
 
 ``invariant_forms`` computes the fixed alternating tensors of the isotropy
 action as the exact kernel of the integer rows of the stacked derivations
-(``HomogeneousSpaceData.derivations``), which, like d in ``closed_forms``,
-must be rational (``ExteriorOp.is_rational``).  ``ce_differential`` applies
-the coset differential ``HomogeneousSpaceData.differential`` (formula there),
-the exterior derivative of invariant forms on G/H from the m-bracket alone.
+(``HomogeneousSpaceData.derivations``), which must be rational.  The coset
+differential ``HomogeneousSpaceData.differential`` (formula there), d of
+invariant forms on G/H from the m-bracket alone, is used only through
+``apply``: by ``ce_differential``, ``closed_forms`` and ``d_squared_check``.
 
 The sign convention is pinned by the calibration values in the test suite
 (three independent printed evaluations from the bundled catalog cases);
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import mul
 
 from g2forms import _linalg
 from g2forms.exterior import AltForm, combination, form_to_vector, monomials, vector_to_form
@@ -98,7 +97,7 @@ class ClosedFamily:
     basis: list  # list[AltForm], rational coefficients, echelonized
     generic: AltForm
     invariant_dim: int
-    rank: int  # rank of the d-matrix on the invariant space
+    rank: int  # of the d-matrix, columns d(gamma_i): invariant_dim - dim
 
     @property
     def dim(self) -> int:
@@ -114,10 +113,10 @@ class ClosedFamily:
 def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
     """Solve d(sum_i a_i gamma_i) = 0 exactly over the invariant basis.
 
-    The d-matrix is formed on ints, ``d.rows()`` times the basis members scaled
-    to integers: a scaled member rescales its coordinate in every solution, so
-    the kernel mapped back through the scaled members spans the same family.
-    Solved once per data and degree and shared, like :func:`invariant_forms`.
+    Column j of the d-matrix is ``d.apply(gamma_j)``.  Its kernel K and the basis
+    are in RREF, so K times the basis is too: K's row i has its leading 1 at q_i,
+    on gamma_{q_i}'s pivot, where K's other rows are 0.  Solved once per data and
+    degree and shared, like :func:`invariant_forms`.
     """
 
     def build():
@@ -126,12 +125,11 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
             raise ValueError("closed_forms needs fully instantiated homogeneous data")
         space = invariant_forms(data, degree)
         n = data.dim_m
-        in_monomials = monomials(n, degree)
-        gammas = [_linalg._integer_row(form_to_vector(g, in_monomials))[0] for g in space.basis]
-        # rows: output monomials where d is nonzero, columns: scaled basis members
-        matrix = [[sum(map(mul, row, gamma)) for gamma in gammas] for row in d.rows()]
-        kernel = _linalg.nullspace(matrix, space.dim)
-        rows = _linalg.row_space(_linalg.matmul(kernel, gammas))
+        in_monomials, out_monomials = monomials(n, degree), monomials(n, degree + 1)
+        columns = [form_to_vector(d.apply(g), out_monomials) for g in space.basis]
+        kernel = _linalg.nullspace(_linalg.transpose(columns), space.dim)
+        members = [form_to_vector(g, in_monomials) for g in space.basis]
+        rows = _linalg.matmul(kernel, members)
         parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
         basis = [vector_to_form(vec, n, degree) for vec in rows]
         generic = combination(n, degree, parameters, zip(parameters, basis))

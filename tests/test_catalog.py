@@ -443,3 +443,30 @@ def test_repeated_split_index_rejected(key, indices):
     doc[key] = indices
     with pytest.raises(SchemaError, match="repeated index"):
         validate_case_dict(doc)
+
+
+def _abelian_4(**fields):
+    """The abelian 4-dimensional algebra as a case with no isotropy."""
+    return {
+        "id": "abelian4", "description": "", "source": "structure-constants", "dimension": 4,
+        "basis_names": ["e1", "e2", "e3", "e4"], "structure_constants": [],
+        "h_indices": [], "m_indices": [1, 2, 3, 4], "expected": [], **fields,
+    }
+
+
+def test_gammas_and_gamma_symbols_of_unequal_length_rejected():
+    doc = _abelian_4(context=["g1", "g2"], gammas=["e^{1 2 3}"], gamma_symbols=["g1", "g2"])
+    with pytest.raises(SchemaError, match="^gammas and gamma_symbols must have equal length$"):
+        validate_case_dict(doc)
+
+
+def test_closed_form_outside_the_declared_gammas_is_a_mismatch():
+    # d = 0 on an abelian algebra, so all four 3-forms are closed, and e^{1 2 4}
+    # is not a multiple of the one declared gamma e^{1 2 3}
+    item = {"check": "closed_component_zero", "args": {"indices": [1]}, "value": True,
+            "cite": "probe"}
+    doc = _abelian_4(context=["g1"], gammas=["e^{1 2 3}"], gamma_symbols=["g1"], expected=[item])
+    (result,) = verify_case(validate_case_dict(doc)).results
+    assert (result.status, result.computed) == (
+        "mismatch", "closed form outside the span of the declared gammas"
+    )

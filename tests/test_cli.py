@@ -437,3 +437,111 @@ def test_mismatch_exits_one(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--case", "TWRONG"]) == 1
     out = capsys.readouterr().out
     assert "mismatch" in out
+
+
+# The JSON outputs below are worked out by hand from the definitions:
+# json.dumps(payload, indent=2, sort_keys=True) of each command's payload.
+
+def _json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_invariants_json_output(tmp_path, capsys):
+    # so(2) rotating e1, e2: no invariant covector; e^{1 2} is invariant
+    # because the rotation generator has trace 0
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(_case_document("partial")), encoding="utf-8")
+    for degree, basis in ((1, []), (2, ["e^{1 2}"])):
+        argv = ["invariants", "--input", str(case), "--degree", str(degree), "--format", "json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _json_text(
+            {"basis": basis, "case": "tiny", "degree": degree, "dimension": len(basis)}
+        )
+
+
+@pytest.mark.parametrize("base, degree, expected", [
+    # [e1, e2] = e2 with no isotropy: e^1 vanishes on every bracket, d e^2 is
+    # a nonzero multiple of e^{1 2}, so the closed 1-forms are the multiples of e^1
+    ("constants", 1, {
+        "basis": ["e^{1}"], "free_parameters": 1, "generic": "(a1)*e^{1}",
+        "invariant_dimension": 2, "partial_data": False,
+    }),
+    # every 2-form on a 2-space is closed; the rotation-invariant one is e^{1 2}
+    ("partial", 2, {
+        "basis": ["e^{1 2}"], "free_parameters": 1, "generic": "(a1)*e^{1 2}",
+        "invariant_dimension": 1, "partial_data": True,
+    }),
+    ("partial", 1, {
+        "basis": [], "free_parameters": 0, "generic": "0",
+        "invariant_dimension": 0, "partial_data": True,
+    }),
+])
+def test_closed_json_output(tmp_path, capsys, base, degree, expected):
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(_case_document(base)), encoding="utf-8")
+    argv = ["closed", "--input", str(case), "--degree", str(degree), "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _json_text({"case": "tiny", "degree": degree, **expected})
+
+
+NEG_PHI0 = (
+    "-e^{1 2 7} - e^{1 3 5} + e^{1 4 6} + e^{2 3 6} + e^{2 4 5} "
+    "- e^{3 4 7} - e^{5 6 7}"
+)
+
+
+@pytest.mark.parametrize("form, report", [
+    # B(phi0) = 6 Id, so the leading minors are 6^k; B is cubic in phi, so
+    # B(-phi0) = -6 Id and its minors are (-6)^k
+    (PHI0, "definite (positive), certificate: minors 6, 36, 216, 1296, 7776, 46656, 279936"),
+    (NEG_PHI0,
+     "definite (negative), certificate: minors -6, 36, -216, 1296, -7776, 46656, -279936"),
+])
+def test_definite_json_output(tmp_path, capsys, form, report):
+    path = write_form(tmp_path, "phi.json", 7, 3, form)
+    assert main(["definite", "--form", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == _json_text({"report": report, "verdict": "definite"})
+
+
+@pytest.mark.parametrize("psi, flags", [
+    # the standard pair on flat R^6: every pointwise condition holds and
+    # every form is closed, d(*psi) included, so the pair is not strict
+    (PSI0["form"], {
+        "nondegenerate": True, "stable": True, "compatible": True, "tamed": True,
+        "d_omega_zero": True, "d_psi_zero": True, "d_star_psi_zero": True,
+        "symplectic_half_flat": True, "strictly_symplectic_half_flat": False,
+    }),
+    # a decomposable psi has lambda = 0, so it is not stable and the later
+    # conditions are skipped (null)
+    ("e^{1 2 3}", {
+        "nondegenerate": True, "stable": False, "compatible": None, "tamed": None,
+        "d_omega_zero": None, "d_psi_zero": None, "d_star_psi_zero": None,
+        "symplectic_half_flat": False, "strictly_symplectic_half_flat": False,
+    }),
+])
+def test_su3_json_output(tmp_path, capsys, psi, flags):
+    omega = write_form(tmp_path, "omega.json", 6, 2, OMEGA0["form"])
+    psi = write_form(tmp_path, "psi.json", 6, 3, psi)
+    case = str(CASES_DIR / "product.flat.json")
+    argv = ["su3", "--input", case, "--omega", omega, "--psi", psi, "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _json_text({"case": "product.flat", "flags": flags})
+
+
+def test_case_of_dimension_ten_with_gammas_exits_two(tmp_path, capsys):
+    # form literals have single-digit indices, so a gamma on a 10-dimensional
+    # m cannot be read: "e^{1 11}" would mean e^{1 1 1}
+    doc = {
+        "id": "wide", "description": "", "source": "partial-homogeneous", "dimension": 10,
+        "basis_names": [f"e{i}" for i in range(1, 11)],
+        "homogeneous": {"isotropy_action": [], "projected_bracket": []},
+        "context": ["g1"], "gammas": ["e^{1 2 3}"], "gamma_symbols": ["g1"], "expected": [],
+    }
+    with pytest.raises(SchemaError, match="^gammas: form literals have single-digit indices"):
+        validate_case_dict(doc)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["invariants", "--input", str(case), "--degree", "1"]) == 2
+    assert "single-digit indices" in capsys.readouterr().err
+    del doc["gammas"], doc["gamma_symbols"]  # without gammas the case loads
+    assert validate_case_dict(doc).dim_m == 10

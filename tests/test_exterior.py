@@ -385,6 +385,16 @@ def test_parse_form_rejects_dangling_signs(text):
         parse_form(text, 7)
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("e^{1 2 3} + e^{11 2}", 3),  # read digit by digit: e^{1 1 2} vanishes, a term is lost
+    ("e^{1 11}", None),  # read as e^{1 1 1}: the zero 3-form
+    (basis_form(12, (1, 2, 10)).render(), None),  # the engine's own render
+])
+def test_parse_form_rejects_dimensions_above_nine(text, degree):
+    with pytest.raises(ValueError, match="single-digit indices: dimension 12 is above 9"):
+        parse_form(text, 12, degree)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_form("e^{1 2} + banana", 7)

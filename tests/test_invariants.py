@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,7 +13,7 @@ from conftest import (
 )
 from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled
-from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
+from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form, vector_to_form
 from g2forms.invariants import (
     PartialDataError,
     ce_differential,
@@ -289,3 +290,19 @@ def test_derived_objects_are_built_once_per_data(monkeypatch):
     assert closed_forms(data, 3) is family
     assert d_squared_check(data, 3).ok
     assert len(calls) == 1
+
+
+def test_closed_family_is_the_common_kernel_of_the_derivations_and_d():
+    # a second route to every closed family: the kernel of the stacked rows of
+    # the isotropy derivations and d on all k-forms, with no invariant basis
+    for case_id in bundled_ids():
+        record = load_bundled(case_id)
+        for assignment in record.enumerations:
+            data = record.homog_num(assignment)
+            n = data.dim_m
+            for k in range(n + 1):
+                ops = [*data.derivations(k), data.differential(k)]
+                kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(n, k))
+                family = closed_forms(data, k)
+                assert family.basis == [vector_to_form(vec, n, k) for vec in kernel]
+                assert family.rank == invariant_forms(data, k).dim - family.dim

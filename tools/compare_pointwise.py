@@ -61,7 +61,11 @@ results are rendered to strings and compared exactly:
   degrees, a bad rational, an invalid or repeated context name, and
   combinations of these, whose order of checks shows in which message
   wins.  Each result is its (dim, degree, context, render), or the type
-  and message of the exception.  It runs last.
+  and message of the exception.  It runs after the groups above;
+* ``solve``: for every bundled case, every enumeration and every
+  k = 0..dim m, the rendered ``invariant_forms`` basis, the rendered
+  ``closed_forms`` basis, its ``rank`` and its ``generic`` form.  It runs
+  last.
 
 Exits 1 when any group differs.
 """
@@ -81,6 +85,7 @@ from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
+from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import HomogeneousSpaceData, jacobi_check
 from g2forms.scalars import PolyScalar
 PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
@@ -132,7 +137,7 @@ def case_form(rng, data, k, symbolic):
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
     "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
-    "parse": [],
+    "parse": [], "solve": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -292,6 +297,17 @@ malformed = [
 for text, n, degree in malformed:
     for symbols in ((), ("a", "b"), ("1x",), ("a", "a"), ("a", "")):
         out["parse"].append([text, n, degree, list(symbols), parsed(text, n, degree, symbols)])
+for case_id in bundled_ids():
+    record = load_bundled(case_id)
+    for assignment in record.enumerations:
+        data = record.homog_num(assignment)
+        for k in range(data.dim_m + 1):
+            family = closed_forms(data, k)
+            out["solve"].append([
+                case_id, sorted((name, str(v)) for name, v in assignment.items()), k,
+                [g.render() for g in invariant_forms(data, k).basis],
+                [g.render() for g in family.basis], family.rank, family.generic.render(),
+            ])
 print(json.dumps(out))
 '''
 
