@@ -13,17 +13,18 @@ it is) and runs Gauss-Jordan fraction-free, keeping rows primitive by their
 gcd.  :func:`rref` divides by the pivots once at the end; :func:`nullspace`
 builds each kernel vector as ints from the primitive rows and echelonizes
 those, with no Fraction in between.  The reduced row echelon form is
-unique, so :func:`rank`, :func:`nullspace`, :func:`row_space`,
-:func:`solve_many` and :func:`inverse` give the same Fractions as
-elimination over Q.
+unique, so :func:`rank`, :func:`nullspace`, :func:`row_space` and
+:func:`solve_many` give the same Fractions as elimination over Q.
 :func:`matmul` scales ``b`` (in ``closed_forms``, the invariant basis) to
 integers once and builds one Fraction per output entry from the nonzero
-entries alone.  :func:`det` and :func:`leading_principal_minors` run Bareiss
-elimination on the row-scaled integers, where every division is exact; one
-pass without row exchanges gives the whole minor chain.
-
-:func:`congruence_diagonalize` stays on Fractions: its witness vectors are
-printed certificates, and any change to its steps would change them.
+entries alone.  :func:`det`, :func:`leading_principal_minors` and
+:func:`inverse` share one Bareiss pass on D*mat (D the lcm of the
+denominators), where every division is exact; one pass without row
+exchanges gives the whole minor chain.  :func:`inverse` and the Hodge dual
+run its Gauss-Jordan form on [D*mat | I].
+:func:`congruence_diagonalize` keeps the pivot sequence of elimination
+over Q (its witnesses are printed certificates) on ints: each witness is
+ints over its own denominator, beside its row of T^t (D*S) T.
 """
 
 from __future__ import annotations
@@ -178,51 +179,61 @@ def det(mat: Matrix) -> Fraction:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    sign, pivots = _bareiss(mat, exchange=True)
-    return sign * pivots[-1] if pivots else Fraction(1)
+    den, sign, pivots, _ = _bareiss(mat, exchange=True)
+    return Fraction(sign * pivots[-1], den**n) if pivots else Fraction(1)
 
 
 def leading_principal_minors(mat: Matrix) -> list[Fraction]:
     """The pivots of one pass without row exchanges, then from a zero pivot
     on each later minor by its own :func:`det`."""
-    _, minors = _bareiss(mat, exchange=False)
+    den, _, pivots, _ = _bareiss(mat, exchange=False)
+    minors = [Fraction(p, den**k) for k, p in enumerate(pivots, 1)]
     later = range(len(minors), len(mat))
     return minors + [det([row[: k + 1] for row in mat[: k + 1]]) for k in later]
 
 
-def _bareiss(mat: Matrix, exchange: bool) -> tuple[int, list[Fraction]]:
-    """Bareiss elimination on the row-scaled integers: (row exchange sign, pivots).
+def _augmented(mat: Matrix, with_identity: bool) -> tuple[int, list[list[int]]]:
+    """(D, the rows of [D*mat | I], or of D*mat alone), D the lcm of mat's denominators."""
+    den, n = lcm(*(x.denominator for row in mat for x in row)), len(mat)
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 + [int(i == j) for j in range(n) if with_identity] for i, row in enumerate(mat)]
 
-    The k-th pivot is the leading k x k minor of the rows as exchanged, so
-    each division by the previous pivot is exact (Sylvester's identity).
-    The pass stops at a zero pivot.
+
+def _bareiss(mat: Matrix, exchange: bool, jordan: bool = False) -> tuple:
+    """Bareiss elimination on D*mat: (D, row exchange sign, pivots, rows).
+
+    The k-th pivot is the leading k x k minor of D*mat, rows as exchanged
+    (only at a zero pivot), so each division by the previous one is exact
+    (Sylvester's identity).  The pass stops at a zero pivot.  With ``jordan``
+    it runs on [D*mat | I] and updates the rows above the pivot too: after
+    a full pass the rows are adj, with mat^{-1} = D*adj / pivots[-1].
     """
-    rows = [_integer_row(row) for row in mat]
-    sign, prev, scale, pivots = 1, 1, 1, []
-    for c in range(len(rows)):
-        r = next((i for i in range(c, len(rows)) if rows[i][0][c]), c) if exchange else c
+    n, (den, m) = len(mat), _augmented(mat, jordan)
+    sign, prev, pivots = 1, 1, []
+    for c in range(n):  # each row holds columns c.. of the working matrix
+        r = next((r for r in range(c, n) if m[r][0]), c) if exchange else c
         if r != c:
-            rows[c], rows[r], sign = rows[r], rows[c], -sign
-        top, den = rows[c]
-        p = top[c]
-        scale *= den
-        pivots.append(Fraction(p, scale))
+            m[c], m[r], sign = m[r], m[c], -sign
+        p, *top = m[c]
+        pivots.append(p)
         if not p:
             break
-        for i, (row, d) in enumerate(rows[c + 1 :], start=c + 1):
-            new = [(p * x - row[c] * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
-            rows[i] = row[: c + 1] + new, d
+        m[c] = top
+        for i in range(0 if jordan else c + 1, n):
+            if i != c:
+                f, *row = m[i]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return sign, pivots
+    return den, sign, pivots, m
 
 
 def inverse(mat: Matrix) -> Matrix:
-    n = len(mat)
-    aug = [list(row) + list(idrow) for row, idrow in zip(mat, identity(n))]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("inverse of a non-square matrix")
+    den, _, pivots, adj = _bareiss(mat, exchange=True, jordan=True)
+    if pivots and not pivots[-1]:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced[:n]]
+    return [[Fraction(den * x, pivots[-1]) for x in row] for row in adj]
 
 
 def congruence_diagonalize(sym: Matrix) -> list[tuple[Fraction, list[Fraction]]]:
@@ -230,38 +241,40 @@ def congruence_diagonalize(sym: Matrix) -> list[tuple[Fraction, list[Fraction]]]
 
     Returns pairs ``(d_i, v_i)`` where the v_i are the columns of T, so that
     S(v_i, v_i) = d_i and S(v_i, v_j) = 0 for i != j.  The signs of the d_i
-    give the inertia of S; each v_i is an exact witness.
+    give the inertia of S; each v_i is an exact witness.  Row j of ``w`` is
+    [row j of T^t (D0*S) T | t_j] on ints, v_j = t_j / dens[j].
     """
-    n = len(sym)
-    s = [list(row) for row in sym]
-    t = identity(n)  # columns of t are the witness vectors
+    n, (d0, w) = len(sym), _augmented(sym, with_identity=True)
+    dens = [1] * n
 
-    def add_col(dst: int, src: int, factor: Fraction) -> None:
-        for i in range(n):
-            s[i][dst] += factor * s[i][src]
-        for i in range(n):
-            s[dst][i] += factor * s[src][i]
-        for i in range(n):
-            t[i][dst] += factor * t[i][src]
-
-    def swap_col(a: int, b: int) -> None:
-        for i in range(n):
-            s[i][a], s[i][b] = s[i][b], s[i][a]
-        s[a], s[b] = s[b], s[a]
-        for i in range(n):
-            t[i][a], t[i][b] = t[i][b], t[i][a]
+    def combine(j: int, a: int, k: int, b: int, den: int) -> None:
+        """v_j <- (a t_j + b t_k) / den, reduced by the gcd of t_j and den."""
+        for row in w:
+            row[j] = a * row[j] + b * row[k]
+        w[j] = [a * x + b * y for x, y in zip(w[j], w[k])]
+        g = gcd(den, *w[j][n:])
+        dens[j] = den // g
+        if g > 1:
+            w[j] = [x // g for x in w[j]]
+            for row in w:
+                row[j] //= g
 
     for k in range(n):
-        if not s[k][k]:
-            j = next((j for j in range(k + 1, n) if s[j][j]), None)
+        if not w[k][k]:
+            j = next((j for j in range(k + 1, n) if w[j][j]), None)
             if j is not None:
-                swap_col(k, j)
+                for row in w:
+                    row[k], row[j] = row[j], row[k]
+                w[k], w[j], dens[k], dens[j] = w[j], w[k], dens[j], dens[k]
             else:
-                j = next((j for j in range(k + 1, n) if s[k][j]), None)
+                j = next((j for j in range(k + 1, n) if w[k][j]), None)
                 if j is None:
                     continue  # row/column already zero: d_k = 0
-                add_col(k, j, Fraction(1))  # s[k][k] becomes 2*s[k][j] != 0
+                den = lcm(dens[k], dens[j])  # v_k += v_j: w[k][k] becomes nonzero
+                combine(k, den // dens[k], j, den // dens[j], den)
+        p = w[k][k]
         for j in range(k + 1, n):
-            if s[k][j]:
-                add_col(j, k, -s[k][j] / s[k][k])
-    return [(s[i][i], [t[r][i] for r in range(n)]) for i in range(n)]
+            if q := w[k][j]:
+                combine(j, p, k, -q, p * dens[j])
+    return [(Fraction(w[i][i], d0 * dens[i] ** 2), [Fraction(x, dens[i]) for x in w[i][n:]])
+            for i in range(n)]

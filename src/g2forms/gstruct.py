@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import gcd
 from operator import add
 
 from g2forms import _linalg
@@ -266,22 +267,30 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     Raising the k indices with Q^{-1} and contracting with the Levi-Civita
     symbol yields sqrt(det Q)^{-1} times the true dual; since the constant
     is positive, d(result) = 0 iff d(*alpha) = 0, which is all any caller
-    needs.  ``q`` is Q as rows of Fractions and must be positive definite.
+    needs.  ``q`` is Q as rows of Fractions and must be symmetric positive
+    definite.  With Q^{-1} = D*adj/det, the pullback is (D/det)^k times one along adj.
     """
-    n = len(q)
+    n, k = len(q), alpha.degree
     if alpha.dim != n:
         raise ValueError("form dimension does not match the metric")
-    minors = _linalg.leading_principal_minors(q)
-    if not all(m > 0 for m in minors):
+    if any(len(row) != n for row in q):
+        raise ValueError("metric representative is not a square matrix")
+    if any(q[i][j] != q[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("metric representative is not symmetric")
+    den, _, pivots, adj = _linalg._bareiss(q, exchange=False, jordan=True)
+    if not all(p > 0 for p in pivots):  # the leading minors of D*Q (Sylvester)
         raise ValueError("metric representative is not positive definite")
-    raised = pullback(alpha, _linalg.inverse(q))
+    det = pivots[-1]
+    g = gcd(det, *(x for row in adj for x in row))
+    raised = pullback(alpha, [[x // g for x in row] for row in adj])
+    scale = den**k
     sums: dict[tuple, dict] = {}
     for expo, layer in raised.layers.items():
         acc = sums[expo] = {}
         for upper, v in layer.items():
             complement = tuple(i for i in range(1, n + 1) if i not in upper)
-            acc[complement] = merge_sign(upper, complement)[1] * v
-    return AltForm._trusted(n, n - alpha.degree, alpha.symbols, raised.den, sums)
+            acc[complement] = merge_sign(upper, complement)[1] * v * scale
+    return AltForm._trusted(n, n - k, alpha.symbols, raised.den * (det // g) ** k, sums)
 
 
 @dataclass

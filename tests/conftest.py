@@ -11,7 +11,6 @@ from math import lcm
 from operator import add
 from pathlib import Path
 
-from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
     contract,
@@ -231,20 +230,118 @@ def wedge_b_matrix(phi: AltForm) -> list:
 
 def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:
     """The Hodge dual up to scale with one k x k determinant of Q^{-1} per
-    (upper, lower) pair: an oracle for :func:`g2forms.gstruct.hodge_dual_up_to_scale`."""
+    (upper, lower) pair: an oracle for :func:`g2forms.gstruct.hodge_dual_up_to_scale`.
+    Q^{-1} and the minors come from :func:`fraction_inverse` and
+    :func:`fraction_det`, so no engine elimination is involved."""
     n, k = len(q), alpha.degree
-    qinv = _linalg.inverse(q)
+    qinv = fraction_inverse(q)
     coeffs = {}
     for upper in monomials(n, k):
         raised = PolyScalar.zero(alpha.symbols)
         for lower, coeff in alpha.coeffs.items():
-            d = _linalg.det([[qinv[i - 1][l - 1] for l in lower] for i in upper])
+            d = fraction_det([[qinv[i - 1][l - 1] for l in lower] for i in upper])
             if d:
                 raised = raised + coeff.scale(d)
         complement = tuple(i for i in range(1, n + 1) if i not in upper)
         _, sign = merge_sign(upper, complement)
         coeffs[complement] = raised if sign == 1 else -raised
     return AltForm(n, n - k, alpha.symbols, coeffs)
+
+
+def fraction_inverse(mat: list) -> list:
+    """The inverse by Gauss-Jordan over Fractions on [mat | I], with the first
+    nonzero entry at or below the diagonal as pivot."""
+    n = len(mat)
+    m = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if m[r][c])  # StopIteration when singular
+        m[c], m[r] = m[r], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+def fraction_det(mat: list) -> Fraction:
+    """The determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    n, result = len(m), Fraction(1)
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            m[c], m[r], result = m[r], m[c], -result
+        result *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return result
+
+
+def congruence_by_fractions(sym: list) -> list:
+    """Diagonalize a symmetric matrix by congruence over Fractions: the pairs
+    (S(v_i, v_i), v_i) for the columns v_i of T with T^t S T diagonal, by the
+    engine's pivot sequence (a diagonal swap, then v_k += v_j on a zero
+    diagonal, then elimination).  An oracle for
+    :func:`g2forms._linalg.congruence_diagonalize`, which runs on integers."""
+    n = len(sym)
+    s = [[Fraction(x) for x in row] for row in sym]
+    t = [[Fraction(i == j) for j in range(n)] for i in range(n)]  # columns: witnesses
+
+    def add_col(dst: int, src: int, factor: Fraction) -> None:
+        for i in range(n):
+            s[i][dst] += factor * s[i][src]
+        for i in range(n):
+            s[dst][i] += factor * s[src][i]
+        for i in range(n):
+            t[i][dst] += factor * t[i][src]
+
+    def swap_col(a: int, b: int) -> None:
+        for i in range(n):
+            s[i][a], s[i][b] = s[i][b], s[i][a]
+        s[a], s[b] = s[b], s[a]
+        for i in range(n):
+            t[i][a], t[i][b] = t[i][b], t[i][a]
+
+    for k in range(n):
+        if not s[k][k]:
+            j = next((j for j in range(k + 1, n) if s[j][j]), None)
+            if j is not None:
+                swap_col(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if s[k][j]), None)
+                if j is None:
+                    continue  # row/column already zero: d_k = 0
+                add_col(k, j, Fraction(1))  # s[k][k] becomes 2*s[k][j] != 0
+        for j in range(k + 1, n):
+            if s[k][j]:
+                add_col(j, k, -s[k][j] / s[k][k])
+    return [(s[i][i], [t[r][i] for r in range(n)]) for i in range(n)]
+
+
+def random_symmetric(rng: random.Random, n: int, kind: str) -> list:
+    """A seeded symmetric n x n Fraction matrix of one kind: "dense",
+    "sparse", "zero-diagonal" (forces the v_k += v_j step of congruence
+    diagonalization), "zero-row" (one row and column zero) or "low-rank"
+    (a x a^t - b x b^t, rank at most 2)."""
+    if kind == "low-rank":
+        a, b = ([random_rational(rng) for _ in range(n)] for _ in range(2))
+        return [[a[i] * a[j] - b[i] * b[j] for j in range(n)] for i in range(n)]
+    density = 0.3 if kind == "sparse" else 0.8
+    upper = [[random_rational(rng) if rng.random() < density else Fraction(0)
+              for _ in range(n)] for _ in range(n)]
+    s = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == "zero-diagonal":
+        for i in range(n):
+            s[i][i] = Fraction(0)
+    if kind == "zero-row":
+        z = rng.randrange(n)
+        for i in range(n):
+            s[z][i] = s[i][z] = Fraction(0)
+    return s
 
 
 def evaluate_by_permutations(alpha: AltForm, vectors) -> PolyScalar:

@@ -442,6 +442,30 @@ def test_hodge_dual_rejects_indefinite_metric():
         hodge_dual_up_to_scale(bad, parse_form("e^{1 2 3}", 7))
 
 
+def test_hodge_dual_rejects_a_metric_that_is_not_a_metric():
+    alpha = parse_form("e^{1 2 3}", 7)
+    # 1 on the diagonal and the superdiagonal: every leading minor is 1, but Q^t != Q
+    upper = [[Fraction(j in (i, i + 1)) for j in range(7)] for i in range(7)]
+    assert _linalg.leading_principal_minors(upper) == [1] * 7
+    with pytest.raises(ValueError, match="not symmetric"):
+        hodge_dual_up_to_scale(upper, alpha)
+    for ragged in (identity_metric()[:6] + [[Fraction(1)] * 6],
+                   identity_metric()[:6] + [[Fraction(0)] * 6 + [Fraction(1)] * 2]):
+        with pytest.raises(ValueError, match="not a square matrix"):
+            hodge_dual_up_to_scale(ragged, alpha)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # singular
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],  # a zero leading minor: the pass exchanges rows
+    [[1, 0, 0], [0, -1, 0], [0, 0, 1]],  # indefinite
+])
+def test_hodge_dual_rejects_singular_and_indefinite_metrics(rows):
+    q = [[Fraction(x) for x in row] for row in rows]
+    with pytest.raises(ValueError, match="metric representative is not positive definite"):
+        hodge_dual_up_to_scale(q, parse_form("e^{1}", 3))
+
+
 def test_torsion_report_on_flat_model():
     report = g2_torsion_report(abelian(), phi0())
     assert report.definite and report.closed and report.coclosed

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from conftest import congruence_by_fractions, fraction_det, fraction_inverse, random_symmetric
 
 from g2forms import _linalg
 
@@ -67,6 +68,46 @@ def test_congruence_diagonalize_gives_exact_witnesses():
     for d, v in diag:
         quad = sum(v[i] * s[i][j] * v[j] for i in range(2) for j in range(2))
         assert quad == d
+
+
+@pytest.mark.parametrize("mat", [[[1, 0, 0], [0, 1, 0]], [[1, 2], [3]]])
+def test_inverse_rejects_non_square_input(mat):
+    with pytest.raises(ValueError, match="non-square"):
+        _linalg.inverse(mat)
+
+
+def test_inverse_exchanges_rows_only_at_a_zero_pivot():
+    rng = random.Random(23)
+    for n in range(1, 8):
+        for _ in range(20):
+            mat = [[F(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.6 else F(0)
+                    for _ in range(n)] for _ in range(n)]
+            mat[0][0] = F(0)  # a zero leading minor: the first step exchanges rows
+            if fraction_det(mat) == 0:
+                with pytest.raises(ValueError, match="singular"):
+                    _linalg.inverse(mat)
+            else:
+                inverse = _linalg.inverse(mat)
+                assert inverse == fraction_inverse(mat)
+                assert _all_fractions(inverse)
+
+
+KINDS = ("dense", "sparse", "zero-diagonal", "zero-row", "low-rank")
+
+
+def test_congruence_diagonalize_matches_the_fraction_oracle():
+    rng = random.Random(2023)
+    for n in range(1, 8):
+        for kind in KINDS:
+            for _ in range(12):
+                s = random_symmetric(rng, n, kind)
+                diag = _linalg.congruence_diagonalize(s)
+                assert diag == congruence_by_fractions(s)
+                assert all(type(d) is F for d, _ in diag) and _all_fractions(v for _, v in diag)
+                for i, (d, v) in enumerate(diag):  # T^t S T is diagonal, with entries d_i
+                    for j, (_, w) in enumerate(diag[i:], start=i):
+                        value = sum(v[a] * s[a][b] * w[b] for a in range(n) for b in range(n))
+                        assert value == (d if i == j else 0)
 
 
 def test_span_helpers():

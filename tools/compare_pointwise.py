@@ -65,7 +65,15 @@ results are rendered to strings and compared exactly:
 * ``solve``: for every bundled case, every enumeration and every
   k = 0..dim m, the rendered ``invariant_forms`` basis, the rendered
   ``closed_forms`` basis, its ``rank`` and its ``generic`` form.  It runs
-  last.
+  after the groups above;
+* ``congruence``: the rendered pairs (d_i, v_i) of ``congruence_diagonalize``
+  for 700 seeded symmetric rational matrices of size 1..7: dense, sparse,
+  with a zero diagonal (which forces the v_k += v_j step), with a zero row
+  and column, and of rank at most 2.  It runs after the groups above;
+* ``inverse``: ``inverse`` of 400 seeded rational matrices of size 2..7
+  with a zero leading entry, so that the first step exchanges rows; every
+  fourth one is singular, and gives the type and message of its error.
+  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -137,7 +145,7 @@ def case_form(rng, data, k, symbolic):
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
     "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
-    "parse": [], "solve": [],
+    "parse": [], "solve": [], "congruence": [], "inverse": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -308,6 +316,35 @@ for case_id in bundled_ids():
                 [g.render() for g in invariant_forms(data, k).basis],
                 [g.render() for g in family.basis], family.rank, family.generic.render(),
             ])
+
+def symmetric(rng, n, kind):
+    if kind == "low-rank":  # a a^t - b b^t
+        a, b = ([rational(rng) for _ in range(n)] for _ in range(2))
+        return [[a[i] * a[j] - b[i] * b[j] for j in range(n)] for i in range(n)]
+    density = 0.3 if kind == "sparse" else 0.8
+    u = [[rational(rng) if rng.random() < density else F(0) for _ in range(n)] for _ in range(n)]
+    s = [[u[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if kind == "zero-diagonal":
+            s[i][i] = F(0)
+        if kind == "zero-row":
+            s[0][i] = s[i][0] = F(0)
+    return s
+
+KINDS = ["dense", "sparse", "zero-diagonal", "zero-row", "low-rank"]
+for t in range(700):
+    diag = _linalg.congruence_diagonalize(symmetric(rng, t % 7 + 1, KINDS[t % 5]))
+    out["congruence"].append([[str(d), [str(x) for x in v]] for d, v in diag])
+for t in range(400):
+    n = rng.randint(2, 7)
+    m = [[rational(rng) if rng.random() < 0.6 else F(0) for _ in range(n)] for _ in range(n)]
+    m[0][0] = F(0)  # a zero leading minor: the first step exchanges rows
+    if t % 4 == 3:  # singular: the last row is a multiple of the first, or zero
+        m[-1] = [x * (t % 3) for x in m[0]]
+    try:
+        out["inverse"].append(strs(_linalg.inverse(m)))
+    except Exception as exc:
+        out["inverse"].append([type(exc).__name__, str(exc)])
 print(json.dumps(out))
 '''
 
