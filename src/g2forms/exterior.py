@@ -344,7 +344,7 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
     ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
-    rationals, scaled to integers by the lcm D of their denominators.
+    ints or Fractions, scaled to integers by the lcm D of their denominators.
     P*(e^{i_1 ... i_k}) = P*e^{i_1} ^ ... ^ P*e^{i_k} with
     P*e^i = sum_c P[i][c] e^c, so each of k rounds, run once per layer of
     alpha's layers, places one covector: the first index i still to place
@@ -354,10 +354,12 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     n, degree = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
-    values = [[Fraction(x) for x in row] for row in matrix]
-    den = lcm(*(x.denominator for row in values for x in row))
+    try:
+        den = lcm(*(x.denominator for row in matrix for x in row))
+    except AttributeError:  # a float, a string: not an exact rational
+        raise TypeError("pullback matrix entries must be ints or Fractions") from None
     rows = [[((c,), x.numerator * (den // x.denominator)) for c, x in enumerate(row, 1) if x]
-            for row in values]
+            for row in matrix]
     sums = {}  # exponents -> {columns placed: int}
     for expo, layer in alpha.layers.items():
         placed = {((), rest): v for rest, v in layer.items()}  # (columns placed, left) -> int

@@ -41,7 +41,6 @@ class PartialDataError(ValueError):
 class InvariantFormSpace:
     """Echelonized rational basis of the ad(h)-invariant k-forms on m."""
 
-    data: HomogeneousSpaceData
     degree: int
     basis: list  # list[AltForm]
 
@@ -56,8 +55,8 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
     Requires a rational (fully instantiated) isotropy action.  The basis is
     returned in reduced echelon form over the lexicographic monomial order,
     so equal invariant subspaces always produce identical bases.  The space
-    is solved once per data and degree and shared (see
-    :meth:`HomogeneousSpaceData.cached`): do not mutate it.
+    is solved once per isotropy action and degree, and shared by every data
+    of equal isotropy (:meth:`HomogeneousSpaceData.instantiate`): do not mutate it.
     """
 
     def build():
@@ -67,9 +66,9 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
         n = data.dim_m
         kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(n, degree))
         basis = [vector_to_form(vec, n, degree, data.symbols) for vec in kernel]
-        return InvariantFormSpace(data, degree, basis)
+        return InvariantFormSpace(degree, basis)
 
-    return data.cached(("invariant_forms", degree), build)
+    return data.cached(("invariant_forms", degree), build, isotropy=True)
 
 
 def ce_differential(data: HomogeneousSpaceData, alpha: AltForm) -> AltForm:

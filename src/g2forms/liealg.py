@@ -8,7 +8,7 @@ Chevalley-Eilenberg d, and :func:`jacobi_check` is d o d = 0 on the
 covectors of g through that operator.  Both tables are sparse and hold
 only nonzero scalars (formats in the class docstring), so the operators
 are built from them as stored.  :func:`from_matrices` derives the
-structure constants of an explicit matrix basis by exact linear solves;
+structure constants of an explicit matrix basis by one exact n x n solve;
 complex matrices are accepted as (re, im) pairs and realified, which keeps
 every computation in Q while preserving all brackets.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
@@ -102,47 +102,58 @@ class MatrixBasis:
         return len(self.matrices)
 
 
-def _commutator(a, b) -> list[int]:
-    """ab - ba of integer matrices, flattened row by row."""
-    cols = list(zip(zip(*a), zip(*b)))
-    return [sum(map(mul, x, q)) - sum(map(mul, y, p)) for x, y in zip(a, b) for p, q in cols]
-
-
 def from_matrices(
     basis: MatrixBasis, names: Sequence[str] | None = None, symbols: Iterable[str] = ()
 ) -> HomogeneousSpaceData:
     """The span of a matrix basis as a Lie algebra (no isotropy), by exact solve.
 
-    On M_i = L * B_i, L the lcm of all denominators, [B_i, B_j] = sum_r c_r B_r
-    reads [M_i, M_j] = sum_r (L c_r) M_r: one integer system, divided by L.
-    The constants live in the context ``symbols``.  Raises
-    :class:`LieStructureError` when the matrices are linearly dependent or
-    some commutator leaves the span (with the offending pair).
+    On M_i = L * B_i, L the lcm of all denominators, [B_i, B_j] = sum_r c_r B_r reads
+    [M_i, M_j] = sum_r (L c_r) M_r, block j of M_i [M_1 | ... | M_n] minus block i of
+    M_j [M_1 | ... | M_n].  All pairs are solved on n pivot entries of the span at
+    once, then checked on every entry on ints.  The constants live in the context
+    ``symbols``.  Raises :class:`LieStructureError` when the matrices are linearly
+    dependent or a commutator leaves the span (with the first such pair).
     """
     symbols = check_context(symbols)
-    n = len(basis)
+    n, d = len(basis), basis.size
     if n == 1:
         # a one-dimensional algebra is abelian by antisymmetry, whatever the
         # matrix (including the zero matrix, whose span is degenerate)
         return HomogeneousSpaceData(1, [], {}, names, symbols)
-    den = lcm(*(x.denominator for m in basis.matrices for row in m for x in row))
-    ints = [[[x.numerator * (den // x.denominator) for x in row] for row in m]
-            for m in basis.matrices]
-    span_matrix = _linalg.transpose([[x for row in m for x in row] for m in ints])
-    if _linalg.rank(span_matrix) != n:
+    den, flat = _linalg._augmented([[x for row in m for x in row] for m in basis.matrices], False)
+    pivots = _linalg._echelon(flat, d * d)[1]
+    if len(pivots) < n:
         raise LieStructureError("matrix basis is linearly dependent")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    rhs_cols = _linalg.transpose([_commutator(ints[i - 1], ints[j - 1]) for i, j in pairs])
-    solutions = _linalg.solve_many(span_matrix, rhs_cols)
+    cut = range(0, d * d, d)
+    wide = [[x for f in flat for x in f[k:k + d]] for k in cut]  # rows of [M_1 | ... | M_n]
+    products = [[] for _ in flat]  # M_i [M_1 | ... | M_n], rows concatenated
+    for f, out in zip(flat, products):
+        for r in cut:  # the rows of [M_1 | ... | M_n] at the nonzeros of row r of M_i
+            acc = [0] * (n * d)
+            for a, w in zip(f[r:r + d], wide):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, w)]
+            out += acc
+    block = [itemgetter(*[r * n + j * d + c for r in cut for c in range(d)]) for j in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    commutators = [list(map(sub, block[j](products[i]), block[i](products[j]))) for i, j in pairs]
+    solutions = _linalg.solve_many([[f[p] for f in flat] for p in pivots],
+                                   [[c[p] for c in commutators] for p in pivots])
+    support = [[(e, x) for e, x in enumerate(f) if x] for f in flat]
     zero = (0,) * len(symbols)
     constants: dict[tuple, dict] = {}
-    for (i, j), sol in zip(pairs, solutions):
-        if sol is None:
-            raise LieStructureError(
-                f"commutator [e{i}, e{j}] does not lie in the span of the basis"
-            )
-        constants[(i, j)] = {r: PolyScalar._trusted(symbols, {zero: x / den})
-                             for r, x in enumerate(sol, 1) if x}
+    for (i, j), comm, sol in zip(pairs, commutators, solutions):
+        s = lcm(*(x.denominator for x in sol))
+        residual = [s * x for x in comm]  # s [M_i, M_j] - sum_r (s x_r) M_r
+        for x, entries in zip(sol, support):
+            c = x.numerator * (s // x.denominator)
+            for e, y in entries if c else ():
+                residual[e] -= c * y
+        if any(residual):
+            raise LieStructureError(f"commutator [e{i + 1}, e{j + 1}] does not lie in the span"
+                                    " of the basis")
+        constants[(i + 1, j + 1)] = {r: PolyScalar._trusted(symbols, {zero: x / den})
+                                     for r, x in enumerate(sol, 1) if x}
     return HomogeneousSpaceData(n, [], constants, names, symbols)
 
 
@@ -251,12 +262,15 @@ class HomogeneousSpaceData:
         self.bracket = {pair: comps for pair, comps in table.items() if comps}
         self.partial = partial
         self._memo: dict = {}
+        self._isotropy_memo = self._memo
 
-    def cached(self, key, build):
-        """``build()``, computed on the first call with this key and then shared."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+    def cached(self, key, build, isotropy: bool = False):
+        """``build()``, computed once per key and shared; with ``isotropy`` (it reads only
+        the isotropy tables, dim_m and context) also by the siblings of :meth:`instantiate`."""
+        memo = self._isotropy_memo if isotropy else self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def bracket_of(self, i: int, j: int) -> dict:
         """Nonzero components ``{r: c}`` of [e_i, e_j]_m for any 1-based i, j."""
@@ -276,7 +290,7 @@ class HomogeneousSpaceData:
                 image.setdefault(r, []).append(((c,), -a))
             return ExteriorOp(self.dim_m, degree, 0, self.symbols, image)
 
-        return self.cached(("derivations", degree), lambda: tuple(map(build, self.isotropy)))
+        return self.cached(("derivations", degree), lambda: tuple(map(build, self.isotropy)), True)
 
     def differential(self, degree: int) -> ExteriorOp:
         """The coset differential on degree-forms, from the projected bracket:
@@ -308,13 +322,18 @@ class HomogeneousSpaceData:
         )
 
     def instantiate(self, assignment: Mapping[str, Fraction]) -> "HomogeneousSpaceData":
-        """Substitute parameter values throughout (reduced context); ``{}`` gives ``self``."""
+        """Substitute parameter values throughout (reduced context); ``{}`` gives ``self``.
+        Siblings with equal isotropy tables and context share derivations and invariant spaces."""
         if not assignment:
             return self
         symbols = tuple(s for s in self.symbols if s not in assignment)
-        return self.cached(("instantiate", tuple(sorted(assignment.items()))), lambda: (
-            self._map(symbols, lambda x: x.substitute(assignment))
-        ))
+        def build():
+            child = self._map(symbols, lambda x: x.substitute(assignment))
+            tables = str([sorted((k, a.render()) for k, a in m.items()) for m in child.isotropy])
+            child._isotropy_memo = self.cached(("isotropy", symbols, tables), dict)
+            return child
+
+        return self.cached(("instantiate", tuple(sorted(assignment.items()))), build)
 
     def with_symbols(self, symbols: Iterable[str]) -> "HomogeneousSpaceData":
         symbols = tuple(symbols)

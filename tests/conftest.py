@@ -7,7 +7,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from pathlib import Path
 
@@ -454,6 +454,67 @@ def dense_jacobi_violations(algebra) -> list:
         if any(not t.is_zero() for t in sums):
             violations.append((i, j, k, tuple(t.render() for t in sums)))
     return violations
+
+
+def from_matrices_by_span_solve(basis, names=None, symbols=()):
+    """The Lie algebra of a matrix basis by the full-span solve: on M_r = L B_r
+    (L the lcm of the denominators), every commutator [M_i, M_j] by integer
+    matrix products, and a fraction-free Gauss-Jordan elimination of the
+    integer rows of [span | commutators], the span's d^2 x n columns the
+    flattened M_r (of the span alone first, for its rank); then c_r = x_r / L.
+    Raises the same LieStructureError
+    messages as :func:`g2forms.liealg.from_matrices`: a dependent basis first,
+    then the first pair (i, j) whose commutator leaves the span.  An oracle
+    for that function, which solves on n pivot entries and checks the rest."""
+    from g2forms.liealg import HomogeneousSpaceData, LieStructureError
+
+    n = len(basis)
+    if n == 1:
+        return HomogeneousSpaceData(1, [], {}, names, symbols)
+    den = lcm(*(x.denominator for m in basis.matrices for row in m for x in row))
+    mats = [[[int(x * den) for x in row] for row in m] for m in basis.matrices]
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    def eliminate(rows):
+        """Gauss-Jordan on the first n columns, the pivot of column c in row c;
+        None when some column has no pivot."""
+        for c in range(n):
+            p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+            if p is None:
+                return None
+            rows[c], rows[p] = rows[p], rows[c]
+            top = rows[c]
+            for r in range(len(rows)):
+                if r != c and rows[r][c]:
+                    row = [top[c] * x - rows[r][c] * y for x, y in zip(rows[r], top)]
+                    g = gcd(*row) or 1
+                    rows[r] = [x // g for x in row]
+        return rows
+
+    flat = [[x for row in m for x in row] for m in mats]
+    span = [list(entry) for entry in zip(*flat)]
+    if eliminate(span) is None:
+        raise LieStructureError("matrix basis is linearly dependent")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    commutators = [
+        [x - y for r1, r2 in zip(times(mats[i], mats[j]), times(mats[j], mats[i]))
+         for x, y in zip(r1, r2)]
+        for i, j in pairs
+    ]
+    aug = eliminate([list(entry) for entry in zip(*flat, *commutators)])
+    constants = {}
+    for k, (i, j) in enumerate(pairs, n):
+        if any(row[k] for row in aug[n:]):
+            raise LieStructureError(
+                f"commutator [e{i + 1}, e{j + 1}] does not lie in the span of the basis"
+            )
+        constants[i + 1, j + 1] = {
+            r: PolyScalar.constant(Fraction(aug[r - 1][k], aug[r - 1][r - 1] * den), symbols)
+            for r in range(1, n + 1) if aug[r - 1][k]
+        }
+    return HomogeneousSpaceData(n, [], constants, names, symbols)
 
 
 def dense_components(comps, n: int) -> list:

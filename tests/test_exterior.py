@@ -325,6 +325,13 @@ def test_pullback_by_identity_and_swap():
     for matrix in (ident[:6], [row[:6] for row in ident], [row[:6] for row in ident[:6]]):
         with pytest.raises(ValueError, match="matrix shape"):
             pullback(phi, matrix)
+    # ints are taken as they are; a float is not an exact rational
+    assert pullback(phi, [[int(x) for x in row] for row in swap]) == swapped
+    for bad in (0.5, "1/2"):
+        inexact = [list(row) for row in ident]
+        inexact[3][5] = bad
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            pullback(phi, inexact)
 
 
 def test_pullback_matches_evaluation_oracle():

@@ -306,3 +306,56 @@ def test_closed_family_is_the_common_kernel_of_the_derivations_and_d():
                 family = closed_forms(data, k)
                 assert family.basis == [vector_to_form(vec, n, k) for vec in kernel]
                 assert family.rank == invariant_forms(data, k).dim - family.dim
+
+
+def test_instantiations_with_equal_isotropy_share_one_invariant_solve():
+    record = load_bundled("T2.n3.generic")
+    datas = [record.homog_num(assignment) for assignment in record.enumerations]
+    assert len(datas) == 4 and len({id(data) for data in datas}) == 4
+    for k in range(record.dim_m + 1):
+        space = invariant_forms(datas[0], k)
+        assert all(invariant_forms(data, k) is space for data in datas), k
+        assert all(data.derivations(k) is datas[0].derivations(k) for data in datas), k
+        # the bracket entries stay per data: the sign pairs change the bracket
+        assert len({id(data.differential(k)) for data in datas}) == 4
+        assert len({id(closed_forms(data, k)) for data in datas}) == 4
+
+
+def test_isotropy_memo_is_keyed_by_context_and_tables():
+    ctx = ("s", "t")
+    s, t = (PolyScalar.symbol(name, ctx) for name in ctx)
+    one = PolyScalar.constant(1, ctx)
+    bracket = {(1, 2): {3: s}, (1, 3): {2: t}}
+    rational = homogeneous_from_partial(3, [{(1, 2): one, (2, 1): -one}], bracket, symbols=ctx)
+    at_s, at_t = rational.instantiate({"s": Fraction(1)}), rational.instantiate({"t": Fraction(1)})
+    for k in range(4):
+        # equal rational tables, but different reduced contexts
+        space_s, space_t = invariant_forms(at_s, k), invariant_forms(at_t, k)
+        assert space_s is not space_t
+        assert all(g.symbols == ("t",) for g in space_s.basis)
+        assert all(g.symbols == ("s",) for g in space_t.basis)
+    varying = homogeneous_from_partial(3, [{(1, 2): t, (2, 1): -t}], bracket, symbols=ctx)
+    zero, unit = ({"s": Fraction(1), "t": Fraction(v)} for v in (0, 1))
+    assert invariant_forms(varying.instantiate(zero), 2) is not invariant_forms(
+        varying.instantiate(unit), 2
+    )
+    assert invariant_forms(varying.instantiate(zero), 2).dim == 3
+    assert invariant_forms(varying.instantiate(unit), 2).dim == 1
+    # the same table at another value of the bracket's s: shared
+    other = varying.instantiate({"s": Fraction(2), "t": Fraction(1)})
+    assert invariant_forms(other, 2) is invariant_forms(varying.instantiate(unit), 2)
+    assert closed_forms(other, 2) is not closed_forms(varying.instantiate(unit), 2)
+
+
+def test_shared_invariant_spaces_equal_a_fresh_solve():
+    for case_id in bundled_ids():
+        record = load_bundled(case_id)
+        for assignment in record.enumerations:
+            data = record.homog_num(assignment)
+            fresh = HomogeneousSpaceData(
+                data.dim_m, data.isotropy, data.bracket, data.names, data.symbols, data.partial
+            )
+            for k in range(data.dim_m + 1):
+                assert invariant_forms(data, k) == invariant_forms(fresh, k), (case_id, k)
+                shared, unshared = closed_forms(data, k), closed_forms(fresh, k)
+                assert (shared.basis, shared.rank) == (unshared.basis, unshared.rank), (case_id, k)

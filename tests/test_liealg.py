@@ -8,9 +8,11 @@ from conftest import (
     dense_components,
     dense_jacobi_violations,
     dense_matrix,
+    from_matrices_by_span_solve,
     random_rational,
     random_unimodular,
 )
+from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.invariants import d_squared_check
 from g2forms.liealg import (
     HomogeneousSpaceData,
@@ -68,6 +70,21 @@ def test_commutator_outside_span_rejected():
     e21 = [[0, 0], [1, 0]]
     with pytest.raises(LieStructureError, match=r"\[e1, e2\]"):
         from_matrices(MatrixBasis([e12, e21]))
+
+
+def test_first_pair_outside_the_span_is_named():
+    # [E13, E12] = 0, but [E13, E21] = -E23 and [E12, E21] = E11 - E22 both
+    # leave the span.  Both vanish on the pivot entries (1,3), (1,2), (2,1),
+    # so only the check on every entry rejects them; the first pair is named.
+    e13, e12, e21 = ([[int((r, c) == rc) for c in range(3)] for r in range(3)]
+                     for rc in ((0, 2), (0, 1), (1, 0)))
+    as_complex = [[[(x, 0) for x in row] for row in m] for m in (e13, e12, e21)]
+    for basis in (MatrixBasis([e13, e12, e21]), MatrixBasis.from_complex(as_complex)):
+        with pytest.raises(LieStructureError) as caught:
+            from_matrices(basis)
+        assert str(caught.value) == "commutator [e1, e3] does not lie in the span of the basis"
+        with pytest.raises(LieStructureError, match=r"^commutator \[e1, e3\] does not"):
+            from_matrices_by_span_solve(basis)
 
 
 def test_realified_su2_keeps_structure_constants():
@@ -374,3 +391,65 @@ def test_jacobi_and_d_squared_hold_for_su31_in_a_dense_rational_basis():
     for degree in (1, 2):
         assert d_squared_check(algebra, degree).ok, degree
     assert_one_perturbed_constant_breaks_jacobi(rng, algebra, "su31")
+
+
+def structure_outcome(build, basis):
+    """The sorted bracket table of ``build(basis)``, or its LieStructureError message."""
+    try:
+        algebra = build(basis)
+    except LieStructureError as exc:
+        return str(exc)
+    return sorted((pair, sorted((r, c.render()) for r, c in comps.items()))
+                  for pair, comps in algebra.bracket.items())
+
+
+def bundled_matrix_bases():
+    """(case id, complex?, matrices) of each bundled matrix-basis case, entries as
+    Fractions or (re, im) pairs of them."""
+    for case_id in bundled_ids():
+        record = load_bundled(case_id)
+        if record.source == "matrix-basis":
+            mats = record.raw["matrices"]
+            cx = any(isinstance(x, list) for m in mats for row in m for x in row)
+            entry = (lambda x: tuple(map(Fraction, x))) if cx else Fraction
+            yield case_id, cx, [[[entry(x) for x in row] for row in m] for m in mats]
+
+
+def combine(p, mats, cx):
+    """f_c = sum_k p[k][c] m_k, on (re, im) pairs when ``cx``."""
+    def entry(c, r, s):
+        if cx:
+            return tuple(sum(p[k][c] * m[r][s][part] for k, m in enumerate(mats)) for part in (0, 1))
+        return sum(p[k][c] * m[r][s] for k, m in enumerate(mats))
+    size = len(mats[0])
+    return [[[entry(c, r, s) for s in range(size)] for r in range(size)] for c in range(len(p[0]))]
+
+
+def test_from_matrices_matches_the_full_span_solve():
+    # each bundled basis, as it is, sheared by a rational P (in its complex
+    # form too), with one matrix made dependent, and cut to a shuffled subset
+    # (mostly not closed): the same brackets or the same error as the oracle
+    rng = random.Random(2024)
+    seen = {"brackets": 0, "dependent": 0, "outside": 0}
+    for case_id, cx, mats in bundled_matrix_bases():
+        n = len(mats)
+        variants = [mats]
+        for shears in (3, 8):
+            scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+            p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears)]
+            variants.append(combine(p, mats, cx))
+        dependent, j = random_unimodular(rng, n, 4), rng.randrange(2, n)
+        for row in dependent:
+            row[j] = row[0] - 2 * row[1]
+        variants.append(combine(dependent, mats, cx))
+        for _ in range(3):
+            k = rng.randint(2, n - 1)
+            variants.append(rng.sample(variants[1], k))
+        for variant in variants:
+            basis = MatrixBasis.from_complex(variant) if cx else MatrixBasis(variant)
+            got = structure_outcome(from_matrices, basis)
+            assert got == structure_outcome(from_matrices_by_span_solve, basis), case_id
+            key = ("brackets" if isinstance(got, list)
+                   else "dependent" if "dependent" in got else "outside")
+            seen[key] += 1
+    assert all(count >= 5 for count in seen.values()), seen

@@ -73,7 +73,14 @@ results are rendered to strings and compared exactly:
 * ``inverse``: ``inverse`` of 400 seeded rational matrices of size 2..7
   with a zero leading entry, so that the first step exchanges rows; every
   fourth one is singular, and gives the type and message of its error.
-  It runs last.
+  It runs after the groups above;
+* ``structure``: the sorted ``from_matrices`` bracket table, or the type and
+  message of its error, for every bundled matrix-basis case: the basis as
+  it is, sheared by seeded rational matrices (with denominators), in
+  complex form (a real case as (x, 0) pairs) sheared the same way, with one
+  matrix a combination of two others (dependent), and cut to shuffled
+  subsets (mostly not closed); then 60 seeded random bases of 2 to 4
+  rational 2 x 2 or 3 x 3 matrices, every third one complex.  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -94,7 +101,9 @@ from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
 from g2forms.invariants import closed_forms, invariant_forms
-from g2forms.liealg import HomogeneousSpaceData, jacobi_check
+from g2forms.liealg import (
+    HomogeneousSpaceData, LieStructureError, MatrixBasis, from_matrices, jacobi_check,
+)
 from g2forms.scalars import PolyScalar
 PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
@@ -145,7 +154,7 @@ def case_form(rng, data, k, symbolic):
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
     "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
-    "parse": [], "solve": [], "congruence": [], "inverse": [],
+    "parse": [], "solve": [], "congruence": [], "inverse": [], "structure": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -345,6 +354,61 @@ for t in range(400):
         out["inverse"].append(strs(_linalg.inverse(m)))
     except Exception as exc:
         out["inverse"].append([type(exc).__name__, str(exc)])
+
+def combine(p, mats, cx):
+    # f_c = sum_k p[k][c] m_k, on (re, im) pairs when cx
+    size = len(mats[0])
+    def entry(c, r, s):
+        if cx:
+            return [sum((p[k][c] * m[r][s][part] for k, m in enumerate(mats)), F(0)) for part in (0, 1)]
+        return sum((p[k][c] * m[r][s] for k, m in enumerate(mats)), F(0))
+    return [[[entry(c, r, s) for s in range(size)] for r in range(size)] for c in range(len(p[0]))]
+
+def shear(rng, n, shears):
+    # a product of integer shears with its columns scaled by nonzero rationals
+    p = [[F(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(shears):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            f = rng.choice([-2, -1, 1, 2])
+            for c in range(n):
+                p[i][c] += f * p[j][c]
+    scale = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+    return [[x * s for x, s in zip(row, scale)] for row in p]
+
+def structure(mats, cx):
+    try:
+        algebra = from_matrices(MatrixBasis.from_complex(mats) if cx else MatrixBasis(mats))
+    except LieStructureError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [[list(pair), [[r, c.render()] for r, c in sorted(comps.items())]]
+            for pair, comps in sorted(algebra.bracket.items())]
+
+for case_id in bundled_ids():
+    record = load_bundled(case_id)
+    if record.source != "matrix-basis":
+        continue
+    mats = [[[[F(y) for y in x] if isinstance(x, list) else F(x) for x in row] for row in m]
+            for m in record.raw["matrices"]]
+    cx = any(isinstance(x, list) for m in mats for row in m for x in row)
+    n = len(mats)
+    as_complex = mats if cx else [[[[x, F(0)] for x in row] for row in m] for m in mats]
+    sheared = combine(shear(rng, n, 10), mats, cx)
+    dependent = shear(rng, n, 4)
+    j = rng.randrange(2, n)
+    for row in dependent:
+        row[j] = row[0] - 2 * row[1]
+    bases = [(mats, cx), (combine(shear(rng, n, 3), mats, cx), cx), (sheared, cx),
+             (combine(shear(rng, n, 6), as_complex, True), True), (combine(dependent, mats, cx), cx)]
+    bases += [(rng.sample(sheared, rng.randint(2, n - 1)), cx) for _ in range(4)]
+    for basis, is_complex in bases:
+        out["structure"].append([case_id, structure(basis, is_complex)])
+for t in range(60):
+    size, cx = rng.choice([2, 3]), t % 3 == 2
+    value = (lambda: [rational(rng), rational(rng)]) if cx else (lambda: rational(rng))
+    mats = [[[value() if rng.random() < 0.5 else (F(0) if not cx else [F(0), F(0)])
+              for _ in range(size)] for _ in range(size)] for _ in range(rng.randint(2, 4))]
+    out["structure"].append(structure(mats, cx))
 print(json.dumps(out))
 '''
 
