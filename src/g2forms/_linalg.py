@@ -53,6 +53,8 @@ def _integer_row(row) -> tuple[list[int], int]:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     ncols = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != ncols for row in b):
+        raise ValueError("matrix product of mismatched shapes")
     b_den = lcm(*(x.denominator for row in b for x in row))
     b_rows = [
         [(j, x.numerator * (b_den // x.denominator)) for j, x in enumerate(row) if x]
@@ -186,6 +188,8 @@ def det(mat: Matrix) -> Fraction:
 def leading_principal_minors(mat: Matrix) -> list[Fraction]:
     """The pivots of one pass without row exchanges, then from a zero pivot
     on each later minor by its own :func:`det`."""
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("leading principal minors of a non-square matrix")
     den, _, pivots, _ = _bareiss(mat, exchange=False)
     minors = [Fraction(p, den**k) for k, p in enumerate(pivots, 1)]
     later = range(len(minors), len(mat))

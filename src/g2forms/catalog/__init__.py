@@ -17,17 +17,16 @@ matched against *all* bundled ids, exploratory included.
 
 from __future__ import annotations
 
-import inspect
 import json
 import time
-from dataclasses import dataclass
 from fnmatch import fnmatch
 from importlib import resources
 from pathlib import Path
 
 from g2forms.catalog._runner import (
     _ARGS, _CHECKS, CaseReport, CheckResult, WrongType, _is_bool, _is_int, _is_ints, _is_list_of,
-    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, schema_checks, schema_entry,
+    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, check_params, schema_checks,
+    schema_entry,
 )
 from g2forms.exterior import AltForm, combination, parse_form
 from g2forms.liealg import (
@@ -293,7 +292,6 @@ comparisons) when computed equals expected; any `mismatch` fails the case.
 """
 
 
-@dataclass
 class CaseRecord:
     """A loaded case: the parsed values of its document and the data built from them.
 
@@ -310,19 +308,15 @@ class CaseRecord:
     the data.  Do not mutate any of them.
     """
 
-    case_id: str
-    description: str
-    source: str
-    dim_m: int
-    context: tuple
-    enumerations: list
-    algebra: HomogeneousSpaceData | None
-    jacobi: JacobiReport | None
-    homog_sym: HomogeneousSpaceData
-    gamma_forms: list
-    generic_form: AltForm
-    checks: list
-    raw: dict
+    def __init__(self, case_id: str, description: str, source: str, dim_m: int, context: tuple,
+                 enumerations: list, algebra: HomogeneousSpaceData | None,
+                 jacobi: JacobiReport | None, homog_sym: HomogeneousSpaceData, gamma_forms: list,
+                 generic_form: AltForm, checks: list, raw: dict):
+        self.case_id, self.description, self.source = case_id, description, source
+        self.dim_m, self.context, self.enumerations = dim_m, context, enumerations
+        self.algebra, self.jacobi, self.homog_sym = algebra, jacobi, homog_sym
+        self.gamma_forms, self.generic_form = gamma_forms, generic_form
+        self.checks, self.raw = checks, raw
 
     def homog_num(self, assignment=None) -> HomogeneousSpaceData:
         """The data instantiated at ``assignment`` (default: the first enumeration)."""
@@ -408,10 +402,13 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         if name not in _CHECKS:
             raise SchemaError(f"expected[{pos}]: unknown check {name!r}")
         check, parse_item, check_doc = _CHECKS[name]
-        try:
-            inspect.signature(check).bind(None, value, **item["args"])
-        except TypeError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+        params, required = check_params(check)
+        given = item["args"]  # rejected as inspect's bind of (record, value, **given) rejects
+        errors = [f"multiple values for argument {a!r}" for a in ("record", "value") if a in given]
+        errors += [f"missing a required argument: {a!r}" for a in required if a not in given]
+        errors += [f"got an unexpected keyword argument {a!r}" for a in given if a not in params]
+        if errors:
+            raise SchemaError(f"{where}: {errors[0]}")
         args = {}
         for arg, x in item["args"].items():
             parse, arg_doc = _ARGS[arg]

@@ -10,9 +10,6 @@ The loader runs these parsers once, so no check parses a string.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import asdict, dataclass, field
-
 from g2forms import _linalg
 from g2forms.exterior import contract, form_to_vector, monomials, parse_form
 from g2forms.gstruct import (
@@ -29,29 +26,29 @@ from g2forms.scalars import PolyScalar, parse_rational
 __all__ = ["CaseReport", "CheckResult"]
 
 
-@dataclass
+# The reports here and in the engine are plain classes, not dataclasses:
+# importing dataclasses imports inspect, which costs every CLI start.
 class CheckResult:
-    check: str
-    args: dict
-    status: str  # match | span-match | mismatch
-    computed: str
-    expected: str
-    cite: str
+    def __init__(self, check: str, args: dict, status: str, computed: str, expected: str,
+                 cite: str):
+        self.check, self.args = check, args
+        self.status = status  # match | span-match | mismatch
+        self.computed, self.expected, self.cite = computed, expected, cite
 
     @property
     def ok(self) -> bool:
         return self.status in ("match", "span-match")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"check": self.check, "args": dict(self.args), "status": self.status,
+                "computed": self.computed, "expected": self.expected, "cite": self.cite}
 
 
-@dataclass
 class CaseReport:
-    case_id: str
-    description: str
-    results: list = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, case_id: str, description: str, results: list | None = None,
+                 seconds: float = 0.0):
+        self.case_id, self.description, self.seconds = case_id, description, seconds
+        self.results = [] if results is None else results
 
     @property
     def ok(self) -> bool:
@@ -448,14 +445,23 @@ def schema_entry(name: str, doc: str, width: int) -> str:
     return head + doc.replace("\n", "\n" + " " * width)
 
 
+def check_params(check) -> tuple:
+    """The keyword parameters of a check and the required ones among them, read
+    from its code: the parameters after (record, value), the last
+    ``len(check.__defaults__)`` of them optional."""
+    code = check.__code__
+    params = code.co_varnames[2:code.co_argcount]
+    return params, params[:len(params) - len(check.__defaults__ or ())]
+
+
 def schema_checks() -> str:
     """The Checks block of the case schema: each check with its args (its
     keyword parameters) and schema lines, then each argument with its type."""
     lines = []
     for name, (check, _, doc) in _CHECKS.items():
-        params = list(inspect.signature(check).parameters.values())[2:]
+        params, required = check_params(check)
         if params:
-            names = [p.name + ("?" if p.default is not p.empty else "") for p in params]
+            names = [p + ("?" if p not in required else "") for p in params]
             doc = f"args {{{', '.join(names)}}}; {doc}"
         lines.append(schema_entry(name, doc, 25))
     lines += ["", "Check arguments", "---------------"]

@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks match (or command succeeded); 1 some expected
 value mismatched; 2 unknown case / unreadable input; 3 engine error.
-All configuration is via flags so invocations are reproducible.
+All configuration is via flags so invocations are reproducible.  Each
+command imports the engine modules it uses, so ``definite`` does not load
+the catalog.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from g2forms import catalog
-from g2forms.catalog._runner import _is_int
 from g2forms.exterior import parse_form
-from g2forms.gstruct import definiteness, su3_check
-from g2forms.invariants import closed_forms, invariant_forms
 
 __all__ = ["main"]
 
@@ -46,9 +44,9 @@ def _parse_form_doc(doc: dict, degree=None):
     context = doc.get("context", [])
     if not isinstance(text, str):
         raise _InputError(f"form must be a string, got {text!r}")
-    if not _is_int(dimension) or dimension < 1:
+    if type(dimension) is not int or dimension < 1:  # JSON ints, not booleans
         raise _InputError(f"dimension must be a positive integer, got {dimension!r}")
-    if degree is not None and (not _is_int(degree) or degree < 0):
+    if degree is not None and (type(degree) is not int or degree < 0):
         raise _InputError(f"degree must be a non-negative integer, got {degree!r}")
     if not isinstance(context, list) or not all(isinstance(s, str) for s in context):
         raise _InputError(f"context must be a list of strings, got {context!r}")
@@ -69,7 +67,9 @@ def _load_form(path: str, dimension: int, degree: int, role: str):
     return form
 
 
-def _load_case_file(path: str) -> catalog.CaseRecord:
+def _load_case_file(path: str):
+    from g2forms import catalog
+
     try:
         return catalog.load_case(path)
     except OSError as exc:
@@ -79,6 +79,8 @@ def _load_case_file(path: str) -> catalog.CaseRecord:
 
 
 def _cmd_verify(args) -> int:
+    from g2forms import catalog
+
     if args.case:
         try:
             reports = [catalog.verify_case(args.case)]
@@ -104,6 +106,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from g2forms.invariants import invariant_forms
+
     record = _load_case_file(args.input)
     data = record.homog_num()
     space = invariant_forms(data, args.degree)
@@ -125,6 +129,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_closed(args) -> int:
+    from g2forms.invariants import closed_forms
+
     record = _load_case_file(args.input)
     data = record.homog_num()
     family = closed_forms(data, args.degree)
@@ -152,6 +158,8 @@ def _cmd_closed(args) -> int:
 
 
 def _cmd_definite(args) -> int:
+    from g2forms.gstruct import definiteness
+
     phi = _load_form(args.form, 7, 3, "definite")
     report = definiteness(phi)
     if args.format == "json":
@@ -162,6 +170,8 @@ def _cmd_definite(args) -> int:
 
 
 def _cmd_su3(args) -> int:
+    from g2forms.gstruct import su3_check
+
     record = _load_case_file(args.input)
     data = record.homog_num()
     if data.dim_m not in (6, 7):
@@ -188,6 +198,8 @@ def _cmd_su3(args) -> int:
 
 
 def _cmd_schema(args) -> int:
+    from g2forms import catalog
+
     print(catalog.SCHEMA_TEXT)
     return 0
 

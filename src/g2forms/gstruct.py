@@ -27,7 +27,6 @@ and are pinned by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -137,7 +136,6 @@ def b_entries(phi: AltForm, pairs: list) -> dict:
     return {pair: b[pair] if pair in b else PolyScalar._trusted(phi.symbols, {}) for pair in pairs}
 
 
-@dataclass
 class DefinitenessReport:
     """Verdict plus an arithmetically re-checkable certificate.
 
@@ -146,13 +144,16 @@ class DefinitenessReport:
     identically vanishing B(v, v), so no member can be definite.
     """
 
-    verdict: str  # definite | indefinite | degenerate | undecided-parametric
-    orientation: str | None = None  # positive | negative (definite only)
-    minors: list | None = None  # leading principal minors of B (single forms)
-    witnesses: list = field(default_factory=list)  # (value render, vector)
-    identity: str | None = None  # family-level certificate identity
-    family: bool = False
-    gram: list | None = None  # Fraction rows of the B the verdict is about (single forms)
+    def __init__(self, verdict: str, orientation: str | None = None, minors: list | None = None,
+                 witnesses: list | None = None, identity: str | None = None,
+                 family: bool = False, gram: list | None = None):
+        self.verdict = verdict  # definite | indefinite | degenerate | undecided-parametric
+        self.orientation = orientation  # positive | negative (definite only)
+        self.minors = minors  # leading principal minors of B (single forms)
+        self.witnesses = [] if witnesses is None else witnesses  # (value render, vector)
+        self.identity = identity  # family-level certificate identity
+        self.family = family
+        self.gram = gram  # Fraction rows of the B the verdict is about (single forms)
 
     @property
     def is_definite(self) -> bool:
@@ -293,16 +294,14 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     return AltForm._trusted(n, n - k, alpha.symbols, raised.den * (det // g) ** k, sums)
 
 
-@dataclass
 class TorsionReport:
     """Definiteness/closedness/coclosedness verdicts for a 3-form on a 7-space."""
 
-    definite: bool
-    orientation: str | None
-    closed: bool
-    coclosed: bool | None  # None when not definite (no metric, no dual)
-    classification: str
-    definiteness: DefinitenessReport
+    def __init__(self, definite: bool, orientation: str | None, closed: bool,
+                 coclosed: bool | None, classification: str, definiteness: DefinitenessReport):
+        self.definite, self.orientation, self.closed = definite, orientation, closed
+        self.coclosed = coclosed  # None when not definite (no metric, no dual)
+        self.classification, self.definiteness = classification, definiteness
 
     def render(self) -> str:
         parts = [
@@ -342,7 +341,6 @@ def g2_torsion_report(data: HomogeneousSpaceData, phi: AltForm) -> TorsionReport
     )
 
 
-@dataclass
 class HitchinReport:
     """Hitchin invariant of a 3-form on a 6-space.
 
@@ -351,9 +349,8 @@ class HitchinReport:
     orbit), in which case K^2 = lambda * Id exactly.
     """
 
-    lam: Fraction
-    k_matrix: list
-    k_squared: list
+    def __init__(self, lam: Fraction, k_matrix: list, k_squared: list):
+        self.lam, self.k_matrix, self.k_squared = lam, k_matrix, k_squared
 
     @property
     def stable_complex(self) -> bool:
@@ -392,7 +389,6 @@ def hitchin_stability(psi: AltForm) -> HitchinReport:
     return HitchinReport(lam, k_rows, k_sq)
 
 
-@dataclass
 class SU3Report:
     """Pointwise and torsion conditions for a candidate SU(3) pair.
 
@@ -402,15 +398,15 @@ class SU3Report:
     Fields after a failed stability check are left as None (skipped).
     """
 
-    nondegenerate: bool
-    stable: bool
-    lam: Fraction | None = None
-    compatible: bool | None = None
-    tamed: bool | None = None
-    gram: list | None = None  # Fraction rows of G, when G is symmetric
-    d_omega_zero: bool | None = None
-    d_psi_zero: bool | None = None
-    d_star_psi_zero: bool | None = None
+    def __init__(self, nondegenerate: bool, stable: bool, lam: Fraction | None = None,
+                 compatible: bool | None = None, tamed: bool | None = None,
+                 gram: list | None = None, d_omega_zero: bool | None = None,
+                 d_psi_zero: bool | None = None, d_star_psi_zero: bool | None = None):
+        self.nondegenerate, self.stable, self.lam = nondegenerate, stable, lam
+        self.compatible, self.tamed = compatible, tamed
+        self.gram = gram  # Fraction rows of G, when G is symmetric
+        self.d_omega_zero, self.d_psi_zero = d_omega_zero, d_psi_zero
+        self.d_star_psi_zero = d_star_psi_zero
 
     @property
     def su3_structure(self) -> bool:

@@ -14,7 +14,6 @@ do not change it without updating those tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from g2forms import _linalg
@@ -37,12 +36,20 @@ class PartialDataError(ValueError):
     """An operation that needs full-algebra data got partial data."""
 
 
-@dataclass
 class InvariantFormSpace:
     """Echelonized rational basis of the ad(h)-invariant k-forms on m."""
 
-    degree: int
-    basis: list  # list[AltForm]
+    __slots__ = ("degree", "basis")
+
+    def __init__(self, degree: int, basis: list):
+        self.degree, self.basis = degree, basis  # basis: list[AltForm]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InvariantFormSpace):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None
 
     @property
     def dim(self) -> int:
@@ -81,7 +88,6 @@ def ce_differential(data: HomogeneousSpaceData, alpha: AltForm) -> AltForm:
     return data.differential(alpha.degree).apply(alpha)
 
 
-@dataclass
 class ClosedFamily:
     """The full solution space of d(phi) = 0 inside the invariant k-forms.
 
@@ -90,13 +96,12 @@ class ClosedFamily:
     parameters, independent of any case context).
     """
 
-    data: HomogeneousSpaceData
-    degree: int
-    parameters: tuple
-    basis: list  # list[AltForm], rational coefficients, echelonized
-    generic: AltForm
-    invariant_dim: int
-    rank: int  # of the d-matrix, columns d(gamma_i): invariant_dim - dim
+    def __init__(self, data: HomogeneousSpaceData, degree: int, parameters: tuple, basis: list,
+                 generic: AltForm, invariant_dim: int, rank: int):
+        self.data, self.degree, self.parameters = data, degree, parameters
+        self.basis = basis  # list[AltForm], rational coefficients, echelonized
+        self.generic, self.invariant_dim = generic, invariant_dim
+        self.rank = rank  # of the d-matrix, columns d(gamma_i): invariant_dim - dim
 
     @property
     def dim(self) -> int:
@@ -138,13 +143,12 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
     return data.cached(("closed_forms", degree), build)
 
 
-@dataclass
 class DSquaredReport:
     """Witnessed outcome of checking d(d gamma) = 0 on an invariant basis."""
 
-    degree: int
-    checked: int
-    failures: list  # list[(AltForm, AltForm)] as (gamma, dd_gamma)
+    def __init__(self, degree: int, checked: int, failures: list):
+        self.degree, self.checked = degree, checked
+        self.failures = failures  # list[(AltForm, AltForm)] as (gamma, dd_gamma)
 
     @property
     def ok(self) -> bool:

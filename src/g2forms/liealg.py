@@ -20,7 +20,6 @@ algebra) enter through :func:`homogeneous_from_partial` and are flagged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -157,12 +156,12 @@ def from_matrices(
     return HomogeneousSpaceData(n, [], constants, names, symbols)
 
 
-@dataclass
 class JacobiReport:
     """Outcome of a Jacobi-identity check."""
 
-    dim: int
-    violations: list = field(default_factory=list)  # (i, j, k, component renders)
+    def __init__(self, dim: int, violations: list | None = None):
+        self.dim = dim
+        self.violations = [] if violations is None else violations  # (i, j, k, component renders)
 
     @property
     def ok(self) -> bool:

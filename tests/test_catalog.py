@@ -309,6 +309,28 @@ def test_schema_violations_are_field_level():
         validate_case_dict(doc)
 
 
+@pytest.mark.parametrize("check, args, message", [
+    ("invariant_dim", {}, "missing a required argument: 'degree'"),
+    ("invariant_dim", {"degree": 3, "bogus": 1}, "got an unexpected keyword argument 'bogus'"),
+    ("invariant_dim", {"bogus": 1}, "missing a required argument: 'degree'"),
+    ("invariant_dim", {"value": 1, "degree": 2}, "multiple values for argument 'value'"),
+])
+def test_args_bind_to_the_check_parameters(check, args, message):
+    doc = _minimal_partial()
+    doc["expected"] = [{"check": check, "args": args, "value": 1, "cite": "x"}]
+    with pytest.raises(SchemaError) as info:
+        validate_case_dict(doc)
+    assert str(info.value) == f"expected[0]: {check}: {message}"
+
+
+def test_optional_args_keep_their_defaults():
+    doc = _minimal_partial()
+    doc["expected"] = [{"check": "closed_param_count", "args": {}, "value": 1, "cite": "x"}]
+    ((check, value, args),) = validate_case_dict(doc).checks
+    assert (check.__name__, value, args) == ("_check_closed_param_count", 1, {})
+    assert check.__defaults__ == (3,)
+
+
 def test_matrix_payload_shape_checked():
     doc = {
         "id": "bad",

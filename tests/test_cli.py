@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import g2forms
 from g2forms.catalog import _FIELDS, SchemaError, validate_case_dict
 from g2forms.cli import main
 
@@ -545,3 +549,26 @@ def test_case_of_dimension_ten_with_gammas_exits_two(tmp_path, capsys):
     assert "single-digit indices" in capsys.readouterr().err
     del doc["gammas"], doc["gamma_symbols"]  # without gammas the case loads
     assert validate_case_dict(doc).dim_m == 10
+
+
+def _modules_after(imports: str) -> set:
+    """The modules a fresh interpreter without ``site`` holds after running ``imports``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(g2forms.__file__).resolve().parent.parent)}
+    code = f"import sys; {imports}; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_cli_import_leaves_the_catalog_unloaded():
+    # each command imports the engine modules it uses
+    modules = _modules_after("import g2forms.cli")
+    assert "g2forms.cli" in modules and "g2forms.catalog" not in modules
+
+
+def test_engine_import_loads_neither_inspect_nor_dataclasses():
+    modules = _modules_after(
+        "import g2forms.catalog, g2forms.gstruct, g2forms.exterior, g2forms.liealg"
+    )
+    assert "g2forms.catalog._runner" in modules
+    assert not {"inspect", "dataclasses"} & modules

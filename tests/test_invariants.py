@@ -15,6 +15,7 @@ from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form, vector_to_form
 from g2forms.invariants import (
+    InvariantFormSpace,
     PartialDataError,
     ce_differential,
     closed_forms,
@@ -345,6 +346,18 @@ def test_isotropy_memo_is_keyed_by_context_and_tables():
     other = varying.instantiate({"s": Fraction(2), "t": Fraction(1)})
     assert invariant_forms(other, 2) is invariant_forms(varying.instantiate(unit), 2)
     assert closed_forms(other, 2) is not closed_forms(varying.instantiate(unit), 2)
+
+
+def test_invariant_spaces_compare_by_degree_and_basis():
+    e1, e2 = parse_form("e^{1}", 3, 1), parse_form("e^{2}", 3, 1)
+    space = InvariantFormSpace(1, [e1, e2])
+    assert space == InvariantFormSpace(1, [parse_form("e^{1}", 3, 1), parse_form("e^{2}", 3, 1)])
+    assert space != InvariantFormSpace(1, [e1])
+    assert space != InvariantFormSpace(1, [e2, e1])
+    assert space != InvariantFormSpace(2, [e1, e2])
+    assert space != (1, [e1, e2])
+    with pytest.raises(TypeError):
+        hash(space)
 
 
 def test_shared_invariant_spaces_equal_a_fresh_solve():

@@ -76,6 +76,23 @@ def test_inverse_rejects_non_square_input(mat):
         _linalg.inverse(mat)
 
 
+@pytest.mark.parametrize("mat", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]])
+def test_leading_minors_reject_non_square_input(mat):
+    with pytest.raises(ValueError, match="non-square"):
+        _linalg.leading_principal_minors([[F(x) for x in row] for row in mat])
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1, 2]], [[1]]),  # two columns against one row
+    ([[1]], [[1], [2]]),  # one column against two rows
+    ([[1, 2], [3]], [[1], [2]]),  # a ragged left factor
+    ([[1, 2]], [[1, 2], [3]]),  # a ragged right factor
+])
+def test_matmul_rejects_mismatched_shapes(a, b):
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        _linalg.matmul([[F(x) for x in row] for row in a], [[F(x) for x in row] for row in b])
+
+
 def test_inverse_exchanges_rows_only_at_a_zero_pivot():
     rng = random.Random(23)
     for n in range(1, 8):
