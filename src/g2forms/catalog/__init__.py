@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import time
 from fnmatch import fnmatch
-from importlib import resources
 from pathlib import Path
 
 from g2forms.catalog._runner import (
     _ARGS, _CHECKS, CaseReport, CheckResult, WrongType, _is_bool, _is_int, _is_ints, _is_list_of,
-    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, check_params, schema_checks,
+    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, bind_error, schema_checks,
     schema_entry,
 )
 from g2forms.exterior import AltForm, combination, parse_form
@@ -402,13 +401,9 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         if name not in _CHECKS:
             raise SchemaError(f"expected[{pos}]: unknown check {name!r}")
         check, parse_item, check_doc = _CHECKS[name]
-        params, required = check_params(check)
-        given = item["args"]  # rejected as inspect's bind of (record, value, **given) rejects
-        errors = [f"multiple values for argument {a!r}" for a in ("record", "value") if a in given]
-        errors += [f"missing a required argument: {a!r}" for a in required if a not in given]
-        errors += [f"got an unexpected keyword argument {a!r}" for a in given if a not in params]
-        if errors:
-            raise SchemaError(f"{where}: {errors[0]}")
+        error = bind_error(check, item["args"])
+        if error:
+            raise SchemaError(f"{where}: {error}")
         args = {}
         for arg, x in item["args"].items():
             parse, arg_doc = _ARGS[arg]
@@ -434,7 +429,7 @@ def load_case(path) -> CaseRecord:
 
 
 def _case_dir():
-    return resources.files("g2forms.catalog") / "cases"
+    return Path(__file__).parent / "cases"
 
 
 def bundled_ids() -> list:

@@ -40,8 +40,16 @@ class CheckResult:
         return self.status in ("match", "span-match")
 
     def to_dict(self) -> dict:
-        return {"check": self.check, "args": dict(self.args), "status": self.status,
+        """The result as JSON data, its args copied deep: they come from the case document."""
+        return {"check": self.check, "args": _copied(self.args), "status": self.status,
                 "computed": self.computed, "expected": self.expected, "cite": self.cite}
+
+
+def _copied(x):
+    """A deep copy of JSON-like data: fresh dicts, lists and tuples, shared scalars."""
+    if isinstance(x, dict):
+        return {k: _copied(v) for k, v in x.items()}
+    return type(x)(map(_copied, x)) if isinstance(x, (list, tuple)) else x
 
 
 class CaseReport:
@@ -452,6 +460,17 @@ def check_params(check) -> tuple:
     code = check.__code__
     params = code.co_varnames[2:code.co_argcount]
     return params, params[:len(params) - len(check.__defaults__ or ())]
+
+
+def bind_error(check, given) -> str | None:
+    """Why ``check(record, value, **given)`` would not bind, in the order and
+    words of ``inspect``'s bind, or None when it binds."""
+    params, required = check_params(check)
+    errors = [f"multiple values for argument {a!r}" for a in check.__code__.co_varnames[:2]
+              if a in given]
+    errors += [f"missing a required argument: {a!r}" for a in required if a not in given]
+    errors += [f"got an unexpected keyword argument {a!r}" for a in given if a not in params]
+    return errors[0] if errors else None
 
 
 def schema_checks() -> str:

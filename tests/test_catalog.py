@@ -135,6 +135,15 @@ def test_verify_single_case():
     assert all(r.cite for r in report.results)
 
 
+def test_result_dict_copies_the_case_args():
+    record = load_bundled("T1.n1")
+    result = next(r for r in verify_case(record).results if r.check == "d_eval")
+    data = result.to_dict()
+    data["args"]["vectors"].append(99)
+    item = next(i for i in record.raw["expected"] if i["check"] == "d_eval")
+    assert 99 not in item["args"]["vectors"] and data["args"] != result.to_dict()["args"]
+
+
 def test_verify_all_default_excludes_exploratory():
     reports = verify_all()
     assert [r.case_id for r in reports] == CANONICAL_IDS
@@ -314,6 +323,7 @@ def test_schema_violations_are_field_level():
     ("invariant_dim", {"degree": 3, "bogus": 1}, "got an unexpected keyword argument 'bogus'"),
     ("invariant_dim", {"bogus": 1}, "missing a required argument: 'degree'"),
     ("invariant_dim", {"value": 1, "degree": 2}, "multiple values for argument 'value'"),
+    ("invariant_dim", {"record": 1, "degree": 2}, "multiple values for argument 'record'"),
 ])
 def test_args_bind_to_the_check_parameters(check, args, message):
     doc = _minimal_partial()
