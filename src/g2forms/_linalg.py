@@ -37,10 +37,6 @@ Matrix = list  # list[list[Fraction]]
 _ZERO = Fraction(0)
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
 def transpose(mat: Matrix) -> Matrix:
     return [list(col) for col in zip(*mat)] if mat else []
 

@@ -448,7 +448,9 @@ def su3_check(
     The orientation is taken from omega^3 (so the verdict does not depend
     on the labeling of the basis), and the induced bilinear form is
     G = Omega . K with K renormalized to the omega^3/6 volume; ``tamed``
-    requires G to be symmetric positive definite.
+    requires G to be symmetric positive definite.  Positivity is decided once,
+    by the Bareiss pass of :func:`hodge_dual_up_to_scale` on a symmetric G: a
+    dual means tamed, and its refusal of G means not tamed.
     """
     if data.dim_m != 6 or omega.dim != 6 or psi.dim != 6:
         raise ValueError("su3_check works on 6-dimensional data")
@@ -472,18 +474,18 @@ def su3_check(
         for i in range(1, 7)
     ]
     g = _linalg.matmul(omega_matrix, k_norm)
-    symmetric = all(g[i][j] == g[j][i] for i in range(6) for j in range(6))
-    positive = symmetric and all(
-        m > 0 for m in _linalg.leading_principal_minors(g)
-    )
     report.compatible = wedge(omega, psi).is_zero()
-    report.tamed = positive
-    if symmetric:
+    report.tamed = False
+    if all(g[i][j] == g[j][i] for i in range(6) for j in range(i)):
         report.gram = g
+        try:  # G is symmetric and 6 x 6: the dual refuses it only when not positive definite
+            star_psi = hodge_dual_up_to_scale(g, psi)
+            report.tamed = True
+        except ValueError:
+            pass
     report.d_omega_zero = ce_differential(data, omega).is_zero()
     report.d_psi_zero = ce_differential(data, psi).is_zero()
-    if positive:
-        star_psi = hodge_dual_up_to_scale(report.gram, psi)
+    if report.tamed:
         report.d_star_psi_zero = ce_differential(data, star_psi).is_zero()
     return report
 

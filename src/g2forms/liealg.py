@@ -334,10 +334,6 @@ class HomogeneousSpaceData:
 
         return self.cached(("instantiate", tuple(sorted(assignment.items()))), build)
 
-    def with_symbols(self, symbols: Iterable[str]) -> "HomogeneousSpaceData":
-        symbols = tuple(symbols)
-        return self._map(symbols, lambda x: x.with_symbols(symbols))
-
     def restrict(self, indices: Sequence[int]) -> "HomogeneousSpaceData":
         """Sub-data on a bracket-closed, isotropy-stable subset of the basis."""
         indices = list(indices)

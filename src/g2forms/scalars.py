@@ -13,8 +13,9 @@ constructors (``PolyScalar(...)``, ``constant``, ``with_symbols``, ``parse``
 ...) validate and normalize their input; the private ``_trusted`` skips
 that and is only for results of operations on values already valid.
 
-Only ring operations (add, neg, mul) plus division of rational constants
-are provided; nothing in the engine needs polynomial division.
+The arithmetic is what the checks need of a scalar: add, negate, compare
+and substitute.  The form kernels multiply ints inside their own layers, so
+no engine path multiplies two polynomials and none is provided.
 """
 
 from __future__ import annotations
@@ -125,10 +126,6 @@ class PolyScalar:
         return cls(symbols)
 
     @classmethod
-    def one(cls, symbols: Iterable[str] = ()) -> "PolyScalar":
-        return cls.constant(1, symbols)
-
-    @classmethod
     def symbol(cls, name: str, symbols: Iterable[str]) -> "PolyScalar":
         symbols = tuple(symbols)
         if name not in symbols:
@@ -152,18 +149,13 @@ class PolyScalar:
             raise ValueError(f"{self.render()} is not a constant")
         return next(iter(self.terms.values()))
 
-    # -- ring operations ---------------------------------------------------
-
-    def _check_context(self, other: "PolyScalar") -> None:
-        if self.symbols != other.symbols:
-            raise ContextMismatchError(
-                f"context mismatch: {self.symbols} vs {other.symbols}"
-            )
+    # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PolyScalar") -> "PolyScalar":
         if not isinstance(other, PolyScalar):
             return NotImplemented
-        self._check_context(other)
+        if self.symbols != other.symbols:
+            raise ContextMismatchError(f"context mismatch: {self.symbols} vs {other.symbols}")
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
             acc = terms.get(expo, _ZERO) + coeff
@@ -175,40 +167,6 @@ class PolyScalar:
 
     def __neg__(self) -> "PolyScalar":
         return PolyScalar._trusted(self.symbols, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyScalar") -> "PolyScalar":
-        if not isinstance(other, PolyScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "PolyScalar") -> "PolyScalar":
-        if not isinstance(other, PolyScalar):
-            return NotImplemented
-        self._check_context(other)
-        terms: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, _ZERO) + c1 * c2
-                if acc:
-                    terms[expo] = acc
-                else:
-                    terms.pop(expo, None)
-        return PolyScalar._trusted(self.symbols, terms)
-
-    def __pow__(self, power: int) -> "PolyScalar":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = PolyScalar.one(self.symbols)
-        for _ in range(power):
-            result = result * self
-        return result
-
-    def scale(self, value) -> "PolyScalar":
-        """Multiply by a plain rational."""
-        value = Fraction(value)
-        terms = {e: c * value for e, c in self.terms.items()} if value else {}
-        return PolyScalar._trusted(self.symbols, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyScalar):

@@ -35,6 +35,24 @@ else:
     settings.load_profile("g2forms")
 
 
+def poly_mul(first: PolyScalar, *factors) -> PolyScalar:
+    """The product of ``first`` and each factor, a PolyScalar in its context
+    or a rational (a scaling), term by term on the {exponents: Fraction} maps
+    and through the validating constructor: the tests' polynomial product,
+    for building inputs and oracles (the engine multiplies no PolyScalars)."""
+    terms = first.terms
+    for factor in factors:
+        if not isinstance(factor, PolyScalar):
+            factor = PolyScalar.constant(factor, first.symbols)
+        product: dict = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor.terms.items():
+                e = tuple(map(add, e1, e2))
+                product[e] = product.get(e, 0) + c1 * c2
+        terms = product
+    return PolyScalar(first.symbols, terms)
+
+
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
     num = rng.randint(-span, span)
     den = rng.randint(1, span)
@@ -54,14 +72,12 @@ def random_form(rng: random.Random, dim: int, degree: int, symbols=(), density=0
 
 def two_symbol_form(rng: random.Random, dim: int, degree: int, density: float) -> AltForm:
     """A form whose coefficients are r1*a + r2*b + r0, each r random rational."""
-    syms = ("a", "b")
-    a, b = (PolyScalar.symbol(name, syms) for name in syms)
     coeffs = {}
     for idx in combinations(range(1, dim + 1), degree):
         if rng.random() < density:
-            constant = PolyScalar.constant(random_rational(rng), syms)
-            coeffs[idx] = a.scale(random_rational(rng)) + b.scale(random_rational(rng)) + constant
-    return AltForm(dim, degree, syms, coeffs)
+            r0, r1, r2 = (random_rational(rng) for _ in range(3))
+            coeffs[idx] = PolyScalar(("a", "b"), {(1, 0): r1, (0, 1): r2, (0, 0): r0})
+    return AltForm(dim, degree, ("a", "b"), coeffs)
 
 
 QUADRATIC_EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -88,7 +104,7 @@ def wedge_by_products(alpha: AltForm, beta: AltForm) -> AltForm:
     for i1, x in alpha.coeffs.items():
         for i2, y in beta.coeffs.items():
             if not set(i1) & set(i2):
-                key, term = tuple(sorted(i1 + i2)), x * y
+                key, term = tuple(sorted(i1 + i2)), poly_mul(x, y)
                 term = term if _permutation_sign(i1 + i2) == 1 else -term
                 coeffs[key] = coeffs[key] + term if key in coeffs else term
     return AltForm(alpha.dim, alpha.degree + beta.degree, alpha.symbols, coeffs)
@@ -166,7 +182,7 @@ def evaluate(alpha: AltForm, vectors) -> PolyScalar:
     total = PolyScalar.zero(alpha.symbols)
     for idx, coeff in alpha.coeffs.items():
         rows = [[v[i - 1] for v in vectors] for i in idx]
-        total = total + coeff * _poly_det(rows)
+        total = total + poly_mul(coeff, _poly_det(rows))
     return total
 
 
@@ -181,7 +197,7 @@ def _poly_det(rows: list) -> PolyScalar:
         if entry.is_zero():
             continue
         minor = [row[:c] + row[c + 1 :] for row in rows[1:]]
-        term = entry * _poly_det(minor)
+        term = poly_mul(entry, _poly_det(minor))
         total = total + (term if c % 2 == 0 else -term)
     return total
 
@@ -207,8 +223,8 @@ def wedge_b_matrix(phi: AltForm) -> list:
     """B[i][j] as the top coefficient of iota_i phi ^ iota_j phi ^ phi, all 49
     entries as PolyScalar rows: an oracle for :func:`g2forms.gstruct.b_matrix`
     and :func:`g2forms.gstruct.b_entries`.  Each product of three coefficients
-    is taken term by term with PolyScalar arithmetic, signed by the inversions
-    of its index sequence, so no engine product is involved."""
+    is taken term by term by :func:`poly_mul`, signed by the inversions of its
+    index sequence, so no engine product is involved."""
     iotas = [contract(i, phi).coeffs for i in range(1, 8)]
     zero = PolyScalar.zero(phi.symbols)
     gram = []
@@ -220,7 +236,7 @@ def wedge_b_matrix(phi: AltForm) -> list:
                 for idx_b, y in b.items():
                     rest = tuple(sorted(set(range(1, 8)) - set(idx_a) - set(idx_b)))
                     if len(rest) == 3 and rest in phi.coeffs:
-                        term = x * y * phi.coeffs[rest]
+                        term = poly_mul(x, y, phi.coeffs[rest])
                         sign = _permutation_sign(idx_a + idx_b + rest)
                         total = total + (term if sign == 1 else -term)
             row.append(total)
@@ -241,7 +257,7 @@ def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:
         for lower, coeff in alpha.coeffs.items():
             d = fraction_det([[qinv[i - 1][l - 1] for l in lower] for i in upper])
             if d:
-                raised = raised + coeff.scale(d)
+                raised = raised + poly_mul(coeff, d)
         complement = tuple(i for i in range(1, n + 1) if i not in upper)
         _, sign = merge_sign(upper, complement)
         coeffs[complement] = raised if sign == 1 else -raised
@@ -358,10 +374,8 @@ def evaluate_by_permutations(alpha: AltForm, vectors) -> PolyScalar:
     for idx, coeff in alpha.coeffs.items():
         for perm in permutations(range(k)):
             sign = _permutation_sign(perm)
-            prod = PolyScalar.constant(sign, alpha.symbols)
-            for slot, vpos in enumerate(perm):
-                prod = prod * vectors[vpos][idx[slot] - 1]
-            total = total + coeff * prod
+            factors = [vectors[vpos][idx[slot] - 1] for slot, vpos in enumerate(perm)]
+            total = total + poly_mul(coeff, sign, *factors)
     return total
 
 
@@ -411,7 +425,7 @@ def dense_ce_differential(data, alpha: AltForm) -> AltForm:
         for p, q in combinations(range(k + 1), 2):
             rest = jtuple[:p] + jtuple[p + 1 : q] + jtuple[q + 1 :]
             for r, c in data.bracket.get((jtuple[p], jtuple[q]), {}).items():
-                term = c * alpha.eval_basis((r,) + rest)
+                term = poly_mul(c, alpha.eval_basis((r,) + rest))
                 total = total + (-term if (p + q) % 2 else term)
         coeffs[jtuple] = total
     return AltForm(n, k + 1, data.symbols, coeffs)

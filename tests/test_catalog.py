@@ -85,8 +85,8 @@ def test_bundled_tables_store_no_zero_scalar():
 def test_t1n3_frozen_constants_match_matrix_model():
     record = load_bundled("T1.n3")
     frozen = record.algebra
-    derived = from_matrices(MatrixBasis(models.so32_matrices()), record.raw["basis_names"])
-    derived = derived.with_symbols(record.context)
+    derived = from_matrices(MatrixBasis(models.so32_matrices()), record.raw["basis_names"],
+                            record.context)
     assert set(frozen.bracket) == set(derived.bracket)
     for key in frozen.bracket:
         assert frozen.bracket[key] == derived.bracket[key]
@@ -461,9 +461,7 @@ def test_structure_constants_recomputed_for_matrix_cases():
     for case_id, builder in builders.items():
         record = load_bundled(case_id)
         from_file = record.algebra
-        from_model = from_matrices(builder(), record.raw["basis_names"]).with_symbols(
-            record.context
-        )
+        from_model = from_matrices(builder(), record.raw["basis_names"], record.context)
         assert set(from_file.bracket) == set(from_model.bracket)
         for key in from_file.bracket:
             assert from_file.bracket[key] == from_model.bracket[key]

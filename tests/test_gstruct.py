@@ -7,6 +7,7 @@ import models
 from conftest import (
     evaluate_by_permutations,
     hodge_dual_by_minors,
+    poly_mul,
     quadratic_form,
     random_form,
     random_rational,
@@ -149,14 +150,14 @@ def test_b_matrix_matches_wedge_oracle(kind):
 def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
     # the form kernels, the linear structure (+, -, scale), the Hodge dual and
     # the combination helper compute on the forms' integer layers: with
-    # PolyScalar's ring operations raising, each still runs on rational and
-    # symbolic forms and gives what it gave before
+    # PolyScalar's + and - raising, each still runs on rational and symbolic
+    # forms and gives what it gave before; PolyScalar has no product at all
     rng = random.Random("lifted-kernels")
     syms = ("a", "b")
     a = PolyScalar.symbol("a", syms)
     rational = random_form(rng, 7, 3, density=0.6)
     symbolic = two_symbol_form(rng, 7, 3, 0.4)
-    poly_image = {r: [((c,), a.scale(random_rational(rng)) + PolyScalar.constant(1, syms))]
+    poly_image = {r: [((c,), poly_mul(a, random_rational(rng)) + PolyScalar.constant(1, syms))]
                   for r, c in ((1, 2), (3, 5), (6, 4))}
     half, third = PolyScalar.constant(Fraction(1, 2)), PolyScalar.constant(Fraction(-2, 3))
     differential = HomogeneousSpaceData(7, [], {(1, 2): {3: half}, (4, 5): {6: third}})
@@ -185,10 +186,16 @@ def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
     e1 = AltForm(7, 1, (), {(1,): PolyScalar.constant(1)})
     before = kernels()
 
+    # gone from the engine: the ring operations that only test oracles used,
+    # and the other code that no product path reached
+    removed = {PolyScalar: ("__mul__", "__pow__", "__sub__", "scale", "one"),
+               _linalg: ("identity",), HomogeneousSpaceData: ("with_symbols",)}
+    assert not [name for owner, names in removed.items() for name in names if hasattr(owner, name)]
+
     def forbidden(*_args):
         raise AssertionError("PolyScalar arithmetic inside a form kernel")
 
-    for name in ("__mul__", "__add__", "__sub__", "__neg__", "scale"):
+    for name in ("__add__", "__neg__"):
         monkeypatch.setattr(PolyScalar, name, forbidden)
     assert kernels() == before
     assert not any(form.is_zero() for form in before[:7] + before[10:])
@@ -214,7 +221,7 @@ def _congruence_violations(phi, p):
                 for s in range(7):
                     factor = det_p * p[r][i] * p[s][j]
                     if factor:
-                        expected = expected + b[r][s].scale(factor)
+                        expected = expected + poly_mul(b[r][s], factor)
             if pulled[i][j] != expected:
                 violations.append((i + 1, j + 1))
     return violations
@@ -527,7 +534,9 @@ def test_su3_check_sign_flipped_omega_is_not_tamed():
     omega = parse_form("e^{1 2} + e^{3 4} - e^{5 6}", 6)
     report = su3_check(data, omega, parse_form(PSI0, 6))
     assert report.nondegenerate and report.stable
-    assert not report.tamed
+    assert not report.tamed and report.gram is not None  # G symmetric, not positive
+    skew = su3_check(data, parse_form(OMEGA0, 6), parse_form(PSI0 + " + e^{1 2 3}", 6))
+    assert skew.stable and not skew.compatible and not skew.tamed and skew.gram is None
 
 
 def test_product_g2_examples():
@@ -551,6 +560,19 @@ def test_product_g2_contraction_recovers_omega():
         phi = product_g2(omega, psi)
         recovered = contract(7, phi)
         assert recovered == AltForm(7, 2, (), dict(omega.coeffs))
+
+
+@pytest.mark.parametrize("pairs, classification", [
+    ([(1, 2), (3, 4), (5, 6)], "coclosed, not closed"),  # d e^7 = omega
+    ([(1, 3)], "neither closed nor coclosed"),
+])
+def test_torsion_report_on_two_step_nilpotent_algebras(pairs, classification):
+    # [e_i, e_j] = -e_7 for each (i, j) in pairs, so d e^7 is the sum of their e^{i j}
+    minus_one = PolyScalar.constant(-1)
+    data = HomogeneousSpaceData(7, [], {pair: {7: minus_one} for pair in pairs}, partial=False)
+    report = g2_torsion_report(data, phi0())
+    assert report.definite and not report.closed
+    assert report.classification == classification
 
 
 def test_product_over_strict_half_flat_is_closed_non_parallel():

@@ -33,8 +33,8 @@ from g2forms.liealg import (
 from g2forms.scalars import PolyScalar
 
 
-def sl3r_data():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+def sl3r_data(symbols=()):
+    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()), symbols=symbols)
     return reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
 
 
@@ -92,7 +92,7 @@ def test_parametric_isotropy_requires_instantiation():
 def test_ce_differential_calibration_values():
     # three independent printed evaluations pin the sign convention
     syms = tuple(f"a{i}" for i in range(1, 8))
-    data = sl3r_data().with_symbols(syms)
+    data = sl3r_data(syms)
     phi = generic_form(
         [
             "e^{1 2 3}",
@@ -107,9 +107,9 @@ def test_ce_differential_calibration_values():
     )
     assert ce_differential(data, phi).eval_basis((3, 5, 6, 7)).render() == "-a3"
 
-    algebra = from_matrices(MatrixBasis(models.so32_matrices()))
     syms5 = tuple(f"a{i}" for i in range(1, 6))
-    so32 = reductive_split(algebra, [8, 9, 10], list(range(1, 8))).with_symbols(syms5)
+    algebra = from_matrices(MatrixBasis(models.so32_matrices()), symbols=syms5)
+    so32 = reductive_split(algebra, [8, 9, 10], list(range(1, 8)))
     phi5 = generic_form(
         [
             "e^{1 2 3}",
@@ -122,9 +122,9 @@ def test_ce_differential_calibration_values():
     )
     assert ce_differential(so32, phi5).eval_basis((1, 2, 4, 5)).render() == "2*a4"
 
-    n4 = from_matrices(MatrixBasis(models.so41_fixed_matrices()))
     syms10 = tuple(f"a{i}" for i in range(1, 11))
-    data4 = reductive_split(n4, [8, 9, 10], list(range(1, 8))).with_symbols(syms10)
+    n4 = from_matrices(MatrixBasis(models.so41_fixed_matrices()), symbols=syms10)
+    data4 = reductive_split(n4, [8, 9, 10], list(range(1, 8)))
     phi10 = generic_form(
         [
             "e^{1 2 3}",
@@ -177,7 +177,7 @@ def test_ce_differential_vanishes_on_abelian_data():
 
 def test_ce_differential_is_linear_over_scalars():
     rng = random.Random(12)
-    data = sl3r_data().with_symbols(("c",))
+    data = sl3r_data(("c",))
     c = PolyScalar.symbol("c", ("c",))
     for _ in range(10):
         alpha = random_form(rng, 7, 3, ("c",))

@@ -9,6 +9,7 @@ from conftest import (
     dense_jacobi_violations,
     dense_matrix,
     from_matrices_by_span_solve,
+    poly_mul,
     random_rational,
     random_unimodular,
 )
@@ -122,6 +123,7 @@ def test_diagonal_three_dimensional_brackets_pass_jacobi():
     # still satisfies Jacobi: in dimension 3 every diagonal bracket does.
     flipped = algebra_from({(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: 1}}, 3)
     assert jacobi_check(flipped).ok
+    assert jacobi_check(flipped).render() == "jacobi: valid"
 
 
 def random_bracket_table(rng, n, symbols, density):
@@ -134,7 +136,8 @@ def random_bracket_table(rng, n, symbols, density):
                 if rng.random() < density:
                     comps[r] = C(random_rational(rng, 3), symbols)
                     if symbols and rng.random() < 0.5:
-                        comps[r] = comps[r] * PolyScalar.symbol(rng.choice(symbols), symbols)
+                        symbol = PolyScalar.symbol(rng.choice(symbols), symbols)
+                        comps[r] = poly_mul(comps[r], symbol)
             table[(i, j)] = comps
     return table
 
@@ -157,7 +160,7 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
     sl3r = from_matrices(MatrixBasis(models.sl3r_matrices()))
     scale = PolyScalar.symbol("a", ("a",)) + C(1, ("a",))
     scaled = HomogeneousSpaceData(sl3r.dim_m, [], {
-        key: {r: c.with_symbols(("a",)) * scale for r, c in comps.items()}
+        key: {r: poly_mul(c.with_symbols(("a",)), scale) for r, c in comps.items()}
         for key, comps in sl3r.bracket.items()
     }, symbols=("a",))
     assert dense_jacobi_violations(scaled) == []
@@ -313,6 +316,9 @@ def test_restrict_checks_closure():
     assert sub.dim_m == 2
     with pytest.raises(LieStructureError, match="leaves"):
         data.restrict([1, 2])
+    rotation = homogeneous_from_partial(2, [{(1, 2): C(1), (2, 1): C(-1)}], {})
+    with pytest.raises(LieStructureError, match="isotropy action does not preserve"):
+        rotation.restrict([1])
 
 
 @pytest.mark.parametrize("h, m", [([8], [1, 1, 2, 3, 4, 5, 6, 7]), ([8, 8], [1, 2, 3, 4, 5, 6, 7])])

@@ -46,7 +46,7 @@ def test_det_inverse_and_minors():
     mat = [[F(2), F(1)], [F(1), F(1)]]
     assert _linalg.det(mat) == 1
     inv = _linalg.inverse(mat)
-    assert _linalg.matmul(mat, inv) == _linalg.identity(2)
+    assert _linalg.matmul(mat, inv) == [[F(1), F(0)], [F(0), F(1)]]
     assert _linalg.leading_principal_minors(mat) == [F(2), F(1)]
 
 
@@ -268,5 +268,5 @@ def test_exact_kernels_agree_with_sympy(seed, density):
         assert _all_fractions(solutions) and _all_fractions(_linalg.row_space(mat))
 
     # no rows: every column is free
-    assert _linalg.nullspace([], 3) == _linalg.identity(3)
+    assert _linalg.nullspace([], 3) == [[F(i == j) for j in range(3)] for i in range(3)]
     assert _all_fractions(_linalg.nullspace([], 3))
