@@ -1,30 +1,29 @@
 """Exact linear algebra over Fraction matrices (lists of row lists).
 
-Internal helper module: reduced row echelon form, nullspaces, solves,
-inverses, products, determinants and symmetric congruence diagonalization,
-all over Q with no rounding.  Every returned entry is a Fraction, never an
-int: callers divide entries, and a quotient of two ints is a float.
+Internal helper module: reduced row echelon form, nullspaces, spans,
+solves, inverses, products, determinants and symmetric congruence
+diagonalization, all over Q with no rounding.  A returned matrix holds
+Fractions, never ints (a quotient of two ints is a float), but the kernels
+compute on ints inside: a gcd per Fraction operation dominated their cost.
 
-The kernels compute on Python ints inside, because a gcd per Fraction
-operation dominated their cost.  :func:`rref` and :func:`nullspace` share
-one elimination: it scales each row to integers by the lcm of its
-denominators (a row of ints, as ``ExteriorOp.rows()`` gives, is taken as
-it is) and runs Gauss-Jordan fraction-free, keeping rows primitive by their
-gcd.  :func:`rref` divides by the pivots once at the end; :func:`nullspace`
-builds each kernel vector as ints from the primitive rows and echelonizes
-those, with no Fraction in between.  The reduced row echelon form is
-unique, so :func:`rank`, :func:`nullspace`, :func:`row_space` and
-:func:`solve_many` give the same Fractions as elimination over Q.
-:func:`matmul` scales ``b`` (in ``closed_forms``, the invariant basis) to
-integers once and builds one Fraction per output entry from the nonzero
-entries alone.  :func:`det`, :func:`leading_principal_minors` and
-:func:`inverse` share one Bareiss pass on D*mat (D the lcm of the
-denominators), where every division is exact; one pass without row
-exchanges gives the whole minor chain.  :func:`inverse` and the Hodge dual
-run its Gauss-Jordan form on [D*mat | I].
-:func:`congruence_diagonalize` keeps the pivot sequence of elimination
-over Q (its witnesses are printed certificates) on ints: each witness is
-ints over its own denominator, beside its row of T^t (D*S) T.
+:func:`_echelon`, one fraction-free Gauss-Jordan, scales each row to ints
+by the lcm of its denominators (int rows, as ``ExteriorOp.rows()`` gives,
+are taken as they are).  :func:`rref` divides by its pivots at the end.
+:func:`_reduced` gives each RREF row as primitive ints over its pivot, and
+:func:`_nullspace_ints` so the RREF nullspace basis: the invariant and
+closed bases are built from these rows, and :func:`rank`,
+:func:`spans_equal` and :func:`span_contains` count or compare echelon
+rows, with no division.  The RREF is unique, so every one gives the space
+of elimination over Q.  :func:`nullspace` (a Fraction view) and
+:func:`row_space` serve the tests and ``tools/compare_pointwise.py``.
+:func:`matmul` scales ``b`` to ints once, one Fraction per output entry.
+:func:`det`, :func:`leading_principal_minors` and :func:`inverse` share one
+Bareiss pass on D*mat (D the lcm of the denominators), every division
+exact; one pass without row exchanges gives the minor chain, and the
+inverse and the Hodge dual run its Gauss-Jordan form on [D*mat | I].
+:func:`congruence_diagonalize` keeps the pivot sequence of elimination over
+Q (its witnesses are printed certificates) on ints, each witness over its
+own denominator beside its row of T^t (D*S) T.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _echelon(mat: Matrix, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """(rows, pivot columns) of the fraction-free Gauss-Jordan behind :func:`rref`
-    and :func:`nullspace`: row r < len(pivots) is primitive, with its pivot in
-    column pivots[r] and zeros in the other pivot columns."""
+    """(rows, pivot columns) of the fraction-free Gauss-Jordan behind every solve:
+    row r < len(pivots) has its pivot in column pivots[r] and zeros in the other
+    pivot columns, and is primitive once an elimination step has touched it."""
     m = [row if {*map(type, row)} <= {int} else _integer_row(row)[0] for row in mat]
     nrows, pivots = len(m), []
     for c in range(ncols):
@@ -104,15 +103,18 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(_echelon(mat, len(mat[0]) if mat else 0)[1])
 
 
-def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of the right nullspace (rows of the returned list)."""
-    if ncols is None:
-        if not mat:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(mat[0])
+def _reduced(mat: Matrix) -> list[tuple[list[int], int]]:
+    """The RREF rows as (ints, den), row = ints / den: ints primitive, den = ints[pivot] > 0."""
+    m, pivots = _echelon(mat, len(mat[0]) if mat else 0)
+    signed = [(row, c, gcd(*row) if row[c] > 0 else -gcd(*row)) for row, c in zip(m, pivots)]
+    return [([x // g for x in row], row[c] // g) for row, c, g in signed]
+
+
+def _nullspace_ints(mat: Matrix, ncols: int) -> list[tuple[list[int], int]]:
+    """The RREF basis of the right nullspace, as :func:`_reduced` gives its rows."""
     m, pivots = _echelon(mat, ncols)
     basis = []
     for f in [c for c in range(ncols) if c not in pivots]:
@@ -123,7 +125,15 @@ def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
         for c, row in rows:
             vec[c] = -row[f] * (den // row[c])
         basis.append(vec)
-    return row_space(basis) if basis else []
+    return _reduced(basis) if basis else []
+
+
+def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
+    """Canonical basis of the right nullspace (rows of the returned list)."""
+    if ncols is None and not mat:
+        raise ValueError("ncols required for an empty matrix")
+    kernel = _nullspace_ints(mat, len(mat[0]) if ncols is None else ncols)
+    return [[Fraction(x, den) if x else _ZERO for x in ints] for ints, den in kernel]
 
 
 def row_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -133,7 +143,8 @@ def row_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def spans_equal(rows_a: list, rows_b: list) -> bool:
-    return row_space(rows_a) == row_space(rows_b)
+    """True when the rows span the same space; a row's scale does not matter."""
+    return _reduced(rows_a) == _reduced(rows_b)
 
 
 def span_contains(big_rows: list, small_rows: list) -> bool:

@@ -87,9 +87,10 @@ class CaseReport:
         return "\n".join(lines)
 
 
-def _rows(record, forms, degree):
-    monos = monomials(record.dim_m, degree)
-    return [form_to_vector(f, monos) for f in forms]
+def _rows(forms, monos) -> list:
+    """Each rational form's integer layer over monos: den times the form, the same span."""
+    layers = [next(iter(f.layers.values()), {}) for f in forms]
+    return [[layer.get(idx, 0) for idx in monos] for layer in layers]
 
 
 def _span_result(ok: bool, basis) -> tuple:
@@ -106,21 +107,17 @@ def _check_invariant_dim(record, value, degree):
 
 
 def _check_invariant_span(record, value, degree):
-    space = invariant_forms(record.homog_num(), degree)
-    equal = _linalg.spans_equal(_rows(record, space.basis, degree), _rows(record, value, degree))
+    space, monos = invariant_forms(record.homog_num(), degree), monomials(record.dim_m, degree)
+    equal = _linalg.spans_equal(_rows(space.basis, monos), _rows(value, monos))
     return _span_result(equal, space.basis)
 
 
 def _check_invariant_dim_in_support(record, value, degree, groups, counts):
     space = invariant_forms(record.homog_num(), degree)
-    outside = [
-        idx
-        for idx in monomials(record.dim_m, degree)
-        if not all(len(set(idx).intersection(g)) == c for g, c in zip(groups, counts))
-    ]
-    rows = [form_to_vector(f, outside) for f in space.basis]
+    outside = [idx for idx in monomials(record.dim_m, degree)
+               if not all(len(set(idx).intersection(g)) == c for g, c in zip(groups, counts))]
     # the combinations of the invariant basis with no component outside
-    return _compare(len(space.basis) - _linalg.rank(rows), value)
+    return _compare(len(space.basis) - _linalg.rank(_rows(space.basis, outside)), value)
 
 
 def _check_d_eval(record, value, vectors):
@@ -139,21 +136,22 @@ def _check_closed_param_count(record, value, degree=3):
 
 
 def _check_closed_span(record, value):
-    family = closed_forms(record.homog_num(), 3)
-    equal = _linalg.spans_equal(_rows(record, family.basis, 3), _rows(record, value, 3))
+    family, monos = closed_forms(record.homog_num(), 3), monomials(record.dim_m, 3)
+    equal = _linalg.spans_equal(_rows(family.basis, monos), _rows(value, monos))
     return _span_result(equal, family.basis)
 
 
 def _check_closed_subset_of(record, value):
-    family = closed_forms(record.homog_num(), 3)
-    contained = _linalg.span_contains(_rows(record, value, 3), _rows(record, family.basis, 3))
+    family, monos = closed_forms(record.homog_num(), 3), monomials(record.dim_m, 3)
+    contained = _linalg.span_contains(_rows(value, monos), _rows(family.basis, monos))
     return _span_result(contained, family.basis)
 
 
 def _check_closed_component_zero(record, value, indices):
-    family = closed_forms(record.homog_num(), 3)
-    gamma_cols = _linalg.transpose(_rows(record, record.gamma_forms, 3))
-    members = _linalg.transpose(_rows(record, family.basis, 3))
+    family, monos = closed_forms(record.homog_num(), 3), monomials(record.dim_m, 3)
+    # exact Fraction rows, not integer layers: the printed components depend on their scale
+    gamma_cols = _linalg.transpose([form_to_vector(f, monos) for f in record.gamma_forms])
+    members = _linalg.transpose([form_to_vector(f, monos) for f in family.basis])
     solutions = _linalg.solve_many(gamma_cols, members) if members else []
     if None in solutions:
         return "mismatch", "closed form outside the span of the declared gammas"

@@ -44,7 +44,6 @@ __all__ = [
     "pullback",
     "sort_sign",
     "top_coefficient",
-    "vector_to_form",
     "wedge",
 ]
 
@@ -391,14 +390,6 @@ def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:
         raise ValueError(f"{alpha.render()} does not have rational coefficients")
     layer = next(iter(alpha.layers.values()), {})
     return [Fraction(layer[idx], alpha.den) if idx in layer else _ZERO for idx in monos]
-
-
-def vector_to_form(vec, dim: int, degree: int, symbols: Iterable[str] = ()) -> AltForm:
-    """The form with coefficients vec (canonical Fractions) over ``monomials(dim, degree)``."""
-    symbols = check_context(symbols)
-    ints, den = _integer_row(vec)
-    layer = dict(zip(monomials(dim, degree), ints))
-    return AltForm._trusted(dim, degree, symbols, den, {(0,) * len(symbols): layer})
 
 
 class ExteriorOp:

@@ -14,10 +14,10 @@ do not change it without updating those tests.
 
 from __future__ import annotations
 
-from math import comb
+from math import lcm
 
 from g2forms import _linalg
-from g2forms.exterior import AltForm, combination, form_to_vector, monomials, vector_to_form
+from g2forms.exterior import AltForm, combination, monomials
 from g2forms.liealg import HomogeneousSpaceData
 
 __all__ = [
@@ -70,10 +70,10 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
         ops = data.derivations(degree)
         if not all(op.is_rational() for op in ops):
             raise ValueError("parametric isotropy action: instantiate the parameters first")
-        n = data.dim_m
-        kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(n, degree))
-        basis = [vector_to_form(vec, n, degree, data.symbols) for vec in kernel]
-        return InvariantFormSpace(degree, basis)
+        n, monos, zero = data.dim_m, monomials(data.dim_m, degree), (0,) * len(data.symbols)
+        kernel = _linalg._nullspace_ints([row for op in ops for row in op.rows()], len(monos))
+        return InvariantFormSpace(degree, [AltForm._trusted(n, degree, data.symbols, den, {
+            zero: dict(zip(monos, ints))}) for ints, den in kernel])
 
     return data.cached(("invariant_forms", degree), build, isotropy=True)
 
@@ -117,10 +117,11 @@ class ClosedFamily:
 def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
     """Solve d(sum_i a_i gamma_i) = 0 exactly over the invariant basis.
 
-    Column j of the d-matrix is ``d.apply(gamma_j)``.  Its kernel K and the basis
+    Column j of the d-matrix is ``d.apply(gamma_j)``, its ints over the lcm L of
+    their dens (L times the matrix: the same kernel).  Its kernel K and the basis
     are in RREF, so K times the basis is too: K's row i has its leading 1 at q_i,
-    on gamma_{q_i}'s pivot, where K's other rows are 0.  Solved once per data and
-    degree and shared, like :func:`invariant_forms`.
+    on gamma_{q_i}'s pivot, where K's other rows are 0.  The product runs on ints.
+    Solved once per data and degree and shared, like :func:`invariant_forms`.
     """
 
     def build():
@@ -128,14 +129,22 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
         if not d.is_rational():
             raise ValueError("closed_forms needs fully instantiated homogeneous data")
         space = invariant_forms(data, degree)
-        n = data.dim_m
-        in_monomials, out_monomials = monomials(n, degree), monomials(n, degree + 1)
-        columns = [form_to_vector(d.apply(g), out_monomials) for g in space.basis]
-        kernel = _linalg.nullspace(_linalg.transpose(columns), space.dim)
-        members = [form_to_vector(g, in_monomials) for g in space.basis]
-        rows = _linalg.matmul(kernel, members)
-        parameters = tuple(f"a{i}" for i in range(1, len(rows) + 1))
-        basis = [vector_to_form(vec, n, degree) for vec in rows]
+        n, images = data.dim_m, [d.apply(g) for g in space.basis]
+        scale, rows = lcm(*(image.den for image in images)), {}
+        for j, image in enumerate(images):
+            for row, v in next(iter(image.layers.values()), {}).items():
+                rows.setdefault(row, [0] * space.dim)[j] = v * (scale // image.den)
+        kernel = _linalg._nullspace_ints(list(rows.values()), space.dim)
+        scale, basis = lcm(*(g.den for g in space.basis)), []
+        members = [[(key, v * (scale // g.den)) for key, v in layer.items()]
+                   for g in space.basis for layer in g.layers.values()]  # one layer each
+        for ints, den in kernel:
+            sums = {}
+            for x, member in zip(ints, members):
+                for key, v in member if x else ():
+                    sums[key] = sums.get(key, 0) + x * v
+            basis.append(AltForm._trusted(n, degree, (), den * scale, {(): sums}))
+        parameters = tuple(f"a{i}" for i in range(1, len(basis) + 1))
         generic = combination(n, degree, parameters, zip(parameters, basis))
         rank = space.dim - len(kernel)
         return ClosedFamily(data, degree, parameters, basis, generic, space.dim, rank)

@@ -53,6 +53,15 @@ def poly_mul(first: PolyScalar, *factors) -> PolyScalar:
     return PolyScalar(first.symbols, terms)
 
 
+def vector_to_form(vec, dim: int, degree: int, symbols=()) -> AltForm:
+    """The form with coefficients vec (rationals) over ``monomials(dim, degree)``,
+    through the validating constructor: the tests' route from coordinates to
+    forms (the engine builds its bases from integer rows)."""
+    symbols = tuple(symbols)
+    coeffs = {m: PolyScalar.constant(x, symbols) for m, x in zip(monomials(dim, degree), vec) if x}
+    return AltForm(dim, degree, symbols, coeffs)
+
+
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
     num = rng.randint(-span, span)
     den = rng.randint(1, span)

@@ -22,10 +22,10 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from g2forms.exterior import (  # noqa: E402
     AltForm, ExteriorOp, combination, contract, form_to_vector, monomials, parse_form, pullback,
-    vector_to_form, wedge,
+    wedge,
 )
 from g2forms.scalars import PolyScalar  # noqa: E402
-from conftest import poly_mul  # noqa: E402
+from conftest import poly_mul, vector_to_form  # noqa: E402
 
 CTX = ("s", "t")
 DIM = 4

@@ -500,3 +500,16 @@ def test_closed_form_outside_the_declared_gammas_is_a_mismatch():
     assert (result.status, result.computed) == (
         "mismatch", "closed form outside the span of the declared gammas"
     )
+
+
+def test_closed_component_prints_the_exact_nonzero_component():
+    # the closed family of the abelian algebra is e^{1 2 3}, ..., e^{2 3 4}; its
+    # first member is 2 times the first gamma, so the printed component is 2: it
+    # is solved on the forms' exact coefficients, not on rows of another scale
+    item = {"check": "closed_component_zero", "args": {"indices": [1]}, "value": True,
+            "cite": "probe"}
+    gammas = ["1/2*e^{1 2 3}", "e^{1 2 4}", "e^{1 3 4}", "e^{2 3 4}"]
+    symbols = ["g1", "g2", "g3", "g4"]
+    doc = _abelian_4(context=symbols, gammas=gammas, gamma_symbols=symbols, expected=[item])
+    (result,) = verify_case(validate_case_dict(doc)).results
+    assert (result.status, result.computed) == ("mismatch", "component 1 = 2")

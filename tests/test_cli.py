@@ -109,6 +109,18 @@ def test_closed_command(capsys):
     assert "e^{1 2 4} - e^{1 3 5}" in out
 
 
+NOTE = "note: partial homogeneous data; d o d = 0 not guaranteed by construction"
+
+
+@pytest.mark.parametrize("case_id, partial", [("T2.n1", True), ("su31", False)])
+def test_closed_command_notes_partial_data(capsys, case_id, partial):
+    assert main(["closed", "--input", str(CASES_DIR / f"{case_id}.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (NOTE in lines) == partial
+    if partial:  # right below the heading
+        assert lines[:2] == [f"closed invariant 3-forms of {case_id}", NOTE]
+
+
 def test_definite_command(tmp_path, capsys):
     form = write_form(tmp_path, "phi0.json", 7, 3, PHI0)
     assert main(["definite", "--form", form]) == 0

@@ -16,6 +16,7 @@ from conftest import (
     random_vector,
     two_symbol_form,
     unit_vector,
+    vector_to_form,
     wedge_by_products,
 )
 from g2forms.exterior import (
@@ -31,7 +32,6 @@ from g2forms.exterior import (
     pullback,
     sort_sign,
     top_coefficient,
-    vector_to_form,
     wedge,
 )
 from g2forms.liealg import HomogeneousSpaceData

@@ -9,11 +9,13 @@ from conftest import (
     dense_ce_differential,
     dense_matrix,
     random_form,
+    random_unimodular,
     rank_by_reverse_elimination,
+    vector_to_form,
 )
 from g2forms import _linalg
 from g2forms.catalog import bundled_ids, load_bundled
-from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form, vector_to_form
+from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import (
     InvariantFormSpace,
     PartialDataError,
@@ -279,13 +281,13 @@ def test_derived_objects_are_built_once_per_data(monkeypatch):
     space = invariant_forms(data, 3)
     assert invariant_forms(data, 3) is space
     calls = []
-    original = _linalg.nullspace
+    original = _linalg._nullspace_ints
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(_linalg, "nullspace", counting)
+    monkeypatch.setattr(_linalg, "_nullspace_ints", counting)
     family = closed_forms(data, 3)
     assert len(calls) == 1  # the kernel of d; the invariant basis is reused
     assert closed_forms(data, 3) is family
@@ -307,6 +309,29 @@ def test_closed_family_is_the_common_kernel_of_the_derivations_and_d():
                 family = closed_forms(data, k)
                 assert family.basis == [vector_to_form(vec, n, k) for vec in kernel]
                 assert family.rank == invariant_forms(data, k).dim - family.dim
+
+
+def test_solves_on_a_rational_basis_of_m_match_the_stacked_kernels():
+    # a rational change of basis inside m (h kept) gives invariant and closed
+    # bases with denominators, which no bundled case has: each must still be
+    # the kernel of the stacked rows, read through the validating constructor
+    rng = random.Random(2027)
+    e = models.sl3r_matrices()
+    scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(7)]
+    p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, 7, shears=6)]
+    m = [[[sum(p[k][c] * e[k][r][t] for k in range(7)) for t in range(3)] for r in range(3)]
+         for c in range(7)]
+    data = reductive_split(from_matrices(MatrixBasis(m + [e[7]])), [8], list(range(1, 8)))
+    dens = set()
+    for k in range(8):
+        space, family = invariant_forms(data, k), closed_forms(data, k)
+        for ops, basis in [(data.derivations(k), space.basis),
+                           ([*data.derivations(k), data.differential(k)], family.basis)]:
+            kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(7, k))
+            assert basis == [vector_to_form(vec, 7, k) for vec in kernel], k
+            dens |= {form.den for form in basis}
+        assert family.rank == space.dim - family.dim
+    assert max(dens) > 1
 
 
 def test_instantiations_with_equal_isotropy_share_one_invariant_solve():

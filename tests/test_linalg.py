@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 import pytest
 from conftest import congruence_by_fractions, fraction_det, fraction_inverse, random_symmetric
@@ -133,6 +134,32 @@ def test_span_helpers():
     assert _linalg.spans_equal(a, b)
     assert _linalg.span_contains(a, [[F(2), F(3)]])
     assert not _linalg.span_contains([[F(1), F(0)]], [[F(0), F(1)]])
+    # int rows, as the catalog's checks pass them: a row's scale does not change its span
+    assert _linalg.spans_equal([[2, 4, 0], [0, 3, -6]], [[-1, 0, -4], [0, 5, -10]])
+    assert not _linalg.spans_equal([[2, 4, 0]], [[1, 2, 1]])
+    assert _linalg.span_contains([[2, 4, 0], [0, 3, -6]], [[3, 0, 12]])
+    assert _linalg.rank([[2, 4, 0], [-1, -2, 0], [0, 0, 7]]) == 2
+
+
+@pytest.mark.parametrize("density", [0.1, 1.0])
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_integer_nullspace_rows_are_primitive_over_their_pivot(seed, density):
+    # Fraction rows (full rank, rank-deficient, zero rows, wide and tall), int
+    # and mixed rows, an all-zero and a full-rank one, and no rows at all
+    cases = [(mat, len(mat[0])) for mat in chain(_oracle_cases(seed, density),
+                                                 _integer_cases(seed, density))]
+    for mat, ncols in cases + [([], 3), ([], 0)]:
+        kernel = _linalg._nullspace_ints(mat, ncols)
+        assert len(kernel) == len(_linalg.nullspace(mat, ncols)) == ncols - _linalg.rank(mat)
+        for (ints, den), row in zip(kernel, _linalg.nullspace(mat, ncols)):
+            assert all(type(x) is int for x in ints) and type(den) is int
+            assert den > 0 and gcd(*ints) == 1
+            pivot = next(c for c, x in enumerate(ints) if x)
+            assert ints[pivot] == den
+            assert [Fraction(x, den) for x in ints] == row
+            for mat_row in mat:  # M row = 0 with bare Fraction arithmetic
+                assert sum((Fraction(a) * Fraction(x, den) for a, x in zip(mat_row, ints)),
+                           Fraction(0)) == 0
 
 
 def _random_entry(rng, density):
