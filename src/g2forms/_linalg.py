@@ -11,11 +11,11 @@ by the lcm of its denominators (int rows, as ``ExteriorOp.rows()`` gives,
 are taken as they are).  :func:`rref` divides by its pivots at the end.
 :func:`_reduced` gives each RREF row as primitive ints over its pivot, and
 :func:`_nullspace_ints` so the RREF nullspace basis: the invariant and
-closed bases are built from these rows, and :func:`rank`,
-:func:`spans_equal` and :func:`span_contains` count or compare echelon
-rows, with no division.  The RREF is unique, so every one gives the space
-of elimination over Q.  :func:`nullspace` (a Fraction view) and
-:func:`row_space` serve the tests and ``tools/compare_pointwise.py``.
+closed bases are built from these rows.  :func:`rank` counts echelon
+pivots, :func:`spans_equal` compares RREF rows and :func:`span_contains`
+reduces each row by them, all on ints.  The RREF is unique, so every one
+gives the space of elimination over Q.  :func:`nullspace` (a Fraction
+view) and :func:`row_space` serve the tests and ``tools/compare_pointwise.py``.
 :func:`matmul` scales ``b`` to ints once, one Fraction per output entry.
 :func:`det`, :func:`leading_principal_minors` and :func:`inverse` share one
 Bareiss pass on D*mat (D the lcm of the denominators), every division
@@ -148,8 +148,19 @@ def spans_equal(rows_a: list, rows_b: list) -> bool:
 
 
 def span_contains(big_rows: list, small_rows: list) -> bool:
-    """True when span(small) is contained in span(big)."""
-    return rank(big_rows) == rank(big_rows + small_rows)
+    """True when span(small) is contained in span(big): L v minus (L v_c / den) times
+    each RREF row ints / den of big (pivot c, its first nonzero entry; L the lcm of the
+    dens) is 0 for each row v of small."""
+    reduced = [(ints, den, ints.index(den)) for ints, den in _reduced(big_rows)]
+    big_den = lcm(*(den for _, den, _ in reduced))
+    for row in small_rows:
+        v = [big_den * x for x in _integer_row(row)[0]]
+        for ints, den, c in reduced:
+            if f := v[c] // den:
+                v = [x - f * y for x, y in zip(v, ints)]
+        if any(v):
+            return False
+    return True
 
 
 def solve_many(mat: Matrix, rhs_cols: Matrix) -> list:

@@ -325,7 +325,7 @@ class CaseRecord:
 
 
 def _algebra(values) -> HomogeneousSpaceData:
-    """The full Lie algebra of the case; complex matrices are realified before the solve."""
+    """The full Lie algebra of the case; complex matrices are solved on their (re, im) parts."""
     names, context = values["basis_names"], values["context"]
     if values["source"] == "structure-constants":
         constants = values["structure_constants"]

@@ -9,8 +9,8 @@ covectors of g through that operator.  Both tables are sparse and hold
 only nonzero scalars (formats in the class docstring), so the operators
 are built from them as stored.  :func:`from_matrices` derives the
 structure constants of an explicit matrix basis by one exact n x n solve;
-complex matrices are accepted as (re, im) pairs and realified, which keeps
-every computation in Q while preserving all brackets.
+complex matrices are accepted as (re, im) pairs and solved on those
+coordinates, with the brackets of their realification, all in Q.
 
 :func:`reductive_split` turns a Lie algebra into the data of G/H for a
 split g = h + m.  Cases where only that projected data is known (no full
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
@@ -38,7 +38,6 @@ __all__ = [
     "from_matrices",
     "homogeneous_from_partial",
     "jacobi_check",
-    "realify_matrix",
     "reductive_split",
 ]
 
@@ -47,55 +46,34 @@ class LieStructureError(ValueError):
     """Structural validation of Lie-algebra data failed."""
 
 
-def realify_matrix(entries: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Realify a complex d x d matrix into a real 2d x 2d matrix.
-
-    Entries are Fractions (real) or (re, im) pairs.  The map X -> [[A, -B],
-    [B, A]] for X = A + iB is an injective Lie-algebra homomorphism, so
-    structure constants computed from realified matrices agree with the
-    complex ones.
-    """
-    d = len(entries)
-    real = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-    for r in range(d):
-        row = entries[r]
-        if len(row) != d:
-            raise ValueError("complex matrix must be square")
-        for c in range(d):
-            entry = row[c]
-            if isinstance(entry, (tuple, list)):
-                re_part, im_part = Fraction(entry[0]), Fraction(entry[1])
-            else:
-                re_part, im_part = Fraction(entry), Fraction(0)
-            real[r][c] = re_part
-            real[r][c + d] = -im_part
-            real[r + d][c] = im_part
-            real[r + d][c + d] = re_part
-    return real
-
-
 class MatrixBasis:
-    """An ordered list of real square matrices spanning a Lie algebra."""
+    """An ordered list of d x d matrices spanning a real Lie algebra.
+
+    ``matrices`` holds the matrices as Fraction rows; for a complex basis it
+    holds their real parts and ``imag`` their imaginary parts (None for a
+    real basis), so ``size`` is d either way.
+    """
 
     def __init__(self, matrices: Sequence[Sequence[Sequence]]):
-        mats = []
-        size = None
-        for m in matrices:
-            rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
-            if size is None:
-                size = len(rows)
-            if len(rows) != size or any(len(r) != size for r in rows):
-                raise ValueError("matrices must be square and equally sized")
-            mats.append(rows)
+        mats = [[[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
+                for m in matrices]
         if not mats:
             raise ValueError("empty matrix basis")
-        self.matrices = mats
-        self.size = size
+        size = len(mats[0])
+        if any(len(m) != size or any(len(row) != size for row in m) for m in mats):
+            raise ValueError("matrices must be square and equally sized")
+        self.matrices, self.size, self.imag = mats, size, None
 
     @classmethod
     def from_complex(cls, matrices: Sequence[Sequence[Sequence]]) -> "MatrixBasis":
-        """Build a basis from complex matrices with (re, im) pair entries."""
-        return cls([realify_matrix(m) for m in matrices])
+        """Build a basis from complex matrices: (re, im) pair entries, a bare entry real."""
+        pairs = [[[x if isinstance(x, (tuple, list)) else (x, 0) for x in row] for row in m]
+                 for m in matrices]
+        if any(len(row) != len(m) for m in pairs for row in m):
+            raise ValueError("complex matrix must be square")
+        basis = cls([[[x[0] for x in row] for row in m] for m in pairs])
+        basis.imag = [[[Fraction(x[1]) for x in row] for row in m] for m in pairs]
+        return basis
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -108,10 +86,13 @@ def from_matrices(
 
     On M_i = L * B_i, L the lcm of all denominators, [B_i, B_j] = sum_r c_r B_r reads
     [M_i, M_j] = sum_r (L c_r) M_r, block j of M_i [M_1 | ... | M_n] minus block i of
-    M_j [M_1 | ... | M_n].  All pairs are solved on n pivot entries of the span at
-    once, then checked on every entry on ints.  The constants live in the context
-    ``symbols``.  Raises :class:`LieStructureError` when the matrices are linearly
-    dependent or a commutator leaves the span (with the first such pair).
+    M_j [M_1 | ... | M_n].  A complex matrix A + iB is its d^2 real entries, then its
+    imaginary ones, with (A + iB)(A' + iB') = (AA' - BB') + i(AB' + BA'): the span and
+    brackets of the realification X -> [[A, -B], [B, A]], an injective homomorphism.
+    All pairs are solved on n pivot coordinates of the span at once, then checked on
+    every coordinate on ints.  The constants live in the context ``symbols``.  Raises
+    :class:`LieStructureError` when the matrices are linearly dependent or a
+    commutator leaves the span (with the first such pair).
     """
     symbols = check_context(symbols)
     n, d = len(basis), basis.size
@@ -119,21 +100,28 @@ def from_matrices(
         # a one-dimensional algebra is abelian by antisymmetry, whatever the
         # matrix (including the zero matrix, whose span is degenerate)
         return HomogeneousSpaceData(1, [], {}, names, symbols)
-    den, flat = _linalg._augmented([[x for row in m for x in row] for m in basis.matrices], False)
-    pivots = _linalg._echelon(flat, d * d)[1]
+    mats = basis.matrices if basis.imag is None else map(add, basis.matrices, basis.imag)
+    den, flat = _linalg._augmented([[x for row in m for x in row] for m in mats], False)
+    pivots = _linalg._echelon(flat, len(flat[0]))[1]
     if len(pivots) < n:
         raise LieStructureError("matrix basis is linearly dependent")
-    cut = range(0, d * d, d)
+    d2 = d * d
+    cut = range(0, d2, d)
     wide = [[x for f in flat for x in f[k:k + d]] for k in cut]  # rows of [M_1 | ... | M_n]
+    if basis.imag is not None:  # (a + ib)(A + iB) = a [A | B] + b [-B | A], as [re | im]
+        im = [[x for f in flat for x in f[k:k + d]] for k in range(d2, 2 * d2, d)]
+        wide = [a + b for a, b in zip(wide, im)] + [[-x for x in b] + a for a, b in zip(wide, im)]
+    width = len(wide[0])  # n d, twice that for a complex basis
     products = [[] for _ in flat]  # M_i [M_1 | ... | M_n], rows concatenated
     for f, out in zip(flat, products):
-        for r in cut:  # the rows of [M_1 | ... | M_n] at the nonzeros of row r of M_i
-            acc = [0] * (n * d)
-            for a, w in zip(f[r:r + d], wide):
+        for k in cut:  # the rows of wide at the nonzeros of a row a + ib of M_i (b = [] if real)
+            acc = [0] * width
+            for a, w in zip(f[k:k + d] + f[d2 + k:d2 + k + d], wide):
                 if a:
                     acc = [x + a * y for x, y in zip(acc, w)]
             out += acc
-    block = [itemgetter(*[r * n + j * d + c for r in cut for c in range(d)]) for j in range(n)]
+    block = [itemgetter(*[r * width + o + j * d + c for o in range(0, width, n * d)
+                          for r in range(d) for c in range(d)]) for j in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     commutators = [list(map(sub, block[j](products[i]), block[i](products[j]))) for i, j in pairs]
     solutions = _linalg.solve_many([[f[p] for f in flat] for p in pivots],

@@ -42,10 +42,11 @@ class ContextMismatchError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` (q > 0) into a Fraction; nothing else is a rational."""
-    try:
-        return Fraction(_RATIONAL_RE.match(text.strip())[0])
-    except (TypeError, ZeroDivisionError) as exc:  # no match, or q = 0
-        raise ValueError(f"invalid rational literal {text!r}") from exc
+    if match := _RATIONAL_RE.match(text.strip()):
+        p, q = match.groups()
+        if q is None or int(q):
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    raise ValueError(f"invalid rational literal {text!r}")  # no match, or q = 0
 
 
 def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
@@ -58,7 +59,7 @@ def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
 
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def check_context(symbols: Iterable[str]) -> tuple[str, ...]:

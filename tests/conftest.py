@@ -479,12 +479,29 @@ def dense_jacobi_violations(algebra) -> list:
     return violations
 
 
+def realify_matrix(entries) -> list[list[Fraction]]:
+    """The real 2d x 2d matrix [[A, -B], [B, A]] of a complex d x d matrix
+    X = A + iB, entries Fractions (real) or (re, im) pairs.  X -> [[A, -B],
+    [B, A]] is an injective homomorphism of real Lie algebras, so a complex
+    basis and its realification have the same structure constants."""
+    d = len(entries)
+    real = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
+    for r, row in enumerate(entries):
+        for c, entry in enumerate(row):
+            pair = entry if isinstance(entry, (tuple, list)) else (entry, 0)
+            re_part, im_part = map(Fraction, pair)
+            real[r][c] = real[r + d][c + d] = re_part
+            real[r][c + d], real[r + d][c] = -im_part, im_part
+    return real
+
+
 def from_matrices_by_span_solve(basis, names=None, symbols=()):
     """The Lie algebra of a matrix basis by the full-span solve: on M_r = L B_r
     (L the lcm of the denominators), every commutator [M_i, M_j] by integer
     matrix products, and a fraction-free Gauss-Jordan elimination of the
     integer rows of [span | commutators], the span's d^2 x n columns the
     flattened M_r (of the span alone first, for its rank); then c_r = x_r / L.
+    A complex basis is realified first (:func:`realify_matrix`).
     Raises the same LieStructureError
     messages as :func:`g2forms.liealg.from_matrices`: a dependent basis first,
     then the first pair (i, j) whose commutator leaves the span.  An oracle
@@ -494,8 +511,12 @@ def from_matrices_by_span_solve(basis, names=None, symbols=()):
     n = len(basis)
     if n == 1:
         return HomogeneousSpaceData(1, [], {}, names, symbols)
-    den = lcm(*(x.denominator for m in basis.matrices for row in m for x in row))
-    mats = [[[int(x * den) for x in row] for row in m] for m in basis.matrices]
+    real = basis.matrices if basis.imag is None else [
+        realify_matrix([list(zip(*rows)) for rows in zip(a, b)])
+        for a, b in zip(basis.matrices, basis.imag)
+    ]
+    den = lcm(*(x.denominator for m in real for row in m for x in row))
+    mats = [[[int(x * den) for x in row] for row in m] for m in real]
 
     def times(a, b):
         return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]

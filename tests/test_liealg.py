@@ -12,6 +12,7 @@ from conftest import (
     poly_mul,
     random_rational,
     random_unimodular,
+    realify_matrix,
 )
 from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.invariants import d_squared_check
@@ -22,7 +23,6 @@ from g2forms.liealg import (
     from_matrices,
     homogeneous_from_partial,
     jacobi_check,
-    realify_matrix,
     reductive_split,
 )
 from g2forms.scalars import PolyScalar
@@ -86,6 +86,27 @@ def test_first_pair_outside_the_span_is_named():
         assert str(caught.value) == "commutator [e1, e3] does not lie in the span of the basis"
         with pytest.raises(LieStructureError, match=r"^commutator \[e1, e3\] does not"):
             from_matrices_by_span_solve(basis)
+
+
+def test_matrix_basis_refuses_malformed_input():
+    one, i = (1, 0), (0, 1)
+    for build, square, other, ragged in (
+        (MatrixBasis, [[1, 0], [0, 1]], [[1]], [[1, 0], [0]]),
+        (MatrixBasis.from_complex, [[one, i], [i, one]], [[i]], None),
+    ):
+        with pytest.raises(ValueError, match="^empty matrix basis$"):
+            build([])
+        with pytest.raises(ValueError, match="^matrices must be square and equally sized$"):
+            build([square, other])
+        if ragged is not None:
+            with pytest.raises(ValueError, match="^matrices must be square and equally sized$"):
+                build([square, ragged])
+    with pytest.raises(ValueError, match="^complex matrix must be square$"):
+        MatrixBasis.from_complex([[[one, i], [one]]])
+    # a complex basis keeps its size: real parts in matrices, imaginary parts beside them
+    basis = MatrixBasis.from_complex([[[one, i], [3, Fraction(1, 2)]]])
+    assert basis.size == 2 and MatrixBasis([[[1]]]).imag is None
+    assert basis.matrices == [[[1, 0], [3, Fraction(1, 2)]]] and basis.imag == [[[0, 1], [0, 0]]]
 
 
 def test_realified_su2_keeps_structure_constants():
@@ -350,17 +371,23 @@ MATRIX_MODELS = {
 
 def sheared_basis(rng, basis: MatrixBasis, shears: int) -> MatrixBasis:
     """f_c = sum_k P[k][c] e_k for a seeded rational P: a product of random
-    shears with its columns scaled by nonzero rationals."""
+    shears with its columns scaled by nonzero rationals; a complex basis has
+    its real and imaginary parts sheared alike."""
     n, size = len(basis), basis.size
     scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
     p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears=shears)]
-    return MatrixBasis([
-        [
-            [sum(p[k][c] * basis.matrices[k][r][s] for k in range(n)) for s in range(size)]
-            for r in range(size)
+
+    def shear(mats):
+        return [
+            [[sum(p[k][c] * mats[k][r][s] for k in range(n)) for s in range(size)]
+             for r in range(size)]
+            for c in range(n)
         ]
-        for c in range(n)
-    ])
+
+    if basis.imag is None:
+        return MatrixBasis(shear(basis.matrices))
+    return MatrixBasis.from_complex([[list(zip(*rows)) for rows in zip(a, b)]
+                                     for a, b in zip(shear(basis.matrices), shear(basis.imag))])
 
 
 def assert_one_perturbed_constant_breaks_jacobi(rng, algebra, name):
@@ -431,31 +458,59 @@ def combine(p, mats, cx):
     return [[[entry(c, r, s) for s in range(size)] for r in range(size)] for c in range(len(p[0]))]
 
 
+def basis_variants(rng, mats, cx) -> list:
+    """The basis as it is, sheared by two rational P (3 and 8 shears), with one
+    matrix made dependent, and cut to three shuffled subsets of the first
+    shear (mostly not closed)."""
+    n = len(mats)
+    variants = [mats]
+    for shears in (3, 8):
+        scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+        p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears)]
+        variants.append(combine(p, mats, cx))
+    dependent, j = random_unimodular(rng, n, 4), rng.randrange(2, n)
+    for row in dependent:
+        row[j] = row[0] - 2 * row[1]
+    variants.append(combine(dependent, mats, cx))
+    for _ in range(3):
+        k = rng.randint(2, n - 1)
+        variants.append(rng.sample(variants[1], k))
+    return variants
+
+
+def outcome_kind(outcome) -> str:
+    return ("brackets" if isinstance(outcome, list)
+            else "dependent" if "dependent" in outcome else "outside")
+
+
 def test_from_matrices_matches_the_full_span_solve():
-    # each bundled basis, as it is, sheared by a rational P (in its complex
-    # form too), with one matrix made dependent, and cut to a shuffled subset
-    # (mostly not closed): the same brackets or the same error as the oracle
+    # each bundled basis in its variants (in its complex form too): the same
+    # brackets or the same error as the oracle
     rng = random.Random(2024)
     seen = {"brackets": 0, "dependent": 0, "outside": 0}
     for case_id, cx, mats in bundled_matrix_bases():
-        n = len(mats)
-        variants = [mats]
-        for shears in (3, 8):
-            scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
-            p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears)]
-            variants.append(combine(p, mats, cx))
-        dependent, j = random_unimodular(rng, n, 4), rng.randrange(2, n)
-        for row in dependent:
-            row[j] = row[0] - 2 * row[1]
-        variants.append(combine(dependent, mats, cx))
-        for _ in range(3):
-            k = rng.randint(2, n - 1)
-            variants.append(rng.sample(variants[1], k))
-        for variant in variants:
+        for variant in basis_variants(rng, mats, cx):
             basis = MatrixBasis.from_complex(variant) if cx else MatrixBasis(variant)
             got = structure_outcome(from_matrices, basis)
             assert got == structure_outcome(from_matrices_by_span_solve, basis), case_id
-            key = ("brackets" if isinstance(got, list)
-                   else "dependent" if "dependent" in got else "outside")
-            seen[key] += 1
+            seen[outcome_kind(got)] += 1
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_complex_bases_solve_as_their_realification():
+    # every complex model and bundled complex basis in its variants: the
+    # (re, im) coordinates give the brackets, or the error, of the realified
+    # real matrices [[A, -B], [B, A]]
+    rng = random.Random(28)
+    bases = [("su21", models.su21_matrices(p, q)) for p, q in ((0, 1), (1, 1), (2, -3))]
+    bases.append(("su31", models.su31_matrices()))
+    bases += [(case_id, mats) for case_id, cx, mats in bundled_matrix_bases() if cx]
+    assert {"T1.n2a", "T1.n2b", "T1.n2c", "su31"} <= {name for name, _ in bases}
+    seen = {"brackets": 0, "dependent": 0, "outside": 0}
+    for name, mats in bases:
+        for variant in basis_variants(rng, mats, True):
+            got = structure_outcome(from_matrices, MatrixBasis.from_complex(variant))
+            real = MatrixBasis([realify_matrix(m) for m in variant])
+            assert got == structure_outcome(from_matrices, real), name
+            seen[outcome_kind(got)] += 1
     assert all(count >= 5 for count in seen.values()), seen

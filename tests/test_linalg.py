@@ -141,6 +141,33 @@ def test_span_helpers():
     assert _linalg.rank([[2, 4, 0], [-1, -2, 0], [0, 0, 7]]) == 2
 
 
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_span_contains_agrees_with_the_rank_formula(seed):
+    # big: the seeded cases (dependent, zero, int and mixed rows) and no rows;
+    # small: no rows, a zero row, int and rational combinations of big's rows,
+    # and random rows, alone and mixed in
+    rng = random.Random(seed)
+    verdicts = []
+    for big in chain(_oracle_cases(seed, 0.5), _integer_cases(seed, 0.5)):
+        ncols = len(big[0])
+
+        def combination(scale):
+            coeffs = [rng.randint(-3, 3) for _ in big]
+            return [scale * sum(c * row[k] for c, row in zip(coeffs, big)) for k in range(ncols)]
+
+        inside = [combination(1), combination(F(rng.randint(1, 5), rng.randint(1, 5)))]
+        outside = [[rng.randint(-3, 3) for _ in range(ncols)],
+                   _random_matrix(rng, 1, ncols, 0.5)[0]]
+        smalls = [[], [[0] * ncols], [[F(0)] * ncols], inside, outside, inside + outside[:1],
+                  outside[1:] + inside, big]
+        for bigs in (big, []):
+            for small in smalls:
+                want = _linalg.rank(bigs) == _linalg.rank(bigs + small)
+                assert _linalg.span_contains(bigs, small) == want, (bigs, small)
+                verdicts.append(want)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
 @pytest.mark.parametrize("density", [0.1, 1.0])
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_integer_nullspace_rows_are_primitive_over_their_pivot(seed, density):

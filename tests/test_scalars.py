@@ -63,6 +63,26 @@ def test_rationals_are_reduced_with_positive_denominator():
         parse_rational("1/0")
 
 
+def test_parse_rational_agrees_with_the_fraction_constructor():
+    # seeded literals: signs, leading zeros, -0, long numerators and denominators,
+    # surrounding whitespace; a zero denominator is refused
+    rng = random.Random(28)
+
+    def digits():
+        return "0" * rng.randint(0, 2) + str(rng.randint(0, 10 ** rng.randint(1, 30)))
+
+    for _ in range(300):
+        den = rng.choice(["", "", "0", "00", digits(), digits()])
+        body = rng.choice(["", "-"]) + digits() + ("/" + den if den else "")
+        text = rng.choice(["", " ", "\t"]) + body + rng.choice(["", " ", "\n"])
+        if den and not int(den):
+            with pytest.raises(ValueError, match="invalid rational literal"):
+                parse_rational(text)
+        else:
+            got = parse_rational(text)
+            assert type(got) is Fraction and got == Fraction(body), text
+
+
 @pytest.mark.parametrize("text", ["1.5", "1e3", "+3", "1_0"])
 def test_parse_rational_reads_only_p_and_p_over_q(text):
     with pytest.raises(ValueError, match="invalid rational literal"):

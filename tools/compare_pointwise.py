@@ -80,7 +80,9 @@ results are rendered to strings and compared exactly:
   complex form (a real case as (x, 0) pairs) sheared the same way, with one
   matrix a combination of two others (dependent), and cut to shuffled
   subsets (mostly not closed); then 60 seeded random bases of 2 to 4
-  rational 2 x 2 or 3 x 3 matrices, every third one complex.  It runs last.
+  rational 2 x 2 or 3 x 3 matrices, every third one complex; then each
+  bundled complex basis conjugated by a seeded dense unimodular integer P,
+  as it is and cut to two shuffled subsets.  It runs last.
 
 Exits 1 when any group differs.
 """
@@ -409,6 +411,44 @@ for t in range(60):
     mats = [[[value() if rng.random() < 0.5 else (F(0) if not cx else [F(0), F(0)])
               for _ in range(size)] for _ in range(size)] for _ in range(rng.randint(2, 4))]
     out["structure"].append(structure(mats, cx))
+
+def unimodular(rng, n):
+    # a dense integer P = L U, det P = 1, and its inverse: L and U unit triangular
+    # with +-1 off the diagonal, each a product of integer shears I + c E_ij (the
+    # generator of the dense-basis benchmark inputs, without the reflection)
+    shears = []
+    for j in range(n - 1):
+        shears += [(i, j, rng.choice((-1, 1))) for i in range(j + 1, n)]
+    for j in reversed(range(1, n)):
+        shears += [(i, j, rng.choice((-1, 1))) for i in range(j)]
+    p = [[F(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for i, j, c in shears:  # P <- P (I + c E_ij)
+        for r in range(n):
+            p[r][j] += c * p[r][i]
+    for i, j, c in reversed(shears):  # P^-1 <- P^-1 (I - c E_ij)
+        for r in range(n):
+            p_inv[r][j] -= c * p_inv[r][i]
+    assert times(p, p_inv) == [[i == j for j in range(n)] for i in range(n)]
+    return p, p_inv
+
+def times(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+for case_id in bundled_ids():
+    record = load_bundled(case_id)
+    mats = record.raw.get("matrices") if record.source == "matrix-basis" else None
+    if not mats or not any(isinstance(x, list) for m in mats for row in m for x in row):
+        continue
+    rng = random.Random(f"conjugate:{case_id}")
+    p, p_inv = unimodular(rng, len(mats[0]))
+    dense = []
+    for m in mats:  # P (A + iB) P^-1 = P A P^-1 + i P B P^-1, P real
+        re, im = ([[F(x[part]) for x in row] for row in m] for part in (0, 1))
+        re, im = (times(times(p, part), p_inv) for part in (re, im))
+        dense.append([[[a, b] for a, b in zip(r1, r2)] for r1, r2 in zip(re, im)])
+    for basis in [dense] + [rng.sample(dense, rng.randint(2, len(dense) - 1)) for _ in range(2)]:
+        out["structure"].append([case_id, "conjugated", structure(basis, True)])
 print(json.dumps(out))
 '''
 

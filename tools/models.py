@@ -6,8 +6,8 @@ Every bundled case file is generated from this module and
 drift between the two is caught.  It stays out of the installed package.
 
 Real matrices are lists of Fraction-able rows; complex matrices use
-``(re, im)`` pairs for entries and are realified on ingestion, which keeps
-all structure constants rational.
+``(re, im)`` pairs for entries and are solved on their real and imaginary
+parts, which keeps all structure constants rational.
 """
 
 from __future__ import annotations
