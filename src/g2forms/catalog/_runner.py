@@ -209,9 +209,8 @@ def _check_su3_flags(record, value, omega, psi):
 
 
 def _check_jacobi(record, value):
-    report = record.jacobi
-    computed = "valid" if report.ok else report.render()
-    return _status(computed == value), computed
+    # no failing report to render: load refuses a case whose Jacobi identity fails
+    return _status(value == "valid"), "valid"
 
 
 def _check_d_squared(record, value, degrees):

@@ -1,12 +1,15 @@
-"""Seeded differential check of the pointwise G2 path and the Lie tables between two trees.
+"""Differential check of the fixed product between two trees: the pointwise G2
+path, the Lie tables and solves on seeded inputs, and the CLI's outputs.
 
 Usage, from the repository root::
 
-    git archive REV | tar -x -C OTHER_DIR
+    git worktree add OTHER_DIR REV
     python3 tools/compare_pointwise.py OTHER_DIR/src [src]
 
 Each tree runs the same seeded inputs in its own interpreter, and the
-results are rendered to strings and compared exactly:
+results are rendered to strings and compared exactly.  Both trees read the
+case files of the second tree (``src`` by default), in the ``cases`` group
+as the CLI's ``--input``.  The groups:
 
 * ``b``: all 49 entries of B through ``b_entries`` for 300 random 3-forms
   on R^7 (densities 0.15, 0.5 and 1; every third one with polynomial
@@ -82,9 +85,19 @@ results are rendered to strings and compared exactly:
   subsets (mostly not closed); then 60 seeded random bases of 2 to 4
   rational 2 x 2 or 3 x 3 matrices, every third one complex; then each
   bundled complex basis conjugated by a seeded dense unimodular integer P,
-  as it is and cut to two shuffled subsets.  It runs last.
+  as it is and cut to two shuffled subsets.  It runs after the groups above;
+* ``verify``: ``verify --all --format json`` with each case's ``seconds``
+  dropped, and the text report of ``verify --all`` with its ``N.NNs`` case
+  times masked;
+* ``schema``: the output of ``schema``;
+* ``cases``: for every case file, ``invariants --degree 2``,
+  ``invariants --degree 3`` and ``closed`` in JSON, then
+  ``invariants --degree 3`` and ``closed`` in text.
 
-Exits 1 when any group differs.
+The last three groups run ``g2forms.cli.main`` in process, after the groups
+above.  Each of their results is a command's arguments, exit code, stdout
+and stderr, so a command that exits 1, 2 or 3 on one side only differs too.
+Exits 1 when any group differs or is missing on one side.
 """
 
 from __future__ import annotations
@@ -92,13 +105,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 CHILD = r'''
-import json, random, sys
+import io, json, random, re, sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
+from g2forms.cli import main
 from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
 from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
@@ -157,6 +174,7 @@ out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
     "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
     "parse": [], "solve": [], "congruence": [], "inverse": [], "structure": [],
+    "verify": [], "schema": [], "cases": [],
 }
 rng = random.Random(20261018)
 for t in range(300):
@@ -444,19 +462,50 @@ for case_id in bundled_ids():
     p, p_inv = unimodular(rng, len(mats[0]))
     dense = []
     for m in mats:  # P (A + iB) P^-1 = P A P^-1 + i P B P^-1, P real
-        re, im = ([[F(x[part]) for x in row] for row in m] for part in (0, 1))
-        re, im = (times(times(p, part), p_inv) for part in (re, im))
-        dense.append([[[a, b] for a, b in zip(r1, r2)] for r1, r2 in zip(re, im)])
+        real, imag = ([[F(x[part]) for x in row] for row in m] for part in (0, 1))
+        real, imag = (times(times(p, part), p_inv) for part in (real, imag))
+        dense.append([[[a, b] for a, b in zip(r1, r2)] for r1, r2 in zip(real, imag)])
     for basis in [dense] + [rng.sample(dense, rng.randint(2, len(dense) - 1)) for _ in range(2)]:
         out["structure"].append([case_id, "conjugated", structure(basis, True)])
+
+def cli(*argv, keep=lambda text: text):
+    # one in-process command: its arguments, exit code, stdout through keep, stderr
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return [list(argv), code, keep(stdout.getvalue()), stderr.getvalue()]
+
+def without_seconds(text):
+    try:
+        reports = json.loads(text)
+    except ValueError:  # no report: the exit code and stderr tell why
+        return text
+    return [{key: value for key, value in r.items() if key != "seconds"} for r in reports]
+
+def masked_times(text):  # "  3 check(s), all match, 0.12s"
+    return re.sub(r"(check\(s\), [^,\n]+, )\d+\.\d\ds$", r"\1N.NNs", text, flags=re.M)
+
+out["verify"] += [cli("verify", "--all", "--format", "json", keep=without_seconds),
+                  cli("verify", "--all", keep=masked_times)]
+out["schema"].append(cli("schema"))
+for path in sorted(Path(sys.argv[2]).glob("*.json")):
+    for command in (["invariants", "--degree", "2"], ["invariants", "--degree", "3"], ["closed"]):
+        out["cases"].append(cli(*command, "--input", str(path), "--format", "json"))
+    for command in (["invariants", "--degree", "3"], ["closed"]):  # the partial-data note, d-rank
+        out["cases"].append(cli(*command, "--input", str(path)))
 print(json.dumps(out))
 '''
 
 
-def run(src: str) -> dict:
+def run(src: str, cases: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, src], check=True, capture_output=True, text=True
+        [sys.executable, "-c", CHILD, src, cases], stdout=subprocess.PIPE, text=True
     )
+    if proc.returncode:  # its traceback went to stderr
+        raise SystemExit(f"the child on {src} exited {proc.returncode}")
     return json.loads(proc.stdout)
 
 
@@ -464,12 +513,15 @@ def main(argv: list) -> int:
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
-    old, new = run(argv[0]), run(argv[1] if len(argv) == 2 else "src")
+    src = argv[1] if len(argv) == 2 else "src"
+    cases = str(Path(src, "g2forms", "catalog", "cases").resolve())
+    old, new = run(argv[0], cases), run(src, cases)
     same = True
-    for key in old:
-        equal = old[key] == new[key]
+    for key in {**old, **new}:  # a group one side lacks is None there
+        equal = old.get(key) == new.get(key)
         same &= equal
-        print(f"{key}: {len(old[key])} cases, {'identical' if equal else 'DIFFERENT'}")
+        count = len(old[key] if key in old else new[key])
+        print(f"{key}: {count} cases, {'identical' if equal else 'DIFFERENT'}")
     return 0 if same else 1
 
 
