@@ -30,7 +30,6 @@ from g2forms.catalog._runner import (
 from g2forms.exterior import AltForm, combination, parse_form
 from g2forms.liealg import (
     HomogeneousSpaceData,
-    JacobiReport,
     MatrixBasis,
     from_matrices,
     homogeneous_from_partial,
@@ -296,11 +295,11 @@ class CaseRecord:
 
     :func:`validate_case_dict` builds every record, when the case loads.
     ``algebra`` is the full Lie algebra of a matrix-basis or
-    structure-constants case (m = g, no isotropy), with its ``jacobi``
-    report; both are None for partial data.  ``homog_sym`` is the symbolic
-    homogeneous data, ``generic_form`` the sum of ``gamma_symbols[i] *
-    gammas[i]`` on it, and ``enumerations`` the parameters merged into each
-    enumeration entry, as Fractions.  ``checks`` holds each expected item as
+    structure-constants case (m = g, no isotropy), None for partial data;
+    load refuses it when the Jacobi identity fails.  ``homog_sym`` is the
+    symbolic homogeneous data, ``generic_form`` the sum of
+    ``gamma_symbols[i] * gammas[i]`` on it, and ``enumerations`` the
+    parameters merged into each enumeration entry, as Fractions.  ``checks`` holds each expected item as
     ``(check, value, args)``, parsed into what the check takes, and ``raw``
     the document, which the report quotes.  Everything derived from the
     data (instantiations, invariant spaces, closed families) is memoized on
@@ -309,11 +308,11 @@ class CaseRecord:
 
     def __init__(self, case_id: str, description: str, source: str, dim_m: int, context: tuple,
                  enumerations: list, algebra: HomogeneousSpaceData | None,
-                 jacobi: JacobiReport | None, homog_sym: HomogeneousSpaceData, gamma_forms: list,
-                 generic_form: AltForm, checks: list, raw: dict):
+                 homog_sym: HomogeneousSpaceData, gamma_forms: list, generic_form: AltForm,
+                 checks: list, raw: dict):
         self.case_id, self.description, self.source = case_id, description, source
         self.dim_m, self.context, self.enumerations = dim_m, context, enumerations
-        self.algebra, self.jacobi, self.homog_sym = algebra, jacobi, homog_sym
+        self.algebra, self.homog_sym = algebra, homog_sym
         self.gamma_forms, self.generic_form = gamma_forms, generic_form
         self.checks, self.raw = checks, raw
 
@@ -385,7 +384,7 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         homog_sym = _parse("reductive split fails", "", reductive_split, algebra,
                            values["h_indices"], values["m_indices"])
     else:
-        algebra = jacobi = None
+        algebra = None
         homog_sym = _parse(payload, "", homogeneous_from_partial, values["dimension"],
                            *values["homogeneous"], values["basis_names"], context)
     dim_m = _dim_m(values)
@@ -393,7 +392,7 @@ def validate_case_dict(doc: dict) -> CaseRecord:
     record = CaseRecord(
         values["id"], values["description"], source, dim_m, context,
         [{**values["parameters"], **entry} for entry in values["enumerations"] or [{}]],
-        algebra, jacobi, homog_sym, values["gammas"], generic_form, [], doc,
+        algebra, homog_sym, values["gammas"], generic_form, [], doc,
     )
     gammas = len(values["gammas"])
     for pos, item in enumerate(doc["expected"]):

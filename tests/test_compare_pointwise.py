@@ -38,11 +38,21 @@ def test_identical_results_exit_0(monkeypatch, capsys):
 
 def test_one_changed_group_is_the_only_difference(monkeypatch, capsys):
     new = base_results()
-    new["verify"][0][1] = 1  # the same output, another exit code
+    new["b"][0][1] = "e^{1 2 4}"
     code, lines = compare(monkeypatch, capsys, base_results(), new)
     assert code == 1
-    assert lines == ["b: 1 cases, identical", "verify: 1 cases, DIFFERENT",
+    assert lines == ["b: 1 cases, DIFFERENT", "verify: 1 cases, identical",
                      "cases: 0 cases, identical"]
+
+
+def test_a_command_exiting_nonzero_on_the_change_tree_differs(monkeypatch, capsys):
+    for old_code in (0, 3):  # a new failure, and one the base shares
+        old, new = base_results(), base_results()
+        old["verify"][0][1], new["verify"][0][1] = old_code, 3
+        code, lines = compare(monkeypatch, capsys, old, new)
+        assert code == 1
+        assert lines == ["b: 1 cases, identical", "verify: 1 cases, DIFFERENT",
+                         "  exit 3: g2forms verify --all", "cases: 0 cases, identical"]
 
 
 def test_a_group_on_one_side_only_differs(monkeypatch, capsys):

@@ -23,10 +23,10 @@ as the CLI's ``--input``.  The groups:
 * ``hitchin``: lambda and Hitchin's K of 200 random rational 3-forms on R^6;
 * ``lie``: for every bundled case, the ``ExteriorOp.columns`` of
   ``homog_num().derivations(k)`` and ``homog_num().differential(k)`` for
-  k = 0..dim m, and ``record.jacobi.render()`` for full sources; then
-  ``jacobi_check(...).render()`` for 200 seeded random structure-constants
-  tables, some symbolic, some with a repeated zero or cancelling triple
-  (the child sums them into the table it passes to
+  k = 0..dim m, and ``jacobi_check(record.algebra).render()`` for full
+  sources; then ``jacobi_check(...).render()`` for 200 seeded random
+  structure-constants tables, some symbolic, some with a repeated zero or
+  cancelling triple (the child sums them into the table it passes to
   ``HomogeneousSpaceData``).  It reads only case documents and operators,
   so it runs whatever table format ``HomogeneousSpaceData`` stores.  It
   renders each entry as its polynomial value, from the ``columns`` layout:
@@ -87,7 +87,8 @@ as the CLI's ``--input``.  The groups:
   bundled complex basis conjugated by a seeded dense unimodular integer P,
   as it is and cut to two shuffled subsets.  It runs after the groups above;
 * ``verify``: ``verify --all --format json`` with each case's ``seconds``
-  dropped, and the text report of ``verify --all`` with its ``N.NNs`` case
+  dropped, re-dumped with ``indent=2`` in the order the report's keys came
+  in, and the text report of ``verify --all`` with its ``N.NNs`` case
   times masked;
 * ``schema``: the output of ``schema``;
 * ``cases``: for every case file, ``invariants --degree 2``,
@@ -96,7 +97,9 @@ as the CLI's ``--input``.  The groups:
 
 The last three groups run ``g2forms.cli.main`` in process, after the groups
 above.  Each of their results is a command's arguments, exit code, stdout
-and stderr, so a command that exits 1, 2 or 3 on one side only differs too.
+and stderr, so a command that exits 1, 2 or 3 on one side only differs too;
+a command that exits nonzero on the change tree makes its group DIFFERENT
+even when the base exits the same way, and is listed under the group.
 Exits 1 when any group differs or is missing on one side.
 """
 
@@ -210,7 +213,7 @@ for case_id in bundled_ids():
         ops = [columns(op) for op in data.derivations(k)]
         out["lie"].append([case_id, k, ops, columns(data.differential(k))])
     if record.source != "partial-homogeneous":
-        out["lie"].append([case_id, record.jacobi.render()])
+        out["lie"].append([case_id, jacobi_check(record.algebra).render()])
 for t in range(200):
     n = rng.randint(2, 6)
     symbols = ["a", "b"] if t % 4 == 3 else []
@@ -479,11 +482,12 @@ def cli(*argv, keep=lambda text: text):
     return [list(argv), code, keep(stdout.getvalue()), stderr.getvalue()]
 
 def without_seconds(text):
+    # re-dumped as a string, in the order json.loads kept: key order and 1 vs true still show
     try:
         reports = json.loads(text)
     except ValueError:  # no report: the exit code and stderr tell why
         return text
-    return [{key: value for key, value in r.items() if key != "seconds"} for r in reports]
+    return json.dumps([{k: v for k, v in r.items() if k != "seconds"} for r in reports], indent=2)
 
 def masked_times(text):  # "  3 check(s), all match, 0.12s"
     return re.sub(r"(check\(s\), [^,\n]+, )\d+\.\d\ds$", r"\1N.NNs", text, flags=re.M)
@@ -498,6 +502,9 @@ for path in sorted(Path(sys.argv[2]).glob("*.json")):
         out["cases"].append(cli(*command, "--input", str(path)))
 print(json.dumps(out))
 '''
+
+
+CLI_GROUPS = ("verify", "schema", "cases")  # results [argv, exit code, stdout, stderr]
 
 
 def run(src: str, cases: str) -> dict:
@@ -518,10 +525,14 @@ def main(argv: list) -> int:
     old, new = run(argv[0], cases), run(src, cases)
     same = True
     for key in {**old, **new}:  # a group one side lacks is None there
-        equal = old.get(key) == new.get(key)
+        # a CLI command must also exit 0 on the change tree, not just as it did on the base
+        failed = [r for r in new.get(key, []) if key in CLI_GROUPS and r[1] != 0]
+        equal = old.get(key) == new.get(key) and not failed
         same &= equal
         count = len(old[key] if key in old else new[key])
         print(f"{key}: {count} cases, {'identical' if equal else 'DIFFERENT'}")
+        for argv_, code, _, _ in failed:
+            print(f"  exit {code}: g2forms {' '.join(argv_)}")
     return 0 if same else 1
 
 
