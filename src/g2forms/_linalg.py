@@ -7,7 +7,7 @@ Fractions, never ints (a quotient of two ints is a float), but the kernels
 compute on ints inside: a gcd per Fraction operation dominated their cost.
 
 :func:`_echelon`, one fraction-free Gauss-Jordan, scales each row to ints
-by the lcm of its denominators (int rows, as ``ExteriorOp.rows()`` gives,
+by the lcm of its denominators (int rows, as ``invariants`` stacks them,
 are taken as they are).  :func:`rref` divides by its pivots at the end.
 :func:`_reduced` gives each RREF row as primitive ints over its pivot, and
 :func:`_nullspace_ints` so the RREF nullspace basis: the invariant and

@@ -119,7 +119,8 @@ class AltForm:
         symbols = check_context(symbols)
         clean: dict[tuple, PolyScalar] = {}
         for idx, coeff in (coeffs or {}).items():
-            idx = tuple(int(i) for i in idx)
+            if not all(isinstance(i, int) for i in idx):
+                raise TypeError(f"form indices are ints, got {idx!r}")
             if len(idx) != degree:
                 raise ValueError(f"index {idx} does not have degree {degree}")
             if any(not 1 <= i <= dim for i in idx):
@@ -458,19 +459,6 @@ class ExteriorOp:
                     for row, entry in columns.get(idx, {}).items():
                         acc[row] = acc.get(row, 0) + entry * x
         return AltForm._trusted(self.dim, self.out_degree, self.symbols, self.den * alpha.den, sums)
-
-    def rows(self) -> list[list[int]]:
-        """The nonzero rows of den times the matrix over ``monomials(dim, degree)``,
-        as ints: the same kernel.  Raises ValueError on polynomial entries."""
-        if not self.is_rational():
-            raise ValueError("the operator's entries are not rational constants")
-        columns = next(iter(self.columns.values()), {})
-        monos = monomials(self.dim, self.degree)
-        rows: dict[tuple, list] = {}
-        for c, col in enumerate(monos):
-            for row, entry in columns.get(col, {}).items():
-                rows.setdefault(row, [0] * len(monos))[c] = entry
-        return [rows[key] for key in sorted(rows)]
 
 
 # -- rendering / parsing ------------------------------------------------------

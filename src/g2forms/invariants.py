@@ -1,7 +1,7 @@
 """Invariant forms on a reductive homogeneous space and their differential.
 
 ``invariant_forms`` computes the fixed alternating tensors of the isotropy
-action as the exact kernel of the integer rows of the stacked derivations
+action as the exact kernel of the stacked ``columns`` of the derivations
 (``HomogeneousSpaceData.derivations``), which must be rational.  The coset
 differential ``HomogeneousSpaceData.differential`` (formula there), d of
 invariant forms on G/H from the m-bracket alone, is used only through
@@ -56,6 +56,17 @@ class InvariantFormSpace:
         return len(self.basis)
 
 
+def _kernel(blocks, ncols: int) -> list[tuple[list[int], int]]:
+    """The kernel of both solves: ``_linalg._nullspace_ints`` of blocks of ``ncols`` int
+    columns {output monomial: int}, one per unknown, stacked with row (b, o) from block b."""
+    rows = {}
+    for b, block in enumerate(blocks):
+        for j, column in enumerate(block):
+            for out, v in column.items():
+                rows.setdefault((b, out), [0] * ncols)[j] = v
+    return _linalg._nullspace_ints(list(rows.values()), ncols)
+
+
 def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpace:
     """Kernel of the isotropy Lie-derivative operators on k-forms.
 
@@ -71,7 +82,8 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
         if not all(op.is_rational() for op in ops):
             raise ValueError("parametric isotropy action: instantiate the parameters first")
         n, monos, zero = data.dim_m, monomials(data.dim_m, degree), (0,) * len(data.symbols)
-        kernel = _linalg._nullspace_ints([row for op in ops for row in op.rows()], len(monos))
+        blocks = [[op.columns.get(zero, {}).get(m, {}) for m in monos] for op in ops]
+        kernel = _kernel(blocks, len(monos))
         return InvariantFormSpace(degree, [AltForm._trusted(n, degree, data.symbols, den, {
             zero: dict(zip(monos, ints))}) for ints, den in kernel])
 
@@ -130,11 +142,10 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
             raise ValueError("closed_forms needs fully instantiated homogeneous data")
         space = invariant_forms(data, degree)
         n, images = data.dim_m, [d.apply(g) for g in space.basis]
-        scale, rows = lcm(*(image.den for image in images)), {}
-        for j, image in enumerate(images):
-            for row, v in next(iter(image.layers.values()), {}).items():
-                rows.setdefault(row, [0] * space.dim)[j] = v * (scale // image.den)
-        kernel = _linalg._nullspace_ints(list(rows.values()), space.dim)
+        scale = lcm(*(image.den for image in images))
+        block = [{row: v * (scale // image.den) for layer in image.layers.values()
+                  for row, v in layer.items()} for image in images]  # a zero image: {}
+        kernel = _kernel([block], space.dim)
         scale, basis = lcm(*(g.den for g in space.basis)), []
         members = [[(key, v * (scale // g.den)) for key, v in layer.items()]
                    for g in space.basis for layer in g.layers.values()]  # one layer each

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
 from g2forms.exterior import ExteriorOp, basis_form
-from g2forms.scalars import PolyScalar, check_context
+from g2forms.scalars import PolyScalar, _exact, check_context
 
 __all__ = [
     "HomogeneousSpaceData",
@@ -55,8 +55,7 @@ class MatrixBasis:
     """
 
     def __init__(self, matrices: Sequence[Sequence[Sequence]]):
-        mats = [[[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
-                for m in matrices]
+        mats = [[[_exact(x) for x in row] for row in m] for m in matrices]
         if not mats:
             raise ValueError("empty matrix basis")
         size = len(mats[0])
@@ -72,7 +71,7 @@ class MatrixBasis:
         if any(len(row) != len(m) for m in pairs for row in m):
             raise ValueError("complex matrix must be square")
         basis = cls([[[x[0] for x in row] for row in m] for m in pairs])
-        basis.imag = [[[Fraction(x[1]) for x in row] for row in m] for m in pairs]
+        basis.imag = [[[_exact(x[1]) for x in row] for row in m] for m in pairs]
         return basis
 
     def __len__(self) -> int:

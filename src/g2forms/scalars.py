@@ -10,8 +10,10 @@ exponent vectors (one entry per context symbol), no zero coefficients
 stored.  Because of this, two polynomials are equal if and only if their
 term maps are identical, so the zero test is exact and free.  The public
 constructors (``PolyScalar(...)``, ``constant``, ``with_symbols``, ``parse``
-...) validate and normalize their input; the private ``_trusted`` skips
-that and is only for results of operations on values already valid.
+...) validate and normalize their input, whose values are ints or
+Fractions (``_exact``: a float is a binary fraction, not the rational it
+prints); the private ``_trusted`` skips that and is only for results of
+operations on values already valid.
 
 The arithmetic is what the checks need of a scalar: add, negate, compare
 and substitute.  The form kernels multiply ints inside their own layers, so
@@ -47,6 +49,15 @@ def parse_rational(text: str) -> Fraction:
         if q is None or int(q):
             return Fraction(int(p), int(q)) if q else Fraction(int(p))
     raise ValueError(f"invalid rational literal {text!r}")  # no match, or q = 0
+
+
+def _exact(value) -> Fraction:
+    """An int or a Fraction as a Fraction; TypeError on anything else (a float is not exact)."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, int):
+        raise TypeError(f"values are ints or Fractions, got {type(value).__name__} {value!r}")
+    return Fraction(value)
 
 
 def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
@@ -95,7 +106,7 @@ class PolyScalar:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     acc = clean.get(expo, _ZERO) + coeff
                     if acc:
@@ -117,7 +128,7 @@ class PolyScalar:
     @classmethod
     def constant(cls, value, symbols: Iterable[str] = ()) -> "PolyScalar":
         symbols = tuple(symbols)
-        value = Fraction(value)
+        value = _exact(value)
         if not value:
             return cls(symbols)
         return cls(symbols, {(0,) * len(symbols): value})
@@ -187,7 +198,7 @@ class PolyScalar:
         for name in assignment:
             if name not in self.symbols:
                 raise ValueError(f"unknown symbol {name!r} in assignment")
-        values = {name: Fraction(v) for name, v in assignment.items()}
+        values = {name: _exact(v) for name, v in assignment.items()}
         keep = [i for i, s in enumerate(self.symbols) if s not in values]
         new_symbols = tuple(self.symbols[i] for i in keep)
         terms: dict[tuple, Fraction] = {}

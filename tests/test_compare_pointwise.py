@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import compare_pointwise  # tools/ is on sys.path, see conftest
 
 
@@ -23,9 +25,9 @@ def compare(monkeypatch, capsys, old, new):
 
     monkeypatch.setattr(compare_pointwise, "run", run)
     code = compare_pointwise.main(["BASE/src", "CHANGE/src"])
-    # both sides read the change tree's case files
+    # both sides read the change tree's case files (the two children run at once)
     cases = str(Path("CHANGE/src/g2forms/catalog/cases").resolve())
-    assert calls == [("BASE/src", cases), ("CHANGE/src", cases)]
+    assert sorted(calls) == [("BASE/src", cases), ("CHANGE/src", cases)]
     return code, capsys.readouterr().out.splitlines()
 
 
@@ -63,3 +65,16 @@ def test_a_group_on_one_side_only_differs(monkeypatch, capsys):
     assert code == 1
     assert lines == ["verify: 1 cases, identical", "cases: 0 cases, identical",
                      "b: 1 cases, DIFFERENT", "schema: 1 cases, DIFFERENT"]
+
+
+def test_a_failing_child_ends_with_the_line_naming_its_tree(monkeypatch, capsys):
+    for failing in ("BASE/src", "CHANGE/src"):
+        def run(src, cases):
+            if src == failing:
+                raise SystemExit(f"the child on {src} exited 1")
+            return base_results()
+
+        monkeypatch.setattr(compare_pointwise, "run", run)
+        with pytest.raises(SystemExit, match=f"^the child on {failing} exited 1$"):
+            compare_pointwise.main(["BASE/src", "CHANGE/src"])
+        assert capsys.readouterr().out == ""  # no verdict on half the results

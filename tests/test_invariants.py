@@ -19,6 +19,7 @@ from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import (
     InvariantFormSpace,
     PartialDataError,
+    _kernel,
     ce_differential,
     closed_forms,
     d_squared_check,
@@ -295,6 +296,18 @@ def test_derived_objects_are_built_once_per_data(monkeypatch):
     assert len(calls) == 1
 
 
+def stacked_rows(ops, n, k):
+    """The int rows of the rational operators on k-forms, stacked: for each operator
+    and each output monomial it reaches, the row over ``monomials(n, k)`` read
+    from its ``columns`` (den times the matrix, so the kernel is the same)."""
+    rows, monos = [], monomials(n, k)
+    for op in ops:
+        layer = next(iter(op.columns.values()), {})
+        for out in sorted({out for column in layer.values() for out in column}):
+            rows.append([layer.get(m, {}).get(out, 0) for m in monos])
+    return rows
+
+
 def test_closed_family_is_the_common_kernel_of_the_derivations_and_d():
     # a second route to every closed family: the kernel of the stacked rows of
     # the isotropy derivations and d on all k-forms, with no invariant basis
@@ -305,7 +318,7 @@ def test_closed_family_is_the_common_kernel_of_the_derivations_and_d():
             n = data.dim_m
             for k in range(n + 1):
                 ops = [*data.derivations(k), data.differential(k)]
-                kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(n, k))
+                kernel = _linalg.nullspace(stacked_rows(ops, n, k), comb(n, k))
                 family = closed_forms(data, k)
                 assert family.basis == [vector_to_form(vec, n, k) for vec in kernel]
                 assert family.rank == invariant_forms(data, k).dim - family.dim
@@ -327,11 +340,38 @@ def test_solves_on_a_rational_basis_of_m_match_the_stacked_kernels():
         space, family = invariant_forms(data, k), closed_forms(data, k)
         for ops, basis in [(data.derivations(k), space.basis),
                            ([*data.derivations(k), data.differential(k)], family.basis)]:
-            kernel = _linalg.nullspace([row for op in ops for row in op.rows()], comb(7, k))
+            kernel = _linalg.nullspace(stacked_rows(ops, 7, k), comb(7, k))
             assert basis == [vector_to_form(vec, 7, k) for vec in kernel], k
             dens |= {form.den for form in basis}
         assert family.rank == space.dim - family.dim
     assert max(dens) > 1
+
+
+def test_kernel_does_not_depend_on_block_or_entry_order():
+    # seeded int columns, zero columns among them, and blocks of zero columns or
+    # of no columns at all: the kernel is that of the stacked rows, whatever the
+    # order of the blocks and of the entries of each column
+    rng = random.Random(3030)
+    outputs, dims = monomials(5, 2), set()
+    for _ in range(80):
+        ncols, blocks = rng.randint(1, 8), []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.3:
+                blocks.append([] if kind < 0.15 else [{} for _ in range(ncols)])
+            else:
+                blocks.append([{out: rng.choice([-3, -2, -1, 1, 2, 3])
+                                for out in rng.sample(outputs, rng.choice([0, 1, 1, 2, 3]))}
+                               for _ in range(ncols)])
+        kernel = _kernel(blocks, ncols)
+        reordered = [[dict(rng.sample(list(column.items()), len(column))) for column in block]
+                     for block in reversed(blocks)]
+        assert _kernel(reordered, ncols) == kernel
+        rows = [[column.get(out, 0) for column in block] for block in blocks if block
+                for out in outputs]
+        assert kernel == _linalg._nullspace_ints(rows, ncols)
+        dims.add(len(kernel))
+    assert 0 in dims and max(dims) > 1
 
 
 def test_instantiations_with_equal_isotropy_share_one_invariant_solve():

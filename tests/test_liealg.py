@@ -109,6 +109,19 @@ def test_matrix_basis_refuses_malformed_input():
     assert basis.matrices == [[[1, 0], [3, Fraction(1, 2)]]] and basis.imag == [[[0, 1], [0, 0]]]
 
 
+@pytest.mark.parametrize("build, entries", [
+    (MatrixBasis, (0.1, 1.0, "1/2")),
+    (MatrixBasis.from_complex, (0.1, 1.0, "1/2", (1, 0.5), (0.5, 1))),
+], ids=["real", "complex"])
+def test_matrix_entries_are_ints_or_fractions(build, entries):
+    # a float entry would reach the bracket as its binary fraction
+    for entry in entries:
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            build([[[entry, 0], [0, 0]], [[0, 1], [0, 0]]])
+    basis = build([[[Fraction(1, 10), 0], [0, 0]], [[0, 1], [0, 0]]])
+    assert basis.matrices[0][0][0] == Fraction(1, 10)
+
+
 def test_realified_su2_keeps_structure_constants():
     i = (0, 1)
     u1 = [[i, (0, 0)], [(0, 0), (0, -1)]]

@@ -223,7 +223,7 @@ def _oracle_cases(seed, density):
 
 
 def _integer_cases(seed, density):
-    """Rows of Python ints, as ``ExteriorOp.rows()`` gives them (a tall stack
+    """Rows of Python ints, as ``invariants._kernel`` stacks them (a tall stack
     and a wide matrix), mixed int and Fraction rows, an all-zero matrix and a
     full-rank one."""
     rng = random.Random(seed + 100)

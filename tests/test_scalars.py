@@ -191,3 +191,17 @@ def test_public_constructor_rejects_malformed_input():
         PolyScalar(("a", "b"), {(1,): Fraction(1)})
     with pytest.raises(ValueError, match="negative exponent"):
         PolyScalar(("a",), {(-1,): Fraction(1)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: PolyScalar((), {(): value}),
+    PolyScalar.constant,
+    lambda value: PolyScalar.symbol("b", ("b",)).substitute({"b": value}),
+], ids=["constructor", "constant", "substitute"])
+def test_scalar_values_are_ints_or_fractions(build):
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
+    for value in (0.1, 2.0, "1/2"):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            build(value)
+    assert build(2) == build(Fraction(2)) == PolyScalar.constant(Fraction(2))
+    assert build(Fraction(1, 10)).render() == "1/10"

@@ -6,10 +6,10 @@ Usage, from the repository root::
     git worktree add OTHER_DIR REV
     python3 tools/compare_pointwise.py OTHER_DIR/src [src]
 
-Each tree runs the same seeded inputs in its own interpreter, and the
-results are rendered to strings and compared exactly.  Both trees read the
-case files of the second tree (``src`` by default), in the ``cases`` group
-as the CLI's ``--input``.  The groups:
+Each tree runs the same seeded inputs in its own interpreter, the two at
+once, and the results are rendered to strings and compared exactly.  Both
+trees read the case files of the second tree (``src`` by default), in the
+``cases`` group as the CLI's ``--input``.  The groups:
 
 * ``b``: all 49 entries of B through ``b_entries`` for 300 random 3-forms
   on R^7 (densities 0.15, 0.5 and 1; every third one with polynomial
@@ -108,6 +108,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 CHILD = r'''
@@ -522,7 +523,8 @@ def main(argv: list) -> int:
         return 2
     src = argv[1] if len(argv) == 2 else "src"
     cases = str(Path(src, "g2forms", "catalog", "cases").resolve())
-    old, new = run(argv[0], cases), run(src, cases)
+    with ThreadPoolExecutor(2) as pool:  # both children at once; a failing one still exits
+        old, new = pool.map(run, [argv[0], src], [cases, cases])
     same = True
     for key in {**old, **new}:  # a group one side lacks is None there
         # a CLI command must also exit 0 on the change tree, not just as it did on the base
