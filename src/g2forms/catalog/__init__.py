@@ -223,7 +223,7 @@ source label for the expected value"""),
 list of square matrices, row-major; each entry is either a
 rational string "p/q" or a two-element list [re, im] of
 rational strings (a complex entry; complex matrices are
-realified on load, which preserves all brackets)"""),
+solved on their (re, im) coordinates)"""),
     ("structure_constants", ("structure-constants",), _structure_constants, """\
 list of [i, j, k, coeff] with 1 <= i < j <= n and coeff a
 polynomial string; [e_i, e_j] = sum_k coeff * e_k.  Only

@@ -317,7 +317,7 @@ selected monomials have counts[g] indices in groups[g]"""),
         _typed(lambda x, m, g: _is_ints(x, 1, g) and x != []),
         "non-empty list of gamma positions 1..len(gammas)",
     ),
-    "form": (lambda x, m, g: parse_form(_string(x), m), "form string on m"),
+    "form": (lambda x, m, g: parse_form(_string(x), m), 'form string on m other than "0"'),
     "omega": (lambda x, m, g: parse_form(_string(x), 6, 2), "2-form string on e1..e6"),
     "psi": (lambda x, m, g: parse_form(_string(x), 6, 3), "3-form string on e1..e6"),
 }

@@ -6,10 +6,11 @@ increasing k-tuples of basis indices (1-based, matching the usual
 denominator in one layer per exponent vector: the layout of the columns of
 :class:`ExteriorOp`, the one linear map between exterior powers (a
 derivation, over the lexicographic monomial coordinates of :func:`monomials`).
-Wedge products merge index tuples, counting the sign; contraction by e_i
-drops i with its sign, and a pullback places one covector at a time.  These
-kernels, ``ExteriorOp.apply`` and the B sums of :mod:`g2forms.gstruct` add
-exponent vectors once per pair of layers and multiply plain ints inside;
+Wedge products, pullbacks (one covector at a time) and the B sums of
+:mod:`g2forms.gstruct` add into int lists over monomial positions through
+product tables built on first use; contraction by e_i drops i with its
+sign.  These kernels and ``ExteriorOp.apply`` add exponent vectors once per
+pair of layers and multiply plain ints inside;
 ``AltForm._trusted`` reduces each result once (fraction-free, as in Bareiss,
 Math. Comp. 1968).  No form operation does PolyScalar arithmetic.
 
@@ -23,7 +24,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -89,7 +90,7 @@ def merge_sign(left: Sequence[int], right: Sequence[int]) -> tuple[tuple[int, ..
     return tuple(merged), sign
 
 
-_merge = cache(merge_sign)  # wedge's products, pullback's insertions, ExteriorOp's Leibniz terms
+_merge = cache(merge_sign)  # ExteriorOp's Leibniz terms
 
 
 class AltForm:
@@ -127,6 +128,8 @@ class AltForm:
                 raise ValueError(f"index {idx} out of range 1..{dim}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index {idx} is not strictly increasing")
+            if not isinstance(coeff, PolyScalar):
+                raise TypeError(f"form coefficients are PolyScalars, got {coeff!r}")
             if coeff.symbols != symbols:
                 raise ContextMismatchError("coefficient context does not match form")
             clean[idx] = coeff
@@ -296,19 +299,19 @@ def combination(dim: int, degree: int, symbols: Iterable[str], pairs: Iterable) 
 def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     """Exterior product; graded-commutative and associative."""
     alpha._check_compatible(beta)
-    degree = alpha.degree + beta.degree
-    if degree > alpha.dim:
-        return AltForm._trusted(alpha.dim, degree, alpha.symbols, 1, {})
-    sums: dict[tuple, dict] = {}  # exponents -> {merged monomial: integer sum}
-    for e1, left in alpha.layers.items():
-        for e2, right in beta.layers.items():
-            acc = sums.setdefault(tuple(map(add, e1, e2)), {})
-            for i1, x in left.items():
-                for i2, y in right.items():
-                    if (merged := _merge(i1, i2)) is not None:
-                        key, sign = merged
-                        acc[key] = acc.get(key, 0) + sign * x * y
-    return AltForm._trusted(alpha.dim, degree, alpha.symbols, alpha.den * beta.den, sums)
+    n, a, b = alpha.dim, alpha.degree, beta.degree
+    if a + b > n:
+        return AltForm._trusted(n, a + b, alpha.symbols, 1, {})
+    rows, left = _products(n, a, b), _positions(n, a)
+    right = {e2: [layer.get(j, 0) for j in _positions(n, b)] for e2, layer in beta.layers.items()}
+    sums: dict[tuple, list] = {}  # exponents -> integer sums over the (a + b)-positions
+    for e1, layer in alpha.layers.items():
+        for e2, y in right.items():
+            acc = sums.setdefault(tuple(map(add, e1, e2)), [0] * comb(n, a + b))
+            for i, x in layer.items():
+                for q, t, sign in rows[left[i]]:
+                    acc[t] += sign * x * y[q]
+    return AltForm._trusted(n, a + b, alpha.symbols, alpha.den * beta.den, _keyed(sums, n, a + b))
 
 
 def contract(index: int, alpha: AltForm) -> AltForm:
@@ -317,6 +320,8 @@ def contract(index: int, alpha: AltForm) -> AltForm:
     Each monomial that contains index maps to the one monomial without it,
     with sign (-1)^position, and no two monomials share an image.
     """
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise TypeError(f"contraction index is an int, got {index!r}")
     if alpha.degree == 0:
         raise ValueError("cannot contract into a 0-form")
     if not 1 <= index <= alpha.dim:
@@ -346,32 +351,32 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
     ints or Fractions, scaled to integers by the lcm D of their denominators.
     P*(e^{i_1 ... i_k}) = P*e^{i_1} ^ ... ^ P*e^{i_k} with
-    P*e^i = sum_c P[i][c] e^c, so each of k rounds, run once per layer of
-    alpha's layers, places one covector: the first index i still to place
-    moves into every column c not yet placed, with sign (-1)^#{placed d > c}.
-    Each sum is over alpha's den times D^degree.
+    P*e^i = sum_c P[i][c] e^c, so each of k rounds places one covector: each
+    state, an int list over the positions of the columns J placed, is keyed by
+    the indices still to place, whose first moves J to J + {c} through the
+    (n, |J|, 1) product table.  Each sum is over alpha's den times D^degree.
     """
-    n, degree = alpha.dim, alpha.degree
+    n, k = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
     try:
         den = lcm(*(x.denominator for row in matrix for x in row))
     except AttributeError:  # a float, a string: not an exact rational
         raise TypeError("pullback matrix entries must be ints or Fractions") from None
-    rows = [[((c,), x.numerator * (den // x.denominator)) for c, x in enumerate(row, 1) if x]
-            for row in matrix]
-    sums = {}  # exponents -> {columns placed: int}
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    sums = {}  # exponents -> int list over the k-positions
     for expo, layer in alpha.layers.items():
-        placed = {((), rest): v for rest, v in layer.items()}  # (columns placed, left) -> int
-        for _ in range(degree):
-            previous, placed = placed, {}
-            for (cols, rest), v in previous.items():
-                for c, entry in rows[rest[0] - 1]:
-                    if (merged := _merge(cols, c)) is not None:
-                        key = merged[0], rest[1:]
-                        placed[key] = placed.get(key, 0) + merged[1] * entry * v
-        sums[expo] = {cols: v for (cols, _), v in placed.items()}
-    return AltForm._trusted(n, degree, alpha.symbols, alpha.den * den**degree, sums)
+        states = {rest: [v] for rest, v in layer.items()}  # indices left -> sums over placed
+        for r in range(k):
+            table, previous, states = _products(n, r, 1), states, {}
+            for rest, v in previous.items():
+                acc, y = states.setdefault(rest[1:], [0] * comb(n, r + 1)), rows[rest[0] - 1]
+                for p, x in enumerate(v):
+                    if x:
+                        for q, t, sign in table[p]:
+                            acc[t] += sign * x * y[q]
+        sums[expo] = states[()]
+    return AltForm._trusted(n, k, alpha.symbols, alpha.den * den**k, _keyed(sums, n, k))
 
 
 # -- monomial coordinates and linear operators --------------------------------
@@ -379,7 +384,37 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
 
 def monomials(n: int, k: int) -> list[tuple]:
     """The basis k-forms of an n-space as index tuples, in lexicographic order."""
-    return list(combinations(range(1, n + 1), k))
+    return list(_positions(n, k))
+
+
+@cache
+def _positions(n: int, k: int) -> dict:
+    """{index tuple: position} of the basis k-forms of an n-space, as in :func:`monomials`."""
+    return {idx: pos for pos, idx in enumerate(combinations(range(1, n + 1), k))}
+
+
+@cache
+def _complement_signs(n: int, k: int) -> list:
+    """The sign of e^I ^ e^{I'} = sign * e^{1...n} at each k-position t of I; the
+    complement I' sits at (n - k)-position C(n, k) - 1 - t."""
+    return [-1 if (sum(idx) - k * (k + 1) // 2) % 2 else 1 for idx in _positions(n, k)]
+
+
+@cache
+def _products(n: int, a: int, b: int) -> list:
+    """For each a-position p, the (q, t, sign) with e^p ^ e^q = sign * e^t over the b-positions q
+    disjoint from p; the a- and b-subsets of each union t pair up as complements in it."""
+    left, right = _positions(n, a), _positions(n, b)
+    rows, signs = [[] for _ in left], _complement_signs(a + b, a)
+    for t, union in enumerate(_positions(n, a + b)):
+        for i, j, sign in zip(combinations(union, a), reversed([*combinations(union, b)]), signs):
+            rows[left[i]].append((right[j], t, sign))
+    return rows
+
+
+def _keyed(sums: dict, n: int, k: int) -> dict:
+    """{exponents: int list over the k-positions} as layers {exponents: {index tuple: int}}."""
+    return {e: {i: v for i, v in zip(_positions(n, k), acc) if v} for e, acc in sums.items()}
 
 
 def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:

@@ -29,21 +29,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
+    _complement_signs,
     _lower,
+    _positions,
+    _products,
     basis_form,
     contract,
     form_to_vector,
-    merge_sign,
     monomials,
     pullback,
-    sort_sign,
     top_coefficient,
     wedge,
 )
@@ -83,14 +83,12 @@ def b_matrix(phi: AltForm) -> list:
 
 
 @cache
-def _wedge_table() -> dict:
-    """q -> [(p, sign, r)] with e^p ^ e^q ^ e^r = sign * e^{1...7}, for disjoint pairs p, q."""
-    table: dict[tuple, list] = {}
-    for p, q in permutations(monomials(7, 2), 2):
-        r = tuple(sorted(set(range(1, 8)) - set(p) - set(q)))
-        if len(r) == 3:
-            table.setdefault(q, []).append((p, sort_sign(p + q + r)[1], r))
-    return table
+def _wedge_table() -> list:
+    """For each 2-position q, [(r, p, sign)] with e^p ^ e^q ^ e^r = sign * e^{1...7},
+    r a 3-position and p a 2-position: the rows of the exterior product table
+    of (2, 3) on R^7, each union u moved to its complement p = 20 - u."""
+    signs = _complement_signs(7, 2)
+    return [[(r, 20 - u, sign * signs[20 - u]) for r, u, sign in row] for row in _products(7, 2, 3)]
 
 
 def b_entries(phi: AltForm, pairs: list) -> dict:
@@ -98,41 +96,38 @@ def b_entries(phi: AltForm, pairs: list) -> dict:
     as PolyScalars in the context of phi (which may be symbolic).
 
     B_ij = sum of sign * (iota_i phi)_p * (iota_j phi)_q * phi_r over the
-    rows of :func:`_wedge_table`; the sum over q is shared by every i.  The
-    sums run on ints, over phi's layers (one per exponent vector, over phi's
-    den): each pair or triple of layers adds its exponent vectors once, and
-    each entry is divided by den^3 once.
+    rows of :func:`_wedge_table`, on int lists over the monomial positions;
+    the sum over q is shared by every i.  The sums run over phi's layers (one
+    per exponent vector, over phi's den): each pair or triple of layers adds
+    its exponent vectors once, and each entry is divided by den^3 once.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_matrix expects a 3-form on a 7-dimensional space")
     if not all(1 <= k <= 7 for pair in pairs for k in pair):
         raise ValueError(f"B entries {pairs} out of range 1..7")
-    den, layers, table = phi.den, phi.layers, _wedge_table()
-    iota = {}  # exponents -> {i: {p: (iota_i phi)_p}}
-    for expo, layer in layers.items():
-        rows = iota[expo] = {k: {} for pair in pairs for k in pair}
-        for s, c in layer.items():
-            for t, i in enumerate(s):
-                if i in rows:
-                    rows[i][s[:t] + s[t + 1 :]] = -c if t % 2 else c
-    inner = {}  # exponents -> {j: {p: sum over q, r of the wedge table}}
+    contractions, table = _products(7, 1, 2), _wedge_table()
+    dense = {e: [layer.get(r, 0) for r in _positions(7, 3)] for e, layer in phi.layers.items()}
+    iota = {}  # exponents -> {i: {2-position q: (iota_i phi)_q}}; e^i ^ e^q = sign * e^u
+    for expo, y in dense.items():
+        iota[expo] = {k: {q: sign * y[u] for q, u, sign in contractions[k - 1] if y[u]}
+                      for k in {k for pair in pairs for k in pair}}
+    inner = {}  # exponents -> {j: int list over p of the sums over q, r of the wedge table}
     for e2, rows in iota.items():
-        for e3, layer in layers.items():
+        for e3, z in dense.items():
             by_j = inner.setdefault(tuple(map(add, e2, e3)), {})
             for j in {j for _, j in pairs}:
-                v = by_j.setdefault(j, {})
+                acc = by_j.setdefault(j, [0] * 21)
                 for q, y in rows[j].items():
-                    for p, sign, r in table[q]:
-                        if r in layer:
-                            v[p] = v.get(p, 0) + sign * y * layer[r]
+                    for r, p, sign in table[q]:
+                        acc[p] += sign * y * z[r]
     sums: dict[tuple, dict] = {}  # exponents -> {(i, j): integer sum}
     for e1, rows in iota.items():
         for e23, by_j in inner.items():
             acc = sums.setdefault(tuple(map(add, e1, e23)), {})
             for i, j in dict.fromkeys(pairs):
-                v = by_j[j]
-                acc[i, j] = acc.get((i, j), 0) + sum(x * v[p] for p, x in rows[i].items() if p in v)
-    b = _lower(sums, den**3, phi.symbols)
+                x, v = rows[i], by_j[j]
+                acc[i, j] = acc.get((i, j), 0) + sum(map(mul, x.values(), map(v.__getitem__, x)))
+    b = _lower(sums, phi.den**3, phi.symbols)
     return {pair: b[pair] if pair in b else PolyScalar._trusted(phi.symbols, {}) for pair in pairs}
 
 
@@ -270,6 +265,7 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     is positive, d(result) = 0 iff d(*alpha) = 0, which is all any caller
     needs.  ``q`` is Q as rows of Fractions and must be symmetric positive
     definite.  With Q^{-1} = D*adj/det, the pullback is (D/det)^k times one along adj.
+    Complements and their signs come from the tables of :mod:`g2forms.exterior`.
     """
     n, k = len(q), alpha.degree
     if alpha.dim != n:
@@ -284,13 +280,10 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     det = pivots[-1]
     g = gcd(det, *(x for row in adj for x in row))
     raised = pullback(alpha, [[x // g for x in row] for row in adj])
-    scale = den**k
-    sums: dict[tuple, dict] = {}
-    for expo, layer in raised.layers.items():
-        acc = sums[expo] = {}
-        for upper, v in layer.items():
-            complement = tuple(i for i in range(1, n + 1) if i not in upper)
-            acc[complement] = merge_sign(upper, complement)[1] * v * scale
+    scale, signs, complements = den**k, _complement_signs(n, k), monomials(n, n - k)[::-1]
+    sums = {expo: {key: sign * layer[i] * scale for i, key, sign in
+                   zip(_positions(n, k), complements, signs) if i in layer}
+            for expo, layer in raised.layers.items()}
     return AltForm._trusted(n, n - k, alpha.symbols, raised.den * (det // g) ** k, sums)
 
 

@@ -68,6 +68,8 @@ class MatrixBasis:
         """Build a basis from complex matrices: (re, im) pair entries, a bare entry real."""
         pairs = [[[x if isinstance(x, (tuple, list)) else (x, 0) for x in row] for row in m]
                  for m in matrices]
+        if any(len(x) != 2 for m in pairs for row in m for x in row):
+            raise ValueError("a complex entry is a pair (re, im)")
         if any(len(row) != len(m) for m in pairs for row in m):
             raise ValueError("complex matrix must be square")
         basis = cls([[[x[0] for x in row] for row in m] for m in pairs])

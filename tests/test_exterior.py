@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -314,6 +315,51 @@ def test_kernels_sum_colliding_exponent_layers():
             assert data.differential(degree).apply(form) == dense_ce_differential(data, form)
 
 
+MATRIX_KINDS = ("int", "fraction", "mixed", "sparse", "singular")
+
+
+def kernel_matrix(rng, n, kind, density=1.0):
+    """An n x n matrix of ints, of Fractions, of both, mostly zeros, or of rank
+    below n, with about the given share of nonzero entries."""
+    density = 0.25 if kind == "sparse" else density
+    rows = [[random_rational(rng) if rng.random() < density else Fraction(0) for _ in range(n)]
+            for _ in range(n)]
+    if kind in ("int", "mixed"):
+        rows = [[x.numerator if kind == "int" or (r + c) % 2 else x for c, x in enumerate(row)]
+                for r, row in enumerate(rows)]
+    if kind == "singular":
+        rows[-1] = [2 * x for x in rows[0]] if n > 1 else [0]
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_position_kernels_match_their_oracles(n):
+    # every degree from 0 to n, on the zero form, a rational form and
+    # two-symbol layers, pulled back by each kind of matrix; wedges with every
+    # degree in both orders, degree sums past n included
+    rng = random.Random(f"positions:{n}")
+    kinds = set()
+    for k in range(n + 1):
+        density = min(1.0, 12 / comb(n, k))
+        forms = (AltForm(n, k), random_form(rng, n, k, density=density),
+                 two_symbol_form(rng, n, k, density))
+        for t, alpha in enumerate(forms):
+            kind = MATRIX_KINDS[(k + t) % len(MATRIX_KINDS)]
+            kinds.add(kind)
+            # the oracle expands k x k determinants by cofactors: fewer entries for large k
+            matrix = kernel_matrix(rng, n, kind, min(1.0, 3 / max(k, 1)))
+            assert pullback(alpha, matrix) == pullback_by_evaluation(alpha, matrix), (k, t, kind)
+            for l in range(n - k + 2):
+                sparse = min(1.0, 8 / comb(n, l)) if l <= n else 0
+                if alpha.symbols:
+                    beta = two_symbol_form(rng, n, l, sparse)
+                else:
+                    beta = random_form(rng, n, l, density=sparse)
+                assert wedge(alpha, beta) == wedge_by_products(alpha, beta), (k, t, l)
+                assert wedge(beta, alpha) == wedge_by_products(beta, alpha), (k, t, l)
+    assert len(kinds) == len(MATRIX_KINDS) or n < 2
+
+
 def test_pullback_by_identity_and_swap():
     phi = F("e^{1 2 7} + e^{1 3 5}")
     ident = [[Fraction(i == j) for j in range(7)] for i in range(7)]
@@ -442,6 +488,20 @@ def test_form_indices_are_ints():
         with pytest.raises(TypeError, match="form indices are ints"):
             AltForm(3, 1, (), {idx: one})
     assert AltForm(3, 1, (), {(1,): one}).render() == "e^{1}"
+
+
+def test_form_coefficients_are_polyscalars():
+    for coeff in (Fraction(1), 1, "1"):
+        with pytest.raises(TypeError, match="form coefficients are PolyScalars"):
+            AltForm(3, 1, (), {(1,): coeff})
+
+
+def test_contract_index_is_an_int():
+    phi = F("e^{1 2 3} + e^{1 4 5}")
+    for index in (1.0, True, "1"):  # each was read as e_1
+        with pytest.raises(TypeError, match="contraction index is an int"):
+            contract(index, phi)
+    assert contract(1, phi) == F("e^{2 3} + e^{4 5}", degree=2)
 
 
 def test_combination_rejects_what_it_cannot_place():

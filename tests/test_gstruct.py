@@ -121,17 +121,24 @@ def test_b_matrix_rejects_symbolic_form():
     assert b_entries(phi, [(4, 4)])[4, 4].is_zero()
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse", "two-symbol", "quadratic"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "two-symbol", "quadratic", "ten-symbol",
+                                  "zero"])
 def test_b_matrix_matches_wedge_oracle(kind):
     # b_matrix mirrors its upper triangle, so symmetry alone proves nothing:
     # all 49 entries are compared with the wedge products; the quadratic
-    # coefficients make several triples of exponent layers meet in one sum
+    # coefficients make several triples of exponent layers meet in one sum,
+    # and ten symbols give ten sparse layers, as a closed family has
     rng = random.Random(f"b-oracle:{kind}")
     for _ in range(5 if kind in ("dense", "sparse") else 2):
         if kind == "two-symbol":
             phi = two_symbol_form(rng, 7, 3, 0.4)
         elif kind == "quadratic":
             phi = quadratic_form(rng, 7, 3, 0.4)
+        elif kind == "ten-symbol":
+            names = tuple(f"a{k}" for k in range(1, 11))
+            phi = combination(7, 3, names, [(a, random_form(rng, 7, 3, density=0.1)) for a in names])
+        elif kind == "zero":
+            phi = AltForm(7, 3)
         else:
             phi = random_form(rng, 7, 3, density=1.0 if kind == "dense" else 0.2)
         oracle = wedge_b_matrix(phi)
@@ -242,12 +249,12 @@ def test_b_matrix_obeys_the_exact_congruence_law():
 
 def test_congruence_law_catches_a_sign_flip_in_the_wedge_table(monkeypatch):
     rng = random.Random(1969)
-    table = gstruct._wedge_table()
-    q = rng.choice(sorted(table))
+    table = gstruct._wedge_table()  # for each 2-position q, [(3-position r, 2-position p, sign)]
+    q = rng.randrange(len(table))
     k = rng.randrange(len(table[q]))
-    pair, sign, r = table[q][k]
-    flipped = dict(table)
-    flipped[q] = table[q][:k] + [(pair, -sign, r)] + table[q][k + 1 :]
+    r, p, sign = table[q][k]
+    flipped = list(table)
+    flipped[q] = table[q][:k] + [(r, p, -sign)] + table[q][k + 1 :]
     monkeypatch.setattr(gstruct, "_wedge_table", lambda: flipped)
     phi = random_form(rng, 7, 3, density=1.0)
     p = [[random_rational(rng) for _ in range(7)] for _ in range(7)]

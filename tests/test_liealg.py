@@ -109,6 +109,15 @@ def test_matrix_basis_refuses_malformed_input():
     assert basis.matrices == [[[1, 0], [3, Fraction(1, 2)]]] and basis.imag == [[[0, 1], [0, 0]]]
 
 
+def test_complex_entries_are_pairs():
+    # (1, 0, 5) was read as the real value 1, and (1,) raised IndexError
+    for entry in ((1, 0, 5), (1,), [], [1, 0, 0]):
+        with pytest.raises(ValueError, match="pair"):
+            MatrixBasis.from_complex([[[entry, 0], [0, 0]], [[0, (0, 1)], [0, 0]]])
+    basis = MatrixBasis.from_complex([[[[1, 2], 0], [0, 0]], [[0, (0, 1)], [0, 0]]])
+    assert basis.matrices[0][0][0] == 1 and basis.imag[0][0][0] == 2
+
+
 @pytest.mark.parametrize("build, entries", [
     (MatrixBasis, (0.1, 1.0, "1/2")),
     (MatrixBasis.from_complex, (0.1, 1.0, "1/2", (1, 0.5), (0.5, 1))),
