@@ -6,11 +6,11 @@ increasing k-tuples of basis indices (1-based, matching the usual
 denominator in one layer per exponent vector: the layout of the columns of
 :class:`ExteriorOp`, the one linear map between exterior powers (a
 derivation, over the lexicographic monomial coordinates of :func:`monomials`).
-Wedge products, pullbacks (one covector at a time) and the B sums of
-:mod:`g2forms.gstruct` add into int lists over monomial positions through
-product tables built on first use; contraction by e_i drops i with its
-sign.  These kernels and ``ExteriorOp.apply`` add exponent vectors once per
-pair of layers and multiply plain ints inside;
+Wedge products, pullbacks (one covector at a time), and the B sums and
+Hitchin's K of :mod:`g2forms.gstruct` add into int lists over monomial
+positions through product tables built on first use; contraction by e_i
+drops i with its sign.  These kernels and ``ExteriorOp.apply`` add exponent
+vectors once per pair of layers and multiply plain ints inside;
 ``AltForm._trusted`` reduces each result once (fraction-free, as in Bareiss,
 Math. Comp. 1968).  No form operation does PolyScalar arithmetic.
 
@@ -28,7 +28,6 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from g2forms._linalg import _integer_row
 from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational,
                              signed_terms)
 
@@ -120,7 +119,7 @@ class AltForm:
         symbols = check_context(symbols)
         clean: dict[tuple, PolyScalar] = {}
         for idx, coeff in (coeffs or {}).items():
-            if not all(isinstance(i, int) for i in idx):
+            if not all(isinstance(i, int) and not isinstance(i, bool) for i in idx):
                 raise TypeError(f"form indices are ints, got {idx!r}")
             if len(idx) != degree:
                 raise ValueError(f"index {idx} does not have degree {degree}")
@@ -281,16 +280,18 @@ def _lower(layers: dict, den: int, symbols: tuple) -> dict:
 def combination(dim: int, degree: int, symbols: Iterable[str], pairs: Iterable) -> AltForm:
     """The form sum of name * member over the (name, member) pairs, in the
     context symbols, each member a rational degree-form on the dim-space:
-    its layer moves to its name's exponent vector, and the sum is ``+``."""
-    symbols = check_context(symbols)
-    total = AltForm._trusted(dim, degree, symbols, 1, {})
+    its layer moves to its name's exponent vector, all added in one pass."""
+    symbols, pairs, sums = check_context(symbols), list(pairs), {}
+    den = lcm(*(member.den for _, member in pairs))
     for name, member in pairs:
         if (member.dim, member.degree) != (dim, degree) or not member.is_rational():
             raise ValueError(f"{name}: expected a rational {degree}-form on a {dim}-space")
-        expo = next(iter(PolyScalar.symbol(name, symbols).terms))
-        layers = {expo: layer for layer in member.layers.values()}  # at most one layer
-        total += AltForm._trusted(dim, degree, symbols, member.den, layers)
-    return total
+        if name not in symbols:
+            raise ValueError(f"symbol {name!r} is not in context {symbols}")
+        acc = sums.setdefault(tuple(int(s == name) for s in symbols), {})
+        for key, v in next(iter(member.layers.values()), {}).items():  # at most one layer
+            acc[key] = acc.get(key, 0) + v * (den // member.den)
+    return AltForm._trusted(dim, degree, symbols, den, sums)
 
 
 # -- operations --------------------------------------------------------------
@@ -498,7 +499,9 @@ class ExteriorOp:
 
 # -- rendering / parsing ------------------------------------------------------
 
-_FORM_TERM_RE = re.compile(r"^(?:(?P<coeff>[^e]*?)\*?)?e\^\{(?P<idx>\d+)\}$")
+# a term at the start of a chunk between signs (ending in at most one newline): its sign,
+# "p" or "p/q", any other coefficient text, and its indices
+_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?|([^e+-]*?))\*?)?e\^\{(\d+)\}\n?(?=[+-]|\Z)")
 
 
 def render_form(alpha: AltForm) -> str:
@@ -526,13 +529,14 @@ def render_form(alpha: AltForm) -> str:
     return "".join(parts) or "0"
 
 
-def parse_form(
-    text: str, dim: int, degree: int | None = None, symbols: Iterable[str] = ()
-) -> AltForm:
+def parse_form(text: str, dim: int, degree: int | None = None,
+               symbols: Iterable[str] = ()) -> AltForm:
     """Parse the rendering produced by :func:`render_form`.
 
     Only rational coefficients are supported (which covers every bundled case
-    file); indices are single digits, so a dim above 9 raises ValueError.
+    file); indices are single digits, so a dim above 9 raises ValueError.  One
+    regex reads each term, its coefficient as ints and a sorted index tuple
+    through the position table; the sums go to ``_trusted`` over one lcm.
     """
     if dim > 9:
         raise ValueError(f"form literals have single-digit indices: dimension {dim} is above 9")
@@ -543,25 +547,35 @@ def parse_form(
         if degree is None:
             raise ValueError("the zero form needs an explicit degree")
         return AltForm(dim, degree, symbols)
-    form_degree, coeffs = degree, {}
-    for negative, chunk in signed_terms(text, compact):
-        if not (m := _FORM_TERM_RE.match(chunk)):
-            raise ValueError(f"cannot parse form term {chunk!r}")
-        coeff_text, idx_text = m.groups()
-        value = parse_rational(coeff_text) if coeff_text else Fraction(1)
-        indices = tuple(map(int, idx_text))
-        if "0" in idx_text or max(indices) > dim:
-            raise ValueError(f"index out of range 1..{dim} in {chunk!r}")
-        if degree is not None and len(indices) != degree:
-            raise ValueError(f"term {chunk!r} does not have degree {degree}")
-        if form_degree not in (None, len(indices)):
-            raise ValueError("cannot add forms of different degree")
-        form_degree = len(indices)
-        if (sorted_sign := sort_sign(indices)) is not None:
-            key, order = sorted_sign
-            value = -value if negative != (order < 0) else value
-            coeffs[key] = coeffs[key] + value if key in coeffs else value
-    symbols = check_context(symbols)
-    ints, den = _integer_row(list(coeffs.values()))
-    layer = dict(zip(coeffs, ints))
+    form_degree, terms, end = degree, [], 0  # terms: (sorted key, signed num, den)
+    try:
+        while end < len(compact):
+            if not (m := _TERM_RE.match(compact, end)):  # name the chunk at end
+                chunk = signed_terms(text, compact[end:])[0][1]
+                raise ValueError(f"cannot parse form term {chunk!r}")
+            sign, num, den, other, idx = m.groups()
+            chunk, end = m[0][len(sign):], m.end()
+            num, den = int(num or 1), int(den or 1)
+            if other or not den:  # parse_rational refuses it, or strips its whitespace
+                num, den = parse_rational(other or f"{m[2]}/{m[3]}").as_integer_ratio()
+            indices = tuple(map(int, idx))
+            if "0" in idx or max(indices) > dim:
+                raise ValueError(f"index out of range 1..{dim} in {chunk!r}")
+            if degree is not None and len(indices) != degree:
+                raise ValueError(f"term {chunk!r} does not have degree {degree}")
+            if form_degree not in (None, len(indices)):
+                raise ValueError("cannot add forms of different degree")
+            form_degree = len(indices)
+            # a sorted key is a position; above dim an index repeats (min bounds the tables)
+            if indices in _positions(dim, min(form_degree, dim)):
+                terms.append((indices, -num if sign == "-" else num, den))
+            elif sorted_sign := sort_sign(indices):  # None on a repeated index: no term
+                key, order = sorted_sign
+                terms.append((key, -num if (sign == "-") != (order < 0) else num, den))
+    except ValueError:
+        signed_terms(text, compact)  # a dangling sign comes before any term error
+        raise
+    symbols, den, layer = check_context(symbols), lcm(*(q for _, _, q in terms)), {}
+    for key, num, q in terms:
+        layer[key] = layer.get(key, 0) + num * (den // q)
     return AltForm._trusted(dim, form_degree, symbols, den, {(0,) * len(symbols): layer})

@@ -16,12 +16,12 @@ and are pinned by tests):
   and contracted with the Levi-Civita symbol, so no square roots appear and
   the zero set is exactly that of the true dual.
 * Hitchin's endomorphism of a 3-form psi on a 6-space is
-  ``K[i][j] = top_coefficient(iota_{e_j} psi ^ psi ^ e^i)``, read off
-  iota_{e_j} psi ^ psi at the complement of i without a wedge, and
-  ``lambda = trace(K^2)/6``; with this normalization the standard complex
-  volume real part has lambda = -4 and K^2 = lambda * Id.  In
-  ``su3_check`` the volume is renormalized to omega^3/6 (orientation from
-  omega), which makes the induced bilinear form omega(., K .) positive for
+  ``K[i][j] = top_coefficient(iota_{e_j} psi ^ psi ^ e^i)``: iota_j psi and
+  iota_j psi ^ psi are read off the (1, 2) and (2, 3) product tables of R^6
+  on ints, K at the complement of i, and ``lambda = trace(K^2)/6``; the
+  standard complex volume real part has lambda = -4 and K^2 = lambda * Id.
+  ``su3_check`` renormalizes the volume to omega^3/6 (orientation from
+  omega) and forms G = omega(., K .) on ints, which is positive for
   standard SU(3) pairs.
 """
 
@@ -40,8 +40,6 @@ from g2forms.exterior import (
     _positions,
     _products,
     basis_form,
-    contract,
-    form_to_vector,
     monomials,
     pullback,
     top_coefficient,
@@ -201,18 +199,12 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
     if all((m > 0 if k % 2 else m < 0) for k, m in enumerate(minors)):
         return DefinitenessReport("definite", "negative", minors, gram=b)
     diag = _linalg.congruence_diagonalize(b)
-    zero_entries = [(d, v) for d, v in diag if d == 0]
-    if zero_entries:
-        d, v = zero_entries[0]
-        return DefinitenessReport(
-            "degenerate", witnesses=[(str(d), v)], minors=minors, gram=b
-        )
-    positive = next((d, v) for d, v in diag if d > 0) if any(d > 0 for d, _ in diag) else None
-    negative = next((d, v) for d, v in diag if d < 0) if any(d < 0 for d, _ in diag) else None
-    witnesses = []
-    for item in (negative, positive):
-        if item:
-            witnesses.append((str(item[0]), item[1]))
+    if zero := next(((d, v) for d, v in diag if d == 0), None):
+        return DefinitenessReport("degenerate", witnesses=[(str(zero[0]), zero[1])],
+                                  minors=minors, gram=b)
+    negative = next(((str(d), v) for d, v in diag if d < 0), None)
+    positive = next(((str(d), v) for d, v in diag if d > 0), None)
+    witnesses = [item for item in (negative, positive) if item]
     return DefinitenessReport("indefinite", witnesses=witnesses, minors=minors, gram=b)
 
 
@@ -351,13 +343,8 @@ class HitchinReport:
 
     @property
     def k_squared_is_scalar(self) -> bool:
-        n = len(self.k_matrix)
-        for i in range(n):
-            for j in range(n):
-                expected = self.lam if i == j else Fraction(0)
-                if self.k_squared[i][j] != expected:
-                    return False
-        return True
+        size = range(len(self.k_matrix))
+        return all(self.k_squared[i][j] == (self.lam if i == j else 0) for i in size for j in size)
 
     def render(self) -> str:
         kind = "complex type (stable)" if self.lam < 0 else (
@@ -367,19 +354,22 @@ class HitchinReport:
 
 
 def hitchin_stability(psi: AltForm) -> HitchinReport:
-    """Hitchin's K endomorphism and lambda invariant (n = 6)."""
+    """Hitchin's K endomorphism and lambda invariant (n = 6), on ints over psi's
+    den^2 from the (6, 1, 2) and (6, 2, 3) product tables, divided once."""
     if psi.dim != 6 or psi.degree != 3:
         raise ValueError("hitchin_stability expects a 3-form on a 6-dimensional space")
     if not psi.is_rational():
         raise ValueError("hitchin_stability needs rational coefficients")
-    iota_psi = [wedge(contract(j, psi), psi) for j in range(1, 7)]
-    # e^{rest} ^ e^i = (-1)^(6-i) e^{1...6}, rest being {1..6} without i
-    rests = [tuple(k for k in range(1, 7) if k != i) for i in range(1, 7)]
-    columns = [form_to_vector(form, rests) for form in iota_psi]
-    k_rows = [[(-1) ** (6 - i) * column[i - 1] for column in columns] for i in range(1, 7)]
-    k_sq = _linalg.matmul(k_rows, k_rows)
-    lam = sum((k_sq[i][i] for i in range(6)), Fraction(0)) / 6
-    return HitchinReport(lam, k_rows, k_sq)
+    y = [next(iter(psi.layers.values()), {}).get(r, 0) for r in _positions(6, 3)]
+    table, k = _products(6, 2, 3), [[0] * 6 for _ in range(6)]
+    for j, row in enumerate(_products(6, 1, 2)):  # (iota_j psi)_q = sign psi_u
+        for q, u, sign in row:
+            for r, t, s in table[q] if y[u] else ():  # the 5-position t omits i = 6 - t
+                k[5 - t][j] += (-s if t % 2 else s) * sign * y[u] * y[r]  # e^t ^ e^i = (-1)^t vol
+    k_sq, den = [[sum(map(mul, row, col)) for col in zip(*k)] for row in k], psi.den**2
+    return HitchinReport(Fraction(sum(k_sq[i][i] for i in range(6)), 6 * den**2),
+                         [[Fraction(x, den) for x in row] for row in k],
+                         [[Fraction(x, den**2) for x in row] for row in k_sq])
 
 
 class SU3Report:
@@ -429,13 +419,10 @@ class SU3Report:
         }
 
     def render(self) -> str:
-        rows = [f"{key}: {value}" for key, value in self.flags().items()]
-        return "\n".join(rows)
+        return "\n".join(f"{key}: {value}" for key, value in self.flags().items())
 
 
-def su3_check(
-    data: HomogeneousSpaceData, omega: AltForm, psi: AltForm
-) -> SU3Report:
+def su3_check(data: HomogeneousSpaceData, omega: AltForm, psi: AltForm) -> SU3Report:
     """Full SU(3)-pair verdict for (omega, psi) on a 6-dimensional space.
 
     The orientation is taken from omega^3 (so the verdict does not depend
@@ -460,17 +447,16 @@ def su3_check(
     report = SU3Report(nondegenerate, stable, hitchin.lam)
     if not (nondegenerate and stable):
         return report
-    scale = Fraction(6) / volume  # renormalize K to the omega-volume
-    k_norm = [[x * scale for x in row] for row in hitchin.k_matrix]
-    omega_matrix = [
-        [omega.eval_basis((i, j)).constant_value() for j in range(1, 7)]
-        for i in range(1, 7)
-    ]
-    g = _linalg.matmul(omega_matrix, k_norm)
+    w, d = next(iter(omega.layers.values()), {}), psi.den**2  # K is quadratic in psi
+    # Omega[i][j] = omega(e_i, e_j) and K, times omega.den and d; G = Omega . K on ints
+    omega_ints = [[w.get((i, j), 0) - w.get((j, i), 0) for j in range(1, 7)] for i in range(1, 7)]
+    k = [[x.numerator * (d // x.denominator) for x in row] for row in hitchin.k_matrix]
+    g = [[sum(map(mul, row, col)) for col in zip(*k)] for row in omega_ints]
     report.compatible = wedge(omega, psi).is_zero()
     report.tamed = False
     if all(g[i][j] == g[j][i] for i in range(6) for j in range(i)):
-        report.gram = g
+        num, den = 6 * volume.denominator, volume.numerator * omega.den * d  # 6 / (volume * dens)
+        report.gram = g = [[Fraction(num * x, den) for x in row] for row in g]
         try:  # G is symmetric and 6 x 6: the dual refuses it only when not positive definite
             star_psi = hodge_dual_up_to_scale(g, psi)
             report.tamed = True

@@ -14,8 +14,11 @@ from pathlib import Path
 from g2forms.exterior import (
     AltForm,
     contract,
+    form_to_vector,
     merge_sign,
     monomials,
+    top_coefficient,
+    wedge,
 )
 from g2forms.scalars import ContextMismatchError, PolyScalar
 
@@ -251,6 +254,38 @@ def wedge_b_matrix(phi: AltForm) -> list:
             row.append(total)
         gram.append(row)
     return gram
+
+
+def fraction_matmul(a: list, b: list) -> list:
+    """The matrix product over Fractions, entry by entry."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def hitchin_by_wedges(psi: AltForm) -> tuple:
+    """(lambda, K, K^2) of a rational 3-form on R^6 with K[i][j] read off the
+    5-form iota_j psi ^ psi, built by ``contract`` and ``wedge``, at the
+    complement of i, signed by e^{rest} ^ e^i = (-1)^(6-i) e^{1...6}: an
+    oracle for :func:`g2forms.gstruct.hitchin_stability`, which reads the
+    product tables instead."""
+    rests = [tuple(k for k in range(1, 7) if k != i) for i in range(1, 7)]
+    columns = [form_to_vector(wedge(contract(j, psi), psi), rests) for j in range(1, 7)]
+    k = [[(-1) ** (6 - i) * column[i - 1] for column in columns] for i in range(1, 7)]
+    k_sq = fraction_matmul(k, k)
+    return sum((k_sq[i][i] for i in range(6)), Fraction(0)) / 6, k, k_sq
+
+
+def su3_gram_by_evaluation(omega: AltForm, psi: AltForm) -> list | None:
+    """G = Omega . K * 6 / volume, Omega[i][j] = omega(e_i, e_j) by ``eval_basis``,
+    K from :func:`hitchin_by_wedges` and the volume the top coefficient of
+    omega^3, as Fraction rows; None when omega^3 = 0: an oracle for the gram
+    matrix of :func:`g2forms.gstruct.su3_check`."""
+    volume = top_coefficient(wedge(wedge(omega, omega), omega)).constant_value()
+    if not volume:
+        return None
+    omega_matrix = [[omega.eval_basis((i, j)).constant_value() for j in range(1, 7)]
+                    for i in range(1, 7)]
+    return [[x * 6 / volume for x in row]
+            for row in fraction_matmul(omega_matrix, hitchin_by_wedges(psi)[1])]
 
 
 def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:

@@ -427,6 +427,38 @@ def test_render_parse_round_trip():
         assert form.render() == text
 
 
+def test_parse_form_reads_back_renders_with_extra_terms():
+    # a render, then terms with unreduced, zero and unit coefficients, unsorted or
+    # repeated indices, and terms that cancel one of the render's
+    rng = random.Random(3208)
+    for t in range(300):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        symbols = ("a", "b") if t % 3 == 0 else ()
+        alpha = random_form(rng, n, k, symbols, density=rng.choice([0.15, 0.5, 1.0]))
+        assert parse_form(alpha.render(), n, k, symbols) == alpha
+        parts, expected = ([] if alpha.is_zero() else [alpha.render()]), alpha
+        for idx, coeff in list(alpha.coeffs.items())[:1] if k > 1 and t % 4 == 0 else ():
+            value = coeff.constant_value()  # + value * e^{j i ...} = -value * e^{i j ...}
+            swapped = " ".join(map(str, (idx[1], idx[0]) + idx[2:]))
+            parts.append(f"{'-' if value < 0 else '+'} {abs(value)}*e^{{{swapped}}}")
+            expected = expected - basis_form(n, idx, symbols).scale(value)
+        for _ in range(rng.randint(0, 4)):
+            idx = (rng.sample(range(1, n + 1), k) if rng.random() < 0.7
+                   else [rng.randint(1, n) for _ in range(k)])
+            value = rng.choice([random_rational(rng), Fraction(0), Fraction(1), Fraction(-1)])
+            mag = abs(value)
+            coeff = rng.choice([f"{mag}*", f"{2 * mag.numerator}/{2 * mag.denominator}*",
+                                "" if mag == 1 else f"{mag}*"])
+            parts.append(f"{'-' if value < 0 else '+'} {coeff}e^{{{' '.join(map(str, idx))}}}")
+            expected = expected + basis_form(n, idx, symbols).scale(value)
+        if not parts:
+            continue
+        text = " ".join(parts).removeprefix("+ ")
+        assert parse_form(text, n, k, symbols) == expected, text
+        assert parse_form(text, n, None, symbols) == expected, text
+
+
 @pytest.mark.parametrize("text", [
     "e^{1 2 7} - - e^{3 4 7}", "e^{1 2 7} +", "+", "-", "- -e^{1 2 7}",
     "e^{1 2 7} +- e^{3 4 7}", "2*e^{1 2 7} - ",
@@ -484,9 +516,11 @@ def test_public_constructor_rejects_malformed_input():
 
 def test_form_indices_are_ints():
     one = PolyScalar.constant(1)
-    for idx in [(1.7,), (1.0,), ("1",)]:  # (1.7,) is not e^{1}
+    for idx in [(1.7,), (1.0,), ("1",), (True,)]:  # (1.7,) is not e^{1}, nor is (True,)
         with pytest.raises(TypeError, match="form indices are ints"):
             AltForm(3, 1, (), {idx: one})
+    with pytest.raises(TypeError, match="form indices are ints"):
+        basis_form(3, (True,))
     assert AltForm(3, 1, (), {(1,): one}).render() == "e^{1}"
 
 
@@ -502,6 +536,24 @@ def test_contract_index_is_an_int():
         with pytest.raises(TypeError, match="contraction index is an int"):
             contract(index, phi)
     assert contract(1, phi) == F("e^{2 3} + e^{4 5}", degree=2)
+
+
+def test_combination_matches_the_sum_of_scaled_members():
+    # one pass over the members against a + of each member times its symbol, with
+    # denominators, zero members, a repeated name and cancelling members
+    rng = random.Random(3209)
+    for t in range(60):
+        n, k = rng.randint(3, 7), rng.randint(0, 3)
+        context = tuple(f"c{i}" for i in range(rng.randint(1, 5)))
+        pairs = [(rng.choice(context), random_form(rng, n, k, density=rng.choice([0.0, 0.3, 1.0])))
+                 for _ in range(rng.randint(0, 6))]
+        if pairs and t % 3 == 0:
+            pairs.append((pairs[0][0], -pairs[0][1]))
+        expected = AltForm(n, k, context)
+        for name, member in pairs:
+            symbol = PolyScalar.symbol(name, context)
+            expected = expected + member.with_symbols(context).scale(symbol)
+        assert combination(n, k, context, iter(pairs)) == expected
 
 
 def test_combination_rejects_what_it_cannot_place():

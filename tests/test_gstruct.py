@@ -6,14 +6,17 @@ import pytest
 import models
 from conftest import (
     evaluate_by_permutations,
+    hitchin_by_wedges,
     hodge_dual_by_minors,
     poly_mul,
     quadratic_form,
     random_form,
     random_rational,
     random_unimodular,
+    su3_gram_by_evaluation,
     two_symbol_form,
     unit_vector,
+    vector_to_form,
     wedge_b_matrix,
 )
 from g2forms import _linalg, gstruct
@@ -609,6 +612,65 @@ def test_hitchin_on_unimodular_conjugates_of_standard_psi():
         report = hitchin_stability(pullback(psi0, t))
         assert report.lam == -4  # det-1 changes leave the invariant fixed
         assert report.k_squared_is_scalar
+
+
+def reflected_unimodular(rng, n, reflect):
+    """A random unimodular matrix, its first row negated (det -1) when reflect."""
+    p = random_unimodular(rng, n)
+    return [[-x for x in row] if reflect and r == 0 else row for r, row in enumerate(p)]
+
+
+def test_hitchin_matches_the_wedge_oracle():
+    rng = random.Random(3206)
+    psi0, real = parse_form(PSI0, 6), parse_form("e^{1 2 3} + e^{4 5 6}", 6)
+    forms = [psi0, real, parse_form("e^{1 2 3}", 6), AltForm(6, 3, ())]
+    for t in range(60):
+        if t % 4 == 0:  # int coefficients
+            forms.append(vector_to_form([rng.randint(-3, 3) for _ in range(20)], 6, 3))
+        elif t % 4 == 1:  # Fractions with denominators, sparse to dense
+            forms.append(random_form(rng, 6, 3, density=rng.choice([0.15, 0.5, 1.0])))
+        else:  # unimodular pullbacks of psi0 (complex type) and of the real type
+            p = reflected_unimodular(rng, 6, t % 3 == 0)
+            forms.append(pullback(psi0 if t % 4 == 2 else real, p))
+    signs = set()
+    for psi in forms:
+        report = hitchin_stability(psi)
+        assert (report.lam, report.k_matrix, report.k_squared) == hitchin_by_wedges(psi)
+        assert type(report.lam) is Fraction
+        assert all(type(x) is Fraction for row in report.k_matrix + report.k_squared for x in row)
+        signs.add((report.lam > 0) - (report.lam < 0))
+    assert signs == {-1, 0, 1}  # complex, degenerate and real type
+
+
+def test_su3_gram_matches_the_evaluation_oracle():
+    rng = random.Random(3207)
+    data, omega0, psi0 = abelian(6), parse_form(OMEGA0, 6), parse_form(PSI0, 6)
+    pairs = []
+    for t in range(24):
+        p = reflected_unimodular(rng, 6, t % 2 == 1)
+        omega, psi = pullback(omega0, p), pullback(psi0, p)
+        pairs += [
+            (omega, psi), (-omega, psi),  # tamed: the volume of -omega flips G's sign back
+            (pullback(parse_form("e^{1 2} + e^{3 4} - e^{5 6}", 6), p), psi),  # not tamed
+            (omega.scale(Fraction(2, 3)), psi.scale(Fraction(-1, 5))),  # denominators
+            (random_form(rng, 6, 2), psi),  # G mostly not symmetric
+            (omega, random_form(rng, 6, 3, density=0.3)),  # mostly unstable
+            (pullback(parse_form("e^{1 2} + e^{3 4}", 6), p), psi),  # degenerate omega
+        ]
+    seen = set()
+    for omega, psi in pairs:
+        report, gram = su3_check(data, omega, psi), su3_gram_by_evaluation(omega, psi)
+        assert report.nondegenerate == (gram is not None)
+        symmetric = gram is not None and all(gram[i][j] == gram[j][i]
+                                             for i in range(6) for j in range(i))
+        if report.nondegenerate and report.stable and symmetric:
+            assert report.gram == gram
+            assert all(type(x) is Fraction for row in report.gram for x in row)
+        else:
+            assert report.gram is None
+        seen.add((report.nondegenerate, report.stable, symmetric, report.tamed))
+    assert {(True, True, True, True), (True, True, True, False), (True, True, False, False),
+            (True, False, False, None), (False, True, False, None)} <= seen
 
 
 def test_product_definiteness_tracks_su3_verdict_on_instances():

@@ -86,6 +86,13 @@ trees read the case files of the second tree (``src`` by default), in the
   rational 2 x 2 or 3 x 3 matrices, every third one complex; then each
   bundled complex basis conjugated by a seeded dense unimodular integer P,
   as it is and cut to two shuffled subsets.  It runs after the groups above;
+* ``su3``: ``flags()``, lambda and the gram matrix G (or None) of
+  ``su3_check`` for 280 seeded pairs on R^6, flat and with d e^6 = e^{12} +
+  e^{34}: (P*omega0, P*psi0) for dense unimodular P, every other one with a
+  reflection; -P*omega0, which the omega^3 orientation tames too; P*omega0
+  with one term negated (G symmetric, not tamed); both scaled by rationals;
+  a random psi (mostly unstable); a random omega (G mostly not symmetric);
+  and a degenerate omega of rank 4.  It runs after the groups above;
 * ``verify``: ``verify --all --format json`` with each case's ``seconds``
   dropped, re-dumped with ``indent=2`` in the order the report's keys came
   in, and the text report of ``verify --all`` with its ``N.NNs`` case
@@ -122,7 +129,9 @@ from g2forms import _linalg
 from g2forms.cli import main
 from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
-from g2forms.gstruct import b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale
+from g2forms.gstruct import (
+    b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale, su3_check,
+)
 from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import (
     HomogeneousSpaceData, LieStructureError, MatrixBasis, from_matrices, jacobi_check,
@@ -177,7 +186,7 @@ def case_form(rng, data, k, symbolic):
 out = {
     "b": [], "definiteness": [], "minors": [], "hodge": [], "hitchin": [], "lie": [],
     "pullback": [], "contract": [], "apply": [], "wedge": [], "hodge_poly": [], "linalg": [],
-    "parse": [], "solve": [], "congruence": [], "inverse": [], "structure": [],
+    "parse": [], "solve": [], "congruence": [], "inverse": [], "structure": [], "su3": [],
     "verify": [], "schema": [], "cases": [],
 }
 rng = random.Random(20261018)
@@ -471,6 +480,25 @@ for case_id in bundled_ids():
         dense.append([[[a, b] for a, b in zip(r1, r2)] for r1, r2 in zip(real, imag)])
     for basis in [dense] + [rng.sample(dense, rng.randint(2, len(dense) - 1)) for _ in range(2)]:
         out["structure"].append([case_id, "conjugated", structure(basis, True)])
+
+rng = random.Random(20261020)
+minus_one = PolyScalar.constant(-1)
+spaces = [HomogeneousSpaceData(6, [], {}, None, ()),  # flat, and d e^6 = e^{12} + e^{34}
+          HomogeneousSpaceData(6, [], {(1, 2): {6: minus_one}, (3, 4): {6: minus_one}}, None, ())]
+omega0, flipped, rank4 = (parse_form(text, 6) for text in (
+    "e^{1 2} + e^{3 4} + e^{5 6}", "e^{1 2} + e^{3 4} - e^{5 6}", "e^{1 2} + e^{3 4}"))
+psi0 = parse_form("e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5}", 6)
+for t in range(40):
+    p, _ = unimodular(rng, 6)
+    if t % 2:  # a reflection: det P = -1
+        p[0] = [-x for x in p[0]]
+    omega, psi = pullback(omega0, p), pullback(psi0, p)
+    for pair in [(omega, psi), (-omega, psi), (pullback(flipped, p), psi),
+                 (omega.scale(F(2, 3)), psi.scale(F(-1, 5))),
+                 (omega, form(rng, 6, 3, density=rng.choice([0.15, 0.5, 1.0]))),
+                 (form(rng, 6, 2), psi), (pullback(rank4, p), psi)]:
+        r = su3_check(spaces[t % 2], *pair)
+        out["su3"].append([r.flags(), str(r.lam), None if r.gram is None else strs(r.gram)])
 
 def cli(*argv, keep=lambda text: text):
     # one in-process command: its arguments, exit code, stdout through keep, stderr
