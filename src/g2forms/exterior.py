@@ -6,13 +6,14 @@ increasing k-tuples of basis indices (1-based, matching the usual
 denominator in one layer per exponent vector: the layout of the columns of
 :class:`ExteriorOp`, the one linear map between exterior powers (a
 derivation, over the lexicographic monomial coordinates of :func:`monomials`).
-Wedge products, pullbacks (one covector at a time), and the B sums and
-Hitchin's K of :mod:`g2forms.gstruct` add into int lists over monomial
-positions through product tables built on first use; contraction by e_i
-drops i with its sign.  These kernels and ``ExteriorOp.apply`` add exponent
-vectors once per pair of layers and multiply plain ints inside;
-``AltForm._trusted`` reduces each result once (fraction-free, as in Bareiss,
-Math. Comp. 1968).  No form operation does PolyScalar arithmetic.
+Wedge products, pullbacks (one covector at a time), the Leibniz columns of
+``ExteriorOp``, and the B sums and Hitchin's K of :mod:`g2forms.gstruct` add
+ints over monomial positions through product tables built on first use;
+contraction by e_i drops i with its sign.  These kernels and
+``ExteriorOp.apply`` add exponent vectors once per pair of layers and
+multiply plain ints inside; ``AltForm._trusted`` reduces each result once
+(fraction-free, as in Bareiss, Math. Comp. 1968).  No form operation does
+PolyScalar arithmetic.
 
 Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
 is the form usually written ``e^{127}``.
@@ -38,7 +39,6 @@ __all__ = [
     "combination",
     "contract",
     "form_to_vector",
-    "merge_sign",
     "monomials",
     "parse_form",
     "pullback",
@@ -55,7 +55,7 @@ def sort_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     """
     items = list(indices)
     sign = 1
-    # insertion sort; n <= 8 everywhere in this package
+    # insertion sort: the tuples are short (cases and form literals have dimension <= 9)
     for i in range(1, len(items)):
         j = i
         while j > 0 and items[j - 1] > items[j]:
@@ -66,30 +66,6 @@ def sort_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
         if a == b:
             return None
     return tuple(items), sign
-
-
-def merge_sign(left: Sequence[int], right: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """Merge two strictly increasing tuples, counting the crossing sign."""
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return None
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            if (len(left) - i) % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
-
-
-_merge = cache(merge_sign)  # ExteriorOp's Leibniz terms
 
 
 class AltForm:
@@ -440,37 +416,52 @@ class ExteriorOp:
     term: ``columns`` maps each exponent vector of the context ``symbols`` to
     the integer columns ``{input monomial: {output monomial: entry}}`` of that
     power of the parameters, with nonzero entries.  A rational operator has
-    only the zero vector.
+    only the zero vector.  Image keys and the shift + 1 indices of each
+    replacement lie in 1..dim, and values are PolyScalars in the context.
     """
 
     __slots__ = ("dim", "degree", "out_degree", "symbols", "columns", "den")
 
     def __init__(self, dim: int, degree: int, shift: int, symbols, image: Mapping):
+        if degree < 0 or shift < 0:
+            raise ValueError(f"degree and shift must be nonnegative, got {degree} and {shift}")
         self.dim, self.degree, self.symbols = dim, degree, tuple(symbols)
         self.out_degree = degree + shift
+        for i, pairs in image.items():  # the tables below index by position
+            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
+                raise ValueError(f"image key {i!r} is not an index in 1..{dim}")
+            for replacement, value in pairs:
+                if len(replacement) != shift + 1 or not all(
+                        isinstance(j, int) and not isinstance(j, bool) and 1 <= j <= dim
+                        for j in replacement):
+                    raise ValueError(f"replacement {replacement!r} is not {shift + 1} "
+                                     f"indices in 1..{dim}")
+                if not isinstance(value, PolyScalar):
+                    raise TypeError(f"image values are PolyScalars, got {value!r}")
+                if value.symbols != self.symbols:
+                    raise ContextMismatchError("image value context does not match the operator")
         values = {(i, p): value for i, pairs in image.items() for p, (_, value) in enumerate(pairs)}
         self.den, layers = _lift(values)
         self.columns = {}
+        if not degree or not layers:  # D vanishes on the 0-forms; no tables for the zero map
+            return
+        # D(e^I) = sum over i in I of s D(e^i) ^ e^{I - i}, where e^i ^ e^{I - i} = s e^I
+        ones, images = _products(dim, 1, degree - 1), _products(dim, shift + 1, degree - 1)
+        sources, targets = monomials(dim, degree), monomials(dim, degree + shift)
+        replacements = _positions(dim, shift + 1)
         for expo, lifted in layers.items():
-            layer: dict[int, list] = {}  # i -> [(sorted replacement, int)]
-            for (i, p), c in lifted.items():
-                if (sorted_sign := sort_sign(image[i][p][0])) is not None:
+            sums: dict[int, dict] = {}  # input position -> {output position: int}
+            for (i, slot), c in lifted.items():
+                if sorted_sign := sort_sign(image[i][slot][0]):  # None on a repeated index
                     replacement, sign = sorted_sign
-                    layer.setdefault(i, []).append((replacement, sign * c))
-            columns = {}
-            for idx in monomials(dim, degree):
-                column: dict[tuple, int] = {}
-                # moving a sorted R (shift + 1 indices) past idx[:t] costs (-1)^(t (shift + 1)),
-                # so sort_sign(idx[:t] + R + idx[t+1:]) (-1)^(t shift) = (-1)^t merge_sign(R, rest)
-                for t, i in enumerate(idx):
-                    rest = idx[:t] + idx[t + 1 :]
-                    for replacement, value in layer.get(i, ()):
-                        if (merged := _merge(replacement, rest)) is not None:
-                            row, sign = merged
-                            column[row] = column.get(row, 0) + (-sign if t % 2 else sign) * value
-                if column := {row: v for row, v in column.items() if v}:
-                    columns[idx] = column
-            if columns:
+                    inputs = {rest: (p, s * sign * c) for rest, p, s in ones[i - 1]}
+                    for rest, t, s in images[replacements[replacement]]:  # e^R ^ e^rest = s e^t
+                        if rest in inputs:
+                            p, v = inputs[rest]
+                            column = sums.setdefault(p, {})
+                            column[t] = column.get(t, 0) + s * v
+            if columns := {sources[p]: kept for p, column in sums.items()
+                           if (kept := {targets[t]: v for t, v in column.items() if v})}:
                 self.columns[expo] = columns
 
     def is_rational(self) -> bool:
@@ -499,9 +490,10 @@ class ExteriorOp:
 
 # -- rendering / parsing ------------------------------------------------------
 
-# a term at the start of a chunk between signs (ending in at most one newline): its sign,
-# "p" or "p/q", any other coefficient text, and its indices
-_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?|([^e+-]*?))\*?)?e\^\{(\d+)\}\n?(?=[+-]|\Z)")
+# a term at the start of a chunk between signs: its sign, "p" or "p/q", any other
+# coefficient text, and its indices; digits are ASCII
+_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?|([^e+-]*?))\*?)?e\^\{(\d+)\}(?=[+-]|\Z)",
+                      re.ASCII)
 
 
 def render_form(alpha: AltForm) -> str:
@@ -534,13 +526,14 @@ def parse_form(text: str, dim: int, degree: int | None = None,
     """Parse the rendering produced by :func:`render_form`.
 
     Only rational coefficients are supported (which covers every bundled case
-    file); indices are single digits, so a dim above 9 raises ValueError.  One
-    regex reads each term, its coefficient as ints and a sorted index tuple
-    through the position table; the sums go to ``_trusted`` over one lcm.
+    file); indices are single ASCII digits, so a dim above 9 raises ValueError.
+    Whitespace is dropped wherever it stands.  One regex reads each term, its
+    coefficient as ints and a sorted index tuple through the position table;
+    the sums go to ``_trusted`` over one lcm.
     """
     if dim > 9:
         raise ValueError(f"form literals have single-digit indices: dimension {dim} is above 9")
-    compact = text.replace(" ", "")
+    compact = "".join(text.split())
     if not compact:
         raise ValueError("empty form literal")
     if compact in {"0", "+0", "-0"}:
@@ -556,7 +549,7 @@ def parse_form(text: str, dim: int, degree: int | None = None,
             sign, num, den, other, idx = m.groups()
             chunk, end = m[0][len(sign):], m.end()
             num, den = int(num or 1), int(den or 1)
-            if other or not den:  # parse_rational refuses it, or strips its whitespace
+            if other or not den:  # parse_rational refuses it (q = 0, or not p/q)
                 num, den = parse_rational(other or f"{m[2]}/{m[3]}").as_integer_ratio()
             indices = tuple(map(int, idx))
             if "0" in idx or max(indices) > dim:

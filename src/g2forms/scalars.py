@@ -61,7 +61,7 @@ def _exact(value) -> Fraction:
 
 
 def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
-    """The terms of the signed sum ``compact`` (``text`` without spaces) as
+    """The terms of the signed sum ``compact`` (``text`` without whitespace) as
     (negative, body) pairs; ValueError on a sign that no term follows."""
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(chunks) != compact:
@@ -70,7 +70,7 @@ def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
 
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def check_context(symbols: Iterable[str]) -> tuple[str, ...]:
@@ -278,7 +278,7 @@ class PolyScalar:
     def parse(cls, text: str, symbols: Iterable[str]) -> "PolyScalar":
         """Parse the canonical rendering (and harmless variants of it)."""
         symbols = check_context(symbols)
-        compact = text.replace(" ", "")
+        compact = "".join(text.split())
         if not compact:
             raise ValueError("empty polynomial literal")
         if _RATIONAL_RE.match(compact):  # "p" or "p/q", the common case: one constant
@@ -296,7 +296,7 @@ class PolyScalar:
                     continue
                 if "^" in factor:
                     name, _, power_text = factor.partition("^")
-                    if not power_text.isdigit():
+                    if not (power_text.isascii() and power_text.isdigit()):
                         raise ValueError(f"invalid exponent in {factor!r}")
                     power = int(power_text)
                 else:

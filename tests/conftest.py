@@ -15,7 +15,6 @@ from g2forms.exterior import (
     AltForm,
     contract,
     form_to_vector,
-    merge_sign,
     monomials,
     top_coefficient,
     wedge,
@@ -303,7 +302,7 @@ def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:
             if d:
                 raised = raised + poly_mul(coeff, d)
         complement = tuple(i for i in range(1, n + 1) if i not in upper)
-        _, sign = merge_sign(upper, complement)
+        sign = _permutation_sign(upper + complement)  # e^upper ^ e^complement = sign e^{1...n}
         coeffs[complement] = raised if sign == 1 else -raised
     return AltForm(n, n - k, alpha.symbols, coeffs)
 

@@ -149,6 +149,13 @@ def test_definite_rejects_dangling_signs(tmp_path, capsys, form):
     assert "dangling sign" in capsys.readouterr().err
 
 
+def test_definite_rejects_non_ascii_digits(tmp_path, capsys):
+    # read as the index 0, an Arabic-Indic zero gave a degenerate verdict and exit 0
+    path = write_form(tmp_path, "form.json", 7, 3, "e^{\u0660 1 2} + " + PHI0)
+    assert main(["definite", "--form", path]) == 2
+    assert "cannot parse form term" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

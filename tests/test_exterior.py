@@ -27,7 +27,6 @@ from g2forms.exterior import (
     combination,
     contract,
     form_to_vector,
-    merge_sign,
     monomials,
     parse_form,
     pullback,
@@ -47,9 +46,6 @@ def test_sign_helpers():
     assert sort_sign((3, 1, 2)) == ((1, 2, 3), 1)
     assert sort_sign((2, 1, 3)) == ((1, 2, 3), -1)
     assert sort_sign((1, 1, 2)) is None
-    assert merge_sign((1, 2), (3, 4, 5)) == ((1, 2, 3, 4, 5), 1)
-    assert merge_sign((1, 3), (2, 4)) == ((1, 2, 3, 4), -1)
-    assert merge_sign((1, 2), (2, 3)) is None
 
 
 def test_wedge_disjoint_and_signed():
@@ -216,11 +212,35 @@ def test_exterior_op_columns_match_the_brute_force_leibniz_rule(shift):
     images = [(5, fixed)] + [(rng.randint(shift + 1, 7), None) for _ in range(12)]
     for dim, image in images:
         image = image or _random_image(rng, dim, shift)
-        for degree in range(dim - shift + 1):
+        for degree in range(dim + 1):  # empty operators from dim - shift + 1 on
             op = ExteriorOp(dim, degree, shift, (), image)
             engine = {idx: {row: Fraction(v, op.den) for row, v in column.items()}
                       for idx, column in op.columns.get((), {}).items()}
             assert engine == leibniz_columns(dim, degree, shift, image), (dim, degree, image)
+
+
+_ONE = PolyScalar.constant(1)
+
+
+@pytest.mark.parametrize("degree, shift, image, error", [
+    (-1, 0, {}, ValueError),  # a negative degree
+    (1, -1, {}, ValueError),  # a negative shift
+    (1, 0, {0: [((1,), _ONE)]}, ValueError),  # a key below 1..dim
+    (1, 0, {4: [((1,), _ONE)]}, ValueError),  # a key above 1..dim
+    (1, 0, {True: [((1,), _ONE)]}, ValueError),  # a bool key
+    (1, 0, {"1": [((1,), _ONE)]}, ValueError),  # a key that is not an int
+    (1, 0, {1: [((7,), _ONE)]}, ValueError),  # a replacement index above dim
+    (1, 0, {1: [((0,), _ONE)]}, ValueError),  # a replacement index below 1
+    (1, 0, {1: [((True,), _ONE)]}, ValueError),  # a bool replacement index
+    (1, 0, {1: [((1, 2), _ONE)]}, ValueError),  # a replacement longer than shift + 1
+    (2, 1, {1: [((2,), _ONE)]}, ValueError),  # a replacement shorter than shift + 1
+    (1, 0, {1: [((2,), 1)]}, TypeError),  # an int value
+    (1, 0, {1: [((2,), Fraction(1, 2))]}, TypeError),  # a Fraction value
+    (1, 0, {1: [((2,), PolyScalar.constant(1, ("t",)))]}, ContextMismatchError),  # another context
+])
+def test_exterior_op_rejects_bad_images(degree, shift, image, error):
+    with pytest.raises(error):
+        ExteriorOp(3, degree, shift, (), image)
 
 
 def test_exterior_op_entries_share_one_denominator():
@@ -468,6 +488,24 @@ def test_parse_form_rejects_dangling_signs(text):
         parse_form(text, 7, 3)
     with pytest.raises(ValueError, match="dangling sign"):
         parse_form(text, 7)
+
+
+@pytest.mark.parametrize("text", [
+    "e^{1 2 3}\n", "1\t*e^{1 2 3}", "e^{1 2 3}\t", "\te^{1 2 3}",
+    "e^{1\n2\u20033} +\r\n0*e^{4 5 6}",  # an em space, a line break between terms
+])
+def test_parse_form_drops_whitespace_anywhere(text):
+    assert parse_form(text, 7, 3) == basis_form(7, (1, 2, 3))
+    assert parse_form(text, 7) == basis_form(7, (1, 2, 3))
+
+
+@pytest.mark.parametrize("text", [
+    "e^{\u0660 1 2} + e^{3 4 5}",  # an Arabic-Indic zero is not the index 0
+    "e^{1 2 \u0663}", "\u0663*e^{1 2 3}", "1/\u0663*e^{1 2 3}", "\uff13*e^{1 2 3}",
+])
+def test_parse_form_reads_only_ascii_digits(text):
+    with pytest.raises(ValueError):
+        parse_form(text, 7, 3)
 
 
 @pytest.mark.parametrize("text, degree", [

@@ -83,7 +83,7 @@ def test_parse_rational_agrees_with_the_fraction_constructor():
             assert type(got) is Fraction and got == Fraction(body), text
 
 
-@pytest.mark.parametrize("text", ["1.5", "1e3", "+3", "1_0"])
+@pytest.mark.parametrize("text", ["1.5", "1e3", "+3", "1_0", "\u0663", "1/\u0663", "\uff13"])
 def test_parse_rational_reads_only_p_and_p_over_q(text):
     with pytest.raises(ValueError, match="invalid rational literal"):
         parse_rational(text)
@@ -99,6 +99,14 @@ def test_parse_reads_a_plain_rational_as_one_canonical_constant():
                 PolyScalar.parse(text, symbols)
     with pytest.raises(ValueError, match="invalid symbol"):
         PolyScalar.parse("3", ("1a",))
+
+
+def test_parse_drops_whitespace_anywhere_and_reads_only_ascii_digits():
+    for text in ("2*a^2\n", "2\t*a^2", "2*a^2\t", "\t2*a^2", "2 *\na ^ 2"):
+        assert PolyScalar.parse(text, ("a",)) == P("2*a^2", ("a",)), text
+    for text in ("\u0663", "\u0663*a", "a^\u0662", "a^\uff12", "1/\u0663*a"):
+        with pytest.raises(ValueError):
+            PolyScalar.parse(text, ("a",))
 
 
 @pytest.mark.parametrize("text", ["a--b", "a+", "+", "-", "a+-b", "--a", "2*a - ", "a - - 1/2"])

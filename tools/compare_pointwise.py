@@ -24,14 +24,19 @@ trees read the case files of the second tree (``src`` by default), in the
 * ``lie``: for every bundled case, the ``ExteriorOp.columns`` of
   ``homog_num().derivations(k)`` and ``homog_num().differential(k)`` for
   k = 0..dim m, and ``jacobi_check(record.algebra).render()`` for full
-  sources; then ``jacobi_check(...).render()`` for 200 seeded random
-  structure-constants tables, some symbolic, some with a repeated zero or
-  cancelling triple (the child sums them into the table it passes to
-  ``HomogeneousSpaceData``).  It reads only case documents and operators,
-  so it runs whatever table format ``HomogeneousSpaceData`` stores.  It
-  renders each entry as its polynomial value, from the ``columns`` layout:
-  one table ``{input monomial: {output monomial: int}}`` over the
-  operator's ``den`` per exponent vector of the context;
+  sources; then the ``columns`` of ``ExteriorOp(n, k, shift, ...)`` for 150
+  seeded images on R^n, shift 0..2 and every degree k = 0..n: each covector
+  goes to up to three terms, most with distinct indices in random order,
+  some with a repeated index, every fifth image with polynomial values in
+  two symbols, drawn from a stream of their own so that the inputs of the
+  groups below do not move; then ``jacobi_check(...).render()`` for 200
+  seeded random structure-constants tables, some symbolic, some with a
+  repeated zero or cancelling triple (the child sums them into the table it
+  passes to ``HomogeneousSpaceData``).  It reads only case documents and
+  operators, so it runs whatever table format ``HomogeneousSpaceData``
+  stores.  It renders each entry as its polynomial value, from the
+  ``columns`` layout: one table ``{input monomial: {output monomial: int}}``
+  over the operator's ``den`` per exponent vector of the context;
 * ``pullback``: ``pullback`` of 300 random forms of every degree 0..n on
   R^n, n <= 7 (every third one with polynomial coefficients in two
   symbols), by random rational matrices, every fourth one singular;
@@ -128,7 +133,7 @@ sys.path.insert(0, sys.argv[1])
 from g2forms import _linalg
 from g2forms.cli import main
 from g2forms.catalog import bundled_ids, load_bundled
-from g2forms.exterior import AltForm, contract, parse_form, pullback, wedge
+from g2forms.exterior import AltForm, ExteriorOp, contract, parse_form, pullback, wedge
 from g2forms.gstruct import (
     b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale, su3_check,
 )
@@ -224,6 +229,19 @@ for case_id in bundled_ids():
         out["lie"].append([case_id, k, ops, columns(data.differential(k))])
     if record.source != "partial-homogeneous":
         out["lie"].append([case_id, jacobi_check(record.algebra).render()])
+lie_rng = random.Random(20261021)  # its own stream: the later groups' inputs stay put
+for t in range(150):
+    shift, symbols = t % 3, ("a", "b") if t % 5 == 4 else ()
+    n = lie_rng.randint(shift + 1, 7)
+    image = {}
+    for i in range(1, n + 1):
+        for _ in range(lie_rng.randint(0, 3)):
+            replacement = (lie_rng.sample(range(1, n + 1), shift + 1) if lie_rng.random() < 0.8
+                           else [lie_rng.randint(1, n) for _ in range(shift + 1)])  # maybe repeated
+            value = PolyScalar.parse(coefficient(lie_rng, symbols), symbols)
+            image.setdefault(i, []).append((tuple(replacement), value))
+    for k in range(n + 1):
+        out["lie"].append([n, k, shift, columns(ExteriorOp(n, k, shift, symbols, image))])
 for t in range(200):
     n = rng.randint(2, 6)
     symbols = ["a", "b"] if t % 4 == 3 else []
