@@ -8,14 +8,16 @@ compute on ints inside: a gcd per Fraction operation dominated their cost.
 
 :func:`_echelon`, one fraction-free Gauss-Jordan, scales each row to ints
 by the lcm of its denominators (int rows, as ``invariants`` stacks them,
-are taken as they are).  :func:`rref` divides by its pivots at the end.
-:func:`_reduced` gives each RREF row as primitive ints over its pivot, and
+are taken as they are); a ragged row raises ValueError.  :func:`_reduced`
+gives each RREF row as primitive ints over its pivot, and
 :func:`_nullspace_ints` so the RREF nullspace basis: the invariant and
 closed bases are built from these rows.  :func:`rank` counts echelon
-pivots, :func:`spans_equal` compares RREF rows and :func:`span_contains`
-reduces each row by them, all on ints.  The RREF is unique, so every one
-gives the space of elimination over Q.  :func:`nullspace` (a Fraction
-view) and :func:`row_space` serve the tests and ``tools/compare_pointwise.py``.
+pivots, :func:`spans_equal` compares RREF rows, :func:`span_contains` two
+ranks, and :func:`solve_many` divides the echelon ints of [mat | rhs] once
+per nonzero solution entry.  The RREF is unique, so every one gives the
+space of elimination over Q.  :func:`rref` (the RREF as Fractions),
+:func:`nullspace` and :func:`row_space` have no product caller: they serve
+the tests, the benchmark's layer table and ``tools/compare_pointwise.py``.
 :func:`matmul` scales ``b`` to ints once, one Fraction per output entry.
 :func:`det`, :func:`leading_principal_minors` and :func:`inverse` share one
 Bareiss pass on D*mat (D the lcm of the denominators), every division
@@ -72,6 +74,8 @@ def _echelon(mat: Matrix, ncols: int) -> tuple[list[list[int]], list[int]]:
     """(rows, pivot columns) of the fraction-free Gauss-Jordan behind every solve:
     row r < len(pivots) has its pivot in column pivots[r] and zeros in the other
     pivot columns, and is primitive once an elimination step has touched it."""
+    if any(len(row) != ncols for row in mat):
+        raise ValueError(f"ragged matrix: a row does not have {ncols} entries")
     m = [row if {*map(type, row)} <= {int} else _integer_row(row)[0] for row in mat]
     nrows, pivots = len(m), []
     for c in range(ncols):
@@ -144,23 +148,14 @@ def row_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def spans_equal(rows_a: list, rows_b: list) -> bool:
     """True when the rows span the same space; a row's scale does not matter."""
+    if rows_a and rows_b and len(rows_a[0]) != len(rows_b[0]):
+        raise ValueError("spans of rows of different widths")
     return _reduced(rows_a) == _reduced(rows_b)
 
 
 def span_contains(big_rows: list, small_rows: list) -> bool:
-    """True when span(small) is contained in span(big): L v minus (L v_c / den) times
-    each RREF row ints / den of big (pivot c, its first nonzero entry; L the lcm of the
-    dens) is 0 for each row v of small."""
-    reduced = [(ints, den, ints.index(den)) for ints, den in _reduced(big_rows)]
-    big_den = lcm(*(den for _, den, _ in reduced))
-    for row in small_rows:
-        v = [big_den * x for x in _integer_row(row)[0]]
-        for ints, den, c in reduced:
-            if f := v[c] // den:
-                v = [x - f * y for x, y in zip(v, ints)]
-        if any(v):
-            return False
-    return True
+    """True when span(small) lies in span(big): adding small's rows keeps big's rank."""
+    return rank(big_rows) == rank(big_rows + small_rows)
 
 
 def solve_many(mat: Matrix, rhs_cols: Matrix) -> list:
@@ -168,30 +163,23 @@ def solve_many(mat: Matrix, rhs_cols: Matrix) -> list:
 
     Returns a list with one solution vector (or None for an inconsistent
     system) per column.  Under-determined systems get the particular
-    solution with free variables set to zero.  Each column is judged
-    against the RREF of ``mat`` alone (via a tracked row transformation),
-    so inconsistent columns cannot mask each other.
+    solution with free variables set to zero.  One :func:`_echelon` of
+    [mat | rhs_cols] judges each column against the pivots of ``mat``
+    alone, so inconsistent columns cannot mask each other.
     """
-    nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    k = len(rhs_cols[0]) if rhs_cols else 0
-    aug = [list(mat[i]) + list(rhs_cols[i]) for i in range(nrows)]
-    reduced, pivots = rref(aug)
+    width = ncols + (len(rhs_cols[0]) if rhs_cols else 0)
+    m, pivots = _echelon([[*a, *b] for a, b in zip(mat, rhs_cols, strict=True)], width)
     main = [c for c in pivots if c < ncols]
-    # rows below the A-block pivots have a zero A-block; a column is
-    # consistent iff all of them vanish there, in which case its entries in
-    # the pivot rows are untouched by any cross-column elimination
-    residual_rows = range(len(main), len(pivots))
-    solutions = []
-    for j in range(k):
-        col = ncols + j
-        if any(reduced[r][col] for r in residual_rows):
-            solutions.append(None)
-            continue
-        x = [Fraction(0)] * ncols
-        for r, c in enumerate(main):
-            x[c] = reduced[r][col]
-        solutions.append(x)
+    # rows below the mat-block pivots are zero on mat; a column is consistent
+    # iff all of them vanish there, and then no cross-column elimination touched it
+    residual, solutions = m[len(main):len(pivots)], []
+    for col in range(ncols, width):
+        x = [_ZERO] * ncols
+        for row, c in zip(m, main):
+            if row[col]:
+                x[c] = Fraction(row[col], row[c])
+        solutions.append(None if any(row[col] for row in residual) else x)
     return solutions
 
 

@@ -491,8 +491,8 @@ class ExteriorOp:
 # -- rendering / parsing ------------------------------------------------------
 
 # a term at the start of a chunk between signs: its sign, "p" or "p/q", any other
-# coefficient text, and its indices; digits are ASCII
-_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?|([^e+-]*?))\*?)?e\^\{(\d+)\}(?=[+-]|\Z)",
+# coefficient text, and its indices (none for a 0-form); digits are ASCII
+_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?|([^e+-]*?))\*?)?e\^\{(\d*)\}(?=[+-]|\Z)",
                       re.ASCII)
 
 
@@ -552,7 +552,7 @@ def parse_form(text: str, dim: int, degree: int | None = None,
             if other or not den:  # parse_rational refuses it (q = 0, or not p/q)
                 num, den = parse_rational(other or f"{m[2]}/{m[3]}").as_integer_ratio()
             indices = tuple(map(int, idx))
-            if "0" in idx or max(indices) > dim:
+            if "0" in idx or (idx and max(indices) > dim):
                 raise ValueError(f"index out of range 1..{dim} in {chunk!r}")
             if degree is not None and len(indices) != degree:
                 raise ValueError(f"term {chunk!r} does not have degree {degree}")

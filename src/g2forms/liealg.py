@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -131,10 +130,9 @@ def from_matrices(
     zero = (0,) * len(symbols)
     constants: dict[tuple, dict] = {}
     for (i, j), comm, sol in zip(pairs, commutators, solutions):
-        s = lcm(*(x.denominator for x in sol))
+        ints, s = _linalg._integer_row(sol)
         residual = [s * x for x in comm]  # s [M_i, M_j] - sum_r (s x_r) M_r
-        for x, entries in zip(sol, support):
-            c = x.numerator * (s // x.denominator)
+        for c, entries in zip(ints, support):
             for e, y in entries if c else ():
                 residual[e] -= c * y
         if any(residual):
@@ -326,6 +324,10 @@ class HomogeneousSpaceData:
     def restrict(self, indices: Sequence[int]) -> "HomogeneousSpaceData":
         """Sub-data on a bracket-closed, isotropy-stable subset of the basis."""
         indices = list(indices)
+        if any(type(i) is not int or not 1 <= i <= self.dim_m for i in indices):
+            raise LieStructureError(f"restrict indices must be ints in 1..{self.dim_m}")
+        if len(set(indices)) < len(indices):
+            raise LieStructureError("restrict indices must not repeat")
         pos = {idx: p for p, idx in enumerate(indices, start=1)}
         for (i, j), comps in self.bracket.items():
             if i in pos and j in pos and not pos.keys() >= comps.keys():

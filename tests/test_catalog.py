@@ -318,6 +318,17 @@ def test_schema_violations_are_field_level():
         validate_case_dict(doc)
 
 
+@pytest.mark.parametrize("item, arg", [
+    (2, "form"), (3, "form"), (4, "form"), (5, "psi"), (6, "omega"), (6, "psi"),
+])
+def test_an_empty_index_form_arg_fails_at_load(item, arg):
+    # e^{} parses as the unit 0-form, which no form-valued arg takes
+    doc = json.loads((CASES_DIR / "product.flat.json").read_text(encoding="utf-8"))
+    doc["expected"][item]["args"][arg] = "e^{}"
+    with pytest.raises(SchemaError, match=rf"^expected\[{item}\]"):
+        validate_case_dict(doc)
+
+
 @pytest.mark.parametrize("check, args, message", [
     ("invariant_dim", {}, "missing a required argument: 'degree'"),
     ("invariant_dim", {"degree": 3, "bogus": 1}, "got an unexpected keyword argument 'bogus'"),

@@ -9,6 +9,7 @@ import pytest
 import g2forms
 from g2forms.catalog import _FIELDS, SchemaError, validate_case_dict
 from g2forms.cli import main
+from g2forms.exterior import basis_form, parse_form
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
 # `python -m g2forms verify --all --format json` without the "seconds" of each case
@@ -480,6 +481,15 @@ def test_invariants_json_output(tmp_path, capsys):
         assert capsys.readouterr().out == _json_text(
             {"basis": basis, "case": "tiny", "degree": degree, "dimension": len(basis)}
         )
+
+
+@pytest.mark.parametrize("command", [["invariants", "--degree", "0"], ["closed", "--degree", "0"]])
+def test_degree_zero_json_basis_parses_back(capsys, command):
+    case = str(CASES_DIR / "T1.n1.json")
+    assert main([*command, "--input", case, "--format", "json"]) == 0
+    basis = json.loads(capsys.readouterr().out)["basis"]
+    assert basis == ["e^{}"]
+    assert [parse_form(text, 7, 0) for text in basis] == [basis_form(7, ())]
 
 
 @pytest.mark.parametrize("base, degree, expected", [

@@ -447,6 +447,24 @@ def test_render_parse_round_trip():
         assert form.render() == text
 
 
+def test_render_parse_round_trip_in_every_degree():
+    # rational forms of every degree 0..dim, the 0-forms rendered as c*e^{}
+    rng = random.Random(3401)
+    for n in range(1, 8):
+        for k in range(n + 1):
+            for density in (0.5, 1.0):
+                alpha = random_form(rng, n, k, density=density)
+                assert parse_form(alpha.render(), n, k) == alpha
+                if not alpha.is_zero():
+                    assert parse_form(alpha.render(), n) == alpha
+    unit = basis_form(7, ())
+    assert unit.render() == "e^{}" and parse_form("e^{}", 7) == parse_form("e^{}", 7, 0) == unit
+    for text, value in (("3*e^{}", 3), ("-1/2*e^{}", Fraction(-1, 2)), ("e^{} + e^{}", 2)):
+        scaled = unit.scale(Fraction(value))
+        assert parse_form(text, 7) == parse_form(text, 7, 0) == scaled
+        assert parse_form(scaled.render(), 7) == scaled
+
+
 def test_parse_form_reads_back_renders_with_extra_terms():
     # a render, then terms with unreduced, zero and unit coefficients, unsorted or
     # repeated indices, and terms that cancel one of the render's

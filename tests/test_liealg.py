@@ -364,6 +364,21 @@ def test_restrict_checks_closure():
         rotation.restrict([1])
 
 
+@pytest.mark.parametrize("indices, match", [
+    ([0], "ints in 1..3"),  # data named e3: index 0 read index -1
+    ([4], "ints in 1..3"),  # IndexError
+    ([-1, 1], "ints in 1..3"),
+    ([True], "ints in 1..3"),
+    ([1.0], "ints in 1..3"),
+    ([1, 1], "repeat"),  # 2-dimensional data whose second copy never entered the tables
+    ([3, 1, 3], "repeat"),
+])
+def test_restrict_rejects_bad_indices(indices, match):
+    data = homogeneous_from_partial(3, [], {(1, 2): {3: C(1)}})
+    with pytest.raises(LieStructureError, match=match):
+        data.restrict(indices)
+
+
 @pytest.mark.parametrize("h, m", [([8], [1, 1, 2, 3, 4, 5, 6, 7]), ([8, 8], [1, 2, 3, 4, 5, 6, 7])])
 def test_reductive_split_rejects_repeated_indices(h, m):
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))

@@ -141,11 +141,34 @@ def test_span_helpers():
     assert _linalg.rank([[2, 4, 0], [-1, -2, 0], [0, 0, 7]]) == 2
 
 
+@pytest.mark.parametrize("name, args, match", [
+    ("rref", ([[1], [3, 4]],), "ragged"),  # the 4 was dropped
+    ("rref", ([[1, 2], [3]],), "ragged"),  # IndexError
+    ("rank", ([[1, 2], [3]],), "ragged"),
+    ("nullspace", ([[1, 2], [3]],), "ragged"),
+    ("solve_many", ([[1, 0], [0, 1]], [[1], [2, 3]]), "ragged"),  # one solution came back
+    ("solve_many", ([[1, 0]], [[1], [2]]), "argument 2 is longer"),  # the second row was dropped
+    ("solve_many", ([[1, 0], [0, 1]], [[1]]), "argument 2 is shorter"),  # IndexError
+    ("span_contains", ([[1, 0]], [[1, 0, 0]]), "ragged"),  # True
+    ("span_contains", ([[1, 0, 0]], [[1, 0]]), "ragged"),  # True
+    ("spans_equal", ([[1, 2]], [[1, 2, 3]]), "widths"),  # False
+])
+def test_ragged_input_raises(name, args, match):
+    with pytest.raises(ValueError, match=match):
+        getattr(_linalg, name)(*args)
+
+
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_span_contains_agrees_with_the_rank_formula(seed):
     # big: the seeded cases (dependent, zero, int and mixed rows) and no rows;
     # small: no rows, a zero row, int and rational combinations of big's rows,
-    # and random rows, alone and mixed in
+    # and random rows, alone and mixed in; the ranks are sympy's
+    sympy = pytest.importorskip("sympy")
+
+    def sympy_rank(rows):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in rows]).rank()
+
     rng = random.Random(seed)
     verdicts = []
     for big in chain(_oracle_cases(seed, 0.5), _integer_cases(seed, 0.5)):
@@ -162,7 +185,7 @@ def test_span_contains_agrees_with_the_rank_formula(seed):
                   outside[1:] + inside, big]
         for bigs in (big, []):
             for small in smalls:
-                want = _linalg.rank(bigs) == _linalg.rank(bigs + small)
+                want = sympy_rank(bigs) == sympy_rank(bigs + small)
                 assert _linalg.span_contains(bigs, small) == want, (bigs, small)
                 verdicts.append(want)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10

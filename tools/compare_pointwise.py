@@ -60,7 +60,10 @@ trees read the case files of the second tree (``src`` by default), in the
   one or two nonzeros per row), 60 dense Fraction matrices, some
   rank-deficient, and 60 matrices whose rows alternate between ints and
   Fractions; each with one consistent and one random right-hand side, as
-  ints or Fractions like its rows.  It runs after the groups above;
+  ints or Fractions like its rows.  Then ``span_contains`` and
+  ``spans_equal`` of each matrix against its first row (both ways) and
+  against its ``row_space``, which draw no random number.  It runs after
+  the groups above;
 * ``parse``: ``parse_form`` of 300 seeded renders of random forms on R^n,
   n <= 7, with extra terms appended (repeated, with unsorted or repeated
   indices, some cancelling a term, with and without rational
@@ -324,6 +327,8 @@ for t in range(160):
     out["linalg"].append([
         strs(reduced), pivots, _linalg.rank(mat), strs(_linalg.nullspace(mat, ncols)),
         strs(_linalg.row_space(mat)), strs(_linalg.solve_many(mat, rhs)),
+        _linalg.span_contains(mat, mat[:1]), _linalg.span_contains(mat[:1], mat),
+        _linalg.spans_equal(mat, _linalg.row_space(mat)), _linalg.spans_equal(mat[:1], mat),
     ])
 
 def parsed(text, n, degree=None, symbols=()):

@@ -4,6 +4,11 @@
 Usage, from the repository root::
 
     python3 tools/reach.py
+    python3 tools/reach.py --names > tests/data/reach.txt
+
+The second form prints only each function's file and qualified name, one
+per line, and regenerates the golden list that ``tests/test_reach.py``
+compares exactly.
 
 The engine is ``src/g2forms/*.py`` with ``catalog/__init__.py`` and
 ``catalog/_runner.py``.  With a ``sys.setprofile`` hook on, the script runs
@@ -18,11 +23,11 @@ three product paths in this interpreter:
   has both.
 
 It then prints every function or method defined in the engine (nested
-functions included) whose code was never entered, with its line count,
-the decorators included, and the total.  It only reports: the exit code is
-0 whatever it finds.  A function listed here is a candidate for deletion,
-not a verdict: Python protocols such as ``__repr__`` and error paths that
-these inputs do not take are listed too.
+functions included) whose code was never entered, with its first line and
+line count, the decorators included, and the total.  It only reports: the
+exit code is 0 whatever it finds.  A function listed here is a candidate
+for deletion, not a verdict: Python protocols such as ``__repr__`` and
+error paths that these inputs do not take are listed too.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ def run_product_paths(work: Path) -> None:
             cli.main(argv)
 
 
-def main() -> int:
+def main(argv: list) -> int:
     entered = set()
 
     def profile(frame, event, _arg):
@@ -116,6 +121,10 @@ def main() -> int:
               for path in engine_files()
               for first, name, lines in defined_functions(path)
               if (str(path), first) not in entered]
+    if argv == ["--names"]:
+        for path, _, name, _ in missed:
+            print(f"{path.as_posix()}  {name}")
+        return 0
     for path, first, name, lines in missed:
         print(f"{path}:{first}  {name}  ({lines} lines)")
     print(f"{len(missed)} engine functions never entered, {sum(m[3] for m in missed)} lines")
@@ -123,4 +132,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
