@@ -527,9 +527,10 @@ def parse_form(text: str, dim: int, degree: int | None = None,
 
     Only rational coefficients are supported (which covers every bundled case
     file); indices are single ASCII digits, so a dim above 9 raises ValueError.
-    Whitespace is dropped wherever it stands.  One regex reads each term, its
-    coefficient as ints and a sorted index tuple through the position table;
-    the sums go to ``_trusted`` over one lcm.
+    Whitespace is dropped wherever it stands, but an error quotes the term as
+    written in ``text``.  One regex reads each term, its coefficient as ints
+    and a sorted index tuple through the position table; the sums go to
+    ``_trusted`` over one lcm.
     """
     if dim > 9:
         raise ValueError(f"form literals have single-digit indices: dimension {dim} is above 9")
@@ -544,18 +545,22 @@ def parse_form(text: str, dim: int, degree: int | None = None,
     try:
         while end < len(compact):
             if not (m := _TERM_RE.match(compact, end)):  # name the chunk at end
-                chunk = signed_terms(text, compact[end:])[0][1]
-                raise ValueError(f"cannot parse form term {chunk!r}")
+                start = end + (compact[end] in "+-")
+                stop = start + len(signed_terms(text, compact[end:])[0][1])
+                raise ValueError(f"cannot parse form term {_as_written(text, start, stop)!r}")
             sign, num, den, other, idx = m.groups()
-            chunk, end = m[0][len(sign):], m.end()
+            start, end = end + len(sign), m.end()  # the term without its sign, in compact
             num, den = int(num or 1), int(den or 1)
-            if other or not den:  # parse_rational refuses it (q = 0, or not p/q)
-                num, den = parse_rational(other or f"{m[2]}/{m[3]}").as_integer_ratio()
+            if other or not den:  # q = 0, or not p/q: parse_rational refuses it and says why
+                span = m.span(4) if other else (m.start(2), m.end(3))
+                parse_rational(_as_written(text, *span))
             indices = tuple(map(int, idx))
             if "0" in idx or (idx and max(indices) > dim):
-                raise ValueError(f"index out of range 1..{dim} in {chunk!r}")
+                raise ValueError(f"index out of range 1..{dim} in "
+                                 f"{_as_written(text, start, end)!r}")
             if degree is not None and len(indices) != degree:
-                raise ValueError(f"term {chunk!r} does not have degree {degree}")
+                raise ValueError(f"term {_as_written(text, start, end)!r} does not have "
+                                 f"degree {degree}")
             if form_degree not in (None, len(indices)):
                 raise ValueError("cannot add forms of different degree")
             form_degree = len(indices)
@@ -572,3 +577,9 @@ def parse_form(text: str, dim: int, degree: int | None = None,
     for key, num, q in terms:
         layer[key] = layer.get(key, 0) + num * (den // q)
     return AltForm._trusted(dim, form_degree, symbols, den, {(0,) * len(symbols): layer})
+
+
+def _as_written(text: str, start: int, stop: int) -> str:
+    """``text`` from its start-th to its (stop - 1)-th non-whitespace character, as written."""
+    spots = [pos for pos, ch in enumerate(text) if not ch.isspace()]
+    return text[spots[start]:spots[stop - 1] + 1]

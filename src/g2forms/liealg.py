@@ -5,12 +5,13 @@ the isotropy action ad(h)|_m and the projected bracket [m, m]_m, and a Lie
 algebra g is the case H = {e}, with no isotropy and m = g.  Its coset
 differential (:meth:`HomogeneousSpaceData.differential`) is then the
 Chevalley-Eilenberg d, and :func:`jacobi_check` is d o d = 0 on the
-covectors of g through that operator.  Both tables are sparse and hold
-only nonzero scalars (formats in the class docstring), so the operators
-are built from them as stored.  :func:`from_matrices` derives the
-structure constants of an explicit matrix basis by one exact n x n solve;
-complex matrices are accepted as (re, im) pairs and solved on those
-coordinates, with the brackets of their realification, all in Q.
+covectors of g, summed on ints from the columns of d on 1-forms alone.
+Both tables are sparse and hold only nonzero scalars (formats in the
+class docstring), so the operators are built from them as stored.
+:func:`from_matrices` derives the structure constants of an explicit
+matrix basis by one exact n x n solve; complex matrices are accepted as
+(re, im) pairs and solved on those coordinates, with the brackets of
+their realification, all in Q.
 
 :func:`reductive_split` turns a Lie algebra into the data of G/H for a
 split g = h + m.  Cases where only that projected data is known (no full
@@ -26,7 +27,7 @@ from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from g2forms import _linalg
-from g2forms.exterior import ExteriorOp, basis_form
+from g2forms.exterior import ExteriorOp, _lower
 from g2forms.scalars import PolyScalar, _exact, check_context
 
 __all__ = [
@@ -166,20 +167,37 @@ class JacobiReport:
 def jacobi_check(data: HomogeneousSpaceData) -> JacobiReport:
     """List every triple (i, j, k) whose Jacobi cyclic sum is nonzero.
 
-    ``data`` is a Lie algebra (no isotropy).  The r-th component of
-    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is the
-    coefficient of e^{i j k} in d(d e^r), so the identity is d o d = 0 on
-    covectors, checked with the coset differential of the data.
+    ``data`` is a Lie algebra (:class:`LieStructureError` on isotropy).  The
+    r-th component of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    is the coefficient of e^{i j k} in d(d e^r), summed on ints from the
+    columns of ``differential(1)`` alone: for d e^r = sum v e^{a b},
+    d(e^a ^ e^b) = d e^a ^ e^b - d e^b ^ e^a, and e^{p q} ^ e^x is e^{p q x}
+    sorted, signed by where x goes; the sums are divided by den^2 once.
     """
-    n, symbols = data.dim_m, data.symbols
-    d1, d2 = data.differential(1), data.differential(2)
-    sums: dict[tuple, dict] = {}
-    for r in range(1, n + 1):
-        for idx, c in d2.apply(d1.apply(basis_form(n, (r,), symbols))).coeffs.items():
-            sums.setdefault(idx, {})[r] = c.render()
-    return JacobiReport(n, [
-        (*idx, tuple(sums[idx].get(r, "0") for r in range(1, n + 1))) for idx in sorted(sums)
-    ])
+    if data.isotropy:
+        raise LieStructureError("jacobi_check needs a Lie algebra; the data has isotropy")
+    n, d1 = data.dim_m, data.differential(1)
+    sums: dict[tuple, dict] = {}  # exponents -> {(i, j, k, r): integer sum}
+    for e1, images in d1.columns.items():
+        for e2, columns in d1.columns.items():
+            acc = sums.setdefault(tuple(map(add, e1, e2)), {})
+            for (r,), image in images.items():
+                for (a, b), v in image.items():
+                    for y, x, u in ((a, b, v), (b, a, -v)):
+                        for (p, q), w in columns.get((y,), {}).items():
+                            if x < p:
+                                key = (x, p, q, r)
+                            elif p < x < q:
+                                key, w = (p, x, q, r), -w
+                            elif x > q:
+                                key = (p, q, x, r)
+                            else:
+                                continue  # x is p or q
+                            acc[key] = acc.get(key, 0) + u * w
+    violations: dict[tuple, list] = {}
+    for (i, j, k, r), c in sorted(_lower(sums, d1.den**2, data.symbols).items()):
+        violations.setdefault((i, j, k), ["0"] * n)[r - 1] = c.render()
+    return JacobiReport(n, [(*idx, tuple(comps)) for idx, comps in violations.items()])
 
 
 class HomogeneousSpaceData:

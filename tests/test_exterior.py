@@ -545,6 +545,26 @@ def test_parse_rejects_garbage():
         parse_form("e^{9 9}", 7)
 
 
+@pytest.mark.parametrize("text, dim, degree, message", [
+    ("e^{1 2}", 7, 3, "term 'e^{1 2}' does not have degree 3"),
+    ("e^{1 2} + ban ana", 7, 2, "cannot parse form term 'ban ana'"),
+    ("e^{1 2 9}", 7, 3, "index out of range 1..7 in 'e^{1 2 9}'"),
+    ("  e^{1 2} -  e^{1  2 3} ", 7, 2, "term 'e^{1  2 3}' does not have degree 2"),
+    ("3 / 4 * e ^{ 1 2 3 }", 7, 2, "term '3 / 4 * e ^{ 1 2 3 }' does not have degree 2"),
+    ("e^{1 2}\t+\t2 *e^{0 3}", 7, 2, "index out of range 1..7 in '2 *e^{0 3}'"),
+    ("e^{1 2} - b a d e^{3 4}", 7, 2, "invalid rational literal 'b a d'"),
+    ("e^{1 2} - e^{3 4 } x ", 7, 2, "cannot parse form term 'e^{3 4 } x'"),
+    ("e^{1 2} + 2 / 0 * e^{3 4}", 7, 2, "invalid rational literal '2 / 0'"),
+    ("e^{1 2} + 1 . 5*e^{3 4}", 7, 2, "invalid rational literal '1 . 5'"),
+])
+def test_parse_form_errors_quote_the_term_as_written(text, dim, degree, message):
+    # the literal is read without its whitespace, but a message names the
+    # characters of text that hold the term, from its first to its last
+    with pytest.raises(ValueError) as info:
+        parse_form(text, dim, degree)
+    assert str(info.value) == message
+
+
 def test_context_mismatch_is_rejected():
     ctx_form = parse_form("e^{1 2}", 7, 2, ("t",))
     with pytest.raises(ContextMismatchError):

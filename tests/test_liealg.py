@@ -210,6 +210,29 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
     assert jacobi_check(scaled).ok
 
 
+def test_jacobi_check_matches_the_oracle_at_the_bundled_sizes():
+    # the bundled algebras have n = 8, 10 and 15: seeded sparse tables at n = 8..15
+    rng = random.Random(1015)
+    violating = 0
+    for trial in range(48):
+        n = 8 + trial % 8
+        symbols = ("a", "b") if trial % 4 >= 2 else ()
+        density = (1, 2, 4)[trial % 3] / (n * n)  # about n / 2, n or 2 n nonzero constants
+        algebra = HomogeneousSpaceData(n, [], random_bracket_table(rng, n, symbols, density),
+                                       symbols=symbols)
+        expected = dense_jacobi_violations(algebra)
+        assert jacobi_check(algebra).violations == expected, (trial, n, symbols)
+        violating += bool(expected)
+    assert 30 <= violating < 48  # mostly violating, some valid
+
+
+@pytest.mark.parametrize("case_id", ["T1.n1", "T1.n2a", "T2.n1"])
+def test_jacobi_check_refuses_data_with_isotropy(case_id):
+    # d o d on the covectors of m is no Jacobi sum: they need not be invariant
+    with pytest.raises(LieStructureError, match="needs a Lie algebra; the data has isotropy"):
+        jacobi_check(load_bundled(case_id).homog_num())
+
+
 def test_reductive_split_case_n1_isotropy_blocks():
     algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
     data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])

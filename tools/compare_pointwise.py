@@ -32,7 +32,9 @@ trees read the case files of the second tree (``src`` by default), in the
   groups below do not move; then ``jacobi_check(...).render()`` for 200
   seeded random structure-constants tables, some symbolic, some with a
   repeated zero or cancelling triple (the child sums them into the table it
-  passes to ``HomogeneousSpaceData``).  It reads only case documents and
+  passes to ``HomogeneousSpaceData``); then the same for 40 sparse tables at
+  the bundled sizes, n = 7..15, every fourth one symbolic, drawn from a
+  stream of their own.  It reads only case documents and
   operators, so it runs whatever table format ``HomogeneousSpaceData``
   stores.  It renders each entry as its polynomial value, from the
   ``columns`` layout: one table ``{input monomial: {output monomial: int}}``
@@ -261,6 +263,16 @@ for t in range(200):
         comps = table.setdefault((i, j), {})
         value = PolyScalar.parse(c, symbols)
         comps[k] = comps[k] + value if k in comps else value
+    out["lie"].append(jacobi_check(HomogeneousSpaceData(n, [], table, None, symbols)).render())
+jacobi_rng = random.Random(20261035)  # its own stream, as lie_rng: the later groups' inputs stay put
+for t in range(40):
+    n, symbols = 7 + t % 9, ("a", "b") if t % 4 == 3 else ()
+    table = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        for k in range(1, n + 1):
+            if jacobi_rng.random() < 3 / (n * n):  # about 3 n / 2 constants
+                value = PolyScalar.parse(coefficient(jacobi_rng, symbols), symbols)
+                table.setdefault((i, j), {})[k] = value
     out["lie"].append(jacobi_check(HomogeneousSpaceData(n, [], table, None, symbols)).render())
 for t in range(300):
     n = rng.randint(1, 7)
