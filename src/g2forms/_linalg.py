@@ -1,24 +1,24 @@
 """Exact linear algebra over Fraction matrices (lists of row lists).
 
-Internal helper module: reduced row echelon form, nullspaces, spans,
-solves, inverses, products, determinants and symmetric congruence
-diagonalization, all over Q with no rounding.  A returned matrix holds
-Fractions, never ints (a quotient of two ints is a float), but the kernels
-compute on ints inside: a gcd per Fraction operation dominated their cost.
+Internal helper module: ranks, spans, nullspaces, solves, determinants and
+symmetric congruence diagonalization, all over Q with no rounding.  A
+returned matrix holds Fractions, never ints (a quotient of two ints is a
+float), but the kernels compute on ints inside: a gcd per Fraction
+operation dominated their cost.
 
 :func:`_echelon`, one fraction-free Gauss-Jordan, scales each row to ints
 by the lcm of its denominators (int rows, as ``invariants`` stacks them,
-are taken as they are); a ragged row raises ValueError.  :func:`_reduced`
-gives each RREF row as primitive ints over its pivot, and
-:func:`_nullspace_ints` so the RREF nullspace basis: the invariant and
-closed bases are built from these rows.  :func:`rank` counts echelon
+are taken as they are); a ragged row raises ValueError.  Each kernel is one
+:func:`_echelon` call.  :func:`_reduced` gives each RREF row as primitive
+ints over its pivot, and :func:`_nullspace_ints` so the RREF nullspace
+basis, read off one elimination with the columns reversed: the invariant
+and closed bases are built from these rows.  :func:`rank` counts echelon
 pivots, :func:`spans_equal` compares RREF rows, :func:`span_contains` two
 ranks, and :func:`solve_many` divides the echelon ints of [mat | rhs] once
 per nonzero solution entry.  The RREF is unique, so every one gives the
 space of elimination over Q.  :func:`rref` (the RREF as Fractions),
-:func:`nullspace` and :func:`row_space` have no product caller: they serve
-the tests, the benchmark's layer table and ``tools/compare_pointwise.py``.
-:func:`matmul` scales ``b`` to ints once, one Fraction per output entry.
+:func:`matmul` (a plain Fraction product) and :func:`inverse` have no
+product caller; they stay while the benchmark's layer table names them.
 :func:`det`, :func:`leading_principal_minors` and :func:`inverse` share one
 Bareiss pass on D*mat (D the lcm of the denominators), every division
 exact; one pass without row exchanges gives the minor chain, and the
@@ -52,22 +52,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     ncols = len(b[0]) if b else 0
     if any(len(row) != len(b) for row in a) or any(len(row) != ncols for row in b):
         raise ValueError("matrix product of mismatched shapes")
-    b_den = lcm(*(x.denominator for row in b for x in row))
-    b_rows = [
-        [(j, x.numerator * (b_den // x.denominator)) for j, x in enumerate(row) if x]
-        for row in b
-    ]
-    out = []
-    for row in a:
-        a_ints, a_den = _integer_row(row)
-        acc = [0] * ncols
-        for x, b_row in zip(a_ints, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        den = a_den * b_den
-        out.append([Fraction(v, den) if v else _ZERO for v in acc])
-    return out
+    return [[sum((x * y for x, y in zip(row, col)), _ZERO) for col in zip(*b)] for row in a]
 
 
 def _echelon(mat: Matrix, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -118,32 +103,24 @@ def _reduced(mat: Matrix) -> list[tuple[list[int], int]]:
 
 
 def _nullspace_ints(mat: Matrix, ncols: int) -> list[tuple[list[int], int]]:
-    """The RREF basis of the right nullspace, as :func:`_reduced` gives its rows."""
-    m, pivots = _echelon(mat, ncols)
+    """The RREF basis of the right nullspace, as :func:`_reduced` gives its rows.
+
+    One :func:`_echelon` of ``mat`` with its columns reversed puts each pivot at
+    its row's last nonzero column.  So the vector of a free column f is nonzero
+    only at f and at pivot columns after it: an RREF row once made primitive."""
+    m, reversed_pivots = _echelon([row[::-1] for row in mat], ncols)
+    pivots = {ncols - 1 - c: m[r][::-1] for r, c in enumerate(reversed_pivots)}
     basis = []
     for f in [c for c in range(ncols) if c not in pivots]:
-        # x_f = 1 and x_c = -m[r][f] / m[r][c] at each pivot (r, c), times their lcm
-        rows = [(c, m[r]) for r, c in enumerate(pivots) if m[r][f]]
+        # x_f = 1 and x_c = -row[f] / row[c] at each pivot (c, row), times their lcm
+        rows = [(c, row) for c, row in pivots.items() if row[f]]
         vec = [0] * ncols
         vec[f] = den = lcm(*(row[c] for c, row in rows))
         for c, row in rows:
             vec[c] = -row[f] * (den // row[c])
-        basis.append(vec)
-    return _reduced(basis) if basis else []
-
-
-def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of the right nullspace (rows of the returned list)."""
-    if ncols is None and not mat:
-        raise ValueError("ncols required for an empty matrix")
-    kernel = _nullspace_ints(mat, len(mat[0]) if ncols is None else ncols)
-    return [[Fraction(x, den) if x else _ZERO for x in ints] for ints, den in kernel]
-
-
-def row_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Canonical (RREF) basis of the span of the given rows."""
-    reduced, pivots = rref(rows)
-    return [reduced[i] for i in range(len(pivots))]
+        g = gcd(*vec)
+        basis.append(([x // g for x in vec], den // g))
+    return basis
 
 
 def spans_equal(rows_a: list, rows_b: list) -> bool:

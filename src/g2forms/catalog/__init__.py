@@ -24,8 +24,8 @@ from pathlib import Path
 
 from g2forms.catalog._runner import (
     _ARGS, _CHECKS, CaseReport, CheckResult, WrongType, _is_bool, _is_int, _is_ints, _is_list_of,
-    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, bind_error, schema_checks,
-    schema_entry,
+    _is_map, _is_object, _is_str, _is_strings, _strings, _typed, bind_error, run_check,
+    schema_checks, schema_entry,
 )
 from g2forms.exterior import AltForm, combination, parse_form
 from g2forms.liealg import (
@@ -322,6 +322,12 @@ class CaseRecord:
             assignment = self.enumerations[0]
         return self.homog_sym.instantiate(assignment)
 
+    def at(self, assignment) -> CaseRecord:
+        """This record with ``assignment`` as its one enumeration entry."""
+        return CaseRecord(self.case_id, self.description, self.source, self.dim_m, self.context,
+                          [assignment], self.algebra, self.homog_sym, self.gamma_forms,
+                          self.generic_form, self.checks, self.raw)
+
 
 def _algebra(values) -> HomogeneousSpaceData:
     """The full Lie algebra of the case; complex matrices are solved on their (re, im) parts."""
@@ -456,7 +462,7 @@ def verify_case(case) -> CaseReport:
     report = CaseReport(record.case_id, record.description)
     start = time.perf_counter()
     for item, (check, value, args) in zip(record.raw["expected"], record.checks, strict=True):
-        status, computed = check(record, value, **args)
+        status, computed = run_check(record, check, value, args)
         raw = item["value"]
         expected = "; ".join(map(str, raw)) if isinstance(raw, list) else str(raw)
         report.results.append(

@@ -167,8 +167,8 @@ def _check_not_definite(record, value):
         family = closed_forms(record.homog_num(assignment), 3)
         report = obstruction_certificate(family)
         excluded = excluded and report.excludes_definite
-        tag = "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
-        outcomes.append(f"{tag}: {report.verdict}" + (f" ({report.identity})" if report.identity else ""))
+        identity = f" ({report.identity})" if report.identity else ""
+        outcomes.append(f"{_entry_tag(assignment)}: {report.verdict}{identity}")
     return _status(excluded == value), " | ".join(outcomes)
 
 
@@ -218,6 +218,31 @@ def _check_d_squared(record, value, degrees):
     reports = [d_squared_check(data, degree) for degree in degrees]
     computed = "; ".join(r.render() for r in reports if not r.ok) or "pass"
     return _status(computed == value), computed
+
+
+# the checks that read numeric data through record.homog_num(), for run_check
+_PER_ENTRY = frozenset({
+    _check_invariant_dim, _check_invariant_span, _check_invariant_dim_in_support,
+    _check_closed_param_count, _check_closed_span, _check_closed_subset_of,
+    _check_closed_component_zero, _check_torsion_flags, _check_su3_flags, _check_d_squared})
+
+
+def run_check(record, check, value, args) -> tuple:
+    """(status, computed) of one check.  A check in :data:`_PER_ENTRY` runs at
+    every enumeration entry and matches only when every entry matches; unless
+    all entries give the same result, computed is each entry's text after its tag."""
+    if check not in _PER_ENTRY:
+        return check(record, value, **args)
+    entries = record.enumerations
+    results = [check(record.at(a), value, **args) for a in entries]
+    if results.count(results[0]) == len(results):
+        return results[0]
+    status = "mismatch" if any(s == "mismatch" for s, _ in results) else results[0][0]
+    return status, " | ".join(f"{_entry_tag(a)}: {text}" for a, (_, text) in zip(entries, results))
+
+
+def _entry_tag(assignment) -> str:
+    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
 
 
 def _status(ok: bool) -> str:

@@ -29,8 +29,8 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, check_context, parse_rational,
-                             signed_terms)
+from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, _as_written, check_context,
+                             parse_rational, signed_terms)
 
 __all__ = [
     "AltForm",
@@ -577,9 +577,3 @@ def parse_form(text: str, dim: int, degree: int | None = None,
     for key, num, q in terms:
         layer[key] = layer.get(key, 0) + num * (den // q)
     return AltForm._trusted(dim, form_degree, symbols, den, {(0,) * len(symbols): layer})
-
-
-def _as_written(text: str, start: int, stop: int) -> str:
-    """``text`` from its start-th to its (stop - 1)-th non-whitespace character, as written."""
-    spots = [pos for pos, ch in enumerate(text) if not ch.isspace()]
-    return text[spots[start]:spots[stop - 1] + 1]

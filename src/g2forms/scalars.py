@@ -276,37 +276,53 @@ class PolyScalar:
 
     @classmethod
     def parse(cls, text: str, symbols: Iterable[str]) -> "PolyScalar":
-        """Parse the canonical rendering (and harmless variants of it)."""
+        """Parse the canonical rendering (and harmless variants of it).
+
+        Whitespace is dropped wherever it stands, but an error quotes the
+        factor as written in ``text``."""
         symbols = check_context(symbols)
         compact = "".join(text.split())
         if not compact:
             raise ValueError("empty polynomial literal")
         if _RATIONAL_RE.match(compact):  # "p" or "p/q", the common case: one constant
-            value = parse_rational(compact)
+            value = _rational(text, compact, 0, len(compact))
             return cls._trusted(symbols, {(0,) * len(symbols): value} if value else {})
-        result = cls.zero(symbols)
+        terms, start = {}, int(compact[0] in "+-")
         for negative, chunk in signed_terms(text, compact):
             coeff = Fraction(-1 if negative else 1)
             expo = [0] * len(symbols)
-            for factor in chunk.split("*"):
+            for factor in chunk.split("*"):  # factor is compact[start:stop]
+                stop = start + len(factor)
                 if not factor:
                     raise ValueError(f"empty factor in {text!r}")
                 if _RATIONAL_RE.match(factor):
-                    coeff *= parse_rational(factor)  # ValueError on a zero denominator
-                    continue
-                if "^" in factor:
-                    name, _, power_text = factor.partition("^")
-                    if not (power_text.isascii() and power_text.isdigit()):
-                        raise ValueError(f"invalid exponent in {factor!r}")
-                    power = int(power_text)
+                    coeff *= _rational(text, compact, start, stop)
                 else:
-                    name, power = factor, 1
-                if name not in symbols:
-                    raise ValueError(f"unknown symbol {name!r} (context {symbols})")
-                expo[symbols.index(name)] += power
-            term = cls(symbols, {tuple(expo): coeff})
-            result = result + term
-        return result
+                    name, caret, power_text = factor.partition("^")
+                    if caret and not (power_text.isascii() and power_text.isdigit()):
+                        raise ValueError(f"invalid exponent in {_as_written(text, start, stop)!r}")
+                    if name not in symbols:
+                        written = _as_written(text, start, start + len(name))
+                        raise ValueError(f"unknown symbol {written!r} (context {symbols})")
+                    expo[symbols.index(name)] += int(power_text) if caret else 1
+                start = stop + 1  # past the '*', or the sign of the next term
+            terms[tuple(expo)] = terms.get(tuple(expo), 0) + coeff
+        return cls(symbols, terms)
 
 
 _ZERO = Fraction(0)
+
+
+def _rational(text: str, compact: str, start: int, stop: int) -> Fraction:
+    """The rational literal compact[start:stop]; a zero denominator is refused
+    quoting the literal as written in ``text``."""
+    try:
+        return parse_rational(compact[start:stop])
+    except ValueError:
+        return parse_rational(_as_written(text, start, stop))  # raises: q = 0 there too
+
+
+def _as_written(text: str, start: int, stop: int) -> str:
+    """``text`` from its start-th to its (stop - 1)-th non-whitespace character, as written."""
+    spots = [pos for pos, ch in enumerate(text) if not ch.isspace()]
+    return text[spots[start]:spots[stop - 1] + 1] if start < stop else ""

@@ -55,6 +55,11 @@ def poly_mul(first: PolyScalar, *factors) -> PolyScalar:
     return PolyScalar(first.symbols, terms)
 
 
+def lowered(rows) -> list:
+    """The (ints, den) rows of ``_linalg``'s integer kernels as Fraction rows."""
+    return [[Fraction(x, den) for x in ints] for ints, den in rows]
+
+
 def vector_to_form(vec, dim: int, degree: int, symbols=()) -> AltForm:
     """The form with coefficients vec (rationals) over ``monomials(dim, degree)``,
     through the validating constructor: the tests' route from coordinates to

@@ -524,3 +524,22 @@ def test_closed_component_prints_the_exact_nonzero_component():
     doc = _abelian_4(context=symbols, gammas=gammas, gamma_symbols=symbols, expected=[item])
     (result,) = verify_case(validate_case_dict(doc)).results
     assert (result.status, result.computed) == ("mismatch", "component 1 = 2")
+
+
+@pytest.mark.parametrize("check, degree, value, status, computed", [
+    # d e^3 = -t e^{12}: three closed 1-forms at t = 0, two at t = 1
+    ("closed_param_count", 1, 3, "mismatch", "{t=0}: 3 | {t=1}: 2"),
+    ("closed_param_count", 1, 2, "mismatch", "{t=0}: 3 | {t=1}: 2"),
+    # no isotropy: every 1-form is invariant at both entries, which agree
+    ("invariant_dim", 1, 3, "match", "3"),
+])
+def test_numeric_checks_hold_at_every_enumeration_entry(check, degree, value, status, computed):
+    doc = {
+        "id": "toy", "description": "", "source": "partial-homogeneous", "dimension": 3,
+        "basis_names": ["e1", "e2", "e3"], "context": ["t"],
+        "homogeneous": {"isotropy_action": [], "projected_bracket": [[1, 2, ["0", "0", "t"]]]},
+        "enumerations": [{"t": "0"}, {"t": "1"}],
+        "expected": [{"check": check, "args": {"degree": degree}, "value": value, "cite": "probe"}],
+    }
+    (result,) = verify_case(validate_case_dict(doc)).results
+    assert (result.status, result.computed) == (status, computed)

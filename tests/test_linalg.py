@@ -4,7 +4,13 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from conftest import congruence_by_fractions, fraction_det, fraction_inverse, random_symmetric
+from conftest import (
+    congruence_by_fractions,
+    fraction_det,
+    fraction_inverse,
+    lowered,
+    random_symmetric,
+)
 
 from g2forms import _linalg
 
@@ -21,10 +27,23 @@ def test_rref_and_rank():
 
 def test_nullspace_is_canonical():
     mat = [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
-    kernel = _linalg.nullspace(mat)
-    assert kernel == [[F(1), F(-1, 2), F(0)]] or kernel == [[F(-2), F(1), F(0)]]
-    # canonical: rref'd, so leading entry is 1
-    assert kernel[0][0] == 1
+    # canonical: the RREF row (1, -1/2, 0) as primitive ints over its leading entry
+    assert _linalg._nullspace_ints(mat, 3) == [([2, -1, 0], 2)]
+    assert _linalg._nullspace_ints([[0, 0, 3], [2, 4, 0]], 3) == [([2, -1, 0], 2)]
+
+
+def test_nullspace_is_one_elimination(monkeypatch):
+    calls = []
+    original = _linalg._echelon
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_linalg, "_echelon", counting)
+    mat = [[1, 2, 0, 3], [0, 0, 1, 1]]
+    assert _linalg._nullspace_ints(mat, 4) == [([3, 0, 1, -1], 3), ([0, 3, 2, -2], 3)]
+    assert len(calls) == 1
 
 
 def test_solve_many_does_not_mask_inconsistent_columns():
@@ -145,7 +164,7 @@ def test_span_helpers():
     ("rref", ([[1], [3, 4]],), "ragged"),  # the 4 was dropped
     ("rref", ([[1, 2], [3]],), "ragged"),  # IndexError
     ("rank", ([[1, 2], [3]],), "ragged"),
-    ("nullspace", ([[1, 2], [3]],), "ragged"),
+    ("_nullspace_ints", ([[1, 2], [3]], 2), "ragged"),
     ("solve_many", ([[1, 0], [0, 1]], [[1], [2, 3]]), "ragged"),  # one solution came back
     ("solve_many", ([[1, 0]], [[1], [2]]), "argument 2 is longer"),  # the second row was dropped
     ("solve_many", ([[1, 0], [0, 1]], [[1]]), "argument 2 is shorter"),  # IndexError
@@ -200,13 +219,15 @@ def test_integer_nullspace_rows_are_primitive_over_their_pivot(seed, density):
                                                  _integer_cases(seed, density))]
     for mat, ncols in cases + [([], 3), ([], 0)]:
         kernel = _linalg._nullspace_ints(mat, ncols)
-        assert len(kernel) == len(_linalg.nullspace(mat, ncols)) == ncols - _linalg.rank(mat)
-        for (ints, den), row in zip(kernel, _linalg.nullspace(mat, ncols)):
+        assert len(kernel) == ncols - _linalg.rank(mat)
+        rows = lowered(kernel)
+        if rows:  # the Fraction rows are their own RREF
+            assert _linalg.rref(rows)[0] == rows
+        for ints, den in kernel:
             assert all(type(x) is int for x in ints) and type(den) is int
             assert den > 0 and gcd(*ints) == 1
             pivot = next(c for c, x in enumerate(ints) if x)
             assert ints[pivot] == den
-            assert [Fraction(x, den) for x in ints] == row
             for mat_row in mat:  # M row = 0 with bare Fraction arithmetic
                 assert sum((Fraction(a) * Fraction(x, den) for a, x in zip(mat_row, ints)),
                            Fraction(0)) == 0
@@ -299,7 +320,8 @@ def test_exact_kernels_agree_with_sympy(seed, density):
         assert (reduced, pivots) == (from_sympy(sym_reduced), list(sym_pivots))
         assert _linalg.rank(mat) == sym.rank()
 
-        kernel = _linalg.nullspace(mat)
+        kernel = lowered(_linalg._nullspace_ints(mat, ncols))
+        assert lowered(_linalg._reduced(mat)) == from_sympy(sym_reduced)[: len(sym_pivots)]
         sym_kernel = sym.nullspace()
         if sym_kernel:
             oracle, kernel_pivots = sympy.Matrix.hstack(*sym_kernel).T.rref()
@@ -341,9 +363,8 @@ def test_exact_kernels_agree_with_sympy(seed, density):
         product = _linalg.matmul(mat, other)
         assert product == from_sympy(sym * to_sympy(other))
 
-        assert _all_fractions(reduced) and _all_fractions(kernel) and _all_fractions(product)
-        assert _all_fractions(solutions) and _all_fractions(_linalg.row_space(mat))
+        assert _all_fractions(reduced) and _all_fractions(product)
+        assert _all_fractions(solutions)
 
     # no rows: every column is free
-    assert _linalg.nullspace([], 3) == [[F(i == j) for j in range(3)] for i in range(3)]
-    assert _all_fractions(_linalg.nullspace([], 3))
+    assert _linalg._nullspace_ints([], 3) == [([int(i == j) for j in range(3)], 1) for i in range(3)]

@@ -109,6 +109,26 @@ def test_parse_drops_whitespace_anywhere_and_reads_only_ascii_digits():
             PolyScalar.parse(text, ("a",))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 a + x y", "unknown symbol '2 a' (context ('a', 'b'))"),
+    ("3 * b c", "unknown symbol 'b c' (context ('a', 'b'))"),
+    ("a ^ 2 - z z ^ 3", "unknown symbol 'z z' (context ('a', 'b'))"),
+    ("1 / 0 * a", "invalid rational literal '1 / 0'"),
+    ("  1 / 0 ", "invalid rational literal '1 / 0'"),
+    ("2 * a\t-\t7 / 00", "invalid rational literal '7 / 00'"),
+    ("a - b*1/0", "invalid rational literal '1/0'"),
+    ("a ^ x", "invalid exponent in 'a ^ x'"),
+    ("a*b^1 .5", "invalid exponent in 'b^1 .5'"),
+    ("b - a ^ 2 ^ 3", "invalid exponent in 'a ^ 2 ^ 3'"),
+])
+def test_parse_errors_quote_the_factor_as_written(text, message):
+    # the literal is read without its whitespace, but a message names the
+    # characters of text that hold the factor, from its first to its last
+    with pytest.raises(ValueError) as info:
+        PolyScalar.parse(text, ("a", "b"))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text", ["a--b", "a+", "+", "-", "a+-b", "--a", "2*a - ", "a - - 1/2"])
 def test_parse_rejects_dangling_signs(text):
     with pytest.raises(ValueError, match="dangling sign"):

@@ -56,16 +56,16 @@ trees read the case files of the second tree (``src`` by default), in the
 * ``hodge_poly``: ``hodge_dual_up_to_scale`` for (n, k) = (7, 3), (7, 4),
   (6, 3) and (6, 2), with metrics as in ``hodge`` and dense forms whose
   coefficients are polynomial in two symbols.  It runs after the groups above;
-* ``linalg``: ``rref``, ``rank``, ``nullspace``, ``row_space`` and
-  ``solve_many`` of seeded matrices: 40 sparse stacks of int rows shaped
-  like the stacked derivation rows of ``invariant_forms`` (up to 116 x 35,
-  one or two nonzeros per row), 60 dense Fraction matrices, some
-  rank-deficient, and 60 matrices whose rows alternate between ints and
-  Fractions; each with one consistent and one random right-hand side, as
-  ints or Fractions like its rows.  Then ``span_contains`` and
-  ``spans_equal`` of each matrix against its first row (both ways) and
-  against its ``row_space``, which draw no random number.  It runs after
-  the groups above;
+* ``linalg``: ``rref``, ``rank``, the integer kernels ``_nullspace_ints``
+  and ``_reduced`` (``(ints, den)`` rows) and ``solve_many`` of seeded
+  matrices: 40 sparse stacks of int rows shaped like the stacked
+  derivation rows of ``invariant_forms`` (up to 116 x 35, one or two
+  nonzeros per row), 60 dense Fraction matrices, some rank-deficient, and
+  60 matrices whose rows alternate between ints and Fractions; each with
+  one consistent and one random right-hand side, as ints or Fractions like
+  its rows.  Then ``span_contains`` and ``spans_equal`` of each matrix
+  against its first row (both ways) and against the pivot rows of its
+  ``rref``, which draw no random number.  It runs after the groups above;
 * ``parse``: ``parse_form`` of 300 seeded renders of random forms on R^n,
   n <= 7, with extra terms appended (repeated, with unsorted or repeated
   indices, some cancelling a term, with and without rational
@@ -337,10 +337,10 @@ for t in range(160):
     rhs = [[u, v] for u, v in zip(consistent, random_rhs)]
     reduced, pivots = _linalg.rref(mat)
     out["linalg"].append([
-        strs(reduced), pivots, _linalg.rank(mat), strs(_linalg.nullspace(mat, ncols)),
-        strs(_linalg.row_space(mat)), strs(_linalg.solve_many(mat, rhs)),
+        strs(reduced), pivots, _linalg.rank(mat), _linalg._nullspace_ints(mat, ncols),
+        _linalg._reduced(mat), strs(_linalg.solve_many(mat, rhs)),
         _linalg.span_contains(mat, mat[:1]), _linalg.span_contains(mat[:1], mat),
-        _linalg.spans_equal(mat, _linalg.row_space(mat)), _linalg.spans_equal(mat[:1], mat),
+        _linalg.spans_equal(mat, reduced[: len(pivots)]), _linalg.spans_equal(mat[:1], mat),
     ])
 
 def parsed(text, n, degree=None, symbols=()):
