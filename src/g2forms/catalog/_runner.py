@@ -106,18 +106,26 @@ def _check_invariant_dim(record, value, degree):
     return _compare(space.dim, value)
 
 
+# The next two read only the invariant space, so each eliminates once per isotropy
+# action: enumeration entries of equal isotropy share the result through its memo.
 def _check_invariant_span(record, value, degree):
-    space, monos = invariant_forms(record.homog_num(), degree), monomials(record.dim_m, degree)
-    equal = _linalg.spans_equal(_rows(space.basis, monos), _rows(value, monos))
+    data, monos = record.homog_num(), monomials(record.dim_m, degree)
+    space, expected = invariant_forms(data, degree), _rows(value, monos)
+    key = ("invariant_span", degree, tuple(map(tuple, expected)))
+    equal = data.cached(key, lambda: _linalg.spans_equal(_rows(space.basis, monos), expected),
+                        isotropy=True)
     return _span_result(equal, space.basis)
 
 
 def _check_invariant_dim_in_support(record, value, degree, groups, counts):
-    space = invariant_forms(record.homog_num(), degree)
-    outside = [idx for idx in monomials(record.dim_m, degree)
-               if not all(len(set(idx).intersection(g)) == c for g, c in zip(groups, counts))]
+    data = record.homog_num()
+    space = invariant_forms(data, degree)
+    outside = tuple(idx for idx in monomials(record.dim_m, degree)
+                    if not all(len(set(idx).intersection(g)) == c for g, c in zip(groups, counts)))
     # the combinations of the invariant basis with no component outside
-    return _compare(len(space.basis) - _linalg.rank(_rows(space.basis, outside)), value)
+    rank = data.cached(("support_rank", degree, outside),
+                       lambda: _linalg.rank(_rows(space.basis, outside)), isotropy=True)
+    return _compare(len(space.basis) - rank, value)
 
 
 def _check_d_eval(record, value, vectors):

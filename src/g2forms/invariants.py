@@ -1,9 +1,11 @@
 """Invariant forms on a reductive homogeneous space and their differential.
 
 ``invariant_forms`` computes the fixed alternating tensors of the isotropy
-action as the exact kernel of the stacked ``columns`` of the derivations
-(``HomogeneousSpaceData.derivations``), which must be rational.  The coset
-differential ``HomogeneousSpaceData.differential`` (formula there), d of
+action as the exact kernel of the ``columns`` of the derivations
+(``HomogeneousSpaceData.derivations``), which must be rational.  Both exact
+solves go through ``_kernel``, which eliminates each connected component of
+unknowns (monomials that share a row) on its own.  A degree is an ``int``.
+The coset differential ``HomogeneousSpaceData.differential`` (formula there), d of
 invariant forms on G/H from the m-bracket alone, is used only through
 ``apply``: by ``ce_differential``, ``closed_forms`` and ``d_squared_check``.
 
@@ -56,15 +58,54 @@ class InvariantFormSpace:
         return len(self.basis)
 
 
+def _check_degree(degree) -> None:
+    if type(degree) is not int:  # a bool or a float would key the int degree's memo
+        raise TypeError(f"degree is an int, got {degree!r}")
+
+
 def _kernel(blocks, ncols: int) -> list[tuple[list[int], int]]:
     """The kernel of both solves: ``_linalg._nullspace_ints`` of blocks of ``ncols`` int
-    columns {output monomial: int}, one per unknown, stacked with row (b, o) from block b."""
+    columns {output monomial: nonzero int}, one per unknown, stacked with row (b, o) from
+    block b.  It is solved per connected component of the unknowns that share a row: a
+    lone unknown is free if no row reads it and zero otherwise, a larger component is
+    stacked at its own width.  The supports are disjoint, so the components' RREF
+    vectors at full width, in order of leading column, are the RREF basis of the whole."""
     rows = {}
     for b, block in enumerate(blocks):
         for j, column in enumerate(block):
             for out, v in column.items():
-                rows.setdefault((b, out), [0] * ncols)[j] = v
-    return _linalg._nullspace_ints(list(rows.values()), ncols)
+                rows.setdefault((b, out), {})[j] = v
+    root = list(range(ncols))  # union-find over the unknowns
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for row in rows.values():
+        first, *rest = map(find, row)
+        for r in rest:
+            root[r] = first
+    parts = {}  # root -> (its unknowns, the rows that read them)
+    for j in range(ncols):
+        parts.setdefault(find(j), ([], []))[0].append(j)
+    for row in rows.values():
+        parts[find(next(iter(row)))][1].append(row)
+    basis = []
+    for cols, stack in parts.values():
+        if len(cols) == 1:
+            local = [] if stack else [([1], 1)]
+        else:
+            local = _linalg._nullspace_ints([[row.get(j, 0) for j in cols] for row in stack],
+                                            len(cols))
+        for ints, den in local:
+            vec = [0] * ncols
+            for j, x in zip(cols, ints):
+                vec[j] = x
+            basis.append((vec, den))
+    # leading entries are positive, so descending order is ascending leading column
+    return sorted(basis, reverse=True)
 
 
 def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpace:
@@ -76,6 +117,7 @@ def invariant_forms(data: HomogeneousSpaceData, degree: int) -> InvariantFormSpa
     is solved once per isotropy action and degree, and shared by every data
     of equal isotropy (:meth:`HomogeneousSpaceData.instantiate`): do not mutate it.
     """
+    _check_degree(degree)
 
     def build():
         ops = data.derivations(degree)
@@ -135,6 +177,7 @@ def closed_forms(data: HomogeneousSpaceData, degree: int = 3) -> ClosedFamily:
     on gamma_{q_i}'s pivot, where K's other rows are 0.  The product runs on ints.
     Solved once per data and degree and shared, like :func:`invariant_forms`.
     """
+    _check_degree(degree)
 
     def build():
         d = data.differential(degree)
@@ -190,6 +233,7 @@ def d_squared_check(data: HomogeneousSpaceData, degree: int) -> DSquaredReport:
     Refuses partial data: without a full algebra behind the projected
     bracket the identity is not guaranteed, so a "pass" would be hollow.
     """
+    _check_degree(degree)
     if data.partial:
         raise PartialDataError(
             "d o d = 0 cannot be certified for partial homogeneous data "

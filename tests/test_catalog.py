@@ -9,6 +9,7 @@ from conftest import dense_components
 from g2forms import _linalg
 from g2forms.catalog import (
     SchemaError,
+    _runner,
     bundled_ids,
     load_bundled,
     load_case,
@@ -543,3 +544,39 @@ def test_numeric_checks_hold_at_every_enumeration_entry(check, degree, value, st
     }
     (result,) = verify_case(validate_case_dict(doc)).results
     assert (result.status, result.computed) == (status, computed)
+
+
+def counting_echelon(monkeypatch) -> list:
+    """The (rows, cols) of every later ``_linalg._echelon`` call, appended as it runs."""
+    calls, original = [], _linalg._echelon
+
+    def counting(mat, ncols):
+        calls.append((len(mat), ncols))
+        return original(mat, ncols)
+
+    monkeypatch.setattr(_linalg, "_echelon", counting)
+    return calls
+
+
+def test_entries_of_one_invariant_space_eliminate_once(monkeypatch):
+    # T2.n3.a13's four enumeration entries share one isotropy action: its
+    # invariant checks at all four cost what they cost at the first entry alone
+    calls, costs, results = counting_echelon(monkeypatch), [], []
+    full, fresh = load_bundled("T2.n3.a13"), load_bundled("T2.n3.a13")
+    for record in (fresh.at(fresh.enumerations[0]), full):
+        calls.clear()
+        results.append([_runner.run_check(record, *check) for check, item
+                        in zip(record.checks, record.raw["expected"])
+                        if item["check"].startswith("invariant")])
+        costs.append(len(calls))
+    assert len(full.enumerations) == 4 and len(results[1]) == 3
+    assert costs[0] == costs[1] > 0
+    assert results[0] == results[1] and {s for s, _ in results[1]} <= {"match", "span-match"}
+
+
+def test_one_verify_all_eliminates_at_most_15000_cells(monkeypatch):
+    # rows x cols summed over every elimination; deterministic on any host.
+    # Stacking each kernel's system whole, not by components, took 50,617.
+    calls = counting_echelon(monkeypatch)
+    assert all(report.ok for report in verify_all())
+    assert sum(rows * cols for rows, cols in calls) <= 15_000

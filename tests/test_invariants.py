@@ -14,7 +14,7 @@ from conftest import (
     rank_by_reverse_elimination,
     vector_to_form,
 )
-from g2forms import _linalg
+from g2forms import _linalg, invariants
 from g2forms.catalog import bundled_ids, load_bundled
 from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import (
@@ -283,13 +283,14 @@ def test_derived_objects_are_built_once_per_data(monkeypatch):
     space = invariant_forms(data, 3)
     assert invariant_forms(data, 3) is space
     calls = []
-    original = _linalg._nullspace_ints
+    original = invariants._kernel
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(_linalg, "_nullspace_ints", counting)
+    # one _kernel call per solve (it eliminates once per component of unknowns)
+    monkeypatch.setattr(invariants, "_kernel", counting)
     family = closed_forms(data, 3)
     assert len(calls) == 1  # the kernel of d; the invariant basis is reused
     assert closed_forms(data, 3) is family
@@ -373,6 +374,61 @@ def test_kernel_does_not_depend_on_block_or_entry_order():
         assert kernel == _linalg._nullspace_ints(rows, ncols)
         dims.add(len(kernel))
     assert 0 in dims and max(dims) > 1
+
+
+def test_kernel_of_interleaved_blocks_is_that_of_the_stacked_rows():
+    # seeded systems of small coupled blocks whose columns interleave, beside
+    # free and pinned single columns, spread over blocks with empty ones among them
+    rng = random.Random(3737)
+    kinds = set()
+    for _ in range(120):
+        ncols = rng.randint(1, 12)
+        order, groups = rng.sample(range(ncols), ncols), []
+        while order:
+            size = rng.randint(1, 4)
+            groups.append(order[:size])
+            order = order[size:]
+        nblocks = rng.randint(1, 3)
+        blocks = [[{} for _ in range(ncols)] for _ in range(nblocks)]
+        for g, cols in enumerate(groups):
+            kind = "free" if len(cols) == 1 and rng.random() < 0.5 else "read"
+            kinds.add((kind, len(cols) > 1))
+            for t in range(rng.randint(1, len(cols) + 1) if kind == "read" else 0):
+                block = rng.choice(blocks)  # the row (block, (g, t)) reads some of the group
+                for j in rng.sample(cols, rng.randint(1, len(cols))):
+                    block[j][g, t] = rng.choice([-3, -2, -1, 1, 2, 3])
+        for _ in range(rng.randint(0, 2)):
+            blocks.insert(rng.randrange(len(blocks) + 1), [])
+        outputs = sorted({out for block in blocks for column in block for out in column})
+        rows = [[column.get(out, 0) for column in block] for block in blocks if block
+                for out in outputs]
+        assert _kernel(blocks, ncols) == _linalg._nullspace_ints(rows, ncols)
+    assert kinds == {("free", False), ("read", False), ("read", True)}
+
+
+def test_su31_derivation_kernel_is_solved_by_components(monkeypatch):
+    data = load_bundled("su31").homog_num()
+    ops, monos = data.derivations(3), monomials(data.dim_m, 3)
+    zero = (0,) * len(data.symbols)
+    blocks = [[op.columns.get(zero, {}).get(m, {}) for m in monos] for op in ops]
+    widths, original = [], _linalg._nullspace_ints
+
+    def counting(mat, ncols):
+        widths.append(ncols)
+        return original(mat, ncols)
+
+    monkeypatch.setattr(_linalg, "_nullspace_ints", counting)
+    kernel = _kernel(blocks, len(monos))
+    assert 1 < len(widths) and max(widths) < len(monos)
+    assert kernel == original(stacked_rows(ops, data.dim_m, 3), len(monos))
+
+
+@pytest.mark.parametrize("solve", [invariant_forms, closed_forms, d_squared_check])
+@pytest.mark.parametrize("degree", [True, False, 1.0, 3.0, "3", None, Fraction(3)])
+def test_degree_must_be_an_int(solve, degree):
+    # a bool or a float equal to an int would read that degree's memo
+    with pytest.raises(TypeError, match="degree is an int"):
+        solve(sl3r_data(), degree)
 
 
 def test_instantiations_with_equal_isotropy_share_one_invariant_solve():
