@@ -1,7 +1,7 @@
 """Exact linear algebra over Fraction matrices (lists of row lists).
 
-Internal helper module: ranks, spans, nullspaces, solves, determinants and
-symmetric congruence diagonalization, all over Q with no rounding.  A
+Internal helper module: ranks, RREF rows, nullspaces, solves, determinants
+and symmetric congruence diagonalization, all over Q with no rounding.  A
 returned matrix holds Fractions, never ints (a quotient of two ints is a
 float), but the kernels compute on ints inside: a gcd per Fraction
 operation dominated their cost.
@@ -12,13 +12,14 @@ are taken as they are); a ragged row raises ValueError.  Each kernel is one
 :func:`_echelon` call.  :func:`_reduced` gives each RREF row as primitive
 ints over its pivot, and :func:`_nullspace_ints` so the RREF nullspace
 basis, read off one elimination with the columns reversed: the invariant
-and closed bases are built from these rows.  :func:`rank` counts echelon
-pivots, :func:`spans_equal` compares RREF rows, :func:`span_contains` two
-ranks, and :func:`solve_many` divides the echelon ints of [mat | rhs] once
-per nonzero solution entry.  The RREF is unique, so every one gives the
-space of elimination over Q.  :func:`rref` (the RREF as Fractions),
-:func:`matmul` (a plain Fraction product) and :func:`inverse` have no
-product caller; they stay while the benchmark's layer table names them.
+and closed bases are built from these rows, and the catalog's span checks
+compare them with the :func:`_reduced` rows of the printed forms.
+:func:`rank` counts echelon pivots, and :func:`solve_many` divides the
+echelon ints of [mat | rhs] once per nonzero solution entry.  The RREF is
+unique, so every one gives the space of elimination over Q.  :func:`rref`
+(the RREF as Fractions), :func:`matmul` (a plain Fraction product) and
+:func:`inverse` have no product caller; they stay while the benchmark's
+layer table names them.
 :func:`det`, :func:`leading_principal_minors` and :func:`inverse` share one
 Bareiss pass on D*mat (D the lcm of the denominators), every division
 exact; one pass without row exchanges gives the minor chain, and the
@@ -121,18 +122,6 @@ def _nullspace_ints(mat: Matrix, ncols: int) -> list[tuple[list[int], int]]:
         g = gcd(*vec)
         basis.append(([x // g for x in vec], den // g))
     return basis
-
-
-def spans_equal(rows_a: list, rows_b: list) -> bool:
-    """True when the rows span the same space; a row's scale does not matter."""
-    if rows_a and rows_b and len(rows_a[0]) != len(rows_b[0]):
-        raise ValueError("spans of rows of different widths")
-    return _reduced(rows_a) == _reduced(rows_b)
-
-
-def span_contains(big_rows: list, small_rows: list) -> bool:
-    """True when span(small) lies in span(big): adding small's rows keeps big's rank."""
-    return rank(big_rows) == rank(big_rows + small_rows)
 
 
 def solve_many(mat: Matrix, rhs_cols: Matrix) -> list:

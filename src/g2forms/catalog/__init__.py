@@ -322,12 +322,6 @@ class CaseRecord:
             assignment = self.enumerations[0]
         return self.homog_sym.instantiate(assignment)
 
-    def at(self, assignment) -> CaseRecord:
-        """This record with ``assignment`` as its one enumeration entry."""
-        return CaseRecord(self.case_id, self.description, self.source, self.dim_m, self.context,
-                          [assignment], self.algebra, self.homog_sym, self.gamma_forms,
-                          self.generic_form, self.checks, self.raw)
-
 
 def _algebra(values) -> HomogeneousSpaceData:
     """The full Lie algebra of the case; complex matrices are solved on their (re, im) parts."""

@@ -5,7 +5,10 @@ and the case's arguments as keyword parameters, reads the pipeline objects
 the record owns, and returns ``(status, computed)``.  The value and the
 arguments come parsed: :data:`_CHECKS` lists the checks by name with the
 item parser of their values, and :data:`_ARGS` the parser of each argument.
-The loader runs these parsers once, so no check parses a string.
+The loader runs these parsers once, so no check parses a string.  A check
+that reads numeric data takes each enumeration entry's as a keyword-only
+``data``, no case argument.  The span checks compare RREF rows: the engine's
+bases and the printed forms as :func:`_forms_item` reduces them.
 """
 
 from __future__ import annotations
@@ -93,6 +96,12 @@ def _rows(forms, monos) -> list:
     return [[layer.get(idx, 0) for idx in monos] for layer in layers]
 
 
+def _pairs(forms, monos) -> list:
+    """Each form as (its integer layer over monos, den): the rows of ``_linalg._reduced``
+    when the forms are an RREF basis, as the engine returns its bases."""
+    return [(row, f.den) for row, f in zip(_rows(forms, monos), forms)]
+
+
 def _span_result(ok: bool, basis) -> tuple:
     """span-match or mismatch, and the computed basis."""
     return ("span-match" if ok else "mismatch"), "; ".join(map(str, basis)) or "(zero space)"
@@ -101,28 +110,21 @@ def _span_result(ok: bool, basis) -> tuple:
 # -- individual checks --------------------------------------------------------
 
 
-def _check_invariant_dim(record, value, degree):
-    space = invariant_forms(record.homog_num(), degree)
-    return _compare(space.dim, value)
+def _check_invariant_dim(record, value, degree, *, data):
+    return _compare(invariant_forms(data, degree).dim, value)
 
 
-# The next two read only the invariant space, so each eliminates once per isotropy
-# action: enumeration entries of equal isotropy share the result through its memo.
-def _check_invariant_span(record, value, degree):
-    data, monos = record.homog_num(), monomials(record.dim_m, degree)
-    space, expected = invariant_forms(data, degree), _rows(value, monos)
-    key = ("invariant_span", degree, tuple(map(tuple, expected)))
-    equal = data.cached(key, lambda: _linalg.spans_equal(_rows(space.basis, monos), expected),
-                        isotropy=True)
-    return _span_result(equal, space.basis)
+def _check_invariant_span(record, value, degree, *, data):
+    space = invariant_forms(data, degree)
+    return _span_result(_pairs(space.basis, monomials(record.dim_m, degree)) == value, space.basis)
 
 
-def _check_invariant_dim_in_support(record, value, degree, groups, counts):
-    data = record.homog_num()
+def _check_invariant_dim_in_support(record, value, degree, groups, counts, *, data):
     space = invariant_forms(data, degree)
     outside = tuple(idx for idx in monomials(record.dim_m, degree)
                     if not all(len(set(idx).intersection(g)) == c for g, c in zip(groups, counts)))
-    # the combinations of the invariant basis with no component outside
+    # the combinations of the invariant basis with no component outside; entries
+    # of equal isotropy share the rank through the memo
     rank = data.cached(("support_rank", degree, outside),
                        lambda: _linalg.rank(_rows(space.basis, outside)), isotropy=True)
     return _compare(len(space.basis) - rank, value)
@@ -138,25 +140,24 @@ def _check_b_entry(record, value, i, j):
     return _status(computed == value), computed.render()
 
 
-def _check_closed_param_count(record, value, degree=3):
-    family = closed_forms(record.homog_num(), degree)
-    return _compare(family.dim, value)
+def _check_closed_param_count(record, value, degree=3, *, data):
+    return _compare(closed_forms(data, degree).dim, value)
 
 
-def _check_closed_span(record, value):
-    family, monos = closed_forms(record.homog_num(), 3), monomials(record.dim_m, 3)
-    equal = _linalg.spans_equal(_rows(family.basis, monos), _rows(value, monos))
-    return _span_result(equal, family.basis)
+def _check_closed_span(record, value, *, data):
+    family = closed_forms(data, 3)
+    return _span_result(_pairs(family.basis, monomials(record.dim_m, 3)) == value, family.basis)
 
 
-def _check_closed_subset_of(record, value):
-    family, monos = closed_forms(record.homog_num(), 3), monomials(record.dim_m, 3)
-    contained = _linalg.span_contains(_rows(value, monos), _rows(family.basis, monos))
+def _check_closed_subset_of(record, value, *, data):
+    family, monos = closed_forms(data, 3), monomials(record.dim_m, 3)
+    # value is the RREF of the printed span: the family lies in it when it adds no rank
+    contained = _linalg.rank([row for row, _ in value] + _rows(family.basis, monos)) == len(value)
     return _span_result(contained, family.basis)
 
 
-def _check_closed_component_zero(record, value, indices):
-    family, monos = closed_forms(record.homog_num(), 3), monomials(record.dim_m, 3)
+def _check_closed_component_zero(record, value, indices, *, data):
+    family, monos = closed_forms(data, 3), monomials(record.dim_m, 3)
     # exact Fraction rows, not integer layers: the printed components depend on their scale
     gamma_cols = _linalg.transpose([form_to_vector(f, monos) for f in record.gamma_forms])
     members = _linalg.transpose([form_to_vector(f, monos) for f in family.basis])
@@ -187,8 +188,7 @@ def _check_b_matrix_scalar(record, value, form):
     return _status(ok), f"diagonal ({diag})"
 
 
-def _check_torsion_flags(record, value, form):
-    data = record.homog_num()
+def _check_torsion_flags(record, value, form, *, data):
     report = g2_torsion_report(data, form.with_symbols(data.symbols))
     computed = {"definite": report.definite, "closed": report.closed, "coclosed": report.coclosed}
     return _status(computed == value), report.render()
@@ -206,8 +206,7 @@ def _check_hitchin(record, value, psi):
     return _status(ok), computed
 
 
-def _check_su3_flags(record, value, omega, psi):
-    data = record.homog_num()
+def _check_su3_flags(record, value, omega, psi, *, data):
     if data.dim_m == 7:
         data = data.restrict([1, 2, 3, 4, 5, 6])
     report = su3_check(data, omega.with_symbols(data.symbols), psi.with_symbols(data.symbols))
@@ -221,28 +220,22 @@ def _check_jacobi(record, value):
     return _status(value == "valid"), "valid"
 
 
-def _check_d_squared(record, value, degrees):
-    data = record.homog_num()
+def _check_d_squared(record, value, degrees, *, data):
     reports = [d_squared_check(data, degree) for degree in degrees]
     computed = "; ".join(r.render() for r in reports if not r.ok) or "pass"
     return _status(computed == value), computed
 
 
-# the checks that read numeric data through record.homog_num(), for run_check
-_PER_ENTRY = frozenset({
-    _check_invariant_dim, _check_invariant_span, _check_invariant_dim_in_support,
-    _check_closed_param_count, _check_closed_span, _check_closed_subset_of,
-    _check_closed_component_zero, _check_torsion_flags, _check_su3_flags, _check_d_squared})
-
-
 def run_check(record, check, value, args) -> tuple:
-    """(status, computed) of one check.  A check in :data:`_PER_ENTRY` runs at
-    every enumeration entry and matches only when every entry matches; unless
-    all entries give the same result, computed is each entry's text after its tag."""
-    if check not in _PER_ENTRY:
+    """(status, computed) of one check.  A check with a keyword-only ``data``
+    parameter runs at every enumeration entry, on ``record.homog_num(entry)``,
+    and matches only when every entry matches; unless all entries give the
+    same result, computed is each entry's text after its tag."""
+    code = check.__code__
+    if "data" not in code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount]:
         return check(record, value, **args)
     entries = record.enumerations
-    results = [check(record.at(a), value, **args) for a in entries]
+    results = [check(record, value, **args, data=record.homog_num(a)) for a in entries]
     if results.count(results[0]) == len(results):
         return results[0]
     status = "mismatch" if any(s == "mismatch" for s, _ in results) else results[0][0]
@@ -385,9 +378,11 @@ def _support_item(value, args, record) -> int:
 
 
 def _forms_item(value, args, record) -> list:
-    """Printed forms at the check's degree (3 for the closed family)."""
+    """Printed forms at the check's degree (3 for the closed family), as the RREF
+    rows of their span (``_linalg._reduced``), which the span checks compare."""
     degree = args.get("degree", 3)
-    return [parse_form(t, record.dim_m, degree) for t in _strings(value)]
+    forms = [parse_form(t, record.dim_m, degree) for t in _strings(value)]
+    return _linalg._reduced(_rows(forms, monomials(record.dim_m, degree)))
 
 
 def _dims(record, *dims) -> bool:
@@ -486,7 +481,7 @@ def schema_entry(name: str, doc: str, width: int) -> str:
 def check_params(check) -> tuple:
     """The keyword parameters of a check and the required ones among them, read
     from its code: the parameters after (record, value), the last
-    ``len(check.__defaults__)`` of them optional."""
+    ``len(check.__defaults__)`` of them optional; a keyword-only one is none."""
     code = check.__code__
     params = code.co_varnames[2:code.co_argcount]
     return params, params[:len(params) - len(check.__defaults__ or ())]

@@ -532,6 +532,10 @@ def parse_form(text: str, dim: int, degree: int | None = None,
     and a sorted index tuple through the position table; the sums go to
     ``_trusted`` over one lcm.
     """
+    if type(text) is not str:
+        raise TypeError(f"a form literal is a str, got {text!r}")
+    if type(dim) is not int or (degree is not None and type(degree) is not int):
+        raise TypeError(f"dimension and degree are ints, got {dim!r} and {degree!r}")
     if dim > 9:
         raise ValueError(f"form literals have single-digit indices: dimension {dim} is above 9")
     compact = "".join(text.split())

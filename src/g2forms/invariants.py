@@ -61,6 +61,8 @@ class InvariantFormSpace:
 def _check_degree(degree) -> None:
     if type(degree) is not int:  # a bool or a float would key the int degree's memo
         raise TypeError(f"degree is an int, got {degree!r}")
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
 
 
 def _kernel(blocks, ncols: int) -> list[tuple[list[int], int]]:

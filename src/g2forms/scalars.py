@@ -44,6 +44,8 @@ class ContextMismatchError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` (q > 0) into a Fraction; nothing else is a rational."""
+    if type(text) is not str:
+        raise TypeError(f"a rational literal is a str, got {text!r}")
     if match := _RATIONAL_RE.match(text.strip()):
         p, q = match.groups()
         if q is None or int(q):
@@ -280,6 +282,8 @@ class PolyScalar:
 
         Whitespace is dropped wherever it stands, but an error quotes the
         factor as written in ``text``."""
+        if type(text) is not str:
+            raise TypeError(f"a polynomial literal is a str, got {text!r}")
         symbols = check_context(symbols)
         compact = "".join(text.split())
         if not compact:

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from g2forms.catalog import (
     verify_all,
     verify_case,
 )
-from g2forms.exterior import form_to_vector, monomials, parse_form
+from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import closed_forms, invariant_forms
 from g2forms.liealg import MatrixBasis, from_matrices, reductive_split
 
@@ -125,7 +127,7 @@ def test_branch_c_cross_check_at_3_4():
         )
     ]
     computed = [form_to_vector(f, monos) for f in family.basis]
-    assert _linalg.spans_equal(computed, printed)
+    assert _linalg._reduced(computed) == _linalg._reduced(printed)
 
 
 def test_verify_single_case():
@@ -336,6 +338,7 @@ def test_an_empty_index_form_arg_fails_at_load(item, arg):
     ("invariant_dim", {"bogus": 1}, "missing a required argument: 'degree'"),
     ("invariant_dim", {"value": 1, "degree": 2}, "multiple values for argument 'value'"),
     ("invariant_dim", {"record": 1, "degree": 2}, "multiple values for argument 'record'"),
+    ("invariant_dim", {"degree": 2, "data": 1}, "got an unexpected keyword argument 'data'"),
 ])
 def test_args_bind_to_the_check_parameters(check, args, message):
     doc = _minimal_partial()
@@ -562,8 +565,10 @@ def test_entries_of_one_invariant_space_eliminate_once(monkeypatch):
     # T2.n3.a13's four enumeration entries share one isotropy action: its
     # invariant checks at all four cost what they cost at the first entry alone
     calls, costs, results = counting_echelon(monkeypatch), [], []
-    full, fresh = load_bundled("T2.n3.a13"), load_bundled("T2.n3.a13")
-    for record in (fresh.at(fresh.enumerations[0]), full):
+    doc = json.loads((CASES_DIR / "T2.n3.a13.json").read_text(encoding="utf-8"))
+    first = validate_case_dict({**doc, "enumerations": doc["enumerations"][:1]})
+    full = load_bundled("T2.n3.a13")
+    for record in (first, full):
         calls.clear()
         results.append([_runner.run_check(record, *check) for check, item
                         in zip(record.checks, record.raw["expected"])
@@ -580,3 +585,63 @@ def test_one_verify_all_eliminates_at_most_15000_cells(monkeypatch):
     calls = counting_echelon(monkeypatch)
     assert all(report.ok for report in verify_all())
     assert sum(rows * cols for rows, cols in calls) <= 15_000
+
+
+@pytest.mark.parametrize("case_id", bundled_ids())
+def test_engine_bases_are_the_reduced_rows_of_their_span(case_id):
+    # the span checks compare these (row, den) pairs with the printed rows as is
+    record = load_bundled(case_id)
+    for entry in record.enumerations:
+        data = record.homog_num(entry)
+        bases = [(2, invariant_forms(data, 2).basis), (3, invariant_forms(data, 3).basis),
+                 (3, closed_forms(data, 3).basis)]
+        for degree, basis in bases:
+            monos = monomials(record.dim_m, degree)
+            oracle = _linalg._reduced([form_to_vector(f, monos) for f in basis])
+            assert _runner._pairs(basis, monos) == oracle, (entry, degree)
+
+
+def _forms_check(record, name, forms):
+    """The result of check ``name`` with ``forms`` printed as its value, at the first entry."""
+    check, parse_item, _ = _runner._CHECKS[name]
+    args = {"degree": 3} if name == "invariant_span" else {}
+    value = parse_item([f.render() for f in forms], args, record)
+    return check(record, value, **args, data=record.homog_num())[0]
+
+
+def test_closed_subset_of_needs_every_printed_form():
+    record = load_bundled("T1.n2a")
+    printed = [parse_form(t, 7, 3) for t in ("e^{1 2 4} - e^{1 3 5}", "e^{1 2 5} + e^{1 3 4}",
+                                             "e^{2 4 7} - e^{2 5 6} + e^{3 4 6} + e^{3 5 7}")]
+    assert closed_forms(record.homog_num(), 3).dim == 3
+    assert _forms_check(record, "closed_subset_of", printed) == "span-match"
+    for dropped in range(3):
+        fewer = printed[:dropped] + printed[dropped + 1:]
+        assert _forms_check(record, "closed_subset_of", fewer) == "mismatch"
+
+
+@pytest.mark.parametrize("case_id, name", [
+    ("T1.n2a", "closed_span"), ("T1.n2b", "closed_span"), ("T1.n1", "invariant_span"),
+    ("T2.n1", "invariant_span"), ("su31", "invariant_span"),
+])
+def test_span_checks_read_any_basis_of_the_span(case_id, name):
+    # a seeded recombination of the engine basis prints no RREF rows: triangular
+    # with a nonzero diagonal, so invertible, and in reversed order
+    record, rng = load_bundled(case_id), random.Random(3)
+    data = record.homog_num()
+    basis = (closed_forms(data, 3) if name == "closed_span" else invariant_forms(data, 3)).basis
+    coeffs = [[Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)) if j == i else
+               Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if j > i else 0
+               for j in range(len(basis))] for i in range(len(basis))]
+    zero = AltForm(record.dim_m, 3, basis[0].symbols)
+    mixed = [sum((f.scale(c) for c, f in zip(row, basis)), zero) for row in coeffs[::-1]]
+    assert len(basis) >= 2 and mixed != basis
+    assert _forms_check(record, name, mixed) == "span-match"
+    assert _forms_check(record, name, mixed[1:]) == "mismatch"
+
+
+def test_only_not_definite_reads_the_data_itself():
+    # the others take each entry's data from run_check, through their data parameter
+    checks = [f for name, f in vars(_runner).items() if name.startswith("_check_")]
+    readers = [f.__name__ for f in checks if "homog_num" in f.__code__.co_names]
+    assert len(checks) == len(_runner._CHECKS) and readers == ["_check_not_definite"]

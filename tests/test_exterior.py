@@ -35,7 +35,7 @@ from g2forms.exterior import (
     wedge,
 )
 from g2forms.liealg import HomogeneousSpaceData
-from g2forms.scalars import ContextMismatchError, PolyScalar
+from g2forms.scalars import ContextMismatchError, PolyScalar, parse_rational
 
 
 def F(text, dim=7, degree=None, symbols=()):
@@ -612,6 +612,22 @@ def test_contract_index_is_an_int():
         with pytest.raises(TypeError, match="contraction index is an int"):
             contract(index, phi)
     assert contract(1, phi) == F("e^{2 3} + e^{4 5}", degree=2)
+
+
+@pytest.mark.parametrize("parse, args, match", [
+    (parse_form, ("e^{1}", True), "dimension and degree are ints"),  # a form of dim True
+    (parse_form, ("e^{1}", 7, True), "dimension and degree are ints"),  # a form of degree True
+    (parse_form, ("e^{1}", 7.0), "dimension and degree are ints"),
+    (parse_form, (None, 7), "a form literal is a str"),  # AttributeError
+    (parse_form, (b"e^{1}", 7), "a form literal is a str"),  # AttributeError
+    (parse_rational, (3,), "a rational literal is a str"),  # AttributeError
+    (parse_rational, (Fraction(1, 2),), "a rational literal is a str"),  # AttributeError
+    (PolyScalar.parse, (3, ()), "a polynomial literal is a str"),  # AttributeError
+    (PolyScalar.parse, (None, ("t",)), "a polynomial literal is a str"),  # AttributeError
+])
+def test_parsers_refuse_a_non_literal_and_a_bool_size(parse, args, match):
+    with pytest.raises(TypeError, match=match):
+        parse(*args)
 
 
 def test_combination_matches_the_sum_of_scaled_members():

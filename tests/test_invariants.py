@@ -204,7 +204,7 @@ def test_closed_forms_branch_a_matches_printed_family():
             "e^{2 4 7} - e^{2 5 6} + e^{3 4 6} + e^{3 5 7}",
         ]
     ]
-    assert _linalg.spans_equal(computed, printed)
+    assert _linalg._reduced(computed) == _linalg._reduced(printed)
     assert family.parameters == ("a1", "a2", "a3")
     assert family.generic.symbols == ("a1", "a2", "a3")
 
@@ -429,6 +429,13 @@ def test_degree_must_be_an_int(solve, degree):
     # a bool or a float equal to an int would read that degree's memo
     with pytest.raises(TypeError, match="degree is an int"):
         solve(sl3r_data(), degree)
+
+
+@pytest.mark.parametrize("solve", [invariant_forms, closed_forms, d_squared_check])
+def test_negative_degree_is_refused_by_name(solve):
+    # the message named a shift the caller never passed
+    with pytest.raises(ValueError, match=r"^degree must be nonnegative, got -1$"):
+        solve(sl3r_data(), -1)
 
 
 def test_instantiations_with_equal_isotropy_share_one_invariant_solve():

@@ -63,9 +63,10 @@ trees read the case files of the second tree (``src`` by default), in the
   nonzeros per row), 60 dense Fraction matrices, some rank-deficient, and
   60 matrices whose rows alternate between ints and Fractions; each with
   one consistent and one random right-hand side, as ints or Fractions like
-  its rows.  Then ``span_contains`` and ``spans_equal`` of each matrix
-  against its first row (both ways) and against the pivot rows of its
-  ``rref``, which draw no random number.  It runs after the groups above;
+  its rows.  Then ``rank`` of each matrix under its own first row, and
+  ``_reduced`` of the pivot rows of its ``rref`` (the same rows as
+  ``_reduced`` of the matrix), which draw no random number.  It runs after
+  the groups above;
 * ``parse``: ``parse_form`` of 300 seeded renders of random forms on R^n,
   n <= 7, with extra terms appended (repeated, with unsorted or repeated
   indices, some cancelling a term, with and without rational
@@ -339,8 +340,7 @@ for t in range(160):
     out["linalg"].append([
         strs(reduced), pivots, _linalg.rank(mat), _linalg._nullspace_ints(mat, ncols),
         _linalg._reduced(mat), strs(_linalg.solve_many(mat, rhs)),
-        _linalg.span_contains(mat, mat[:1]), _linalg.span_contains(mat[:1], mat),
-        _linalg.spans_equal(mat, reduced[: len(pivots)]), _linalg.spans_equal(mat[:1], mat),
+        _linalg.rank(mat[:1] + mat), _linalg._reduced(reduced[: len(pivots)]),
     ])
 
 def parsed(text, n, degree=None, symbols=()):
