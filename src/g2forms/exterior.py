@@ -275,6 +275,8 @@ def combination(dim: int, degree: int, symbols: Iterable[str], pairs: Iterable) 
 
 def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
     """Exterior product; graded-commutative and associative."""
+    if not (isinstance(alpha, AltForm) and isinstance(beta, AltForm)):
+        raise TypeError(f"wedge takes forms, got {type(alpha).__name__} and {type(beta).__name__}")
     alpha._check_compatible(beta)
     n, a, b = alpha.dim, alpha.degree, beta.degree
     if a + b > n:
@@ -538,6 +540,10 @@ def parse_form(text: str, dim: int, degree: int | None = None,
         raise TypeError(f"dimension and degree are ints, got {dim!r} and {degree!r}")
     if dim > 9:
         raise ValueError(f"form literals have single-digit indices: dimension {dim} is above 9")
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    if degree is not None and degree < 0:
+        raise ValueError("degree must be nonnegative")
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty form literal")

@@ -187,6 +187,8 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
     non-definite verdicts carry explicit witness vectors obtained from a
     symmetric congruence diagonalization of B.
     """
+    if not isinstance(phi, AltForm):
+        raise TypeError(f"definiteness takes a form, got {type(phi).__name__}")
     if not phi.is_rational():
         raise ValueError(
             "definiteness needs rational coefficients; "
@@ -266,7 +268,10 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
         raise ValueError("metric representative is not a square matrix")
     if any(q[i][j] != q[j][i] for i in range(n) for j in range(i)):
         raise ValueError("metric representative is not symmetric")
-    den, _, pivots, adj = _linalg._bareiss(q, exchange=False, jordan=True)
+    try:
+        den, _, pivots, adj = _linalg._bareiss(q, exchange=False, jordan=True)
+    except AttributeError:  # a float, a string: not an exact rational
+        raise TypeError("metric entries must be ints or Fractions") from None
     if not all(p > 0 for p in pivots):  # the leading minors of D*Q (Sylvester)
         raise ValueError("metric representative is not positive definite")
     det = pivots[-1]

@@ -8,10 +8,9 @@ import pytest
 import models
 from bundled_cases import build_all_case_dicts
 from conftest import dense_components
-from g2forms import _linalg
+from g2forms import _linalg, catalog
 from g2forms.catalog import (
     SchemaError,
-    _runner,
     bundled_ids,
     load_bundled,
     load_case,
@@ -243,8 +242,6 @@ def test_verification_builds_nothing(monkeypatch, case_id):
 
 @pytest.mark.parametrize("case_id", bundled_ids())
 def test_checks_parse_nothing(monkeypatch, case_id):
-    from g2forms import catalog
-    from g2forms.catalog import _runner
     from g2forms.scalars import PolyScalar
 
     record = load_bundled(case_id)
@@ -252,9 +249,8 @@ def test_checks_parse_nothing(monkeypatch, case_id):
     def refuse(*args, **kwargs):
         raise AssertionError(f"parsed {args} after loading")
 
-    for module in (catalog, _runner):
-        monkeypatch.setattr(module, "parse_form", refuse)
-        monkeypatch.setattr(module, "parse_rational", refuse)
+    monkeypatch.setattr(catalog, "parse_form", refuse)
+    monkeypatch.setattr(catalog, "parse_rational", refuse)
     monkeypatch.setattr(PolyScalar, "parse", refuse)
     assert verify_case(record).ok  # every string was parsed when the case loaded
 
@@ -570,7 +566,7 @@ def test_entries_of_one_invariant_space_eliminate_once(monkeypatch):
     full = load_bundled("T2.n3.a13")
     for record in (first, full):
         calls.clear()
-        results.append([_runner.run_check(record, *check) for check, item
+        results.append([catalog.run_check(record, *check) for check, item
                         in zip(record.checks, record.raw["expected"])
                         if item["check"].startswith("invariant")])
         costs.append(len(calls))
@@ -589,7 +585,7 @@ def test_one_verify_all_eliminates_at_most_15000_cells(monkeypatch):
 
 @pytest.mark.parametrize("case_id", bundled_ids())
 def test_engine_bases_are_the_reduced_rows_of_their_span(case_id):
-    # the span checks compare these (row, den) pairs with the printed rows as is
+    # the span checks compare these int rows with the printed rows as is
     record = load_bundled(case_id)
     for entry in record.enumerations:
         data = record.homog_num(entry)
@@ -598,12 +594,12 @@ def test_engine_bases_are_the_reduced_rows_of_their_span(case_id):
         for degree, basis in bases:
             monos = monomials(record.dim_m, degree)
             oracle = _linalg._reduced([form_to_vector(f, monos) for f in basis])
-            assert _runner._pairs(basis, monos) == oracle, (entry, degree)
+            assert catalog._rows(basis, monos) == [row for row, _ in oracle], (entry, degree)
 
 
 def _forms_check(record, name, forms):
     """The result of check ``name`` with ``forms`` printed as its value, at the first entry."""
-    check, parse_item, _ = _runner._CHECKS[name]
+    check, parse_item, _ = catalog._CHECKS[name]
     args = {"degree": 3} if name == "invariant_span" else {}
     value = parse_item([f.render() for f in forms], args, record)
     return check(record, value, **args, data=record.homog_num())[0]
@@ -642,6 +638,6 @@ def test_span_checks_read_any_basis_of_the_span(case_id, name):
 
 def test_only_not_definite_reads_the_data_itself():
     # the others take each entry's data from run_check, through their data parameter
-    checks = [f for name, f in vars(_runner).items() if name.startswith("_check_")]
+    checks = [f for name, f in vars(catalog).items() if name.startswith("_check_")]
     readers = [f.__name__ for f in checks if "homog_num" in f.__code__.co_names]
-    assert len(checks) == len(_runner._CHECKS) and readers == ["_check_not_definite"]
+    assert len(checks) == len(catalog._CHECKS) and readers == ["_check_not_definite"]

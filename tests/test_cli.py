@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -599,6 +600,10 @@ def test_engine_import_loads_neither_inspect_nor_dataclasses():
     modules = _modules_after(
         "import g2forms.catalog, g2forms.gstruct, g2forms.exterior, g2forms.liealg"
     )
-    assert "g2forms.catalog._runner" in modules
+    # the catalog is one module: no submodule of it loads, and none exists
+    assert "g2forms.catalog" in modules
+    assert not any(m.startswith("g2forms.catalog.") for m in modules)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("g2forms.catalog._runner")
     # importlib.resources imports inspect from Python 3.12 on
     assert not {"inspect", "dataclasses", "importlib.resources"} & modules

@@ -614,19 +614,25 @@ def test_contract_index_is_an_int():
     assert contract(1, phi) == F("e^{2 3} + e^{4 5}", degree=2)
 
 
-@pytest.mark.parametrize("parse, args, match", [
-    (parse_form, ("e^{1}", True), "dimension and degree are ints"),  # a form of dim True
-    (parse_form, ("e^{1}", 7, True), "dimension and degree are ints"),  # a form of degree True
-    (parse_form, ("e^{1}", 7.0), "dimension and degree are ints"),
-    (parse_form, (None, 7), "a form literal is a str"),  # AttributeError
-    (parse_form, (b"e^{1}", 7), "a form literal is a str"),  # AttributeError
-    (parse_rational, (3,), "a rational literal is a str"),  # AttributeError
-    (parse_rational, (Fraction(1, 2),), "a rational literal is a str"),  # AttributeError
-    (PolyScalar.parse, (3, ()), "a polynomial literal is a str"),  # AttributeError
-    (PolyScalar.parse, (None, ("t",)), "a polynomial literal is a str"),  # AttributeError
+@pytest.mark.parametrize("parse, args, match, error", [
+    (parse_form, ("e^{1}", True), "dimension and degree are ints", TypeError),  # dim True
+    (parse_form, ("e^{1}", 7, True), "dimension and degree are ints", TypeError),  # degree True
+    (parse_form, ("e^{1}", 7.0), "dimension and degree are ints", TypeError),
+    (parse_form, (None, 7), "a form literal is a str", TypeError),  # AttributeError
+    (parse_form, (b"e^{1}", 7), "a form literal is a str", TypeError),  # AttributeError
+    (parse_rational, (3,), "a rational literal is a str", TypeError),  # AttributeError
+    (parse_rational, (Fraction(1, 2),), "a rational literal is a str", TypeError),
+    (PolyScalar.parse, (3, ()), "a polynomial literal is a str", TypeError),  # AttributeError
+    (PolyScalar.parse, (None, ("t",)), "a polynomial literal is a str", TypeError),
+    # AltForm's words, in its order: dimension, then degree, then context
+    (parse_form, ("e^{1}", 0), "dimension must be positive", ValueError),  # "range 1..0"
+    (parse_form, ("e^{1}", -3), "dimension must be positive", ValueError),  # "range 1..-3"
+    (parse_form, ("e^{1}", 7, -1), "degree must be nonnegative", ValueError),  # "degree -1"
+    (parse_form, ("e^{1}", 0, -1), "dimension must be positive", ValueError),
+    (parse_form, ("e^{1}", 7, -1, ("a", "a")), "degree must be nonnegative", ValueError),
 ])
-def test_parsers_refuse_a_non_literal_and_a_bool_size(parse, args, match):
-    with pytest.raises(TypeError, match=match):
+def test_parsers_refuse_a_non_literal_and_a_bool_size(parse, args, match, error):
+    with pytest.raises(error, match=match):
         parse(*args)
 
 

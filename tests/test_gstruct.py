@@ -727,3 +727,32 @@ def test_definiteness_report_carries_its_b_matrix(text, verdict):
     report = definiteness(phi)
     assert report.verdict == verdict
     assert report.gram == b_matrix(phi)
+
+
+def _metric(entry):
+    """The identity metric on R^7 with ``entry`` at (1, 1)."""
+    return [[entry if i == j == 0 else Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+
+
+@pytest.mark.parametrize("call, args, match", [
+    (wedge, (phi0(), 1), "wedge takes forms, got AltForm and int"),
+    (wedge, (1, phi0()), "wedge takes forms, got int and AltForm"),
+    (wedge, (phi0(), PHI0), "wedge takes forms, got AltForm and str"),
+    (definiteness, (1,), "definiteness takes a form, got int"),
+    (definiteness, (PHI0,), "definiteness takes a form, got str"),
+    (hodge_dual_up_to_scale, (_metric(1.0), phi0()), "metric entries must be ints or Fractions"),
+    (hodge_dual_up_to_scale, (_metric("1"), phi0()), "metric entries must be ints or Fractions"),
+], ids=["wedge-form-int", "wedge-int-form", "wedge-form-str", "definiteness-int",
+        "definiteness-str", "hodge-float-metric", "hodge-str-metric"])
+def test_entry_points_refuse_a_non_form_and_an_inexact_metric(call, args, match):
+    # each raised AttributeError from inside before it was guarded
+    with pytest.raises(TypeError, match=match):
+        call(*args)
+
+
+def test_pullback_along_a_bool_matrix_reads_it_as_ints():
+    # _exact takes a bool as an int: the all-True matrix is the all-ones one, of
+    # rank 1, so it pulls every 3-form back to 0
+    ones = [[True] * 7 for _ in range(7)]
+    assert pullback(phi0(), ones) == pullback(phi0(), [[1] * 7 for _ in range(7)])
+    assert pullback(phi0(), ones) == AltForm(7, 3)

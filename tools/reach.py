@@ -10,9 +10,9 @@ The second form prints only each function's file and qualified name, one
 per line, and regenerates the golden list that ``tests/test_reach.py``
 compares exactly.
 
-The engine is ``src/g2forms/*.py`` with ``catalog/__init__.py`` and
-``catalog/_runner.py``.  With a ``sys.setprofile`` hook on, the script runs
-three product paths in this interpreter:
+The engine is ``src/g2forms/*.py`` and ``src/g2forms/catalog/*.py``.  With a
+``sys.setprofile`` hook on, the script runs three product paths in this
+interpreter:
 
 * ``catalog.verify_all("*")``: every bundled case, exploratory ones included;
 * one pass of the seed-7 ``pointwise`` and ``dense-basis`` ops of
@@ -24,7 +24,8 @@ three product paths in this interpreter:
 
 It then prints every function or method defined in the engine (nested
 functions included) whose code was never entered, with its first line and
-line count, the decorators included, and the total.  It only reports: the
+line count, the decorators included, and their total beside the line count
+of all engine files: the one engine size to quote.  It only reports: the
 exit code is 0 whatever it finds.  A function listed here is a candidate
 for deletion, not a verdict: Python protocols such as ``__repr__`` and
 error paths that these inputs do not take are listed too.
@@ -50,8 +51,7 @@ PSI0 = "e^{1 3 5} - e^{1 4 6} - e^{2 3 6} - e^{2 4 5}"
 
 
 def engine_files() -> list:
-    return sorted(ENGINE.glob("*.py")) + [ENGINE / "catalog" / "__init__.py",
-                                          ENGINE / "catalog" / "_runner.py"]
+    return sorted(ENGINE.glob("*.py")) + sorted(ENGINE.glob("catalog/*.py"))
 
 
 def defined_functions(path: Path) -> list:
@@ -127,7 +127,9 @@ def main(argv: list) -> int:
         return 0
     for path, first, name, lines in missed:
         print(f"{path}:{first}  {name}  ({lines} lines)")
-    print(f"{len(missed)} engine functions never entered, {sum(m[3] for m in missed)} lines")
+    total = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in engine_files())
+    print(f"{len(missed)} engine functions never entered, {sum(m[3] for m in missed)} lines "
+          f"of {total} engine lines")
     return 0
 
 
