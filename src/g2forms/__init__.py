@@ -9,8 +9,8 @@ values ships with the package; see :mod:`g2forms.catalog` and the CLI.
 """
 
 from g2forms.exterior import AltForm
-from g2forms.scalars import PolyScalar, Rational
+from g2forms.scalars import PolyScalar
 
 __version__ = "0.1.0"
 
-__all__ = ["AltForm", "PolyScalar", "Rational", "__version__"]
+__all__ = ["AltForm", "PolyScalar", "__version__"]

@@ -47,7 +47,6 @@ from g2forms.liealg import (
     HomogeneousSpaceData,
     MatrixBasis,
     from_matrices,
-    homogeneous_from_partial,
     jacobi_check,
     reductive_split,
 )
@@ -62,6 +61,7 @@ __all__ = [
     "bundled_ids",
     "load_bundled",
     "load_case",
+    "su3_pair",
     "verify_all",
     "verify_case",
 ]
@@ -329,8 +329,9 @@ _EXPECTED_ITEM = {
 # The case schema, one entry per field: name, the sources that require the
 # field (none for an optional one; a field that some sources require is
 # rejected for the others), its parser and its schema lines.
-# validate_case_dict parses each field with its entry, and SCHEMA_TEXT lists
-# them.  The expected items are parsed for their checks once the case is built.
+# validate_case_dict parses the fields in this order, the payload last (its parser
+# reads the context), and SCHEMA_TEXT lists them by kind.  The expected items are
+# parsed for their checks once the case is built.
 _FIELDS = (
     ("id", SOURCES, _typed(lambda x, v: _is_str(x) and x != ""), "unique case identifier (string)"),
     ("description", SOURCES, _string, "human-readable summary (string)"),
@@ -350,22 +351,6 @@ sources; must form a subalgebra with [h, m] in m)"""),
      _typed(lambda x, v: _is_list_of(x, lambda y: _is_object(y, _EXPECTED_ITEM))), """\
 list of {check, args, value, cite}; cite is a non-empty
 source label for the expected value"""),
-    ("matrices", ("matrix-basis",), _matrices, """\
-list of square matrices, row-major; each entry is either a
-rational string "p/q" or a two-element list [re, im] of
-rational strings (a complex entry; complex matrices are
-solved on their (re, im) coordinates)"""),
-    ("structure_constants", ("structure-constants",), _structure_constants, """\
-list of [i, j, k, coeff] with 1 <= i < j <= n and coeff a
-polynomial string; [e_i, e_j] = sum_k coeff * e_k.  Only
-i < j entries are stored (antisymmetry is implicit), and
-each (i, j, k) at most once."""),
-    ("homogeneous", ("partial-homogeneous",), _homogeneous, """\
-{"isotropy_action": [matrix, ...],
- "projected_bracket": [[i, j, [coeff, ...]], ...]}
-with dim-m square matrices of polynomial strings and
-bracket component vectors of length dim m; each (i, j)
-at most once"""),
     ("context", (), lambda x, v: check_context(_strings(x)), """\
 ordered list of distinct parameter symbols for every polynomial
 string in the document (default: empty)"""),
@@ -387,9 +372,23 @@ b_entry and closed_component_zero"""),
     ("exploratory", (), _bool, """\
 boolean (default false); exploratory cases are skipped by
 verify_all unless an explicit filter matches them"""),
+    ("matrices", ("matrix-basis",), _matrices, """\
+list of square matrices, row-major; each entry is either a
+rational string "p/q" or a two-element list [re, im] of
+rational strings (a complex entry; complex matrices are
+solved on their (re, im) coordinates)"""),
+    ("structure_constants", ("structure-constants",), _structure_constants, """\
+list of [i, j, k, coeff] with 1 <= i < j <= n and coeff a
+polynomial string; [e_i, e_j] = sum_k coeff * e_k.  Only
+i < j entries are stored (antisymmetry is implicit), and
+each (i, j, k) at most once."""),
+    ("homogeneous", ("partial-homogeneous",), _homogeneous, """\
+{"isotropy_action": [matrix, ...],
+ "projected_bracket": [[i, j, [coeff, ...]], ...]}
+with dim-m square matrices of polynomial strings and
+bracket component vectors of length dim m; each (i, j)
+at most once"""),
 )
-# the payload is parsed last, because its parser reads the context
-_PARSE_ORDER = sorted(_FIELDS, key=lambda f: len(f[1]) == 1)
 
 
 # -- individual checks --------------------------------------------------------
@@ -501,10 +500,18 @@ def _check_hitchin(record, value, psi):
     return _status(ok), computed
 
 
+def su3_pair(data: HomogeneousSpaceData, omega: AltForm, psi: AltForm) -> tuple:
+    """The arguments of :func:`g2forms.gstruct.su3_check` for the pair (omega, psi) on
+    ``data``: on a 7-dimensional m the pair lives on e1..e6, the flat factor being e^7 as
+    in :func:`g2forms.gstruct.product_g2`, and the forms move into the data's context."""
+    if data.dim_m not in (6, 7):
+        raise ValueError(f"an SU(3) pair needs dim m = 6 or 7, not {data.dim_m}")
+    data = data.restrict(range(1, 7)) if data.dim_m == 7 else data
+    return data, omega.with_symbols(data.symbols), psi.with_symbols(data.symbols)
+
+
 def _check_su3_flags(record, value, omega, psi, *, data):
-    if data.dim_m == 7:
-        data = data.restrict([1, 2, 3, 4, 5, 6])
-    report = su3_check(data, omega.with_symbols(data.symbols), psi.with_symbols(data.symbols))
+    report = su3_check(*su3_pair(data, omega, psi))
     flags = report.flags()
     computed = ", ".join(f"{k}={v}" for k, v in flags.items())
     return _status(flags == value), computed
@@ -639,6 +646,13 @@ def _three_form_item(parse):
     return item
 
 
+def _su3_item(value, args, record) -> dict:
+    """Flags, on a case with data for the SU(3) pair at every enumeration entry."""
+    for entry in record.enumerations:
+        su3_pair(record.homog_num(entry), args["omega"], args["psi"])
+    return _flags(value)
+
+
 def _hitchin_item(value, args, record) -> dict:
     if not _is_object(value, {"lambda": _is_str, "k_squared_scalar": _is_bool}):
         raise WrongType
@@ -659,7 +673,7 @@ invariant forms supported on the selected monomials"""),
 value: polynomial; the
 coset differential of the generic form, evaluated
 on the named basis vectors, kept symbolic"""),
-    "b_entry": (_check_b_entry, _polynomial_item, """\
+    "b_entry": (_check_b_entry, lambda x, a, r: _dims(r, 7) and _polynomial_item(x, a, r), """\
 value: polynomial; entry of the
 bilinear form of the generic form"""),
     "closed_param_count": (_check_closed_param_count, _count, """\
@@ -678,7 +692,7 @@ of the closed family"""),
 value true; every closed form has
 zero component along the named gammas""",
     ),
-    "not_definite": (_check_not_definite, _bool, """\
+    "not_definite": (_check_not_definite, lambda x, a, r: _dims(r, 7) and _bool(x), """\
 value true; an obstruction certificate excludes
 definite members of the closed family, for every
 enumeration entry"""),
@@ -700,7 +714,7 @@ enumeration entry"""),
         "value: the contracted form",
     ),
     "hitchin": (_check_hitchin, _hitchin_item, "value {lambda, k_squared_scalar}"),
-    "su3_flags": (_check_su3_flags, lambda x, a, r: _dims(r, 6, 7) and _flags(x), """\
+    "su3_flags": (_check_su3_flags, _su3_item, """\
 value: flag dict as rendered
 by the SU(3) report"""),
     "jacobi": (_check_jacobi, _full_source_item, 'value "valid" (full-algebra sources only)'),
@@ -829,10 +843,10 @@ def _algebra(values) -> HomogeneousSpaceData:
     return from_matrices(basis, names, context)
 
 
-def _parse(where: str, text: str, parse, *values):
-    """``parse(*values)``, with its WrongType and ValueError turned into a SchemaError."""
+def _parse(where: str, text: str, parse, *values, **options):
+    """``parse(*values, **options)``; its WrongType and ValueError become a SchemaError."""
     try:
-        return parse(*values)
+        return parse(*values, **options)
     except WrongType:
         raise SchemaError(f"{where}: invalid value; schema: {' '.join(text.split())}") from None
     except ValueError as exc:  # a string it cannot parse, or a case its check cannot run on
@@ -857,7 +871,7 @@ def validate_case_dict(doc: dict) -> CaseRecord:
         raise SchemaError(f"unknown field(s): {sorted(unknown)}")
     # the optional fields that the build reads, at their defaults
     values = dict(context=(), parameters={}, enumerations=[], gammas=[], gamma_symbols=[])
-    for name, sources, parse, text in _PARSE_ORDER:
+    for name, sources, parse, text in _FIELDS:
         allowed = sources in (SOURCES, ()) or values["source"] in sources
         if name not in doc:
             if sources and allowed:
@@ -879,8 +893,8 @@ def validate_case_dict(doc: dict) -> CaseRecord:
                            values["h_indices"], values["m_indices"])
     else:
         algebra = None
-        homog_sym = _parse(payload, "", homogeneous_from_partial, values["dimension"],
-                           *values["homogeneous"], values["basis_names"], context)
+        homog_sym = _parse(payload, "", HomogeneousSpaceData, values["dimension"],
+                           *values["homogeneous"], values["basis_names"], context, partial=True)
     dim_m = _dim_m(values)
     generic_form = combination(dim_m, 3, context, zip(values["gamma_symbols"], values["gammas"]))
     record = CaseRecord(

@@ -170,22 +170,17 @@ def _cmd_definite(args) -> int:
 
 
 def _cmd_su3(args) -> int:
+    from g2forms import catalog
     from g2forms.gstruct import su3_check
 
     record = _load_case_file(args.input)
-    data = record.homog_num()
-    if data.dim_m not in (6, 7):
-        raise _InputError("su3 needs a case with a 6- or 7-dimensional tangent model")
     omega = _load_form(args.omega, 6, 2, "su3 --omega")
     psi = _load_form(args.psi, 6, 3, "su3 --psi")
     try:
-        if data.dim_m == 7:
-            data = data.restrict([1, 2, 3, 4, 5, 6])
-        omega = omega.with_symbols(data.symbols)
-        psi = psi.with_symbols(data.symbols)
-    except ValueError as exc:  # e1..e6 not closed, or a symbol the case lacks
+        pair = catalog.su3_pair(record.homog_num(), omega, psi)
+    except ValueError as exc:  # no SU(3) data on the case, or a symbol the case lacks
         raise _InputError(f"su3 on {record.case_id}: {exc}") from exc
-    report = su3_check(data, omega, psi)
+    report = su3_check(*pair)
     if args.format == "json":
         _emit_json({"case": record.case_id, "flags": report.flags()})
     else:

@@ -15,7 +15,7 @@ multiply plain ints inside; ``AltForm._trusted`` reduces each result once
 (fraction-free, as in Bareiss, Math. Comp. 1968).  No form operation does
 PolyScalar arithmetic.
 
-Basis covectors are 1-indexed throughout, so ``basis_form(7, (1, 2, 7))``
+Basis covectors are 1-indexed throughout, so ``parse_form("e^{1 2 7}", 7)``
 is the form usually written ``e^{127}``.
 """
 
@@ -35,7 +35,6 @@ from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, _as_writte
 __all__ = [
     "AltForm",
     "ExteriorOp",
-    "basis_form",
     "combination",
     "contract",
     "form_to_vector",
@@ -147,7 +146,7 @@ class AltForm:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
         sorted_sign = sort_sign(indices)
         if sorted_sign is None:
-            return PolyScalar.zero(self.symbols)
+            return PolyScalar(self.symbols)
         key, sign = sorted_sign
         coeff = self.coefficient(key)
         return coeff if sign == 1 else -coeff
@@ -220,14 +219,10 @@ class AltForm:
         return f"AltForm({self.dim}, {self.degree}, {self.render()!r})"
 
 
-def basis_form(dim: int, indices: Sequence[int], symbols: Iterable[str] = ()) -> AltForm:
-    """The basis form e^{i_1 ... i_k} (indices in any order, sign applied)."""
-    symbols = tuple(symbols)
-    sorted_sign = sort_sign(indices)
-    if sorted_sign is None:
-        return AltForm(dim, len(indices), symbols)
-    key, sign = sorted_sign
-    return AltForm(dim, len(indices), symbols, {key: PolyScalar.constant(sign, symbols)})
+def _check_form(where: str, alpha) -> None:
+    """TypeError unless alpha is a form, in the words of the entry point ``where``."""
+    if not isinstance(alpha, AltForm):
+        raise TypeError(f"{where} takes a form, got {type(alpha).__name__}")
 
 
 def _lift(coeffs: Mapping) -> tuple[int, dict]:
@@ -279,8 +274,6 @@ def wedge(alpha: AltForm, beta: AltForm) -> AltForm:
         raise TypeError(f"wedge takes forms, got {type(alpha).__name__} and {type(beta).__name__}")
     alpha._check_compatible(beta)
     n, a, b = alpha.dim, alpha.degree, beta.degree
-    if a + b > n:
-        return AltForm._trusted(n, a + b, alpha.symbols, 1, {})
     rows, left = _products(n, a, b), _positions(n, a)
     right = {e2: [layer.get(j, 0) for j in _positions(n, b)] for e2, layer in beta.layers.items()}
     sums: dict[tuple, list] = {}  # exponents -> integer sums over the (a + b)-positions
@@ -299,6 +292,7 @@ def contract(index: int, alpha: AltForm) -> AltForm:
     Each monomial that contains index maps to the one monomial without it,
     with sign (-1)^position, and no two monomials share an image.
     """
+    _check_form("contract", alpha)
     if not isinstance(index, int) or isinstance(index, bool):
         raise TypeError(f"contraction index is an int, got {index!r}")
     if alpha.degree == 0:
@@ -335,6 +329,7 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     the indices still to place, whose first moves J to J + {c} through the
     (n, |J|, 1) product table.  Each sum is over alpha's den times D^degree.
     """
+    _check_form("pullback", alpha)
     n, k = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
@@ -384,7 +379,7 @@ def _products(n: int, a: int, b: int) -> list:
     """For each a-position p, the (q, t, sign) with e^p ^ e^q = sign * e^t over the b-positions q
     disjoint from p; the a- and b-subsets of each union t pair up as complements in it."""
     left, right = _positions(n, a), _positions(n, b)
-    rows, signs = [[] for _ in left], _complement_signs(a + b, a)
+    rows, signs = [[] for _ in left], _complement_signs(min(a + b, n), a)  # no union past n
     for t, union in enumerate(_positions(n, a + b)):
         for i, j, sign in zip(combinations(union, a), reversed([*combinations(union, b)]), signs):
             rows[left[i]].append((right[j], t, sign))

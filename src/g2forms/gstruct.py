@@ -35,12 +35,13 @@ from operator import add, mul
 from g2forms import _linalg
 from g2forms.exterior import (
     AltForm,
+    _check_form,
     _complement_signs,
     _lower,
     _positions,
     _products,
-    basis_form,
     monomials,
+    parse_form,
     pullback,
     top_coefficient,
     wedge,
@@ -72,6 +73,7 @@ def b_matrix(phi: AltForm) -> list:
     phi must be rational; the entries of a symbolic phi are read through
     :func:`b_entries`.
     """
+    _check_form("b_matrix", phi)
     if not phi.is_rational():
         raise ValueError(
             "b_matrix needs rational coefficients; read symbolic entries through b_entries"
@@ -187,8 +189,7 @@ def definiteness(phi: AltForm) -> DefinitenessReport:
     non-definite verdicts carry explicit witness vectors obtained from a
     symmetric congruence diagonalization of B.
     """
-    if not isinstance(phi, AltForm):
-        raise TypeError(f"definiteness takes a form, got {type(phi).__name__}")
+    _check_form("definiteness", phi)
     if not phi.is_rational():
         raise ValueError(
             "definiteness needs rational coefficients; "
@@ -261,6 +262,7 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
     definite.  With Q^{-1} = D*adj/det, the pullback is (D/det)^k times one along adj.
     Complements and their signs come from the tables of :mod:`g2forms.exterior`.
     """
+    _check_form("hodge_dual_up_to_scale", alpha)
     n, k = len(q), alpha.degree
     if alpha.dim != n:
         raise ValueError("form dimension does not match the metric")
@@ -308,6 +310,7 @@ class TorsionReport:
 
 def g2_torsion_report(data: HomogeneousSpaceData, phi: AltForm) -> TorsionReport:
     """Closed/coclosed verdicts of an invariant 3-form on the given space."""
+    _check_form("g2_torsion_report", phi)
     if phi.symbols != data.symbols:
         raise ValueError("form and homogeneous data must share one context")
     report = definiteness(phi)
@@ -361,6 +364,7 @@ class HitchinReport:
 def hitchin_stability(psi: AltForm) -> HitchinReport:
     """Hitchin's K endomorphism and lambda invariant (n = 6), on ints over psi's
     den^2 from the (6, 1, 2) and (6, 2, 3) product tables, divided once."""
+    _check_form("hitchin_stability", psi)
     if psi.dim != 6 or psi.degree != 3:
         raise ValueError("hitchin_stability expects a 3-form on a 6-dimensional space")
     if not psi.is_rational():
@@ -490,5 +494,4 @@ def product_g2(omega: AltForm, psi: AltForm) -> AltForm:
         raise ValueError("omega and psi must share one context")
     omega7 = AltForm._trusted(7, 2, omega.symbols, omega.den, omega.layers)
     psi7 = AltForm._trusted(7, 3, psi.symbols, psi.den, psi.layers)
-    e7 = basis_form(7, (7,), omega.symbols)
-    return wedge(omega7, e7) + psi7
+    return wedge(omega7, parse_form("e^{7}", 7, 1, omega.symbols)) + psi7

@@ -15,8 +15,7 @@ their realification, all in Q.
 
 :func:`reductive_split` turns a Lie algebra into the data of G/H for a
 split g = h + m.  Cases where only that projected data is known (no full
-algebra) enter through :func:`homogeneous_from_partial` and are flagged
-``partial``.
+algebra) enter as ``HomogeneousSpaceData(..., partial=True)``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "LieStructureError",
     "MatrixBasis",
     "from_matrices",
-    "homogeneous_from_partial",
     "jacobi_check",
     "reductive_split",
 ]
@@ -288,13 +286,9 @@ class HomogeneousSpaceData:
         A generator acts on covectors by the coadjoint action,
         A . e^r = -sum_c a_{rc} e^c.
         """
-        def build(mat):
-            image: dict[int, list] = {}
-            for (r, c), a in mat.items():
-                image.setdefault(r, []).append(((c,), -a))
-            return ExteriorOp(self.dim_m, degree, 0, self.symbols, image)
-
-        return self.cached(("derivations", degree), lambda: tuple(map(build, self.isotropy)), True)
+        return self.cached(("derivations", degree), lambda: tuple(
+            self._covector_op(degree, 0, ((r, (c,), a) for (r, c), a in mat.items()))
+            for mat in self.isotropy), True)
 
     def differential(self, degree: int) -> ExteriorOp:
         """The coset differential on degree-forms, from the projected bracket:
@@ -307,14 +301,18 @@ class HomogeneousSpaceData:
         algebra; otherwise it is the exterior derivative only on
         ad(h)-invariant forms.
         """
-        def build():
-            image: dict[int, list] = {}
-            for pair, comps in self.bracket.items():
-                for r, c in comps.items():
-                    image.setdefault(r, []).append((pair, -c))
-            return ExteriorOp(self.dim_m, degree, 1, self.symbols, image)
+        return self.cached(("differential", degree), lambda: self._covector_op(
+            degree, 1, ((r, pair, c) for pair, comps in self.bracket.items()
+                        for r, c in comps.items())))
 
-        return self.cached(("differential", degree), build)
+    def _covector_op(self, degree: int, shift: int, terms) -> ExteriorOp:
+        """The derivation on degree-forms, raising degrees by ``shift``, with
+        e^r -> -sum of c e^key over the (r, key, c) in ``terms``: the one place
+        where the coadjoint action and d negate their table entries."""
+        image: dict[int, list] = {}
+        for r, key, c in terms:
+            image.setdefault(r, []).append((key, -c))
+        return ExteriorOp(self.dim_m, degree, shift, self.symbols, image)
 
     def _map(self, symbols: tuple, f) -> "HomogeneousSpaceData":
         """The data with ``f`` applied to every stored scalar, in context ``symbols``."""
@@ -415,19 +413,3 @@ def reductive_split(
     return HomogeneousSpaceData(
         len(m_pos), isotropy, _project(data.bracket, m_pos), names, data.symbols, data.partial
     )
-
-
-def homogeneous_from_partial(
-    dim_m: int,
-    isotropy: Sequence[Mapping[tuple, PolyScalar]],
-    bracket: Mapping[tuple, Mapping[int, PolyScalar]],
-    names: Sequence[str] | None = None,
-    symbols: Iterable[str] = (),
-) -> HomogeneousSpaceData:
-    """Wrap explicitly given ad(h)|_m tables and a projected bracket.
-
-    Antisymmetry of the supplied bracket is validated; nothing else can be
-    (there is no full algebra), so the result is flagged ``partial`` and
-    d o d = 0 is not guaranteed by construction.
-    """
-    return HomogeneousSpaceData(dim_m, isotropy, bracket, names, symbols, partial=True)

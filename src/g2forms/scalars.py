@@ -29,13 +29,10 @@ from typing import Iterable, Mapping
 __all__ = [
     "ContextMismatchError",
     "PolyScalar",
-    "Rational",
     "check_context",
     "parse_rational",
     "signed_terms",
 ]
-
-Rational = Fraction
 
 
 class ContextMismatchError(ValueError):
@@ -101,7 +98,9 @@ class PolyScalar:
         clean: dict[tuple, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
-                expo = tuple(int(e) for e in expo)
+                if not all(type(e) is int for e in expo):
+                    raise TypeError(f"exponents are ints, got {expo!r}")
+                expo = tuple(expo)
                 if len(expo) != nsym:
                     raise ValueError(
                         f"exponent vector {expo} does not match context of {nsym} symbols"
@@ -130,22 +129,7 @@ class PolyScalar:
     @classmethod
     def constant(cls, value, symbols: Iterable[str] = ()) -> "PolyScalar":
         symbols = tuple(symbols)
-        value = _exact(value)
-        if not value:
-            return cls(symbols)
         return cls(symbols, {(0,) * len(symbols): value})
-
-    @classmethod
-    def zero(cls, symbols: Iterable[str] = ()) -> "PolyScalar":
-        return cls(symbols)
-
-    @classmethod
-    def symbol(cls, name: str, symbols: Iterable[str]) -> "PolyScalar":
-        symbols = tuple(symbols)
-        if name not in symbols:
-            raise ValueError(f"symbol {name!r} is not in context {symbols}")
-        expo = tuple(1 if s == name else 0 for s in symbols)
-        return cls(symbols, {expo: Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 

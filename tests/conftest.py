@@ -195,7 +195,7 @@ def evaluate(alpha: AltForm, vectors) -> PolyScalar:
             raise ContextMismatchError("vector context does not match form")
     if alpha.degree == 0:
         return alpha.coefficient(())
-    total = PolyScalar.zero(alpha.symbols)
+    total = PolyScalar(alpha.symbols)
     for idx, coeff in alpha.coeffs.items():
         rows = [[v[i - 1] for v in vectors] for i in idx]
         total = total + poly_mul(coeff, _poly_det(rows))
@@ -207,7 +207,7 @@ def _poly_det(rows: list) -> PolyScalar:
     if n == 1:
         return rows[0][0]
     symbols = rows[0][0].symbols
-    total = PolyScalar.zero(symbols)
+    total = PolyScalar(symbols)
     for c in range(n):
         entry = rows[0][c]
         if entry.is_zero():
@@ -242,7 +242,7 @@ def wedge_b_matrix(phi: AltForm) -> list:
     is taken term by term by :func:`poly_mul`, signed by the inversions of its
     index sequence, so no engine product is involved."""
     iotas = [contract(i, phi).coeffs for i in range(1, 8)]
-    zero = PolyScalar.zero(phi.symbols)
+    zero = PolyScalar(phi.symbols)
     gram = []
     for a in iotas:
         row = []
@@ -301,7 +301,7 @@ def hodge_dual_by_minors(q: list, alpha: AltForm) -> AltForm:
     qinv = fraction_inverse(q)
     coeffs = {}
     for upper in monomials(n, k):
-        raised = PolyScalar.zero(alpha.symbols)
+        raised = PolyScalar(alpha.symbols)
         for lower, coeff in alpha.coeffs.items():
             d = fraction_det([[qinv[i - 1][l - 1] for l in lower] for i in upper])
             if d:
@@ -417,7 +417,7 @@ def evaluate_by_permutations(alpha: AltForm, vectors) -> PolyScalar:
         raise ValueError(f"expected {alpha.degree} vectors, got {len(vectors)}")
     if alpha.degree == 0:
         return alpha.coefficient(())
-    total = PolyScalar.zero(alpha.symbols)
+    total = PolyScalar(alpha.symbols)
     k = alpha.degree
     for idx, coeff in alpha.coeffs.items():
         for perm in permutations(range(k)):
@@ -469,7 +469,7 @@ def dense_ce_differential(data, alpha: AltForm) -> AltForm:
     n, k = data.dim_m, alpha.degree
     coeffs = {}
     for jtuple in combinations(range(1, n + 1), k + 1):
-        total = PolyScalar.zero(data.symbols)
+        total = PolyScalar(data.symbols)
         for p, q in combinations(range(k + 1), 2):
             rest = jtuple[:p] + jtuple[p + 1 : q] + jtuple[q + 1 :]
             for r, c in data.bracket.get((jtuple[p], jtuple[q]), {}).items():
@@ -602,9 +602,9 @@ def from_matrices_by_span_solve(basis, names=None, symbols=()):
 
 def dense_components(comps, n: int) -> list:
     """The n components of a sparse bracket entry ``{r: c}``, zeros filled in."""
-    return [comps.get(r, PolyScalar.zero()) for r in range(1, n + 1)]
+    return [comps.get(r, PolyScalar(())) for r in range(1, n + 1)]
 
 
 def dense_matrix(mat, n: int) -> list:
     """The n x n matrix of a sparse isotropy table ``{(r, c): a}``, zeros filled in."""
-    return [[mat.get((r, c), PolyScalar.zero()) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    return [[mat.get((r, c), PolyScalar(())) for c in range(1, n + 1)] for r in range(1, n + 1)]

@@ -60,7 +60,7 @@ def canonical_form(alpha: AltForm) -> None:
 
 @given(polys(), polys(), polys())
 def test_poly_operations_are_canonical_and_obey_ring_laws(p, q, r):
-    zero = PolyScalar.zero(CTX)
+    zero = PolyScalar(CTX)
     for result in (p + q, p + -q, -p, p + -p, p + zero):
         canonical_poly(result)
     assert (p + q) + r == p + (q + r) and p + q == q + p
@@ -207,7 +207,7 @@ def test_symbolic_routes_to_one_form_give_one_layout(alpha, beta, p, i):
 
 @given(forms(2, ()), forms(2, ()))
 def test_combination_is_the_symbolic_sum(gamma, delta):
-    s, t = PolyScalar.symbol("s", CTX), PolyScalar.symbol("t", CTX)
+    s, t = PolyScalar.parse("s", CTX), PolyScalar.parse("t", CTX)
     g, d = gamma.with_symbols(CTX), delta.with_symbols(CTX)
     keys = set(gamma.coeffs) | set(delta.coeffs)
     same_layout([

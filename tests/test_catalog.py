@@ -202,9 +202,9 @@ def test_load_case_roundtrip(tmp_path):
 @pytest.mark.parametrize(
     "case_id, built",
     [
-        ("T1.n3", ["jacobi_check", "reductive_split"]),
-        ("product.flat", ["jacobi_check", "reductive_split"]),
-        ("T2.n1", ["homogeneous_from_partial"]),
+        ("T1.n3", ["HomogeneousSpaceData", "jacobi_check", "reductive_split"]),
+        ("product.flat", ["HomogeneousSpaceData", "jacobi_check", "reductive_split"]),
+        ("T2.n1", ["HomogeneousSpaceData"]),
     ],
 )
 def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
@@ -212,13 +212,14 @@ def test_verification_reuses_what_loading_built(monkeypatch, case_id, built):
     from g2forms import catalog
 
     calls = []
-    for name in ("jacobi_check", "reductive_split", "homogeneous_from_partial"):
+    for name in ("jacobi_check", "reductive_split", "HomogeneousSpaceData"):
 
         def counting(*args, _name=name, _original=getattr(liealg, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(liealg, name, counting)
+        if name != "HomogeneousSpaceData":  # liealg builds its derived data by the class
+            monkeypatch.setattr(liealg, name, counting)
         monkeypatch.setattr(catalog, name, counting)
     assert verify_case(load_bundled(case_id)).ok
     assert sorted(calls) == built  # once each, at load time
@@ -233,10 +234,10 @@ def test_verification_builds_nothing(monkeypatch, case_id):
     def refuse(*args, **kwargs):
         raise AssertionError("built case data after loading")
 
-    builders = ("from_matrices", "reductive_split", "jacobi_check", "homogeneous_from_partial")
     for module in (catalog, liealg):
-        for name in builders:
+        for name in ("from_matrices", "reductive_split", "jacobi_check"):
             monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(catalog, "HomogeneousSpaceData", refuse)  # structure constants, partial data
     assert verify_case(record).ok  # every source was built when the case loaded
 
 

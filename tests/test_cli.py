@@ -10,7 +10,8 @@ import pytest
 import g2forms
 from g2forms.catalog import _FIELDS, SchemaError, validate_case_dict
 from g2forms.cli import main
-from g2forms.exterior import basis_form, parse_form
+from g2forms.exterior import AltForm, parse_form
+from g2forms.scalars import PolyScalar
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
 # `python -m g2forms verify --all --format json` without the "seconds" of each case
@@ -201,7 +202,11 @@ def _case_document(base):
         "basis_names": ["e1", "e2"],
         "expected": [],
     }
-    if base == "partial":
+    if base == "six":  # flat partial data on R^6 with one gamma
+        doc.update(dimension=6, basis_names=[f"e{i}" for i in range(1, 7)], context=["a"],
+                   gammas=["e^{1 3 5}"], gamma_symbols=["a"], source="partial-homogeneous",
+                   homogeneous={"isotropy_action": [], "projected_bracket": []})
+    elif base == "partial":
         doc["source"] = "partial-homogeneous"
         doc["homogeneous"] = {
             "isotropy_action": [[["0", "1"], ["-1", "0"]]],
@@ -276,6 +281,12 @@ def _item(check, args, value):
         ("T1.n1", ("enumerations",), [{"a1": "+3"}]),
         ("T1.n1", ("expected", 1), _item("b_matrix_scalar", {"form": "0"}, "0")),
         ("matrix", ("matrices", 1), [["2", "0"], ["0", "0"]]),
+        # each loaded before, and its check then raised on the case
+        ("six", ("expected",), [_item("b_entry", {"i": 1, "j": 1}, "0")]),
+        ("six", ("expected",), [_item("not_definite", {}, True)]),
+        ("T1.n1", ("expected", 1), _item(
+            "su3_flags", {"omega": "e^{1 2}", "psi": "e^{1 3 5}"}, {"stable": True}
+        )),
     ],
     ids=[
         "isotropy-entry-not-a-list",
@@ -319,6 +330,9 @@ def _item(check, args, value):
         "plus-signed-enumeration-value",
         "zero-form-arg",
         "proportional-matrices",
+        "b-entry-off-dimension-7",
+        "not-definite-off-dimension-7",
+        "su3-flags-on-e1-e6-not-closed",
     ],
 )
 def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
@@ -336,7 +350,7 @@ def test_malformed_case_document_exits_two(tmp_path, capsys, base, path, value):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("base", ["T1.n1", "partial", "constants", "matrix"])
+@pytest.mark.parametrize("base", ["T1.n1", "partial", "constants", "matrix", "six"])
 def test_unmutated_case_document_exits_zero(tmp_path, base):
     # each malformed document above differs from its base only where it is broken
     case = tmp_path / "case.json"
@@ -490,7 +504,8 @@ def test_degree_zero_json_basis_parses_back(capsys, command):
     assert main([*command, "--input", case, "--format", "json"]) == 0
     basis = json.loads(capsys.readouterr().out)["basis"]
     assert basis == ["e^{}"]
-    assert [parse_form(text, 7, 0) for text in basis] == [basis_form(7, ())]
+    assert [parse_form(text, 7, 0) for text in basis] == [
+        AltForm(7, 0, (), {(): PolyScalar.constant(1)})]
 
 
 @pytest.mark.parametrize("base, degree, expected", [

@@ -105,7 +105,7 @@ def test_b_matrix_symbolic_entry_case_n3():
         "e^{4 5 6}",
     ]
     for name, text in zip(syms, gammas):
-        phi = phi + parse_form(text, 7, 3, syms).scale(PolyScalar.symbol(name, syms))
+        phi = phi + parse_form(text, 7, 3, syms).scale(PolyScalar.parse(name, syms))
     entries = b_entries(phi, ALL_PAIRS)
     assert entries[7, 7].render() == "-6*a4^3"
     oracle = wedge_b_matrix(phi)
@@ -118,7 +118,7 @@ def test_b_matrix_of_zero_form_is_zero():
 
 
 def test_b_matrix_rejects_symbolic_form():
-    phi = parse_form("e^{1 2 3}", 7, 3, ("t",)).scale(PolyScalar.symbol("t", ("t",)))
+    phi = parse_form("e^{1 2 3}", 7, 3, ("t",)).scale(PolyScalar.parse("t", ("t",)))
     with pytest.raises(ValueError, match="b_entries"):
         b_matrix(phi)
     assert b_entries(phi, [(4, 4)])[4, 4].is_zero()
@@ -164,7 +164,7 @@ def test_form_kernels_do_no_polyscalar_arithmetic(monkeypatch):
     # forms and gives what it gave before; PolyScalar has no product at all
     rng = random.Random("lifted-kernels")
     syms = ("a", "b")
-    a = PolyScalar.symbol("a", syms)
+    a = PolyScalar.parse("a", syms)
     rational = random_form(rng, 7, 3, density=0.6)
     symbolic = two_symbol_form(rng, 7, 3, 0.4)
     poly_image = {r: [((c,), poly_mul(a, random_rational(rng)) + PolyScalar.constant(1, syms))]
@@ -226,7 +226,7 @@ def _congruence_violations(phi, p):
     violations = []
     for i in range(7):
         for j in range(7):
-            expected = PolyScalar.zero(phi.symbols)
+            expected = PolyScalar(phi.symbols)
             for r in range(7):
                 for s in range(7):
                     factor = det_p * p[r][i] * p[s][j]
@@ -290,7 +290,7 @@ def test_definiteness_of_branch_c_member():
 
 
 def test_definiteness_requires_rational_input():
-    sym = parse_form("e^{1 2 3}", 7, 3, ("t",)).scale(PolyScalar.symbol("t", ("t",)))
+    sym = parse_form("e^{1 2 3}", 7, 3, ("t",)).scale(PolyScalar.parse("t", ("t",)))
     with pytest.raises(ValueError, match="obstruction_certificate"):
         definiteness(sym)
 
@@ -373,7 +373,7 @@ def scaled_family(phi):
         degree=3,
         parameters=("t",),
         basis=[phi],
-        generic=phi.with_symbols(("t",)).scale(PolyScalar.symbol("t", ("t",))),
+        generic=phi.with_symbols(("t",)).scale(PolyScalar.parse("t", ("t",))),
         invariant_dim=35,
         rank=0,
     )
@@ -742,8 +742,16 @@ def _metric(entry):
     (definiteness, (PHI0,), "definiteness takes a form, got str"),
     (hodge_dual_up_to_scale, (_metric(1.0), phi0()), "metric entries must be ints or Fractions"),
     (hodge_dual_up_to_scale, (_metric("1"), phi0()), "metric entries must be ints or Fractions"),
+    (pullback, (1, _metric(1)), "pullback takes a form, got int"),
+    (contract, (1, 1), "contract takes a form, got int"),
+    (b_matrix, (1,), "b_matrix takes a form, got int"),
+    (hitchin_stability, (1,), "hitchin_stability takes a form, got int"),
+    (hodge_dual_up_to_scale, (_metric(1), 1), "hodge_dual_up_to_scale takes a form, got int"),
+    (g2_torsion_report, (HomogeneousSpaceData(7, [], {}), 1),
+     "g2_torsion_report takes a form, got int"),
 ], ids=["wedge-form-int", "wedge-int-form", "wedge-form-str", "definiteness-int",
-        "definiteness-str", "hodge-float-metric", "hodge-str-metric"])
+        "definiteness-str", "hodge-float-metric", "hodge-str-metric", "pullback-int",
+        "contract-int", "b-matrix-int", "hitchin-int", "hodge-int", "torsion-int"])
 def test_entry_points_refuse_a_non_form_and_an_inexact_metric(call, args, match):
     # each raised AttributeError from inside before it was guarded
     with pytest.raises(TypeError, match=match):

@@ -30,7 +30,6 @@ from g2forms.liealg import (
     HomogeneousSpaceData,
     MatrixBasis,
     from_matrices,
-    homogeneous_from_partial,
     jacobi_check,
     reductive_split,
 )
@@ -55,7 +54,7 @@ def generic_form(gamma_texts, symbols, dim=7):
     phi = AltForm(dim, 3, symbols)
     for name, text in zip(symbols, gamma_texts):
         phi = phi + parse_form(text, dim, 3, symbols).scale(
-            PolyScalar.symbol(name, symbols)
+            PolyScalar.parse(name, symbols)
         )
     return phi
 
@@ -86,8 +85,8 @@ def test_invariant_basis_is_annihilated_by_isotropy():
 
 def test_parametric_isotropy_requires_instantiation():
     ctx = ("t",)
-    entry = PolyScalar.symbol("t", ctx)
-    data = homogeneous_from_partial(2, [{(1, 1): entry, (2, 2): entry}], {}, symbols=ctx)
+    entry = PolyScalar.parse("t", ctx)
+    data = HomogeneousSpaceData(2, [{(1, 1): entry, (2, 2): entry}], {}, symbols=ctx, partial=True)
     with pytest.raises(ValueError, match="instantiate"):
         invariant_forms(data, 1)
     assert invariant_forms(data.instantiate({"t": Fraction(1)}), 1).dim == 0
@@ -182,7 +181,7 @@ def test_ce_differential_vanishes_on_abelian_data():
 def test_ce_differential_is_linear_over_scalars():
     rng = random.Random(12)
     data = sl3r_data(("c",))
-    c = PolyScalar.symbol("c", ("c",))
+    c = PolyScalar.parse("c", ("c",))
     for _ in range(10):
         alpha = random_form(rng, 7, 3, ("c",))
         beta = random_form(rng, 7, 3, ("c",))
@@ -270,7 +269,7 @@ def test_d_squared_check_refuses_partial_data():
         key: {r: PolyScalar.constant(x) for r, x in enumerate(vec, 1)}
         for key, vec in payload["bracket"].items()
     }
-    data = homogeneous_from_partial(7, iso, bracket)
+    data = HomogeneousSpaceData(7, iso, bracket, partial=True)
     with pytest.raises(PartialDataError):
         d_squared_check(data, 3)
 
@@ -453,10 +452,11 @@ def test_instantiations_with_equal_isotropy_share_one_invariant_solve():
 
 def test_isotropy_memo_is_keyed_by_context_and_tables():
     ctx = ("s", "t")
-    s, t = (PolyScalar.symbol(name, ctx) for name in ctx)
+    s, t = (PolyScalar.parse(name, ctx) for name in ctx)
     one = PolyScalar.constant(1, ctx)
     bracket = {(1, 2): {3: s}, (1, 3): {2: t}}
-    rational = homogeneous_from_partial(3, [{(1, 2): one, (2, 1): -one}], bracket, symbols=ctx)
+    rational = HomogeneousSpaceData(3, [{(1, 2): one, (2, 1): -one}], bracket, symbols=ctx,
+                                    partial=True)
     at_s, at_t = rational.instantiate({"s": Fraction(1)}), rational.instantiate({"t": Fraction(1)})
     for k in range(4):
         # equal rational tables, but different reduced contexts
@@ -464,7 +464,8 @@ def test_isotropy_memo_is_keyed_by_context_and_tables():
         assert space_s is not space_t
         assert all(g.symbols == ("t",) for g in space_s.basis)
         assert all(g.symbols == ("s",) for g in space_t.basis)
-    varying = homogeneous_from_partial(3, [{(1, 2): t, (2, 1): -t}], bracket, symbols=ctx)
+    varying = HomogeneousSpaceData(3, [{(1, 2): t, (2, 1): -t}], bracket, symbols=ctx,
+                                   partial=True)
     zero, unit = ({"s": Fraction(1), "t": Fraction(v)} for v in (0, 1))
     assert invariant_forms(varying.instantiate(zero), 2) is not invariant_forms(
         varying.instantiate(unit), 2

@@ -21,7 +21,6 @@ from g2forms.liealg import (
     LieStructureError,
     MatrixBasis,
     from_matrices,
-    homogeneous_from_partial,
     jacobi_check,
     reductive_split,
 )
@@ -179,7 +178,7 @@ def random_bracket_table(rng, n, symbols, density):
                 if rng.random() < density:
                     comps[r] = C(random_rational(rng, 3), symbols)
                     if symbols and rng.random() < 0.5:
-                        symbol = PolyScalar.symbol(rng.choice(symbols), symbols)
+                        symbol = PolyScalar.parse(rng.choice(symbols), symbols)
                         comps[r] = poly_mul(comps[r], symbol)
             table[(i, j)] = comps
     return table
@@ -201,7 +200,7 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
     assert 40 <= violating <= 120  # both outcomes well represented
     # valid parametric tables: a Lie bracket scaled by a symbol stays one
     sl3r = from_matrices(MatrixBasis(models.sl3r_matrices()))
-    scale = PolyScalar.symbol("a", ("a",)) + C(1, ("a",))
+    scale = PolyScalar.parse("a", ("a",)) + C(1, ("a",))
     scaled = HomogeneousSpaceData(sl3r.dim_m, [], {
         key: {r: poly_mul(c.with_symbols(("a",)), scale) for r, c in comps.items()}
         for key, comps in sl3r.bracket.items()
@@ -303,17 +302,17 @@ def test_reductive_split_validates_subalgebra_and_reductivity():
 
 
 def test_partial_data_antisymmetry_validation():
-    good = homogeneous_from_partial(
-        2, [], {(1, 2): {1: C(0), 2: C(1)}}
+    good = HomogeneousSpaceData(
+        2, [], {(1, 2): {1: C(0), 2: C(1)}}, partial=True
     )
     assert good.partial
     assert [c.constant_value() for c in dense_components(good.bracket[(1, 2)], 2)] == [0, 1]
     # a lone (2,1) entry is accepted and normalized
-    flipped = homogeneous_from_partial(2, [], {(2, 1): {1: C(0), 2: C(1)}})
+    flipped = HomogeneousSpaceData(2, [], {(2, 1): {1: C(0), 2: C(1)}}, partial=True)
     assert [c.constant_value() for c in dense_components(flipped.bracket[(1, 2)], 2)] == [0, -1]
     with pytest.raises(LieStructureError, match="antisymmetric"):
-        homogeneous_from_partial(
-            2, [], {(1, 2): {1: C(0), 2: C(1)}, (2, 1): {1: C(0), 2: C(1)}}
+        HomogeneousSpaceData(
+            2, [], {(1, 2): {1: C(0), 2: C(1)}, (2, 1): {1: C(0), 2: C(1)}}, partial=True
         )
 
 
@@ -337,25 +336,26 @@ def test_constructor_validates_sparse_tables():
 
 
 def test_empty_bracket_accepted():
-    data = homogeneous_from_partial(3, [], {})
+    data = HomogeneousSpaceData(3, [], {}, partial=True)
     assert data.partial and not data.bracket
 
 
 def test_instantiate_substitutes_everywhere():
     ctx = ("b",)
-    bracket = {(1, 2): {1: PolyScalar.parse("3*b", ctx), 2: PolyScalar.zero(ctx)}}
-    data = homogeneous_from_partial(2, [], bracket, symbols=ctx)
+    bracket = {(1, 2): {1: PolyScalar.parse("3*b", ctx), 2: PolyScalar(ctx)}}
+    data = HomogeneousSpaceData(2, [], bracket, symbols=ctx, partial=True)
     numeric = data.instantiate({"b": Fraction(2)})
     assert numeric.symbols == ()
     assert dense_components(numeric.bracket[(1, 2)], 2)[0].constant_value() == 6
     # a component that vanishes at the assignment is dropped, and a pair
     # with nothing left is dropped with it
     vanishing = PolyScalar.parse("b - 2", ctx)
-    data = homogeneous_from_partial(
+    data = HomogeneousSpaceData(
         3,
         [{(1, 2): vanishing, (2, 1): PolyScalar.parse("b", ctx)}],
         {(1, 2): {1: PolyScalar.parse("3*b", ctx), 3: vanishing}, (1, 3): {2: vanishing}},
         symbols=ctx,
+        partial=True,
     )
     numeric = data.instantiate({"b": Fraction(2)})
     assert numeric.bracket == {(1, 2): {1: C(6)}}
@@ -377,12 +377,12 @@ def test_instantiate_substitutes_everywhere():
 
 def test_restrict_checks_closure():
     bracket = {(1, 2): {3: C(1)}}
-    data = homogeneous_from_partial(3, [], bracket)
+    data = HomogeneousSpaceData(3, [], bracket, partial=True)
     sub = data.restrict([1, 3])
     assert sub.dim_m == 2
     with pytest.raises(LieStructureError, match="leaves"):
         data.restrict([1, 2])
-    rotation = homogeneous_from_partial(2, [{(1, 2): C(1), (2, 1): C(-1)}], {})
+    rotation = HomogeneousSpaceData(2, [{(1, 2): C(1), (2, 1): C(-1)}], {}, partial=True)
     with pytest.raises(LieStructureError, match="isotropy action does not preserve"):
         rotation.restrict([1])
 
@@ -397,7 +397,7 @@ def test_restrict_checks_closure():
     ([3, 1, 3], "repeat"),
 ])
 def test_restrict_rejects_bad_indices(indices, match):
-    data = homogeneous_from_partial(3, [], {(1, 2): {3: C(1)}})
+    data = HomogeneousSpaceData(3, [], {(1, 2): {3: C(1)}}, partial=True)
     with pytest.raises(LieStructureError, match=match):
         data.restrict(indices)
 
@@ -415,7 +415,7 @@ def test_reductive_split_rejects_data_with_isotropy():
     with pytest.raises(LieStructureError, match="has isotropy"):
         reductive_split(data, [], [1, 2, 3, 4, 5, 6, 7])
     # the split keeps the partial flag of the data it splits
-    partial = homogeneous_from_partial(3, [], {(1, 2): {3: C(1)}})
+    partial = HomogeneousSpaceData(3, [], {(1, 2): {3: C(1)}}, partial=True)
     assert reductive_split(partial, [], [1, 2, 3]).partial
 
 

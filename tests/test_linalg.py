@@ -166,7 +166,7 @@ def test_ragged_input_raises(name, args, match):
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
-def test_span_contains_agrees_with_the_rank_formula(seed):
+def test_rank_of_stacked_rows_agrees_with_sympy(seed):
     # span(small) lies in span(big) when stacking small adds no rank, as the
     # catalog's closed_subset_of reads it: rank agrees with sympy on the stacks.
     # big: the seeded cases (dependent, zero, int and mixed rows) and no rows;

@@ -15,7 +15,7 @@ def P(text, symbols=CTX):
 
 
 def test_additive_inverse_cancels():
-    a3 = PolyScalar.symbol("a3", CTX)
+    a3 = PolyScalar.parse("a3", CTX)
     assert (a3 + (-a3)).is_zero()
 
 
@@ -194,7 +194,7 @@ def test_zero_test_agrees_with_random_evaluation():
 
 
 def test_power_and_scale():
-    x = PolyScalar.symbol("x", ("x",))
+    x = PolyScalar.parse("x", ("x",))
     assert poly_mul(x, x, x).render() == "x^3"
     assert poly_mul(x, Fraction(-2)).render() == "-2*x"
     for value in (Fraction(-3, 2), Fraction(5)):  # against evaluation
@@ -224,7 +224,7 @@ def test_public_constructor_rejects_malformed_input():
 @pytest.mark.parametrize("build", [
     lambda value: PolyScalar((), {(): value}),
     PolyScalar.constant,
-    lambda value: PolyScalar.symbol("b", ("b",)).substitute({"b": value}),
+    lambda value: PolyScalar.parse("b", ("b",)).substitute({"b": value}),
 ], ids=["constructor", "constant", "substitute"])
 def test_scalar_values_are_ints_or_fractions(build):
     # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
