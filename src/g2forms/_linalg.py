@@ -4,7 +4,8 @@ Internal helper module: ranks, RREF rows, nullspaces, solves, determinants
 and symmetric congruence diagonalization, all over Q with no rounding.  A
 returned matrix holds Fractions, never ints (a quotient of two ints is a
 float), but the kernels compute on ints inside: a gcd per Fraction
-operation dominated their cost.
+operation dominated their cost.  The lift to ints refuses any entry but an
+int or a Fraction with TypeError, in :func:`_denominator_lcm` alone.
 
 :func:`_echelon`, one fraction-free Gauss-Jordan, scales each row to ints
 by the lcm of its denominators (int rows, as ``invariants`` stacks them,
@@ -43,9 +44,17 @@ def transpose(mat: Matrix) -> Matrix:
     return [list(col) for col in zip(*mat)] if mat else []
 
 
+def _denominator_lcm(mat: Matrix) -> int:
+    """The lcm of mat's denominators; TypeError unless each entry is an int or a Fraction."""
+    try:
+        return lcm(*(x.denominator for row in mat for x in row))
+    except AttributeError:
+        raise TypeError("matrix entries must be ints or Fractions") from None
+
+
 def _integer_row(row) -> tuple[list[int], int]:
     """(ints, den) with row == ints / den, den the lcm of the denominators."""
-    den = lcm(*(x.denominator for x in row))
+    den = _denominator_lcm((row,))
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
@@ -170,9 +179,11 @@ def leading_principal_minors(mat: Matrix) -> list[Fraction]:
 
 def _augmented(mat: Matrix, with_identity: bool) -> tuple[int, list[list[int]]]:
     """(D, the rows of [D*mat | I], or of D*mat alone), D the lcm of mat's denominators."""
-    den, n = lcm(*(x.denominator for row in mat for x in row)), len(mat)
-    return den, [[x.numerator * (den // x.denominator) for x in row]
-                 + [int(i == j) for j in range(n) if with_identity] for i, row in enumerate(mat)]
+    den, n = _denominator_lcm(mat), len(mat)
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+    for i, row in enumerate(rows if with_identity else ()):
+        row += [int(i == j) for j in range(n)]
+    return den, rows
 
 
 def _bareiss(mat: Matrix, exchange: bool, jordan: bool = False) -> tuple:

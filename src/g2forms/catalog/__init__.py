@@ -43,13 +43,7 @@ from g2forms.gstruct import (
     su3_check,
 )
 from g2forms.invariants import ce_differential, closed_forms, d_squared_check, invariant_forms
-from g2forms.liealg import (
-    HomogeneousSpaceData,
-    MatrixBasis,
-    from_matrices,
-    jacobi_check,
-    reductive_split,
-)
+from g2forms.liealg import HomogeneousSpaceData, from_matrices, jacobi_check, reductive_split
 from g2forms.scalars import PolyScalar, check_context, parse_rational
 
 __all__ = [
@@ -832,15 +826,12 @@ class CaseRecord:
 
 
 def _algebra(values) -> HomogeneousSpaceData:
-    """The full Lie algebra of the case; complex matrices are solved on their (re, im) parts."""
+    """The full Lie algebra of the case, from its structure constants or its matrices."""
     names, context = values["basis_names"], values["context"]
     if values["source"] == "structure-constants":
         constants = values["structure_constants"]
         return HomogeneousSpaceData(values["dimension"], [], constants, names, context)
-    mats = values["matrices"]
-    complex_entries = any(isinstance(x, list) for m in mats for row in m for x in row)
-    basis = MatrixBasis.from_complex(mats) if complex_entries else MatrixBasis(mats)
-    return from_matrices(basis, names, context)
+    return from_matrices(values["matrices"], names, context)
 
 
 def _parse(where: str, text: str, parse, *values, **options):

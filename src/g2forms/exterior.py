@@ -16,7 +16,8 @@ multiply plain ints inside; ``AltForm._trusted`` reduces each result once
 PolyScalar arithmetic.
 
 Basis covectors are 1-indexed throughout, so ``parse_form("e^{1 2 7}", 7)``
-is the form usually written ``e^{127}``.
+is the form usually written ``e^{127}``.  Its text is a signed sum, as a
+polynomial's is: ``scalars.signed_sum`` writes both and ``signed_terms`` reads them.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
+from g2forms import _linalg
 from g2forms.scalars import (_ZERO, ContextMismatchError, PolyScalar, _as_written, check_context,
-                             parse_rational, signed_terms)
+                             parse_rational, signed_sum, signed_terms)
 
 __all__ = [
     "AltForm",
@@ -219,10 +221,11 @@ class AltForm:
         return f"AltForm({self.dim}, {self.degree}, {self.render()!r})"
 
 
-def _check_form(where: str, alpha) -> None:
-    """TypeError unless alpha is a form, in the words of the entry point ``where``."""
-    if not isinstance(alpha, AltForm):
-        raise TypeError(f"{where} takes a form, got {type(alpha).__name__}")
+def _check_form(where: str, *alphas) -> None:
+    """TypeError unless each alpha is a form, in the words of the entry point ``where``."""
+    for alpha in alphas:
+        if not isinstance(alpha, AltForm):
+            raise TypeError(f"{where} takes a form, got {type(alpha).__name__}")
 
 
 def _lift(coeffs: Mapping) -> tuple[int, dict]:
@@ -253,6 +256,7 @@ def combination(dim: int, degree: int, symbols: Iterable[str], pairs: Iterable) 
     context symbols, each member a rational degree-form on the dim-space:
     its layer moves to its name's exponent vector, all added in one pass."""
     symbols, pairs, sums = check_context(symbols), list(pairs), {}
+    _check_form("combination", *(member for _, member in pairs))
     den = lcm(*(member.den for _, member in pairs))
     for name, member in pairs:
         if (member.dim, member.degree) != (dim, degree) or not member.is_rational():
@@ -311,6 +315,7 @@ def contract(index: int, alpha: AltForm) -> AltForm:
 
 def top_coefficient(alpha: AltForm) -> PolyScalar:
     """The coefficient of e^{1...n} in a top-degree form."""
+    _check_form("top_coefficient", alpha)
     if alpha.degree != alpha.dim:
         raise ValueError(
             f"top_coefficient needs degree {alpha.dim}, got degree {alpha.degree}"
@@ -321,8 +326,8 @@ def top_coefficient(alpha: AltForm) -> PolyScalar:
 def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     """Pullback of a form along the linear map with the given matrix.
 
-    ``matrix[r][c]`` is the e_r component of the image of e_c; entries are
-    ints or Fractions, scaled to integers by the lcm D of their denominators.
+    ``matrix[r][c]`` is the e_r component of the image of e_c; entries are ints
+    or Fractions, scaled to ints by the lcm D of their denominators (``_augmented``).
     P*(e^{i_1 ... i_k}) = P*e^{i_1} ^ ... ^ P*e^{i_k} with
     P*e^i = sum_c P[i][c] e^c, so each of k rounds places one covector: each
     state, an int list over the positions of the columns J placed, is keyed by
@@ -333,11 +338,7 @@ def pullback(alpha: AltForm, matrix: Sequence[Sequence]) -> AltForm:
     n, k = alpha.dim, alpha.degree
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match form dimension")
-    try:
-        den = lcm(*(x.denominator for row in matrix for x in row))
-    except AttributeError:  # a float, a string: not an exact rational
-        raise TypeError("pullback matrix entries must be ints or Fractions") from None
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    den, rows = _linalg._augmented(matrix, False)
     sums = {}  # exponents -> int list over the k-positions
     for expo, layer in alpha.layers.items():
         states = {rest: [v] for rest, v in layer.items()}  # indices left -> sums over placed
@@ -396,6 +397,7 @@ def form_to_vector(alpha: AltForm, monos: Sequence[tuple]) -> list[Fraction]:
 
     Raises ValueError when a coefficient is symbolic.
     """
+    _check_form("form_to_vector", alpha)
     if not alpha.is_rational():
         raise ValueError(f"{alpha.render()} does not have rational coefficients")
     layer = next(iter(alpha.layers.values()), {})
@@ -422,7 +424,7 @@ class ExteriorOp:
     def __init__(self, dim: int, degree: int, shift: int, symbols, image: Mapping):
         if degree < 0 or shift < 0:
             raise ValueError(f"degree and shift must be nonnegative, got {degree} and {shift}")
-        self.dim, self.degree, self.symbols = dim, degree, tuple(symbols)
+        self.dim, self.degree, self.symbols = dim, degree, check_context(symbols)
         self.out_degree = degree + shift
         for i, pairs in image.items():  # the tables below index by position
             if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
@@ -500,22 +502,16 @@ def render_form(alpha: AltForm) -> str:
     coefficients are parenthesized; rational coefficients follow the
     ``c*e^{...}`` convention with 1 and -1 absorbed into the sign.
     """
-    parts: list[str] = []
+    terms: list[tuple[bool, str]] = []
     for idx, coeff in sorted(alpha.coeffs.items()):
         e_part = "e^{" + " ".join(str(i) for i in idx) + "}"
         if coeff.is_constant():
             value = coeff.constant_value()
             mag = abs(value)
-            body = e_part if mag == 1 else f"{mag}*{e_part}"
-            negative = value < 0
+            terms.append((value < 0, e_part if mag == 1 else f"{mag}*{e_part}"))
         else:
-            body = f"({coeff.render()})*{e_part}"
-            negative = False
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f" - {body}" if negative else f" + {body}")
-    return "".join(parts) or "0"
+            terms.append((False, f"({coeff.render()})*{e_part}"))
+    return signed_sum(terms)
 
 
 def parse_form(text: str, dim: int, degree: int | None = None,

@@ -101,6 +101,7 @@ def b_entries(phi: AltForm, pairs: list) -> dict:
     per exponent vector, over phi's den): each pair or triple of layers adds
     its exponent vectors once, and each entry is divided by den^3 once.
     """
+    _check_form("b_entries", phi)
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_matrix expects a 3-form on a 7-dimensional space")
     if not all(1 <= k <= 7 for pair in pairs for k in pair):
@@ -221,6 +222,9 @@ def obstruction_certificate(family: ClosedFamily) -> DefinitenessReport:
     "indefinite").  With no certificate the result is
     "undecided-parametric": the family may well contain definite members.
     """
+    if not isinstance(family, ClosedFamily):
+        raise TypeError("obstruction_certificate takes a closed family, "
+                        f"got {type(family).__name__}")
     generic = family.generic
     if generic.dim != 7 or generic.degree != 3:
         raise ValueError("obstruction certificates apply to 3-form families on a 7-space")
@@ -270,10 +274,7 @@ def hodge_dual_up_to_scale(q: list, alpha: AltForm) -> AltForm:
         raise ValueError("metric representative is not a square matrix")
     if any(q[i][j] != q[j][i] for i in range(n) for j in range(i)):
         raise ValueError("metric representative is not symmetric")
-    try:
-        den, _, pivots, adj = _linalg._bareiss(q, exchange=False, jordan=True)
-    except AttributeError:  # a float, a string: not an exact rational
-        raise TypeError("metric entries must be ints or Fractions") from None
+    den, _, pivots, adj = _linalg._bareiss(q, exchange=False, jordan=True)
     if not all(p > 0 for p in pivots):  # the leading minors of D*Q (Sylvester)
         raise ValueError("metric representative is not positive definite")
     det = pivots[-1]
@@ -441,6 +442,7 @@ def su3_check(data: HomogeneousSpaceData, omega: AltForm, psi: AltForm) -> SU3Re
     by the Bareiss pass of :func:`hodge_dual_up_to_scale` on a symmetric G: a
     dual means tamed, and its refusal of G means not tamed.
     """
+    _check_form("su3_check", omega, psi)
     if data.dim_m != 6 or omega.dim != 6 or psi.dim != 6:
         raise ValueError("su3_check works on 6-dimensional data")
     if omega.degree != 2 or psi.degree != 3:
@@ -486,6 +488,7 @@ def product_g2(omega: AltForm, psi: AltForm) -> AltForm:
     verify through :func:`su3_check` and :func:`definiteness` rather than
     by assumption.
     """
+    _check_form("product_g2", omega, psi)
     if omega.dim != 6 or psi.dim != 6:
         raise ValueError("product_g2 expects forms on a 6-dimensional space")
     if omega.degree != 2 or psi.degree != 3:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import lcm
 
 from g2forms import _linalg
-from g2forms.exterior import AltForm, combination, monomials
+from g2forms.exterior import AltForm, _check_form, combination, monomials
 from g2forms.liealg import HomogeneousSpaceData
 
 __all__ = [
@@ -141,6 +141,7 @@ def ce_differential(data: HomogeneousSpaceData, alpha: AltForm) -> AltForm:
     caller is responsible for invariance.  The form must live on the data's
     m and share its context.
     """
+    _check_form("ce_differential", alpha)
     return data.differential(alpha.degree).apply(alpha)
 
 

@@ -8,10 +8,10 @@ Chevalley-Eilenberg d, and :func:`jacobi_check` is d o d = 0 on the
 covectors of g, summed on ints from the columns of d on 1-forms alone.
 Both tables are sparse and hold only nonzero scalars (formats in the
 class docstring), so the operators are built from them as stored.
-:func:`from_matrices` derives the structure constants of an explicit
-matrix basis by one exact n x n solve; complex matrices are accepted as
-(re, im) pairs and solved on those coordinates, with the brackets of
-their realification, all in Q.
+:func:`from_matrices`, the one reader of the matrix-basis format, derives
+the structure constants of square matrices of ints or Fractions by one
+exact n x n solve; a basis with an (re, im) pair entry is complex, solved
+on those coordinates with the brackets of its realification, all in Q.
 
 :func:`reductive_split` turns a Lie algebra into the data of G/H for a
 split g = h + m.  Cases where only that projected data is known (no full
@@ -33,7 +33,6 @@ __all__ = [
     "HomogeneousSpaceData",
     "JacobiReport",
     "LieStructureError",
-    "MatrixBasis",
     "from_matrices",
     "jacobi_check",
     "reductive_split",
@@ -44,45 +43,12 @@ class LieStructureError(ValueError):
     """Structural validation of Lie-algebra data failed."""
 
 
-class MatrixBasis:
-    """An ordered list of d x d matrices spanning a real Lie algebra.
-
-    ``matrices`` holds the matrices as Fraction rows; for a complex basis it
-    holds their real parts and ``imag`` their imaginary parts (None for a
-    real basis), so ``size`` is d either way.
-    """
-
-    def __init__(self, matrices: Sequence[Sequence[Sequence]]):
-        mats = [[[_exact(x) for x in row] for row in m] for m in matrices]
-        if not mats:
-            raise ValueError("empty matrix basis")
-        size = len(mats[0])
-        if any(len(m) != size or any(len(row) != size for row in m) for m in mats):
-            raise ValueError("matrices must be square and equally sized")
-        self.matrices, self.size, self.imag = mats, size, None
-
-    @classmethod
-    def from_complex(cls, matrices: Sequence[Sequence[Sequence]]) -> "MatrixBasis":
-        """Build a basis from complex matrices: (re, im) pair entries, a bare entry real."""
-        pairs = [[[x if isinstance(x, (tuple, list)) else (x, 0) for x in row] for row in m]
-                 for m in matrices]
-        if any(len(x) != 2 for m in pairs for row in m for x in row):
-            raise ValueError("a complex entry is a pair (re, im)")
-        if any(len(row) != len(m) for m in pairs for row in m):
-            raise ValueError("complex matrix must be square")
-        basis = cls([[[x[0] for x in row] for row in m] for m in pairs])
-        basis.imag = [[[_exact(x[1]) for x in row] for row in m] for m in pairs]
-        return basis
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
 def from_matrices(
-    basis: MatrixBasis, names: Sequence[str] | None = None, symbols: Iterable[str] = ()
+    matrices: Sequence, names: Sequence[str] | None = None, symbols: Iterable[str] = ()
 ) -> HomogeneousSpaceData:
-    """The span of a matrix basis as a Lie algebra (no isotropy), by exact solve.
+    """The span of n d x d matrices as a Lie algebra (no isotropy), by exact solve.
 
+    The basis is complex when any entry is an (re, im) pair (a tuple or a list).
     On M_i = L * B_i, L the lcm of all denominators, [B_i, B_j] = sum_r c_r B_r reads
     [M_i, M_j] = sum_r (L c_r) M_r, block j of M_i [M_1 | ... | M_n] minus block i of
     M_j [M_1 | ... | M_n].  A complex matrix A + iB is its d^2 real entries, then its
@@ -94,20 +60,33 @@ def from_matrices(
     commutator leaves the span (with the first such pair).
     """
     symbols = check_context(symbols)
-    n, d = len(basis), basis.size
+    if not matrices:
+        raise ValueError("empty matrix basis")
+    n, d = len(matrices), len(matrices[0])
+    if any(len(m) != d or any(len(row) != d for row in m) for m in matrices):
+        raise ValueError("matrices must be square and equally sized")
+    flat = [[x for row in m for x in row] for m in matrices]
+    complex_basis = any(isinstance(x, (tuple, list)) for f in flat for x in f)
+    for k, f in enumerate(flat if complex_basis else ()):
+        im = [0] * len(f)  # A + iB as its d^2 real entries, then its imaginary ones
+        for e, x in enumerate(f):
+            if isinstance(x, (tuple, list)):
+                if len(x) != 2:
+                    raise ValueError("a complex entry is a pair (re, im)")
+                f[e], im[e] = x
+        flat[k] = f + im
+    den, flat = _linalg._augmented([[*map(_exact, f)] for f in flat], False)
     if n == 1:
         # a one-dimensional algebra is abelian by antisymmetry, whatever the
         # matrix (including the zero matrix, whose span is degenerate)
         return HomogeneousSpaceData(1, [], {}, names, symbols)
-    mats = basis.matrices if basis.imag is None else map(add, basis.matrices, basis.imag)
-    den, flat = _linalg._augmented([[x for row in m for x in row] for m in mats], False)
     pivots = _linalg._echelon(flat, len(flat[0]))[1]
     if len(pivots) < n:
         raise LieStructureError("matrix basis is linearly dependent")
     d2 = d * d
     cut = range(0, d2, d)
     wide = [[x for f in flat for x in f[k:k + d]] for k in cut]  # rows of [M_1 | ... | M_n]
-    if basis.imag is not None:  # (a + ib)(A + iB) = a [A | B] + b [-B | A], as [re | im]
+    if complex_basis:  # (a + ib)(A + iB) = a [A | B] + b [-B | A], as [re | im]
         im = [[x for f in flat for x in f[k:k + d]] for k in range(d2, 2 * d2, d)]
         wide = [a + b for a, b in zip(wide, im)] + [[-x for x in b] + a for a, b in zip(wide, im)]
     width = len(wide[0])  # n d, twice that for a complex basis
@@ -228,7 +207,7 @@ class HomogeneousSpaceData:
         symbols: Iterable[str] = (),
         partial: bool = False,
     ):
-        symbols = tuple(symbols)
+        symbols = check_context(symbols)
         if names is None:
             names = [f"e{i}" for i in range(1, dim_m + 1)]
         if len(names) != dim_m:

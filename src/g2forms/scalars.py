@@ -13,7 +13,8 @@ constructors (``PolyScalar(...)``, ``constant``, ``with_symbols``, ``parse``
 ...) validate and normalize their input, whose values are ints or
 Fractions (``_exact``: a float is a binary fraction, not the rational it
 prints); the private ``_trusted`` skips that and is only for results of
-operations on values already valid.
+operations on values already valid.  Signed sums, the text of a polynomial
+and of a form, have one writer, :func:`signed_sum`, and one reader, :func:`signed_terms`.
 
 The arithmetic is what the checks need of a scalar: add, negate, compare
 and substitute.  The form kernels multiply ints inside their own layers, so
@@ -31,6 +32,7 @@ __all__ = [
     "PolyScalar",
     "check_context",
     "parse_rational",
+    "signed_sum",
     "signed_terms",
 ]
 
@@ -59,6 +61,16 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """The (negative, body) terms as text: the first signed only when negative, the
+    others joined by " + " or " - "; "0" for no term."""
+    parts: list[str] = []
+    for negative, body in terms:
+        parts.append((" - " if negative else " + ") if parts else "-" if negative else "")
+        parts.append(body)
+    return "".join(parts) or "0"
+
+
 def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
     """The terms of the signed sum ``compact`` (``text`` without whitespace) as
     (negative, body) pairs; ValueError on a sign that no term follows."""
@@ -68,17 +80,22 @@ def signed_terms(text: str, compact: str) -> list[tuple[bool, str]]:
     return [(chunk[0] == "-", chunk.lstrip("+-")) for chunk in chunks]
 
 
-_SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def check_context(symbols: Iterable[str]) -> tuple[str, ...]:
-    """The parameter context as a tuple; ValueError on an invalid or repeated name."""
+    """The parameter context as a tuple; TypeError on a str (not a sequence of
+    names) or a name that is not a str, ValueError on an invalid or repeated name.
+    A name is an ASCII letter followed by ASCII letters, digits or underscores."""
+    if isinstance(symbols, str):
+        raise TypeError(f"a context is a sequence of names, got the str {symbols!r}")
     symbols = tuple(symbols)
     for pos, name in enumerate(symbols):
-        if not _SYMBOL_RE.match(name):
+        if not isinstance(name, str):
+            raise TypeError(f"a symbol name is a str, got {name!r}")
+        if not (name.isascii() and name.isidentifier() and name[0] != "_"):
             raise ValueError(f"invalid symbol name {name!r}")
-        if name in symbols[:pos]:
+        if symbols.index(name) < pos:
             raise ValueError(f"duplicate symbol {name!r} in context")
     return symbols
 
@@ -228,13 +245,11 @@ class PolyScalar:
 
         Examples: ``6*b - 2``, ``-a3``, ``1/2*a1 + 2*a2``.
         """
-        if not self.terms:
-            return "0"
         items = sorted(
             self.terms.items(),
             key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])),
         )
-        parts: list[str] = []
+        terms: list[tuple[bool, str]] = []
         for expo, coeff in items:
             monomial = "*".join(
                 name if e == 1 else f"{name}^{e}"
@@ -248,11 +263,8 @@ class PolyScalar:
                 body = monomial
             else:
                 body = f"{mag}*{monomial}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts)
+            terms.append((coeff < 0, body))
+        return signed_sum(terms)
 
     def __str__(self) -> str:
         return self.render()

@@ -535,7 +535,8 @@ def realify_matrix(entries) -> list[list[Fraction]]:
 
 
 def from_matrices_by_span_solve(basis, names=None, symbols=()):
-    """The Lie algebra of a matrix basis by the full-span solve: on M_r = L B_r
+    """The Lie algebra of the matrices ``basis``, as :func:`g2forms.liealg.from_matrices`
+    takes them, by the full-span solve: on M_r = L B_r
     (L the lcm of the denominators), every commutator [M_i, M_j] by integer
     matrix products, and a fraction-free Gauss-Jordan elimination of the
     integer rows of [span | commutators], the span's d^2 x n columns the
@@ -550,10 +551,9 @@ def from_matrices_by_span_solve(basis, names=None, symbols=()):
     n = len(basis)
     if n == 1:
         return HomogeneousSpaceData(1, [], {}, names, symbols)
-    real = basis.matrices if basis.imag is None else [
-        realify_matrix([list(zip(*rows)) for rows in zip(a, b)])
-        for a, b in zip(basis.matrices, basis.imag)
-    ]
+    real = basis
+    if any(isinstance(x, (tuple, list)) for m in basis for row in m for x in row):
+        real = [realify_matrix(m) for m in basis]
     den = lcm(*(x.denominator for m in real for row in m for x in row))
     mats = [[[int(x * den) for x in row] for row in m] for m in real]
 

@@ -20,7 +20,7 @@ from g2forms.catalog import (
 )
 from g2forms.exterior import AltForm, form_to_vector, monomials, parse_form
 from g2forms.invariants import closed_forms, invariant_forms
-from g2forms.liealg import MatrixBasis, from_matrices, reductive_split
+from g2forms.liealg import from_matrices, reductive_split
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "g2forms" / "catalog" / "cases"
 
@@ -87,15 +87,14 @@ def test_bundled_tables_store_no_zero_scalar():
 def test_t1n3_frozen_constants_match_matrix_model():
     record = load_bundled("T1.n3")
     frozen = record.algebra
-    derived = from_matrices(MatrixBasis(models.so32_matrices()), record.raw["basis_names"],
-                            record.context)
+    derived = from_matrices(models.so32_matrices(), record.raw["basis_names"], record.context)
     assert set(frozen.bracket) == set(derived.bracket)
     for key in frozen.bracket:
         assert frozen.bracket[key] == derived.bracket[key]
 
 
 def test_su31_adapted_basis_relations():
-    algebra = from_matrices(MatrixBasis.from_complex(models.su31_matrices()))
+    algebra = from_matrices(models.su31_matrices())
     for i in (1, 2, 3):
         comps = dense_components(algebra.bracket_of(7, 2 * i - 1), 15)  # [e7, e_{2i-1}] = e_{2i}
         expected = ["0"] * 15
@@ -104,7 +103,7 @@ def test_su31_adapted_basis_relations():
 
 
 def test_so32_adapted_basis_relations():
-    algebra = from_matrices(MatrixBasis(models.so32_matrices()))
+    algebra = from_matrices(models.so32_matrices())
     for i in (1, 2, 3):
         comps = dense_components(algebra.bracket_of(i, 7), 10)  # e_{i+3} = [e_i, e7]
         expected = ["0"] * 10
@@ -114,7 +113,7 @@ def test_so32_adapted_basis_relations():
 
 def test_branch_c_cross_check_at_3_4():
     # guard against accidental extra invariants at special (p, q) values
-    algebra = from_matrices(MatrixBasis.from_complex(models.su21_matrices(3, 4)))
+    algebra = from_matrices(models.su21_matrices(3, 4))
     data = reductive_split(algebra, [8], list(range(1, 8)))
     assert invariant_forms(data, 3).dim == 5
     family = closed_forms(data, 3)
@@ -464,11 +463,11 @@ def test_structure_constants_recomputed_for_matrix_cases():
     # matrix-born cases: the loader derives constants from the stored
     # matrices; deriving them again from the models module must agree
     builders = {
-        "T1.n1": lambda: MatrixBasis(models.sl3r_matrices()),
-        "T1.n2a": lambda: MatrixBasis.from_complex(models.su21_matrices(0, 1)),
-        "T1.n4": lambda: MatrixBasis(models.so41_fixed_matrices()),
-        "T1.n5": lambda: MatrixBasis(models.so41_diagonal_matrices()),
-        "su31": lambda: MatrixBasis.from_complex(models.su31_matrices()),
+        "T1.n1": models.sl3r_matrices,
+        "T1.n2a": lambda: models.su21_matrices(0, 1),
+        "T1.n4": models.so41_fixed_matrices,
+        "T1.n5": models.so41_diagonal_matrices,
+        "su31": models.su31_matrices,
     }
     for case_id, builder in builders.items():
         record = load_bundled(case_id)

@@ -1,8 +1,11 @@
-"""The verdict of tools/compare_pointwise.py, on stubbed child results: no
-child process runs."""
+"""The verdict of tools/compare_pointwise.py, on stubbed child results, and
+the engine names its child imports: no child process runs."""
 
 from __future__ import annotations
 
+import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,15 @@ def test_a_failing_child_ends_with_the_line_naming_its_tree(monkeypatch, capsys)
         with pytest.raises(SystemExit, match=f"^the child on {failing} exited 1$"):
             compare_pointwise.main(["BASE/src", "CHANGE/src"])
         assert capsys.readouterr().out == ""  # no verdict on half the results
+
+
+def test_every_engine_name_the_child_imports_exists_on_this_tree():
+    # a removed name would otherwise show only when the comparator runs; the
+    # child's source is parsed, not run
+    imports = [(node.module, alias.name) for node in ast.walk(ast.parse(compare_pointwise.CHILD))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("g2forms")
+               for alias in node.names]
+    assert ("g2forms.liealg", "from_matrices") in imports
+    for module, name in imports:
+        found = hasattr(importlib.import_module(module), name)
+        assert found or importlib.util.find_spec(f"{module}.{name}"), f"{module}.{name}"

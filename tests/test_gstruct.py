@@ -42,7 +42,7 @@ from g2forms.gstruct import (
     su3_check,
 )
 from g2forms.invariants import ClosedFamily, closed_forms
-from g2forms.liealg import HomogeneousSpaceData, MatrixBasis, from_matrices, reductive_split
+from g2forms.liealg import HomogeneousSpaceData, from_matrices, reductive_split
 from g2forms.scalars import PolyScalar
 
 PHI0 = (
@@ -358,7 +358,7 @@ def test_definiteness_certificate_is_pinned(text, minors, render):
 
 
 def test_obstruction_certificate_on_sl3r_closed_family():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     data = reductive_split(algebra, [8], list(range(1, 8)))
     family = closed_forms(data, 3)
     report = obstruction_certificate(family)
@@ -591,7 +591,7 @@ def test_product_over_strict_half_flat_is_closed_non_parallel():
     # definite closed 3-form that is not coclosed.
     raw = models.su21_matrices(0, 1)
     mats = [raw[1], raw[2], raw[3], raw[4], raw[5], raw[6], raw[0], raw[7]]
-    algebra = from_matrices(MatrixBasis.from_complex(mats))
+    algebra = from_matrices(mats)
     data6 = reductive_split(algebra, [7, 8], [1, 2, 3, 4, 5, 6])
     omega = parse_form("-2*e^{1 2} + e^{3 4} - e^{5 6}", 6)
     psi = parse_form("e^{1 3 6} - e^{1 4 5} + e^{2 3 5} + e^{2 4 6}", 6)
@@ -740,8 +740,8 @@ def _metric(entry):
     (wedge, (phi0(), PHI0), "wedge takes forms, got AltForm and str"),
     (definiteness, (1,), "definiteness takes a form, got int"),
     (definiteness, (PHI0,), "definiteness takes a form, got str"),
-    (hodge_dual_up_to_scale, (_metric(1.0), phi0()), "metric entries must be ints or Fractions"),
-    (hodge_dual_up_to_scale, (_metric("1"), phi0()), "metric entries must be ints or Fractions"),
+    (hodge_dual_up_to_scale, (_metric(1.0), phi0()), "matrix entries must be ints or Fractions"),
+    (hodge_dual_up_to_scale, (_metric("1"), phi0()), "matrix entries must be ints or Fractions"),
     (pullback, (1, _metric(1)), "pullback takes a form, got int"),
     (contract, (1, 1), "contract takes a form, got int"),
     (b_matrix, (1,), "b_matrix takes a form, got int"),

@@ -28,7 +28,6 @@ from g2forms.invariants import (
 )
 from g2forms.liealg import (
     HomogeneousSpaceData,
-    MatrixBasis,
     from_matrices,
     jacobi_check,
     reductive_split,
@@ -37,12 +36,12 @@ from g2forms.scalars import PolyScalar
 
 
 def sl3r_data(symbols=()):
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()), symbols=symbols)
+    algebra = from_matrices(models.sl3r_matrices(), symbols=symbols)
     return reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
 
 
 def su21_data(p, q):
-    algebra = from_matrices(MatrixBasis.from_complex(models.su21_matrices(p, q)))
+    algebra = from_matrices(models.su21_matrices(p, q))
     return reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
 
 
@@ -111,7 +110,7 @@ def test_ce_differential_calibration_values():
     assert ce_differential(data, phi).eval_basis((3, 5, 6, 7)).render() == "-a3"
 
     syms5 = tuple(f"a{i}" for i in range(1, 6))
-    algebra = from_matrices(MatrixBasis(models.so32_matrices()), symbols=syms5)
+    algebra = from_matrices(models.so32_matrices(), symbols=syms5)
     so32 = reductive_split(algebra, [8, 9, 10], list(range(1, 8)))
     phi5 = generic_form(
         [
@@ -126,7 +125,7 @@ def test_ce_differential_calibration_values():
     assert ce_differential(so32, phi5).eval_basis((1, 2, 4, 5)).render() == "2*a4"
 
     syms10 = tuple(f"a{i}" for i in range(1, 11))
-    n4 = from_matrices(MatrixBasis(models.so41_fixed_matrices()), symbols=syms10)
+    n4 = from_matrices(models.so41_fixed_matrices(), symbols=syms10)
     data4 = reductive_split(n4, [8, 9, 10], list(range(1, 8)))
     phi10 = generic_form(
         [
@@ -335,7 +334,7 @@ def test_solves_on_a_rational_basis_of_m_match_the_stacked_kernels():
     p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, 7, shears=6)]
     m = [[[sum(p[k][c] * e[k][r][t] for k in range(7)) for t in range(3)] for r in range(3)]
          for c in range(7)]
-    data = reductive_split(from_matrices(MatrixBasis(m + [e[7]])), [8], list(range(1, 8)))
+    data = reductive_split(from_matrices(m + [e[7]]), [8], list(range(1, 8)))
     dens = set()
     for k in range(8):
         space, family = invariant_forms(data, k), closed_forms(data, k)

@@ -19,7 +19,6 @@ from g2forms.invariants import d_squared_check
 from g2forms.liealg import (
     HomogeneousSpaceData,
     LieStructureError,
-    MatrixBasis,
     from_matrices,
     jacobi_check,
     reductive_split,
@@ -39,7 +38,7 @@ def algebra_from(constants, dim):
 
 
 def test_sl3r_bracket_e6_e7():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     comps = dense_components(algebra.bracket_of(6, 7), 8)
     assert [c.render() for c in comps] == ["0", "0", "0", "0", "0", "0", "0", "-2"]
     assert jacobi_check(algebra).ok
@@ -47,29 +46,28 @@ def test_sl3r_bracket_e6_e7():
 
 def test_so41_p_block_has_pauli_type_relations():
     # the three p-basis matrices close with [e_i, e_j] = 2 eps_ijk e_k
-    p_only = MatrixBasis(models.so41_fixed_matrices()[:3])
-    algebra = from_matrices(p_only)
+    algebra = from_matrices(models.so41_fixed_matrices()[:3])
     assert [c.render() for c in dense_components(algebra.bracket_of(1, 2), 3)] == ["0", "0", "2"]
     assert [c.render() for c in dense_components(algebra.bracket_of(2, 3), 3)] == ["2", "0", "0"]
     assert [c.render() for c in dense_components(algebra.bracket_of(3, 1), 3)] == ["0", "2", "0"]
 
 
 def test_single_zero_matrix_gives_abelian_algebra():
-    algebra = from_matrices(MatrixBasis([[[0]]]))
+    algebra = from_matrices([[[0]]])
     assert algebra.dim_m == 1 and not algebra.bracket
     assert jacobi_check(algebra).ok
 
 
 def test_dependent_basis_rejected():
     with pytest.raises(LieStructureError, match="dependent"):
-        from_matrices(MatrixBasis([[[1, 0], [0, 1]], [[2, 0], [0, 2]]]))
+        from_matrices([[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
 
 
 def test_commutator_outside_span_rejected():
     e12 = [[0, 1], [0, 0]]
     e21 = [[0, 0], [1, 0]]
     with pytest.raises(LieStructureError, match=r"\[e1, e2\]"):
-        from_matrices(MatrixBasis([e12, e21]))
+        from_matrices([e12, e21])
 
 
 def test_first_pair_outside_the_span_is_named():
@@ -79,7 +77,7 @@ def test_first_pair_outside_the_span_is_named():
     e13, e12, e21 = ([[int((r, c) == rc) for c in range(3)] for r in range(3)]
                      for rc in ((0, 2), (0, 1), (1, 0)))
     as_complex = [[[(x, 0) for x in row] for row in m] for m in (e13, e12, e21)]
-    for basis in (MatrixBasis([e13, e12, e21]), MatrixBasis.from_complex(as_complex)):
+    for basis in ([e13, e12, e21], as_complex):
         with pytest.raises(LieStructureError) as caught:
             from_matrices(basis)
         assert str(caught.value) == "commutator [e1, e3] does not lie in the span of the basis"
@@ -89,55 +87,50 @@ def test_first_pair_outside_the_span_is_named():
 
 def test_matrix_basis_refuses_malformed_input():
     one, i = (1, 0), (0, 1)
-    for build, square, other, ragged in (
-        (MatrixBasis, [[1, 0], [0, 1]], [[1]], [[1, 0], [0]]),
-        (MatrixBasis.from_complex, [[one, i], [i, one]], [[i]], None),
+    for square, other, ragged in (
+        ([[1, 0], [0, 1]], [[1]], [[1, 0], [0]]),
+        ([[one, i], [i, one]], [[i]], [[one, i], [one]]),
     ):
         with pytest.raises(ValueError, match="^empty matrix basis$"):
-            build([])
-        with pytest.raises(ValueError, match="^matrices must be square and equally sized$"):
-            build([square, other])
-        if ragged is not None:
+            from_matrices([])
+        for matrices in ([square, other], [square, ragged], [ragged]):
             with pytest.raises(ValueError, match="^matrices must be square and equally sized$"):
-                build([square, ragged])
-    with pytest.raises(ValueError, match="^complex matrix must be square$"):
-        MatrixBasis.from_complex([[[one, i], [one]]])
-    # a complex basis keeps its size: real parts in matrices, imaginary parts beside them
-    basis = MatrixBasis.from_complex([[[one, i], [3, Fraction(1, 2)]]])
-    assert basis.size == 2 and MatrixBasis([[[1]]]).imag is None
-    assert basis.matrices == [[[1, 0], [3, Fraction(1, 2)]]] and basis.imag == [[[0, 1], [0, 0]]]
+                from_matrices(matrices)
 
 
 def test_complex_entries_are_pairs():
     # (1, 0, 5) was read as the real value 1, and (1,) raised IndexError
     for entry in ((1, 0, 5), (1,), [], [1, 0, 0]):
         with pytest.raises(ValueError, match="pair"):
-            MatrixBasis.from_complex([[[entry, 0], [0, 0]], [[0, (0, 1)], [0, 0]]])
-    basis = MatrixBasis.from_complex([[[[1, 2], 0], [0, 0]], [[0, (0, 1)], [0, 0]]])
-    assert basis.matrices[0][0][0] == 1 and basis.imag[0][0][0] == 2
+            from_matrices([[[entry, 0], [0, 0]], [[0, (0, 1)], [0, 0]]])
+    # a list is a pair as a tuple is: [1, 2] is 1 + 2i, and (2, 4) twice it
+    with pytest.raises(LieStructureError, match="dependent"):
+        from_matrices([[[[1, 2], 0], [0, 0]], [[(2, 4), 0], [0, 0]]])
 
 
-@pytest.mark.parametrize("build, entries", [
-    (MatrixBasis, (0.1, 1.0, "1/2")),
-    (MatrixBasis.from_complex, (0.1, 1.0, "1/2", (1, 0.5), (0.5, 1))),
+@pytest.mark.parametrize("other, entries", [
+    ([[0, 1], [0, 0]], (0.1, 1.0, "1/2")),
+    ([[0, (0, 1)], [0, 0]], (0.1, 1.0, "1/2", (1, 0.5), (0.5, 1))),
 ], ids=["real", "complex"])
-def test_matrix_entries_are_ints_or_fractions(build, entries):
+def test_matrix_entries_are_ints_or_fractions(other, entries):
     # a float entry would reach the bracket as its binary fraction
     for entry in entries:
         with pytest.raises(TypeError, match="ints or Fractions"):
-            build([[[entry, 0], [0, 0]], [[0, 1], [0, 0]]])
-    basis = build([[[Fraction(1, 10), 0], [0, 0]], [[0, 1], [0, 0]]])
-    assert basis.matrices[0][0][0] == Fraction(1, 10)
+            from_matrices([[[entry, 0], [0, 0]], other])
+    # [E11 / 10, B] = B / 10 for B = E12 or i E12
+    algebra = from_matrices([[[Fraction(1, 10), 0], [0, 0]], other])
+    assert {r: c.render() for r, c in algebra.bracket_of(1, 2).items()} == {2: "1/10"}
 
 
 def test_realified_su2_keeps_structure_constants():
+    # the real matrix u2 as pairs and with bare (real) entries: one algebra
     i = (0, 1)
     u1 = [[i, (0, 0)], [(0, 0), (0, -1)]]
-    u2 = [[(0, 0), (1, 0)], [(-1, 0), (0, 0)]]
     u3 = [[(0, 0), i], [i, (0, 0)]]
-    algebra = from_matrices(MatrixBasis.from_complex([u1, u2, u3]))
-    assert [c.render() for c in dense_components(algebra.bracket_of(1, 2), 3)] == ["0", "0", "2"]
-    assert [c.render() for c in dense_components(algebra.bracket_of(2, 3), 3)] == ["2", "0", "0"]
+    for u2 in ([[(0, 0), (1, 0)], [(-1, 0), (0, 0)]], [[0, 1], [-1, 0]]):
+        algebra = from_matrices([u1, u2, u3])
+        for pair, expected in (((1, 2), ["0", "0", "2"]), ((2, 3), ["2", "0", "0"])):
+            assert [c.render() for c in dense_components(algebra.bracket_of(*pair), 3)] == expected
     assert [c.render() for c in dense_components(algebra.bracket_of(3, 1), 3)] == ["0", "2", "0"]
     real = realify_matrix(u1)
     assert real == [
@@ -199,7 +192,7 @@ def test_jacobi_check_matches_dense_cyclic_sum_oracle():
         violating += bool(expected)
     assert 40 <= violating <= 120  # both outcomes well represented
     # valid parametric tables: a Lie bracket scaled by a symbol stays one
-    sl3r = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    sl3r = from_matrices(models.sl3r_matrices())
     scale = PolyScalar.parse("a", ("a",)) + C(1, ("a",))
     scaled = HomogeneousSpaceData(sl3r.dim_m, [], {
         key: {r: poly_mul(c.with_symbols(("a",)), scale) for r, c in comps.items()}
@@ -233,7 +226,7 @@ def test_jacobi_check_refuses_data_with_isotropy(case_id):
 
 
 def test_reductive_split_case_n1_isotropy_blocks():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
     mat = [[entry.constant_value() for entry in row] for row in dense_matrix(data.isotropy[0], 7)]
     expected = [[Fraction(0)] * 7 for _ in range(7)]
@@ -247,7 +240,7 @@ def test_reductive_split_case_n1_isotropy_blocks():
 
 def test_reductive_split_empty_isotropy_keeps_full_bracket():
     mats = models.sl3r_matrices()
-    so3 = MatrixBasis([mats[1], mats[2], mats[7]])  # e2, e3, e8 close to so(3)
+    so3 = [mats[1], mats[2], mats[7]]  # e2, e3, e8 close to so(3)
     algebra = from_matrices(so3)
     data = reductive_split(algebra, [], [1, 2, 3])
     assert data.isotropy == ()
@@ -256,7 +249,7 @@ def test_reductive_split_empty_isotropy_keeps_full_bracket():
 
 
 def test_reductive_split_case_n4_h_acts_trivially_on_p():
-    algebra = from_matrices(MatrixBasis(models.so41_fixed_matrices()))
+    algebra = from_matrices(models.so41_fixed_matrices())
     data = reductive_split(algebra, [8, 9, 10], [1, 2, 3, 4, 5, 6, 7])
     for mat in (dense_matrix(table, 7) for table in data.isotropy):
         for r in range(7):
@@ -269,7 +262,7 @@ def test_reductive_split_round_trips_against_matrix_commutators():
     # reassembling each [e_h, e_m] from the isotropy columns must reproduce
     # the direct matrix commutator for matrix-born algebras
     mats = [[[Fraction(x) for x in row] for row in m] for m in models.sl3r_matrices()]
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
     iso = dense_matrix(data.isotropy[0], 7)
     for j in range(7):
@@ -291,7 +284,7 @@ def test_reductive_split_round_trips_against_matrix_commutators():
 
 
 def test_reductive_split_validates_subalgebra_and_reductivity():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     with pytest.raises(LieStructureError, match="not a subalgebra"):
         reductive_split(algebra, [6, 7], [1, 2, 3, 4, 5, 8])
     sl2 = algebra_from({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}, 3)
@@ -404,13 +397,13 @@ def test_restrict_rejects_bad_indices(indices, match):
 
 @pytest.mark.parametrize("h, m", [([8], [1, 1, 2, 3, 4, 5, 6, 7]), ([8, 8], [1, 2, 3, 4, 5, 6, 7])])
 def test_reductive_split_rejects_repeated_indices(h, m):
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     with pytest.raises(LieStructureError, match="repeat"):
         reductive_split(algebra, h, m)
 
 
 def test_reductive_split_rejects_data_with_isotropy():
-    algebra = from_matrices(MatrixBasis(models.sl3r_matrices()))
+    algebra = from_matrices(models.sl3r_matrices())
     data = reductive_split(algebra, [8], [1, 2, 3, 4, 5, 6, 7])
     with pytest.raises(LieStructureError, match="has isotropy"):
         reductive_split(data, [], [1, 2, 3, 4, 5, 6, 7])
@@ -420,34 +413,23 @@ def test_reductive_split_rejects_data_with_isotropy():
 
 
 MATRIX_MODELS = {
-    "sl3r": lambda: MatrixBasis(models.sl3r_matrices()),
-    "su21": lambda: MatrixBasis.from_complex(models.su21_matrices(0, 1)),
-    "so32": lambda: MatrixBasis(models.so32_matrices()),
-    "so41_fixed": lambda: MatrixBasis(models.so41_fixed_matrices()),
-    "so41_diagonal": lambda: MatrixBasis(models.so41_diagonal_matrices()),
-    "su31": lambda: MatrixBasis.from_complex(models.su31_matrices()),
+    "sl3r": models.sl3r_matrices,
+    "su21": lambda: models.su21_matrices(0, 1),
+    "so32": models.so32_matrices,
+    "so41_fixed": models.so41_fixed_matrices,
+    "so41_diagonal": models.so41_diagonal_matrices,
+    "su31": models.su31_matrices,
 }
 
 
-def sheared_basis(rng, basis: MatrixBasis, shears: int) -> MatrixBasis:
+def sheared_basis(rng, mats, shears: int) -> list:
     """f_c = sum_k P[k][c] e_k for a seeded rational P: a product of random
-    shears with its columns scaled by nonzero rationals; a complex basis has
-    its real and imaginary parts sheared alike."""
-    n, size = len(basis), basis.size
+    shears with its columns scaled by nonzero rationals; a complex basis
+    (every entry an (re, im) pair) has its real and imaginary parts sheared alike."""
+    n = len(mats)
     scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
     p = [[x * s for x, s in zip(row, scale)] for row in random_unimodular(rng, n, shears=shears)]
-
-    def shear(mats):
-        return [
-            [[sum(p[k][c] * mats[k][r][s] for k in range(n)) for s in range(size)]
-             for r in range(size)]
-            for c in range(n)
-        ]
-
-    if basis.imag is None:
-        return MatrixBasis(shear(basis.matrices))
-    return MatrixBasis.from_complex([[list(zip(*rows)) for rows in zip(a, b)]
-                                     for a, b in zip(shear(basis.matrices), shear(basis.imag))])
+    return combine(p, mats, isinstance(mats[0][0][0], tuple))
 
 
 def assert_one_perturbed_constant_breaks_jacobi(rng, algebra, name):
@@ -550,7 +532,7 @@ def test_from_matrices_matches_the_full_span_solve():
     seen = {"brackets": 0, "dependent": 0, "outside": 0}
     for case_id, cx, mats in bundled_matrix_bases():
         for variant in basis_variants(rng, mats, cx):
-            basis = MatrixBasis.from_complex(variant) if cx else MatrixBasis(variant)
+            basis = variant if cx else variant
             got = structure_outcome(from_matrices, basis)
             assert got == structure_outcome(from_matrices_by_span_solve, basis), case_id
             seen[outcome_kind(got)] += 1
@@ -569,8 +551,8 @@ def test_complex_bases_solve_as_their_realification():
     seen = {"brackets": 0, "dependent": 0, "outside": 0}
     for name, mats in bases:
         for variant in basis_variants(rng, mats, True):
-            got = structure_outcome(from_matrices, MatrixBasis.from_complex(variant))
-            real = MatrixBasis([realify_matrix(m) for m in variant])
+            got = structure_outcome(from_matrices, variant)
+            real = [realify_matrix(m) for m in variant]
             assert got == structure_outcome(from_matrices, real), name
             seen[outcome_kind(got)] += 1
     assert all(count >= 5 for count in seen.values()), seen

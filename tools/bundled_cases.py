@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from g2forms.liealg import MatrixBasis, from_matrices
+from g2forms.liealg import from_matrices
 
 import models
 
@@ -217,7 +217,7 @@ def t1n2x_case() -> dict:
 def t1n3_case() -> dict:
     # Constants frozen from the adapted 5x5 matrix model (tools/build_cases.py
     # re-derives them; tests compare).
-    algebra = from_matrices(MatrixBasis(models.so32_matrices()), _names(10))
+    algebra = from_matrices(models.so32_matrices(), _names(10))
     constants = []
     for (i, j), comps in sorted(algebra.bracket.items()):
         for k, coeff in sorted(comps.items()):

@@ -144,9 +144,8 @@ from g2forms.gstruct import (
     b_entries, definiteness, hitchin_stability, hodge_dual_up_to_scale, su3_check,
 )
 from g2forms.invariants import closed_forms, invariant_forms
-from g2forms.liealg import (
-    HomogeneousSpaceData, LieStructureError, MatrixBasis, from_matrices, jacobi_check,
-)
+from g2forms import liealg
+from g2forms.liealg import HomogeneousSpaceData, LieStructureError, from_matrices, jacobi_check
 from g2forms.scalars import PolyScalar
 PAIRS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
@@ -445,8 +444,10 @@ def shear(rng, n, shears):
     return [[x * s for x, s in zip(row, scale)] for row in p]
 
 def structure(mats, cx):
+    if hasattr(liealg, "MatrixBasis"):  # a base tree whose from_matrices took a MatrixBasis
+        mats = liealg.MatrixBasis.from_complex(mats) if cx else liealg.MatrixBasis(mats)
     try:
-        algebra = from_matrices(MatrixBasis.from_complex(mats) if cx else MatrixBasis(mats))
+        algebra = from_matrices(mats)
     except LieStructureError as exc:
         return [type(exc).__name__, str(exc)]
     return [[list(pair), [[r, c.render()] for r, c in sorted(comps.items())]]
